@@ -7,7 +7,7 @@ shifted-central-path subproblems (coarse test space, fine-grid quadrature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +37,6 @@ class Objective:
     def __post_init__(self):
         fes, smp = self.fesys, self.sampler
         ne, nq = smp.wq.shape
-        d = fes.d
         self._free = fes.free_idx()
         self._free_mask = fes.free_mask()
 
@@ -164,8 +163,3 @@ class LevelObjective:
         if self.P is None:
             return g, H
         return self.P.T @ g, (self.P.T @ H @ self.P).tocsr()
-
-
-def restrict(objective, base, P=None):
-    """Level objective for the shifted path base + V_level (Galerkin P^T H P)."""
-    return LevelObjective(objective, base, P)

@@ -17,25 +17,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 
-def psi(a):
-    """psi(a) = a - log(1 + a), the self-concordant decrease function."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= -1.0):
-        raise ValueError("psi requires a > -1")
-    out = a - np.log1p(a)
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_inverse(beta, tol=1e-12):
-    """Positive root of psi(a) = beta; satisfies psi_inverse(b) <= b + sqrt(2b)."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if beta == 0:
-        return 0.0
-    hi = beta + np.sqrt(2 * beta) + 1e-9
-    return brentq(lambda a: psi(a) - beta, 0.0, hi, xtol=tol)
-
-
 @dataclass(frozen=True)
 class PLapBarrier:
     """Barrier for the epigraph of Lambda(q) = |q|_2^p on R^d x R."""
@@ -47,10 +28,6 @@ class PLapBarrier:
     def __post_init__(self):
         if self.p < 1.0:
             raise ValueError("p must be >= 1")
-
-    @property
-    def point_dim(self):
-        return self.d + 1
 
     def lam(self, q):
         """Lambda(q) = |q|_2^p."""

@@ -13,8 +13,8 @@ import numpy as np
 from . import diagnostics
 from .femspace import dump_solution
 from .mesh import dump_mesh, quasi_uniformity
-from .pathfollow import (PathConfig, STATUS_BUDGET, STATUS_CONVERGED,
-                         run_mgb, run_naive)
+from .pathfollow import (ALGORITHMS, PathConfig, STATUS_BUDGET,
+                         STATUS_CONVERGED, run_mgb)
 from .problems import build_problem, load_config, spec_from_config
 
 EXIT_OK = 0
@@ -23,12 +23,8 @@ EXIT_BUDGET = 3
 
 
 def _path_config(cfg):
-    kwargs = {}
-    for src, dst in (("rho0", "rho0"), ("c_stp", "c_stp"), ("t_cap", "t_cap"),
-                     ("theta", "theta"), ("budget_s", "budget_s"), ("t0", "t0")):
-        if src in cfg:
-            kwargs[dst] = cfg[src]
-    return PathConfig(**kwargs)
+    keys = ("rho0", "c_stp", "t_cap", "theta", "budget_s", "t0")
+    return PathConfig(**{key: cfg[key] for key in keys if key in cfg})
 
 
 def cmd_solve(args):
@@ -37,13 +33,7 @@ def cmd_solve(args):
     config = _path_config(cfg)
     problem = build_problem(spec)
     algorithm = cfg.get("algorithm", "mgb")
-
-    if algorithm == "mgb":
-        trace = run_mgb(problem, config)
-    elif algorithm == "naive-h-then-t":
-        trace = run_naive(problem, config, schedule="h-then-t")
-    else:
-        trace = run_naive(problem, config, schedule="theta")
+    trace = ALGORITHMS[algorithm](problem, config)
 
     if args.dump_mesh:
         dump_mesh(problem.hierarchy.fine, args.dump_mesh)
@@ -100,7 +90,7 @@ def cmd_check(args):
     for lvl, mesh in enumerate(problem.hierarchy.levels, start=1):
         check(f"level {lvl}: element volumes sum to |Omega|",
               abs(mesh.total_volume() - 1.0) < 1e-12)
-        h, rho = quasi_uniformity(mesh)
+        _, rho = quasi_uniformity(mesh)
         check(f"level {lvl}: quasi-uniformity 0 < rho <= 1", 0 < rho <= 1)
     for smp in problem.samplers:
         check("positive quadrature weights", bool(np.all(smp.wq > 0)))

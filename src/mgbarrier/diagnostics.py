@@ -12,11 +12,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .pathfollow import PathConfig, run_mgb, run_naive
-from .problems import ProblemSpec, build_problem
+from .pathfollow import ALGORITHMS, PathConfig, check_algorithm
+from .problems import ProblemSpec, build_problem, harmonic_extension
 
 BENCH_HEADER = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
 
@@ -59,16 +57,12 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     Hn = H.reshape(ne_f, nq, d + 1, d + 1)
 
     # ancestor element of each fine element at every level
-    anc = np.arange(ne_f)
-    ancestors = [None] * L
-    ancestors[L - 1] = anc.copy()
-    for lvl in range(L - 2, -1, -1):
-        anc = problem.hierarchy.levels[lvl + 1].parent_map[anc]
-        ancestors[lvl] = anc.copy()
+    ancestors = [np.arange(ne_f)]
+    for mesh in reversed(problem.hierarchy.levels[1:]):
+        ancestors.insert(0, mesh.parent_map[ancestors[0]])
 
     out = []
     for lvl in range(L - 1):
-        fes_c = problem.fesystems[lvl]
         Pff = problem.P_free_to_fine[lvl]
         vols = problem.hierarchy.levels[lvl].volumes()
         worst = 0.0
@@ -79,15 +73,14 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
             Dv = np.concatenate([gv, sv[..., None]], axis=-1)  # (ne, nq, d+1)
             quad = np.einsum("eqa,eqab,eqb->eq", Dv, Hn, Dv)
             val = np.sqrt(np.maximum(quad, 0.0))
+            # per coarse element K: max and quadrature integral of val over K
             owner = ancestors[lvl]
-            for K in range(fes_c.mesh.num_elements):
-                mask = owner == K
-                vals = val[mask]
-                w = smp.wq[mask]
-                linf = float(vals.max())
-                l1 = float(np.sum(w * vals))
-                if l1 > 0:
-                    worst = max(worst, vols[K] * linf / l1)
+            linf = np.zeros(vols.size)
+            np.maximum.at(linf, owner, val.max(axis=1))
+            l1 = np.bincount(owner, weights=np.sum(smp.wq * val, axis=1),
+                             minlength=vols.size)
+            ratio = vols * linf / np.where(l1 > 0, l1, np.inf)
+            worst = max(worst, float(ratio.max()))
         out.append(worst)
     return out
 
@@ -102,27 +95,14 @@ def p2_linear_fem(problem):
         raise ValueError("linear FEM oracle requires p = 2")
     fes = problem.fine_fesys
     smp = problem.samplers[-1]
-    n_lu = fes.u_elem.shape[1]
-    kloc = 2.0 * np.einsum("eq,eqia,eqja->eij", smp.wq, smp.grads, smp.grads)
-    rows = np.repeat(fes.u_elem, n_lu, axis=1).ravel()
-    cols = np.tile(fes.u_elem, (1, n_lu)).ravel()
-    K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fes.n_u, fes.n_u))
-
-    rhs = np.zeros(fes.n_u)
+    # stationarity 2 K u + int f phi = 0, i.e. K u = -(1/2) int f phi
+    load = None
     if problem.spec.forcing is not None:
         fvals = np.apply_along_axis(lambda x: problem.spec.forcing(*x), 2, smp.xq)
-        np.add.at(rhs, fes.u_elem, -np.einsum("eq,qi->ei", smp.wq * fvals, smp.uvals))
-
-    u = np.zeros(fes.n_u)
-    bidx = np.flatnonzero(fes.u_boundary)
-    for i in bidx:
-        u[i] = problem.spec.dirichlet(*fes.u_node_coords[i])
-    iidx = np.flatnonzero(~fes.u_boundary)
-    if iidx.size:
-        Kii = K[np.ix_(iidx, iidx)].tocsc()
-        b = rhs[iidx] - K[np.ix_(iidx, bidx)] @ u[bidx]
-        u[iidx] = spla.splu(Kii).solve(b)
-    return u
+        load = np.zeros(fes.n_u)
+        np.add.at(load, fes.u_elem,
+                  -0.5 * np.einsum("eq,qi->ei", smp.wq * fvals, smp.uvals))
+    return harmonic_extension(fes, smp, problem.spec.dirichlet, load)
 
 
 def p2_oracle_error(problem, trace):
@@ -143,29 +123,28 @@ def p2_oracle_error(problem, trace):
 
 @dataclass
 class BenchCell:
-    algorithm: str       # mgb | naive-h-then-t | naive-theta
+    algorithm: str       # a key of pathfollow.ALGORITHMS
     p: float
     levels: int
 
 
 def run_cell(cell, base_spec_kwargs, config):
+    runner = ALGORITHMS[check_algorithm(cell.algorithm)]
     spec = ProblemSpec(p=cell.p, levels=cell.levels, **base_spec_kwargs)
     problem = build_problem(spec)
     t0 = time.monotonic()
-    if cell.algorithm == "mgb":
-        trace = run_mgb(problem, config)
-    elif cell.algorithm == "naive-h-then-t":
-        trace = run_naive(problem, config, schedule="h-then-t")
-    elif cell.algorithm == "naive-theta":
-        trace = run_naive(problem, config, schedule="theta")
-    else:
-        raise ValueError(f"unknown algorithm {cell.algorithm!r}")
+    trace = runner(problem, config)
     wall = time.monotonic() - t0
     return problem, trace, wall
 
 
 def bench(algorithms, p_values, level_values, base_spec_kwargs=None, config=None):
-    """Run the (algorithm, p, h) matrix; failures are recorded, not raised."""
+    """Run the (algorithm, p, h) matrix; failures are recorded, not raised.
+
+    Unknown algorithm names raise ValueError before the first cell runs.
+    """
+    for alg in algorithms:
+        check_algorithm(alg)
     base_spec_kwargs = base_spec_kwargs or {}
     config = config or PathConfig()
     buf = io.StringIO()

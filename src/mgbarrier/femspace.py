@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import p2_nodes
 from .quadrature import pushforward_nodes, pushforward_weights
 
 
@@ -139,9 +140,6 @@ class FeSystem:
     def total_dim(self):
         return self.n_u + self.n_s
 
-    def s_dof(self, element, local):
-        return self.n_u + element * self.n_ls + local
-
     def s_elem(self):
         """Global s dof ids per element, shape (ne, n_ls)."""
         ne = self.mesh.num_elements
@@ -154,53 +152,20 @@ class FeSystem:
     def free_idx(self):
         return np.flatnonzero(self.free_mask())
 
-    def split(self, z):
-        return z[: self.n_u], z[self.n_u:]
-
 
 def build_fe_system(mesh, alpha):
     if alpha not in (1, 2):
         raise ValueError(f"unsupported polynomial degree alpha={alpha}")
     d = mesh.d
-    elems = mesh.elements
-    nv = mesh.num_vertices
-    bset = set(int(i) for i in mesh.boundary_vertices)
-
     if alpha == 1:
-        coords = mesh.vertices.copy()
-        u_elem = elems.copy()
-        bdry = np.zeros(nv, dtype=bool)
-        bdry[list(bset)] = True
+        coords, u_elem = mesh.vertices.copy(), mesh.elements.copy()
     else:
-        # vertices plus edge midpoints
-        edge_ids = {}
-        if d == 1:
-            local_edges = [(0, 1)]
-        else:
-            local_edges = [(0, 1), (1, 2), (0, 2)]
-        for tri in elems:
-            for a, b in local_edges:
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                if key not in edge_ids:
-                    edge_ids[key] = len(edge_ids)
-        mid_coords = np.empty((len(edge_ids), d))
-        for (a, b), i in edge_ids.items():
-            mid_coords[i] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        coords = np.concatenate([mesh.vertices, mid_coords], axis=0)
-
-        u_elem = np.empty((elems.shape[0], d + 1 + len(local_edges)), dtype=np.int64)
-        u_elem[:, : d + 1] = elems
-        for e, tri in enumerate(elems):
-            for k, (a, b) in enumerate(local_edges):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                u_elem[e, d + 1 + k] = nv + edge_ids[key]
-
-        bdry = np.zeros(coords.shape[0], dtype=bool)
-        bdry[list(bset)] = True
-        if d == 2:
-            for face in mesh.boundary_edges():
-                key = (int(face[0]), int(face[1]))
-                bdry[nv + edge_ids[key]] = True
+        coords, u_elem = p2_nodes(mesh)
+    bdry = np.zeros(coords.shape[0], dtype=bool)
+    bdry[mesh.boundary_vertices] = True
+    if alpha == 2 and d == 2:
+        # the midpoint of an edge of a single triangle lies on the boundary
+        bdry |= np.bincount(u_elem[:, d + 1:].ravel(), minlength=bdry.size) == 1
 
     n_ls = 1 if alpha == 1 else d + 1 if d == 2 else 2
     return FeSystem(mesh, alpha, coords, u_elem, bdry, n_ls)
@@ -248,10 +213,6 @@ class DSampler:
     def sample_u(self, z):
         """u values at quadrature nodes, shape (ne, nq)."""
         return np.einsum("qi,ei->eq", self.uvals, self.gather_u(z))
-
-
-def sample_D(fesys, rule):
-    return DSampler(fesys, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +285,10 @@ def interpolate(fesys, u_fun, s_fun):
     """Nodal interpolation of callables u(x), s(x) into the FE coefficient vector."""
     mesh = fesys.mesh
     z = np.empty(fesys.total_dim)
-    for i, x in enumerate(fesys.u_node_coords):
-        z[i] = u_fun(*x)
+    z[: fesys.n_u] = [u_fun(*x) for x in fesys.u_node_coords]
     sref = s_node_ref(mesh.d, fesys.alpha)
     xs = np.einsum("eab,qb->eqa", mesh.A, sref) + mesh.b[:, None, :]
-    for e in range(mesh.num_elements):
-        for j in range(fesys.n_ls):
-            z[fesys.s_dof(e, j)] = s_fun(*xs[e, j])
+    z[fesys.n_u:] = [s_fun(*x) for x in xs.reshape(-1, mesh.d)]
     if not np.all(np.isfinite(z)):
         raise ValueError("interpolation produced a non-finite value")
     return z

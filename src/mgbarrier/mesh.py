@@ -54,10 +54,6 @@ class SimplicialMesh:
         """Mesh size: max spectral norm of the element maps A_K."""
         return float(np.max(np.linalg.norm(self.A, ord=2, axis=(1, 2))))
 
-    def boundary_edges(self):
-        """Faces (d-1 simplices) shared by exactly one element."""
-        return _boundary_faces(self.elements, self.d)
-
 
 def ref_simplex_volume(d):
     """Volume of the reference simplex conv{0, e_1, ..., e_d}: 1/d!."""
@@ -65,6 +61,44 @@ def ref_simplex_volume(d):
     for k in range(2, d + 1):
         out /= k
     return out
+
+
+# local vertex pairs of the edges of an interval / a triangle
+LOCAL_EDGES = {1: ((0, 1),), 2: ((0, 1), (1, 2), (0, 2))}
+
+# children of a uniformly refined element, as indices into its P2 node layout
+# (vertices, then the midpoints of LOCAL_EDGES[d] in order)
+_CHILDREN = {1: ((0, 2), (2, 1)), 2: ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))}
+
+
+def edge_index(elements):
+    """Number the edges of a simplicial mesh in order of first appearance.
+
+    Returns (edges, elem_edges): the (n_edges, 2) sorted vertex pairs and the
+    (ne, len(LOCAL_EDGES[d])) global edge id of each element's local edges.
+    """
+    d = elements.shape[1] - 1
+    pairs = np.sort(elements[:, np.array(LOCAL_EDGES[d])], axis=2)
+    uniq, first, inverse = np.unique(pairs.reshape(-1, 2), axis=0,
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return uniq[order], rank[inverse.ravel()].reshape(pairs.shape[:2])
+
+
+def p2_nodes(mesh):
+    """Vertices plus edge midpoints (the P2 nodes and the refined vertices).
+
+    Returns (coords, nodes): the (nv + n_edges, d) node coordinates, midpoints
+    in edge_index order, and per element the ids of its vertices followed by
+    the midpoints of its LOCAL_EDGES.
+    """
+    edges, elem_edges = edge_index(mesh.elements)
+    verts = mesh.vertices
+    coords = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
+    nodes = np.concatenate([mesh.elements, mesh.num_vertices + elem_edges], axis=1)
+    return coords, nodes
 
 
 def _boundary_faces(elements, d):
@@ -115,18 +149,13 @@ def build_rect_mesh(domain, cells_per_side):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def vid(i, j):
-        return i * (k + 1) + j
-
-    elems = []
-    for i in range(k):
-        for j in range(k):
-            p00, p10 = vid(i, j), vid(i + 1, j)
-            p01, p11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # diagonal p00 -> p11
-            elems.append([p00, p10, p11])
-            elems.append([p00, p11, p01])
-    elems = np.array(elems, dtype=np.int64)
+    # lower-left vertex of each cell, cells in (i, j) row-major order
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    p00 = (i * (k + 1) + j).ravel().astype(np.int64)
+    p10, p01 = p00 + (k + 1), p00 + 1
+    p11 = p10 + 1
+    # two triangles per cell, split along the diagonal p00 -> p11
+    elems = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
     bdry = _boundary_vertex_set(elems, 2)
     return SimplicialMesh(2, verts, elems, bdry)
 
@@ -138,52 +167,12 @@ def refine_uniform(mesh):
     mesh carries parent_map (child element -> coarse element).
     """
     d = mesh.d
-    verts = mesh.vertices
-    nv = verts.shape[0]
-
-    if d == 1:
-        mids = 0.5 * (verts[mesh.elements[:, 0]] + verts[mesh.elements[:, 1]])
-        new_verts = np.concatenate([verts, mids], axis=0)
-        elems = []
-        parents = []
-        for e, (a, c) in enumerate(mesh.elements):
-            m = nv + e
-            elems.append([a, m])
-            elems.append([m, c])
-            parents.extend([e, e])
-        elems = np.array(elems, dtype=np.int64)
-        bdry = _boundary_vertex_set(elems, 1)
-        return SimplicialMesh(1, new_verts, elems, bdry,
-                              parent_map=np.array(parents, dtype=np.int64))
-
-    # enumerate edges
-    edge_ids = {}
-    for tri in mesh.elements:
-        for a, c in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
-            key = (min(a, c), max(a, c))
-            if key not in edge_ids:
-                edge_ids[key] = len(edge_ids)
-    mid_coords = np.empty((len(edge_ids), 2))
-    for (a, c), i in edge_ids.items():
-        mid_coords[i] = 0.5 * (verts[a] + verts[c])
-    new_verts = np.concatenate([verts, mid_coords], axis=0)
-
-    def mid(a, c):
-        return nv + edge_ids[(min(a, c), max(a, c))]
-
-    elems = []
-    parents = []
-    for e, (v0, v1, v2) in enumerate(mesh.elements):
-        m01, m12, m02 = mid(v0, v1), mid(v1, v2), mid(v0, v2)
-        elems.append([v0, m01, m02])
-        elems.append([m01, v1, m12])
-        elems.append([m02, m12, v2])
-        elems.append([m01, m12, m02])
-        parents.extend([e, e, e, e])
-    elems = np.array(elems, dtype=np.int64)
-    bdry = _boundary_vertex_set(elems, 2)
-    return SimplicialMesh(2, new_verts, elems, bdry,
-                          parent_map=np.array(parents, dtype=np.int64))
+    new_verts, nodes = p2_nodes(mesh)
+    children = np.array(_CHILDREN[d])
+    elems = nodes[:, children].reshape(-1, d + 1)
+    parents = np.repeat(np.arange(mesh.num_elements), len(children))
+    bdry = _boundary_vertex_set(elems, d)
+    return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents)
 
 
 def quasi_uniformity(mesh):
@@ -215,20 +204,6 @@ class MeshHierarchy:
     @property
     def fine(self):
         return self.levels[-1]
-
-    def h_values(self):
-        return [m.h() for m in self.levels]
-
-    def parent_chain(self, fine_element, from_level=None):
-        """Trace a finest-level element back to its level-1 ancestor."""
-        lvl = self.L - 1 if from_level is None else from_level
-        e = fine_element
-        chain = [e]
-        while lvl > 0:
-            e = int(self.levels[lvl].parent_map[e])
-            chain.append(e)
-            lvl -= 1
-        return chain
 
 
 def dump_mesh(mesh, path):

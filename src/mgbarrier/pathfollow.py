@@ -7,6 +7,7 @@ decrements, objective values and timings, emitted as CSV.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import time
@@ -40,6 +41,12 @@ class PathConfig:
     def __post_init__(self):
         if self.rho0 <= 1.0:
             raise ValueError("rho0 must be > 1")
+        if self.t_cap <= 0.0:
+            raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
+        if self.theta <= 0.0:
+            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if self.budget_s < 0.0:
+            raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
 
     def initial_t(self, problem):
         if self.t0 is not None:
@@ -154,6 +161,27 @@ class _Run:
             self.cum_newton, self.wall_ms(),
         ))
 
+    def add_summary(self, k, t, rho, m, direct=False):
+        """Step-summary row (level -1) with the last row's objective and decrement."""
+        last = self.trace.rows[-1]
+        self.add_row(k, t, rho, -1, m, direct, last.objective, last.decrement)
+
+    def center_at(self, obj, base, P, t, k, level, rho, y0=None, lam_tol=None,
+                  max_iters=None, direct=False):
+        """Center f_h on the shifted path base + span(P) at t and record the row.
+
+        lam_tol and max_iters default to the config's intermediate tolerance and
+        iteration cap. Returns (level_obj, CenteringResult).
+        """
+        level_obj = LevelObjective(obj, base, P)
+        res = center(level_obj, np.zeros(level_obj.dim) if y0 is None else y0, t,
+                     lam_tol=self.config.lam_tol if lam_tol is None else lam_tol,
+                     max_iters=self.config.max_center_iters if max_iters is None
+                     else max_iters)
+        self.add_row(k, t, rho, level, res.iterations, direct,
+                     level_obj.value(res.y, t), res.decrement)
+        return level_obj, res
+
     def record_step(self, k, t, z_fine):
         self.trace.costs.append((k, t, self.problem.fine_objective.cost_integral(z_fine)))
         if self.store_iterates:
@@ -166,84 +194,70 @@ class _Run:
         self.trace.failure_reason = reason
         return self.trace
 
+    def finish(self, z, t, k, rho):
+        """Tighten the last center to lam_tol_final (for error measurement) and
+        record it as step k; if that centering does not converge the run fails."""
+        level_obj, res = self.center_at(self.problem.fine_objective, z, None, t, k,
+                                        -1, rho, lam_tol=self.config.lam_tol_final)
+        if res.status != CONVERGED:
+            return self.fail(f"final re-centering: {res.status}")
+        self.record_step(k, t, level_obj.full_point(res.y))
+        return self.trace
+
 
 def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
     """One Algorithm MGB step: center the shifted path on levels 1..L.
 
-    Returns (z_next, per-level Newton counts) or (None, counts) on failure.
+    Returns (z_next, per-level Newton counts, "") or (None, counts, reason).
     """
-    L = problem.L
-    obj = problem.fine_objective
+    run = run if run is not None else _Run(problem, config)
     counts = []
-    y = None
-    for lvl in range(L):
-        P = problem.P_free_to_fine[lvl]
-        level_obj = LevelObjective(obj, z_k, P)
-        if y is None:
-            y0 = np.zeros(level_obj.dim)
-        else:
-            y0 = problem.P_free[lvl - 1] @ y
-        res = center(level_obj, y0, t_next,
-                     lam_tol=config.lam_tol, max_iters=config.max_center_iters)
+    y0 = None
+    for lvl in range(problem.L):
+        level_obj, res = run.center_at(problem.fine_objective, z_k,
+                                       problem.P_free_to_fine[lvl], t_next, k,
+                                       lvl + 1, rho, y0=y0)
         counts.append(res.iterations)
-        val = level_obj.value(res.y, t_next)
-        if run is not None:
-            run.add_row(k, t_next, rho, lvl + 1, res.iterations, False,
-                        val, res.decrement)
         if res.status != CONVERGED:
             return None, counts, f"level {lvl + 1} centering: {res.status}"
-        y = res.y
-    z_next = LevelObjective(obj, z_k, None).full_point(y)
-    return z_next, counts, ""
+        if lvl < problem.L - 1:
+            y0 = problem.P_free[lvl] @ res.y
+    return level_obj.full_point(res.y), counts, ""
 
 
 def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
     """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback."""
-    obj = problem.fine_objective
     t_next = min(rho_prev * t_k, config.t_cap)
-
-    level_obj = LevelObjective(obj, z_k, None)
-    res = center(level_obj, np.zeros(level_obj.dim), t_next,
-                 lam_tol=config.lam_tol, max_iters=config.direct_cap)
+    level_obj, res = run.center_at(problem.fine_objective, z_k, None, t_next, k, 0,
+                                   rho_prev, max_iters=config.direct_cap,
+                                   direct=True)
     counts = [res.iterations]
     direct_ok = res.status == CONVERGED
-    val = level_obj.value(res.y, t_next)
-    run.add_row(k, t_next, rho_prev, 0, res.iterations, True, val, res.decrement)
-
     if direct_ok:
         z_next = level_obj.full_point(res.y)
-        decrement = res.decrement
     else:
         z_next, mgb_counts, err = mgb_t_step(
             problem, z_k, t_next, config, run=run, k=k, rho=rho_prev)
         counts.extend(mgb_counts)
         if z_next is None:
             return None, t_next, rho_prev, err
-        decrement = run.trace.rows[-1].decrement
-        val = run.trace.rows[-1].objective
 
     m_k = max(counts)
     rho_k = adapt_stepsize(rho_prev, m_k)
-    run.add_row(k, t_next, rho_k, -1, m_k, direct_ok, val, decrement)
+    run.add_summary(k, t_next, rho_k, m_k, direct_ok)
     return z_next, t_next, rho_k, ""
 
 
-def _initial_phase(run, t0, lam_tol=None):
+def _initial_phase(run, t0):
     """Coarse-grid centering then h-then-t style refinement to the fine grid.
 
     Returns the fine-grid iterate centered at t0, or None on failure.
     """
-    problem, config = run.problem, run.config
-    lam_tol = lam_tol if lam_tol is not None else config.lam_tol
-    z = run.problem.z0.copy()
+    problem, rho0 = run.problem, run.config.rho0
+    z = problem.z0
     for lvl in range(problem.L):
-        obj = problem.objectives[lvl]
-        level_obj = LevelObjective(obj, z, None)
-        res = center(level_obj, np.zeros(level_obj.dim), t0,
-                     lam_tol=lam_tol, max_iters=config.max_center_iters)
-        val = level_obj.value(res.y, t0)
-        run.add_row(0, t0, config.rho0, lvl + 1, res.iterations, False,
-                    val, res.decrement)
+        level_obj, res = run.center_at(problem.objectives[lvl], z, None, t0, 0,
+                                       lvl + 1, rho0)
         if res.status != CONVERGED:
             run.fail(f"initial centering failed on level {lvl + 1}: {res.status}")
             return None
@@ -253,34 +267,20 @@ def _initial_phase(run, t0, lam_tol=None):
         if run.over_budget():
             run.fail("budget exhausted in initial phase", STATUS_BUDGET)
             return None
-    m0 = max(r.newton_iters for r in run.trace.rows if r.k == 0)
-    run.add_row(0, t0, config.rho0, -1, m0, False,
-                run.trace.rows[-1].objective, run.trace.rows[-1].decrement)
+    run.add_summary(0, t0, rho0, max(r.newton_iters for r in run.trace.rows))
     return z
-
-
-def _final_recenter(run, z, t):
-    """Tighten the last center to lam_tol_final for error measurement."""
-    problem, config = run.problem, run.config
-    level_obj = LevelObjective(problem.fine_objective, z, None)
-    res = center(level_obj, np.zeros(level_obj.dim), t,
-                 lam_tol=config.lam_tol_final, max_iters=config.max_center_iters)
-    if res.status != CONVERGED:
-        return z, res
-    return level_obj.full_point(res.y), res
 
 
 def run_mgb(problem, config=None, store_iterates=False):
     """Practical MGB: initial h-then-t phase at t0, then adaptive direct/MGB steps."""
     config = config or PathConfig()
     run = _Run(problem, config, store_iterates)
-    t0 = config.initial_t(problem)
+    t = config.initial_t(problem)
     t_stop = config.stop_t(problem)
 
-    z = _initial_phase(run, t0)
+    z = _initial_phase(run, t)
     if z is None:
         return run.trace
-    t = t0
     run.record_step(0, t, z)
 
     rho = config.rho0
@@ -289,18 +289,11 @@ def run_mgb(problem, config=None, store_iterates=False):
         if run.over_budget():
             return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
         k += 1
-        z_next, t_next, rho, err = practical_step(problem, z, t, rho, config, run, k)
-        if z_next is None:
+        z, t, rho, err = practical_step(problem, z, t, rho, config, run, k)
+        if z is None:
             return run.fail(err)
-        z, t = z_next, t_next
         run.record_step(k, t, z)
-
-    z, res = _final_recenter(run, z, t)
-    run.add_row(k + 1, t, rho, -1, res.iterations, False,
-                problem.fine_objective.value(z, t), res.decrement)
-    run.record_step(k + 1, t, z)
-    run.trace.status = STATUS_CONVERGED
-    return run.trace
+    return run.finish(z, t, k + 1, rho)
 
 
 def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
@@ -312,7 +305,7 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
     """
     config = config or PathConfig()
     run = _Run(problem, config, store_iterates)
-    t0 = config.initial_t(problem)
+    t = config.initial_t(problem)
     t_stop = config.stop_t(problem)
     L = problem.L
 
@@ -321,23 +314,17 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
             return 1
         return min(max(math.ceil(config.theta * math.log2(t)), 1), L)
 
-    z = problem.z0.copy()
-    t = t0
     rho = config.rho0
     lvl = 0  # 0-based current level
     k = 0
 
     # center the initial iterate on the coarsest grid
-    level_obj = LevelObjective(problem.objectives[0], z, None)
-    res = center(level_obj, np.zeros(level_obj.dim), t,
-                 lam_tol=config.lam_tol, max_iters=config.max_center_iters)
-    run.add_row(0, t, rho, 1, res.iterations, False,
-                level_obj.value(res.y, t), res.decrement)
+    level_obj, res = run.center_at(problem.objectives[0], problem.z0, None, t, 0, 1,
+                                   rho)
     if res.status != CONVERGED:
         return run.fail(f"initial centering: {res.status}")
     z = level_obj.full_point(res.y)
-    run.add_row(0, t, rho, -1, res.iterations, False,
-                run.trace.rows[-1].objective, res.decrement)
+    run.add_summary(0, t, rho, res.iterations)
     if lvl == L - 1:
         run.record_step(0, t, z)
 
@@ -362,38 +349,36 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
         if refine_h:
             z = problem.refine_iterate(z, lvl)
             lvl += 1
-            level_obj = LevelObjective(problem.objectives[lvl], z, None)
-            res = center(level_obj, np.zeros(level_obj.dim), t,
-                         lam_tol=config.lam_tol, max_iters=config.max_center_iters)
-            run.add_row(k, t, rho, lvl + 1, res.iterations, False,
-                        level_obj.value(res.y, t), res.decrement)
-            if res.status != CONVERGED:
-                return run.fail(f"h-refinement centering: {res.status}")
-            z = level_obj.full_point(res.y)
-            run.add_row(k, t, rho, -1, res.iterations, False,
-                        run.trace.rows[-1].objective, res.decrement)
+            t_next = t
         else:
             t_next = min(rho * t, config.t_cap)
-            level_obj = LevelObjective(problem.objectives[lvl], z, None)
-            res = center(level_obj, np.zeros(level_obj.dim), t_next,
-                         lam_tol=config.lam_tol, max_iters=config.max_center_iters)
-            run.add_row(k, t_next, rho, lvl + 1, res.iterations, False,
-                        level_obj.value(res.y, t_next), res.decrement)
-            if res.status != CONVERGED:
-                return run.fail(f"t-refinement centering: {res.status}")
-            z = level_obj.full_point(res.y)
-            t = t_next
+        level_obj, res = run.center_at(problem.objectives[lvl], z, None, t_next, k,
+                                       lvl + 1, rho)
+        if res.status != CONVERGED:
+            return run.fail(f"{'h' if refine_h else 't'}-refinement centering: "
+                            f"{res.status}")
+        z, t = level_obj.full_point(res.y), t_next
+        if not refine_h:
             rho = adapt_stepsize(rho, res.iterations)
-            run.add_row(k, t, rho, -1, res.iterations, False,
-                        run.trace.rows[-1].objective, res.decrement)
+        run.add_summary(k, t, rho, res.iterations)
 
         if lvl == L - 1:
             run.record_step(k, t, z)
 
-    # final tight centering on the finest grid
-    z, res = _final_recenter(run, z, t)
-    run.add_row(k + 1, t, rho, -1, res.iterations, False,
-                problem.fine_objective.value(z, t), res.decrement)
-    run.record_step(k + 1, t, z)
-    run.trace.status = STATUS_CONVERGED
-    return run.trace
+    return run.finish(z, t, k + 1, rho)
+
+
+# name -> runner(problem, config); the names are the config `algorithm` values
+ALGORITHMS = {
+    "mgb": run_mgb,
+    "naive-h-then-t": functools.partial(run_naive, schedule="h-then-t"),
+    "naive-theta": functools.partial(run_naive, schedule="theta"),
+}
+
+
+def check_algorithm(name):
+    """Return name if ALGORITHMS has it, else raise ValueError."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {name!r}; "
+                         f"choose from {', '.join(ALGORITHMS)}")
+    return name

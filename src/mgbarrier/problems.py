@@ -8,7 +8,7 @@ Dirichlet data plus a doubled-until-feasible constant slack).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,8 +16,9 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Objective
 from .barrier import PLapBarrier
-from .femspace import build_fe_system, free_prolongation, prolongation, sample_D
+from .femspace import DSampler, build_fe_system, free_prolongation, prolongation
 from .mesh import MeshHierarchy
+from .pathfollow import check_algorithm
 from .quadrature import reference_rule
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -49,30 +50,39 @@ class ProblemSpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.alpha not in (1, 2):
+            raise ValueError(f"alpha must be 1 or 2, got {self.alpha}")
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if self.cells0 < 1:
+            raise ValueError(f"cells0 must be >= 1, got {self.cells0}")
         if self.dirichlet is None:
             self.dirichlet = default_boundary_data(len(self.domain))
 
 
-def harmonic_extension(fesys, sampler, g):
-    """u with Delta_h u = 0 in the interior and u = g at boundary nodes."""
+def harmonic_extension(fesys, sampler, g, load=None):
+    """Dirichlet-Poisson solve: u = g at boundary nodes and (K u)_i = load_i at
+    interior nodes, K the stiffness matrix int grad phi_i . grad phi_j.
+
+    With load None this is the discrete-harmonic extension (Delta_h u = 0).
+    """
     smp = sampler
-    ne = fesys.mesh.num_elements
     n_lu = fesys.u_elem.shape[1]
     kloc = np.einsum("eq,eqia,eqja->eij", smp.wq, smp.grads, smp.grads)
     rows = np.repeat(fesys.u_elem, n_lu, axis=1).ravel()
     cols = np.tile(fesys.u_elem, (1, n_lu)).ravel()
     K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fesys.n_u, fesys.n_u))
 
-    u = np.zeros(fesys.n_u)
+    u = apply_dirichlet(fesys, np.zeros(fesys.n_u), g)
     bidx = np.flatnonzero(fesys.u_boundary)
-    for i in bidx:
-        u[i] = g(*fesys.u_node_coords[i])
     if not np.all(np.isfinite(u[bidx])):
         raise ValueError("Dirichlet data is not finite at a boundary node")
     iidx = np.flatnonzero(~fesys.u_boundary)
     if iidx.size:
         Kii = K[np.ix_(iidx, iidx)].tocsc()
         rhs = -K[np.ix_(iidx, bidx)] @ u[bidx]
+        if load is not None:
+            rhs = load[iidx] + rhs
         u[iidx] = spla.splu(Kii).solve(rhs)
     return u
 
@@ -80,8 +90,8 @@ def harmonic_extension(fesys, sampler, g):
 def apply_dirichlet(fesys, z, g):
     """Overwrite boundary u dofs with the nodal interpolant of g."""
     z = z.copy()
-    for i in np.flatnonzero(fesys.u_boundary):
-        z[i] = g(*fesys.u_node_coords[i])
+    bidx = np.flatnonzero(fesys.u_boundary)
+    z[bidx] = [g(*x) for x in fesys.u_node_coords[bidx]]
     return z
 
 
@@ -114,11 +124,9 @@ def repair_slack(fesys, sampler, barrier, z, safety=1e-8):
         return z, 0
     z = z.copy()
     lam = barrier.lam(grad_u.reshape(-1, fesys.d)).reshape(s_val.shape)
-    for e in bad:
-        need = float(np.max(lam[e]))
-        snew = (1.0 + safety) * need + safety
-        for j in range(fesys.n_ls):
-            z[fesys.s_dof(e, j)] = max(z[fesys.s_dof(e, j)], snew)
+    snew = (1.0 + safety) * np.max(lam[bad], axis=1) + safety
+    dofs = fesys.s_elem()[bad]
+    z[dofs] = np.maximum(z[dofs], snew[:, None])
     return z, int(bad.size)
 
 
@@ -153,10 +161,6 @@ class ProblemInstance:
     def domain_volume(self):
         return self.hierarchy.fine.total_volume()
 
-    def prolongate_full(self, z, level):
-        """Map a full coefficient vector from `level` to `level + 1`."""
-        return self.P_full[level] @ z
-
     def refine_iterate(self, z, level):
         """Move an iterate one level finer: prolongate, re-impose the Dirichlet
         interpolant at the new boundary nodes, and repair the slack so the
@@ -176,7 +180,7 @@ def build_problem(spec):
     rule = reference_rule(d, degree)
 
     fesystems = [build_fe_system(m, spec.alpha) for m in hier.levels]
-    samplers = [sample_D(fes, rule) for fes in fesystems]
+    samplers = [DSampler(fes, rule) for fes in fesystems]
     objectives = [
         Objective(fes, smp, barrier, spec.forcing)
         for fes, smp in zip(fesystems, samplers)
@@ -233,8 +237,6 @@ _CONFIG_KEYS = {
     "t0": float,
 }
 
-ALGORITHMS = ("mgb", "naive-h-then-t", "naive-theta")
-
 
 def parse_config_text(text):
     """Parse `key = value` (or `key value`) lines; '#' starts a comment."""
@@ -251,8 +253,8 @@ def parse_config_text(text):
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
         out[key] = _CONFIG_KEYS[key](val)
-    if "algorithm" in out and out["algorithm"] not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    if "algorithm" in out:
+        check_algorithm(out["algorithm"])
     return out
 
 
@@ -263,6 +265,8 @@ def load_config(path):
 
 def spec_from_config(cfg):
     dim = cfg.get("dim", 2)
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     return ProblemSpec(
         p=cfg.get("p", 1.5),
         alpha=cfg.get("alpha", 2),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective, regularize, restrict
+from mgbarrier.assembly import LevelObjective, Objective, regularize
 from mgbarrier.barrier import PLapBarrier
-from mgbarrier.femspace import build_fe_system, interpolate, sample_D
+from mgbarrier.femspace import DSampler, build_fe_system, interpolate
 from mgbarrier.mesh import build_rect_mesh
 from mgbarrier.problems import ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -13,7 +13,7 @@ from mgbarrier.quadrature import reference_rule
 def make_objective(p=1.5, alpha=2, cells=2, forcing=None):
     mesh = build_rect_mesh([(0, 1), (0, 1)], cells)
     fes = build_fe_system(mesh, alpha)
-    smp = sample_D(fes, reference_rule(2, 2 * alpha))
+    smp = DSampler(fes, reference_rule(2, 2 * alpha))
     return Objective(fes, smp, PLapBarrier(p=p, d=2), forcing), fes, smp
 
 
@@ -114,7 +114,7 @@ def test_level_objective_galerkin_restriction(small_problem):
     obj = pr.fine_objective
     z_base = pr.refine_iterate(pr.z0, 0)
     P = pr.P_free_to_fine[0]
-    lvl = restrict(obj, z_base, P)
+    lvl = LevelObjective(obj, z_base, P)
     assert lvl.dim == P.shape[1]
 
     y = np.zeros(lvl.dim)

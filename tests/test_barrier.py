@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgbarrier.barrier import PLapBarrier, psi, psi_inverse
+from mgbarrier.barrier import PLapBarrier
 
 P_VALUES = [1.0, 1.1, 1.5, 2.0, 3.0, 4.0]
 
@@ -17,18 +17,6 @@ def random_feasible(barrier, rng, n, eps_lo=0.05, eps_hi=5.0):
     qq = np.sum(q * q, axis=-1)
     s = (qq + eps) ** (barrier.p / 2.0)
     return q, s
-
-
-def test_psi_basics():
-    assert psi(0.0) == 0.0
-    assert psi(1.0) == pytest.approx(1.0 - math.log(2.0))
-    with pytest.raises(ValueError):
-        psi(-1.0)
-
-
-@given(st.floats(min_value=1e-6, max_value=50.0))
-def test_psi_inverse_roundtrip(a):
-    assert psi_inverse(psi(a)) == pytest.approx(a, rel=1e-9)
 
 
 def test_domain_membership():

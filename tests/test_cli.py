@@ -60,6 +60,18 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("mgb,1.5,")
 
 
+def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch):
+    from mgbarrier import diagnostics
+    cells = []
+    monkeypatch.setattr(diagnostics, "run_cell", lambda cell, *a: cells.append(cell))
+    out_path = tmp_path / "bench.csv"
+    with pytest.raises(ValueError, match="fancy"):
+        main(["bench", "--out", str(out_path), "--algorithms", "mgb,fancy",
+              "--levels", "1"])
+    assert cells == []
+    assert not out_path.exists()
+
+
 def test_check_passes(capsys):
     code = main(["check"])
     out = capsys.readouterr().out

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgbarrier.femspace import (build_fe_system, dump_solution,
+from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
                                 free_prolongation, interpolate, prolongation,
-                                s_basis, s_node_ref, sample_D, u_basis,
-                                u_basis_grad)
+                                s_basis, s_node_ref, u_basis, u_basis_grad)
 from mgbarrier.mesh import build_rect_mesh, refine_uniform
 from mgbarrier.quadrature import reference_rule
 
@@ -78,7 +77,7 @@ def test_boundary_flags_alpha2():
 def test_sampler_exact_on_quadratics():
     mesh = build_rect_mesh([(0, 1), (0, 1)], 3)
     fes = build_fe_system(mesh, 2)
-    smp = sample_D(fes, reference_rule(2, 4))
+    smp = DSampler(fes, reference_rule(2, 4))
     z = interpolate(fes, lambda x, y: x * x + 2 * x * y - y,
                     lambda x, y: 1 + x - y)
     grad_u, s_val = smp.sample(z)
@@ -103,8 +102,8 @@ def test_prolongation_exactness(alpha, seed):
     fes_f = build_fe_system(mesh_f, alpha)
     P = prolongation(fes_c, fes_f)
     rule = reference_rule(2, 2 * alpha)
-    smp_c = sample_D(fes_c, rule)
-    smp_f = sample_D(fes_f, rule)
+    smp_c = DSampler(fes_c, rule)
+    smp_f = DSampler(fes_f, rule)
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(fes_c.total_dim)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mgbarrier.mesh import (MeshHierarchy, build_rect_mesh, dump_mesh,
-                            quasi_uniformity, ref_simplex_volume,
+                            edge_index, quasi_uniformity, ref_simplex_volume,
                             refine_uniform)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -77,12 +77,14 @@ def test_refine_1d():
 def test_hierarchy_nesting_and_parent_chain():
     hier = MeshHierarchy.build([(0, 1), (0, 1)], 2, 3)
     assert hier.L == 3
-    hs = hier.h_values()
+    hs = [m.h() for m in hier.levels]
     assert hs[0] / hs[1] == pytest.approx(2.0)
     assert hs[1] / hs[2] == pytest.approx(2.0)
-    chain = hier.parent_chain(hier.fine.num_elements - 1)
-    assert len(chain) == 3
-    assert 0 <= chain[-1] < hier.levels[0].num_elements
+    # follow the last fine element's parent_map chain down to level 1
+    e = hier.fine.num_elements - 1
+    for lvl in (2, 1):
+        e = int(hier.levels[lvl].parent_map[e])
+        assert 0 <= e < hier.levels[lvl - 1].num_elements
 
 
 def test_degenerate_element_rejected():
@@ -101,3 +103,58 @@ def test_dump_mesh_roundtrippable(tmp_path):
     assert (d, nv, ne) == (2, mesh.num_vertices, mesh.num_elements)
     verts = np.array([[float(t) for t in ln.split()] for ln in lines[1:1 + nv]])
     assert np.array_equal(verts, mesh.vertices)
+
+
+def _refine_loop(mesh):
+    """Loop reference for edge_index + refine_uniform: edges numbered in order
+    of first appearance through a dict, children appended element by element."""
+    d, verts, nv = mesh.d, mesh.vertices, mesh.num_vertices
+    local_edges = [(0, 1)] if d == 1 else [(0, 1), (1, 2), (0, 2)]
+    edge_ids, elem_edges = {}, []
+    for el in mesh.elements:
+        ids = []
+        for a, b in local_edges:
+            key = (min(el[a], el[b]), max(el[a], el[b]))
+            ids.append(edge_ids.setdefault(key, len(edge_ids)))
+        elem_edges.append(ids)
+    mids = [0.5 * (verts[a] + verts[b]) for a, b in edge_ids]
+    elems = []
+    for el, ids in zip(mesh.elements, elem_edges):
+        m = [nv + i for i in ids]
+        if d == 1:
+            elems += [[el[0], m[0]], [m[0], el[1]]]
+        else:
+            v0, v1, v2 = el
+            m01, m12, m02 = m
+            elems += [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]]
+    return (np.array(list(edge_ids)), np.array(elem_edges),
+            np.concatenate([verts, np.array(mids)]), np.array(elems))
+
+
+@pytest.mark.parametrize("domain,k", [([(0.0, 2.0)], 3), ([(0, 1), (0, 1)], 2),
+                                      ([(0, 1), (-1, 2)], 3)])
+def test_refine_matches_loop_reference(domain, k):
+    mesh = build_rect_mesh(domain, k)
+    for _ in range(2):
+        edges, elem_edges, verts, elems = _refine_loop(mesh)
+        got_edges, got_elem_edges = edge_index(mesh.elements)
+        assert np.array_equal(got_edges, edges)
+        assert np.array_equal(got_elem_edges, elem_edges)
+        fine = refine_uniform(mesh)
+        assert np.array_equal(fine.vertices, verts)
+        assert np.array_equal(fine.elements, elems)
+        assert np.array_equal(fine.parent_map,
+                              np.repeat(np.arange(mesh.num_elements), 2 ** mesh.d))
+        mesh = fine
+
+
+def test_rect_mesh_matches_loop_reference():
+    k = 3
+    elems = []
+    for i in range(k):
+        for j in range(k):
+            p00, p10 = i * (k + 1) + j, (i + 1) * (k + 1) + j
+            elems += [[p00, p10, p10 + 1], [p00, p10 + 1, p00 + 1]]
+    mesh = build_rect_mesh([(0, 1), (0, 1)], k)
+    assert mesh.elements.dtype == np.int64
+    assert np.array_equal(mesh.elements, elems)

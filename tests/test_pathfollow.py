@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mgbarrier.pathfollow import (CSV_HEADER, PathConfig, PathTrace, TraceRow,
-                                  adapt_stepsize, mgb_t_step, run_mgb,
-                                  run_naive)
+from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
+                                  PathTrace, TraceRow, adapt_stepsize,
+                                  mgb_t_step, run_mgb, run_naive)
 from mgbarrier.problems import ProblemSpec, build_problem
 
 
@@ -130,3 +130,63 @@ def test_iterates_stored_on_request(small_problem):
     assert len(tr.iterates) == len(tr.costs)
     for _, z in tr.iterates:
         assert small_problem.fine_objective.feasible(z)
+
+
+# (k, level, newton_iters, direct_step) of every trace row on small_problem,
+# written as "k:level:m:direct" tokens. Recorded before the centering blocks
+# were merged into one primitive; any change in Newton work shows up here.
+PINNED_ROWS = {
+    "mgb": """
+        0:1:4:0 0:2:34:0 0:-1:34:0 1:0:4:1 1:-1:4:1 2:0:4:1 2:-1:4:1
+        3:0:4:1 3:-1:4:1 4:0:4:1 4:-1:4:1 5:0:3:1 5:-1:3:1 6:0:3:1
+        6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:4:1 8:-1:4:1 9:-1:1:0""",
+    "mgb-full": """
+        0:1:4:0 0:2:34:0 0:-1:34:0 1:0:0:1 1:1:4:0 1:2:5:0 1:-1:5:0
+        2:0:0:1 2:1:6:0 2:2:4:0 2:-1:6:0 3:0:0:1 3:1:3:0 3:2:3:0
+        3:-1:3:0 4:0:0:1 4:1:3:0 4:2:3:0 4:-1:3:0 5:0:0:1 5:1:3:0
+        5:2:3:0 5:-1:3:0 6:0:0:1 6:1:3:0 6:2:3:0 6:-1:3:0 7:0:0:1
+        7:1:3:0 7:2:4:0 7:-1:4:0 8:0:0:1 8:1:3:0 8:2:5:0 8:-1:5:0
+        9:0:0:1 9:1:3:0 9:2:7:0 9:-1:7:0 10:0:0:1 10:1:2:0 10:2:3:0
+        10:-1:3:0 11:0:0:1 11:1:2:0 11:2:3:0 11:-1:3:0 12:0:0:1
+        12:1:2:0 12:2:3:0 12:-1:3:0 13:0:0:1 13:1:2:0 13:2:3:0
+        13:-1:3:0 14:0:0:1 14:1:2:0 14:2:3:0 14:-1:3:0 15:0:0:1
+        15:1:2:0 15:2:3:0 15:-1:3:0 16:0:0:1 16:1:2:0 16:2:3:0
+        16:-1:3:0 17:0:0:1 17:1:2:0 17:2:3:0 17:-1:3:0 18:0:0:1
+        18:1:2:0 18:2:2:0 18:-1:2:0 19:0:0:1 19:1:3:0 19:2:5:0
+        19:-1:5:0 20:-1:1:0""",
+    "naive-h-then-t": """
+        0:1:4:0 0:-1:4:0 1:2:34:0 1:-1:34:0 2:2:4:0 2:-1:4:0 3:2:4:0
+        3:-1:4:0 4:2:4:0 4:-1:4:0 5:2:4:0 5:-1:4:0 6:2:3:0 6:-1:3:0
+        7:2:3:0 7:-1:3:0 8:2:3:0 8:-1:3:0 9:2:4:0 9:-1:4:0 10:-1:1:0""",
+    "naive-theta": """
+        0:1:4:0 0:-1:4:0 1:1:4:0 1:-1:4:0 2:1:3:0 2:-1:3:0 3:1:3:0
+        3:-1:3:0 4:1:3:0 4:-1:3:0 5:2:223:0 5:-1:223:0 6:2:3:0
+        6:-1:3:0 7:2:3:0 7:-1:3:0 8:2:3:0 8:-1:3:0 9:2:4:0 9:-1:4:0
+        10:-1:1:0""",
+}
+
+
+PINNED_RUNNERS = {
+    "mgb": lambda pr: run_mgb(pr, PathConfig()),
+    "mgb-full": lambda pr: run_mgb(pr, PathConfig(direct_cap=0)),
+    "naive-h-then-t": lambda pr: run_naive(pr, PathConfig(), schedule="h-then-t"),
+    "naive-theta": lambda pr: run_naive(pr, PathConfig(), schedule="theta"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_ROWS))
+def test_trace_rows_pinned(small_problem, name):
+    tr = PINNED_RUNNERS[name](small_problem)
+    assert tr.status == "converged"
+    got = [f"{r.k}:{r.level}:{r.newton_iters}:{r.direct_step}" for r in tr.rows]
+    assert got == PINNED_ROWS[name].split()
+
+
+def test_failed_final_recentering_is_a_failure(small_problem):
+    # lam_tol_final = 0 cannot be met: the last centering hits the 40-step cap
+    tr = run_mgb(small_problem, PathConfig(lam_tol_final=0.0, max_center_iters=40))
+    assert tr.status == STATUS_FAILURE
+    assert tr.failure_reason == "final re-centering: iteration-cap"
+    assert tr.rows[-1].newton_iters == 40
+    # the last recorded step is the last accepted t-step, not the failed centering
+    assert tr.costs[-1][0] == tr.rows[-1].k - 1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mgbarrier.problems import (ALGORITHMS, ProblemSpec, apply_dirichlet,
+from mgbarrier.pathfollow import ALGORITHMS, PathConfig
+from mgbarrier.problems import (ProblemSpec, apply_dirichlet,
                                 build_problem, default_boundary_data,
                                 harmonic_extension, init_slack, load_config,
                                 parse_config_text, repair_slack,
@@ -68,6 +69,18 @@ def test_repair_slack_fixes_grazing_point(small_problem):
     repaired, n_bad = repair_slack(fes, smp, pr.barrier, bad)
     assert n_bad >= 1
     assert pr.fine_objective.feasible(repaired)
+    # loop reference: raise each bad element's slack dofs to the needed value
+    grad_u, s_val = smp.sample(bad)
+    q = grad_u.reshape(-1, fes.d)
+    margin = pr.barrier.margin(q, s_val.ravel()).reshape(s_val.shape)
+    lam = pr.barrier.lam(q).reshape(s_val.shape)
+    expected = bad.copy()
+    for e in np.flatnonzero(margin.min(axis=1) <= 0.0):
+        need = (1.0 + 1e-8) * float(np.max(lam[e])) + 1e-8
+        for j in range(fes.n_ls):
+            dof = fes.n_u + e * fes.n_ls + j
+            expected[dof] = max(expected[dof], need)
+    assert np.array_equal(repaired, expected)
     # already-feasible points pass through untouched
     same, n0 = repair_slack(fes, smp, pr.barrier, z)
     assert n0 == 0
@@ -129,3 +142,15 @@ def test_load_config_and_spec(tmp_path):
     assert spec.levels == 2
     assert spec.cells0 == 4
     assert len(spec.domain) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "dim = 3\n", "dim = 0\n", "levels = 0\n", "cells0 = 0\n", "alpha = 3\n",
+    "t_cap = 0\n", "theta = -0.5\n", "budget_s = -1\n",
+])
+def test_invalid_config_values_rejected(text):
+    cfg = parse_config_text(text)
+    path_keys = {k: cfg[k] for k in ("t_cap", "theta", "budget_s") if k in cfg}
+    with pytest.raises(ValueError, match=next(iter(cfg))):
+        spec_from_config(cfg)
+        PathConfig(**path_keys)
