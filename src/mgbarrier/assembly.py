@@ -38,7 +38,6 @@ class Objective:
         fes, smp = self.fesys, self.sampler
         ne, nq = smp.wq.shape
         self._free = fes.free_idx()
-        self._free_mask = fes.free_mask()
 
         # cost vector: grad of int^(h) c[z] = int^(h) f u + s  (linear in z)
         if self.forcing is None:
@@ -52,14 +51,7 @@ class Objective:
                   np.einsum("eq,qj->ej", smp.wq, smp.svals))
         self.cost_vector = c
 
-        # fixed sparsity pattern for the Hessian (element-local blocks)
-        n_lu = fes.u_elem.shape[1]
-        n_ls = fes.n_ls
-        loc = np.concatenate([fes.u_elem, fes.s_elem()], axis=1)  # (ne, nloc)
-        nloc = n_lu + n_ls
-        self._hrows = np.repeat(loc, nloc, axis=1).ravel()
-        self._hcols = np.tile(loc, (1, nloc)).ravel()
-        self._n_lu, self._n_ls, self._nloc = n_lu, n_ls, nloc
+        self._plan = None  # built by _assembly_plan on the first grad_hess
 
     @property
     def n(self):
@@ -89,6 +81,41 @@ class Objective:
         F = self.barrier.value(q, s).reshape(s_val.shape)
         return t * self.cost_integral(z) + float(np.sum(self.sampler.wq * F))
 
+    def _assembly_plan(self):
+        """Fixed-pattern assembly data, built once on first use.
+
+        Returns (basis, basis_t, ss, gslot, hslot, indices, indptr):
+        - basis (ne, n_lu, nq*d): basis gradients per element with (q, a)
+          stacked, so that every u-row contraction is one batched matmul;
+        - basis_t (ne, nq, d, n_lu): the same gradients, per node transposed;
+        - ss (nq, n_ls*n_ls): products of slack basis values;
+        - gslot / hslot: position of every element gradient / Hessian entry in
+          the free gradient / in the data array of the free-free CSR pattern
+          (indices, indptr); entries on a fixed dof go to one extra, dropped slot.
+        """
+        if self._plan is None:
+            fes, smp = self.fesys, self.sampler
+            ne, nq, n_lu, d = smp.grads.shape
+            nf = len(self._free)
+            pos = np.full(self.n, nf)
+            pos[self._free] = np.arange(nf)
+            loc = pos[np.concatenate([fes.u_elem, fes.s_elem()], axis=1)]
+            nloc = loc.shape[1]
+            rows = np.repeat(loc, nloc, axis=1).ravel()
+            cols = np.tile(loc, (1, nloc)).ravel()
+            keep = (rows < nf) & (cols < nf)
+            keys, inv = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
+            hslot = np.full(rows.size, keys.size)
+            hslot[keep] = inv
+            indptr = np.zeros(nf + 1, dtype=np.int32)
+            np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
+            basis = np.ascontiguousarray(smp.grads.transpose(0, 2, 1, 3))
+            basis_t = np.ascontiguousarray(smp.grads.transpose(0, 1, 3, 2))
+            ss = np.einsum("qi,qj->qij", smp.svals, smp.svals).reshape(nq, -1)
+            self._plan = (basis.reshape(ne, n_lu, nq * d), basis_t, ss, loc.ravel(),
+                          hslot, (keys % nf).astype(np.int32), indptr)
+        return self._plan
+
     def grad_hess(self, z, t):
         """(gradient, Hessian) over free dofs at a feasible z."""
         fes, smp = self.fesys, self.sampler
@@ -100,33 +127,33 @@ class Objective:
             raise ValueError("gradient requested at an infeasible point")
         _, G, H = self.barrier.value_grad_hess(q, s)
         ne, nq = smp.wq.shape
-        G = G.reshape(ne, nq, d + 1)
-        H = H.reshape(ne, nq, d + 1, d + 1)
-        w = smp.wq
+        wG = smp.wq[..., None] * G.reshape(ne, nq, d + 1)
+        wH = smp.wq[..., None, None] * H.reshape(ne, nq, d + 1, d + 1)
+        basis, basis_t, ss, gslot, hslot, indices, indptr = self._assembly_plan()
 
-        g = t * self.cost_vector.copy()
-        np.add.at(g, fes.u_elem,
-                  np.einsum("eq,eqa,eqia->ei", w, G[..., :d], smp.grads))
-        np.add.at(g, fes.s_elem(),
-                  np.einsum("eq,eq,qj->ej", w, G[..., d], smp.svals))
+        # u rows of the element matrices and gradients: basis @ [u | s | grad]
+        # columns, each stacked over (quadrature node, gradient component)
+        n_lu, n_ls = basis.shape[1], smp.svals.shape[1]
+        nloc = n_lu + n_ls
+        ucols = np.concatenate([
+            wH[..., :d, :d] @ basis_t,
+            wH[..., :d, d:] * smp.svals[:, None, :],
+            wG[..., :d, None],
+        ], axis=3)
+        urows = basis @ ucols.reshape(ne, nq * d, nloc + 1)
 
-        n_lu, n_ls, nloc = self._n_lu, self._n_ls, self._nloc
-        hloc = np.zeros((ne, nloc, nloc))
-        hloc[:, :n_lu, :n_lu] = np.einsum(
-            "eq,eqia,eqab,eqjb->eij", w, smp.grads, H[..., :d, :d], smp.grads
-        )
-        hus = np.einsum("eq,eqia,eqa,qj->eij", w, smp.grads, H[..., :d, d], smp.svals)
-        hloc[:, :n_lu, n_lu:] = hus
-        hloc[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
-        hloc[:, n_lu:, n_lu:] = np.einsum(
-            "eq,eq,qi,qj->eij", w, H[..., d, d], smp.svals, smp.svals
-        )
+        hloc = np.empty((ne, nloc, nloc))
+        hloc[:, :n_lu] = urows[..., :nloc]
+        hloc[:, n_lu:, :n_lu] = np.swapaxes(urows[..., n_lu:nloc], 1, 2)
+        hloc[:, n_lu:, n_lu:] = (wH[..., d, d] @ ss).reshape(ne, n_ls, n_ls)
+        gloc = np.concatenate([urows[..., nloc], wG[..., d] @ smp.svals], axis=1)
 
-        Hmat = sp.csr_matrix(
-            (hloc.ravel(), (self._hrows, self._hcols)), shape=(self.n, self.n)
-        )
-        free = self._free
-        return g[free], Hmat[np.ix_(free, free)].tocsr()
+        nf = len(self._free)
+        g = t * self.cost_vector[self._free] + np.bincount(
+            gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
+        data = np.bincount(hslot, weights=hloc.ravel(), minlength=indices.size + 1)[:-1]
+        # the caller owns the returned matrix, so it gets its own index arrays
+        return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
 
     def embed_free(self, y):
         """Free-dof vector -> full vector with zeros on fixed dofs."""

@@ -1,6 +1,8 @@
 """Command line interface: solve, bench, check.
 
-Exit codes: 0 success, 2 solver failure, 3 budget exhaustion.
+Exit codes: 0 success, 2 solver failure, 3 budget exhaustion, 4 invalid
+input: an unreadable or invalid config, or invalid arguments (a one-line
+message on stderr; nothing is solved).
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from . import diagnostics
 from .femspace import dump_solution
 from .mesh import dump_mesh, quasi_uniformity
 from .pathfollow import (ALGORITHMS, PathConfig, STATUS_BUDGET,
-                         STATUS_CONVERGED, run_mgb)
-from .problems import build_problem, load_config, spec_from_config
+                         STATUS_CONVERGED, check_algorithm, run_mgb)
+from .problems import ProblemSpec, build_problem, load_config, spec_from_config
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
 EXIT_BUDGET = 3
+EXIT_INVALID_INPUT = 4
 
 
 def _path_config(cfg):
@@ -27,10 +30,18 @@ def _path_config(cfg):
     return PathConfig(**{key: cfg[key] for key in keys if key in cfg})
 
 
+def _invalid_input(exc):
+    print(f"mgbarrier: invalid input: {exc}", file=sys.stderr)
+    return EXIT_INVALID_INPUT
+
+
 def cmd_solve(args):
-    cfg = load_config(args.config)
-    spec = spec_from_config(cfg)
-    config = _path_config(cfg)
+    try:
+        cfg = load_config(args.config)
+        spec = spec_from_config(cfg)
+        config = _path_config(cfg)
+    except (OSError, ValueError) as exc:
+        return _invalid_input(exc)
     problem = build_problem(spec)
     algorithm = cfg.get("algorithm", "mgb")
     trace = ALGORITHMS[algorithm](problem, config)
@@ -60,12 +71,16 @@ def _parse_list(text, cast):
 
 
 def cmd_bench(args):
-    cfg = load_config(args.config) if args.config else {}
-    config = _path_config(cfg)
-    algorithms = _parse_list(args.algorithms, str)
-    p_values = _parse_list(args.p_values, float)
-    level_values = _parse_list(args.levels, int)
-    base = {"alpha": cfg.get("alpha", 2), "cells0": cfg.get("cells0", 4)}
+    try:
+        cfg = load_config(args.config) if args.config else {}
+        config = _path_config(cfg)
+        algorithms = [check_algorithm(a) for a in _parse_list(args.algorithms, str)]
+        p_values = _parse_list(args.p_values, float)
+        level_values = _parse_list(args.levels, int)
+        base = {"alpha": cfg.get("alpha", 2), "cells0": cfg.get("cells0", 4)}
+        ProblemSpec(**base)  # rejects an invalid alpha or cells0 before any cell
+    except (OSError, ValueError) as exc:
+        return _invalid_input(exc)
     csv = diagnostics.bench(algorithms, p_values, level_values,
                             base_spec_kwargs=base, config=config)
     with open(args.out, "w") as fh:
@@ -76,8 +91,6 @@ def cmd_bench(args):
 
 def cmd_check(args):
     """Cheap invariant suite: substrate identities and a small solver run."""
-    from .problems import ProblemSpec
-
     failures = []
 
     def check(name, ok):

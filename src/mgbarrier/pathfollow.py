@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LevelObjective
-from .newton import CONVERGED, center
+from .newton import BUDGET, CONVERGED, center
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
@@ -147,12 +147,14 @@ class _Run:
         self.trace = PathTrace()
         self.cum_newton = 0
         self.t_start = time.monotonic()
+        self.deadline = self.t_start + config.budget_s
+        self.timed_out = False  # a centering stopped at the deadline
 
     def wall_ms(self):
         return (time.monotonic() - self.t_start) * 1e3
 
     def over_budget(self):
-        return time.monotonic() - self.t_start > self.config.budget_s
+        return time.monotonic() > self.deadline
 
     def add_row(self, k, t, rho, level, m, direct, objective, decrement):
         self.cum_newton += m
@@ -177,7 +179,8 @@ class _Run:
         res = center(level_obj, np.zeros(level_obj.dim) if y0 is None else y0, t,
                      lam_tol=self.config.lam_tol if lam_tol is None else lam_tol,
                      max_iters=self.config.max_center_iters if max_iters is None
-                     else max_iters)
+                     else max_iters, deadline=self.deadline)
+        self.timed_out = res.status == BUDGET
         self.add_row(k, t, rho, level, res.iterations, direct,
                      level_obj.value(res.y, t), res.decrement)
         return level_obj, res
@@ -190,7 +193,8 @@ class _Run:
         self.trace.t_final = t
 
     def fail(self, reason, status=STATUS_FAILURE):
-        self.trace.status = status
+        """Stop the run; after a centering cut at the deadline the status is budget."""
+        self.trace.status = STATUS_BUDGET if self.timed_out else status
         self.trace.failure_reason = reason
         return self.trace
 

@@ -6,7 +6,7 @@ from mgbarrier.assembly import LevelObjective, Objective, regularize
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, interpolate
 from mgbarrier.mesh import build_rect_mesh
-from mgbarrier.problems import ProblemSpec, build_problem
+from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
 
@@ -137,3 +137,64 @@ def test_fine_level_objective_is_identity(small_problem):
     lvl = LevelObjective(obj, z_base, None)
     assert lvl.dim == len(obj.free_idx())
     assert lvl.value(np.zeros(lvl.dim), 2.0) == pytest.approx(obj.value(z_base, 2.0))
+
+
+def reference_grad_hess(obj, z, t):
+    """Element einsums, COO->CSR and an np.ix_ free-dof slice: the assembly
+    that Objective.grad_hess replaced, kept as its reference."""
+    fes, smp = obj.fesys, obj.sampler
+    d = fes.d
+    grad_u, s_val = smp.sample(z)
+    _, G, H = obj.barrier.value_grad_hess(grad_u.reshape(-1, d), s_val.ravel())
+    ne, nq = smp.wq.shape
+    G = G.reshape(ne, nq, d + 1)
+    H = H.reshape(ne, nq, d + 1, d + 1)
+    w = smp.wq
+
+    g = t * obj.cost_vector.copy()
+    np.add.at(g, fes.u_elem, np.einsum("eq,eqa,eqia->ei", w, G[..., :d], smp.grads))
+    np.add.at(g, fes.s_elem(), np.einsum("eq,eq,qj->ej", w, G[..., d], smp.svals))
+
+    n_lu = fes.u_elem.shape[1]
+    nloc = n_lu + fes.n_ls
+    hloc = np.zeros((ne, nloc, nloc))
+    hloc[:, :n_lu, :n_lu] = np.einsum("eq,eqia,eqab,eqjb->eij",
+                                      w, smp.grads, H[..., :d, :d], smp.grads)
+    hus = np.einsum("eq,eqia,eqa,qj->eij", w, smp.grads, H[..., :d, d], smp.svals)
+    hloc[:, :n_lu, n_lu:] = hus
+    hloc[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
+    hloc[:, n_lu:, n_lu:] = np.einsum("eq,eq,qi,qj->eij",
+                                      w, H[..., d, d], smp.svals, smp.svals)
+    loc = np.concatenate([fes.u_elem, fes.s_elem()], axis=1)
+    rows = np.repeat(loc, nloc, axis=1).ravel()
+    cols = np.tile(loc, (1, nloc)).ravel()
+    Hmat = sp.csr_matrix((hloc.ravel(), (rows, cols)), shape=(obj.n, obj.n))
+    free = obj.free_idx()
+    return g[free], Hmat[np.ix_(free, free)].tocsr()
+
+
+def assert_close(a, b, rtol=1e-14):
+    if sp.issparse(a):
+        a, b = a.toarray(), b.toarray()
+    assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_fixed_pattern_assembly_matches_reference(domain, alpha):
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2,
+                                   domain=domain, forcing=lambda *x: 1.0 + x[0]))
+    obj, z, t = pr.fine_objective, pr.refine_iterate(pr.z0, 0), 3.0
+    g, H = obj.grad_hess(z, t)
+    g_ref, H_ref = reference_grad_hess(obj, z, t)
+    assert_close(g, g_ref)
+    assert_close(H, H_ref)
+    # same sparsity pattern, explicit zeros included
+    H_ref.sort_indices()
+    assert np.array_equal(H.indptr, H_ref.indptr)
+    assert np.array_equal(H.indices, H_ref.indices)
+    # the Galerkin restriction P^T H P to the coarse level
+    P = pr.P_free_to_fine[0]
+    gc, Hc = LevelObjective(obj, z, P).grad_hess(np.zeros(P.shape[1]), t)
+    assert_close(gc, P.T @ g_ref)
+    assert_close(Hc, P.T @ H_ref @ P)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mgbarrier.cli import EXIT_OK, main
+from mgbarrier.cli import EXIT_INVALID_INPUT, EXIT_OK, main
 from mgbarrier.pathfollow import CSV_HEADER, PathTrace
 
 
@@ -41,11 +41,21 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     assert main(["solve", "--config", str(cfg)]) == EXIT_OK
 
 
-def test_solve_unknown_key_raises(tmp_path):
+@pytest.mark.parametrize("text,message", [
+    ("warp_speed = 9\n", "unknown config key 'warp_speed'"),
+    ("dim = 3\n", "dim must be 1 or 2"),
+    ("algorithm = fancy\n", "unknown algorithm 'fancy'"),
+    ("rho0 = 0.5\n", "rho0 must be > 1"),
+    (None, "No such file"),
+], ids=["unknown-key", "dim", "algorithm", "rho0", "missing-file"])
+def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_speed = 9\n")
-    with pytest.raises(ValueError):
-        main(["solve", "--config", str(cfg)])
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg)]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bench_writes_csv(tmp_path, capsys):
@@ -60,14 +70,21 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("mgb,1.5,")
 
 
-def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch):
+def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, capsys):
     from mgbarrier import diagnostics
     cells = []
     monkeypatch.setattr(diagnostics, "run_cell", lambda cell, *a: cells.append(cell))
     out_path = tmp_path / "bench.csv"
-    with pytest.raises(ValueError, match="fancy"):
-        main(["bench", "--out", str(out_path), "--algorithms", "mgb,fancy",
-              "--levels", "1"])
+    bad_alpha = tmp_path / "b.cfg"
+    bad_alpha.write_text("alpha = 3\n")
+    for argv, message in [
+        (["--algorithms", "mgb,fancy"], "unknown algorithm 'fancy'"),
+        (["--levels", "1,x"], "invalid literal for int()"),
+        (["--config", str(bad_alpha)], "alpha must be 1 or 2"),
+    ]:
+        code = main(["bench", "--out", str(out_path), "--levels", "1", *argv])
+        assert code == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
     assert cells == []
     assert not out_path.exists()
 

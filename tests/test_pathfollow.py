@@ -93,6 +93,16 @@ def test_run_mgb_budget_exhaustion(small_problem):
     assert tr.status == "budget"
 
 
+@pytest.mark.parametrize("runner", [run_mgb, run_naive])
+def test_budget_holds_inside_a_centering(small_problem, runner):
+    # the first centering needs 4 Newton steps; a spent budget must stop it
+    # after at most one, not at the end of the centering or t-step
+    tr = runner(small_problem, PathConfig(budget_s=1e-9, max_center_iters=500))
+    assert tr.status == "budget"
+    assert sum(r.newton_iters for r in tr.rows if r.level >= 0) <= 1
+    assert tr.failure_reason.endswith(": budget")
+
+
 def test_run_naive_schedules_agree_with_mgb(small_problem):
     cfg = PathConfig()
     tr_mgb = run_mgb(small_problem, cfg)
