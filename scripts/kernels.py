@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Micro-benchmarks of one Newton step's kernels at a fixed fine-grid iterate.
+
+The iterate is the problem's initial z0 carried to the finest level with
+refine_iterate, at the path's initial t. Prints one JSON line with the
+repeat-median milliseconds of:
+
+- grad_hess: gradient and free-free Hessian assembly;
+- decrement_new_pattern: newton_decrement in a fresh ordering scope, i.e.
+  minimum-degree ordering, factorization, solve and recording the ordering;
+- decrement_repeated_pattern: newton_decrement on a pattern already ordered
+  in the scope (gather, factorization in that order, solve);
+- value: one line-search evaluation;
+
+plus the fill (nnz of L+U) of both factorizations and the host's versions.
+BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
+
+    PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
+"""
+
+import os
+
+# BLAS reads these when numpy is first imported, so they are set before it is
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import statistics
+import sys
+import time
+
+import numpy as np
+import scipy
+import scipy.sparse.linalg as spla
+
+from mgbarrier import newton
+from mgbarrier.pathfollow import PathConfig
+from mgbarrier.problems import ProblemSpec, build_problem
+
+
+def median_ms(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--p", type=float, default=1.5)
+    ap.add_argument("--levels", type=int, default=4)
+    ap.add_argument("--cells0", type=int, default=4)
+    ap.add_argument("--repeats", type=int, default=15)
+    args = ap.parse_args()
+
+    problem = build_problem(ProblemSpec(p=args.p, alpha=2, levels=args.levels,
+                                        cells0=args.cells0))
+    z = problem.z0
+    for lvl in range(problem.L - 1):
+        z = problem.refine_iterate(z, lvl)
+    obj = problem.fine_objective
+    t = PathConfig().initial_t(problem)
+    g, H = obj.grad_hess(z, t)
+
+    fills = []
+    splu = spla.splu
+
+    def logged_splu(A, **kwargs):
+        lu = splu(A, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    def new_pattern():
+        with newton.ordering_scope({}):
+            newton.newton_decrement(g, H)
+
+    orderings = {}
+
+    def repeated_pattern():
+        with newton.ordering_scope(orderings):
+            newton.newton_decrement(g, H)
+
+    spla.splu = logged_splu
+    try:
+        new_ms = median_ms(new_pattern, args.repeats)
+        repeated_pattern()  # records the ordering
+        repeated_ms = median_ms(repeated_pattern, args.repeats)
+    finally:
+        spla.splu = splu
+
+    print(json.dumps({
+        "levels": args.levels,
+        "dofs": H.shape[0],
+        "hess_nnz": H.nnz,
+        "repeats": args.repeats,
+        "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
+        "decrement_new_pattern_ms": new_ms,
+        "decrement_repeated_pattern_ms": repeated_ms,
+        "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
+        "fill_nnz_new_pattern": fills[0],
+        "fill_nnz_repeated_pattern": fills[-1],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "nproc": os.cpu_count(),
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,14 +15,23 @@ import scipy.sparse as sp
 INFEASIBLE = np.inf
 
 
+def regularization_shift(H):
+    """1e-15 * |||H|||_inf of a canonical CSR matrix, with |||.|||_inf the max
+    absolute row sum; 0 for a matrix with no entries."""
+    rows = np.flatnonzero(np.diff(H.indptr))
+    if rows.size == 0:
+        return 0.0
+    return 1e-15 * float(np.add.reduceat(np.abs(H.data), H.indptr[rows]).max())
+
+
 def regularize(H):
-    """H + 1e-15 * |||H|||_inf * I, with |||.|||_inf the max absolute row sum."""
+    """H + regularization_shift(H) * I."""
     H = H.tocsr()
-    row_sums = np.abs(H).sum(axis=1)
-    norm_inf = float(row_sums.max()) if H.nnz else 0.0
-    if norm_inf == 0.0:
+    H.sum_duplicates()
+    shift = regularization_shift(H)
+    if shift == 0.0:
         return H
-    return H + (1e-15 * norm_inf) * sp.identity(H.shape[0], format="csr")
+    return H + shift * sp.identity(H.shape[0], format="csr")
 
 
 @dataclass

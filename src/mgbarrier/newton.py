@@ -7,13 +7,16 @@ the barrier domain (value = +inf) are handled by halving the step.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import regularize
+from .assembly import regularization_shift, regularize
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -26,6 +29,71 @@ QUAD_PHASE = 0.25
 # lambda^2 = -g.step below -NEG_LAM2_TOL * |g| |step| is not roundoff: the
 # system was indefinite or badly solved
 NEG_LAM2_TOL = 1e-8
+# SuperLU supernode relaxation. The default (10) pads the factor with explicit
+# zeros: at L=4 the fill is 473 k entries with 10 and 315 k with 4.
+RELAX = 4
+SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
+                   options=dict(SymmetricMode=True))
+
+# orderings newton_decrement may reuse and record; None outside ordering_scope
+_orderings = contextvars.ContextVar("orderings", default=None)
+
+
+@contextlib.contextmanager
+def ordering_scope(orderings):
+    """Within the block, newton_decrement orders each sparsity pattern once.
+
+    orderings is a dict owned by the caller (one per path-following run); it
+    maps (shape, nnz) to the Ordering last computed for such a pattern.
+    """
+    token = _orderings.set(orderings)
+    try:
+        yield
+    finally:
+        _orderings.reset(token)
+
+
+class Ordering:
+    """A fill-reducing order of one CSR sparsity pattern, as a permuted CSC
+    pattern that the matrix data is gathered into.
+
+    Entry (i, j) moves to (perm[i], perm[j]) (SuperLU's perm_c convention).
+    """
+
+    def __init__(self, H, perm, slots, indices, indptr, diag):
+        self.pattern = (H.indptr, H.indices)  # H's own arrays, not copies
+        self.perm = perm
+        self.slots = slots      # int32: permuted data = H.data[slots]
+        self.indices = indices  # row indices of the permuted CSC pattern
+        self.indptr = indptr
+        self.diag = diag        # positions of the diagonal in the permuted data
+
+    @classmethod
+    def of(cls, H, perm):
+        """The Ordering of H's pattern by perm, or None if H lacks a diagonal
+        entry (the regularizing shift would have no slot)."""
+        n = H.shape[0]
+        prow = np.repeat(perm, np.diff(H.indptr))
+        pcol = perm[H.indices]
+        # CSC order: by column, then row (the keys are unique)
+        slots = np.argsort(pcol.astype(np.int64) * n + prow).astype(np.int32)
+        prow, pcol = prow[slots], pcol[slots]
+        diag = np.flatnonzero(prow == pcol).astype(np.int32)
+        if diag.size != n:
+            return None
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(pcol, minlength=n), out=indptr[1:])
+        return cls(H, perm, slots, prow.astype(np.int32), indptr, diag)
+
+    def matches(self, H):
+        indptr, indices = self.pattern
+        return np.array_equal(H.indptr, indptr) and np.array_equal(H.indices, indices)
+
+    def permuted(self, H):
+        """The regularized H in the permuted CSC pattern."""
+        data = H.data[self.slots]
+        data[self.diag] += regularization_shift(H)
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=H.shape)
 
 
 @dataclass
@@ -34,6 +102,17 @@ class CenteringResult:
     iterations: int
     decrement: float
     status: str
+    value: float  # f at y, the value the line search last accepted
+
+
+def _spd_solve(A, b, permc_spec):
+    """Factor the CSC matrix A with diagonal pivots and solve A x = b.
+
+    Returns (x, perm_c); perm_c is copied because SuperLU's own array is a
+    view that keeps the whole factor alive.
+    """
+    lu = spla.splu(A, permc_spec=permc_spec, **SPD_OPTIONS)
+    return lu.solve(b), lu.perm_c.copy()
 
 
 def newton_decrement(g, H):
@@ -42,16 +121,31 @@ def newton_decrement(g, H):
     H is symmetric positive definite, so the regularized Hessian is factored
     with a symmetric ordering (minimum degree on A + A^T) and diagonal pivots,
     which fills in a quarter of what column ordering with partial pivoting
-    does. Returns (None, None) if the factorization fails or lambda^2 is
-    negative beyond roundoff.
+    does. Inside ordering_scope, a CSR pattern seen before is not ordered
+    again: its data is gathered into the recorded permuted pattern and
+    factored in that order. Returns (None, None) if the factorization fails
+    or lambda^2 is negative beyond roundoff.
     """
-    Hreg = regularize(H)
+    orderings = _orderings.get() if H.format == "csr" else None
+    key = (H.shape, H.nnz)
+    order = orderings.get(key) if orderings is not None else None
+    if order is not None and not order.matches(H):
+        order = None
     try:
-        lu = spla.splu(Hreg.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        step = -lu.solve(g)
+        if order is None:
+            x, perm = _spd_solve(regularize(H).tocsc(), g, "MMD_AT_PLUS_A")
+        else:
+            gp = np.empty_like(g)
+            gp[order.perm] = g
+            xp, _ = _spd_solve(order.permuted(H), gp, "NATURAL")
+            x = xp[order.perm]
     except RuntimeError:
         return None, None
+    if order is None and orderings is not None:
+        order = Ordering.of(H, perm)
+        if order is not None:
+            orderings[key] = order
+    step = -x
     lam2 = float(-g @ step)
     if not np.isfinite(lam2) or (
             lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
@@ -69,20 +163,20 @@ def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None):
     y = np.asarray(y0, dtype=float).copy()
     val = level_obj.value(y, t)
     if not np.isfinite(val):
-        return CenteringResult(y, 0, np.inf, INFEASIBLE_START)
+        return CenteringResult(y, 0, np.inf, INFEASIBLE_START, val)
 
     lam = np.inf
     for it in range(max_iters + 1):
-        g, H = level_obj.grad_hess(y, t)
-        lam, step = newton_decrement(g, H)
+        # no names hold g and H, so they are freed before the next assembly
+        lam, step = newton_decrement(*level_obj.grad_hess(y, t))
         if lam is None:
-            return CenteringResult(y, it, np.inf, SOLVER_FAILURE)
+            return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val)
         if lam <= lam_tol:
-            return CenteringResult(y, it, lam, CONVERGED)
+            return CenteringResult(y, it, lam, CONVERGED, val)
         if it == max_iters:
             break
         if deadline is not None and time.monotonic() > deadline:
-            return CenteringResult(y, it, lam, BUDGET)
+            return CenteringResult(y, it, lam, BUDGET, val)
 
         damped = lam >= QUAD_PHASE
         alpha = 1.0 / (1.0 + lam) if damped else 1.0
@@ -95,7 +189,7 @@ def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None):
                 break
             alpha *= 0.5
         if not accepted:
-            return CenteringResult(y, it, lam, SOLVER_FAILURE)
+            return CenteringResult(y, it, lam, SOLVER_FAILURE, val)
         y, val = y_try, val_try
 
-    return CenteringResult(y, max_iters, lam, ITERATION_CAP)
+    return CenteringResult(y, max_iters, lam, ITERATION_CAP, val)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LevelObjective
-from .newton import BUDGET, CONVERGED, center
+from .newton import BUDGET, CONVERGED, center, ordering_scope
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
@@ -149,6 +149,7 @@ class _Run:
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
+        self.orderings = {}  # fill-reducing orderings by Hessian pattern
 
     def wall_ms(self):
         return (time.monotonic() - self.t_start) * 1e3
@@ -176,13 +177,15 @@ class _Run:
         iteration cap. Returns (level_obj, CenteringResult).
         """
         level_obj = LevelObjective(obj, base, P)
-        res = center(level_obj, np.zeros(level_obj.dim) if y0 is None else y0, t,
-                     lam_tol=self.config.lam_tol if lam_tol is None else lam_tol,
-                     max_iters=self.config.max_center_iters if max_iters is None
-                     else max_iters, deadline=self.deadline)
+        y0 = np.zeros(level_obj.dim) if y0 is None else y0
+        lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
+        max_iters = self.config.max_center_iters if max_iters is None else max_iters
+        with ordering_scope(self.orderings):
+            res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
+                         deadline=self.deadline)
         self.timed_out = res.status == BUDGET
-        self.add_row(k, t, rho, level, res.iterations, direct,
-                     level_obj.value(res.y, t), res.decrement)
+        self.add_row(k, t, rho, level, res.iterations, direct, res.value,
+                     res.decrement)
         return level_obj, res
 
     def record_step(self, k, t, z_fine):

@@ -7,7 +7,9 @@ import scipy.sparse.linalg as spla
 
 from mgbarrier.assembly import LevelObjective, regularize
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
-                              SOLVER_FAILURE, center, newton_decrement)
+                              SOLVER_FAILURE, center, newton_decrement,
+                              ordering_scope)
+from mgbarrier.problems import ProblemSpec, build_problem
 
 
 class QuadraticObjective:
@@ -71,6 +73,7 @@ def test_center_infeasible_start():
     res = center(LogBarrier1D(), np.array([-1.0]), t=1.0)
     assert res.status == INFEASIBLE_START
     assert res.iterations == 0
+    assert res.value == np.inf
 
 
 def test_center_iteration_cap():
@@ -100,6 +103,8 @@ def test_center_counts_accepted_steps(small_problem):
     assert res.status == CONVERGED
     assert res.iterations > 0
     assert res.decrement <= 1e-6
+    # the result carries f at its iterate, so callers need not evaluate it again
+    assert res.value == lvl.value(res.y, 1.0)
     # result stays feasible
     assert pr.objectives[0].feasible(lvl.full_point(res.y))
 
@@ -113,6 +118,30 @@ def _centered_and_refined(pr):
     return (pr.objectives[0], z), (pr.objectives[1], pr.refine_iterate(z, 0))
 
 
+def _assert_solves_regularized(g, H, lam, step, max_relres):
+    """Backward error at roundoff level, relative residual below max_relres."""
+    assert lam is not None
+    R = regularize(H)
+    r = np.linalg.norm(R @ step + g)
+    assert r / (spla.norm(R) * np.linalg.norm(step) + np.linalg.norm(g)) <= 1e-15
+    assert r / np.linalg.norm(g) <= max_relres
+    assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
+
+
+@pytest.fixture
+def orderings_used(monkeypatch):
+    """The permc_spec of every splu call, in order."""
+    specs = []
+    splu = spla.splu
+
+    def logged(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", logged)
+    return specs
+
+
 def test_newton_decrement_solves_regularized_hessian(small_problem):
     # The symmetric-mode factorization (diagonal pivots, no numerical
     # pivoting) must be backward stable: the normwise backward error stays at
@@ -124,12 +153,84 @@ def test_newton_decrement_solves_regularized_hessian(small_problem):
     for obj, z, max_relres in ((obj_c, z_c, 1e-10), (obj_r, z_r, 1e-8)):
         g, H = obj.grad_hess(z, 1.0)
         lam, step = newton_decrement(g, H)
-        assert lam is not None
-        R = regularize(H)
-        r = np.linalg.norm(R @ step + g)
-        assert r / (spla.norm(R) * np.linalg.norm(step) + np.linalg.norm(g)) <= 1e-15
-        assert r / np.linalg.norm(g) <= max_relres
-        assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
+        _assert_solves_regularized(g, H, lam, step, max_relres)
+
+
+def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_used):
+    # The second system on a pattern is gathered into the recorded permuted
+    # pattern and factored in natural order. It meets the same bounds as the
+    # first. Its step is the first one to 1e-7 at the centered point; at the
+    # refined point (cond ~8e14) the forward error of any backward-stable
+    # solve is larger: a dense LAPACK step differs from the first by 2.7e-5,
+    # the reused-order step by 1.1e-5.
+    (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
+    orderings_used.clear()
+    orderings = {}
+    with ordering_scope(orderings):
+        for obj, z, max_relres, max_diff in ((obj_c, z_c, 1e-10, 1e-7),
+                                              (obj_r, z_r, 1e-8, 1e-4)):
+            g, H = obj.grad_hess(z, 1.0)
+            lam0, step0 = newton_decrement(g, H)
+            g, H = obj.grad_hess(z, 1.0)
+            lam, step = newton_decrement(g, H)
+            _assert_solves_regularized(g, H, lam, step, max_relres)
+            assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
+    assert orderings_used == ["MMD_AT_PLUS_A", "NATURAL"] * 2
+    assert len(orderings) == 2
+
+
+def test_same_shape_and_nnz_do_not_reuse_an_ordering(orderings_used):
+    # two SPD patterns with equal shape and nnz: (0, 2) coupled vs (1, 3)
+    A = np.diag([4.0, 5.0, 6.0, 7.0])
+    A1, A2 = A.copy(), A.copy()
+    A1[0, 2] = A1[2, 0] = 1.0
+    A2[1, 3] = A2[3, 1] = 1.0
+    g = np.array([1.0, 2.0, 3.0, 4.0])
+    with ordering_scope({}):
+        for M in (A1, A2, A2):
+            lam, step = newton_decrement(g, sp.csr_matrix(M))
+            assert np.allclose(M @ step, -g, rtol=1e-12)
+    assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
+
+
+def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_used):
+    # no ordering scope: nothing is cached and two calls agree bit for bit
+    (obj, z), _ = _centered_and_refined(small_problem)
+    orderings_used.clear()
+    g, H = obj.grad_hess(z, 1.0)
+    lam0, step0 = newton_decrement(g, H)
+    lam1, step1 = newton_decrement(g, H)
+    assert lam0 == lam1
+    assert np.array_equal(step0, step1)
+    assert orderings_used == ["MMD_AT_PLUS_A"] * 2
+
+
+def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
+    # At an L=4 iterate every factorization, with its own ordering or a
+    # reused one, fills in less than minimum degree with SuperLU's default
+    # supernode relaxation (473 k entries against 315 k), which pads relaxed
+    # supernodes with explicit zeros. On small grids the two fills are within
+    # a few percent either way, so the guard runs where relax matters.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4))
+    z = pr.z0
+    for lvl in range(pr.L - 1):
+        z = pr.refine_iterate(z, lvl)
+    g, H = pr.fine_objective.grad_hess(z, 1.0)
+    default = spla.splu(regularize(H).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    splu, fills = spla.splu, []
+
+    def logged(A, **kwargs):
+        lu = splu(A, **kwargs)
+        fills.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", logged)
+    with ordering_scope({}):
+        for _ in range(2):
+            assert newton_decrement(g, H)[0] is not None
+    assert len(fills) == 2
+    assert max(fills) < default.nnz
 
 
 def test_negative_decrement_is_a_solver_failure():

@@ -200,3 +200,15 @@ def test_failed_final_recentering_is_a_failure(small_problem):
     assert tr.rows[-1].newton_iters == 40
     # the last recorded step is the last accepted t-step, not the failed centering
     assert tr.costs[-1][0] == tr.rows[-1].k - 1
+
+
+def test_run_mgb_repeats_bit_for_bit():
+    # Orderings belong to one run: a second run on the same ProblemInstance
+    # starts from minimum degree again, so its trace is byte-identical to the
+    # first. (A grid no other test uses, so that orderings cached past a run
+    # would show here.)
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=3))
+    first = run_mgb(pr, PathConfig())
+    second = run_mgb(pr, PathConfig())
+    assert first.status == "converged"
+    assert first.to_csv(wall_times=False) == second.to_csv(wall_times=False)
