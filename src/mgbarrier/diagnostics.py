@@ -95,13 +95,9 @@ def p2_linear_fem(problem):
         raise ValueError("linear FEM oracle requires p = 2")
     fes = problem.fine_fesys
     smp = problem.samplers[-1]
-    # stationarity 2 K u + int f phi = 0, i.e. K u = -(1/2) int f phi
-    load = None
-    if problem.spec.forcing is not None:
-        fvals = np.apply_along_axis(lambda x: problem.spec.forcing(*x), 2, smp.xq)
-        load = np.zeros(fes.n_u)
-        np.add.at(load, fes.u_elem,
-                  -0.5 * np.einsum("eq,qi->ei", smp.wq * fvals, smp.uvals))
+    # stationarity 2 K u + int f phi = 0, i.e. K u = -(1/2) int f phi, and the
+    # u part of the cost vector is int f phi
+    load = -0.5 * problem.fine_objective.cost_vector[: fes.n_u]
     return harmonic_extension(fes, smp, problem.spec.dirichlet, load)
 
 
@@ -112,7 +108,7 @@ def p2_oracle_error(problem, trace):
     u_path = trace.z_final[: fes.n_u]
     diff = u_path - u_fem
     smp = problem.samplers[-1]
-    vals = np.einsum("qi,ei->eq", smp.uvals, diff[fes.u_elem])
+    vals = smp.sample_u(diff)
     l2 = float(np.sqrt(np.sum(smp.wq * vals ** 2)))
     linf = float(np.max(np.abs(diff)))
     return l2, linf

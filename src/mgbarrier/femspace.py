@@ -12,105 +12,78 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import p2_nodes
+from .mesh import LOCAL_EDGES, p2_nodes
 from .quadrature import pushforward_nodes, pushforward_weights
 
 
 # ---------------------------------------------------------------------------
-# reference bases
+# reference bases, from the barycentric coordinates of conv{0, e_1, ..., e_d}
+
+def _check(d, alpha):
+    if d not in LOCAL_EDGES or alpha not in (1, 2):
+        raise ValueError(f"unsupported (d, alpha) = ({d}, {alpha})")
+
+
+def _barycentric(d, pts):
+    """(lambda_0, x_1, ..., x_d) at reference points, shape (npts, d+1).
+
+    lambda_0 is formed left to right, (1 - x) - y; as 1 - (x + y) it would
+    move the basis tables by roundoff.
+    """
+    pts = np.atleast_2d(pts)
+    lam0 = 1 - pts[:, 0]
+    for k in range(1, d):
+        lam0 = lam0 - pts[:, k]
+    return np.column_stack([lam0, pts[:, :d]])
+
+
+def _lagrange(d, degree, pts):
+    """Lagrange basis of degree 0, 1 or 2: the constant; the lambda_i; the
+    lambda_i (2 lambda_i - 1) then 4 lambda_i lambda_j, (i, j) in LOCAL_EDGES[d]."""
+    lam = _barycentric(d, pts)
+    if degree == 0:
+        return np.ones((lam.shape[0], 1))
+    if degree == 1:
+        return lam
+    i, j = np.array(LOCAL_EDGES[d]).T
+    return np.concatenate([lam * (2 * lam - 1), 4 * lam[:, i] * lam[:, j]], axis=1)
+
+
+def _lagrange_grad(d, degree, pts):
+    """Reference gradients of _lagrange(d, degree, .), degree 1 or 2."""
+    lam = _barycentric(d, pts)
+    G = np.vstack([-np.ones(d), np.eye(d)])  # grad lambda_i, shape (d+1, d)
+    if degree == 1:
+        return np.repeat(G[None], lam.shape[0], axis=0)
+    i, j = np.array(LOCAL_EDGES[d]).T
+    edge = 4 * (lam[:, j, None] * G[i] + lam[:, i, None] * G[j])
+    # (4 lambda_i - 1) grad lambda_i, written so that zero components are +0
+    return np.concatenate([4 * lam[:, :, None] * G - G, edge], axis=1)
+
 
 def u_basis(d, alpha, pts):
     """Lagrange basis values at reference points, shape (npts, n_local)."""
-    pts = np.atleast_2d(pts)
-    if d == 1:
-        x = pts[:, 0]
-        if alpha == 1:
-            return np.stack([1 - x, x], axis=1)
-        if alpha == 2:
-            return np.stack([(1 - x) * (1 - 2 * x), x * (2 * x - 1), 4 * x * (1 - x)],
-                            axis=1)
-    if d == 2:
-        x, y = pts[:, 0], pts[:, 1]
-        l1, l2, l3 = 1 - x - y, x, y
-        if alpha == 1:
-            return np.stack([l1, l2, l3], axis=1)
-        if alpha == 2:
-            return np.stack(
-                [l1 * (2 * l1 - 1), l2 * (2 * l2 - 1), l3 * (2 * l3 - 1),
-                 4 * l1 * l2, 4 * l2 * l3, 4 * l1 * l3],
-                axis=1,
-            )
-    raise ValueError(f"unsupported (d, alpha) = ({d}, {alpha})")
+    _check(d, alpha)
+    return _lagrange(d, alpha, pts)
 
 
 def u_basis_grad(d, alpha, pts):
     """Reference gradients of the Lagrange basis, shape (npts, n_local, d)."""
-    pts = np.atleast_2d(pts)
-    n = pts.shape[0]
-    if d == 1:
-        x = pts[:, 0]
-        if alpha == 1:
-            g = np.empty((n, 2, 1))
-            g[:, 0, 0] = -1.0
-            g[:, 1, 0] = 1.0
-            return g
-        if alpha == 2:
-            g = np.empty((n, 3, 1))
-            g[:, 0, 0] = 4 * x - 3
-            g[:, 1, 0] = 4 * x - 1
-            g[:, 2, 0] = 4 - 8 * x
-            return g
-    if d == 2:
-        x, y = pts[:, 0], pts[:, 1]
-        l1 = 1 - x - y
-        if alpha == 1:
-            g = np.empty((n, 3, 2))
-            g[:, 0] = [-1.0, -1.0]
-            g[:, 1] = [1.0, 0.0]
-            g[:, 2] = [0.0, 1.0]
-            return g
-        if alpha == 2:
-            g = np.zeros((n, 6, 2))
-            g[:, 0, 0] = 1 - 4 * l1
-            g[:, 0, 1] = 1 - 4 * l1
-            g[:, 1, 0] = 4 * x - 1
-            g[:, 2, 1] = 4 * y - 1
-            g[:, 3, 0] = 4 * (l1 - x)
-            g[:, 3, 1] = -4 * x
-            g[:, 4, 0] = 4 * y
-            g[:, 4, 1] = 4 * x
-            g[:, 5, 0] = -4 * y
-            g[:, 5, 1] = 4 * (l1 - y)
-            return g
-    raise ValueError(f"unsupported (d, alpha) = ({d}, {alpha})")
+    _check(d, alpha)
+    return _lagrange_grad(d, alpha, pts)
 
 
 def s_basis(d, alpha, pts):
-    """Element-local basis of the degree-(alpha-1) slack space."""
-    pts = np.atleast_2d(pts)
-    if alpha == 1:
-        return np.ones((pts.shape[0], 1))
-    if alpha == 2:
-        if d == 1:
-            x = pts[:, 0]
-            return np.stack([1 - x, x], axis=1)
-        if d == 2:
-            x, y = pts[:, 0], pts[:, 1]
-            return np.stack([1 - x - y, x, y], axis=1)
-    raise ValueError(f"unsupported (d, alpha) = ({d}, {alpha})")
+    """Element-local basis of the slack space: the Lagrange basis of degree alpha-1."""
+    _check(d, alpha)
+    return _lagrange(d, alpha - 1, pts)
 
 
 def s_node_ref(d, alpha):
-    """Reference nodal positions of the slack basis (for interpolation)."""
-    if alpha == 1:
-        centroid = np.full((1, d), 1.0 / (d + 1))
-        return centroid
-    if alpha == 2:
-        if d == 1:
-            return np.array([[0.0], [1.0]])
-        if d == 2:
-            return np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    raise ValueError(f"unsupported (d, alpha) = ({d}, {alpha})")
+    """Reference nodes of the slack basis: the centroid, or the vertices for alpha=2."""
+    _check(d, alpha)
+    bary = np.eye(d + 1) if alpha == 2 else np.full((1, d + 1), 1.0 / (d + 1))
+    return bary[:, 1:]  # reference coordinate x_k is lambda_k
 
 
 # ---------------------------------------------------------------------------
@@ -142,32 +115,22 @@ class FeSystem:
 
     def s_elem(self):
         """Global s dof ids per element, shape (ne, n_ls)."""
-        ne = self.mesh.num_elements
-        return self.n_u + (np.arange(ne)[:, None] * self.n_ls
-                           + np.arange(self.n_ls)[None, :])
-
-    def free_mask(self):
-        return np.concatenate([~self.u_boundary, np.ones(self.n_s, dtype=bool)])
+        return self.n_u + np.arange(self.n_s).reshape(-1, self.n_ls)
 
     def free_idx(self):
-        return np.flatnonzero(self.free_mask())
+        return np.flatnonzero(np.concatenate([~self.u_boundary,
+                                              np.ones(self.n_s, dtype=bool)]))
 
 
 def build_fe_system(mesh, alpha):
-    if alpha not in (1, 2):
-        raise ValueError(f"unsupported polynomial degree alpha={alpha}")
-    d = mesh.d
+    n_ls = s_node_ref(mesh.d, alpha).shape[0]  # rejects an unsupported alpha
     if alpha == 1:
         coords, u_elem = mesh.vertices.copy(), mesh.elements.copy()
+        bnodes = mesh.boundary_vertices
     else:
-        coords, u_elem = p2_nodes(mesh)
+        coords, u_elem, bnodes = p2_nodes(mesh)
     bdry = np.zeros(coords.shape[0], dtype=bool)
-    bdry[mesh.boundary_vertices] = True
-    if alpha == 2 and d == 2:
-        # the midpoint of an edge of a single triangle lies on the boundary
-        bdry |= np.bincount(u_elem[:, d + 1:].ravel(), minlength=bdry.size) == 1
-
-    n_ls = 1 if alpha == 1 else d + 1 if d == 2 else 2
+    bdry[bnodes] = True
     return FeSystem(mesh, alpha, coords, u_elem, bdry, n_ls)
 
 
@@ -195,27 +158,28 @@ class DSampler:
         self.wq = pushforward_weights(mesh, rule)
         self.xq = pushforward_nodes(mesh, rule)
 
-    def gather_u(self, z):
-        return z[self.fesys.u_elem]  # (ne, n_lu)
-
-    def gather_s(self, z):
-        ne = self.fesys.mesh.num_elements
-        return z[self.fesys.n_u:].reshape(ne, self.fesys.n_ls)
-
     def sample(self, z):
         """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq)."""
-        ue = self.gather_u(z)
-        se = self.gather_s(z)
+        ue = z[self.fesys.u_elem]
+        se = z[self.fesys.n_u:].reshape(-1, self.fesys.n_ls)
         grad_u = np.einsum("eqia,ei->eqa", self.grads, ue)
         s_val = np.einsum("qj,ej->eq", self.svals, se)
         return grad_u, s_val
 
     def sample_u(self, z):
         """u values at quadrature nodes, shape (ne, nq)."""
-        return np.einsum("qi,ei->eq", self.uvals, self.gather_u(z))
+        return np.einsum("qi,ei->eq", self.uvals, z[self.fesys.u_elem])
 
 
 # ---------------------------------------------------------------------------
+
+def _parent_values(basis, fes_c, pe, x):
+    """basis(d, alpha, .) of the coarse elements pe at physical points x of
+    shape (n, m, d); returns shape (n, m, n_local)."""
+    mesh = fes_c.mesh
+    ref = np.einsum("eab,eqb->eqa", mesh.Ainv[pe], x - mesh.b[pe][:, None, :])
+    return basis(mesh.d, fes_c.alpha, ref.reshape(-1, mesh.d)).reshape(*x.shape[:2], -1)
+
 
 def prolongation(fes_c, fes_f):
     """Exact embedding of the coarse FE space into the fine one (full dofs).
@@ -233,40 +197,22 @@ def prolongation(fes_c, fes_f):
     if not np.array_equal(mesh_f.vertices[:nc], mesh_c.vertices):
         raise ValueError("meshes are not nested")
 
-    d, alpha = mesh_c.d, fes_c.alpha
-    rows, cols, vals = [], [], []
-
-    # u block: one representative (element, local node) per fine u dof
-    flat = fes_f.u_elem.ravel()
-    _, first = np.unique(flat, return_index=True)
-    rep_elem = first // fes_f.u_elem.shape[1]
-    rep_node = flat[first]
-    coords = fes_f.u_node_coords[rep_node]                       # (n_uf, d)
-    pe = pm[rep_elem]                                            # parent elements
-    ref = np.einsum("eab,eb->ea", mesh_c.Ainv[pe], coords - mesh_c.b[pe])
-    vals_u = u_basis(d, alpha, ref)                              # (n_uf, n_lu)
-    n_lu = vals_u.shape[1]
-    rows.append(np.repeat(rep_node, n_lu))
-    cols.append(fes_c.u_elem[pe].ravel())
-    vals.append(vals_u.ravel())
-
-    # s block: evaluate the parent slack polynomial at fine s nodes
-    sref = s_node_ref(d, alpha)                                  # (n_ls, d)
-    ne_f = mesh_f.num_elements
-    xs = np.einsum("eab,qb->eqa", mesh_f.A, sref) + mesh_f.b[:, None, :]
-    pe_all = pm[np.arange(ne_f)]
-    refs = np.einsum("eab,eqb->eqa", mesh_c.Ainv[pe_all],
-                     xs - mesh_c.b[pe_all][:, None, :])
-    vals_s = s_basis(d, alpha, refs.reshape(-1, d)).reshape(ne_f, fes_f.n_ls, -1)
-    srows = fes_f.s_elem()[:, :, None]
-    scols = fes_c.s_elem()[pe_all][:, None, :]
-    rows.append(np.broadcast_to(srows, vals_s.shape).ravel())
-    cols.append(np.broadcast_to(scols, vals_s.shape).ravel())
-    vals.append(vals_s.ravel())
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+    # u block: one representative (element, local node) per fine u dof; s block:
+    # the fine slack nodes of every fine element; both in the parent element
+    rep_node, first = np.unique(fes_f.u_elem, return_index=True)
+    pe = pm[first // fes_f.u_elem.shape[1]]
+    s_nodes = mesh_f.to_physical(s_node_ref(mesh_f.d, fes_f.alpha))
+    blocks = (
+        (rep_node[:, None], fes_c.u_elem[pe],
+         _parent_values(u_basis, fes_c, pe, fes_f.u_node_coords[rep_node][:, None])),
+        (fes_f.s_elem(), fes_c.s_elem()[pm],
+         _parent_values(s_basis, fes_c, pm, s_nodes)),
+    )
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
+                           for r, _, v in blocks])
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
+                           for _, c, v in blocks])
+    vals = np.concatenate([v.ravel() for _, _, v in blocks])
     keep = np.abs(vals) > 1e-15
     P = sp.csr_matrix(
         (vals[keep], (rows[keep], cols[keep])),
@@ -286,8 +232,7 @@ def interpolate(fesys, u_fun, s_fun):
     mesh = fesys.mesh
     z = np.empty(fesys.total_dim)
     z[: fesys.n_u] = [u_fun(*x) for x in fesys.u_node_coords]
-    sref = s_node_ref(mesh.d, fesys.alpha)
-    xs = np.einsum("eab,qb->eqa", mesh.A, sref) + mesh.b[:, None, :]
+    xs = mesh.to_physical(s_node_ref(mesh.d, fesys.alpha))
     z[fesys.n_u:] = [s_fun(*x) for x in xs.reshape(-1, mesh.d)]
     if not np.all(np.isfinite(z)):
         raise ValueError("interpolation produced a non-finite value")

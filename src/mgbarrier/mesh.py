@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,10 @@ class SimplicialMesh:
     def total_volume(self):
         return float(np.sum(self.volumes()))
 
+    def to_physical(self, ref):
+        """Images A_K x + b_K of reference points x, (m, d), in every element: (ne, m, d)."""
+        return np.einsum("eab,qb->eqa", self.A, ref) + self.b[:, None, :]
+
     def h(self):
         """Mesh size: max spectral norm of the element maps A_K."""
         return float(np.max(np.linalg.norm(self.A, ord=2, axis=(1, 2))))
@@ -57,10 +62,7 @@ class SimplicialMesh:
 
 def ref_simplex_volume(d):
     """Volume of the reference simplex conv{0, e_1, ..., e_d}: 1/d!."""
-    out = 1.0
-    for k in range(2, d + 1):
-        out /= k
-    return out
+    return 1.0 / math.factorial(d)
 
 
 # local vertex pairs of the edges of an interval / a triangle
@@ -87,36 +89,29 @@ def edge_index(elements):
     return uniq[order], rank[inverse.ravel()].reshape(pairs.shape[:2])
 
 
+def _boundary_edges(elem_edges, d):
+    """Ids of the boundary edges: in 2-D an edge of a single element lies on the
+    boundary; in 1-D the faces are vertices, so no edge does."""
+    if d == 1:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(np.bincount(elem_edges.ravel()) == 1)
+
+
 def p2_nodes(mesh):
     """Vertices plus edge midpoints (the P2 nodes and the refined vertices).
 
-    Returns (coords, nodes): the (nv + n_edges, d) node coordinates, midpoints
-    in edge_index order, and per element the ids of its vertices followed by
-    the midpoints of its LOCAL_EDGES.
+    Returns (coords, nodes, boundary): the (nv + n_edges, d) node coordinates,
+    midpoints in edge_index order; per element the ids of its vertices followed
+    by the midpoints of its LOCAL_EDGES; and the sorted ids of the nodes on the
+    boundary (the boundary vertices, then the midpoints of boundary edges).
     """
     edges, elem_edges = edge_index(mesh.elements)
-    verts = mesh.vertices
+    verts, nv = mesh.vertices, mesh.num_vertices
     coords = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
-    nodes = np.concatenate([mesh.elements, mesh.num_vertices + elem_edges], axis=1)
-    return coords, nodes
-
-
-def _boundary_faces(elements, d):
-    if d == 1:
-        faces = elements.reshape(-1, 1)
-    else:
-        # triangle faces (edges): (0,1), (1,2), (0,2)
-        faces = np.concatenate(
-            [elements[:, [0, 1]], elements[:, [1, 2]], elements[:, [0, 2]]], axis=0
-        )
-        faces = np.sort(faces, axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return uniq[counts == 1]
-
-
-def _boundary_vertex_set(elements, d):
-    bf = _boundary_faces(elements, d)
-    return np.unique(bf.ravel())
+    nodes = np.concatenate([mesh.elements, nv + elem_edges], axis=1)
+    boundary = np.concatenate([mesh.boundary_vertices,
+                               nv + _boundary_edges(elem_edges, mesh.d)])
+    return coords, nodes, boundary
 
 
 def build_rect_mesh(domain, cells_per_side):
@@ -156,7 +151,8 @@ def build_rect_mesh(domain, cells_per_side):
     p11 = p10 + 1
     # two triangles per cell, split along the diagonal p00 -> p11
     elems = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
-    bdry = _boundary_vertex_set(elems, 2)
+    edges, elem_edges = edge_index(elems)
+    bdry = np.unique(edges[_boundary_edges(elem_edges, 2)])
     return SimplicialMesh(2, verts, elems, bdry)
 
 
@@ -167,19 +163,17 @@ def refine_uniform(mesh):
     mesh carries parent_map (child element -> coarse element).
     """
     d = mesh.d
-    new_verts, nodes = p2_nodes(mesh)
+    new_verts, nodes, bdry = p2_nodes(mesh)
     children = np.array(_CHILDREN[d])
     elems = nodes[:, children].reshape(-1, d + 1)
     parents = np.repeat(np.arange(mesh.num_elements), len(children))
-    bdry = _boundary_vertex_set(elems, d)
     return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents)
 
 
 def quasi_uniformity(mesh):
     """Return (h, rho) with h = max |||A_K||| and rho = min sigma_min(A_K) / h."""
-    smax = np.linalg.norm(mesh.A, ord=2, axis=(1, 2))
     smin = 1.0 / np.linalg.norm(mesh.Ainv, ord=2, axis=(1, 2))
-    h = float(np.max(smax))
+    h = mesh.h()
     rho = float(np.min(smin) / h)
     return h, rho
 

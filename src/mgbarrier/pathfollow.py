@@ -43,6 +43,8 @@ class PathConfig:
             raise ValueError("rho0 must be > 1")
         if self.t_cap <= 0.0:
             raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
+        if self.t0 is not None and not self.t0 > 0.0:
+            raise ValueError(f"t0 must be > 0, got {self.t0}")
         if self.theta <= 0.0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
         if self.budget_s < 0.0:
@@ -306,20 +308,25 @@ def run_mgb(problem, config=None, store_iterates=False):
 def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
     """Naive single-path algorithm with an h/t refinement schedule.
 
-    schedule: "h-then-t" or "theta" (grid level ceil(theta * log2 t), clamped).
+    schedule: "h-then-t" or "theta" (grid level ceil(theta * log2(rho t)), clamped).
     Each h-refinement prolongates the iterate and re-centers at the current t;
     each t-refinement re-centers at rho * t on the current grid and adapts rho.
     """
+    if schedule not in ("h-then-t", "theta"):
+        raise ValueError(f"unknown schedule {schedule!r}")
     config = config or PathConfig()
     run = _Run(problem, config, store_iterates)
     t = config.initial_t(problem)
     t_stop = config.stop_t(problem)
     L = problem.L
 
-    def theta_level(t):
-        if t <= 1.0:
-            return 1
-        return min(max(math.ceil(config.theta * math.log2(t)), 1), L)
+    def target_level(t, rho):
+        """1-based grid level for the step from t > 0: the finest for h-then-t
+        and past t_stop (a run never ends below the finest grid), else
+        ceil(theta * log2(rho t)) clamped to [1, L]."""
+        if schedule == "h-then-t" or t > t_stop:
+            return L
+        return min(max(math.ceil(config.theta * math.log2(rho * t)), 1), L)
 
     rho = config.rho0
     lvl = 0  # 0-based current level
@@ -335,23 +342,10 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
     if lvl == L - 1:
         run.record_step(0, t, z)
 
-    while True:
+    while lvl < L - 1 or (t <= t_stop and t < config.t_cap):
         if run.over_budget():
             return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
-        if lvl == L - 1 and t > t_stop:
-            break
-        if t >= config.t_cap and lvl == L - 1:
-            break
-
-        if schedule == "h-then-t":
-            refine_h = lvl < L - 1
-        elif schedule == "theta":
-            refine_h = lvl < theta_level(max(t, rho * t)) - 1 and lvl < L - 1
-            if lvl < L - 1 and t > t_stop:
-                refine_h = True  # never finish below the finest level
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
-
+        refine_h = lvl < target_level(t, rho) - 1
         k += 1
         if refine_h:
             z = problem.refine_iterate(z, lvl)

@@ -45,7 +45,6 @@ class ProblemSpec:
     domain: tuple = UNIT_SQUARE
     forcing: object = None           # callable f(x...) or None (f = 0)
     dirichlet: object = None         # callable g on the boundary; None -> default
-    quad_degree: int | None = None   # defaults to 2 * alpha
 
     def __post_init__(self):
         if self.p < 1:
@@ -176,8 +175,7 @@ def build_problem(spec):
     d = len(spec.domain)
     barrier = PLapBarrier(p=spec.p, d=d)
     hier = MeshHierarchy.build(spec.domain, spec.cells0, spec.levels)
-    degree = spec.quad_degree or 2 * spec.alpha
-    rule = reference_rule(d, degree)
+    rule = reference_rule(d, 2 * spec.alpha)
 
     fesystems = [build_fe_system(m, spec.alpha) for m in hier.levels]
     samplers = [DSampler(fes, rule) for fes in fesystems]

@@ -122,7 +122,7 @@ def reference_rule(d, degree):
 
 def pushforward_nodes(mesh, rule):
     """Quadrature node coordinates per element, shape (ne, beta, d)."""
-    return np.einsum("eab,qb->eqa", mesh.A, rule.nodes) + mesh.b[:, None, :]
+    return mesh.to_physical(rule.nodes)
 
 
 def pushforward_weights(mesh, rule):

@@ -39,6 +39,16 @@ def test_p2_linear_fem_matches_harmonic_extension(p2_problem):
     assert np.allclose(u, u_harm, atol=1e-10)
 
 
+def test_p2_linear_fem_with_forcing_reproduces_quadratic():
+    # 2 Delta u = f with u = x^2 + y^2, f = 8: the P2 space holds u exactly
+    u_exact = lambda x, y: x * x + y * y  # noqa: E731
+    pr = build_problem(ProblemSpec(p=2.0, alpha=2, levels=2, cells0=2,
+                                   forcing=lambda x, y: 8.0, dirichlet=u_exact))
+    u = p2_linear_fem(pr)
+    x, y = pr.fine_fesys.u_node_coords.T
+    assert np.allclose(u, u_exact(x, y), atol=1e-12)
+
+
 def test_p2_linear_fem_rejects_other_p(small_problem):
     with pytest.raises(ValueError):
         p2_linear_fem(small_problem)

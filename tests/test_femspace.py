@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
                                 free_prolongation, interpolate, prolongation,
                                 s_basis, s_node_ref, u_basis, u_basis_grad)
-from mgbarrier.mesh import build_rect_mesh, refine_uniform
+from mgbarrier.mesh import SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
 from mgbarrier.quadrature import reference_rule
 
 
@@ -23,15 +23,14 @@ def test_partition_of_unity(d, alpha):
 
 @pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_lagrange_delta_property(d, alpha):
-    # nodes of the u basis on the reference simplex
-    if d == 1:
-        nodes = [[0.0], [1.0]] if alpha == 1 else [[0.0], [1.0], [0.5]]
-    else:
-        nodes = [[0, 0], [1, 0], [0, 1]]
-        if alpha == 2:
-            nodes += [[0.5, 0], [0.5, 0.5], [0, 0.5]]
-    vals = u_basis(d, alpha, np.array(nodes, dtype=float))
-    assert np.allclose(vals, np.eye(len(nodes)), atol=1e-13)
+    # the u nodes in local order are the P2 nodes of a one-element reference
+    # mesh (vertices, then the midpoints of LOCAL_EDGES[d]); P1 keeps the vertices
+    ref = SimplicialMesh(d, np.vstack([np.zeros(d), np.eye(d)]),
+                         np.arange(d + 1)[None], np.arange(d + 1))
+    coords, nodes, _ = p2_nodes(ref)
+    local = nodes[0] if alpha == 2 else nodes[0, : d + 1]
+    vals = u_basis(d, alpha, coords[local])
+    assert np.allclose(vals, np.eye(len(local)), atol=1e-13)
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 2), (2, 2)])

@@ -134,8 +134,9 @@ def _refine_loop(mesh):
 @pytest.mark.parametrize("domain,k", [([(0.0, 2.0)], 3), ([(0, 1), (0, 1)], 2),
                                       ([(0, 1), (-1, 2)], 3)])
 def test_refine_matches_loop_reference(domain, k):
-    mesh = build_rect_mesh(domain, k)
+    meshes = [build_rect_mesh(domain, k)]
     for _ in range(2):
+        mesh = meshes[-1]
         edges, elem_edges, verts, elems = _refine_loop(mesh)
         got_edges, got_elem_edges = edge_index(mesh.elements)
         assert np.array_equal(got_edges, edges)
@@ -145,7 +146,12 @@ def test_refine_matches_loop_reference(domain, k):
         assert np.array_equal(fine.elements, elems)
         assert np.array_equal(fine.parent_map,
                               np.repeat(np.arange(mesh.num_elements), 2 ** mesh.d))
-        mesh = fine
+        meshes.append(fine)
+    # the boundary vertices are those with a coordinate on a side of the box
+    lo, hi = np.array(domain, dtype=float).T
+    for mesh in meshes:
+        on_box = np.any((mesh.vertices == lo) | (mesh.vertices == hi), axis=1)
+        assert np.array_equal(mesh.boundary_vertices, np.flatnonzero(on_box))
 
 
 def test_rect_mesh_matches_loop_reference():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mgbarrier import pathfollow
 from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
                                   PathTrace, TraceRow, adapt_stepsize,
                                   mgb_t_step, run_mgb, run_naive)
@@ -115,9 +116,12 @@ def test_run_naive_schedules_agree_with_mgb(small_problem):
         assert np.max(np.abs(u_a - u_b)) < 1e-2
 
 
-def test_run_naive_rejects_unknown_schedule(small_problem):
-    with pytest.raises(ValueError):
+def test_run_naive_rejects_unknown_schedule(small_problem, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pathfollow, "center", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="bogus"):
         run_naive(small_problem, PathConfig(), schedule="bogus")
+    assert calls == []
 
 
 def test_naive_theta_visits_intermediate_levels():

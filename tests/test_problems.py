@@ -14,7 +14,10 @@ def test_spec_validation():
         ProblemSpec(p=0.5)
     spec = ProblemSpec(p=2.0)
     assert spec.dirichlet is not None
-    assert spec.quad_degree is None
+    # quadrature exact to degree 2 * alpha on every level
+    for alpha in (1, 2):
+        pr = build_problem(ProblemSpec(p=2.0, alpha=alpha, levels=2, cells0=1))
+        assert [smp.rule.exactness_degree for smp in pr.samplers] == [2 * alpha] * 2
 
 
 def test_default_boundary_data_dimensions():
@@ -146,11 +149,12 @@ def test_load_config_and_spec(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "dim = 3\n", "dim = 0\n", "levels = 0\n", "cells0 = 0\n", "alpha = 3\n",
-    "t_cap = 0\n", "theta = -0.5\n", "budget_s = -1\n",
+    "t_cap = 0\n", "theta = -0.5\n", "budget_s = -1\n", "t0 = 0\n", "t0 = -1\n",
+    "t0 = nan\n",
 ])
 def test_invalid_config_values_rejected(text):
     cfg = parse_config_text(text)
-    path_keys = {k: cfg[k] for k in ("t_cap", "theta", "budget_s") if k in cfg}
+    path_keys = {k: cfg[k] for k in ("t_cap", "theta", "budget_s", "t0") if k in cfg}
     with pytest.raises(ValueError, match=next(iter(cfg))):
         spec_from_config(cfg)
         PathConfig(**path_keys)
