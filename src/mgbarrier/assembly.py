@@ -73,22 +73,22 @@ class Objective:
         """int^(h) c[z] = int^(h) f u + s."""
         return float(self.cost_vector @ z)
 
-    def feasible(self, z):
+    def dz(self, z):
+        """Dz at every quadrature node, flattened: q (N, d) and s (N,)."""
         grad_u, s_val = self.sampler.sample(z)
-        d = self.fesys.d
-        m = self.barrier.margin(grad_u.reshape(-1, d), s_val.ravel())
-        return bool(np.all(m > 0.0))
+        return grad_u.reshape(-1, self.fesys.d), s_val.ravel()
+
+    def feasible(self, z):
+        return self.barrier.feasible(*self.dz(z))
 
     def value(self, z, t):
         """f_h(z, t), or +inf if Dz leaves the barrier domain at any node."""
-        grad_u, s_val = self.sampler.sample(z)
-        d = self.fesys.d
-        q = grad_u.reshape(-1, d)
-        s = s_val.ravel()
-        if not np.all(self.barrier.margin(q, s) > 0.0):
+        F = self.barrier.value(*self.dz(z)).reshape(self.sampler.wq.shape)
+        barrier_integral = float(np.sum(self.sampler.wq * F))
+        # +inf from a node outside the domain; -inf or NaN only from s = inf
+        if not np.isfinite(barrier_integral):
             return INFEASIBLE
-        F = self.barrier.value(q, s).reshape(s_val.shape)
-        return t * self.cost_integral(z) + float(np.sum(self.sampler.wq * F))
+        return t * self.cost_integral(z) + barrier_integral
 
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
@@ -127,14 +127,10 @@ class Objective:
 
     def grad_hess(self, z, t):
         """(gradient, Hessian) over free dofs at a feasible z."""
-        fes, smp = self.fesys, self.sampler
-        d = fes.d
-        grad_u, s_val = smp.sample(z)
-        q = grad_u.reshape(-1, d)
-        s = s_val.ravel()
-        if not np.all(self.barrier.margin(q, s) > 0.0):
-            raise ValueError("gradient requested at an infeasible point")
-        _, G, H = self.barrier.value_grad_hess(q, s)
+        smp = self.sampler
+        d = self.fesys.d
+        # value_grad_hess raises ValueError outside the barrier domain
+        _, G, H = self.barrier.value_grad_hess(*self.dz(z))
         ne, nq = smp.wq.shape
         wG = smp.wq[..., None] * G.reshape(ne, nq, d + 1)
         wH = smp.wq[..., None, None] * H.reshape(ne, nq, d + 1, d + 1)

@@ -4,8 +4,9 @@ The concrete instance is the p-Laplacian barrier
 
     F(q, s) = -log(s^(2/p) - |q|^2) - 2 log s,
 
-finite exactly on {s > 0, s^(2/p) > |q|^2}. Points outside the domain are
-reported by a margin <= 0 (never NaN), so line searches can probe freely.
+finite exactly on {s > 0, s^(2/p) > |q|^2}. One gap s^(2/p) - |q|^2, never
+NaN, decides the domain for margin, value, f_s and third_directional: outside
+it value is +inf and margin <= 0, so line searches can probe freely.
 All evaluations are vectorized over points: q has shape (N, d), s shape (N,).
 """
 
@@ -26,54 +27,57 @@ class PLapBarrier:
     nu: float = 4.0  # configured parameter, verified empirically by the test suite
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("p must be >= 1")
+        if not self.p >= 1.0:
+            raise ValueError(f"p must be >= 1, got {self.p}")
 
     def lam(self, q):
         """Lambda(q) = |q|_2^p."""
         q = np.atleast_2d(q)
         return np.linalg.norm(q, axis=-1) ** self.p
 
-    def margin(self, q, s):
-        """min(s, s^(2/p) - |q|^2), > 0 iff (q, s) in the domain interior."""
+    def _gap(self, q, s):
+        """s^(2/p) - |q|^2 at each point, > 0 exactly on the domain: -1 where s
+        is not > 0, -inf where overflow (inf - inf) or a NaN q gives NaN."""
         q = np.atleast_2d(q)
-        s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             qq = np.sum(q * q, axis=-1)
             g = np.where(s > 0.0,
                          np.power(np.maximum(s, 0.0), 2.0 / self.p) - qq, -1.0)
-        # inf - inf from overflowing inputs: treat as infeasible, never NaN
-        g = np.where(np.isnan(g), -np.inf, g)
-        return np.minimum(s, g)
+        return np.where(np.isnan(g), -np.inf, g)
+
+    def margin(self, q, s):
+        """min(s, s^(2/p) - |q|^2), > 0 iff (q, s) in the domain interior."""
+        s = np.asarray(s, dtype=float)
+        return np.fmin(s, self._gap(q, s))
 
     def feasible(self, q, s):
         return bool(np.all(self.margin(q, s) > 0.0))
 
     def value(self, q, s):
         """F at each point; +inf outside the domain."""
-        q = np.atleast_2d(q)
         s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, np.inf)
-        m = self.margin(q, s) > 0.0
-        if np.any(m):
-            qq = np.sum(q[m] * q[m], axis=-1)
-            g = np.power(s[m], 2.0 / self.p) - qq
-            out[m] = -np.log(g) - 2.0 * np.log(s[m])
-        return out
+        g = self._gap(q, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = -np.log(g) - 2.0 * np.log(s)
+        return np.where(g > 0.0, F, np.inf)
 
     def value_grad_hess(self, q, s):
         """(F, F', F'') at feasible points; shapes (N,), (N, d+1), (N, d+1, d+1).
 
-        Caller must ensure feasibility (margin > 0).
+        Raises ValueError at a point outside the domain or with a NaN entry.
         """
         q = np.atleast_2d(q)
         s = np.asarray(s, dtype=float)
         N, d = q.shape
         e = 2.0 / self.p
+        if not np.all(s > 0.0):
+            raise ValueError("value_grad_hess called outside the barrier domain")
         qq = np.sum(q * q, axis=-1)
         se1 = np.power(s, e - 1.0)
-        g = s * se1 - qq  # s^e - |q|^2
-        if np.any(g <= 0.0) or np.any(s <= 0.0):
+        # s^e - |q|^2 formed as s * s^(e-1), unlike _gap, so the derivatives
+        # share se1
+        g = s * se1 - qq
+        if not np.all(g > 0.0):
             raise ValueError("value_grad_hess called outside the barrier domain")
 
         F = -np.log(g) - 2.0 * np.log(s)
@@ -105,9 +109,8 @@ class PLapBarrier:
         s = np.asarray(s, dtype=float)
         u = np.atleast_2d(u)
         e = 2.0 / self.p
-        qq = np.sum(q * q, axis=-1)
-        g = np.power(s, e) - qq
-        if np.any(g <= 0.0) or np.any(s <= 0.0):
+        g = self._gap(q, s)
+        if not np.all(g > 0.0):
             raise ValueError("third_directional called outside the barrier domain")
         uq, us = u[:, : self.d], u[:, self.d]
         # directional derivatives of g(q, s) = s^e - |q|^2
@@ -120,10 +123,9 @@ class PLapBarrier:
 
     def f_s(self, q, s):
         """Partial derivative of F with respect to the slack s."""
-        q = np.atleast_2d(q)
         s = np.asarray(s, dtype=float)
         e = 2.0 / self.p
-        g = np.power(s, e) - np.sum(q * q, axis=-1)
+        g = self._gap(q, s)
         return -e * np.power(s, e - 1.0) / g - 2.0 / s
 
     def slack_for_t(self, q, t):

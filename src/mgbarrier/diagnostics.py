@@ -45,14 +45,10 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     """
     rng = np.random.default_rng(seed)
     L = problem.L
-    fes_f = problem.fine_fesys
-    smp = problem.samplers[-1]
-    d = fes_f.d
+    obj = problem.fine_objective
+    smp, d = obj.sampler, obj.fesys.d
 
-    grad_u, s_val = smp.sample(z)
-    q = grad_u.reshape(-1, d)
-    s = s_val.ravel()
-    _, _, H = problem.barrier.value_grad_hess(q, s)
+    _, _, H = obj.barrier.value_grad_hess(*obj.dz(z))
     ne_f, nq = smp.wq.shape
     Hn = H.reshape(ne_f, nq, d + 1, d + 1)
 
@@ -68,7 +64,7 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
         worst = 0.0
         for _ in range(num_samples):
             v = rng.standard_normal(Pff.shape[1])
-            z_v = problem.fine_objective.embed_free(Pff @ v)
+            z_v = obj.embed_free(Pff @ v)
             gv, sv = smp.sample(z_v)
             Dv = np.concatenate([gv, sv[..., None]], axis=-1)  # (ne, nq, d+1)
             quad = np.einsum("eqa,eqab,eqb->eq", Dv, Hn, Dv)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES, p2_nodes
+from .mesh import LOCAL_EDGES
 from .quadrature import pushforward_nodes, pushforward_weights
 
 
@@ -128,7 +128,7 @@ def build_fe_system(mesh, alpha):
         coords, u_elem = mesh.vertices.copy(), mesh.elements.copy()
         bnodes = mesh.boundary_vertices
     else:
-        coords, u_elem, bnodes = p2_nodes(mesh)
+        coords, u_elem, bnodes = mesh.p2
     bdry = np.zeros(coords.shape[0], dtype=bool)
     bdry[bnodes] = True
     return FeSystem(mesh, alpha, coords, u_elem, bdry, n_ls)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,13 @@ class SimplicialMesh:
     def h(self):
         """Mesh size: max spectral norm of the element maps A_K."""
         return float(np.max(np.linalg.norm(self.A, ord=2, axis=(1, 2))))
+
+    @functools.cached_property
+    def p2(self):
+        """p2_nodes(self), computed once: refine_uniform and the P2 FE space on
+        this mesh share it, so each level enumerates its edges once. The arrays
+        are shared; callers must not modify them."""
+        return p2_nodes(self)
 
 
 def ref_simplex_volume(d):
@@ -163,7 +171,7 @@ def refine_uniform(mesh):
     mesh carries parent_map (child element -> coarse element).
     """
     d = mesh.d
-    new_verts, nodes, bdry = p2_nodes(mesh)
+    new_verts, nodes, bdry = mesh.p2
     children = np.array(_CHILDREN[d])
     elems = nodes[:, children].reshape(-1, d + 1)
     parents = np.repeat(np.arange(mesh.num_elements), len(children))

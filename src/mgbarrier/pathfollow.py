@@ -39,15 +39,18 @@ class PathConfig:
     budget_s: float = 300.0
 
     def __post_init__(self):
-        if self.rho0 <= 1.0:
-            raise ValueError("rho0 must be > 1")
-        if self.t_cap <= 0.0:
+        # written as `not x > bound` so that NaN fails every check
+        if not self.rho0 > 1.0:
+            raise ValueError(f"rho0 must be > 1, got {self.rho0}")
+        if not self.c_stp > 0.0:
+            raise ValueError(f"c_stp must be > 0, got {self.c_stp}")
+        if not self.t_cap > 0.0:
             raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
         if self.t0 is not None and not self.t0 > 0.0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
-        if self.budget_s < 0.0:
+        if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
 
     def initial_t(self, problem):

@@ -47,8 +47,8 @@ class ProblemSpec:
     dirichlet: object = None         # callable g on the boundary; None -> default
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not self.p >= 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.alpha not in (1, 2):
             raise ValueError(f"alpha must be 1 or 2, got {self.alpha}")
         if self.levels < 1:
@@ -94,37 +94,35 @@ def apply_dirichlet(fesys, z, g):
     return z
 
 
-def init_slack(fesys, sampler, barrier, u0, max_doublings=200):
+def init_slack(objective, u0, max_doublings=200):
     """Constant slack 2^m, doubled from 1 until Dz is interior at every node."""
-    z = np.zeros(fesys.total_dim)
-    z[: fesys.n_u] = u0
-    grad_u, _ = sampler.sample(z)
-    q = grad_u.reshape(-1, fesys.d)
+    fes = objective.fesys
+    z = np.zeros(fes.total_dim)
+    z[: fes.n_u] = u0
+    q, _ = objective.dz(z)
     s = 1.0
     for _ in range(max_doublings + 1):
-        if np.all(barrier.margin(q, np.full(q.shape[0], s)) > 0.0):
-            z[fesys.n_u:] = s
-            return z[fesys.n_u:]
+        if objective.barrier.feasible(q, np.full(q.shape[0], s)):
+            return np.full(fes.n_s, s)
         s *= 2.0
     raise RuntimeError("slack doubling failed to reach the barrier domain")
 
 
-def repair_slack(fesys, sampler, barrier, z, safety=1e-8):
+def repair_slack(objective, z, safety=1e-8):
     """Minimally inflate per-element slack so Dz is interior at all nodes.
 
     Used after prolongation: the prolongated gradient can graze the epigraph
     boundary at the new quadrature nodes through roundoff.
     """
-    grad_u, s_val = sampler.sample(z)
-    m = barrier.margin(grad_u.reshape(-1, fesys.d), s_val.ravel())
-    m = m.reshape(s_val.shape)
-    bad = np.flatnonzero(np.min(m, axis=1) <= 0.0)
+    q, s = objective.dz(z)
+    barrier, shape = objective.barrier, objective.sampler.wq.shape
+    bad = np.flatnonzero(np.min(barrier.margin(q, s).reshape(shape), axis=1) <= 0.0)
     if bad.size == 0:
         return z, 0
     z = z.copy()
-    lam = barrier.lam(grad_u.reshape(-1, fesys.d)).reshape(s_val.shape)
+    lam = barrier.lam(q).reshape(shape)
     snew = (1.0 + safety) * np.max(lam[bad], axis=1) + safety
-    dofs = fesys.s_elem()[bad]
+    dofs = objective.fesys.s_elem()[bad]
     z[dofs] = np.maximum(z[dofs], snew[:, None])
     return z, int(bad.size)
 
@@ -167,7 +165,7 @@ class ProblemInstance:
         z = self.P_full[level] @ z
         fes = self.fesystems[level + 1]
         z = apply_dirichlet(fes, z, self.spec.dirichlet)
-        z, _ = repair_slack(fes, self.samplers[level + 1], self.barrier, z)
+        z, _ = repair_slack(self.objectives[level + 1], z)
         return z
 
 
@@ -197,11 +195,11 @@ def build_problem(spec):
         acc = P_free[lvl] if acc is None else (acc @ P_free[lvl]).tocsr()
         P_free_to_fine[lvl] = acc
 
-    fes0, smp0 = fesystems[0], samplers[0]
-    u0 = harmonic_extension(fes0, smp0, spec.dirichlet)
+    fes0 = fesystems[0]
+    u0 = harmonic_extension(fes0, samplers[0], spec.dirichlet)
     z0 = np.zeros(fes0.total_dim)
     z0[: fes0.n_u] = u0
-    z0[fes0.n_u:] = init_slack(fes0, smp0, barrier, u0)
+    z0[fes0.n_u:] = init_slack(objectives[0], u0)
 
     return ProblemInstance(
         spec=spec,

@@ -1,4 +1,4 @@
-"""Positive-weight quadrature on the reference simplex and the discrete integral.
+"""Positive-weight quadrature on the reference simplex, pushed forward to elements.
 
 All rules have strictly positive weights summing to the reference simplex
 volume, so the discrete integral of 1 over any element union is its measure.
@@ -128,29 +128,3 @@ def pushforward_nodes(mesh, rule):
 def pushforward_weights(mesh, rule):
     """Physical quadrature weights |det A_K| * omega_j, shape (ne, beta)."""
     return np.abs(mesh.detA)[:, None] * rule.weights[None, :]
-
-
-def discrete_integral(mesh, rule, samples):
-    """Sum_K |det A_K| sum_j omega_j y_{K,j}; samples shaped (ne, beta)."""
-    samples = np.asarray(samples)
-    if samples.shape != (mesh.num_elements, rule.num_nodes):
-        raise ValueError(
-            f"sample array shape {samples.shape} != "
-            f"({mesh.num_elements}, {rule.num_nodes})"
-        )
-    return float(np.sum(pushforward_weights(mesh, rule) * samples))
-
-
-def discrete_norm(mesh, rule, samples, p, per_element=False):
-    """Discrete L^p_h norm of nodal samples; p may be inf."""
-    samples = np.abs(np.asarray(samples, dtype=float))
-    if samples.shape != (mesh.num_elements, rule.num_nodes):
-        raise ValueError("sample array shape mismatch")
-    if np.isinf(p):
-        return samples.max(axis=1) if per_element else float(samples.max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    w = pushforward_weights(mesh, rule)
-    if per_element:
-        return np.sum(w * samples ** p, axis=1) ** (1.0 / p)
-    return float(np.sum(w * samples ** p)) ** (1.0 / p)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -67,6 +69,18 @@ def test_value_infinite_when_infeasible():
     assert not obj.feasible(z)
     with pytest.raises(ValueError):
         obj.grad_hess(z, 1.0)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1e-3], ids=["negative", "zero", "small"])
+def test_grad_hess_at_infeasible_point_raises_without_warning(s):
+    # s <= 0 fails before any power of s is taken; s = 1e-3 under |grad u| ~ 1
+    # fails on the gap
+    obj, fes, smp = make_objective()
+    z = interpolate(fes, lambda x, y: x + y, lambda x, y: s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            obj.grad_hess(z, 1.0)
 
 
 def test_grad_hess_finite_differences():

@@ -43,6 +43,34 @@ def test_value_infinite_outside():
     assert np.isfinite(v[1])
 
 
+def reference_value(p, q, s):
+    """F at one point by its definition, in Python floats; +inf outside."""
+    if not s > 0.0:
+        return math.inf
+    gap = s ** (2.0 / p) - sum(x * x for x in q)
+    if not gap > 0.0:
+        return math.inf
+    return -math.log(gap) - 2.0 * math.log(s)
+
+
+def test_value_matches_definition_at_mixed_points():
+    # feasible, infeasible (gap <= 0, s = 0, s < 0), overflowing and NaN points
+    # in one call; at q = 0, s = inf the gap is +inf, so F = -inf there
+    b = PLapBarrier(p=1.5, d=2)
+    inf, nan = math.inf, math.nan
+    points = [((0.3, 0.4), 2.0), ((2.0, 0.0), 1.0), ((0.0, 0.0), 0.0),
+              ((0.1, 0.0), -1.0), ((1e200, 0.0), inf), ((0.0, 0.0), inf),
+              ((1e200, 0.0), 1.0), ((nan, 0.0), 1.0), ((0.0, 0.0), nan),
+              ((0.0, 1e-3), 1e-300)]
+    q = np.array([pt[0] for pt in points])
+    s = np.array([pt[1] for pt in points])
+    v = b.value(q, s)
+    expected = [reference_value(b.p, qi, si) for qi, si in points]
+    assert v == pytest.approx(expected, rel=1e-14)
+    assert list(np.isinf(v)) == [math.isinf(e) for e in expected]
+    assert not np.any(np.isnan(b.margin(q, s)))
+
+
 def test_value_closed_form_p2():
     b = PLapBarrier(p=2.0, d=2)
     q = np.array([[0.5, 0.0]])
@@ -144,6 +172,14 @@ def test_slack_for_t_closed_forms_p2():
 def test_invalid_p_rejected():
     with pytest.raises(ValueError):
         PLapBarrier(p=0.9, d=2)
+
+
+@pytest.mark.parametrize("q,s", [((math.nan, 0.0), 1.0), ((0.1, 0.0), math.nan)],
+                         ids=["nan-q", "nan-s"])
+def test_value_grad_hess_rejects_nan(q, s):
+    b = PLapBarrier(p=1.5, d=2)
+    with pytest.raises(ValueError, match="outside the barrier domain"):
+        b.value_grad_hess(np.array([q]), np.array([s]))
 
 
 def test_calls_outside_domain_rejected():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from mgbarrier.cli import EXIT_INVALID_INPUT, EXIT_OK, main
-from mgbarrier.pathfollow import CSV_HEADER, PathTrace
+from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace
+from mgbarrier.problems import parse_config_text, spec_from_config
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,23 @@ def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     assert main(["solve", "--config", str(cfg)]) == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["p", "rho0", "c_stp", "t_cap", "theta", "budget_s"])
+def test_nan_config_value_is_a_clean_error(tmp_path, capsys, key):
+    text = f"{key} = nan\n"
+    cfg = parse_config_text(text)
+    assert math.isnan(cfg[key])
+    path_keys = {k: v for k, v in cfg.items() if k != "p"}
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        spec_from_config(cfg)
+        PathConfig(**path_keys)
+    path = tmp_path / "nan.cfg"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgbarrier import mesh
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
 from mgbarrier.problems import (ProblemSpec, apply_dirichlet,
                                 build_problem, default_boundary_data,
@@ -39,6 +40,22 @@ def test_build_problem_structure(small_problem):
     assert pr.objectives[0].feasible(pr.z0)
 
 
+def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
+    # one edge_index for the coarse box mesh, then one per level's P2 layout,
+    # which refine_uniform and the level's P2 space share
+    calls = []
+    edge_index = mesh.edge_index
+
+    def counted(elements):
+        calls.append(len(elements))
+        return edge_index(elements)
+
+    monkeypatch.setattr(mesh, "edge_index", counted)
+    L = 4
+    build_problem(ProblemSpec(p=1.5, alpha=2, levels=L, cells0=2))
+    assert len(calls) <= L + 1
+
+
 def test_harmonic_extension_boundary_and_mean_value():
     pr = build_problem(ProblemSpec(p=2.0, alpha=1, levels=1, cells0=4))
     fes, smp = pr.fesystems[0], pr.samplers[0]
@@ -53,9 +70,9 @@ def test_harmonic_extension_boundary_and_mean_value():
 
 def test_init_slack_feasible(small_problem):
     pr = small_problem
-    fes, smp = pr.fesystems[0], pr.samplers[0]
+    fes = pr.fesystems[0]
     u0 = pr.z0[: fes.n_u]
-    s = init_slack(fes, smp, pr.barrier, u0)
+    s = init_slack(pr.objectives[0], u0)
     assert np.all(s > 0)
     # slack is a power of two (doubling from 1)
     val = float(s[0])
@@ -69,7 +86,7 @@ def test_repair_slack_fixes_grazing_point(small_problem):
     z = pr.refine_iterate(pr.z0, 0)
     bad = z.copy()
     bad[fes.n_u] = 0.0  # crush one element's slack
-    repaired, n_bad = repair_slack(fes, smp, pr.barrier, bad)
+    repaired, n_bad = repair_slack(pr.fine_objective, bad)
     assert n_bad >= 1
     assert pr.fine_objective.feasible(repaired)
     # loop reference: raise each bad element's slack dofs to the needed value
@@ -85,7 +102,7 @@ def test_repair_slack_fixes_grazing_point(small_problem):
             expected[dof] = max(expected[dof], need)
     assert np.array_equal(repaired, expected)
     # already-feasible points pass through untouched
-    same, n0 = repair_slack(fes, smp, pr.barrier, z)
+    same, n0 = repair_slack(pr.fine_objective, z)
     assert n0 == 0
     assert same is z
 

@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mgbarrier.mesh import build_rect_mesh
-from mgbarrier.quadrature import (discrete_integral, discrete_norm,
-                                  pushforward_nodes, pushforward_weights,
-                                  reference_rule)
+from mgbarrier.quadrature import pushforward_nodes, pushforward_weights, reference_rule
 
 
 def tri_monomial_integral(a, b):
@@ -68,40 +65,11 @@ def test_discrete_integral_of_polynomial():
     xq = pushforward_nodes(mesh, rule)
     # int over unit square of x^2 y = 1/6; degree 3 <= exactness
     samples = xq[..., 0] ** 2 * xq[..., 1]
-    assert discrete_integral(mesh, rule, samples) == pytest.approx(1 / 6, rel=1e-13)
+    integral = float(np.sum(pushforward_weights(mesh, rule) * samples))
+    assert integral == pytest.approx(1 / 6, rel=1e-13)
 
 
-def test_discrete_integral_shape_check():
-    mesh = build_rect_mesh([(0, 1), (0, 1)], 2)
-    rule = reference_rule(2, 2)
-    with pytest.raises(ValueError):
-        discrete_integral(mesh, rule, np.ones((3, rule.num_nodes)))
-
-
-@given(st.floats(min_value=0.01, max_value=100.0))
-def test_discrete_norm_homogeneity(c):
-    mesh = build_rect_mesh([(0, 1), (0, 1)], 2)
-    rule = reference_rule(2, 2)
-    samples = np.sin(np.arange(mesh.num_elements * rule.num_nodes)).reshape(
-        mesh.num_elements, rule.num_nodes)
-    for p in (1.0, 2.0, 3.5, np.inf):
-        base = discrete_norm(mesh, rule, samples, p)
-        scaled = discrete_norm(mesh, rule, c * samples, p)
-        assert scaled == pytest.approx(c * base, rel=1e-10)
-
-
-def test_discrete_norm_constant():
+def test_pushforward_weights_sum_to_element_volumes():
     mesh = build_rect_mesh([(0, 1), (0, 1)], 3)
     rule = reference_rule(2, 4)
-    ones = np.ones((mesh.num_elements, rule.num_nodes))
-    assert discrete_norm(mesh, rule, ones, 2.0) == pytest.approx(1.0, rel=1e-12)
-    assert discrete_norm(mesh, rule, ones, np.inf) == 1.0
-    per = discrete_norm(mesh, rule, ones, 1.0, per_element=True)
-    assert np.allclose(per, mesh.volumes())
-
-
-def test_discrete_norm_rejects_p_below_one():
-    mesh = build_rect_mesh([(0, 1), (0, 1)], 2)
-    rule = reference_rule(2, 2)
-    with pytest.raises(ValueError):
-        discrete_norm(mesh, rule, np.ones((mesh.num_elements, rule.num_nodes)), 0.5)
+    assert np.allclose(np.sum(pushforward_weights(mesh, rule), axis=1), mesh.volumes())
