@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import time
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
 
 # orderings newton_decrement may reuse and record; None outside ordering_scope
 _orderings = contextvars.ContextVar("orderings", default=None)
+# a list newton_decrement appends the solve of its factor to; None unless a
+# center call asked for a solve at its center
+_factor_slot = contextvars.ContextVar("factor_slot", default=None)
 
 
 @contextlib.contextmanager
@@ -103,16 +107,14 @@ class CenteringResult:
     decrement: float
     status: str
     value: float  # f at y, the value the line search last accepted
+    solved: np.ndarray | None = None  # H(y)^{-1} solve_rhs, if center was given one
 
 
-def _spd_solve(A, b, permc_spec):
-    """Factor the CSC matrix A with diagonal pivots and solve A x = b.
-
-    Returns (x, perm_c); perm_c is copied because SuperLU's own array is a
-    view that keeps the whole factor alive.
-    """
-    lu = spla.splu(A, permc_spec=permc_spec, **SPD_OPTIONS)
-    return lu.solve(b), lu.perm_c.copy()
+def _permuted_solve(lu, perm, b):
+    """Solve with lu, the factor of a matrix permuted by perm (Ordering.permuted)."""
+    bp = np.empty_like(b)
+    bp[perm] = b
+    return lu.solve(bp)[perm]
 
 
 def newton_decrement(g, H):
@@ -124,7 +126,9 @@ def newton_decrement(g, H):
     does. Inside ordering_scope, a CSR pattern seen before is not ordered
     again: its data is gathered into the recorded permuted pattern and
     factored in that order. Returns (None, None) if the factorization fails
-    or lambda^2 is negative beyond roundoff.
+    or lambda^2 is negative beyond roundoff. Inside a center call given a
+    solve_rhs, the solve of the factor is appended to its slot; elsewhere the
+    factor is dropped on return.
     """
     orderings = _orderings.get() if H.format == "csr" else None
     key = (H.shape, H.nnz)
@@ -133,33 +137,51 @@ def newton_decrement(g, H):
         order = None
     try:
         if order is None:
-            x, perm = _spd_solve(regularize(H).tocsc(), g, "MMD_AT_PLUS_A")
+            lu = spla.splu(regularize(H).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           **SPD_OPTIONS)
+            solve = lu.solve
         else:
-            gp = np.empty_like(g)
-            gp[order.perm] = g
-            xp, _ = _spd_solve(order.permuted(H), gp, "NATURAL")
-            x = xp[order.perm]
+            lu = spla.splu(order.permuted(H), permc_spec="NATURAL", **SPD_OPTIONS)
+            solve = functools.partial(_permuted_solve, lu, order.perm)
+        step = -solve(g)
     except RuntimeError:
         return None, None
     if order is None and orderings is not None:
-        order = Ordering.of(H, perm)
+        # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
+        order = Ordering.of(H, lu.perm_c.copy())
         if order is not None:
             orderings[key] = order
-    step = -x
     lam2 = float(-g @ step)
     if not np.isfinite(lam2) or (
             lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
         return None, None
+    slot = _factor_slot.get()
+    if slot is not None:
+        slot.append(solve)
     return float(np.sqrt(max(lam2, 0.0))), step
 
 
-def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None):
+def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None,
+           solve_rhs=None):
     """Damped Newton until the decrement drops below lam_tol.
 
     Returns a CenteringResult; iterations counts accepted Newton steps. With a
     deadline (a time.monotonic() value), an unconverged centering that is
-    past it stops before its next step with status BUDGET.
+    past it stops before its next step with status BUDGET. With solve_rhs, a
+    converged result carries H^{-1} solve_rhs at its y, solved with the
+    factor that checked lam <= lam_tol; every other factor is dropped right
+    after its decrement, and none outlives the call.
     """
+    slot = None if solve_rhs is None else []
+    token = _factor_slot.set(slot)
+    try:
+        return _damped_newton(level_obj, y0, t, lam_tol, max_iters, deadline,
+                              slot, solve_rhs)
+    finally:
+        _factor_slot.reset(token)
+
+
+def _damped_newton(level_obj, y0, t, lam_tol, max_iters, deadline, slot, solve_rhs):
     y = np.asarray(y0, dtype=float).copy()
     val = level_obj.value(y, t)
     if not np.isfinite(val):
@@ -172,7 +194,10 @@ def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None):
         if lam is None:
             return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val)
         if lam <= lam_tol:
-            return CenteringResult(y, it, lam, CONVERGED, val)
+            solved = slot.pop()(solve_rhs) if slot else None
+            return CenteringResult(y, it, lam, CONVERGED, val, solved)
+        if slot:
+            slot.clear()
         if it == max_iters:
             break
         if deadline is not None and time.monotonic() > deadline:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LevelObjective
-from .newton import BUDGET, CONVERGED, center, ordering_scope
+from .newton import BUDGET, CONVERGED, MAX_BACKTRACK, center, ordering_scope
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
@@ -37,21 +37,24 @@ class PathConfig:
     lam_tol_final: float = 1e-6   # final centering tolerance
     max_center_iters: int = 500
     budget_s: float = 300.0
+    predictor: bool = True        # practical MGB: start t-steps on the tangent
 
     def __post_init__(self):
         # written as `not x > bound` so that NaN fails every check
-        if not self.rho0 > 1.0:
-            raise ValueError(f"rho0 must be > 1, got {self.rho0}")
+        if not 1.0 < self.rho0 < math.inf:
+            raise ValueError(f"rho0 must be > 1 and finite, got {self.rho0}")
         if not self.c_stp > 0.0:
             raise ValueError(f"c_stp must be > 0, got {self.c_stp}")
         if not self.t_cap > 0.0:
             raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
         if self.t0 is not None and not self.t0 > 0.0:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
         if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
+        if not isinstance(self.predictor, bool):
+            raise ValueError(f"predictor must be True or False, got {self.predictor!r}")
 
     def initial_t(self, problem):
         if self.t0 is not None:
@@ -155,6 +158,7 @@ class _Run:
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
         self.orderings = {}  # fill-reducing orderings by Hessian pattern
+        self.tangent = None  # dz/dt (free dofs) at the last center asked for it
 
     def wall_ms(self):
         return (time.monotonic() - self.t_start) * 1e3
@@ -175,19 +179,25 @@ class _Run:
         self.add_row(k, t, rho, -1, m, direct, last.objective, last.decrement)
 
     def center_at(self, obj, base, P, t, k, level, rho, y0=None, lam_tol=None,
-                  max_iters=None, direct=False):
+                  max_iters=None, direct=False, tangent=False):
         """Center f_h on the shifted path base + span(P) at t and record the row.
 
         lam_tol and max_iters default to the config's intermediate tolerance and
-        iteration cap. Returns (level_obj, CenteringResult).
+        iteration cap. With tangent (fine level, P None), self.tangent becomes
+        the central-path tangent at the center if it converged, else None.
+        Returns (level_obj, CenteringResult).
         """
         level_obj = LevelObjective(obj, base, P)
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
         lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
         max_iters = self.config.max_center_iters if max_iters is None else max_iters
+        cost = obj.cost_vector[obj.free_idx()] if tangent else None
         with ordering_scope(self.orderings):
             res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
-                         deadline=self.deadline)
+                         deadline=self.deadline, solve_rhs=cost)
+        # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
+        # that ended the centering gives dz/dt = -H^{-1} c
+        self.tangent = None if res.solved is None else -res.solved
         self.timed_out = res.status == BUDGET
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)
@@ -221,14 +231,17 @@ def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
     """One Algorithm MGB step: center the shifted path on levels 1..L.
 
     Returns (z_next, per-level Newton counts, "") or (None, counts, reason).
+    With config.predictor, the fine level L leaves its tangent in run.tangent.
     """
     run = run if run is not None else _Run(problem, config)
     counts = []
     y0 = None
     for lvl in range(problem.L):
+        fine = lvl == problem.L - 1
         level_obj, res = run.center_at(problem.fine_objective, z_k,
                                        problem.P_free_to_fine[lvl], t_next, k,
-                                       lvl + 1, rho, y0=y0)
+                                       lvl + 1, rho, y0=y0,
+                                       tangent=fine and config.predictor)
         counts.append(res.iterations)
         if res.status != CONVERGED:
             return None, counts, f"level {lvl + 1} centering: {res.status}"
@@ -237,19 +250,43 @@ def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
     return level_obj.full_point(res.y), counts, ""
 
 
+def predict(objective, z_k, tangent, t_k, t_next):
+    """Free-dof offset from z_k to the predicted center at t_next, or None.
+
+    The step follows the tangent in 1/t, (t_next - t_k) (t_k / t_next) dz/dt,
+    which is exact for z*(t) = z_inf + a/t. It is halved until z_k plus it is
+    feasible, trying at most MAX_BACKTRACK lengths. None without a tangent
+    or a feasible length.
+    """
+    if tangent is None:
+        return None
+    y = (t_next - t_k) * (t_k / t_next) * tangent
+    for _ in range(MAX_BACKTRACK):
+        if objective.feasible(z_k + objective.embed_free(y)):
+            return y
+        y = 0.5 * y
+    return None
+
+
 def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
-    """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback."""
+    """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback.
+
+    Both start from the tangent prediction when run.tangent holds the tangent
+    at (z_k, t_k), else from z_k.
+    """
     t_next = min(rho_prev * t_k, config.t_cap)
+    y0 = predict(problem.fine_objective, z_k, run.tangent, t_k, t_next)
     level_obj, res = run.center_at(problem.fine_objective, z_k, None, t_next, k, 0,
-                                   rho_prev, max_iters=config.direct_cap,
-                                   direct=True)
+                                   rho_prev, y0=y0, max_iters=config.direct_cap,
+                                   direct=True, tangent=config.predictor)
     counts = [res.iterations]
     direct_ok = res.status == CONVERGED
     if direct_ok:
         z_next = level_obj.full_point(res.y)
     else:
+        z_start = z_k if y0 is None else level_obj.full_point(y0)
         z_next, mgb_counts, err = mgb_t_step(
-            problem, z_k, t_next, config, run=run, k=k, rho=rho_prev)
+            problem, z_start, t_next, config, run=run, k=k, rho=rho_prev)
         counts.extend(mgb_counts)
         if z_next is None:
             return None, t_next, rho_prev, err
@@ -268,8 +305,10 @@ def _initial_phase(run, t0):
     problem, rho0 = run.problem, run.config.rho0
     z = problem.z0
     for lvl in range(problem.L):
+        fine = lvl == problem.L - 1
         level_obj, res = run.center_at(problem.objectives[lvl], z, None, t0, 0,
-                                       lvl + 1, rho0)
+                                       lvl + 1, rho0,
+                                       tangent=fine and run.config.predictor)
         if res.status != CONVERGED:
             run.fail(f"initial centering failed on level {lvl + 1}: {res.status}")
             return None
@@ -284,7 +323,8 @@ def _initial_phase(run, t0):
 
 
 def run_mgb(problem, config=None, store_iterates=False):
-    """Practical MGB: initial h-then-t phase at t0, then adaptive direct/MGB steps."""
+    """Practical MGB: initial h-then-t phase at t0, then adaptive direct/MGB
+    steps, each started from the tangent prediction if config.predictor."""
     config = config or PathConfig()
     run = _Run(problem, config, store_iterates)
     t = config.initial_t(problem)

@@ -78,6 +78,17 @@ def test_nan_config_value_is_a_clean_error(tmp_path, capsys, key):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["rho0", "theta"])
+def test_infinite_step_parameter_is_a_clean_error(tmp_path, capsys, key):
+    # rho0 = inf would jump to t_cap, theta = inf overflow the level rule
+    path = tmp_path / "inf.cfg"
+    path.write_text(f"{key} = inf\nalgorithm = naive-theta\n")
+    assert main(["solve", "--config", str(path)]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert f"{key} must be" in err and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     cfg = tmp_path / "b.cfg"

@@ -62,6 +62,20 @@ def test_center_quadratic_one_full_step():
     assert np.allclose(res.y, y_star, atol=1e-12)
 
 
+def test_center_solves_with_its_last_factor():
+    # a converged centering solves H^{-1} rhs at its point; others do not
+    A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
+    obj = QuadraticObjective(A, np.array([1.0, 2.0, 3.0]))
+    rhs = np.array([1.0, -1.0, 0.5])
+    res = center(obj, np.zeros(3), t=1.0, lam_tol=1e-10, solve_rhs=rhs)
+    assert res.status == CONVERGED
+    assert np.allclose(A @ res.solved, rhs, rtol=1e-12)
+    assert center(obj, np.zeros(3), t=1.0, lam_tol=1e-10).solved is None
+    res = center(obj, np.full(3, 1e6), t=1.0, lam_tol=1e-12, max_iters=0,
+                 solve_rhs=rhs)
+    assert res.status == ITERATION_CAP and res.solved is None
+
+
 def test_center_log_barrier_far_start():
     res = center(LogBarrier1D(), np.array([100.0]), t=2.0, lam_tol=1e-8)
     assert res.status == CONVERGED

@@ -1,12 +1,16 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mgbarrier import pathfollow
+from mgbarrier.newton import CONVERGED, newton_decrement
 from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
                                   PathTrace, TraceRow, adapt_stepsize,
-                                  mgb_t_step, run_mgb, run_naive)
+                                  mgb_t_step, predict, run_mgb, run_naive)
 from mgbarrier.problems import ProblemSpec, build_problem
 
 
@@ -27,6 +31,18 @@ def test_path_config_defaults_and_validation():
     assert cfg.t_cap == 1e8
     with pytest.raises(ValueError):
         PathConfig(rho0=1.0)
+    assert cfg.predictor is True
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(rho0=math.inf), "rho0 must be > 1 and finite"),
+    (dict(theta=math.inf), "theta must be > 0 and finite"),
+    (dict(predictor=1), "predictor must be True or False"),
+    (dict(predictor="false"), "predictor must be True or False"),
+])
+def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PathConfig(**kwargs)
 
 
 def test_initial_and_stop_t(small_problem):
@@ -147,8 +163,10 @@ def test_iterates_stored_on_request(small_problem):
 
 
 # (k, level, newton_iters, direct_step) of every trace row on small_problem,
-# written as "k:level:m:direct" tokens. Recorded before the centering blocks
-# were merged into one primitive; any change in Newton work shows up here.
+# written as "k:level:m:direct" tokens. The first four were recorded before
+# the centering blocks were merged into one primitive, and are run without
+# the tangent predictor (the paper's algorithms); any change in Newton work
+# shows up here. The "-predictor" rows pin practical MGB as it runs by default.
 PINNED_ROWS = {
     "mgb": """
         0:1:4:0 0:2:34:0 0:-1:34:0 1:0:4:1 1:-1:4:1 2:0:4:1 2:-1:4:1
@@ -177,14 +195,28 @@ PINNED_ROWS = {
         3:-1:3:0 4:1:3:0 4:-1:3:0 5:2:223:0 5:-1:223:0 6:2:3:0
         6:-1:3:0 7:2:3:0 7:-1:3:0 8:2:3:0 8:-1:3:0 9:2:4:0 9:-1:4:0
         10:-1:1:0""",
+    "mgb-predictor": """
+        0:1:4:0 0:2:34:0 0:-1:34:0 1:0:3:1 1:-1:3:1 2:0:3:1 2:-1:3:1
+        3:0:4:1 3:-1:4:1 4:0:4:1 4:-1:4:1 5:0:3:1 5:-1:3:1 6:0:3:1
+        6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:3:1 8:-1:3:1 9:-1:2:0""",
+    "mgb-full-predictor": """
+        0:1:4:0 0:2:34:0 0:-1:34:0 1:0:0:1 1:1:3:0 1:2:3:0 1:-1:3:0
+        2:0:0:1 2:1:3:0 2:2:3:0 2:-1:3:0 3:0:0:1 3:1:4:0 3:2:2:0
+        3:-1:4:0 4:0:0:1 4:1:3:0 4:2:3:0 4:-1:3:0 5:0:0:1 5:1:3:0
+        5:2:2:0 5:-1:3:0 6:0:0:1 6:1:3:0 6:2:2:0 6:-1:3:0 7:0:0:1
+        7:1:3:0 7:2:2:0 7:-1:3:0 8:0:0:1 8:1:3:0 8:2:2:0 8:-1:3:0
+        9:-1:2:0""",
 }
 
 
+NO_PREDICTOR = PathConfig(predictor=False)
 PINNED_RUNNERS = {
-    "mgb": lambda pr: run_mgb(pr, PathConfig()),
-    "mgb-full": lambda pr: run_mgb(pr, PathConfig(direct_cap=0)),
-    "naive-h-then-t": lambda pr: run_naive(pr, PathConfig(), schedule="h-then-t"),
-    "naive-theta": lambda pr: run_naive(pr, PathConfig(), schedule="theta"),
+    "mgb": lambda pr: run_mgb(pr, NO_PREDICTOR),
+    "mgb-full": lambda pr: run_mgb(pr, PathConfig(direct_cap=0, predictor=False)),
+    "naive-h-then-t": lambda pr: run_naive(pr, NO_PREDICTOR, schedule="h-then-t"),
+    "naive-theta": lambda pr: run_naive(pr, NO_PREDICTOR, schedule="theta"),
+    "mgb-predictor": lambda pr: run_mgb(pr, PathConfig()),
+    "mgb-full-predictor": lambda pr: run_mgb(pr, PathConfig(direct_cap=0)),
 }
 
 
@@ -216,3 +248,154 @@ def test_run_mgb_repeats_bit_for_bit():
     second = run_mgb(pr, PathConfig())
     assert first.status == "converged"
     assert first.to_csv(wall_times=False) == second.to_csv(wall_times=False)
+
+
+def test_predictor_is_off_for_naive(small_problem):
+    # run_naive, the paper's comparator, never follows the tangent
+    for schedule in ("h-then-t", "theta"):
+        on = run_naive(small_problem, PathConfig(), schedule=schedule)
+        off = run_naive(small_problem, NO_PREDICTOR, schedule=schedule)
+        assert on.to_csv(wall_times=False) == off.to_csv(wall_times=False)
+
+
+def _fine_center(pr, t):
+    """A fine-level center at t, tight enough for a finite difference."""
+    tr = run_mgb(pr, PathConfig(predictor=False, t0=t, c_stp=1e-9))
+    assert tr.status == "converged" and tr.t_final == t
+    return tr.z_final
+
+
+def test_tangent_matches_central_path_difference(small_problem):
+    # The tangent from the factor that ended the centering is dz*/dt: the
+    # difference quotient of the central path approaches it at rate O(eps).
+    pr, obj = small_problem, small_problem.fine_objective
+    free = obj.free_idx()
+    t = 1.3
+    run = pathfollow._Run(pr, PathConfig())
+    level_obj, res = run.center_at(obj, _fine_center(pr, t), None, t, 1, 0, 2.0,
+                                   lam_tol=1e-9, tangent=True)
+    assert res.status == CONVERGED
+    z, tangent = level_obj.full_point(res.y), run.tangent
+    errors = []
+    for eps in (1e-2, 1e-3):
+        lo, res = run.center_at(obj, z, None, t * (1 + eps), 1, 0, 2.0, lam_tol=1e-9)
+        assert res.status == CONVERGED
+        fd = (lo.full_point(res.y) - z)[free] / (t * eps)
+        errors.append(np.linalg.norm(fd - tangent) / np.linalg.norm(tangent))
+        assert errors[-1] <= 2 * eps
+    assert errors[1] < errors[0] / 5
+
+    # the predicted start is closer to the center at t_next than z is
+    t_next = 1.5 * t
+    y0 = predict(obj, z, tangent, t, t_next)
+    # a step in 1/t: (t_next - t) (t / t_next) dz/dt, here feasible unhalved
+    assert np.array_equal(y0, (t_next - t) * (t / t_next) * tangent)
+    lam_z = newton_decrement(*obj.grad_hess(z, t_next))[0]
+    lam_pred = newton_decrement(*obj.grad_hess(z + obj.embed_free(y0), t_next))[0]
+    assert lam_pred < lam_z
+
+
+def _record_starts(monkeypatch, direct_cap):
+    """Patch center and mgb_t_step to log (k, start point) of every direct
+    step and every fallback sweep."""
+    direct, sweeps = [], []
+    center, t_step = pathfollow.center, pathfollow.mgb_t_step
+
+    def logged_center(level_obj, y0, t, **kw):
+        if kw["max_iters"] == direct_cap and level_obj.P is None:
+            direct.append(level_obj.full_point(y0))
+        return center(level_obj, y0, t, **kw)
+
+    def logged_t_step(problem, z_k, *args, **kw):
+        sweeps.append((kw["k"], z_k))
+        return t_step(problem, z_k, *args, **kw)
+
+    monkeypatch.setattr(pathfollow, "center", logged_center)
+    monkeypatch.setattr(pathfollow, "mgb_t_step", logged_t_step)
+    return direct, sweeps
+
+
+def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypatch):
+    # direct_cap = 0: every t-step that is not centered at its start sweeps
+    # the levels, from the same point the direct step started from
+    direct, sweeps = _record_starts(monkeypatch, direct_cap=0)
+    tr = run_mgb(small_problem, PathConfig(direct_cap=0), store_iterates=True)
+    assert tr.status == "converged" and len(sweeps) > 0
+    iterates = dict(tr.iterates)
+    for k, z_start in sweeps:
+        assert np.array_equal(z_start, direct[k - 1])
+        assert not np.array_equal(z_start, iterates[k - 1])
+        assert small_problem.fine_objective.feasible(z_start)
+
+
+@pytest.mark.parametrize("direct_cap", [5, 0])
+def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direct_cap):
+    # no halving of the prediction is feasible: the direct step and the
+    # sweep start from z_k exactly, and the run is the one without predictor
+    monkeypatch.setattr(small_problem.fine_objective, "feasible", lambda z: False)
+    off = run_mgb(small_problem, PathConfig(direct_cap=direct_cap, predictor=False))
+    direct, sweeps = _record_starts(monkeypatch, direct_cap)
+    tr = run_mgb(small_problem, PathConfig(direct_cap=direct_cap), store_iterates=True)
+    assert tr.to_csv(wall_times=False) == off.to_csv(wall_times=False)
+    iterates = dict(tr.iterates)
+    # iterates: the initial center, one per t-step, the final re-centering
+    assert len(direct) == len(tr.iterates) - 2
+    for k, z_start in enumerate(direct, start=1):
+        assert np.array_equal(z_start, iterates[k - 1])
+    for k, z_start in sweeps:
+        assert np.array_equal(z_start, iterates[k - 1])
+
+
+class _Factor:
+    """A SuperLU factor that a weak reference can watch."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+    def __getattr__(self, attr):
+        return getattr(self.lu, attr)
+
+
+@pytest.fixture
+def live_factors(monkeypatch):
+    """Weak references to every factor made; at each new factorization, the
+    number of earlier factors still alive is logged in live_at_factor."""
+    refs, live_at_factor = [], []
+    splu = spla.splu
+
+    def alive():
+        gc.collect()
+        return sum(r() is not None for r in refs)
+
+    def watched(A, **kwargs):
+        live_at_factor.append(alive())
+        lu = _Factor(splu(A, **kwargs))
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", watched)
+    return refs, live_at_factor, alive
+
+
+def test_no_factor_outlives_the_tangent(small_problem, live_factors):
+    refs, live_at_factor, alive = live_factors
+    pr = small_problem
+    z = _fine_center(pr, 1.3)
+    refs.clear()
+    live_at_factor.clear()
+    run = pathfollow._Run(pr, PathConfig())
+    _, res = run.center_at(pr.fine_objective, z, None, 2.6, 1, 0, 2.0, tangent=True)
+    assert res.status == CONVERGED and res.iterations > 0
+    assert run.tangent is not None
+    # each factor above tolerance was dropped before the next one was made,
+    # and the last one right after the tangent solve
+    assert live_at_factor == [0] * (res.iterations + 1)
+    assert alive() == 0
+
+    # a bare newton_decrement keeps nothing
+    newton_decrement(*pr.fine_objective.grad_hess(z, 1.3))
+    assert len(refs) == res.iterations + 2
+    assert alive() == 0
