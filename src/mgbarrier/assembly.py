@@ -81,6 +81,11 @@ class Objective:
     def feasible(self, z):
         return self.barrier.feasible(*self.dz(z))
 
+    def margin(self, z):
+        """The barrier margin of Dz at every quadrature node, > 0 exactly on
+        the domain interior."""
+        return self.barrier.margin(*self.dz(z))
+
     def value(self, z, t):
         """f_h(z, t), or +inf if Dz leaves the barrier domain at any node."""
         F = self.barrier.value(*self.dz(z)).reshape(self.sampler.wq.shape)

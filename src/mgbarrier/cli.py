@@ -26,7 +26,7 @@ EXIT_INVALID_INPUT = 4
 
 
 def _path_config(cfg):
-    keys = ("rho0", "c_stp", "t_cap", "theta", "budget_s", "t0")
+    keys = ("rho0", "c_stp", "t_cap", "theta", "budget_s", "t0", "predictor")
     return PathConfig(**{key: cfg[key] for key in keys if key in cfg})
 
 

@@ -191,13 +191,14 @@ class _Run:
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
         lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
         max_iters = self.config.max_center_iters if max_iters is None else max_iters
-        cost = obj.cost_vector[obj.free_idx()] if tangent else None
+        # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
+        # that ends the centering gives dz/dt = H^{-1} (-c)
+        minus_cost = -obj.cost_vector[obj.free_idx()] if tangent else None
+        self.tangent = None  # the previous center's tangent is used up
         with ordering_scope(self.orderings):
             res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
-                         deadline=self.deadline, solve_rhs=cost)
-        # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
-        # that ended the centering gives dz/dt = -H^{-1} c
-        self.tangent = None if res.solved is None else -res.solved
+                         deadline=self.deadline, solve_rhs=minus_cost)
+        self.tangent = res.solved
         self.timed_out = res.status == BUDGET
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)
@@ -251,21 +252,28 @@ def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
 
 
 def predict(objective, z_k, tangent, t_k, t_next):
-    """Free-dof offset from z_k to the predicted center at t_next, or None.
+    """The predicted center at t_next: z_k plus a step along the tangent, or
+    z_k itself.
 
     The step follows the tangent in 1/t, (t_next - t_k) (t_k / t_next) dz/dt,
-    which is exact for z*(t) = z_inf + a/t. It is halved until z_k plus it is
-    feasible, trying at most MAX_BACKTRACK lengths. None without a tangent
-    or a feasible length.
+    which is exact for z*(t) = z_inf + a/t. It is halved, at most
+    MAX_BACKTRACK lengths, until the barrier margin at every quadrature node
+    exceeds t_k / (nu t_next) times its margin at z_k. On the central path a
+    node's slack gap lies in [1/t, nu/t], so from t_k to t_next it shrinks by
+    no more than that factor; a prediction that cuts a margin further has
+    overshot toward the boundary, where Newton converges slowly. z_k without
+    a tangent or an accepted length.
     """
     if tangent is None:
-        return None
+        return z_k
+    floor = t_k / (objective.barrier.nu * t_next) * objective.margin(z_k)
     y = (t_next - t_k) * (t_k / t_next) * tangent
     for _ in range(MAX_BACKTRACK):
-        if objective.feasible(z_k + objective.embed_free(y)):
-            return y
+        z = z_k + objective.embed_free(y)
+        if np.all(objective.margin(z) > floor):
+            return z
         y = 0.5 * y
-    return None
+    return z_k
 
 
 def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
@@ -275,16 +283,15 @@ def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
     at (z_k, t_k), else from z_k.
     """
     t_next = min(rho_prev * t_k, config.t_cap)
-    y0 = predict(problem.fine_objective, z_k, run.tangent, t_k, t_next)
-    level_obj, res = run.center_at(problem.fine_objective, z_k, None, t_next, k, 0,
-                                   rho_prev, y0=y0, max_iters=config.direct_cap,
+    z_start = predict(problem.fine_objective, z_k, run.tangent, t_k, t_next)
+    level_obj, res = run.center_at(problem.fine_objective, z_start, None, t_next, k,
+                                   0, rho_prev, max_iters=config.direct_cap,
                                    direct=True, tangent=config.predictor)
     counts = [res.iterations]
     direct_ok = res.status == CONVERGED
     if direct_ok:
         z_next = level_obj.full_point(res.y)
     else:
-        z_start = z_k if y0 is None else level_obj.full_point(y0)
         z_next, mgb_counts, err = mgb_t_step(
             problem, z_start, t_next, config, run=run, k=k, rho=rho_prev)
         counts.extend(mgb_counts)

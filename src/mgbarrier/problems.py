@@ -218,6 +218,14 @@ def build_problem(spec):
 # ---------------------------------------------------------------------------
 # plain-text key-value configuration
 
+def _boolean(text):
+    """True for "true", False for "false", in any case."""
+    word = text.lower()
+    if word not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return word == "true"
+
+
 _CONFIG_KEYS = {
     "p": float,
     "alpha": int,
@@ -231,6 +239,7 @@ _CONFIG_KEYS = {
     "algorithm": str,
     "dim": int,
     "t0": float,
+    "predictor": _boolean,
 }
 
 

@@ -48,16 +48,25 @@ def sample_interior(barrier, rng, n, eps_lo=0.05, eps_hi=5.0):
 # ---------------------------------------------------------------------------
 # shared solver runs
 
+# Practical MGB as it runs by default, and as the paper states it, with each
+# t-step started from z_k; criteria 3, 6, 7 and 8 hold for both.
+VARIANTS = {"predictor": PathConfig(), "no-predictor": PathConfig(predictor=False)}
+
+
 @pytest.fixture(scope="module")
 def mgb_scaling_runs():
-    """p=1.5, alpha=2 MGB runs on h = 1/4 .. 1/32 (criteria 3, 6, 8)."""
-    out = []
-    for levels in (1, 2, 3, 4):
-        pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=4))
-        tr = timed_run(f"mgb15_L{levels}",
-                       lambda: run_mgb(pr, PathConfig(), store_iterates=True))
-        assert tr.status == "converged"
-        out.append((pr, tr))
+    """p=1.5, alpha=2 MGB runs on h = 1/4 .. 1/32 (criteria 3, 6, 8), as
+    {variant: [(problem, trace) by level count]}."""
+    problems = [build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=4))
+                for levels in (1, 2, 3, 4)]
+    out = {}
+    for name, config in VARIANTS.items():
+        out[name] = []
+        for pr in problems:
+            tr = timed_run(f"{name}/mgb15_L{pr.L}",
+                           lambda: run_mgb(pr, config, store_iterates=True))
+            assert tr.status == "converged"
+            out[name].append((pr, tr))
     return out
 
 
@@ -71,18 +80,26 @@ def naive_theta_run():
 
 @pytest.fixture(scope="module")
 def p1_run():
+    """{variant: (problem, trace)} for p=1 on 3 levels."""
     pr = build_problem(ProblemSpec(p=1.0, alpha=2, levels=3, cells0=4))
-    tr = timed_run("mgb1_L3", lambda: run_mgb(pr, PathConfig()))
-    assert tr.status == "converged"
-    return pr, tr
+    out = {}
+    for name, config in VARIANTS.items():
+        tr = timed_run(f"{name}/mgb1_L3", lambda: run_mgb(pr, config))
+        assert tr.status == "converged"
+        out[name] = (pr, tr)
+    return out
 
 
 @pytest.fixture(scope="module")
 def p2_run_3level():
+    """{variant: (problem, trace)} for p=2 on 3 levels."""
     pr = build_problem(ProblemSpec(p=2.0, alpha=2, levels=3, cells0=4))
-    tr = run_mgb(pr, PathConfig())
-    assert tr.status == "converged"
-    return pr, tr
+    out = {}
+    for name, config in VARIANTS.items():
+        tr = run_mgb(pr, config)
+        assert tr.status == "converged"
+        out[name] = (pr, tr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +170,18 @@ def test_criterion_2_slack_bounds():
 
 
 def test_criterion_3_filter_bound(mgb_scaling_runs, p2_run_3level):
-    worst_ratio = 0.0
-    for pr, tr in (mgb_scaling_runs[2], p2_run_3level):
-        gaps = diagnostics.filter_gap(tr, NU, pr.domain_volume())
-        for _, t, gap, bound in gaps:
-            worst_ratio = max(worst_ratio, gap / bound)
-    ok = worst_ratio <= 1.0
+    worst = {}
+    for name in VARIANTS:
+        worst[name] = 0.0
+        for pr, tr in (mgb_scaling_runs[name][2], p2_run_3level[name]):
+            gaps = diagnostics.filter_gap(tr, NU, pr.domain_volume())
+            for _, t, gap, bound in gaps:
+                worst[name] = max(worst[name], gap / bound)
+    ok = all(ratio <= 1.0 for ratio in worst.values())
+    ratios = ", ".join(f"{name} {ratio:.3f}" for name, ratio in worst.items())
     report(3, ok, f"int c[z_k] - int c[z_final] <= 2 nu |Omega| / t_k on "
                   f"3-level p=1.5 and p=2 runs; worst gap/bound ratio "
-                  f"{worst_ratio:.3f} (<=1)")
+                  f"{ratios} (<=1)")
 
 
 def test_criterion_4_adaptation_table():
@@ -195,36 +215,40 @@ def test_criterion_5_p2_oracle():
 
 def test_criterion_6_iteration_scaling(mgb_scaling_runs, naive_theta_run,
                                        p1_run):
-    totals = [tr.total_newton for _, tr in mgb_scaling_runs]
-    # (a) trend check: average growth factor per h-halving
-    growth = (totals[-1] / totals[0]) ** (1.0 / (len(totals) - 1))
-    ok_a = growth <= 1.5
-    # (b) worst per-step Newton count
-    max_steps = max(tr.max_step_newton() for _, tr in mgb_scaling_runs)
-    ok_b = max_steps <= 15 and p1_run[1].max_step_newton() <= 20
-    # (c) naive theta=0.5 at the smallest h
     _, tr_naive = naive_theta_run
-    mgb_n = totals[-1]
-    if tr_naive.status == "converged":
-        ok_c = tr_naive.total_newton >= 2 * mgb_n
-        c_detail = f"naive/MGB = {tr_naive.total_newton}/{mgb_n} (>=2x)"
-    else:
-        ok_c = tr_naive.status == "budget"
-        c_detail = f"naive failed with status {tr_naive.status}"
-    wall = sum(v for k, v in _walls.items()
-               if k.startswith(("mgb15", "naive15", "mgb1_")))
-    ok = ok_a and ok_b and ok_c and wall < 600.0
-    report(6, ok, f"MGB totals {totals}, growth/halving {growth:.3f} (<=1.5); "
-                  f"max t-step Newton {max_steps} (<=15), p=1 "
-                  f"{p1_run[1].max_step_newton()} (<=20); {c_detail}; "
-                  f"wall {wall:.0f}s (<600s)")
+    ok, details = True, []
+    for name in VARIANTS:
+        totals = [tr.total_newton for _, tr in mgb_scaling_runs[name]]
+        # (a) trend check: average growth factor per h-halving
+        growth = (totals[-1] / totals[0]) ** (1.0 / (len(totals) - 1))
+        ok_a = growth <= 1.5
+        # (b) worst per-step Newton count
+        max_steps = max(tr.max_step_newton() for _, tr in mgb_scaling_runs[name])
+        p1_max = p1_run[name][1].max_step_newton()
+        ok_b = max_steps <= 15 and p1_max <= 20
+        # (c) naive theta=0.5 at the smallest h
+        mgb_n = totals[-1]
+        if tr_naive.status == "converged":
+            ok_c = tr_naive.total_newton >= 2 * mgb_n
+            c_detail = f"naive/MGB = {tr_naive.total_newton}/{mgb_n} (>=2x)"
+        else:
+            ok_c = tr_naive.status == "budget"
+            c_detail = f"naive failed with status {tr_naive.status}"
+        wall = _walls["naive15_L4"] + sum(
+            v for k, v in _walls.items() if k.startswith(f"{name}/"))
+        ok = ok and ok_a and ok_b and ok_c and wall < 600.0
+        details.append(f"{name}: MGB totals {totals}, growth/halving "
+                       f"{growth:.3f} (<=1.5); max t-step Newton {max_steps} "
+                       f"(<=15), p=1 {p1_max} (<=20); {c_detail}; "
+                       f"wall {wall:.0f}s (<600s)")
+    report(6, ok, " | ".join(details))
 
 
 def test_criterion_7_stepsize_floor(p1_run):
-    _, tr = p1_run
-    rho_min = min(tr.step_sizes())
-    ok = rho_min >= 1.1
-    report(7, ok, f"p=1 MGB min_k rho_k = {rho_min:.4f} (>= 1.1)")
+    rho_min = {name: min(tr.step_sizes()) for name, (_, tr) in p1_run.items()}
+    ok = all(rho >= 1.1 for rho in rho_min.values())
+    mins = ", ".join(f"{name} {rho:.4f}" for name, rho in rho_min.items())
+    report(7, ok, f"p=1 MGB min_k rho_k = {mins} (>= 1.1)")
 
 
 def test_criterion_8_robustness_rails(mgb_scaling_runs):
@@ -234,7 +258,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
                             H.toarray() + 1e-15 * 7.0 * np.eye(2))
     # t rail and feasibility of every recorded iterate
     ok_t, ok_feas = True, True
-    for pr, tr in mgb_scaling_runs:
+    for pr, tr in (run for runs in mgb_scaling_runs.values() for run in runs):
         ok_t = ok_t and tr.t_final <= 1e8 and all(r.t <= 1e8 for r in tr.rows)
         for _, z in tr.iterates:
             ok_feas = ok_feas and pr.fine_objective.feasible(z)
@@ -251,7 +275,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
 
 
 def test_criterion_9_substrate(mgb_scaling_runs):
-    pr, _ = mgb_scaling_runs[-1]
+    pr, _ = mgb_scaling_runs["predictor"][-1]
     ok_vol = all(abs(m.total_volume() - 1.0) < 1e-12
                  for m in pr.hierarchy.levels)
     ok_w = all(np.all(smp.wq > 0) for smp in pr.samplers)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mgbarrier.cli import EXIT_INVALID_INPUT, EXIT_OK, main
-from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace
-from mgbarrier.problems import parse_config_text, spec_from_config
+from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace, run_mgb
+from mgbarrier.problems import build_problem, parse_config_text, spec_from_config
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,23 @@ def test_solve_writes_artifacts(config_file, tmp_path, capsys):
     assert rows[-1].t <= 1e8
 
 
+@pytest.mark.parametrize("value", ["false", "True"])
+def test_solve_predictor_key(config_file, tmp_path, value):
+    # `predictor = false` runs practical MGB as the paper states it
+    path = tmp_path / "run.cfg"
+    path.write_text(config_file.read_text() + f"predictor = {value}\n")
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", "--config", str(path), "--trace", str(trace_path)]) == EXIT_OK
+    cfg = parse_config_text(path.read_text())
+    assert cfg["predictor"] is (value == "True")
+    expected = run_mgb(build_problem(spec_from_config(cfg)),
+                       PathConfig(predictor=cfg["predictor"]))
+    got = PathTrace(rows=PathTrace.rows_from_csv(trace_path.read_text()))
+    for row in got.rows:
+        row.wall_ms = 0.0
+    assert got.to_csv() == expected.to_csv(wall_times=False)
+
+
 @pytest.mark.parametrize("algorithm", ["naive-h-then-t", "naive-theta"])
 def test_solve_naive_algorithms(tmp_path, algorithm):
     cfg = tmp_path / "run.cfg"
@@ -49,8 +66,9 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     ("dim = 3\n", "dim must be 1 or 2"),
     ("algorithm = fancy\n", "unknown algorithm 'fancy'"),
     ("rho0 = 0.5\n", "rho0 must be > 1"),
+    ("predictor = maybe\n", "expected true or false, got 'maybe'"),
     (None, "No such file"),
-], ids=["unknown-key", "dim", "algorithm", "rho0", "missing-file"])
+], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:

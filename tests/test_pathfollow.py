@@ -197,24 +197,23 @@ PINNED_ROWS = {
         10:-1:1:0""",
     "mgb-predictor": """
         0:1:4:0 0:2:34:0 0:-1:34:0 1:0:3:1 1:-1:3:1 2:0:3:1 2:-1:3:1
-        3:0:4:1 3:-1:4:1 4:0:4:1 4:-1:4:1 5:0:3:1 5:-1:3:1 6:0:3:1
+        3:0:3:1 3:-1:3:1 4:0:3:1 4:-1:3:1 5:0:3:1 5:-1:3:1 6:0:3:1
         6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:3:1 8:-1:3:1 9:-1:2:0""",
     "mgb-full-predictor": """
         0:1:4:0 0:2:34:0 0:-1:34:0 1:0:0:1 1:1:3:0 1:2:3:0 1:-1:3:0
-        2:0:0:1 2:1:3:0 2:2:3:0 2:-1:3:0 3:0:0:1 3:1:4:0 3:2:2:0
-        3:-1:4:0 4:0:0:1 4:1:3:0 4:2:3:0 4:-1:3:0 5:0:0:1 5:1:3:0
+        2:0:0:1 2:1:3:0 2:2:3:0 2:-1:3:0 3:0:0:1 3:1:4:0 3:2:3:0
+        3:-1:4:0 4:0:0:1 4:1:3:0 4:2:4:0 4:-1:4:0 5:0:0:1 5:1:3:0
         5:2:2:0 5:-1:3:0 6:0:0:1 6:1:3:0 6:2:2:0 6:-1:3:0 7:0:0:1
         7:1:3:0 7:2:2:0 7:-1:3:0 8:0:0:1 8:1:3:0 8:2:2:0 8:-1:3:0
         9:-1:2:0""",
 }
 
 
-NO_PREDICTOR = PathConfig(predictor=False)
 PINNED_RUNNERS = {
-    "mgb": lambda pr: run_mgb(pr, NO_PREDICTOR),
+    "mgb": lambda pr: run_mgb(pr, PathConfig(predictor=False)),
     "mgb-full": lambda pr: run_mgb(pr, PathConfig(direct_cap=0, predictor=False)),
-    "naive-h-then-t": lambda pr: run_naive(pr, NO_PREDICTOR, schedule="h-then-t"),
-    "naive-theta": lambda pr: run_naive(pr, NO_PREDICTOR, schedule="theta"),
+    "naive-h-then-t": lambda pr: run_naive(pr, schedule="h-then-t"),
+    "naive-theta": lambda pr: run_naive(pr, schedule="theta"),
     "mgb-predictor": lambda pr: run_mgb(pr, PathConfig()),
     "mgb-full-predictor": lambda pr: run_mgb(pr, PathConfig(direct_cap=0)),
 }
@@ -250,19 +249,21 @@ def test_run_mgb_repeats_bit_for_bit():
     assert first.to_csv(wall_times=False) == second.to_csv(wall_times=False)
 
 
-def test_predictor_is_off_for_naive(small_problem):
-    # run_naive, the paper's comparator, never follows the tangent
-    for schedule in ("h-then-t", "theta"):
-        on = run_naive(small_problem, PathConfig(), schedule=schedule)
-        off = run_naive(small_problem, NO_PREDICTOR, schedule=schedule)
-        assert on.to_csv(wall_times=False) == off.to_csv(wall_times=False)
-
-
 def _fine_center(pr, t):
     """A fine-level center at t, tight enough for a finite difference."""
     tr = run_mgb(pr, PathConfig(predictor=False, t0=t, c_stp=1e-9))
     assert tr.status == "converged" and tr.t_final == t
     return tr.z_final
+
+
+def _center_with_tangent(pr, t):
+    """(run, z, dz/dt) at a fine-level center at t, from the factor that
+    ended its centering."""
+    run = pathfollow._Run(pr, PathConfig())
+    level_obj, res = run.center_at(pr.fine_objective, _fine_center(pr, t), None, t,
+                                   1, 0, 2.0, lam_tol=1e-9, tangent=True)
+    assert res.status == CONVERGED
+    return run, level_obj.full_point(res.y), run.tangent
 
 
 def test_tangent_matches_central_path_difference(small_problem):
@@ -271,11 +272,7 @@ def test_tangent_matches_central_path_difference(small_problem):
     pr, obj = small_problem, small_problem.fine_objective
     free = obj.free_idx()
     t = 1.3
-    run = pathfollow._Run(pr, PathConfig())
-    level_obj, res = run.center_at(obj, _fine_center(pr, t), None, t, 1, 0, 2.0,
-                                   lam_tol=1e-9, tangent=True)
-    assert res.status == CONVERGED
-    z, tangent = level_obj.full_point(res.y), run.tangent
+    run, z, tangent = _center_with_tangent(pr, t)
     errors = []
     for eps in (1e-2, 1e-3):
         lo, res = run.center_at(obj, z, None, t * (1 + eps), 1, 0, 2.0, lam_tol=1e-9)
@@ -287,12 +284,39 @@ def test_tangent_matches_central_path_difference(small_problem):
 
     # the predicted start is closer to the center at t_next than z is
     t_next = 1.5 * t
-    y0 = predict(obj, z, tangent, t, t_next)
-    # a step in 1/t: (t_next - t) (t / t_next) dz/dt, here feasible unhalved
-    assert np.array_equal(y0, (t_next - t) * (t / t_next) * tangent)
+    z_pred = predict(obj, z, tangent, t, t_next)
+    # a step in 1/t: (t_next - t) (t / t_next) dz/dt, here not halved
+    step = (t_next - t) * (t / t_next) * tangent
+    assert np.array_equal(z_pred, z + obj.embed_free(step))
     lam_z = newton_decrement(*obj.grad_hess(z, t_next))[0]
-    lam_pred = newton_decrement(*obj.grad_hess(z + obj.embed_free(y0), t_next))[0]
+    lam_pred = newton_decrement(*obj.grad_hess(z_pred, t_next))[0]
     assert lam_pred < lam_z
+
+
+def test_prediction_keeps_a_margin_floor(small_problem):
+    # At rho = 2 the full 1/t step is feasible, but it cuts some node's
+    # barrier margin below t_k / (nu t_next) of its value at z_k: halved once.
+    obj = small_problem.fine_objective
+    t, t_next = 1.3, 2.6
+    _, z, tangent = _center_with_tangent(small_problem, t)
+    full = (t_next - t) * (t / t_next) * tangent
+    floor = t / (obj.barrier.nu * t_next) * obj.margin(z)
+    assert obj.feasible(z + obj.embed_free(full))
+    assert not np.all(obj.margin(z + obj.embed_free(full)) > floor)
+    z_pred = predict(obj, z, tangent, t, t_next)
+    assert np.array_equal(z_pred, z + obj.embed_free(0.5 * full))
+    assert np.all(obj.margin(z_pred) > floor)
+
+
+def test_predictor_costs_no_newton_steps_on_a_coarse_grid():
+    # p = 1 on a 4 x 4 fine grid: a prediction without the margin floor
+    # overshot toward the boundary, and the run took 68 Newton steps against
+    # 41 from z_k
+    pr = build_problem(ProblemSpec(p=1.0, alpha=2, levels=2, cells0=2))
+    on = run_mgb(pr, PathConfig())
+    off = run_mgb(pr, PathConfig(predictor=False))
+    assert on.status == off.status == "converged"
+    assert on.total_newton <= off.total_newton
 
 
 def _record_starts(monkeypatch, direct_cap):
@@ -330,9 +354,9 @@ def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypat
 
 @pytest.mark.parametrize("direct_cap", [5, 0])
 def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direct_cap):
-    # no halving of the prediction is feasible: the direct step and the
+    # no halving of the prediction keeps a margin: the direct step and the
     # sweep start from z_k exactly, and the run is the one without predictor
-    monkeypatch.setattr(small_problem.fine_objective, "feasible", lambda z: False)
+    monkeypatch.setattr(small_problem.fine_objective, "margin", lambda z: np.zeros(1))
     off = run_mgb(small_problem, PathConfig(direct_cap=direct_cap, predictor=False))
     direct, sweeps = _record_starts(monkeypatch, direct_cap)
     tr = run_mgb(small_problem, PathConfig(direct_cap=direct_cap), store_iterates=True)
