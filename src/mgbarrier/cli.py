@@ -1,4 +1,4 @@
-"""Command line interface: solve, bench, check.
+"""Command line interface: solve, bench, check; the config format.
 
 Exit codes: 0 success, 2 solver failure, 3 budget exhaustion, 4 invalid
 input: an unreadable or invalid config, or invalid arguments (a one-line
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .femspace import dump_solution
 from .mesh import dump_mesh, quasi_uniformity
 from .pathfollow import (ALGORITHMS, PathConfig, STATUS_BUDGET,
                          STATUS_CONVERGED, check_algorithm, run_mgb)
-from .problems import ProblemSpec, build_problem, load_config, spec_from_config
+from .problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 2
@@ -25,9 +26,60 @@ EXIT_BUDGET = 3
 EXIT_INVALID_INPUT = 4
 
 
+# ---------------------------------------------------------------------------
+# plain-text key-value configuration
+
+def _boolean(text):
+    """True for "true", False for "false", in any case."""
+    word = text.lower()
+    if word not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return word == "true"
+
+
+# every config key and its parser, grouped by the object the key sets;
+# an unset key keeps that object's default
+_SPEC_KEYS = {"p": float, "alpha": int, "levels": int, "cells0": int}
+_PATH_KEYS = {"rho0": float, "c_stp": float, "t_cap": float, "t0": float,
+              "theta": float, "budget_s": float, "predictor": _boolean}
+_CONFIG_KEYS = {**_SPEC_KEYS, **_PATH_KEYS, "dim": int, "algorithm": check_algorithm}
+
+
+def parse_config_text(text):
+    """Parse `key = value` (or `key value`) lines; '#' starts a comment."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" in line:
+            key, _, val = line.partition("=")
+        else:
+            key, _, val = line.partition(" ")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} on line {lineno}")
+        out[key] = _CONFIG_KEYS[key](val)
+    return out
+
+
+def load_config(path):
+    with open(path) as fh:
+        return parse_config_text(fh.read())
+
+
+def spec_from_config(cfg, **overrides):
+    """ProblemSpec from the config's problem keys, `overrides` taking precedence."""
+    dim = cfg.get("dim", 2)
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    keys = {key: cfg[key] for key in _SPEC_KEYS if key in cfg}
+    return ProblemSpec(**{**keys, **overrides},
+                       domain=UNIT_SQUARE if dim == 2 else UNIT_INTERVAL)
+
+
 def _path_config(cfg):
-    keys = ("rho0", "c_stp", "t_cap", "theta", "budget_s", "t0", "predictor")
-    return PathConfig(**{key: cfg[key] for key in keys if key in cfg})
+    return PathConfig(**{key: cfg[key] for key in _PATH_KEYS if key in cfg})
 
 
 def _invalid_input(exc):
@@ -71,20 +123,33 @@ def _parse_list(text, cast):
 
 
 def cmd_bench(args):
+    """Run the (algorithm, p, levels) matrix; solver failures are rows, not errors.
+
+    The config sets every other problem and path key (cells0 defaults to 4
+    here); every cell's spec is validated before the first cell runs.
+    """
     try:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = {"cells0": 4, **(load_config(args.config) if args.config else {})}
         config = _path_config(cfg)
         algorithms = [check_algorithm(a) for a in _parse_list(args.algorithms, str)]
-        p_values = _parse_list(args.p_values, float)
-        level_values = _parse_list(args.levels, int)
-        base = {"alpha": cfg.get("alpha", 2), "cells0": cfg.get("cells0", 4)}
-        ProblemSpec(**base)  # rejects an invalid alpha or cells0 before any cell
+        specs = [spec_from_config(cfg, p=p, levels=levels)
+                 for p in _parse_list(args.p_values, float)
+                 for levels in _parse_list(args.levels, int)]
     except (OSError, ValueError) as exc:
         return _invalid_input(exc)
-    csv = diagnostics.bench(algorithms, p_values, level_values,
-                            base_spec_kwargs=base, config=config)
+    rows = ["algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"]
+    for algorithm in algorithms:
+        for spec in specs:
+            problem = build_problem(spec)
+            start = time.monotonic()
+            trace = ALGORITHMS[algorithm](problem, config)
+            wall = time.monotonic() - start
+            rows.append(f"{algorithm},{spec.p!r},{problem.h_fine()!r},"
+                        f"{problem.hierarchy.fine.num_elements},{trace.total_newton},"
+                        f"{trace.max_step_newton()},{trace.t_final!r},"
+                        f"{trace.status},{wall:.3f}")
     with open(args.out, "w") as fh:
-        fh.write(csv)
+        fh.write("\n".join(rows) + "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

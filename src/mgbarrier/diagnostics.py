@@ -1,22 +1,14 @@
-"""Empirical verifiers and the benchmark harness.
+"""Empirical verifiers.
 
 Covers the minimizing-filter bound, a sampled lower estimate of the discrete
-reverse Hölder constant, the p=2 linear-FEM oracle, and the iteration-count
-benchmark grid emitted as CSV.
+reverse Hölder constant, and the p=2 linear-FEM oracle.
 """
 
 from __future__ import annotations
 
-import io
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .pathfollow import ALGORITHMS, PathConfig, check_algorithm
-from .problems import ProblemSpec, build_problem, harmonic_extension
-
-BENCH_HEADER = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
+from .problems import harmonic_extension
 
 
 def filter_gap(trace, nu, domain_volume, slack_factor=2.0):
@@ -109,48 +101,3 @@ def p2_oracle_error(problem, trace):
     linf = float(np.max(np.abs(diff)))
     return l2, linf
 
-
-# ---------------------------------------------------------------------------
-# benchmark harness
-
-@dataclass
-class BenchCell:
-    algorithm: str       # a key of pathfollow.ALGORITHMS
-    p: float
-    levels: int
-
-
-def run_cell(cell, base_spec_kwargs, config):
-    runner = ALGORITHMS[check_algorithm(cell.algorithm)]
-    spec = ProblemSpec(p=cell.p, levels=cell.levels, **base_spec_kwargs)
-    problem = build_problem(spec)
-    t0 = time.monotonic()
-    trace = runner(problem, config)
-    wall = time.monotonic() - t0
-    return problem, trace, wall
-
-
-def bench(algorithms, p_values, level_values, base_spec_kwargs=None, config=None):
-    """Run the (algorithm, p, h) matrix; failures are recorded, not raised.
-
-    Unknown algorithm names raise ValueError before the first cell runs.
-    """
-    for alg in algorithms:
-        check_algorithm(alg)
-    base_spec_kwargs = base_spec_kwargs or {}
-    config = config or PathConfig()
-    buf = io.StringIO()
-    buf.write(BENCH_HEADER + "\n")
-    for alg in algorithms:
-        for p in p_values:
-            for levels in level_values:
-                cell = BenchCell(alg, p, levels)
-                problem, trace, wall = run_cell(cell, base_spec_kwargs, config)
-                h = problem.h_fine()
-                cells = problem.hierarchy.fine.num_elements
-                buf.write(
-                    f"{alg},{p!r},{h!r},{cells},{trace.total_newton},"
-                    f"{trace.max_step_newton()},{trace.t_final!r},"
-                    f"{trace.status},{wall:.3f}\n"
-                )
-    return buf.getvalue()

@@ -51,6 +51,15 @@ class PathConfig:
             raise ValueError(f"t0 must be > 0, got {self.t0}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
+        if not (isinstance(self.direct_cap, int) and self.direct_cap >= 0):
+            raise ValueError(f"direct_cap must be an int >= 0, got {self.direct_cap!r}")
+        if not (isinstance(self.max_center_iters, int) and self.max_center_iters >= 0):
+            raise ValueError("max_center_iters must be an int >= 0, "
+                             f"got {self.max_center_iters!r}")
+        if not self.lam_tol >= 0.0:
+            raise ValueError(f"lam_tol must be >= 0, got {self.lam_tol}")
+        if not self.lam_tol_final >= 0.0:
+            raise ValueError(f"lam_tol_final must be >= 0, got {self.lam_tol_final}")
         if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
         if not isinstance(self.predictor, bool):

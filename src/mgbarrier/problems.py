@@ -18,7 +18,6 @@ from .assembly import Objective
 from .barrier import PLapBarrier
 from .femspace import DSampler, build_fe_system, free_prolongation, prolongation
 from .mesh import MeshHierarchy
-from .pathfollow import check_algorithm
 from .quadrature import reference_rule
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -214,68 +213,3 @@ def build_problem(spec):
         z0=z0,
     )
 
-
-# ---------------------------------------------------------------------------
-# plain-text key-value configuration
-
-def _boolean(text):
-    """True for "true", False for "false", in any case."""
-    word = text.lower()
-    if word not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return word == "true"
-
-
-_CONFIG_KEYS = {
-    "p": float,
-    "alpha": int,
-    "levels": int,
-    "cells0": int,
-    "theta": float,
-    "rho0": float,
-    "t_cap": float,
-    "c_stp": float,
-    "budget_s": float,
-    "algorithm": str,
-    "dim": int,
-    "t0": float,
-    "predictor": _boolean,
-}
-
-
-def parse_config_text(text):
-    """Parse `key = value` (or `key value`) lines; '#' starts a comment."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            key, _, val = line.partition(" ")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        out[key] = _CONFIG_KEYS[key](val)
-    if "algorithm" in out:
-        check_algorithm(out["algorithm"])
-    return out
-
-
-def load_config(path):
-    with open(path) as fh:
-        return parse_config_text(fh.read())
-
-
-def spec_from_config(cfg):
-    dim = cfg.get("dim", 2)
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    return ProblemSpec(
-        p=cfg.get("p", 1.5),
-        alpha=cfg.get("alpha", 2),
-        levels=cfg.get("levels", 3),
-        cells0=cfg.get("cells0", 2),
-        domain=UNIT_SQUARE if dim == 2 else UNIT_INTERVAL,
-    )

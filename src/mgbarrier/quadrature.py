@@ -14,36 +14,18 @@ import numpy as np
 from .mesh import ref_simplex_volume
 
 # Symmetric positive-weight triangle rules (barycentric orbits, weights
-# normalized to sum to 1; scaled by the reference area 1/2 below).
-# Degree 3 has no standard positive 4-point rule, so it maps to the
-# degree-4 six-point rule.
+# normalized to sum to 1; scaled by the reference area 1/2 below). A problem
+# of degree alpha asks for exactness 2*alpha, so 2-D needs degrees 2 and 4.
 
-_D2_DEG2 = [((2 / 3, 1 / 6, 1 / 6), 1 / 3)]
-
-_D2_DEG4 = [
-    ((1 - 2 * 0.445948490915965, 0.445948490915965, 0.445948490915965),
-     0.223381589678011),
-    ((1 - 2 * 0.091576213509771, 0.091576213509771, 0.091576213509771),
-     0.109951743655322),
-]
-
-_D2_DEG5 = [
-    ((1 / 3, 1 / 3, 1 / 3), 0.225),
-    ((1 - 2 * 0.470142064105115, 0.470142064105115, 0.470142064105115),
-     0.132394152788506),
-    ((1 - 2 * 0.101286507323456, 0.101286507323456, 0.101286507323456),
-     0.125939180544827),
-]
-
-_D2_DEG6 = [
-    ((1 - 2 * 0.249286745170910, 0.249286745170910, 0.249286745170910),
-     0.116786275726379),
-    ((1 - 2 * 0.063089014491502, 0.063089014491502, 0.063089014491502),
-     0.050844906370207),
-    ((0.310352451033785, 0.053145049844816,
-      1 - 0.310352451033785 - 0.053145049844816),
-     0.082851075618374),
-]
+_D2_RULES = {
+    2: [((2 / 3, 1 / 6, 1 / 6), 1 / 3)],
+    4: [
+        ((1 - 2 * 0.445948490915965, 0.445948490915965, 0.445948490915965),
+         0.223381589678011),
+        ((1 - 2 * 0.091576213509771, 0.091576213509771, 0.091576213509771),
+         0.109951743655322),
+    ],
+}
 
 
 def _orbit(bary):
@@ -90,7 +72,8 @@ class QuadratureRule:
 
 
 def reference_rule(d, degree):
-    """Positive-weight rule on the reference simplex, exact to `degree` <= 6."""
+    """Positive-weight rule on the reference simplex, exact to `degree`:
+    Gauss for 1 <= degree <= 6 in 1-D, degree 2 or 4 in 2-D."""
     if degree < 1 or degree > 6:
         raise ValueError(f"unsupported exactness degree {degree}")
     if d == 1:
@@ -103,20 +86,10 @@ def reference_rule(d, degree):
             exactness_degree=2 * n - 1,
         )
     if d == 2:
-        if degree == 1:
-            return QuadratureRule(
-                d=2,
-                nodes=np.array([[1 / 3, 1 / 3]]),
-                weights=np.array([0.5]),
-                exactness_degree=1,
-            )
-        if degree == 2:
-            return _triangle_rule(_D2_DEG2, 2)
-        if degree <= 4:
-            return _triangle_rule(_D2_DEG4, 4)
-        if degree == 5:
-            return _triangle_rule(_D2_DEG5, 5)
-        return _triangle_rule(_D2_DEG6, 6)
+        if degree not in _D2_RULES:
+            raise ValueError(f"unsupported exactness degree {degree} in 2-D; "
+                             f"choose from {sorted(_D2_RULES)}")
+        return _triangle_rule(_D2_RULES[degree], degree)
     raise ValueError(f"unsupported dimension {d}")
 
 

@@ -1,11 +1,17 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from mgbarrier.cli import EXIT_INVALID_INPUT, EXIT_OK, main
+from mgbarrier import cli, diagnostics, problems
+from mgbarrier.cli import (EXIT_INVALID_INPUT, EXIT_OK, main, parse_config_text,
+                           spec_from_config)
 from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace, run_mgb
-from mgbarrier.problems import build_problem, parse_config_text, spec_from_config
+from mgbarrier.problems import build_problem
+
+BENCH_HEADER = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,12 @@ def test_infinite_step_parameter_is_a_clean_error(tmp_path, capsys, key):
     assert len(err.strip().splitlines()) == 1
 
 
+def _bench_rows(out_path):
+    lines = out_path.read_text().strip().splitlines()
+    assert lines[0] == BENCH_HEADER
+    return [line.split(",") for line in lines[1:]]
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     cfg = tmp_path / "b.cfg"
@@ -114,15 +126,48 @@ def test_bench_writes_csv(tmp_path, capsys):
     code = main(["bench", "--config", str(cfg), "--out", str(out_path),
                  "--algorithms", "mgb", "--p-values", "1.5", "--levels", "1,2"])
     assert code == EXIT_OK
-    lines = out_path.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("mgb,1.5,")
+    rows = _bench_rows(out_path)
+    assert len(rows) == 2
+    assert [row[:2] for row in rows] == [["mgb", "1.5"]] * 2
+    assert [row[3] for row in rows] == ["8", "32"]
+    assert [row[7] for row in rows] == ["converged"] * 2
+
+
+def test_bench_cells_take_the_config_dim(tmp_path):
+    # a 1-D config runs 1-D cells: 2 and 4 intervals, not 8 and 32 triangles
+    out_path = tmp_path / "bench.csv"
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("dim = 1\ncells0 = 2\n")
+    code = main(["bench", "--config", str(cfg), "--out", str(out_path),
+                 "--algorithms", "mgb", "--levels", "1,2"])
+    assert code == EXIT_OK
+    rows = _bench_rows(out_path)
+    assert [row[3] for row in rows] == ["2", "4"]
+    assert [row[7] for row in rows] == ["converged"] * 2
+
+
+@pytest.mark.parametrize("config", [None, "p = 2\nlevels = 3\nalgorithm = naive-theta\n"],
+                         ids=["no-config", "overridden"])
+def test_bench_defaults_and_flag_overrides(tmp_path, config):
+    # cells0 is 4 unless the config sets it; the flags override p, levels
+    # and algorithm from the config
+    out_path = tmp_path / "bench.csv"
+    argv = ["bench", "--out", str(out_path), "--algorithms", "mgb",
+            "--p-values", "1.5", "--levels", "1"]
+    if config is not None:
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_OK
+    rows = _bench_rows(out_path)
+    assert len(rows) == 1
+    assert rows[0][:2] == ["mgb", "1.5"]
+    assert rows[0][3] == "32"
 
 
 def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, capsys):
-    from mgbarrier import diagnostics
     cells = []
-    monkeypatch.setattr(diagnostics, "run_cell", lambda cell, *a: cells.append(cell))
+    monkeypatch.setattr(cli, "build_problem", lambda spec: cells.append(spec))
     out_path = tmp_path / "bench.csv"
     bad_alpha = tmp_path / "b.cfg"
     bad_alpha.write_text("alpha = 3\n")
@@ -130,12 +175,30 @@ def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, 
         (["--algorithms", "mgb,fancy"], "unknown algorithm 'fancy'"),
         (["--levels", "1,x"], "invalid literal for int()"),
         (["--config", str(bad_alpha)], "alpha must be 1 or 2"),
+        # the first cell is valid: every cell is checked before any runs
+        (["--p-values", "1.5,0.5"], "p must be >= 1, got 0.5"),
+        (["--levels", "1,0"], "levels must be >= 1, got 0"),
     ]:
         code = main(["bench", "--out", str(out_path), "--levels", "1", *argv])
         assert code == EXIT_INVALID_INPUT
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
     assert cells == []
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("module", [problems, diagnostics])
+def test_problems_and_diagnostics_do_not_import_the_solver(module):
+    # only cli ties problem construction to the path-following solver
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name.rsplit(".", 1)[-1] for name in imported}.isdisjoint({"pathfollow", "cli"})
 
 
 def test_check_passes(capsys):

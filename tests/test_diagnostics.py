@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from mgbarrier import diagnostics
-from mgbarrier.diagnostics import (BENCH_HEADER, BenchCell, bench, filter_gap,
-                                   p2_linear_fem, p2_oracle_error,
-                                   rh_constant_estimate, run_cell)
+from mgbarrier.diagnostics import (filter_gap, p2_linear_fem, p2_oracle_error,
+                                   rh_constant_estimate)
 from mgbarrier.pathfollow import PathConfig, PathTrace, run_mgb
 from mgbarrier.problems import ProblemSpec, build_problem, harmonic_extension
 
@@ -104,27 +102,3 @@ def test_rh_constant_estimate_matches_loop_reference():
     got = rh_constant_estimate(pr, z, num_samples=2, seed=3)
     # the per-element sums accumulate in another order: roundoff only
     assert got == pytest.approx(_rh_loop(pr, z, 2, 3), rel=1e-12)
-
-
-def test_run_cell_and_bench_csv():
-    cfg = PathConfig()
-    cell = BenchCell("mgb", 1.5, 1)
-    problem, trace, wall = run_cell(cell, {"alpha": 2, "cells0": 2}, cfg)
-    assert trace.status == "converged"
-    assert wall >= 0.0
-
-    csv = bench(["mgb"], [1.5], [1, 2],
-                base_spec_kwargs={"alpha": 2, "cells0": 2}, config=cfg)
-    lines = csv.strip().splitlines()
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "mgb"
-    assert float(first[1]) == 1.5
-    assert first[7] == "converged"
-
-
-def test_run_cell_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        run_cell(BenchCell("fancy", 1.5, 1), {"alpha": 2, "cells0": 2},
-                 PathConfig())

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mgbarrier import mesh
+from mgbarrier.cli import load_config, parse_config_text, spec_from_config
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
 from mgbarrier.problems import (ProblemSpec, apply_dirichlet,
                                 build_problem, default_boundary_data,
-                                harmonic_extension, init_slack, load_config,
-                                parse_config_text, repair_slack,
-                                spec_from_config)
+                                harmonic_extension, init_slack, repair_slack)
 
 
 def test_spec_validation():

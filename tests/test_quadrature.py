@@ -12,7 +12,7 @@ def tri_monomial_integral(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [2, 4])
 def test_triangle_rule_exactness(degree):
     rule = reference_rule(2, degree)
     x, y = rule.nodes[:, 0], rule.nodes[:, 1]
@@ -31,8 +31,7 @@ def test_interval_rule_exactness(degree):
         assert approx == pytest.approx(1.0 / (a + 1), abs=1e-14)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree,d", [(k, 1) for k in range(1, 7)] + [(2, 2), (4, 2)])
 def test_positive_weights_sum_to_reference_volume(d, degree):
     rule = reference_rule(d, degree)
     assert np.all(rule.weights > 0)
@@ -41,10 +40,10 @@ def test_positive_weights_sum_to_reference_volume(d, degree):
 
 
 def test_unsupported_degree_rejected():
-    with pytest.raises(ValueError):
-        reference_rule(2, 7)
-    with pytest.raises(ValueError):
-        reference_rule(2, 0)
+    # 2-D keeps only the degrees 2*alpha that build_problem asks for
+    for degree in (0, 1, 3, 5, 6, 7):
+        with pytest.raises(ValueError):
+            reference_rule(2, degree)
 
 
 def test_pushforward_geometry():
