@@ -5,7 +5,11 @@ The iterate is the problem's initial z0 carried to the finest level with
 refine_iterate, at the path's initial t. Prints one JSON line with the
 repeat-median milliseconds of:
 
+- sample: Dz at every fine quadrature node;
 - grad_hess: gradient and free-free Hessian assembly;
+- restrict (one per coarse level, coarsest first): the Galerkin restriction
+  of the fine element blocks to that level's free dofs, including the
+  scatter into the level's pattern;
 - decrement_new_pattern: newton_decrement in a fresh ordering scope, i.e.
   minimum-degree ordering, factorization, solve and recording the ordering;
 - decrement_repeated_pattern: newton_decrement on a pattern already ordered
@@ -64,6 +68,7 @@ def main():
     obj = problem.fine_objective
     t = PathConfig().initial_t(problem)
     g, H = obj.grad_hess(z, t)
+    blocks = obj.element_blocks(z)
 
     fills = []
     splu = spla.splu
@@ -96,7 +101,10 @@ def main():
         "dofs": H.shape[0],
         "hess_nnz": H.nnz,
         "repeats": args.repeats,
+        "sample_ms": median_ms(lambda: obj.sampler.sample(z), args.repeats),
         "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
+        "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
+                        for gal in problem.galerkin[:-1]],
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),

@@ -1,8 +1,9 @@
 """Discrete barrier functional f_h(z, t) = int^(h) t c[z] + F(Dz).
 
 Value, gradient and sparse Hessian in fine-grid coefficients, Hessian
-regularization, and Galerkin restriction to coarse subspaces for the
-shifted-central-path subproblems (coarse test space, fine-grid quadrature).
+regularization, and element-by-element Galerkin restriction to coarse
+subspaces for the shifted-central-path subproblems (coarse test space,
+fine-grid quadrature).
 """
 
 from __future__ import annotations
@@ -98,10 +99,9 @@ class Objective:
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
 
-        Returns (basis, basis_t, ss, gslot, hslot, indices, indptr):
-        - basis (ne, n_lu, nq*d): basis gradients per element with (q, a)
-          stacked, so that every u-row contraction is one batched matmul;
-        - basis_t (ne, nq, d, n_lu): the same gradients, per node transposed;
+        Returns (basis_t, ss, gslot, hslot, indices, indptr):
+        - basis_t (ne, nq, d, n_lu): the sampler's basis gradients, per node
+          transposed;
         - ss (nq, n_ls*n_ls): products of slack basis values;
         - gslot / hslot: position of every element gradient / Hessian entry in
           the free gradient / in the data array of the free-free CSR pattern
@@ -109,11 +109,11 @@ class Objective:
         """
         if self._plan is None:
             fes, smp = self.fesys, self.sampler
-            ne, nq, n_lu, d = smp.grads.shape
+            (ne, nq), d = smp.wq.shape, fes.d
             nf = len(self._free)
             pos = np.full(self.n, nf)
             pos[self._free] = np.arange(nf)
-            loc = pos[np.concatenate([fes.u_elem, fes.s_elem()], axis=1)]
+            loc = pos[fes.elem_dofs()]
             nloc = loc.shape[1]
             rows = np.repeat(loc, nloc, axis=1).ravel()
             cols = np.tile(loc, (1, nloc)).ravel()
@@ -123,15 +123,17 @@ class Objective:
             hslot[keep] = inv
             indptr = np.zeros(nf + 1, dtype=np.int32)
             np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
-            basis = np.ascontiguousarray(smp.grads.transpose(0, 2, 1, 3))
-            basis_t = np.ascontiguousarray(smp.grads.transpose(0, 1, 3, 2))
+            basis_t = np.ascontiguousarray(
+                smp.basis.reshape(ne, -1, nq, d).transpose(0, 2, 3, 1))
             ss = np.einsum("qi,qj->qij", smp.svals, smp.svals).reshape(nq, -1)
-            self._plan = (basis.reshape(ne, n_lu, nq * d), basis_t, ss, loc.ravel(),
-                          hslot, (keys % nf).astype(np.int32), indptr)
+            self._plan = (basis_t, ss, loc.ravel(), hslot,
+                          (keys % nf).astype(np.int32), indptr)
         return self._plan
 
-    def grad_hess(self, z, t):
-        """(gradient, Hessian) over free dofs at a feasible z."""
+    def element_blocks(self, z):
+        """Gradient (ne, nloc) and Hessian (ne, nloc, nloc) of the barrier
+        integral on every element at a feasible z, over the element's local
+        dofs fesys.elem_dofs()."""
         smp = self.sampler
         d = self.fesys.d
         # value_grad_hess raises ValueError outside the barrier domain
@@ -139,31 +141,39 @@ class Objective:
         ne, nq = smp.wq.shape
         wG = smp.wq[..., None] * G.reshape(ne, nq, d + 1)
         wH = smp.wq[..., None, None] * H.reshape(ne, nq, d + 1, d + 1)
-        basis, basis_t, ss, gslot, hslot, indices, indptr = self._assembly_plan()
+        basis_t, ss = self._assembly_plan()[:2]
 
         # u rows of the element matrices and gradients: basis @ [u | s | grad]
         # columns, each stacked over (quadrature node, gradient component)
-        n_lu, n_ls = basis.shape[1], smp.svals.shape[1]
+        n_lu, n_ls = smp.basis.shape[1], smp.svals.shape[1]
         nloc = n_lu + n_ls
         ucols = np.concatenate([
             wH[..., :d, :d] @ basis_t,
             wH[..., :d, d:] * smp.svals[:, None, :],
             wG[..., :d, None],
         ], axis=3)
-        urows = basis @ ucols.reshape(ne, nq * d, nloc + 1)
+        urows = smp.basis @ ucols.reshape(ne, nq * d, nloc + 1)
 
         hloc = np.empty((ne, nloc, nloc))
         hloc[:, :n_lu] = urows[..., :nloc]
         hloc[:, n_lu:, :n_lu] = np.swapaxes(urows[..., n_lu:nloc], 1, 2)
         hloc[:, n_lu:, n_lu:] = (wH[..., d, d] @ ss).reshape(ne, n_ls, n_ls)
         gloc = np.concatenate([urows[..., nloc], wG[..., d] @ smp.svals], axis=1)
+        return gloc, hloc
 
+    def assemble(self, gloc, hloc, g0):
+        """Scatter element blocks over elem_dofs() into the fixed pattern:
+        g0 plus the free gradient, and the free-free CSR Hessian."""
+        gslot, hslot, indices, indptr = self._assembly_plan()[2:]
         nf = len(self._free)
-        g = t * self.cost_vector[self._free] + np.bincount(
-            gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
+        g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
         data = np.bincount(hslot, weights=hloc.ravel(), minlength=indices.size + 1)[:-1]
         # the caller owns the returned matrix, so it gets its own index arrays
         return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
+
+    def grad_hess(self, z, t):
+        """(gradient, Hessian) over free dofs at a feasible z."""
+        return self.assemble(*self.element_blocks(z), t * self.cost_vector[self._free])
 
     def embed_free(self, y):
         """Free-dof vector -> full vector with zeros on fixed dofs."""
@@ -172,17 +182,50 @@ class Objective:
         return z
 
 
+class Galerkin:
+    """P^T g and P^T H P of the fine barrier gradient and Hessian on the free
+    dofs of a coarse level, formed element by element.
+
+    A parent's block is sum_k T_k^T B_k T_k over its children's blocks B_k,
+    with T_k the local prolongation of child rank k; this runs level by level
+    down to the coarse one, whose own fixed pattern scatters the result.
+    Fixed fine dofs need no mask: an interior coarse basis function vanishes
+    at boundary nodes, so their rows reach only fixed coarse dofs, which the
+    scatter drops.
+    """
+
+    def __init__(self, coarse, P, steps, cost):
+        self.coarse = coarse  # the coarse level's Objective, for its pattern
+        self.P = P            # free prolongation, coarse level -> fine
+        self.steps = steps    # (children (ne_c, m), T (m, nloc_f, nloc_c)), finest first
+        self.cost = cost      # P^T c_free
+
+    def restrict(self, gloc, hloc, t):
+        """(gradient, Hessian) over the coarse free dofs of fine element
+        blocks, plus t times the restricted cost vector."""
+        for children, T in self.steps:
+            m, nloc_f, nloc_c = T.shape
+            ne = len(children)
+            Tcat = T.reshape(m * nloc_f, nloc_c)
+            hloc = Tcat.T @ (hloc[children] @ T).reshape(ne, m * nloc_f, nloc_c)
+            gloc = gloc[children].reshape(ne, m * nloc_f) @ Tcat
+        return self.coarse.assemble(gloc, hloc, t * self.cost)
+
+
 class LevelObjective:
     """f_h restricted to the affine subspace base + span(P) (coarse free dofs).
 
-    The finest level uses P = None (identity): coordinates are the fine free
-    dofs themselves. Quadrature always lives on the fine grid.
+    The finest level has no Galerkin restriction and P = None (identity):
+    coordinates are the fine free dofs themselves. Quadrature always lives on
+    the fine grid.
     """
 
-    def __init__(self, objective, base, P=None):
+    def __init__(self, objective, base, galerkin=None):
         self.obj = objective
         self.base = np.asarray(base, dtype=float)
-        self.P = P  # sparse (n_fine_free, n_level_free) or None
+        self.galerkin = galerkin
+        # sparse (n_fine_free, n_level_free) or None
+        self.P = None if galerkin is None else galerkin.P
 
     @property
     def dim(self):
@@ -196,7 +239,7 @@ class LevelObjective:
         return self.obj.value(self.full_point(y), t)
 
     def grad_hess(self, y, t):
-        g, H = self.obj.grad_hess(self.full_point(y), t)
-        if self.P is None:
-            return g, H
-        return self.P.T @ g, (self.P.T @ H @ self.P).tocsr()
+        z = self.full_point(y)
+        if self.galerkin is None:
+            return self.obj.grad_hess(z, t)
+        return self.galerkin.restrict(*self.obj.element_blocks(z), t)

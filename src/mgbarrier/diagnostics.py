@@ -44,10 +44,11 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     ne_f, nq = smp.wq.shape
     Hn = H.reshape(ne_f, nq, d + 1, d + 1)
 
-    # ancestor element of each fine element at every level
-    ancestors = [np.arange(ne_f)]
-    for mesh in reversed(problem.hierarchy.levels[1:]):
-        ancestors.insert(0, mesh.parent_map[ancestors[0]])
+    # fine elements inside each element of every level
+    inside = [np.arange(ne_f)[:, None]]
+    for lvl in range(L - 2, -1, -1):
+        children = problem.hierarchy.children(lvl)
+        inside.insert(0, inside[0][children].reshape(len(children), -1))
 
     out = []
     for lvl in range(L - 1):
@@ -62,11 +63,8 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
             quad = np.einsum("eqa,eqab,eqb->eq", Dv, Hn, Dv)
             val = np.sqrt(np.maximum(quad, 0.0))
             # per coarse element K: max and quadrature integral of val over K
-            owner = ancestors[lvl]
-            linf = np.zeros(vols.size)
-            np.maximum.at(linf, owner, val.max(axis=1))
-            l1 = np.bincount(owner, weights=np.sum(smp.wq * val, axis=1),
-                             minlength=vols.size)
+            linf = val.max(axis=1)[inside[lvl]].max(axis=1)
+            l1 = np.sum(smp.wq * val, axis=1)[inside[lvl]].sum(axis=1)
             ratio = vols * linf / np.where(l1 > 0, l1, np.inf)
             worst = max(worst, float(ratio.max()))
         out.append(worst)

@@ -117,6 +117,10 @@ class FeSystem:
         """Global s dof ids per element, shape (ne, n_ls)."""
         return self.n_u + np.arange(self.n_s).reshape(-1, self.n_ls)
 
+    def elem_dofs(self):
+        """Global dof ids of every element's local dofs, u then s: (ne, n_lu + n_ls)."""
+        return np.concatenate([self.u_elem, self.s_elem()], axis=1)
+
     def free_idx(self):
         return np.flatnonzero(np.concatenate([~self.u_boundary,
                                               np.ones(self.n_s, dtype=bool)]))
@@ -142,7 +146,7 @@ class DSampler:
 
     fesys: FeSystem
     rule: object
-    grads: np.ndarray = field(init=False)   # (ne, nq, n_lu, d) physical basis gradients
+    basis: np.ndarray = field(init=False)   # (ne, n_lu, nq*d) physical basis gradients
     uvals: np.ndarray = field(init=False)   # (nq, n_lu)
     svals: np.ndarray = field(init=False)   # (nq, n_ls)
     wq: np.ndarray = field(init=False)      # (ne, nq) physical weights
@@ -151,8 +155,13 @@ class DSampler:
     def __post_init__(self):
         fes, rule, mesh = self.fesys, self.rule, self.fesys.mesh
         refg = u_basis_grad(mesh.d, fes.alpha, rule.nodes)  # (nq, n_lu, d)
-        # physical gradient: A_K^{-T} refgrad
-        self.grads = np.einsum("eba,qib->eqia", mesh.Ainv, refg)
+        # physical gradient A_K^{-T} refgrad (as a row: refgrad^T A_K^{-1}), per
+        # element and local dof with (quadrature node, component) stacked, so
+        # that sampling grad u and every u row of an element matrix is one
+        # batched matmul
+        ne, (nq, n_lu, d) = mesh.num_elements, refg.shape
+        ref = refg.transpose(1, 0, 2).reshape(n_lu * nq, d)
+        self.basis = (ref @ mesh.Ainv).reshape(ne, n_lu, nq * d)
         self.uvals = u_basis(mesh.d, fes.alpha, rule.nodes)
         self.svals = s_basis(mesh.d, fes.alpha, rule.nodes)
         self.wq = pushforward_weights(mesh, rule)
@@ -160,11 +169,10 @@ class DSampler:
 
     def sample(self, z):
         """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq)."""
-        ue = z[self.fesys.u_elem]
-        se = z[self.fesys.n_u:].reshape(-1, self.fesys.n_ls)
-        grad_u = np.einsum("eqia,ei->eqa", self.grads, ue)
-        s_val = np.einsum("qj,ej->eq", self.svals, se)
-        return grad_u, s_val
+        fes, (ne, nq) = self.fesys, self.wq.shape
+        grad_u = z[fes.u_elem][:, None, :] @ self.basis
+        s_val = z[fes.n_u:].reshape(-1, fes.n_ls) @ self.svals.T
+        return grad_u.reshape(ne, nq, fes.d), s_val
 
     def sample_u(self, z):
         """u values at quadrature nodes, shape (ne, nq)."""
@@ -219,6 +227,18 @@ def prolongation(fes_c, fes_f):
         shape=(fes_f.total_dim, fes_c.total_dim),
     )
     return P
+
+
+def local_prolongation(P_full, fes_c, fes_f, children):
+    """P_full's blocks between the local dofs of each child rank and its
+    parent's, read under the first coarse element: shape (m, nloc_f, nloc_c).
+
+    children is MeshHierarchy.children of the coarse level. A child rank has
+    the same reference geometry under every parent, and so the same block.
+    """
+    cols = fes_c.elem_dofs()[0]
+    return np.stack([P_full[rows][:, cols].toarray()
+                     for rows in fes_f.elem_dofs()[children[0]]])
 
 
 def free_prolongation(fes_c, fes_f, P_full=None):

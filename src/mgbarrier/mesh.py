@@ -207,6 +207,12 @@ class MeshHierarchy:
     def fine(self):
         return self.levels[-1]
 
+    def children(self, level):
+        """Elements of level + 1 inside each element of `level`, in child rank
+        order: shape (ne, m), m children per element."""
+        pm = self.levels[level + 1].parent_map
+        return np.argsort(pm, kind="stable").reshape(self.levels[level].num_elements, -1)
+
 
 def dump_mesh(mesh, path):
     """Plain-text export: header `d nv ne`, vertices, elements, boundary indices."""

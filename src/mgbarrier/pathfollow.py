@@ -187,16 +187,17 @@ class _Run:
         last = self.trace.rows[-1]
         self.add_row(k, t, rho, -1, m, direct, last.objective, last.decrement)
 
-    def center_at(self, obj, base, P, t, k, level, rho, y0=None, lam_tol=None,
+    def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None, lam_tol=None,
                   max_iters=None, direct=False, tangent=False):
-        """Center f_h on the shifted path base + span(P) at t and record the row.
+        """Center f_h on the shifted path base + span(galerkin.P) at t (base
+        itself on the fine level, galerkin None) and record the row.
 
         lam_tol and max_iters default to the config's intermediate tolerance and
-        iteration cap. With tangent (fine level, P None), self.tangent becomes
+        iteration cap. With tangent (fine level), self.tangent becomes
         the central-path tangent at the center if it converged, else None.
         Returns (level_obj, CenteringResult).
         """
-        level_obj = LevelObjective(obj, base, P)
+        level_obj = LevelObjective(obj, base, galerkin)
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
         lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
         max_iters = self.config.max_center_iters if max_iters is None else max_iters
@@ -249,7 +250,7 @@ def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
     for lvl in range(problem.L):
         fine = lvl == problem.L - 1
         level_obj, res = run.center_at(problem.fine_objective, z_k,
-                                       problem.P_free_to_fine[lvl], t_next, k,
+                                       problem.galerkin[lvl], t_next, k,
                                        lvl + 1, rho, y0=y0,
                                        tangent=fine and config.predictor)
         counts.append(res.iterations)

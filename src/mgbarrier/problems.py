@@ -7,6 +7,7 @@ Dirichlet data plus a doubled-until-feasible constant slack).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import Objective
+from .assembly import Galerkin, Objective
 from .barrier import PLapBarrier
-from .femspace import DSampler, build_fe_system, free_prolongation, prolongation
+from .femspace import (DSampler, build_fe_system, free_prolongation, local_prolongation,
+                       prolongation)
 from .mesh import MeshHierarchy
 from .quadrature import reference_rule
 
@@ -66,7 +68,8 @@ def harmonic_extension(fesys, sampler, g, load=None):
     """
     smp = sampler
     n_lu = fesys.u_elem.shape[1]
-    kloc = np.einsum("eq,eqia,eqja->eij", smp.wq, smp.grads, smp.grads)
+    wbasis = smp.basis * np.repeat(smp.wq, fesys.d, axis=1)[:, None, :]
+    kloc = wbasis @ np.swapaxes(smp.basis, 1, 2)
     rows = np.repeat(fesys.u_elem, n_lu, axis=1).ravel()
     cols = np.tile(fesys.u_elem, (1, n_lu)).ravel()
     K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fesys.n_u, fesys.n_u))
@@ -150,6 +153,20 @@ class ProblemInstance:
     @property
     def fine_fesys(self):
         return self.fesystems[-1]
+
+    @functools.cached_property
+    def galerkin(self):
+        """Per level, the Galerkin restriction of fine element blocks to its
+        free dofs (None on the fine level), built on the first use."""
+        fes, obj = self.fesystems, self.fine_objective
+        steps = []  # finest level pair first
+        for lvl in range(self.L - 2, -1, -1):
+            children = self.hierarchy.children(lvl)
+            steps.append((children, local_prolongation(self.P_full[lvl], fes[lvl],
+                                                       fes[lvl + 1], children)))
+        c_free = obj.cost_vector[obj.free_idx()]
+        return [Galerkin(self.objectives[lvl], P, steps[:self.L - 1 - lvl], P.T @ c_free)
+                for lvl, P in enumerate(self.P_free_to_fine[:-1])] + [None]
 
     def h_fine(self):
         return self.hierarchy.fine.h()

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from mgbarrier.assembly import LevelObjective, Objective, regularize
 from mgbarrier.barrier import PLapBarrier
-from mgbarrier.femspace import DSampler, build_fe_system, interpolate
+from mgbarrier.femspace import DSampler, build_fe_system, interpolate, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -128,8 +128,8 @@ def test_level_objective_galerkin_restriction(small_problem):
     obj = pr.fine_objective
     z_base = pr.refine_iterate(pr.z0, 0)
     P = pr.P_free_to_fine[0]
-    lvl = LevelObjective(obj, z_base, P)
-    assert lvl.dim == P.shape[1]
+    lvl = LevelObjective(obj, z_base, pr.galerkin[0])
+    assert lvl.P is P and lvl.dim == P.shape[1]
 
     y = np.zeros(lvl.dim)
     t = 1.0
@@ -158,6 +158,8 @@ def reference_grad_hess(obj, z, t):
     that Objective.grad_hess replaced, kept as its reference."""
     fes, smp = obj.fesys, obj.sampler
     d = fes.d
+    grads = np.einsum("eba,qib->eqia", fes.mesh.Ainv,
+                      u_basis_grad(d, fes.alpha, smp.rule.nodes))
     grad_u, s_val = smp.sample(z)
     _, G, H = obj.barrier.value_grad_hess(grad_u.reshape(-1, d), s_val.ravel())
     ne, nq = smp.wq.shape
@@ -166,15 +168,15 @@ def reference_grad_hess(obj, z, t):
     w = smp.wq
 
     g = t * obj.cost_vector.copy()
-    np.add.at(g, fes.u_elem, np.einsum("eq,eqa,eqia->ei", w, G[..., :d], smp.grads))
+    np.add.at(g, fes.u_elem, np.einsum("eq,eqa,eqia->ei", w, G[..., :d], grads))
     np.add.at(g, fes.s_elem(), np.einsum("eq,eq,qj->ej", w, G[..., d], smp.svals))
 
     n_lu = fes.u_elem.shape[1]
     nloc = n_lu + fes.n_ls
     hloc = np.zeros((ne, nloc, nloc))
     hloc[:, :n_lu, :n_lu] = np.einsum("eq,eqia,eqab,eqjb->eij",
-                                      w, smp.grads, H[..., :d, :d], smp.grads)
-    hus = np.einsum("eq,eqia,eqa,qj->eij", w, smp.grads, H[..., :d, d], smp.svals)
+                                      w, grads, H[..., :d, :d], grads)
+    hus = np.einsum("eq,eqia,eqa,qj->eij", w, grads, H[..., :d, d], smp.svals)
     hloc[:, :n_lu, n_lu:] = hus
     hloc[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
     hloc[:, n_lu:, n_lu:] = np.einsum("eq,eq,qi,qj->eij",
@@ -209,6 +211,31 @@ def test_fixed_pattern_assembly_matches_reference(domain, alpha):
     assert np.array_equal(H.indices, H_ref.indices)
     # the Galerkin restriction P^T H P to the coarse level
     P = pr.P_free_to_fine[0]
-    gc, Hc = LevelObjective(obj, z, P).grad_hess(np.zeros(P.shape[1]), t)
+    gc, Hc = LevelObjective(obj, z, pr.galerkin[0]).grad_hess(np.zeros(P.shape[1]), t)
     assert_close(gc, P.T @ g_ref)
     assert_close(Hc, P.T @ H_ref @ P)
+
+
+@pytest.mark.parametrize("cells0", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+def test_element_restriction_equals_galerkin_product(domain, alpha, cells0):
+    """Every coarse level of three: element blocks restricted through the
+    hierarchy give P^T g and P^T H P, scattered into the level's own pattern."""
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=3, cells0=cells0,
+                                   domain=domain, forcing=lambda *x: 1.0 + x[0]))
+    obj, t = pr.fine_objective, 3.0
+    zs = [pr.z0]  # the initial iterate on every level
+    for lvl in range(pr.L - 1):
+        zs.append(pr.refine_iterate(zs[-1], lvl))
+    g, H = obj.grad_hess(zs[-1], t)
+    for lvl in range(pr.L - 1):
+        P = pr.P_free_to_fine[lvl]
+        gc, Hc = LevelObjective(obj, zs[-1], pr.galerkin[lvl]).grad_hess(
+            np.zeros(P.shape[1]), t)
+        assert_close(gc, P.T @ g)
+        assert_close(Hc, P.T @ H @ P)
+        # the level's own Hessian pattern, so that its recorded ordering applies
+        _, H_own = pr.objectives[lvl].grad_hess(zs[lvl], t)
+        assert np.array_equal(Hc.indptr, H_own.indptr)
+        assert np.array_equal(Hc.indices, H_own.indices)

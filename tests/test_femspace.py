@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
-                                free_prolongation, interpolate, prolongation,
-                                s_basis, s_node_ref, u_basis, u_basis_grad)
-from mgbarrier.mesh import SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
+                                free_prolongation, interpolate, local_prolongation,
+                                prolongation, s_basis, s_node_ref, u_basis,
+                                u_basis_grad)
+from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
+                            refine_uniform)
 from mgbarrier.quadrature import reference_rule
 
 
@@ -89,6 +91,58 @@ def test_sampler_exact_on_quadratics():
     xq = smp.xq
     assert np.allclose(uvals, xq[..., 0] ** 2 + 2 * xq[..., 0] * xq[..., 1]
                        - xq[..., 1], atol=1e-12)
+
+
+def einsum_sample(smp, z):
+    """The einsum sampling that DSampler.sample replaced, kept as its
+    reference, with the basis gradients rebuilt from the element maps."""
+    fes = smp.fesys
+    grads = np.einsum("eba,qib->eqia", fes.mesh.Ainv,
+                      u_basis_grad(fes.d, fes.alpha, smp.rule.nodes))
+    se = z[fes.n_u:].reshape(-1, fes.n_ls)
+    return (np.einsum("eqia,ei->eqa", grads, z[fes.u_elem]),
+            np.einsum("qj,ej->eq", smp.svals, se))
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_sample_matches_einsum_reference(d, alpha):
+    # interior vertices moved at random, so that no two element maps agree
+    mesh = refine_uniform(build_rect_mesh([(0, 1)] * d, 3))
+    rng = np.random.default_rng(7)
+    verts = mesh.vertices + 0.03 * rng.uniform(-1, 1, mesh.vertices.shape)
+    verts[mesh.boundary_vertices] = mesh.vertices[mesh.boundary_vertices]
+    mesh = SimplicialMesh(d, verts, mesh.elements, mesh.boundary_vertices)
+    fes = build_fe_system(mesh, alpha)
+    smp = DSampler(fes, reference_rule(d, 2 * alpha))
+    z = rng.standard_normal(fes.total_dim)
+    for got, ref in zip(smp.sample(z), einsum_sample(smp, z)):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cells0", [1, 3])
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
+    hier = MeshHierarchy.build([(0, 1)] * d, cells0, 3)
+    fes = [build_fe_system(m, alpha) for m in hier.levels]
+    for lvl in range(hier.L - 1):
+        P = prolongation(fes[lvl], fes[lvl + 1])
+        children = hier.children(lvl)
+        assert np.array_equal(hier.levels[lvl + 1].parent_map[children],
+                              np.repeat(np.arange(len(children))[:, None],
+                                        children.shape[1], axis=1))
+        T = local_prolongation(P, fes[lvl], fes[lvl + 1], children)
+        dofs_c, dofs_f = fes[lvl].elem_dofs(), fes[lvl + 1].elem_dofs()
+        free_c = np.isin(dofs_c, fes[lvl].free_idx())
+        fixed_f = ~np.isin(dofs_f, fes[lvl + 1].free_idx())
+        for parent, kids in enumerate(children):
+            for rank, child in enumerate(kids):
+                # P keeps roundoff of a few 1e-15 where an entry is exactly zero
+                block = P[dofs_f[child]][:, dofs_c[parent]].toarray()
+                assert np.max(np.abs(block - T[rank])) <= 1e-14
+                # a fixed fine dof meets a free coarse one only in an exact
+                # zero, which is why the restriction needs no mask on fixed rows
+                assert np.all(T[rank][np.ix_(fixed_f[child], free_c[parent])] == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
