@@ -216,14 +216,20 @@ def prolongation(fes_c, fes_f):
         (fes_f.s_elem(), fes_c.s_elem()[pm],
          _parent_values(s_basis, fes_c, pm, s_nodes)),
     )
-    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
-                           for r, _, v in blocks])
-    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
-                           for _, c, v in blocks])
-    vals = np.concatenate([v.ravel() for _, _, v in blocks])
-    keep = np.abs(vals) > 1e-15
+    rows, cols, vals = [], [], []
+    for r, c, v in blocks:
+        # coarse local dof first, so that numpy reduces and broadcasts over
+        # the leading axis (10x faster than over a short last one). A value
+        # whose exact value is 0 comes out as roundoff of its row's (one fine
+        # dof's) largest value; nonzero values are a fixed fraction of it.
+        v = np.ascontiguousarray(np.moveaxis(v, -1, 0))
+        a = np.abs(v)
+        keep = a > 1e-12 * a.max(axis=0)
+        rows.append(np.broadcast_to(r, v.shape)[keep])
+        cols.append(np.broadcast_to(c.T[:, :, None], v.shape)[keep])
+        vals.append(v[keep])
     P = sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fes_f.total_dim, fes_c.total_dim),
     )
     return P

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import regularization_shift, regularize
+# not called here: perfbench's traced mode wraps newton.regularize by name
+from .assembly import regularize  # noqa: F401
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -71,11 +72,13 @@ class Ordering:
         self.indices = indices  # row indices of the permuted CSC pattern
         self.indptr = indptr
         self.diag = diag        # positions of the diagonal in the permuted data
+        # positions of the diagonal in H.data, in H's own row order
+        self.hdiag = slots[diag][perm]
 
     @classmethod
     def of(cls, H, perm):
         """The Ordering of H's pattern by perm, or None if H lacks a diagonal
-        entry (the regularizing shift would have no slot)."""
+        entry (the shifted diagonal would have no slot)."""
         n = H.shape[0]
         prow = np.repeat(perm, np.diff(H.indptr))
         pcol = perm[H.indices]
@@ -94,10 +97,42 @@ class Ordering:
         return np.array_equal(H.indptr, indptr) and np.array_equal(H.indices, indices)
 
     def permuted(self, H):
-        """The regularized H in the permuted CSC pattern."""
+        """The shifted H (shifted_csc) in the permuted CSC pattern, or None if
+        a diagonal entry of H is not positive."""
+        d = H.data[self.hdiag]
+        if not (d > 0).all():
+            return None
         data = H.data[self.slots]
-        data[self.diag] += regularization_shift(H)
+        data[self.diag] *= 1.0 + scaled_shift(H, d)
         return sp.csc_matrix((data, self.indices, self.indptr), shape=H.shape)
+
+
+def scaled_shift(H, d):
+    """1e-15 |||D^-1/2 H D^-1/2|||_inf (max absolute row sum) of a CSR matrix
+    H with diagonal d > 0, D = diag(d), from one matvec with |H|.
+
+    H + scaled_shift(H, d) D is D^1/2 regularize(D^-1/2 H D^-1/2) D^1/2: the
+    shift is a fixed fraction of every diagonal entry. 1e-15 |||H|||_inf,
+    set by the largest rows, can exceed the smallest diagonal entries (by up
+    to 7e7 on coarse grids after an h-refinement) and turn the Newton step
+    on those rows into a gradient step.
+    """
+    s = 1.0 / np.sqrt(d)
+    abs_h = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
+    return 1e-15 * float(np.max(s * (abs_h @ s), initial=0.0))
+
+
+def shifted_csc(H):
+    """H + scaled_shift(H, d) * diag(d), d = diag(H), as a CSC matrix, or None
+    if an entry of d is not positive (or NaN): H is then not SPD, and no
+    clamp makes it so."""
+    H = H.tocsr()
+    d = H.diagonal()
+    if not (d > 0).all():
+        return None
+    R = H.tocsc()
+    R.setdiag(d * (1.0 + scaled_shift(H, d)))
+    return R
 
 
 @dataclass
@@ -120,28 +155,31 @@ def _permuted_solve(lu, perm, b):
 def newton_decrement(g, H):
     """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
 
-    H is symmetric positive definite, so the regularized Hessian is factored
-    with a symmetric ordering (minimum degree on A + A^T) and diagonal pivots,
-    which fills in a quarter of what column ordering with partial pivoting
-    does. Inside ordering_scope, a CSR pattern seen before is not ordered
-    again: its data is gathered into the recorded permuted pattern and
-    factored in that order. Returns (None, None) if the factorization fails
-    or lambda^2 is negative beyond roundoff. Inside a center call given a
-    solve_rhs, the solve of the factor is appended to its slot; elsewhere the
-    factor is dropped on return.
+    H is symmetric positive definite, so the shifted Hessian H + sigma diag(H)
+    (shifted_csc) is factored with a symmetric ordering (minimum degree on
+    A + A^T) and diagonal pivots, which fills in a quarter of what column
+    ordering with partial pivoting does. Inside ordering_scope, a CSR pattern
+    seen before is not ordered again: its data is gathered into the recorded
+    permuted pattern and factored in that order. Returns (None, None), before
+    any factorization, if a diagonal entry of H is not positive, and also if
+    the factorization fails or lambda^2 is negative beyond roundoff. Inside a
+    center call given a solve_rhs, the solve of the factor is appended to its
+    slot; elsewhere the factor is dropped on return.
     """
     orderings = _orderings.get() if H.format == "csr" else None
     key = (H.shape, H.nnz)
     order = orderings.get(key) if orderings is not None else None
     if order is not None and not order.matches(H):
         order = None
+    A = shifted_csc(H) if order is None else order.permuted(H)
+    if A is None:
+        return None, None
     try:
         if order is None:
-            lu = spla.splu(regularize(H).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           **SPD_OPTIONS)
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **SPD_OPTIONS)
             solve = lu.solve
         else:
-            lu = spla.splu(order.permuted(H), permc_spec="NATURAL", **SPD_OPTIONS)
+            lu = spla.splu(A, permc_spec="NATURAL", **SPD_OPTIONS)
             solve = functools.partial(_permuted_solve, lu, order.perm)
         step = -solve(g)
     except RuntimeError:

@@ -8,6 +8,7 @@ from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
                                 u_basis_grad)
 from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
                             refine_uniform)
+from mgbarrier.problems import ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
 
@@ -135,14 +136,32 @@ def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
         dofs_c, dofs_f = fes[lvl].elem_dofs(), fes[lvl + 1].elem_dofs()
         free_c = np.isin(dofs_c, fes[lvl].free_idx())
         fixed_f = ~np.isin(dofs_f, fes[lvl + 1].free_idx())
+        covered = set()
         for parent, kids in enumerate(children):
             for rank, child in enumerate(kids):
-                # P keeps roundoff of a few 1e-15 where an entry is exactly zero
+                # entries agree to roundoff; an exact zero is no entry at all
                 block = P[dofs_f[child]][:, dofs_c[parent]].toarray()
                 assert np.max(np.abs(block - T[rank])) <= 1e-14
+                assert np.array_equal(block != 0.0, T[rank] != 0.0)
+                rows, cols = np.nonzero(T[rank])
+                covered.update(zip(dofs_f[child][rows], dofs_c[parent][cols]))
                 # a fixed fine dof meets a free coarse one only in an exact
                 # zero, which is why the restriction needs no mask on fixed rows
                 assert np.all(T[rank][np.ix_(fixed_f[child], free_c[parent])] == 0.0)
+        # every entry of P lies in some child's block
+        assert P.nnz == len(covered)
+
+
+def test_galerkin_product_keeps_the_coarse_pattern():
+    # P carries no roundoff entries, so P^T H P from the fine level down to
+    # the coarsest has exactly the coarsest level's own Hessian pattern
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=3))
+    z = pr.refine_iterate(pr.refine_iterate(pr.z0, 0), 1)
+    H = pr.fine_objective.grad_hess(z, 1.0)[1]
+    P = pr.P_free_to_fine[0]
+    coarse = pr.objectives[0].grad_hess(pr.z0, 1.0)[1]
+    assert coarse.nnz == 737
+    assert (P.T @ H @ P).nnz == coarse.nnz
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

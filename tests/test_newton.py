@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbarrier.assembly import LevelObjective, regularize
+from mgbarrier import newton
+from mgbarrier.assembly import LevelObjective, regularization_shift, regularize
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
                               SOLVER_FAILURE, center, newton_decrement,
                               ordering_scope)
@@ -132,13 +133,28 @@ def _centered_and_refined(pr):
     return (pr.objectives[0], z), (pr.objectives[1], pr.refine_iterate(z, 0))
 
 
-def _assert_solves_regularized(g, H, lam, step, max_relres):
-    """Backward error at roundoff level, relative residual below max_relres."""
+def _sigma(H):
+    """1e-15 |||D^-1/2 H D^-1/2|||_inf, D = diag(H)."""
+    S = sp.diags(H.diagonal() ** -0.5)
+    return 1e-15 * abs(S @ H @ S).sum(axis=1).max()
+
+
+def _shifted(H):
+    """H + sigma diag(H), the system newton_decrement solves."""
+    return (H + sp.diags(_sigma(H) * H.diagonal())).tocsr()
+
+
+def _assert_solves_regularized(g, H, lam, step):
+    """Backward error at roundoff level; relative residual below 1e-10, or
+    within 10x of a dense LAPACK solve of the same system where that cannot
+    reach 1e-10."""
     assert lam is not None
-    R = regularize(H)
+    R = _shifted(H)
     r = np.linalg.norm(R @ step + g)
     assert r / (spla.norm(R) * np.linalg.norm(step) + np.linalg.norm(g)) <= 1e-15
-    assert r / np.linalg.norm(g) <= max_relres
+    dense = np.linalg.solve(R.toarray(), -g)
+    floor = np.linalg.norm(R @ dense + g)
+    assert r <= max(1e-10 * np.linalg.norm(g), 10 * floor)
     assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
 
 
@@ -160,34 +176,33 @@ def test_newton_decrement_solves_regularized_hessian(small_problem):
     # The symmetric-mode factorization (diagonal pivots, no numerical
     # pivoting) must be backward stable: the normwise backward error stays at
     # roundoff level, also at the point h-refinement produces, where cond is
-    # ~8e14 and the plain relative residual sits at its roundoff floor (~3e-10
+    # ~1e19 and the plain relative residual sits at its roundoff floor (~2e-8
     # here, as for a dense LAPACK solve). At the centered point the relative
     # residual itself is small.
     (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
-    for obj, z, max_relres in ((obj_c, z_c, 1e-10), (obj_r, z_r, 1e-8)):
+    for obj, z in ((obj_c, z_c), (obj_r, z_r)):
         g, H = obj.grad_hess(z, 1.0)
         lam, step = newton_decrement(g, H)
-        _assert_solves_regularized(g, H, lam, step, max_relres)
+        _assert_solves_regularized(g, H, lam, step)
 
 
 def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_used):
     # The second system on a pattern is gathered into the recorded permuted
     # pattern and factored in natural order. It meets the same bounds as the
     # first. Its step is the first one to 1e-7 at the centered point; at the
-    # refined point (cond ~8e14) the forward error of any backward-stable
-    # solve is larger: a dense LAPACK step differs from the first by 2.7e-5,
-    # the reused-order step by 1.1e-5.
+    # refined point (cond ~1e19) the forward error of any backward-stable
+    # solve is larger: a dense LAPACK step differs from the first by 2.7e-3,
+    # the reused-order step by 1.6e-8.
     (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
     orderings_used.clear()
     orderings = {}
     with ordering_scope(orderings):
-        for obj, z, max_relres, max_diff in ((obj_c, z_c, 1e-10, 1e-7),
-                                              (obj_r, z_r, 1e-8, 1e-4)):
+        for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
             g, H = obj.grad_hess(z, 1.0)
             lam0, step0 = newton_decrement(g, H)
             g, H = obj.grad_hess(z, 1.0)
             lam, step = newton_decrement(g, H)
-            _assert_solves_regularized(g, H, lam, step, max_relres)
+            _assert_solves_regularized(g, H, lam, step)
             assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
     assert orderings_used == ["MMD_AT_PLUS_A", "NATURAL"] * 2
     assert len(orderings) == 2
@@ -248,16 +263,115 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
 
 
 def test_negative_decrement_is_a_solver_failure():
-    # indefinite H: lambda^2 = -g.step = -1 is no roundoff
-    A = np.diag([1.0, -1.0])
+    # indefinite H with a positive diagonal (eigenvalues 3 and -1):
+    # lambda^2 = g^T H^{-1} g = -1/3 for g = e_2 is no roundoff
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert newton_decrement(np.array([0.0, 1.0]), sp.csr_matrix(A)) == (None, None)
     res = center(QuadraticObjective(A, np.array([0.0, -1.0])), np.zeros(2), t=1.0)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
-    # a negative lambda^2 within roundoff of |g| |step| is clamped to 0
-    lam, step = newton_decrement(np.array([1.0, 1.0 + 1e-10]), sp.csr_matrix(A))
+    # g^T H^{-1} g = 0 on g_2 / g_1 = 2 + sqrt(3); just past it lambda^2 is
+    # negative within roundoff of |g| |step|, and is clamped to 0
+    lam, step = newton_decrement(np.array([1.0, 2.0 + np.sqrt(3.0) + 1e-10]),
+                                 sp.csr_matrix(A))
     assert lam == 0.0
     assert step is not None
+
+
+class FixedHessian:
+    """Objective with value 0, gradient 1 and a fixed CSR Hessian everywhere."""
+
+    def __init__(self, H):
+        self.H = H
+
+    @property
+    def dim(self):
+        return self.H.shape[0]
+
+    def value(self, y, t):
+        return 0.0
+
+    def grad_hess(self, y, t):
+        return np.ones(self.dim), self.H
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
+    # H is not SPD: a solver-failure, never a clamp, and no splu is attempted,
+    # on a new pattern and on one whose ordering is recorded
+    H = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+    bad_H = H.copy()
+    bad_H.data[H.indptr[1] + 1] = bad  # entry (1, 1), kept even when 0
+    with ordering_scope({}):
+        assert center(FixedHessian(bad_H), np.zeros(3), t=1.0).status == SOLVER_FAILURE
+        assert orderings_used == []
+        assert newton_decrement(np.ones(3), H)[0] is not None
+        res = center(FixedHessian(bad_H), np.zeros(3), t=1.0)
+    assert res.status == SOLVER_FAILURE
+    assert res.iterations == 0
+    assert orderings_used == ["MMD_AT_PLUS_A"]
+
+
+def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
+    # The reused path reads the diagonal through the recorded permutation; it
+    # must see H's diagonal in H's own row order, as the new-pattern path
+    # does, and so get the same sigma and the same step. At the refined point
+    # the diagonal spans many orders of magnitude, so a permuted diagonal
+    # would give another sigma.
+    calls = []
+    shift = newton.scaled_shift
+
+    def logged(H, d):
+        calls.append((d.copy(), shift(H, d)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(newton, "scaled_shift", logged)
+    (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
+    for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
+        calls.clear()
+        g, H = obj.grad_hess(z, 1.0)
+        with ordering_scope({}):
+            _, step0 = newton_decrement(g, H)
+            _, step = newton_decrement(g, H)
+        assert len(calls) == 2
+        for d_seen, sigma_seen in calls:
+            assert np.array_equal(d_seen, H.diagonal())
+            assert sigma_seen == pytest.approx(_sigma(H), rel=1e-12)
+        assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
+
+
+def test_newton_step_is_quadratic_when_rows_are_badly_scaled(small_problem):
+    # Newton's method is invariant under a diagonal change of coordinates
+    # y = S x, and so is a shift relative to each diagonal entry. A shift of
+    # 1e-15 |||H|||_inf is not: where it exceeds the smallest diagonal
+    # entries, the step on those rows is a damped gradient step and the
+    # quadratic phase is lost. On this grid a centered Hessian is well
+    # scaled (the old shift is ~1e-11 of its smallest diagonal entry, a
+    # slack row), so slack is measured in units of 1e6, which puts the old
+    # shift above the smallest diagonal entries.
+    obj = small_problem.objectives[0]
+    lvl = LevelObjective(obj, small_problem.z0, None)
+    y = np.zeros(lvl.dim)
+    for t in (1e1, 1e2, 1e3, 1e4):
+        res = center(lvl, y, t, lam_tol=1e-10)
+        assert res.status == CONVERGED
+        y = res.y
+    # a point at lambda ~ 1e-3 off the center, in the slack coordinates
+    slack = obj.free_idx() >= obj.fesys.n_u
+    v = np.where(slack, np.random.default_rng(0).standard_normal(lvl.dim), 0.0)
+    H = lvl.grad_hess(y, t)[1]
+    y0 = y + 1e-3 / np.sqrt(v @ (H @ v)) * v
+    g, H = lvl.grad_hess(y0, t)
+    lam0 = newton_decrement(g, H)[0]
+    assert lam0 == pytest.approx(1e-3, rel=1e-3)
+
+    s = np.where(slack, 1e-6, 1.0)
+    Hs = (sp.diags(s) @ H @ sp.diags(s)).tocsr()
+    assert regularization_shift(Hs) > 10 * Hs.diagonal().min()
+    lam, step = newton_decrement(s * g, Hs)
+    assert lam == pytest.approx(lam0, rel=1e-6)
+    lam1 = newton_decrement(*lvl.grad_hess(y0 + s * step, t))[0]
+    assert lam1 <= 10 * lam0 ** 2
 
 
 def test_center_stops_at_deadline():

@@ -201,7 +201,7 @@ PINNED_ROWS = {
         7:2:3:0 7:-1:3:0 8:2:3:0 8:-1:3:0 9:2:4:0 9:-1:4:0 10:-1:1:0""",
     "naive-theta": """
         0:1:4:0 0:-1:4:0 1:1:4:0 1:-1:4:0 2:1:3:0 2:-1:3:0 3:1:3:0
-        3:-1:3:0 4:1:3:0 4:-1:3:0 5:2:223:0 5:-1:223:0 6:2:3:0
+        3:-1:3:0 4:1:3:0 4:-1:3:0 5:2:220:0 5:-1:220:0 6:2:3:0
         6:-1:3:0 7:2:3:0 7:-1:3:0 8:2:3:0 8:-1:3:0 9:2:4:0 9:-1:4:0
         10:-1:1:0""",
     "mgb-predictor": """
@@ -253,8 +253,9 @@ def test_naive_theta_converges_at_p2_quadratic_elements():
     # Known failure: the centering after the first refinement stalls near
     # lam = 0.1 and the run ends "h-refinement centering: iteration-cap";
     # run_mgb converges on the same problem (test_diagnostics' p2_problem).
-    # Setting the regularization shift to zero does not fix it (L=2 and L=3
-    # still fail), so a scale-aware shift alone will not pass this test.
+    # The shift is not the cause: with it set to zero, and with the
+    # diagonal-relative shift newton_decrement uses, L=2 and L=3 still fail
+    # the same way (lam = 0.10 after 500 steps).
     pr = build_problem(ProblemSpec(p=2.0, alpha=2, levels=2, cells0=2))
     tr = run_naive(pr, PathConfig(), schedule="theta")
     assert tr.status == "converged", tr.failure_reason
