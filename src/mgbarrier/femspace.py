@@ -253,18 +253,6 @@ def free_prolongation(fes_c, fes_f, P_full=None):
     return P[np.ix_(fes_f.free_idx(), fes_c.free_idx())].tocsr()
 
 
-def interpolate(fesys, u_fun, s_fun):
-    """Nodal interpolation of callables u(x), s(x) into the FE coefficient vector."""
-    mesh = fesys.mesh
-    z = np.empty(fesys.total_dim)
-    z[: fesys.n_u] = [u_fun(*x) for x in fesys.u_node_coords]
-    xs = mesh.to_physical(s_node_ref(mesh.d, fesys.alpha))
-    z[fesys.n_u:] = [s_fun(*x) for x in xs.reshape(-1, mesh.d)]
-    if not np.all(np.isfinite(z)):
-        raise ValueError("interpolation produced a non-finite value")
-    return z
-
-
 def dump_solution(fesys, z, path):
     """Plain-text export: vertex coordinates with u values, then per-element s means."""
     mesh = fesys.mesh

@@ -168,6 +168,7 @@ class _Run:
         self.timed_out = False  # a centering stopped at the deadline
         self.orderings = {}  # fill-reducing orderings by Hessian pattern
         self.tangent = None  # dz/dt (free dofs) at the last center asked for it
+        self.prev = None  # (z, t) of the center before the one self.tangent is at
 
     def wall_ms(self):
         return (time.monotonic() - self.t_start) * 1e3
@@ -261,23 +262,34 @@ def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
     return level_obj.full_point(res.y), counts, ""
 
 
-def predict(objective, z_k, tangent, t_k, t_next):
+def predict(objective, z_k, tangent, t_k, t_next, prev=None):
     """The predicted center at t_next: z_k plus a step along the tangent, or
     z_k itself.
 
     The step follows the tangent in 1/t, (t_next - t_k) (t_k / t_next) dz/dt,
-    which is exact for z*(t) = z_inf + a/t. It is halved, at most
-    MAX_BACKTRACK lengths, until the barrier margin at every quadrature node
-    exceeds t_k / (nu t_next) times its margin at z_k. On the central path a
-    node's slack gap lies in [1/t, nu/t], so from t_k to t_next it shrinks by
-    no more than that factor; a prediction that cuts a margin further has
-    overshot toward the boundary, where Newton converges slowly. z_k without
-    a tangent or an accepted length.
+    which is exact for z*(t) = z_inf + a/t. With prev = (z_p, t_p), the
+    center before z_k, it adds the curvature of the quadratic in 1/t through
+    z_p and through z_k with that tangent, (hn/hp)^2 (z_p - z_k + t_k^2 hp
+    dz/dt) for hp = 1/t_p - 1/t_k and hn = 1/t_next - 1/t_k, which is exact
+    for z*(t) = z_inf + a/t + b/t^2 (Mehrotra, SIAM J. Optim. 2, 1992).
+
+    The step is halved, at most MAX_BACKTRACK lengths, until the barrier
+    margin at every quadrature node exceeds t_k / (nu t_next) times its
+    margin at z_k. On the central path a node's slack gap lies in
+    [1/t, nu/t], so from t_k to t_next it shrinks by no more than that
+    factor; a prediction that cuts a margin further has overshot toward the
+    boundary, where Newton converges slowly. z_k without a tangent or an
+    accepted length.
     """
     if tangent is None:
         return z_k
     floor = t_k / (objective.barrier.nu * t_next) * objective.margin(z_k)
     y = (t_next - t_k) * (t_k / t_next) * tangent
+    if prev is not None:
+        z_p, t_p = prev
+        hp, hn = 1.0 / t_p - 1.0 / t_k, 1.0 / t_next - 1.0 / t_k
+        free = objective.free_idx()
+        y = y + (hn / hp) ** 2 * ((z_p - z_k)[free] + t_k * t_k * hp * tangent)
     for _ in range(MAX_BACKTRACK):
         z = z_k + objective.embed_free(y)
         if np.all(objective.margin(z) > floor):
@@ -289,11 +301,13 @@ def predict(objective, z_k, tangent, t_k, t_next):
 def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
     """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback.
 
-    Both start from the tangent prediction when run.tangent holds the tangent
-    at (z_k, t_k), else from z_k.
+    When run.tangent holds the tangent at (z_k, t_k), the direct step starts
+    from the tangent prediction, and the sweep from the quadratic one through
+    run.prev (the same point while run.prev is None); else both start from z_k.
     """
     t_next = min(rho_prev * t_k, config.t_cap)
-    z_start = predict(problem.fine_objective, z_k, run.tangent, t_k, t_next)
+    tangent = run.tangent  # the direct step's centering replaces it
+    z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next)
     level_obj, res = run.center_at(problem.fine_objective, z_start, None, t_next, k,
                                    0, rho_prev, max_iters=config.direct_cap,
                                    direct=True, tangent=config.predictor)
@@ -302,11 +316,15 @@ def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
     if direct_ok:
         z_next = level_obj.full_point(res.y)
     else:
+        if run.prev is not None:
+            z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next,
+                              run.prev)
         z_next, mgb_counts, err = mgb_t_step(
             problem, z_start, t_next, config, run=run, k=k, rho=rho_prev)
         counts.extend(mgb_counts)
         if z_next is None:
             return None, t_next, rho_prev, err
+    run.prev = (z_k, t_k) if run.tangent is not None else None
 
     m_k = max(counts)
     rho_k = adapt_stepsize(rho_prev, m_k)
@@ -341,7 +359,7 @@ def _initial_phase(run, t0):
 
 def run_mgb(problem, config=None, store_iterates=False):
     """Practical MGB: initial h-then-t phase at t0, then adaptive direct/MGB
-    steps, each started from the tangent prediction if config.predictor."""
+    steps, each started from a predicted center if config.predictor."""
     config = config or PathConfig()
     run = _Run(problem, config, store_iterates)
     t = config.initial_t(problem)

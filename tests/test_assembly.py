@@ -6,10 +6,12 @@ import scipy.sparse as sp
 
 from mgbarrier.assembly import LevelObjective, Objective, regularize
 from mgbarrier.barrier import PLapBarrier
-from mgbarrier.femspace import DSampler, build_fe_system, interpolate, u_basis_grad
+from mgbarrier.femspace import DSampler, build_fe_system, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
+
+from interpolation import interpolate
 
 
 def make_objective(p=1.5, alpha=2, cells=2, forcing=None):

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
-                                free_prolongation, interpolate, local_prolongation,
+                                free_prolongation, local_prolongation,
                                 prolongation, s_basis, s_node_ref, u_basis,
                                 u_basis_grad)
 from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
                             refine_uniform)
 from mgbarrier.problems import ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
+
+from interpolation import interpolate
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -1,5 +1,6 @@
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
@@ -210,11 +211,9 @@ PINNED_ROWS = {
         6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:3:1 8:-1:3:1 9:-1:2:0""",
     "mgb-full-predictor": """
         0:1:4:0 0:2:34:0 0:-1:34:0 1:0:0:1 1:1:3:0 1:2:3:0 1:-1:3:0
-        2:0:0:1 2:1:3:0 2:2:3:0 2:-1:3:0 3:0:0:1 3:1:4:0 3:2:3:0
-        3:-1:4:0 4:0:0:1 4:1:3:0 4:2:4:0 4:-1:4:0 5:0:0:1 5:1:3:0
-        5:2:2:0 5:-1:3:0 6:0:0:1 6:1:3:0 6:2:2:0 6:-1:3:0 7:0:0:1
-        7:1:3:0 7:2:2:0 7:-1:3:0 8:0:0:1 8:1:3:0 8:2:2:0 8:-1:3:0
-        9:-1:2:0""",
+        2:0:0:1 2:1:2:0 2:2:2:0 2:-1:2:0 3:0:0:1 3:1:7:0 3:2:5:0
+        3:-1:7:0 4:0:0:1 4:1:2:0 4:2:2:0 4:-1:2:0 5:0:0:1 5:1:5:0
+        5:2:6:0 5:-1:6:0 6:0:0:1 6:1:2:0 6:2:2:0 6:-1:2:0 7:-1:1:0""",
 }
 
 
@@ -365,15 +364,118 @@ def _record_starts(monkeypatch, direct_cap):
 
 def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypatch):
     # direct_cap = 0: every t-step that is not centered at its start sweeps
-    # the levels, from the same point the direct step started from
+    # the levels. At k = 1 no earlier center exists and the sweep starts where
+    # the direct step did, at the tangent prediction; from k = 2 on it starts
+    # from the quadratic prediction through the center before z_{k-1}.
     direct, sweeps = _record_starts(monkeypatch, direct_cap=0)
+    tangents = {}  # t_next -> the tangent the direct step was predicted with
+    predict_ = pathfollow.predict
+
+    def logged_predict(objective, z_k, tangent, t_k, t_next, prev=None):
+        if prev is None:
+            tangents[t_next] = tangent
+        return predict_(objective, z_k, tangent, t_k, t_next, prev)
+
+    monkeypatch.setattr(pathfollow, "predict", logged_predict)
     tr = run_mgb(small_problem, PathConfig(direct_cap=0), store_iterates=True)
-    assert tr.status == "converged" and len(sweeps) > 0
+    assert tr.status == "converged" and len(sweeps) > 2
+    obj = small_problem.fine_objective
     iterates = dict(tr.iterates)
+    ts = {k: t for k, t, _ in tr.costs}
     for k, z_start in sweeps:
-        assert np.array_equal(z_start, direct[k - 1])
         assert not np.array_equal(z_start, iterates[k - 1])
-        assert small_problem.fine_objective.feasible(z_start)
+        assert obj.feasible(z_start)
+        if k == 1:
+            assert np.array_equal(z_start, direct[0])
+            continue
+        quadratic = predict_(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k],
+                             (iterates[k - 2], ts[k - 2]))
+        assert np.array_equal(z_start, quadratic)
+        assert not np.array_equal(z_start, direct[k - 1])
+
+
+def _tangent_prediction(objective, z_k, tangent, t_k, t_next):
+    """The first-order prediction written out: the tangent step in 1/t,
+    halved until every node keeps the margin floor."""
+    floor = t_k / (objective.barrier.nu * t_next) * objective.margin(z_k)
+    y = (t_next - t_k) * (t_k / t_next) * tangent
+    for _ in range(pathfollow.MAX_BACKTRACK):
+        z = z_k + objective.embed_free(y)
+        if np.all(objective.margin(z) > floor):
+            return z
+        y = 0.5 * y
+    return z_k
+
+
+def test_prediction_without_prev_is_the_tangent_prediction(small_problem):
+    obj = small_problem.fine_objective
+    t = 1.3
+    _, z, tangent = _center_with_tangent(small_problem, t)
+    # rho = 2 is halved once (test_prediction_keeps_a_margin_floor)
+    for rho in (1.2, 2.0, 16.0):
+        assert np.array_equal(predict(obj, z, tangent, t, rho * t, prev=None),
+                              _tangent_prediction(obj, z, tangent, t, rho * t))
+
+
+class _UnboundedObjective:
+    """The parts of an Objective that predict uses, for n free dofs followed
+    by one fixed dof, with a barrier margin that never binds."""
+
+    barrier = types.SimpleNamespace(nu=3.0)
+
+    def __init__(self, n):
+        self.n = n
+
+    def free_idx(self):
+        return np.arange(self.n)
+
+    def embed_free(self, y):
+        return np.append(y, 0.0)
+
+    def margin(self, z):
+        return np.ones(5)
+
+
+def test_quadratic_prediction_is_exact_on_a_quadratic_path_in_1_over_t():
+    rng = np.random.default_rng(7)
+    a, b, c = rng.standard_normal((3, 6))
+    b[-1] = c[-1] = 0.0  # the fixed dof stays put
+
+    def z(t):
+        return a + b / t + c / t ** 2
+
+    def dz_dt(t):
+        return (-b / t ** 2 - 2 * c / t ** 3)[:-1]
+
+    obj = _UnboundedObjective(5)
+    t_p, t_k, t_next = 1.0, 2.0, 6.0
+    quadratic = predict(obj, z(t_k), dz_dt(t_k), t_k, t_next, prev=(z(t_p), t_p))
+    np.testing.assert_allclose(quadratic, z(t_next), rtol=0, atol=1e-14)
+    # the tangent alone misses the curvature c (1/t_next - 1/t_k)^2
+    tangent_only = predict(obj, z(t_k), dz_dt(t_k), t_k, t_next)
+    np.testing.assert_allclose(tangent_only - z(t_next),
+                               -c * (1 / t_next - 1 / t_k) ** 2, atol=1e-14)
+
+
+def test_predictor_off_keeps_no_previous_center(small_problem, monkeypatch):
+    prevs = []
+    step = pathfollow.practical_step
+
+    def logged_step(problem, z_k, t_k, rho_prev, config, run, k):
+        out = step(problem, z_k, t_k, rho_prev, config, run, k)
+        prevs.append(run.prev)
+        return out
+
+    monkeypatch.setattr(pathfollow, "practical_step", logged_step)
+    for cap in (5, 0):
+        prevs.clear()
+        tr = run_mgb(small_problem, PathConfig(direct_cap=cap, predictor=False))
+        assert tr.status == "converged" and len(prevs) > 0
+        assert all(prev is None for prev in prevs)
+    # with the predictor every centered step keeps (z_{k-1}, t_{k-1})
+    prevs.clear()
+    tr = run_mgb(small_problem, PathConfig(direct_cap=0))
+    assert [prev[1] for prev in prevs] == [t for _, t, _ in tr.costs[:len(prevs)]]
 
 
 @pytest.mark.parametrize("direct_cap", [5, 0])
