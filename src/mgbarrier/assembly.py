@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .femspace import child_prolongation
+
 INFEASIBLE = np.inf
 
 
@@ -187,28 +189,29 @@ class Galerkin:
     dofs of a coarse level, formed element by element.
 
     A parent's block is sum_k T_k^T B_k T_k over its children's blocks B_k,
-    with T_k the local prolongation of child rank k; this runs level by level
-    down to the coarse one, whose own fixed pattern scatters the result.
+    with T_k the child_prolongation table of child rank k; this runs level by
+    level down to the coarse one, whose own fixed pattern scatters the result.
     Fixed fine dofs need no mask: an interior coarse basis function vanishes
     at boundary nodes, so their rows reach only fixed coarse dofs, which the
     scatter drops.
     """
 
-    def __init__(self, coarse, P, steps, cost):
-        self.coarse = coarse  # the coarse level's Objective, for its pattern
-        self.P = P            # free prolongation, coarse level -> fine
-        self.steps = steps    # (children (ne_c, m), T (m, nloc_f, nloc_c)), finest first
-        self.cost = cost      # P^T c_free
+    def __init__(self, coarse, P, children, cost):
+        self.coarse = coarse      # the coarse level's Objective, for its pattern
+        self.P = P                # free prolongation, coarse level -> fine
+        self.children = children  # per level pair, finest first: (ne_c, m) child ids
+        self.cost = cost          # P^T c_free
+        self.T = child_prolongation(coarse.fesys.d, coarse.fesys.alpha)  # cached, shared
 
     def restrict(self, gloc, hloc, t):
         """(gradient, Hessian) over the coarse free dofs of fine element
         blocks, plus t times the restricted cost vector."""
-        for children, T in self.steps:
-            m, nloc_f, nloc_c = T.shape
+        nloc_c = self.T.shape[2]
+        Tcat = self.T.reshape(-1, nloc_c)
+        for children in self.children:
             ne = len(children)
-            Tcat = T.reshape(m * nloc_f, nloc_c)
-            hloc = Tcat.T @ (hloc[children] @ T).reshape(ne, m * nloc_f, nloc_c)
-            gloc = gloc[children].reshape(ne, m * nloc_f) @ Tcat
+            hloc = Tcat.T @ (hloc[children] @ self.T).reshape(ne, -1, nloc_c)
+            gloc = gloc[children].reshape(ne, -1) @ Tcat
         return self.coarse.assemble(gloc, hloc, t * self.cost)
 
 

@@ -4,9 +4,10 @@ The concrete instance is the p-Laplacian barrier
 
     F(q, s) = -log(s^(2/p) - |q|^2) - 2 log s,
 
-finite exactly on {s > 0, s^(2/p) > |q|^2}. One gap s^(2/p) - |q|^2, never
-NaN, decides the domain for margin, value, f_s and third_directional: outside
-it value is +inf and margin <= 0, so line searches can probe freely.
+finite exactly on {s > 0, s^(2/p) > |q|^2}. One gap s * s^(2/p - 1) - |q|^2,
+never NaN, decides the domain for every method: outside it value is +inf and
+margin <= 0, so line searches can probe freely, and a point they accept is
+one that value_grad_hess accepts.
 All evaluations are vectorized over points: q has shape (N, d), s shape (N,).
 """
 
@@ -36,19 +37,21 @@ class PLapBarrier:
         return np.linalg.norm(q, axis=-1) ** self.p
 
     def _gap(self, q, s):
-        """s^(2/p) - |q|^2 at each point, > 0 exactly on the domain: -1 where s
-        is not > 0, -inf where overflow (inf - inf) or a NaN q gives NaN."""
+        """(g, s^(2/p - 1)) at each point, with the gap g = s * s^(2/p - 1) -
+        |q|^2 > 0 exactly on the domain: -1 where s is not > 0, -inf where
+        overflow (inf - inf) or a NaN q gives NaN. The derivatives share the
+        power, so the gap costs one np.power per point."""
         q = np.atleast_2d(q)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             qq = np.sum(q * q, axis=-1)
-            g = np.where(s > 0.0,
-                         np.power(np.maximum(s, 0.0), 2.0 / self.p) - qq, -1.0)
-        return np.where(np.isnan(g), -np.inf, g)
+            se1 = np.power(np.maximum(s, 0.0), 2.0 / self.p - 1.0)
+            g = np.where(s > 0.0, s * se1 - qq, -1.0)
+        return np.where(np.isnan(g), -np.inf, g), se1
 
     def margin(self, q, s):
         """min(s, s^(2/p) - |q|^2), > 0 iff (q, s) in the domain interior."""
         s = np.asarray(s, dtype=float)
-        return np.fmin(s, self._gap(q, s))
+        return np.fmin(s, self._gap(q, s)[0])
 
     def feasible(self, q, s):
         return bool(np.all(self.margin(q, s) > 0.0))
@@ -56,7 +59,7 @@ class PLapBarrier:
     def value(self, q, s):
         """F at each point; +inf outside the domain."""
         s = np.asarray(s, dtype=float)
-        g = self._gap(q, s)
+        g, _ = self._gap(q, s)
         with np.errstate(divide="ignore", invalid="ignore"):
             F = -np.log(g) - 2.0 * np.log(s)
         return np.where(g > 0.0, F, np.inf)
@@ -70,13 +73,7 @@ class PLapBarrier:
         s = np.asarray(s, dtype=float)
         N, d = q.shape
         e = 2.0 / self.p
-        if not np.all(s > 0.0):
-            raise ValueError("value_grad_hess called outside the barrier domain")
-        qq = np.sum(q * q, axis=-1)
-        se1 = np.power(s, e - 1.0)
-        # s^e - |q|^2 formed as s * s^(e-1), unlike _gap, so the derivatives
-        # share se1
-        g = s * se1 - qq
+        g, se1 = self._gap(q, s)
         if not np.all(g > 0.0):
             raise ValueError("value_grad_hess called outside the barrier domain")
 
@@ -109,12 +106,12 @@ class PLapBarrier:
         s = np.asarray(s, dtype=float)
         u = np.atleast_2d(u)
         e = 2.0 / self.p
-        g = self._gap(q, s)
+        g, se1 = self._gap(q, s)
         if not np.all(g > 0.0):
             raise ValueError("third_directional called outside the barrier domain")
         uq, us = u[:, : self.d], u[:, self.d]
         # directional derivatives of g(q, s) = s^e - |q|^2
-        a = -2.0 * np.sum(q * uq, axis=-1) + e * np.power(s, e - 1.0) * us
+        a = -2.0 * np.sum(q * uq, axis=-1) + e * se1 * us
         b = -2.0 * np.sum(uq * uq, axis=-1) + e * (e - 1.0) * np.power(s, e - 2.0) * us ** 2
         c = e * (e - 1.0) * (e - 2.0) * np.power(s, e - 3.0) * us ** 3
         third = -c / g + 3.0 * a * b / g ** 2 - 2.0 * a ** 3 / g ** 3
@@ -125,8 +122,8 @@ class PLapBarrier:
         """Partial derivative of F with respect to the slack s."""
         s = np.asarray(s, dtype=float)
         e = 2.0 / self.p
-        g = self._gap(q, s)
-        return -e * np.power(s, e - 1.0) / g - 2.0 / s
+        g, se1 = self._gap(q, s)
+        return -e * se1 / g - 2.0 / s
 
     def slack_for_t(self, q, t):
         """The unique s with F_s(q, s) + t = 0; lies in Lambda(q) + [1/t, nu/t]."""

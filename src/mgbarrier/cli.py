@@ -181,6 +181,10 @@ def cmd_check(args):
                                   problem.domain_volume())
     check("filter bound holds along the path",
           all(gap <= bound + 1e-9 for _, _, gap, bound in gaps))
+    # a sampled lower estimate at the final iterate, >= 1 by definition
+    for lvl, C in enumerate(diagnostics.rh_constant_estimate(problem, trace.z_final), 1):
+        check(f"level {lvl}: reverse Hoelder estimate 1 <= C < inf (C = {C:.3g})",
+              1.0 <= C < np.inf)
 
     return EXIT_OK if not failures else EXIT_SOLVER_FAILURE
 

@@ -7,12 +7,13 @@ sampled field Dz = (grad u, s) is a piecewise polynomial of degree alpha-1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import LOCAL_EDGES
+from .mesh import CHILDREN, LOCAL_EDGES, children_of
 from .quadrature import pushforward_nodes, pushforward_weights
 
 
@@ -181,12 +182,31 @@ class DSampler:
 
 # ---------------------------------------------------------------------------
 
-def _parent_values(basis, fes_c, pe, x):
-    """basis(d, alpha, .) of the coarse elements pe at physical points x of
-    shape (n, m, d); returns shape (n, m, n_local)."""
-    mesh = fes_c.mesh
-    ref = np.einsum("eab,eqb->eqa", mesh.Ainv[pe], x - mesh.b[pe][:, None, :])
-    return basis(mesh.d, fes_c.alpha, ref.reshape(-1, mesh.d)).reshape(*x.shape[:2], -1)
+@functools.cache
+def child_prolongation(d, alpha):
+    """The coarse local basis, u then s, at the local nodes of each child of
+    the reference simplex: a read-only table of shape (m, nloc_f, nloc_c),
+    child rank k being CHILDREN[d][k] of the uniform refinement.
+
+    Under every parent a child rank has this same table. Its entries are
+    exact and a zero is 0.0: the nodes are dyadic, but for the centroid slack
+    node of alpha=1, where the slack basis is the constant 1.
+    """
+    _check(d, alpha)
+    i, j = np.array(LOCAL_EDGES[d]).T
+    verts = np.vstack([np.zeros(d), np.eye(d)])
+    p2 = np.concatenate([verts, 0.5 * (verts[i] + verts[j])])
+    # local nodes of an element, u then s, as barycentric weights of its vertices
+    u_nodes = p2 if alpha == 2 else verts
+    bary = _barycentric(d, np.concatenate([u_nodes, s_node_ref(d, alpha)]))
+    n_lu = len(u_nodes)
+    table = np.zeros((len(CHILDREN[d]), len(bary), len(bary)))
+    for T, child in zip(table, CHILDREN[d]):
+        x = bary @ p2[list(child)]  # the child's local nodes in the parent
+        T[:n_lu, :n_lu] = u_basis(d, alpha, x[:n_lu])
+        T[n_lu:, n_lu:] = s_basis(d, alpha, x[n_lu:])
+    table.flags.writeable = False
+    return table
 
 
 def prolongation(fes_c, fes_f):
@@ -205,52 +225,26 @@ def prolongation(fes_c, fes_f):
     if not np.array_equal(mesh_f.vertices[:nc], mesh_c.vertices):
         raise ValueError("meshes are not nested")
 
-    # u block: one representative (element, local node) per fine u dof; s block:
-    # the fine slack nodes of every fine element; both in the parent element
-    rep_node, first = np.unique(fes_f.u_elem, return_index=True)
-    pe = pm[first // fes_f.u_elem.shape[1]]
-    s_nodes = mesh_f.to_physical(s_node_ref(mesh_f.d, fes_f.alpha))
-    blocks = (
-        (rep_node[:, None], fes_c.u_elem[pe],
-         _parent_values(u_basis, fes_c, pe, fes_f.u_node_coords[rep_node][:, None])),
-        (fes_f.s_elem(), fes_c.s_elem()[pm],
-         _parent_values(s_basis, fes_c, pm, s_nodes)),
-    )
-    rows, cols, vals = [], [], []
-    for r, c, v in blocks:
-        # coarse local dof first, so that numpy reduces and broadcasts over
-        # the leading axis (10x faster than over a short last one). A value
-        # whose exact value is 0 comes out as roundoff of its row's (one fine
-        # dof's) largest value; nonzero values are a fixed fraction of it.
-        v = np.ascontiguousarray(np.moveaxis(v, -1, 0))
-        a = np.abs(v)
-        keep = a > 1e-12 * a.max(axis=0)
-        rows.append(np.broadcast_to(r, v.shape)[keep])
-        cols.append(np.broadcast_to(c.T[:, :, None], v.shape)[keep])
-        vals.append(v[keep])
-    P = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    # one (element, local dof) per fine dof; its row of P is that local dof's
+    # row of its child rank's table, over the parent's coarse dofs
+    children = children_of(pm, mesh_c.num_elements)
+    rank = np.empty(len(pm), dtype=np.intp)
+    rank[children] = np.arange(children.shape[1])
+    dofs_f = fes_f.elem_dofs()
+    rows, first = np.unique(dofs_f, return_index=True)
+    elem, loc = np.divmod(first, dofs_f.shape[1])
+    vals = child_prolongation(mesh_f.d, fes_f.alpha)[rank[elem], loc]
+    cols = fes_c.elem_dofs()[pm[elem]]
+    keep = vals != 0.0
+    return sp.csr_matrix(
+        (vals[keep], (np.broadcast_to(rows[:, None], vals.shape)[keep], cols[keep])),
         shape=(fes_f.total_dim, fes_c.total_dim),
     )
-    return P
 
 
-def local_prolongation(P_full, fes_c, fes_f, children):
-    """P_full's blocks between the local dofs of each child rank and its
-    parent's, read under the first coarse element: shape (m, nloc_f, nloc_c).
-
-    children is MeshHierarchy.children of the coarse level. A child rank has
-    the same reference geometry under every parent, and so the same block.
-    """
-    cols = fes_c.elem_dofs()[0]
-    return np.stack([P_full[rows][:, cols].toarray()
-                     for rows in fes_f.elem_dofs()[children[0]]])
-
-
-def free_prolongation(fes_c, fes_f, P_full=None):
-    """Prolongation restricted to free (zero-trace u + all s) dofs."""
-    P = prolongation(fes_c, fes_f) if P_full is None else P_full
-    return P[np.ix_(fes_f.free_idx(), fes_c.free_idx())].tocsr()
+def free_prolongation(fes_c, fes_f, P_full):
+    """The prolongation P_full restricted to free (zero-trace u + all s) dofs."""
+    return P_full[np.ix_(fes_f.free_idx(), fes_c.free_idx())].tocsr()
 
 
 def dump_solution(fesys, z, path):

@@ -76,9 +76,9 @@ def ref_simplex_volume(d):
 # local vertex pairs of the edges of an interval / a triangle
 LOCAL_EDGES = {1: ((0, 1),), 2: ((0, 1), (1, 2), (0, 2))}
 
-# children of a uniformly refined element, as indices into its P2 node layout
-# (vertices, then the midpoints of LOCAL_EDGES[d] in order)
-_CHILDREN = {1: ((0, 2), (2, 1)), 2: ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))}
+# children of a uniformly refined element in child rank order, as indices into
+# its P2 node layout (vertices, then the midpoints of LOCAL_EDGES[d] in order)
+CHILDREN = {1: ((0, 2), (2, 1)), 2: ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))}
 
 
 def edge_index(elements):
@@ -172,10 +172,15 @@ def refine_uniform(mesh):
     """
     d = mesh.d
     new_verts, nodes, bdry = mesh.p2
-    children = np.array(_CHILDREN[d])
+    children = np.array(CHILDREN[d])
     elems = nodes[:, children].reshape(-1, d + 1)
     parents = np.repeat(np.arange(mesh.num_elements), len(children))
     return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents)
+
+
+def children_of(parent_map, num_parents):
+    """Fine elements in each coarse element, in child rank order: (num_parents, m)."""
+    return np.argsort(parent_map, kind="stable").reshape(num_parents, -1)
 
 
 def quasi_uniformity(mesh):
@@ -208,10 +213,9 @@ class MeshHierarchy:
         return self.levels[-1]
 
     def children(self, level):
-        """Elements of level + 1 inside each element of `level`, in child rank
-        order: shape (ne, m), m children per element."""
-        pm = self.levels[level + 1].parent_map
-        return np.argsort(pm, kind="stable").reshape(self.levels[level].num_elements, -1)
+        """children_of the elements of `level` in level + 1: shape (ne, m)."""
+        return children_of(self.levels[level + 1].parent_map,
+                           self.levels[level].num_elements)
 
 
 def dump_mesh(mesh, path):

@@ -47,8 +47,9 @@ class PathConfig:
             raise ValueError(f"c_stp must be > 0, got {self.c_stp}")
         if not self.t_cap > 0.0:
             raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
-        if self.t0 is not None and not self.t0 > 0.0:
-            raise ValueError(f"t0 must be > 0, got {self.t0}")
+        if self.t0 is not None and not (0.0 < self.t0 < math.inf and self.t0 <= self.t_cap):
+            raise ValueError(f"t0 must be > 0, finite and <= t_cap = {self.t_cap}, "
+                             f"got {self.t0}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
         if not (isinstance(self.direct_cap, int) and self.direct_cap >= 0):

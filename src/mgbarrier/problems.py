@@ -17,8 +17,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
 from .barrier import PLapBarrier
-from .femspace import (DSampler, build_fe_system, free_prolongation, local_prolongation,
-                       prolongation)
+from .femspace import DSampler, build_fe_system, free_prolongation, prolongation
 from .mesh import MeshHierarchy
 from .quadrature import reference_rule
 
@@ -158,14 +157,10 @@ class ProblemInstance:
     def galerkin(self):
         """Per level, the Galerkin restriction of fine element blocks to its
         free dofs (None on the fine level), built on the first use."""
-        fes, obj = self.fesystems, self.fine_objective
-        steps = []  # finest level pair first
-        for lvl in range(self.L - 2, -1, -1):
-            children = self.hierarchy.children(lvl)
-            steps.append((children, local_prolongation(self.P_full[lvl], fes[lvl],
-                                                       fes[lvl + 1], children)))
+        obj = self.fine_objective
+        children = [self.hierarchy.children(lvl) for lvl in range(self.L - 2, -1, -1)]
         c_free = obj.cost_vector[obj.free_idx()]
-        return [Galerkin(self.objectives[lvl], P, steps[:self.L - 1 - lvl], P.T @ c_free)
+        return [Galerkin(self.objectives[lvl], P, children[:self.L - 1 - lvl], P.T @ c_free)
                 for lvl, P in enumerate(self.P_free_to_fine[:-1])] + [None]
 
     def h_fine(self):
@@ -202,7 +197,7 @@ def build_problem(spec):
     for lo, hi in zip(fesystems[:-1], fesystems[1:]):
         P = prolongation(lo, hi)
         P_full.append(P)
-        P_free.append(free_prolongation(lo, hi, P_full=P))
+        P_free.append(free_prolongation(lo, hi, P))
 
     L = hier.L
     P_free_to_fine = [None] * L

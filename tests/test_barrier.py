@@ -191,3 +191,22 @@ def test_calls_outside_domain_rejected():
                             np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         b.slack_for_t(np.zeros(2), -1.0)
+
+
+@pytest.mark.parametrize("q,s", [((1.0800663120304341, 0.0), 1.1224722951166286),
+                                 ((0.6346871981099332, 0.0), 0.5056378869683275)],
+                         ids=["power-formula-inside", "product-formula-inside"])
+def test_every_method_decides_the_domain_alike(q, s):
+    # at p = 1.5 the gap formed as s^(2/p) - |q|^2 and as s * s^(2/p - 1) -
+    # |q|^2 differ in sign at these points; one formula decides for all
+    b = PLapBarrier(p=1.5, d=2)
+    qq, e = q[0] ** 2, 2.0 / b.p
+    assert (s ** e - qq > 0.0) != (s * s ** (e - 1.0) - qq > 0.0)
+    q, s = np.array([q]), np.array([s])
+    inside = b.feasible(q, s)
+    assert inside == bool(np.isfinite(b.value(q, s)[0]))
+    if inside:
+        assert np.isfinite(b.value_grad_hess(q, s)[2]).all()
+    else:
+        with pytest.raises(ValueError, match="outside the barrier domain"):
+            b.value_grad_hess(q, s)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mgbarrier.cli import (EXIT_INVALID_INPUT, EXIT_OK, main, parse_config_text,
 from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace, run_mgb
 from mgbarrier.problems import build_problem
 
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 BENCH_HEADER = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
 
 
@@ -74,7 +76,11 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     ("rho0 = 0.5\n", "rho0 must be > 1"),
     ("predictor = maybe\n", "expected true or false, got 'maybe'"),
     (None, "No such file"),
-], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file"])
+    # t0 = inf once ended as infeasible-start, t0 past t_cap wrote rows past it
+    ("t0 = inf\n", "t0 must be > 0, finite and <= t_cap"),
+    ("t0 = 100\nt_cap = 10\n", "t0 must be > 0, finite and <= t_cap"),
+], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file",
+        "t0-infinite", "t0-past-t_cap"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:
@@ -100,6 +106,18 @@ def test_nan_config_value_is_a_clean_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert f"{key} must be" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+def test_shipped_configs_parse(path):
+    cfg = cli.load_config(path)
+    assert isinstance(spec_from_config(cfg), problems.ProblemSpec)
+    assert isinstance(cli._path_config(cfg), PathConfig)
+
+
+def test_configs_are_shipped():
+    # an empty glob would leave test_shipped_configs_parse with no cases
+    assert SHIPPED_CONFIGS
 
 
 @pytest.mark.parametrize("key", ["rho0", "theta"])
@@ -207,3 +225,6 @@ def test_check_passes(capsys):
     assert code == EXIT_OK
     assert "FAIL" not in out
     assert "ok" in out
+    # one reverse Hoelder line per coarse level of the 3-level check problem
+    rh = [line for line in out.splitlines() if "reverse Hoelder" in line]
+    assert [line.split(":")[0] for line in rh] == ["ok   level 1", "ok   level 2"]

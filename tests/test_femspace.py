@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgbarrier.femspace import (DSampler, build_fe_system, dump_solution,
-                                free_prolongation, local_prolongation,
-                                prolongation, s_basis, s_node_ref, u_basis,
-                                u_basis_grad)
+from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
+                                dump_solution, free_prolongation, prolongation,
+                                s_basis, s_node_ref, u_basis, u_basis_grad)
 from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
                             refine_uniform)
 from mgbarrier.problems import ProblemSpec, build_problem
@@ -123,35 +122,69 @@ def test_sample_matches_einsum_reference(d, alpha):
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+def coarse_basis_at(fes_c, parent, x_u, x_s):
+    """The coarse local basis of element `parent`, u then s, evaluated by
+    pulling the physical points x_u (u nodes) and x_s (s nodes) back into its
+    reference element: shape (len(x_u) + len(x_s), nloc_c)."""
+    mesh, d, alpha = fes_c.mesh, fes_c.d, fes_c.alpha
+    ref_u, ref_s = ((x - mesh.b[parent]) @ mesh.Ainv[parent].T for x in (x_u, x_s))
+    u, s = u_basis(d, alpha, ref_u), s_basis(d, alpha, ref_s)
+    out = np.zeros((len(u) + len(s), u.shape[1] + s.shape[1]))
+    out[:len(u), :u.shape[1]] = u
+    out[len(u):, u.shape[1]:] = s
+    return out
+
+
 @pytest.mark.parametrize("cells0", [1, 3])
 @pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
+    # under every parent, child rank k's table row is the coarse basis at the
+    # child's physical nodes: to roundoff, and exactly 0 where that vanishes
     hier = MeshHierarchy.build([(0, 1)] * d, cells0, 3)
     fes = [build_fe_system(m, alpha) for m in hier.levels]
+    T = child_prolongation(d, alpha)
+    assert not T.flags.writeable
     for lvl in range(hier.L - 1):
-        P = prolongation(fes[lvl], fes[lvl + 1])
+        fes_c, fes_f = fes[lvl], fes[lvl + 1]
         children = hier.children(lvl)
+        assert T.shape == (children.shape[1], fes_f.elem_dofs().shape[1],
+                           fes_c.elem_dofs().shape[1])
         assert np.array_equal(hier.levels[lvl + 1].parent_map[children],
                               np.repeat(np.arange(len(children))[:, None],
                                         children.shape[1], axis=1))
-        T = local_prolongation(P, fes[lvl], fes[lvl + 1], children)
-        dofs_c, dofs_f = fes[lvl].elem_dofs(), fes[lvl + 1].elem_dofs()
-        free_c = np.isin(dofs_c, fes[lvl].free_idx())
-        fixed_f = ~np.isin(dofs_f, fes[lvl + 1].free_idx())
-        covered = set()
+        s_nodes = fes_f.mesh.to_physical(s_node_ref(d, alpha))
         for parent, kids in enumerate(children):
             for rank, child in enumerate(kids):
-                # entries agree to roundoff; an exact zero is no entry at all
-                block = P[dofs_f[child]][:, dofs_c[parent]].toarray()
-                assert np.max(np.abs(block - T[rank])) <= 1e-14
-                assert np.array_equal(block != 0.0, T[rank] != 0.0)
-                rows, cols = np.nonzero(T[rank])
-                covered.update(zip(dofs_f[child][rows], dofs_c[parent][cols]))
-                # a fixed fine dof meets a free coarse one only in an exact
-                # zero, which is why the restriction needs no mask on fixed rows
-                assert np.all(T[rank][np.ix_(fixed_f[child], free_c[parent])] == 0.0)
-        # every entry of P lies in some child's block
-        assert P.nnz == len(covered)
+                ref = coarse_basis_at(fes_c, parent,
+                                      fes_f.u_node_coords[fes_f.u_elem[child]],
+                                      s_nodes[child])
+                assert np.max(np.abs(ref - T[rank])) <= 1e-14
+                assert np.array_equal(np.abs(ref) > 1e-14, T[rank] != 0.0)
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_prolongation_entries_are_exact_table_entries(d, alpha):
+    # on cells0 = 3 the coarse vertices are not dyadic, and yet every block of
+    # P between a child and its parent is its rank's table, bit for bit
+    hier = MeshHierarchy.build([(0, 1)] * d, 3, 2)
+    fes_c, fes_f = (build_fe_system(m, alpha) for m in hier.levels)
+    P = prolongation(fes_c, fes_f)
+    T = child_prolongation(d, alpha)
+    dofs_c, dofs_f = fes_c.elem_dofs(), fes_f.elem_dofs()
+    free_c = np.isin(dofs_c, fes_c.free_idx())
+    fixed_f = ~np.isin(dofs_f, fes_f.free_idx())
+    covered = set()
+    for parent, kids in enumerate(hier.children(0)):
+        for rank, child in enumerate(kids):
+            assert np.array_equal(P[dofs_f[child]][:, dofs_c[parent]].toarray(), T[rank])
+            rows, cols = np.nonzero(T[rank])
+            covered.update(zip(dofs_f[child][rows], dofs_c[parent][cols]))
+            # a fixed fine dof meets a free coarse one only in an exact zero,
+            # which is why the restriction needs no mask on fixed rows
+            assert np.all(T[rank][np.ix_(fixed_f[child], free_c[parent])] == 0.0)
+    # every entry of P lies in some child's block, and none is an exact zero
+    assert P.nnz == len(covered)
+    assert np.all(P.data != 0.0)
 
 
 def test_galerkin_product_keeps_the_coarse_pattern():

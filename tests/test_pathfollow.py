@@ -49,10 +49,25 @@ def test_path_config_defaults_and_validation():
     (dict(lam_tol=math.nan), "lam_tol must be >= 0"),
     (dict(lam_tol_final=-1e-6), "lam_tol_final must be >= 0"),
     (dict(lam_tol_final=math.nan), "lam_tol_final must be >= 0"),
+    # t0 past t_cap once wrote trace rows at t = t0 > t_cap
+    (dict(t0=100.0, t_cap=10.0), "t0 must be > 0, finite and <= t_cap"),
+    (dict(t0=math.inf), "t0 must be > 0, finite and <= t_cap"),
+    (dict(t0=math.inf, t_cap=math.inf), "t0 must be > 0, finite and <= t_cap"),
+    (dict(t0=math.nan), "t0 must be > 0, finite and <= t_cap"),
+    (dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
 ])
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):
         PathConfig(**kwargs)
+
+
+def test_t0_at_t_cap_is_a_named_failure(small_problem):
+    # at t0 = t_cap the first centering once reached a point that value and
+    # margin accepted and value_grad_hess rejected, and raised ValueError
+    tr = run_mgb(small_problem, PathConfig(t0=1e8))
+    assert tr.status == STATUS_FAILURE
+    assert tr.failure_reason == "initial centering failed on level 1: iteration-cap"
+    assert all(r.t <= 1e8 for r in tr.rows)
 
 
 def test_initial_and_stop_t(small_problem):
