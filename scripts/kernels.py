@@ -19,7 +19,8 @@ repeat-median milliseconds of:
   in the scope (gather, factorization in that order, solve);
 - value: one line-search evaluation;
 
-plus the fill (nnz of L+U) of both factorizations and the host's versions.
+plus build: build_problem, the setup of every level, and the fill (nnz of
+L+U) of both factorizations and the host's versions.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
     PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
@@ -63,8 +64,8 @@ def main():
     ap.add_argument("--repeats", type=int, default=15)
     args = ap.parse_args()
 
-    problem = build_problem(ProblemSpec(p=args.p, alpha=2, levels=args.levels,
-                                        cells0=args.cells0))
+    spec = ProblemSpec(p=args.p, alpha=2, levels=args.levels, cells0=args.cells0)
+    problem = build_problem(spec)
     z = problem.z0
     for lvl in range(problem.L - 1):
         z = problem.refine_iterate(z, lvl)
@@ -114,6 +115,7 @@ def main():
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
+        "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         "fill_nnz_new_pattern": fills[0],
         "fill_nnz_repeated_pattern": fills[-1],
         "numpy": np.__version__,

@@ -56,14 +56,11 @@ class Objective:
             fvals = np.zeros((ne, nq))
         else:
             fvals = np.apply_along_axis(lambda x: self.forcing(*x), 2, smp.xq)
-        c = np.zeros(fes.total_dim)
-        np.add.at(c, fes.u_elem,
-                  np.einsum("eq,qi->ei", smp.wq * fvals, smp.uvals))
-        np.add.at(c, fes.s_elem(),
-                  np.einsum("eq,qj->ej", smp.wq, smp.svals))
-        self.cost_vector = c
+        cloc = np.concatenate([(smp.wq * fvals) @ smp.uvals, smp.wq @ smp.svals], axis=1)
+        self.cost_vector = np.bincount(fes.elem_dofs().ravel(), weights=cloc.ravel(),
+                                       minlength=fes.total_dim)
 
-        self._plan = None  # built by _assembly_plan on the first grad_hess
+        self._plan = None  # built by _assembly_plan on the first assemble
 
     @property
     def n(self):

@@ -28,8 +28,8 @@ class PLapBarrier:
     nu: float = 4.0  # configured parameter, verified empirically by the test suite
 
     def __post_init__(self):
-        if not self.p >= 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
 
     def lam(self, q):
         """Lambda(q) = |q|_2^p."""

@@ -170,8 +170,8 @@ def cmd_check(args):
               abs(mesh.total_volume() - 1.0) < 1e-12)
         _, rho = quasi_uniformity(mesh)
         check(f"level {lvl}: quasi-uniformity 0 < rho <= 1", 0 < rho <= 1)
-    for smp in problem.samplers:
-        check("positive quadrature weights", bool(np.all(smp.wq > 0)))
+    for obj in problem.objectives:
+        check("positive quadrature weights", bool(np.all(obj.sampler.wq > 0)))
 
     trace = run_mgb(problem, PathConfig(budget_s=120))
     check("small MGB run converges", trace.status == STATUS_CONVERGED)

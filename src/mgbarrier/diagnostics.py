@@ -79,12 +79,11 @@ def p2_linear_fem(problem):
     """
     if problem.spec.p != 2.0:
         raise ValueError("linear FEM oracle requires p = 2")
-    fes = problem.fine_fesys
-    smp = problem.samplers[-1]
+    obj = problem.fine_objective
     # stationarity 2 K u + int f phi = 0, i.e. K u = -(1/2) int f phi, and the
     # u part of the cost vector is int f phi
-    load = -0.5 * problem.fine_objective.cost_vector[: fes.n_u]
-    return harmonic_extension(fes, smp, problem.spec.dirichlet, load)
+    load = -0.5 * obj.cost_vector[: obj.fesys.n_u]
+    return harmonic_extension(obj, problem.spec.dirichlet, load)
 
 
 def p2_oracle_error(problem, trace):
@@ -93,7 +92,7 @@ def p2_oracle_error(problem, trace):
     fes = problem.fine_fesys
     u_path = trace.z_final[: fes.n_u]
     diff = u_path - u_fem
-    smp = problem.samplers[-1]
+    smp = problem.fine_objective.sampler
     vals = smp.sample_u(diff)
     l2 = float(np.sqrt(np.sum(smp.wq * vals ** 2)))
     linf = float(np.max(np.abs(diff)))

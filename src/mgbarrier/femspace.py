@@ -179,11 +179,10 @@ class DSampler:
 
     fesys: FeSystem
     rule: object
-    basis: np.ndarray = field(init=False)   # (ne, n_lu, nq*d) physical basis gradients
+    ugrad: np.ndarray = field(init=False)   # (n_lu, nq*d) reference basis gradients
     uvals: np.ndarray = field(init=False)   # (nq, n_lu)
     svals: np.ndarray = field(init=False)   # (nq, n_ls)
     wq: np.ndarray = field(init=False)      # (ne, nq) physical weights
-    xq: np.ndarray = field(init=False)      # (ne, nq, d) node coordinates
     # the rule's reference_tables, and A^-1 A^-T per element at its P = d(d+1)/2 pairs
     pairs: tuple = field(init=False)            # (k, l), k <= l
     hess_table: np.ndarray = field(init=False)  # ((P+d+1)*nq, nloc*nloc)
@@ -193,28 +192,33 @@ class DSampler:
     def __post_init__(self):
         fes, rule, mesh = self.fesys, self.rule, self.fesys.mesh
         refg = u_basis_grad(mesh.d, fes.alpha, rule.nodes)  # (nq, n_lu, d)
-        # physical gradient A_K^{-T} refgrad (as a row: refgrad^T A_K^{-1}), per
-        # element and local dof with (quadrature node, component) stacked, so
-        # that sampling grad u is one batched matmul
-        ne, (nq, n_lu, d) = mesh.num_elements, refg.shape
-        ref = refg.transpose(1, 0, 2).reshape(n_lu * nq, d)
-        self.basis = (ref @ mesh.Ainv).reshape(ne, n_lu, nq * d)
+        # per local dof, (quadrature node, component) stacked, so that the
+        # reference gradients of grad u are one 2-D matmul
+        self.ugrad = refg.transpose(1, 0, 2).reshape(refg.shape[1], -1)
         self.uvals = u_basis(mesh.d, fes.alpha, rule.nodes)
         self.svals = s_basis(mesh.d, fes.alpha, rule.nodes)
         self.wq = pushforward_weights(mesh, rule)
-        self.xq = pushforward_nodes(mesh, rule)
 
         self.pairs, self.hess_table, self.grad_table = reference_tables(
-            d, fes.alpha, tuple(map(tuple, rule.nodes)))
+            mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
         k, l = self.pairs
         self.metric = np.einsum("eki,eki->ek", mesh.Ainv[:, k], mesh.Ainv[:, l])
 
+    @functools.cached_property
+    def xq(self):
+        """Physical quadrature node coordinates, shape (ne, nq, d)."""
+        return pushforward_nodes(self.fesys.mesh, self.rule)
+
     def sample(self, z):
-        """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq)."""
+        """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq).
+
+        The physical gradient is A^-T times the reference one, as a row
+        refgrad^T A^-1."""
         fes, (ne, nq) = self.fesys, self.wq.shape
-        grad_u = z[fes.u_elem][:, None, :] @ self.basis
+        ref = z[fes.u_elem] @ self.ugrad
+        grad_u = ref.reshape(ne, nq, fes.d) @ fes.mesh.Ainv
         s_val = z[fes.n_u:].reshape(-1, fes.n_ls) @ self.svals.T
-        return grad_u.reshape(ne, nq, fes.d), s_val
+        return grad_u, s_val
 
     def sample_u(self, z):
         """u values at quadrature nodes, shape (ne, nq)."""

@@ -52,11 +52,10 @@ class PathConfig:
                              f"got {self.t0}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
-        if not (isinstance(self.direct_cap, int) and self.direct_cap >= 0):
-            raise ValueError(f"direct_cap must be an int >= 0, got {self.direct_cap!r}")
-        if not (isinstance(self.max_center_iters, int) and self.max_center_iters >= 0):
-            raise ValueError("max_center_iters must be an int >= 0, "
-                             f"got {self.max_center_iters!r}")
+        for key in ("direct_cap", "max_center_iters"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
+                raise ValueError(f"{key} must be an int >= 0, got {value!r}")
         if not self.lam_tol >= 0.0:
             raise ValueError(f"lam_tol must be >= 0, got {self.lam_tol}")
         if not self.lam_tol_final >= 0.0:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
@@ -47,8 +46,12 @@ class ProblemSpec:
     dirichlet: object = None         # callable g on the boundary; None -> default
 
     def __post_init__(self):
-        if not self.p >= 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {self.p}")
+        for key in ("alpha", "levels", "cells0"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an int, got {value!r}")
         if self.alpha not in (1, 2):
             raise ValueError(f"alpha must be 1 or 2, got {self.alpha}")
         if self.levels < 1:
@@ -59,34 +62,32 @@ class ProblemSpec:
             self.dirichlet = default_boundary_data(len(self.domain))
 
 
-def harmonic_extension(fesys, sampler, g, load=None):
+def harmonic_extension(objective, g, load=None):
     """Dirichlet-Poisson solve: u = g at boundary nodes and (K u)_i = load_i at
     interior nodes, K the stiffness matrix int grad phi_i . grad phi_j.
 
     With load None this is the discrete-harmonic extension (Delta_h u = 0).
+    The element stiffness is the Hessian table at F'' = I, scattered by the
+    objective's fixed pattern.
     """
-    smp = sampler
+    fes, smp = objective.fesys, objective.sampler
     (ne, nq), P = smp.wq.shape, smp.metric.shape[1]
-    n_lu, nloc = fesys.u_elem.shape[1], smp.grad_table.shape[1]
-    # the u-u block of the element Hessian of int |grad u|^2 / 2, i.e. F'' = I
+    nloc = smp.grad_table.shape[1]
     kloc = (smp.metric[..., None] * smp.wq[:, None]).reshape(ne, -1)
-    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)[:, :n_lu, :n_lu]
-    rows = np.repeat(fesys.u_elem, n_lu, axis=1).ravel()
-    cols = np.tile(fesys.u_elem, (1, n_lu)).ravel()
-    K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fesys.n_u, fesys.n_u))
+    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)
 
-    u = apply_dirichlet(fesys, np.zeros(fesys.n_u), g)
-    bidx = np.flatnonzero(fesys.u_boundary)
-    if not np.all(np.isfinite(u[bidx])):
+    z = apply_dirichlet(fes, np.zeros(fes.total_dim), g)
+    if not np.all(np.isfinite(z)):
         raise ValueError("Dirichlet data is not finite at a boundary node")
-    iidx = np.flatnonzero(~fesys.u_boundary)
-    if iidx.size:
-        Kii = K[np.ix_(iidx, iidx)].tocsc()
-        rhs = -K[np.ix_(iidx, bidx)] @ u[bidx]
-        if load is not None:
-            rhs = load[iidx] + rhs
-        u[iidx] = spla.splu(Kii).solve(rhs)
-    return u
+    # free rows of K z, and K over the free dofs: interior u first, then s,
+    # whose rows and columns are empty
+    Kz, K = objective.assemble((kloc @ z[fes.elem_dofs(), None])[..., 0], kloc, 0.0)
+    iidx = np.flatnonzero(~fes.u_boundary)
+    m = iidx.size
+    if m:
+        rhs = -Kz[:m] if load is None else load[iidx] - Kz[:m]
+        z[iidx] = spla.splu(K[:m, :m].tocsc()).solve(rhs)
+    return z[:fes.n_u]
 
 
 def apply_dirichlet(fesys, z, g):
@@ -135,9 +136,7 @@ class ProblemInstance:
     spec: ProblemSpec
     barrier: PLapBarrier
     hierarchy: MeshHierarchy
-    fesystems: list
-    samplers: list
-    objectives: list        # per level, quadrature on that level's mesh
+    objectives: list        # per level: its FE system, sampler and quadrature
     P_full: list            # consecutive full prolongations, len L-1
     P_free: list            # consecutive free prolongations, len L-1
     P_free_to_fine: list    # cumulative free prolongation level l -> fine, len L (last None)
@@ -153,7 +152,7 @@ class ProblemInstance:
 
     @property
     def fine_fesys(self):
-        return self.fesystems[-1]
+        return self.fine_objective.fesys
 
     @functools.cached_property
     def galerkin(self):
@@ -176,9 +175,9 @@ class ProblemInstance:
         interpolant at the new boundary nodes, and repair the slack so the
         result stays in the barrier domain."""
         z = self.P_full[level] @ z
-        fes = self.fesystems[level + 1]
-        z = apply_dirichlet(fes, z, self.spec.dirichlet)
-        z, _ = repair_slack(self.objectives[level + 1], z)
+        obj = self.objectives[level + 1]
+        z = apply_dirichlet(obj.fesys, z, self.spec.dirichlet)
+        z, _ = repair_slack(obj, z)
         return z
 
 
@@ -188,12 +187,11 @@ def build_problem(spec):
     hier = MeshHierarchy.build(spec.domain, spec.cells0, spec.levels)
     rule = reference_rule(d, 2 * spec.alpha)
 
-    fesystems = [build_fe_system(m, spec.alpha) for m in hier.levels]
-    samplers = [DSampler(fes, rule) for fes in fesystems]
-    objectives = [
-        Objective(fes, smp, barrier, spec.forcing)
-        for fes, smp in zip(fesystems, samplers)
-    ]
+    objectives = []
+    for mesh in hier.levels:
+        fes = build_fe_system(mesh, spec.alpha)
+        objectives.append(Objective(fes, DSampler(fes, rule), barrier, spec.forcing))
+    fesystems = [obj.fesys for obj in objectives]
 
     P_full, P_free = [], []
     for lo, hi in zip(fesystems[:-1], fesystems[1:]):
@@ -208,8 +206,8 @@ def build_problem(spec):
         acc = P_free[lvl] if acc is None else (acc @ P_free[lvl]).tocsr()
         P_free_to_fine[lvl] = acc
 
-    fes0 = fesystems[0]
-    u0 = harmonic_extension(fes0, samplers[0], spec.dirichlet)
+    fes0 = objectives[0].fesys
+    u0 = harmonic_extension(objectives[0], spec.dirichlet)
     z0 = np.zeros(fes0.total_dim)
     z0[: fes0.n_u] = u0
     z0[fes0.n_u:] = init_slack(objectives[0], u0)
@@ -218,12 +216,9 @@ def build_problem(spec):
         spec=spec,
         barrier=barrier,
         hierarchy=hier,
-        fesystems=fesystems,
-        samplers=samplers,
         objectives=objectives,
         P_full=P_full,
         P_free=P_free,
         P_free_to_fine=P_free_to_fine,
         z0=z0,
     )
-

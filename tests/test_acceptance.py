@@ -278,13 +278,13 @@ def test_criterion_9_substrate(mgb_scaling_runs):
     pr, _ = mgb_scaling_runs["predictor"][-1]
     ok_vol = all(abs(m.total_volume() - 1.0) < 1e-12
                  for m in pr.hierarchy.levels)
-    ok_w = all(np.all(smp.wq > 0) for smp in pr.samplers)
+    ok_w = all(np.all(obj.sampler.wq > 0) for obj in pr.objectives)
 
     # prolongation exactness in the discrete L^inf norm on 50 random coarse v
     rng = np.random.default_rng(99)
-    fes_c, fes_f = pr.fesystems[0], pr.fesystems[1]
+    fes_c, fes_f = pr.objectives[0].fesys, pr.objectives[1].fesys
     mesh_c, mesh_f = fes_c.mesh, fes_f.mesh
-    smp_f = pr.samplers[1]
+    smp_f = pr.objectives[1].sampler
     P = pr.P_full[0]
     pe = mesh_f.parent_map
     # reference coordinates of the fine quadrature points in the parent element

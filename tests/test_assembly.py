@@ -221,6 +221,22 @@ def test_fixed_pattern_assembly_matches_reference(domain, alpha):
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
 @pytest.mark.parametrize("alpha", [1, 2])
+def test_cost_vector_matches_add_at_reference(domain, alpha):
+    f = lambda *x: 1.0 + x[0] * x[-1]  # noqa: E731
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=3,
+                                   domain=domain, forcing=f))
+    obj = pr.fine_objective
+    fes, smp = obj.fesys, obj.sampler
+    # int f phi_i and int psi_j per element, summed into the u and s dofs
+    fw = smp.wq * np.apply_along_axis(lambda x: f(*x), 2, smp.xq)
+    c = np.zeros(fes.total_dim)
+    np.add.at(c, fes.u_elem, np.einsum("eq,qi->ei", fw, smp.uvals))
+    np.add.at(c, fes.s_elem(), np.einsum("eq,qj->ej", smp.wq, smp.svals))
+    assert_close(obj.cost_vector, c)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@pytest.mark.parametrize("alpha", [1, 2])
 def test_element_blocks_match_reference_at_a_late_center(domain, alpha):
     # at a center with t = 1e6 the gap is ~1/t, where a reformulation of the
     # barrier terms loses digits first; t = 0 leaves the barrier part alone

@@ -195,8 +195,9 @@ def test_slack_for_t_closed_forms_p2():
 
 
 def test_invalid_p_rejected():
-    with pytest.raises(ValueError):
-        PLapBarrier(p=0.9, d=2)
+    for p in (0.9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+            PLapBarrier(p=p, d=2)
 
 
 @pytest.mark.parametrize("q,s", [((math.nan, 0.0), 1.0), ((0.1, 0.0), math.nan)],

@@ -79,8 +79,10 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     # t0 = inf once ended as infeasible-start, t0 past t_cap wrote rows past it
     ("t0 = inf\n", "t0 must be > 0, finite and <= t_cap"),
     ("t0 = 100\nt_cap = 10\n", "t0 must be > 0, finite and <= t_cap"),
+    # p = inf once failed in slack setup with a traceback
+    ("p = inf\n", "p must be >= 1 and finite"),
 ], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file",
-        "t0-infinite", "t0-past-t_cap"])
+        "t0-infinite", "t0-past-t_cap", "p-infinite"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:
@@ -194,7 +196,7 @@ def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, 
         (["--levels", "1,x"], "invalid literal for int()"),
         (["--config", str(bad_alpha)], "alpha must be 1 or 2"),
         # the first cell is valid: every cell is checked before any runs
-        (["--p-values", "1.5,0.5"], "p must be >= 1, got 0.5"),
+        (["--p-values", "1.5,0.5"], "p must be >= 1 and finite, got 0.5"),
         (["--levels", "1,0"], "levels must be >= 1, got 0"),
     ]:
         code = main(["bench", "--out", str(out_path), "--levels", "1", *argv])

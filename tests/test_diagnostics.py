@@ -33,7 +33,7 @@ def test_p2_linear_fem_matches_harmonic_extension(p2_problem):
     # with f = 0 the energy minimizer is the discrete-harmonic extension
     pr, _ = p2_problem
     u = p2_linear_fem(pr)
-    u_harm = harmonic_extension(pr.fine_fesys, pr.samplers[-1], pr.spec.dirichlet)
+    u_harm = harmonic_extension(pr.fine_objective, pr.spec.dirichlet)
     assert np.allclose(u, u_harm, atol=1e-10)
 
 
@@ -69,7 +69,7 @@ def test_rh_constant_estimate_positive(small_problem):
 def _rh_loop(problem, z, num_samples, seed):
     """Loop reference for rh_constant_estimate: one mask per coarse element."""
     rng = np.random.default_rng(seed)
-    smp = problem.samplers[-1]
+    smp = problem.fine_objective.sampler
     d = problem.fine_fesys.d
     grad_u, s_val = smp.sample(z)
     _, _, H = problem.barrier.value_grad_hess(grad_u.reshape(-1, d), s_val.ravel())

@@ -55,6 +55,9 @@ def test_path_config_defaults_and_validation():
     (dict(t0=math.inf, t_cap=math.inf), "t0 must be > 0, finite and <= t_cap"),
     (dict(t0=math.nan), "t0 must be > 0, finite and <= t_cap"),
     (dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
+    # a bool is an int to isinstance
+    (dict(direct_cap=True), "direct_cap must be an int >= 0"),
+    (dict(max_center_iters=True), "max_center_iters must be an int >= 0"),
 ])
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):

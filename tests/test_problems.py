@@ -1,23 +1,38 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mgbarrier import mesh
 from mgbarrier.cli import load_config, parse_config_text, spec_from_config
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
-from mgbarrier.problems import (ProblemSpec, apply_dirichlet,
-                                build_problem, default_boundary_data,
+from mgbarrier.problems import (UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec,
+                                apply_dirichlet, build_problem, default_boundary_data,
                                 harmonic_extension, init_slack, repair_slack)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ProblemSpec(p=0.5)
+    for kwargs, message in [
+        (dict(p=0.5), "p must be >= 1 and finite"),
+        (dict(p=math.inf), "p must be >= 1 and finite"),
+        # a float count was once truncated (cells0) or failed deep in setup (levels)
+        (dict(cells0=2.5), "cells0 must be an int"),
+        (dict(levels=1.5), "levels must be an int"),
+        (dict(alpha=2.0), "alpha must be an int"),
+        (dict(levels=True), "levels must be an int"),
+        (dict(cells0=True), "cells0 must be an int"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(**kwargs)
     spec = ProblemSpec(p=2.0)
     assert spec.dirichlet is not None
     # quadrature exact to degree 2 * alpha on every level
     for alpha in (1, 2):
         pr = build_problem(ProblemSpec(p=2.0, alpha=alpha, levels=2, cells0=1))
-        assert [smp.rule.exactness_degree for smp in pr.samplers] == [2 * alpha] * 2
+        assert [obj.sampler.rule.exactness_degree
+                for obj in pr.objectives] == [2 * alpha] * 2
 
 
 def test_default_boundary_data_dimensions():
@@ -31,12 +46,14 @@ def test_default_boundary_data_dimensions():
 def test_build_problem_structure(small_problem):
     pr = small_problem
     assert pr.L == 2
-    assert len(pr.fesystems) == 2
+    assert len(pr.objectives) == 2
     assert len(pr.P_full) == 1 and len(pr.P_free) == 1
     assert pr.P_free_to_fine[-1] is None
     assert pr.P_free_to_fine[0].shape[0] == len(pr.fine_fesys.free_idx())
     # initial iterate is feasible on the coarsest level
     assert pr.objectives[0].feasible(pr.z0)
+    # with f = 0 nothing needs the physical quadrature nodes
+    assert all("xq" not in obj.sampler.__dict__ for obj in pr.objectives)
 
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
@@ -57,9 +74,9 @@ def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
 
 def test_harmonic_extension_boundary_and_mean_value():
     pr = build_problem(ProblemSpec(p=2.0, alpha=1, levels=1, cells0=4))
-    fes, smp = pr.fesystems[0], pr.samplers[0]
+    fes = pr.objectives[0].fesys
     g = lambda x, y: x + 2 * y
-    u = harmonic_extension(fes, smp, g)
+    u = harmonic_extension(pr.objectives[0], g)
     for i in np.flatnonzero(fes.u_boundary):
         x, y = fes.u_node_coords[i]
         assert u[i] == pytest.approx(g(x, y))
@@ -67,9 +84,40 @@ def test_harmonic_extension_boundary_and_mean_value():
     assert np.allclose(u, [g(*xy) for xy in fes.u_node_coords], atol=1e-10)
 
 
+def coo_harmonic_extension(fes, smp, g, load=None):
+    """Reference: the u-u stiffness scattered as COO and solved on np.ix_ blocks."""
+    (ne, nq), P = smp.wq.shape, smp.metric.shape[1]
+    n_lu, nloc = fes.u_elem.shape[1], smp.grad_table.shape[1]
+    kloc = (smp.metric[..., None] * smp.wq[:, None]).reshape(ne, -1)
+    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)[:, :n_lu, :n_lu]
+    rows = np.repeat(fes.u_elem, n_lu, axis=1).ravel()
+    cols = np.tile(fes.u_elem, (1, n_lu)).ravel()
+    K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fes.n_u, fes.n_u))
+    u = apply_dirichlet(fes, np.zeros(fes.n_u), g)
+    bidx, iidx = np.flatnonzero(fes.u_boundary), np.flatnonzero(~fes.u_boundary)
+    rhs = -K[np.ix_(iidx, bidx)] @ u[bidx]
+    if load is not None:
+        rhs = load[iidx] + rhs
+    u[iidx] = spla.splu(K[np.ix_(iidx, iidx)].tocsc()).solve(rhs)
+    return u
+
+
+@pytest.mark.parametrize("with_load", [False, True], ids=["harmonic", "load"])
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+def test_harmonic_extension_matches_coo_reference(domain, alpha, with_load):
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=3, domain=domain))
+    obj, g = pr.fine_objective, pr.spec.dirichlet
+    rng = np.random.default_rng(5)
+    load = rng.standard_normal(obj.fesys.n_u) if with_load else None
+    u = harmonic_extension(obj, g, load)
+    ref = coo_harmonic_extension(obj.fesys, obj.sampler, g, load)
+    assert np.linalg.norm(u - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_init_slack_feasible(small_problem):
     pr = small_problem
-    fes = pr.fesystems[0]
+    fes = pr.objectives[0].fesys
     u0 = pr.z0[: fes.n_u]
     s = init_slack(pr.objectives[0], u0)
     assert np.all(s > 0)
@@ -81,7 +129,7 @@ def test_init_slack_feasible(small_problem):
 
 def test_repair_slack_fixes_grazing_point(small_problem):
     pr = small_problem
-    fes, smp = pr.fine_fesys, pr.samplers[-1]
+    fes, smp = pr.fine_fesys, pr.fine_objective.sampler
     z = pr.refine_iterate(pr.z0, 0)
     bad = z.copy()
     bad[fes.n_u] = 0.0  # crush one element's slack
@@ -166,7 +214,7 @@ def test_load_config_and_spec(tmp_path):
 @pytest.mark.parametrize("text", [
     "dim = 3\n", "dim = 0\n", "levels = 0\n", "cells0 = 0\n", "alpha = 3\n",
     "t_cap = 0\n", "theta = -0.5\n", "budget_s = -1\n", "t0 = 0\n", "t0 = -1\n",
-    "t0 = nan\n",
+    "t0 = nan\n", "p = inf\n",
 ])
 def test_invalid_config_values_rejected(text):
     cfg = parse_config_text(text)
