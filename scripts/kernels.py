@@ -13,10 +13,10 @@ repeat-median milliseconds of:
 - restrict (one per coarse level, coarsest first): the Galerkin restriction
   of the fine element blocks to that level's free dofs, including the
   scatter into the level's pattern;
-- decrement_new_pattern: newton_decrement in a fresh ordering scope, i.e.
+- decrement_new_pattern: DirectSolver.decrement on a new solver, i.e.
   minimum-degree ordering, factorization, solve and recording the ordering;
-- decrement_repeated_pattern: newton_decrement on a pattern already ordered
-  in the scope (gather, factorization in that order, solve);
+- decrement_repeated_pattern: DirectSolver.decrement on a pattern the solver
+  has already ordered (gather, factorization in that order, solve);
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and the fill (nnz of
@@ -84,14 +84,12 @@ def main():
         return lu
 
     def new_pattern():
-        with newton.ordering_scope({}):
-            newton.newton_decrement(g, H)
+        newton.DirectSolver().decrement(g, H)
 
-    orderings = {}
+    solver = newton.DirectSolver()
 
     def repeated_pattern():
-        with newton.ordering_scope(orderings):
-            newton.newton_decrement(g, H)
+        solver.decrement(g, H)
 
     spla.splu = logged_splu
     try:

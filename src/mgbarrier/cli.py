@@ -1,13 +1,14 @@
 """Command line interface: solve, bench, check; the config format.
 
 Exit codes: 0 success, 2 solver failure, 3 budget exhaustion, 4 invalid
-input: an unreadable or invalid config, or invalid arguments (a one-line
-message on stderr; nothing is solved).
+input: an unreadable or invalid config, invalid arguments or an output path
+that cannot be written (a one-line message on stderr; nothing is solved).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -82,6 +83,16 @@ def _path_config(cfg):
     return PathConfig(**{key: cfg[key] for key in _PATH_KEYS if key in cfg})
 
 
+def _check_writable(*paths):
+    """Raise OSError unless every given path (None is skipped) can be opened
+    for writing; a file this creates is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _invalid_input(exc):
     print(f"mgbarrier: invalid input: {exc}", file=sys.stderr)
     return EXIT_INVALID_INPUT
@@ -92,6 +103,7 @@ def cmd_solve(args):
         cfg = load_config(args.config)
         spec = spec_from_config(cfg)
         config = _path_config(cfg)
+        _check_writable(args.dump_mesh, args.dump_solution, args.trace)
     except (OSError, ValueError) as exc:
         return _invalid_input(exc)
     problem = build_problem(spec)
@@ -135,6 +147,7 @@ def cmd_bench(args):
         specs = [spec_from_config(cfg, p=p, levels=levels)
                  for p in _parse_list(args.p_values, float)
                  for levels in _parse_list(args.levels, int)]
+        _check_writable(args.out)
     except (OSError, ValueError) as exc:
         return _invalid_input(exc)
     rows = ["algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"]

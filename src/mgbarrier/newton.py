@@ -7,9 +7,7 @@ the barrier domain (value = +inf) are handled by halving the step.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-import functools
 import time
 from dataclasses import dataclass
 
@@ -37,25 +35,10 @@ RELAX = 4
 SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
                    options=dict(SymmetricMode=True))
 
-# orderings newton_decrement may reuse and record; None outside ordering_scope
-_orderings = contextvars.ContextVar("orderings", default=None)
-# a list newton_decrement appends the solve of its factor to; None unless a
-# center call asked for a solve at its center
-_factor_slot = contextvars.ContextVar("factor_slot", default=None)
-
-
-@contextlib.contextmanager
-def ordering_scope(orderings):
-    """Within the block, newton_decrement orders each sparsity pattern once.
-
-    orderings is a dict owned by the caller (one per path-following run); it
-    maps (shape, nnz) to the Ordering last computed for such a pattern.
-    """
-    token = _orderings.set(orderings)
-    try:
-        yield
-    finally:
-        _orderings.reset(token)
+# the solver of the running center call, read by newton_decrement. It is not
+# an argument because perfbench's traced mode wraps newton.newton_decrement by
+# name and calls it with exactly (g, H); only center sets it
+_solver = contextvars.ContextVar("solver", default=None)
 
 
 class Ordering:
@@ -123,10 +106,9 @@ def scaled_shift(H, d):
 
 
 def shifted_csc(H):
-    """H + scaled_shift(H, d) * diag(d), d = diag(H), as a CSC matrix, or None
-    if an entry of d is not positive (or NaN): H is then not SPD, and no
-    clamp makes it so."""
-    H = H.tocsr()
+    """H + scaled_shift(H, d) * diag(d), d = diag(H), for a CSR matrix H, as
+    a CSC matrix, or None if an entry of d is not positive (or NaN): H is
+    then not SPD, and no clamp makes it so."""
     d = H.diagonal()
     if not (d > 0).all():
         return None
@@ -142,117 +124,121 @@ class CenteringResult:
     decrement: float
     status: str
     value: float  # f at y, the value the line search last accepted
-    solved: np.ndarray | None = None  # H(y)^{-1} solve_rhs, if center was given one
 
 
-def _permuted_solve(lu, perm, b):
-    """Solve with lu, the factor of a matrix permuted by perm (Ordering.permuted)."""
-    bp = np.empty_like(b)
-    bp[perm] = b
-    return lu.solve(bp)[perm]
+class DirectSolver:
+    """The sparse direct Newton solves of one path-following run: it orders
+    each Hessian sparsity pattern once, and keeps the factor of its last
+    decrement for solve(b) until release() or the next decrement."""
+
+    def __init__(self):
+        self.orderings = {}  # (shape, nnz) -> the Ordering last computed for such a pattern
+        self._lu = self._perm = None  # the last decrement's factor and its Ordering.perm
+
+    def decrement(self, g, H):
+        """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
+
+        The shifted Hessian H + sigma diag(H) (shifted_csc) is SPD, so it is
+        factored with minimum degree on A + A^T and diagonal pivots, at a
+        quarter of the fill of column ordering with partial pivoting. A
+        sparsity pattern seen before is not ordered again: its data is
+        gathered into the recorded permuted pattern and factored in that
+        order. Returns (None, None) and keeps no factor if a diagonal entry of
+        H is not positive (before any factorization), if the factorization
+        fails or if lambda^2 is negative beyond roundoff.
+        """
+        self.release()
+        H = H.tocsr()
+        key = (H.shape, H.nnz)
+        order = self.orderings.get(key)
+        if order is not None and not order.matches(H):
+            order = None
+        A = shifted_csc(H) if order is None else order.permuted(H)
+        if A is None:
+            return None, None
+        try:
+            self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if order is None
+                                 else "NATURAL", **SPD_OPTIONS)
+            self._perm = None if order is None else order.perm
+            step = -self.solve(g)
+        except RuntimeError:
+            self.release()
+            return None, None
+        if order is None:
+            # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
+            order = Ordering.of(H, self._lu.perm_c.copy())
+            if order is not None:
+                self.orderings[key] = order
+        lam2 = float(-g @ step)
+        if not np.isfinite(lam2) or (
+                lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
+            self.release()
+            return None, None
+        return float(np.sqrt(max(lam2, 0.0))), step
+
+    def solve(self, b):
+        """H^{-1} b with the factor of the last decrement."""
+        if self._lu is None:
+            raise RuntimeError("no factor: the last decrement failed or was released")
+        if self._perm is None:
+            return self._lu.solve(b)
+        bp = np.empty_like(b)
+        bp[self._perm] = b
+        return self._lu.solve(bp)[self._perm]
+
+    def release(self):
+        """Drop the factor of the last decrement."""
+        self._lu = self._perm = None
 
 
 def newton_decrement(g, H):
-    """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
-
-    H is symmetric positive definite, so the shifted Hessian H + sigma diag(H)
-    (shifted_csc) is factored with a symmetric ordering (minimum degree on
-    A + A^T) and diagonal pivots, which fills in a quarter of what column
-    ordering with partial pivoting does. Inside ordering_scope, a CSR pattern
-    seen before is not ordered again: its data is gathered into the recorded
-    permuted pattern and factored in that order. Returns (None, None), before
-    any factorization, if a diagonal entry of H is not positive, and also if
-    the factorization fails or lambda^2 is negative beyond roundoff. Inside a
-    center call given a solve_rhs, the solve of the factor is appended to its
-    slot; elsewhere the factor is dropped on return.
-    """
-    orderings = _orderings.get() if H.format == "csr" else None
-    key = (H.shape, H.nnz)
-    order = orderings.get(key) if orderings is not None else None
-    if order is not None and not order.matches(H):
-        order = None
-    A = shifted_csc(H) if order is None else order.permuted(H)
-    if A is None:
-        return None, None
-    try:
-        if order is None:
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **SPD_OPTIONS)
-            solve = lu.solve
-        else:
-            lu = spla.splu(A, permc_spec="NATURAL", **SPD_OPTIONS)
-            solve = functools.partial(_permuted_solve, lu, order.perm)
-        step = -solve(g)
-    except RuntimeError:
-        return None, None
-    if order is None and orderings is not None:
-        # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-        order = Ordering.of(H, lu.perm_c.copy())
-        if order is not None:
-            orderings[key] = order
-    lam2 = float(-g @ step)
-    if not np.isfinite(lam2) or (
-            lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
-        return None, None
-    slot = _factor_slot.get()
-    if slot is not None:
-        slot.append(solve)
-    return float(np.sqrt(max(lam2, 0.0))), step
+    """The decrement of (g, H) on the running center call's solver; outside
+    a center call, on a new DirectSolver, which keeps nothing."""
+    return (_solver.get() or DirectSolver()).decrement(g, H)
 
 
 def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None,
-           solve_rhs=None):
+           solver=None):
     """Damped Newton until the decrement drops below lam_tol.
 
     Returns a CenteringResult; iterations counts accepted Newton steps. With a
     deadline (a time.monotonic() value), an unconverged centering that is
-    past it stops before its next step with status BUDGET. With solve_rhs, a
-    converged result carries H^{-1} solve_rhs at its y, solved with the
-    factor that checked lam <= lam_tol; every other factor is dropped right
-    after its decrement, and none outlives the call.
+    past it stops before its next step with status BUDGET. The decrements
+    run on solver (a new DirectSolver if None). A converged centering leaves
+    the factor that checked lam <= lam_tol in it, for solver.solve at y;
+    every other factor is released before its line search.
     """
-    slot = None if solve_rhs is None else []
-    token = _factor_slot.set(slot)
+    solver = DirectSolver() if solver is None else solver
+    token = _solver.set(solver)
     try:
-        return _damped_newton(level_obj, y0, t, lam_tol, max_iters, deadline,
-                              slot, solve_rhs)
+        y = np.asarray(y0, dtype=float).copy()
+        val = level_obj.value(y, t)
+        if not np.isfinite(val):
+            return CenteringResult(y, 0, np.inf, INFEASIBLE_START, val)
+
+        for it in range(max_iters + 1):
+            # no names hold g and H, so they are freed before the next assembly
+            lam, step = newton_decrement(*level_obj.grad_hess(y, t))
+            if lam is None:
+                return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val)
+            if lam <= lam_tol:
+                return CenteringResult(y, it, lam, CONVERGED, val)
+            solver.release()
+            if it == max_iters:
+                return CenteringResult(y, it, lam, ITERATION_CAP, val)
+            if deadline is not None and time.monotonic() > deadline:
+                return CenteringResult(y, it, lam, BUDGET, val)
+
+            damped = lam >= QUAD_PHASE
+            alpha = 1.0 / (1.0 + lam) if damped else 1.0
+            for _ in range(MAX_BACKTRACK):
+                y_try = y + alpha * step
+                val_try = level_obj.value(y_try, t)
+                if np.isfinite(val_try) and (not damped or val_try < val):
+                    break
+                alpha *= 0.5
+            else:
+                return CenteringResult(y, it, lam, SOLVER_FAILURE, val)
+            y, val = y_try, val_try
     finally:
-        _factor_slot.reset(token)
-
-
-def _damped_newton(level_obj, y0, t, lam_tol, max_iters, deadline, slot, solve_rhs):
-    y = np.asarray(y0, dtype=float).copy()
-    val = level_obj.value(y, t)
-    if not np.isfinite(val):
-        return CenteringResult(y, 0, np.inf, INFEASIBLE_START, val)
-
-    lam = np.inf
-    for it in range(max_iters + 1):
-        # no names hold g and H, so they are freed before the next assembly
-        lam, step = newton_decrement(*level_obj.grad_hess(y, t))
-        if lam is None:
-            return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val)
-        if lam <= lam_tol:
-            solved = slot.pop()(solve_rhs) if slot else None
-            return CenteringResult(y, it, lam, CONVERGED, val, solved)
-        if slot:
-            slot.clear()
-        if it == max_iters:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            return CenteringResult(y, it, lam, BUDGET, val)
-
-        damped = lam >= QUAD_PHASE
-        alpha = 1.0 / (1.0 + lam) if damped else 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACK):
-            y_try = y + alpha * step
-            val_try = level_obj.value(y_try, t)
-            if np.isfinite(val_try) and (not damped or val_try < val):
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            return CenteringResult(y, it, lam, SOLVER_FAILURE, val)
-        y, val = y_try, val_try
-
-    return CenteringResult(y, max_iters, lam, ITERATION_CAP, val)
+        _solver.reset(token)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LevelObjective
-from .newton import BUDGET, CONVERGED, MAX_BACKTRACK, center, ordering_scope
+from .newton import BUDGET, CONVERGED, MAX_BACKTRACK, DirectSolver, center
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
@@ -56,10 +56,10 @@ class PathConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
                 raise ValueError(f"{key} must be an int >= 0, got {value!r}")
-        if not self.lam_tol >= 0.0:
-            raise ValueError(f"lam_tol must be >= 0, got {self.lam_tol}")
-        if not self.lam_tol_final >= 0.0:
-            raise ValueError(f"lam_tol_final must be >= 0, got {self.lam_tol_final}")
+        for key in ("lam_tol", "lam_tol_final"):  # inf accepts every point as centered
+            value = getattr(self, key)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{key} must be >= 0 and finite, got {value}")
         if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
         if not isinstance(self.predictor, bool):
@@ -166,7 +166,7 @@ class _Run:
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
-        self.orderings = {}  # fill-reducing orderings by Hessian pattern
+        self.solver = DirectSolver()  # orderings by Hessian pattern, the last factor
         self.tangent = None  # dz/dt (free dofs) at the last center asked for it
         self.prev = None  # (z, t) of the center before the one self.tangent is at
 
@@ -202,14 +202,13 @@ class _Run:
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
         lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
         max_iters = self.config.max_center_iters if max_iters is None else max_iters
+        res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
+                     deadline=self.deadline, solver=self.solver)
         # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
         # that ends the centering gives dz/dt = H^{-1} (-c)
-        minus_cost = -obj.cost_vector[obj.free_idx()] if tangent else None
-        self.tangent = None  # the previous center's tangent is used up
-        with ordering_scope(self.orderings):
-            res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
-                         deadline=self.deadline, solve_rhs=minus_cost)
-        self.tangent = res.solved
+        self.tangent = (self.solver.solve(-obj.cost_vector[obj.free_idx()])
+                        if tangent and res.status == CONVERGED else None)
+        self.solver.release()
         self.timed_out = res.status == BUDGET
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)

@@ -208,6 +208,35 @@ def test_bench_rejects_unknown_algorithm_before_any_cell(tmp_path, monkeypatch, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--dump-mesh", "--dump-solution"])
+def test_unwritable_output_fails_before_any_solve(config_file, tmp_path, monkeypatch,
+                                                  capsys, flag):
+    # an output path in a missing directory once crashed with a traceback
+    # after every solve had run
+    cells = []
+    monkeypatch.setattr(cli, "build_problem", lambda spec: cells.append(spec))
+    bad = str(tmp_path / "missing" / "x.txt")
+    if flag == "--out":
+        argv = ["bench", "--out", bad, "--levels", "1"]
+    else:
+        argv = ["solve", "--config", str(config_file), flag, bad]
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("mgbarrier: invalid input:") and "x.txt" in err
+    assert len(err.strip().splitlines()) == 1
+    assert cells == []
+
+
+def test_writable_check_leaves_no_file_and_keeps_existing_ones(tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    cli._check_writable(None, str(new), str(old))
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    with pytest.raises(IsADirectoryError):
+        cli._check_writable(str(tmp_path))
+
+
 @pytest.mark.parametrize("module", [problems, diagnostics])
 def test_problems_and_diagnostics_do_not_import_the_solver(module):
     # only cli ties problem construction to the path-following solver

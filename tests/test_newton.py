@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 from mgbarrier import newton
 from mgbarrier.assembly import LevelObjective, regularization_shift, regularize
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
-                              SOLVER_FAILURE, center, newton_decrement,
-                              ordering_scope)
+                              SOLVER_FAILURE, DirectSolver, center,
+                              newton_decrement)
 from mgbarrier.problems import ProblemSpec, build_problem
 
 
@@ -64,17 +64,23 @@ def test_center_quadratic_one_full_step():
 
 
 def test_center_solves_with_its_last_factor():
-    # a converged centering solves H^{-1} rhs at its point; others do not
+    # a converged centering leaves the factor at its point for H^{-1} rhs;
+    # release() and an unconverged centering leave none
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(A, np.array([1.0, 2.0, 3.0]))
     rhs = np.array([1.0, -1.0, 0.5])
-    res = center(obj, np.zeros(3), t=1.0, lam_tol=1e-10, solve_rhs=rhs)
+    solver = DirectSolver()
+    res = center(obj, np.zeros(3), t=1.0, lam_tol=1e-10, solver=solver)
     assert res.status == CONVERGED
-    assert np.allclose(A @ res.solved, rhs, rtol=1e-12)
-    assert center(obj, np.zeros(3), t=1.0, lam_tol=1e-10).solved is None
+    assert np.allclose(A @ solver.solve(rhs), rhs, rtol=1e-12)
+    solver.release()
+    with pytest.raises(RuntimeError, match="no factor"):
+        solver.solve(rhs)
     res = center(obj, np.full(3, 1e6), t=1.0, lam_tol=1e-12, max_iters=0,
-                 solve_rhs=rhs)
-    assert res.status == ITERATION_CAP and res.solved is None
+                 solver=solver)
+    assert res.status == ITERATION_CAP
+    with pytest.raises(RuntimeError, match="no factor"):
+        solver.solve(rhs)
 
 
 def test_center_log_barrier_far_start():
@@ -195,17 +201,16 @@ def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_use
     # the reused-order step by 1.6e-8.
     (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
     orderings_used.clear()
-    orderings = {}
-    with ordering_scope(orderings):
-        for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
-            g, H = obj.grad_hess(z, 1.0)
-            lam0, step0 = newton_decrement(g, H)
-            g, H = obj.grad_hess(z, 1.0)
-            lam, step = newton_decrement(g, H)
-            _assert_solves_regularized(g, H, lam, step)
-            assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
+    solver = DirectSolver()
+    for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
+        g, H = obj.grad_hess(z, 1.0)
+        lam0, step0 = solver.decrement(g, H)
+        g, H = obj.grad_hess(z, 1.0)
+        lam, step = solver.decrement(g, H)
+        _assert_solves_regularized(g, H, lam, step)
+        assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
     assert orderings_used == ["MMD_AT_PLUS_A", "NATURAL"] * 2
-    assert len(orderings) == 2
+    assert len(solver.orderings) == 2
 
 
 def test_same_shape_and_nnz_do_not_reuse_an_ordering(orderings_used):
@@ -215,15 +220,15 @@ def test_same_shape_and_nnz_do_not_reuse_an_ordering(orderings_used):
     A1[0, 2] = A1[2, 0] = 1.0
     A2[1, 3] = A2[3, 1] = 1.0
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    with ordering_scope({}):
-        for M in (A1, A2, A2):
-            lam, step = newton_decrement(g, sp.csr_matrix(M))
-            assert np.allclose(M @ step, -g, rtol=1e-12)
+    solver = DirectSolver()
+    for M in (A1, A2, A2):
+        lam, step = solver.decrement(g, sp.csr_matrix(M))
+        assert np.allclose(M @ step, -g, rtol=1e-12)
     assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
 
 
 def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_used):
-    # no ordering scope: nothing is cached and two calls agree bit for bit
+    # outside a center call nothing is cached: two calls agree bit for bit
     (obj, z), _ = _centered_and_refined(small_problem)
     orderings_used.clear()
     g, H = obj.grad_hess(z, 1.0)
@@ -255,9 +260,9 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
         return lu
 
     monkeypatch.setattr(spla, "splu", logged)
-    with ordering_scope({}):
-        for _ in range(2):
-            assert newton_decrement(g, H)[0] is not None
+    solver = DirectSolver()
+    for _ in range(2):
+        assert solver.decrement(g, H)[0] is not None
     assert len(fills) == 2
     assert max(fills) < default.nnz
 
@@ -302,11 +307,12 @@ def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     H = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
     bad_H = H.copy()
     bad_H.data[H.indptr[1] + 1] = bad  # entry (1, 1), kept even when 0
-    with ordering_scope({}):
-        assert center(FixedHessian(bad_H), np.zeros(3), t=1.0).status == SOLVER_FAILURE
-        assert orderings_used == []
-        assert newton_decrement(np.ones(3), H)[0] is not None
-        res = center(FixedHessian(bad_H), np.zeros(3), t=1.0)
+    solver = DirectSolver()
+    res = center(FixedHessian(bad_H), np.zeros(3), t=1.0, solver=solver)
+    assert res.status == SOLVER_FAILURE
+    assert orderings_used == []
+    assert solver.decrement(np.ones(3), H)[0] is not None
+    res = center(FixedHessian(bad_H), np.zeros(3), t=1.0, solver=solver)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
     assert orderings_used == ["MMD_AT_PLUS_A"]
@@ -330,9 +336,9 @@ def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
     for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
         calls.clear()
         g, H = obj.grad_hess(z, 1.0)
-        with ordering_scope({}):
-            _, step0 = newton_decrement(g, H)
-            _, step = newton_decrement(g, H)
+        solver = DirectSolver()
+        _, step0 = solver.decrement(g, H)
+        _, step = solver.decrement(g, H)
         assert len(calls) == 2
         for d_seen, sigma_seen in calls:
             assert np.array_equal(d_seen, H.diagonal())

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mgbarrier import pathfollow
+from mgbarrier.assembly import LevelObjective
 from mgbarrier.newton import CONVERGED, newton_decrement
 from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
                                   PathTrace, TraceRow, adapt_stepsize,
@@ -58,6 +59,10 @@ def test_path_config_defaults_and_validation():
     # a bool is an int to isinstance
     (dict(direct_cap=True), "direct_cap must be an int >= 0"),
     (dict(max_center_iters=True), "max_center_iters must be an int >= 0"),
+    # lam_tol = inf once "centered" with no Newton step and failed late in
+    # the final re-centering; lam_tol_final = inf once reported converged
+    (dict(lam_tol=math.inf), "lam_tol must be >= 0 and finite"),
+    (dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
 ])
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -535,7 +540,9 @@ def live_factors(monkeypatch):
     splu = spla.splu
 
     def alive():
-        gc.collect()
+        # a factor held only by a reference cycle does not count
+        if any(r() is not None for r in refs):
+            gc.collect()
         return sum(r() is not None for r in refs)
 
     def watched(A, **kwargs):
@@ -567,3 +574,47 @@ def test_no_factor_outlives_the_tangent(small_problem, live_factors):
     newton_decrement(*pr.fine_objective.grad_hess(z, 1.3))
     assert len(refs) == res.iterations + 2
     assert alive() == 0
+
+
+@pytest.mark.parametrize("algorithm", ["mgb", "naive-theta"])
+def test_no_factor_is_alive_during_a_line_search(small_problem, live_factors,
+                                                 monkeypatch, algorithm):
+    # a factor above lam_tol is released before its line search starts, and
+    # the one that ends a centering before the next centering's first value
+    refs, _, alive = live_factors
+    value, live_at_value = LevelObjective.value, []
+
+    def watched(self, y, t):
+        live_at_value.append(alive())
+        return value(self, y, t)
+
+    monkeypatch.setattr(LevelObjective, "value", watched)
+    tr = pathfollow.ALGORITHMS[algorithm](small_problem, PathConfig())
+    assert tr.status == "converged"
+    # the line searches made more value calls than the centerings' starts
+    assert len(live_at_value) > len(tr.rows) and len(refs) > 0
+    assert live_at_value == [0] * len(live_at_value)
+
+
+@pytest.mark.parametrize("algorithm,config", [
+    ("mgb", {}), ("mgb", dict(direct_cap=0)), ("naive-theta", {})],
+    ids=["mgb", "mgb-direct-cap-0", "naive-theta"])
+def test_each_run_orders_each_level_pattern_once(monkeypatch, algorithm, config):
+    # One run's solver orders each level's Hessian pattern by minimum degree
+    # once: a level's own centerings, the fine direct steps and the Galerkin
+    # P^T H P of that level all reuse it. A second run on the same problem
+    # orders every pattern again.
+    specs, splu = [], spla.splu
+
+    def logged(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", logged)
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=2))
+    for _ in range(2):
+        specs.clear()
+        tr = pathfollow.ALGORITHMS[algorithm](pr, PathConfig(**config))
+        assert tr.status == "converged"
+        assert specs.count("MMD_AT_PLUS_A") == pr.L
+        assert specs.count("NATURAL") == len(specs) - pr.L > 0
