@@ -78,9 +78,6 @@ class Objective:
         grad_u, s_val = self.sampler.sample(z)
         return grad_u.reshape(-1, self.fesys.d), s_val.ravel()
 
-    def feasible(self, z):
-        return self.barrier.feasible(*self.dz(z))
-
     def margin(self, z):
         """The barrier margin of Dz at every quadrature node, > 0 exactly on
         the domain interior."""

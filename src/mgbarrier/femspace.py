@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import CHILDREN, LOCAL_EDGES, children_of
-from .quadrature import pushforward_nodes, pushforward_weights
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ class DSampler:
         self.ugrad = refg.transpose(1, 0, 2).reshape(refg.shape[1], -1)
         self.uvals = u_basis(mesh.d, fes.alpha, rule.nodes)
         self.svals = s_basis(mesh.d, fes.alpha, rule.nodes)
-        self.wq = pushforward_weights(mesh, rule)
+        self.wq = np.abs(mesh.detA)[:, None] * rule.weights[None, :]  # |det A_K| omega_j
 
         self.pairs, self.hess_table, self.grad_table = reference_tables(
             mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
@@ -207,7 +206,7 @@ class DSampler:
     @functools.cached_property
     def xq(self):
         """Physical quadrature node coordinates, shape (ne, nq, d)."""
-        return pushforward_nodes(self.fesys.mesh, self.rule)
+        return self.fesys.mesh.to_physical(self.rule.nodes)
 
     def sample(self, z):
         """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq).
@@ -285,11 +284,6 @@ def prolongation(fes_c, fes_f):
         (vals[keep], (np.broadcast_to(rows[:, None], vals.shape)[keep], cols[keep])),
         shape=(fes_f.total_dim, fes_c.total_dim),
     )
-
-
-def free_prolongation(fes_c, fes_f, P_full):
-    """The prolongation P_full restricted to free (zero-trace u + all s) dofs."""
-    return P_full[np.ix_(fes_f.free_idx(), fes_c.free_idx())].tocsr()
 
 
 def dump_solution(fesys, z, path):

@@ -30,7 +30,7 @@ class PathConfig:
     rho0: float = 2.0
     c_stp: float = 1.0
     t_cap: float = 1e8
-    t0: float | None = None       # absolute t0; None -> h_fine^d scaling
+    t0: float | None = None       # absolute t0; None -> min(h_fine^d, t_cap)
     theta: float = 0.5            # naive theta-schedule parameter
     direct_cap: int = 5           # Newton cap for the practical direct step
     lam_tol: float = 1e-3         # intermediate centering tolerance
@@ -45,8 +45,8 @@ class PathConfig:
             raise ValueError(f"rho0 must be > 1 and finite, got {self.rho0}")
         if not self.c_stp > 0.0:
             raise ValueError(f"c_stp must be > 0, got {self.c_stp}")
-        if not self.t_cap > 0.0:
-            raise ValueError(f"t_cap must be > 0, got {self.t_cap}")
+        if not 0.0 < self.t_cap < math.inf:
+            raise ValueError(f"t_cap must be > 0 and finite, got {self.t_cap}")
         if self.t0 is not None and not (0.0 < self.t0 < math.inf and self.t0 <= self.t_cap):
             raise ValueError(f"t0 must be > 0, finite and <= t_cap = {self.t_cap}, "
                              f"got {self.t0}")
@@ -68,8 +68,7 @@ class PathConfig:
     def initial_t(self, problem):
         if self.t0 is not None:
             return float(self.t0)
-        h = problem.h_fine()
-        return h ** problem.fine_fesys.d
+        return min(problem.h_fine() ** problem.fine_fesys.d, self.t_cap)
 
     def stop_t(self, problem):
         h = problem.h_fine()
@@ -107,13 +106,9 @@ class PathTrace:
     def summary_rows(self):
         return [r for r in self.rows if r.level == -1]
 
-    def max_step_newton(self, min_k=1):
-        """max_k m_k over path steps k >= min_k."""
-        vals = [r.newton_iters for r in self.summary_rows() if r.k >= min_k]
-        return max(vals) if vals else 0
-
-    def step_sizes(self, min_k=1):
-        return [r.rho for r in self.summary_rows() if r.k >= min_k]
+    def max_step_newton(self):
+        """max_k m_k over path steps k >= 1."""
+        return max((r.newton_iters for r in self.summary_rows() if r.k >= 1), default=0)
 
     def to_csv(self, wall_times=True):
         buf = io.StringIO()
@@ -130,19 +125,6 @@ class PathTrace:
     def write_csv(self, path, wall_times=True):
         with open(path, "w") as fh:
             fh.write(self.to_csv(wall_times=wall_times))
-
-    @staticmethod
-    def rows_from_csv(text):
-        lines = text.strip().splitlines()
-        if lines[0] != CSV_HEADER:
-            raise ValueError("unexpected trace CSV header")
-        rows = []
-        for line in lines[1:]:
-            k, t, rho, lvl, m, ds, obj, dec, cum, wall = line.split(",")
-            rows.append(TraceRow(int(k), float(t), float(rho), int(lvl),
-                                 int(m), int(ds), float(obj), float(dec),
-                                 int(cum), float(wall)))
-        return rows
 
 
 def adapt_stepsize(rho_prev, m_k):
@@ -238,13 +220,13 @@ class _Run:
         return self.trace
 
 
-def mgb_t_step(problem, z_k, t_next, config, run=None, k=0, rho=0.0):
-    """One Algorithm MGB step: center the shifted path on levels 1..L.
+def mgb_t_step(problem, z_k, t_next, config, run, k, rho):
+    """One Algorithm MGB step: center the shifted path on levels 1..L,
+    recording rows (k, t_next, rho) in run.
 
     Returns (z_next, per-level Newton counts, "") or (None, counts, reason).
     With config.predictor, the fine level L leaves its tangent in run.tangent.
     """
-    run = run if run is not None else _Run(problem, config)
     counts = []
     y0 = None
     for lvl in range(problem.L):

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
 from .barrier import PLapBarrier
-from .femspace import DSampler, build_fe_system, free_prolongation, prolongation
+from .femspace import DSampler, build_fe_system, prolongation
 from .mesh import MeshHierarchy
 from .quadrature import reference_rule
 
@@ -197,7 +197,8 @@ def build_problem(spec):
     for lo, hi in zip(fesystems[:-1], fesystems[1:]):
         P = prolongation(lo, hi)
         P_full.append(P)
-        P_free.append(free_prolongation(lo, hi, P))
+        # restricted to free dofs: zero-trace u and all s
+        P_free.append(P[np.ix_(hi.free_idx(), lo.free_idx())].tocsr())
 
     L = hier.L
     P_free_to_fine = [None] * L

@@ -1,4 +1,4 @@
-"""Positive-weight quadrature on the reference simplex, pushed forward to elements.
+"""Positive-weight quadrature on the reference simplex.
 
 All rules have strictly positive weights summing to the reference simplex
 volume, so the discrete integral of 1 over any element union is its measure.
@@ -29,12 +29,8 @@ _D2_RULES = {
 
 
 def _orbit(bary):
-    """Distinct permutations of a barycentric triple."""
-    seen = []
-    for p in itertools.permutations(bary):
-        if not any(np.allclose(p, q) for q in seen):
-            seen.append(p)
-    return seen
+    """Distinct permutations of a barycentric triple, in first-seen order."""
+    return list(dict.fromkeys(itertools.permutations(bary)))
 
 
 def _triangle_rule(groups, degree):
@@ -66,10 +62,6 @@ class QuadratureRule:
         if abs(total - ref_simplex_volume(self.d)) > 1e-13:
             raise ValueError("quadrature weights must sum to the reference volume")
 
-    @property
-    def num_nodes(self):
-        return self.nodes.shape[0]
-
 
 def reference_rule(d, degree):
     """Positive-weight rule on the reference simplex, exact to `degree`:
@@ -92,12 +84,3 @@ def reference_rule(d, degree):
         return _triangle_rule(_D2_RULES[degree], degree)
     raise ValueError(f"unsupported dimension {d}")
 
-
-def pushforward_nodes(mesh, rule):
-    """Quadrature node coordinates per element, shape (ne, beta, d)."""
-    return mesh.to_physical(rule.nodes)
-
-
-def pushforward_weights(mesh, rule):
-    """Physical quadrature weights |det A_K| * omega_j, shape (ne, beta)."""
-    return np.abs(mesh.detA)[:, None] * rule.weights[None, :]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import barrier_oracles as oracles
 from mgbarrier import diagnostics
 from mgbarrier.assembly import regularize
 from mgbarrier.barrier import PLapBarrier
@@ -138,7 +139,7 @@ def test_criterion_1_barrier_calculus():
         u = rng.standard_normal((1000, 3))
         _, G, H = b.value_grad_hess(q, s)
         quad = np.einsum("na,nab,nb->n", u, H, u)
-        third = b.third_directional(q, s, u)
+        third = oracles.third_directional(b, q, s, u)
         assert np.all(np.abs(third) <= 2.0 * quad ** 1.5 * (1 + 1e-8)), p
         lam2 = np.einsum("na,nab,nb->n", G, np.linalg.inv(H), G)
         assert np.max(lam2) <= NU + 1e-8, p
@@ -157,11 +158,11 @@ def test_criterion_2_slack_bounds():
         b = PLapBarrier(p=p, d=2)
         q = rng.standard_normal(2) * rng.uniform(0.1, 2.0)
         t = 10.0 ** rng.uniform(0.0, 6.0)
-        gap = b.slack_for_t(q, t) - float(b.lam(q.reshape(1, -1))[0])
+        gap = oracles.slack_for_t(b, q, t) - float(b.lam(q.reshape(1, -1))[0])
         ok = ok and (1.0 / t <= gap <= NU / t)
     b2 = PLapBarrier(p=2.0, d=2)
     closed = all(
-        abs(b2.slack_for_t(np.zeros(2), t) - 3.0 / t) <= 1e-10
+        abs(oracles.slack_for_t(b2, np.zeros(2), t) - 3.0 / t) <= 1e-10
         for t in (1.0, 10.0, 1e3, 1e6)
     )
     report(2, ok and closed,
@@ -245,7 +246,8 @@ def test_criterion_6_iteration_scaling(mgb_scaling_runs, naive_theta_run,
 
 
 def test_criterion_7_stepsize_floor(p1_run):
-    rho_min = {name: min(tr.step_sizes()) for name, (_, tr) in p1_run.items()}
+    rho_min = {name: min(r.rho for r in tr.summary_rows() if r.k >= 1)
+               for name, (_, tr) in p1_run.items()}
     ok = all(rho >= 1.1 for rho in rho_min.values())
     mins = ", ".join(f"{name} {rho:.4f}" for name, rho in rho_min.items())
     report(7, ok, f"p=1 MGB min_k rho_k = {mins} (>= 1.1)")
@@ -261,7 +263,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
     for pr, tr in (run for runs in mgb_scaling_runs.values() for run in runs):
         ok_t = ok_t and tr.t_final <= 1e8 and all(r.t <= 1e8 for r in tr.rows)
         for _, z in tr.iterates:
-            ok_feas = ok_feas and pr.fine_objective.feasible(z)
+            ok_feas = ok_feas and bool(np.all(pr.fine_objective.margin(z) > 0.0))
     # bitwise determinism of the trace CSV (timing column excluded)
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
     csv_a = run_mgb(pr, PathConfig()).to_csv(wall_times=False)

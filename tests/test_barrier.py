@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import barrier_oracles as oracles
 from mgbarrier.barrier import PLapBarrier
 
 P_VALUES = [1.0, 1.1, 1.5, 2.0, 3.0, 4.0]
@@ -96,7 +97,7 @@ def test_grad_hess_terms_rebuild_the_dense_derivatives(p, d):
     F, G, H = b.value_grad_hess(q, s)
     a, f_s, c, beta, h_ss = b.grad_hess_terms(q, s)
     assert np.array_equal(G, np.column_stack([a, f_s]))
-    assert np.array_equal(f_s, b.f_s(q, s))
+    assert np.array_equal(f_s, oracles.f_s(b, q, s))
 
     e, (g, _) = 2.0 / p, b._gap(q, s)
     se1, se2 = s ** (e - 1.0), s ** (e - 2.0)
@@ -115,7 +116,7 @@ def test_third_directional_oracle():
     # p=2, q=0, s=1, direction e_s: F(0, s) = -3 log s, so F''' = -6/s^3 = -6
     b = PLapBarrier(p=2.0, d=2)
     u = np.array([[0.0, 0.0, 1.0]])
-    val = b.third_directional(np.zeros((1, 2)), np.array([1.0]), u)
+    val = oracles.third_directional(b, np.zeros((1, 2)), np.array([1.0]), u)
     assert val[0] == pytest.approx(-6.0, rel=1e-12)
 
 
@@ -153,7 +154,7 @@ def test_self_concordance_inequality(p):
     u = rng.standard_normal((400, 3))
     _, _, H = b.value_grad_hess(q, s)
     quad = np.einsum("na,nab,nb->n", u, H, u)
-    third = b.third_directional(q, s, u)
+    third = oracles.third_directional(b, q, s, u)
     assert np.all(np.abs(third) <= 2.0 * quad ** 1.5 * (1 + 1e-8))
 
 
@@ -174,7 +175,7 @@ def test_slack_for_t_bounds(p):
     for _ in range(30):
         q = rng.standard_normal(2) * rng.uniform(0.1, 2.0)
         t = 10.0 ** rng.uniform(0.0, 6.0)
-        s = b.slack_for_t(q, t)
+        s = oracles.slack_for_t(b, q, t)
         lam = float(b.lam(q.reshape(1, -1))[0])
         gap = s - lam
         assert 1.0 / t <= gap * (1 + 1e-12)
@@ -185,13 +186,13 @@ def test_slack_for_t_closed_forms_p2():
     b = PLapBarrier(p=2.0, d=2)
     for t in (1.0, 7.5, 1e3, 1e6):
         # q = 0: F_s = -3/s, so s = 3/t
-        assert b.slack_for_t(np.zeros(2), t) == pytest.approx(3.0 / t, rel=1e-10)
+        assert oracles.slack_for_t(b, np.zeros(2), t) == pytest.approx(3.0 / t, rel=1e-10)
         # general q: t s^2 - (t Q + 3) s + 2 Q = 0 with Q = |q|^2
         q = np.array([0.4, -0.3])
         Q = float(q @ q)
         disc = (t * Q + 3.0) ** 2 - 8.0 * t * Q
         s_exact = ((t * Q + 3.0) + math.sqrt(disc)) / (2.0 * t)
-        assert b.slack_for_t(q, t) == pytest.approx(s_exact, rel=1e-10)
+        assert oracles.slack_for_t(b, q, t) == pytest.approx(s_exact, rel=1e-10)
 
 
 def test_invalid_p_rejected():
@@ -213,10 +214,10 @@ def test_calls_outside_domain_rejected():
     with pytest.raises(ValueError):
         b.value_grad_hess(np.array([[2.0, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        b.third_directional(np.array([[2.0, 0.0]]), np.array([1.0]),
-                            np.array([[1.0, 0.0, 0.0]]))
+        oracles.third_directional(b, np.array([[2.0, 0.0]]), np.array([1.0]),
+                                  np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        b.slack_for_t(np.zeros(2), -1.0)
+        oracles.slack_for_t(b, np.zeros(2), -1.0)
 
 
 @pytest.mark.parametrize("q,s", [((1.0800663120304341, 0.0), 1.1224722951166286),

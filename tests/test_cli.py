@@ -9,7 +9,7 @@ import pytest
 from mgbarrier import cli, diagnostics, problems
 from mgbarrier.cli import (EXIT_INVALID_INPUT, EXIT_OK, main, parse_config_text,
                            spec_from_config)
-from mgbarrier.pathfollow import CSV_HEADER, PathConfig, PathTrace, run_mgb
+from mgbarrier.pathfollow import CSV_HEADER, PathConfig, run_mgb
 from mgbarrier.problems import build_problem
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
@@ -39,8 +39,7 @@ def test_solve_writes_artifacts(config_file, tmp_path, capsys):
     assert mesh_path.exists() and sol_path.exists()
     text = trace_path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
-    rows = PathTrace.rows_from_csv(text)
-    assert rows[-1].t <= 1e8
+    assert all(float(line.split(",")[1]) <= 1e8 for line in text.splitlines()[1:])
 
 
 @pytest.mark.parametrize("value", ["false", "True"])
@@ -54,10 +53,9 @@ def test_solve_predictor_key(config_file, tmp_path, value):
     assert cfg["predictor"] is (value == "True")
     expected = run_mgb(build_problem(spec_from_config(cfg)),
                        PathConfig(predictor=cfg["predictor"]))
-    got = PathTrace(rows=PathTrace.rows_from_csv(trace_path.read_text()))
-    for row in got.rows:
-        row.wall_ms = 0.0
-    assert got.to_csv() == expected.to_csv(wall_times=False)
+    # every column but the last, wall_ms
+    got = [line.rsplit(",", 1)[0] for line in trace_path.read_text().splitlines()]
+    assert got == [line.rsplit(",", 1)[0] for line in expected.to_csv().splitlines()]
 
 
 @pytest.mark.parametrize("algorithm", ["naive-h-then-t", "naive-theta"])
@@ -81,8 +79,10 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     ("t0 = 100\nt_cap = 10\n", "t0 must be > 0, finite and <= t_cap"),
     # p = inf once failed in slack setup with a traceback
     ("p = inf\n", "p must be >= 1 and finite"),
+    # t_cap = inf with c_stp = inf once ran to t ~ 1e12 and a solver failure
+    ("t_cap = inf\nc_stp = inf\n", "t_cap must be > 0 and finite"),
 ], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file",
-        "t0-infinite", "t0-past-t_cap", "p-infinite"])
+        "t0-infinite", "t0-past-t_cap", "p-infinite", "t_cap-infinite"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
-                                dump_solution, free_prolongation, prolongation,
+                                dump_solution, prolongation,
                                 s_basis, s_node_ref, u_basis, u_basis_grad)
 from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
                             refine_uniform)
@@ -237,8 +237,6 @@ def test_prolongation_preserves_boundary_structure():
     fes_c = build_fe_system(mesh_c, 2)
     fes_f = build_fe_system(mesh_f, 2)
     P = prolongation(fes_c, fes_f)
-    Pf = free_prolongation(fes_c, fes_f, P_full=P)
-    assert Pf.shape == (len(fes_f.free_idx()), len(fes_c.free_idx()))
     # a coarse function vanishing on the boundary prolongates to one that
     # vanishes at all fine boundary nodes
     v = np.ones(fes_c.total_dim)

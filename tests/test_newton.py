@@ -127,7 +127,7 @@ def test_center_counts_accepted_steps(small_problem):
     # the result carries f at its iterate, so callers need not evaluate it again
     assert res.value == lvl.value(res.y, 1.0)
     # result stays feasible
-    assert pr.objectives[0].feasible(lvl.full_point(res.y))
+    assert np.all(pr.objectives[0].margin(lvl.full_point(res.y)) > 0.0)
 
 
 def _centered_and_refined(pr):

@@ -53,7 +53,7 @@ def test_path_config_defaults_and_validation():
     # t0 past t_cap once wrote trace rows at t = t0 > t_cap
     (dict(t0=100.0, t_cap=10.0), "t0 must be > 0, finite and <= t_cap"),
     (dict(t0=math.inf), "t0 must be > 0, finite and <= t_cap"),
-    (dict(t0=math.inf, t_cap=math.inf), "t0 must be > 0, finite and <= t_cap"),
+    (dict(t0=math.inf, t_cap=math.inf), "t_cap must be > 0 and finite"),
     (dict(t0=math.nan), "t0 must be > 0, finite and <= t_cap"),
     (dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
     # a bool is an int to isinstance
@@ -63,6 +63,8 @@ def test_path_config_defaults_and_validation():
     # the final re-centering; lam_tol_final = inf once reported converged
     (dict(lam_tol=math.inf), "lam_tol must be >= 0 and finite"),
     (dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
+    # with c_stp = inf too, t_cap = inf once ran to t ~ 1e12 and a solver failure
+    (dict(t_cap=math.inf), "t_cap must be > 0 and finite"),
 ])
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -84,8 +86,18 @@ def test_initial_and_stop_t(small_problem):
     assert cfg.initial_t(small_problem) == pytest.approx(h ** 2)
     assert cfg.stop_t(small_problem) == pytest.approx(min(h ** -4, 1e8))
     assert PathConfig(t0=3.0).initial_t(small_problem) == 3.0
+    assert PathConfig(t_cap=1e-6).initial_t(small_problem) == 1e-6
     assert PathConfig(c_stp=2.0).stop_t(small_problem) == pytest.approx(
         min(2.0 * h ** -4, 1e8))
+
+
+@pytest.mark.parametrize("runner", [run_mgb, run_naive])
+def test_default_t0_stays_below_a_small_t_cap(small_problem, runner):
+    # t0 = h_fine^d = 1/16 here; above t_cap it once gave rows at t = 0.164
+    tr = runner(small_problem, PathConfig(t_cap=1e-6))
+    assert tr.status == "converged"
+    assert tr.t_final == 1e-6
+    assert all(r.t <= 1e-6 for r in tr.rows)
 
 
 def test_trace_csv_roundtrip():
@@ -94,20 +106,12 @@ def test_trace_csv_roundtrip():
     tr.rows.append(TraceRow(1, 2.0, 2.25, -1, 3, 1, -4.25, 1e-4, 3, 13.0))
     text = tr.to_csv()
     assert text.splitlines()[0] == CSV_HEADER
-    rows = PathTrace.rows_from_csv(text)
-    assert len(rows) == 2
-    assert rows[0].t == 2.0 and rows[0].direct_step == 1
-    assert rows[1].level == -1 and rows[1].rho == 2.25
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert rows == [["1", "2.0", "1.5", "0", "3", "1", "-4.25", "0.0001", "3", "12.5"],
+                    ["1", "2.0", "2.25", "-1", "3", "1", "-4.25", "0.0001", "3", "13.0"]]
     # wall_times=False zeroes the timing column only
-    text2 = tr.to_csv(wall_times=False)
-    rows2 = PathTrace.rows_from_csv(text2)
-    assert rows2[0].wall_ms == 0.0
-    assert rows2[0].objective == rows[0].objective
-
-
-def test_rows_from_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        PathTrace.rows_from_csv("a,b,c\n1,2,3\n")
+    rows2 = [line.split(",") for line in tr.to_csv(wall_times=False).splitlines()[1:]]
+    assert rows2 == [row[:-1] + ["0.0"] for row in rows]
 
 
 def test_mgb_t_step_reaches_center(small_problem):
@@ -117,10 +121,10 @@ def test_mgb_t_step_reaches_center(small_problem):
     assert tr.status == "converged"
     z = tr.z_final
     t_next = tr.t_final * 1.5
-    z_next, counts, err = mgb_t_step(pr, z, t_next, cfg)
+    z_next, counts, err = mgb_t_step(pr, z, t_next, cfg, pathfollow._Run(pr, cfg), 1, 1.5)
     assert err == ""
     assert len(counts) == pr.L
-    assert pr.fine_objective.feasible(z_next)
+    assert np.all(pr.fine_objective.margin(z_next) > 0.0)
 
 
 def test_run_mgb_small(small_problem):
@@ -192,7 +196,7 @@ def test_iterates_stored_on_request(small_problem):
     tr = run_mgb(small_problem, PathConfig(), store_iterates=True)
     assert len(tr.iterates) == len(tr.costs)
     for _, z in tr.iterates:
-        assert small_problem.fine_objective.feasible(z)
+        assert np.all(small_problem.fine_objective.margin(z) > 0.0)
 
 
 # (k, level, newton_iters, direct_step) of every trace row on small_problem,
@@ -347,7 +351,7 @@ def test_prediction_keeps_a_margin_floor(small_problem):
     _, z, tangent = _center_with_tangent(small_problem, t)
     full = (t_next - t) * (t / t_next) * tangent
     floor = t / (obj.barrier.nu * t_next) * obj.margin(z)
-    assert obj.feasible(z + obj.embed_free(full))
+    assert np.all(obj.margin(z + obj.embed_free(full)) > 0.0)
     assert not np.all(obj.margin(z + obj.embed_free(full)) > floor)
     z_pred = predict(obj, z, tangent, t, t_next)
     assert np.array_equal(z_pred, z + obj.embed_free(0.5 * full))
@@ -407,7 +411,7 @@ def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypat
     ts = {k: t for k, t, _ in tr.costs}
     for k, z_start in sweeps:
         assert not np.array_equal(z_start, iterates[k - 1])
-        assert obj.feasible(z_start)
+        assert np.all(obj.margin(z_start) > 0.0)
         if k == 1:
             assert np.array_equal(z_start, direct[0])
             continue

@@ -51,7 +51,7 @@ def test_build_problem_structure(small_problem):
     assert pr.P_free_to_fine[-1] is None
     assert pr.P_free_to_fine[0].shape[0] == len(pr.fine_fesys.free_idx())
     # initial iterate is feasible on the coarsest level
-    assert pr.objectives[0].feasible(pr.z0)
+    assert np.all(pr.objectives[0].margin(pr.z0) > 0.0)
     # with f = 0 nothing needs the physical quadrature nodes
     assert all("xq" not in obj.sampler.__dict__ for obj in pr.objectives)
 
@@ -135,7 +135,7 @@ def test_repair_slack_fixes_grazing_point(small_problem):
     bad[fes.n_u] = 0.0  # crush one element's slack
     repaired, n_bad = repair_slack(pr.fine_objective, bad)
     assert n_bad >= 1
-    assert pr.fine_objective.feasible(repaired)
+    assert np.all(pr.fine_objective.margin(repaired) > 0.0)
     # loop reference: raise each bad element's slack dofs to the needed value
     grad_u, s_val = smp.sample(bad)
     q = grad_u.reshape(-1, fes.d)
@@ -172,7 +172,7 @@ def test_refine_iterate_imposes_fine_boundary_data(small_problem):
     fes = pr.fine_fesys
     for i in np.flatnonzero(fes.u_boundary):
         assert z[i] == pytest.approx(pr.spec.dirichlet(*fes.u_node_coords[i]))
-    assert pr.fine_objective.feasible(z)
+    assert np.all(pr.fine_objective.margin(z) > 0.0)
 
 
 def test_parse_config_text():

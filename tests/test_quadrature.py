@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mgbarrier.femspace import DSampler, build_fe_system
 from mgbarrier.mesh import build_rect_mesh
-from mgbarrier.quadrature import pushforward_nodes, pushforward_weights, reference_rule
+from mgbarrier.quadrature import reference_rule
 
 
 def tri_monomial_integral(a, b):
@@ -46,12 +47,17 @@ def test_unsupported_degree_rejected():
             reference_rule(2, degree)
 
 
+def pushforward(mesh, rule):
+    """(physical nodes, physical weights) of rule on every element of mesh."""
+    smp = DSampler(build_fe_system(mesh, 1), rule)
+    return smp.xq, smp.wq
+
+
 def test_pushforward_geometry():
     mesh = build_rect_mesh([(0, 2), (0, 1)], 3)
     rule = reference_rule(2, 2)
-    xq = pushforward_nodes(mesh, rule)
-    wq = pushforward_weights(mesh, rule)
-    assert xq.shape == (mesh.num_elements, rule.num_nodes, 2)
+    xq, wq = pushforward(mesh, rule)
+    assert xq.shape == (mesh.num_elements, len(rule.weights), 2)
     # nodes stay inside the box, weights integrate 1 to the area
     assert np.all(xq[..., 0] >= 0) and np.all(xq[..., 0] <= 2)
     assert np.all(xq[..., 1] >= 0) and np.all(xq[..., 1] <= 1)
@@ -61,14 +67,14 @@ def test_pushforward_geometry():
 def test_discrete_integral_of_polynomial():
     mesh = build_rect_mesh([(0, 1), (0, 1)], 4)
     rule = reference_rule(2, 4)
-    xq = pushforward_nodes(mesh, rule)
+    xq, wq = pushforward(mesh, rule)
     # int over unit square of x^2 y = 1/6; degree 3 <= exactness
     samples = xq[..., 0] ** 2 * xq[..., 1]
-    integral = float(np.sum(pushforward_weights(mesh, rule) * samples))
+    integral = float(np.sum(wq * samples))
     assert integral == pytest.approx(1 / 6, rel=1e-13)
 
 
 def test_pushforward_weights_sum_to_element_volumes():
     mesh = build_rect_mesh([(0, 1), (0, 1)], 3)
     rule = reference_rule(2, 4)
-    assert np.allclose(np.sum(pushforward_weights(mesh, rule), axis=1), mesh.volumes())
+    assert np.allclose(np.sum(pushforward(mesh, rule)[1], axis=1), mesh.volumes())
