@@ -6,21 +6,26 @@ refine_iterate, at the path's initial t. Prints one JSON line with the
 repeat-median milliseconds of:
 
 - sample: Dz at every fine quadrature node;
-- grad_hess: gradient and free-free Hessian assembly, which is
+- grad_hess: the free gradient and the condensed Hessian, which is
   - element_blocks: the element gradients and Hessians, barrier terms
     included, and
-  - assemble: their scatter into the free gradient and CSR pattern;
+  - assemble: the elimination of each element's slack (condense) and the
+    scatter into the free gradient and the free-u CSR pattern of the Schur
+    complement S;
+- condense: that elimination alone;
 - restrict (one per coarse level, coarsest first): the Galerkin restriction
   of the fine element blocks to that level's free dofs, including the
   scatter into the level's pattern;
 - decrement_new_pattern: DirectSolver.decrement on a new solver, i.e.
-  minimum-degree ordering, factorization, solve and recording the ordering;
+  minimum-degree ordering, factorization of S, solve and recording the
+  ordering;
 - decrement_repeated_pattern: DirectSolver.decrement on a pattern the solver
   has already ordered (gather, factorization in that order, solve);
 - value: one line-search evaluation;
 
-plus build: build_problem, the setup of every level, and the fill (nnz of
-L+U) of both factorizations and the host's versions.
+plus build: build_problem, the setup of every level; the free dofs, the
+dofs and nnz of S, the fill (nnz of L+U) of both factorizations and the
+host's versions.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
     PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
@@ -43,6 +48,7 @@ import scipy
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton
+from mgbarrier.assembly import condense
 from mgbarrier.pathfollow import PathConfig
 from mgbarrier.problems import ProblemSpec, build_problem
 
@@ -101,13 +107,15 @@ def main():
 
     print(json.dumps({
         "levels": args.levels,
-        "dofs": H.shape[0],
-        "hess_nnz": H.nnz,
+        "dofs": len(g),
+        "schur_dofs": H.S.shape[0],
+        "schur_nnz": H.S.nnz,
         "repeats": args.repeats,
         "sample_ms": median_ms(lambda: obj.sampler.sample(z), args.repeats),
         "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
         "element_blocks_ms": median_ms(lambda: obj.element_blocks(z), args.repeats),
         "assemble_ms": median_ms(lambda: obj.assemble(*blocks, g0), args.repeats),
+        "condense_ms": median_ms(lambda: condense(blocks[1], obj.fesys.n_ls), args.repeats),
         "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
                         for gal in problem.galerkin[:-1]],
         "decrement_new_pattern_ms": new_ms,

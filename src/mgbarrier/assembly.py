@@ -1,9 +1,9 @@
 """Discrete barrier functional f_h(z, t) = int^(h) t c[z] + F(Dz).
 
-Value, gradient and sparse Hessian in fine-grid coefficients, Hessian
-regularization, and element-by-element Galerkin restriction to coarse
-subspaces for the shifted-central-path subproblems (coarse test space,
-fine-grid quadrature).
+Value, gradient and sparse Hessian in fine-grid coefficients, the Hessian
+with its element-local slack condensed out, Hessian regularization, and
+element-by-element Galerkin restriction to coarse subspaces for the
+shifted-central-path subproblems (coarse test space, fine-grid quadrature).
 """
 
 from __future__ import annotations
@@ -35,6 +35,85 @@ def regularize(H):
     if shift == 0.0:
         return H
     return H + shift * sp.identity(H.shape[0], format="csr")
+
+
+def condense(hloc, n_ls):
+    """Eliminate the slack from element blocks (ne, nloc, nloc), laid out u
+    then n_ls slack dofs: (S_K, L_K, W_K) with H_ss,K = L_K L_K^T,
+    W_K = L_K^-1 H_su,K and S_K = H_uu,K - W_K^T W_K.
+
+    A right-looking Cholesky over the slack columns of the block reordered
+    slack first: after column j its trailing block is the Schur complement
+    of the first j+1 slack dofs. A batched solve costs more than this loop at
+    n_ls <= 3. From a non-positive (or NaN) pivot on, L_K's diagonal is NaN,
+    which marks the block as not positive definite; its pivots are replaced
+    by 1, so that no floating-point warning is raised.
+    """
+    n_lu = hloc.shape[1] - n_ls
+    order = np.r_[n_lu:n_lu + n_ls, :n_lu]
+    A = hloc[:, order[:, None], order]
+    bad = np.zeros(len(A), dtype=bool)
+    for j in range(n_ls):
+        piv = A[:, j, j]
+        bad |= ~(piv > 0)
+        root = np.sqrt(np.where(bad, 1.0, piv))
+        A[:, j, j] = np.where(bad, np.nan, root)
+        col = A[:, j + 1:, j]
+        col /= root[:, None]
+        A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
+    W = A[:, n_ls:, :n_ls].transpose(0, 2, 1)
+    return A[:, n_ls:, n_ls:], np.tril(A[:, :n_ls, :n_ls]), np.ascontiguousarray(W)
+
+
+@dataclass
+class CondensedHessian:
+    """The free-dof Hessian [[H_uu, H_us], [H_su, H_ss]], free dofs ordered
+    u then slack element by element, with the element-local slack
+    eliminated: H_ss = blockdiag(L_K L_K^T), W_K = L_K^-1 H_su,K, and S =
+    H_uu - sum_K W_K^T W_K, the Schur complement over the free u dofs.
+
+    A plain sparse matrix is the CondensedHessian with no slack (of).
+    """
+
+    S: sp.csr_matrix   # (nu, nu)
+    L: np.ndarray      # (ne, n_ls, n_ls) lower triangular; NaN if H_ss,K is not SPD
+    W: np.ndarray      # (ne, n_ls, n_lu)
+    uslot: np.ndarray  # (ne, n_lu) position of each local u dof among the free u; nu if fixed
+
+    @classmethod
+    def of(cls, H):
+        if isinstance(H, cls):
+            return H
+        return cls(H.tocsr(), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+                   np.zeros((0, 0), dtype=np.intp))
+
+    @property
+    def nnz(self):
+        return self.S.nnz
+
+    def slack_spd(self):
+        """Whether every element slack block is positive definite."""
+        return not np.isnan(self.L).any()
+
+    def solve(self, b, solve_s):
+        """H^-1 b over the free dofs, given solve_s(r) = S^-1 r: the slack is
+        condensed out of b element by element, and back-substituted."""
+        nu = self.S.shape[0]
+        ne, n_ls, _ = self.L.shape
+        # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
+        y = b[nu:].reshape(ne, n_ls).copy()
+        for j in range(n_ls):
+            y[:, j] -= np.einsum("ek,ek->e", self.L[:, j, :j], y[:, :j])
+            y[:, j] /= self.L[:, j, j]
+        wy = np.einsum("eji,ej->ei", self.W, y)
+        x_u = solve_s(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
+                                           minlength=nu + 1)[:nu])
+        # x_s = L^-T (y - W x_u) on every element
+        x_s = y - np.einsum("eji,ei->ej", self.W, np.append(x_u, 0.0)[self.uslot])
+        for j in reversed(range(n_ls)):
+            x_s[:, j] -= np.einsum("ek,ek->e", self.L[:, j + 1:, j], x_s[:, j + 1:])
+            x_s[:, j] /= self.L[:, j, j]
+        return np.concatenate([x_u, x_s.ravel()])
 
 
 @dataclass
@@ -95,26 +174,29 @@ class Objective:
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
 
-        Returns (gslot, hslot, indices, indptr): the position of every
-        element gradient / Hessian entry in the free gradient / in the data
-        array of the free-free CSR pattern (indices, indptr); entries on a
-        fixed dof go to one extra, dropped slot.
+        Returns (gslot, uslot, sslot, indices, indptr): the position of every
+        element gradient entry in the free gradient, of every local u dof
+        among the free u dofs, and of every element u-u entry in the data
+        array of the free-u CSR pattern (indices, indptr). Entries on a fixed
+        dof go to one extra, dropped slot.
         """
         if self._plan is None:
-            nf = len(self._free)
+            nf, n_lu = len(self._free), self.fesys.u_elem.shape[1]
+            nu = nf - self.fesys.n_s  # free dofs are the free u, then all slack
             pos = np.full(self.n, nf)
             pos[self._free] = np.arange(nf)
-            loc = pos[self.fesys.elem_dofs()]
-            nloc = loc.shape[1]
-            rows = np.repeat(loc, nloc, axis=1).ravel()
-            cols = np.tile(loc, (1, nloc)).ravel()
-            keep = (rows < nf) & (cols < nf)
-            keys, inv = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
-            hslot = np.full(rows.size, keys.size)
-            hslot[keep] = inv
-            indptr = np.zeros(nf + 1, dtype=np.int32)
-            np.cumsum(np.bincount(keys // nf, minlength=nf), out=indptr[1:])
-            self._plan = (loc.ravel(), hslot, (keys % nf).astype(np.int32), indptr)
+            gslot = pos[self.fesys.elem_dofs()]
+            uslot = np.minimum(gslot[:, :n_lu], nu)
+            rows = np.repeat(uslot, n_lu, axis=1).ravel()
+            cols = np.tile(uslot, (1, n_lu)).ravel()
+            keep = (rows < nu) & (cols < nu)
+            keys, inv = np.unique(rows[keep] * nu + cols[keep], return_inverse=True)
+            sslot = np.full(rows.size, keys.size)
+            sslot[keep] = inv
+            indptr = np.zeros(nu + 1, dtype=np.int32)
+            np.cumsum(np.bincount(keys // nu, minlength=nu), out=indptr[1:])
+            self._plan = (gslot.ravel(), uslot, sslot,
+                          (keys % nu).astype(np.int32), indptr)
         return self._plan
 
     def element_blocks(self, z):
@@ -139,18 +221,26 @@ class Objective:
         nloc = gloc.shape[1]
         return gloc, (fh.reshape(ne, -1) @ smp.hess_table).reshape(ne, nloc, nloc)
 
-    def assemble(self, gloc, hloc, g0):
-        """Scatter element blocks over elem_dofs() into the fixed pattern:
-        g0 plus the free gradient, and the free-free CSR Hessian."""
-        gslot, hslot, indices, indptr = self._assembly_plan()
-        nf = len(self._free)
+    def scatter(self, gloc, uloc, g0):
+        """g0 plus the free gradient of element gradients (ne, nloc), and the
+        free-u CSR matrix of element u-u blocks (ne, n_lu, n_lu)."""
+        gslot, _, sslot, indices, indptr = self._assembly_plan()
+        nf, nu = len(self._free), len(indptr) - 1
         g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
-        data = np.bincount(hslot, weights=hloc.ravel(), minlength=indices.size + 1)[:-1]
+        data = np.bincount(sslot, weights=uloc.ravel(), minlength=indices.size + 1)[:-1]
         # the caller owns the returned matrix, so it gets its own index arrays
-        return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nf, nf))
+        return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nu, nu))
+
+    def assemble(self, gloc, hloc, g0):
+        """g0 plus the free gradient, and the CondensedHessian of element
+        blocks over elem_dofs(): each element's slack is eliminated before
+        the scatter."""
+        uloc, L, W = condense(hloc, self.fesys.n_ls)
+        g, S = self.scatter(gloc, uloc, g0)
+        return g, CondensedHessian(S, L, W, self._assembly_plan()[1])
 
     def grad_hess(self, z, t):
-        """(gradient, Hessian) over free dofs at a feasible z."""
+        """(gradient, CondensedHessian) over free dofs at a feasible z."""
         return self.assemble(*self.element_blocks(z), t * self.cost_vector[self._free])
 
     def embed_free(self, y):
@@ -166,7 +256,8 @@ class Galerkin:
 
     A parent's block is sum_k T_k^T B_k T_k over its children's blocks B_k,
     with T_k the child_prolongation table of child rank k; this runs level by
-    level down to the coarse one, whose own fixed pattern scatters the result.
+    level down to the coarse one, whose assemble condenses the coarse slack
+    and scatters the result into its own fixed pattern.
     Fixed fine dofs need no mask: an interior coarse basis function vanishes
     at boundary nodes, so their rows reach only fixed coarse dofs, which the
     scatter drops.
@@ -180,8 +271,8 @@ class Galerkin:
         self.T = child_prolongation(coarse.fesys.d, coarse.fesys.alpha)  # cached, shared
 
     def restrict(self, gloc, hloc, t):
-        """(gradient, Hessian) over the coarse free dofs of fine element
-        blocks, plus t times the restricted cost vector."""
+        """(gradient, CondensedHessian) over the coarse free dofs of fine
+        element blocks, plus t times the restricted cost vector."""
         nloc_c = self.T.shape[2]
         Tcat = self.T.reshape(-1, nloc_c)
         for children in self.children:

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import CondensedHessian
 # not called here: perfbench's traced mode wraps newton.regularize by name
 from .assembly import regularize  # noqa: F401
 
@@ -29,9 +30,11 @@ QUAD_PHASE = 0.25
 # lambda^2 = -g.step below -NEG_LAM2_TOL * |g| |step| is not roundoff: the
 # system was indefinite or badly solved
 NEG_LAM2_TOL = 1e-8
-# SuperLU supernode relaxation. The default (10) pads the factor with explicit
-# zeros: at L=4 the fill is 473 k entries with 10 and 315 k with 4.
-RELAX = 4
+# SuperLU supernode relaxation. Larger values pad the factor of S with
+# explicit zeros: at L=4 the fill is 287 k entries with the default (10), 276 k
+# with 4 and 214 k with 1; at L=5 2.27 M, 2.18 M and 1.19 M. relax=1 factors
+# fastest at every size measured (L=2..5).
+RELAX = 1
 SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
                    options=dict(SymmetricMode=True))
 
@@ -128,37 +131,44 @@ class CenteringResult:
 
 class DirectSolver:
     """The sparse direct Newton solves of one path-following run: it orders
-    each Hessian sparsity pattern once, and keeps the factor of its last
-    decrement for solve(b) until release() or the next decrement."""
+    each Schur complement sparsity pattern once, and keeps the factor of its
+    last decrement for solve(b) until release() or the next decrement."""
 
     def __init__(self):
         self.orderings = {}  # (shape, nnz) -> the Ordering last computed for such a pattern
-        self._lu = self._perm = None  # the last decrement's factor and its Ordering.perm
+        # the last decrement's CondensedHessian, factor of S and its Ordering.perm
+        self._H = self._lu = self._perm = None
 
     def decrement(self, g, H):
         """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
 
-        The shifted Hessian H + sigma diag(H) (shifted_csc) is SPD, so it is
-        factored with minimum degree on A + A^T and diagonal pivots, at a
-        quarter of the fill of column ordering with partial pivoting. A
+        H is a CondensedHessian, or a sparse matrix with no slack. Its Schur
+        complement S, shifted to S + sigma diag(S) (shifted_csc), is SPD, so
+        it is factored with minimum degree on A + A^T and diagonal pivots, at
+        a quarter of the fill of column ordering with partial pivoting. A
         sparsity pattern seen before is not ordered again: its data is
         gathered into the recorded permuted pattern and factored in that
-        order. Returns (None, None) and keeps no factor if a diagonal entry of
-        H is not positive (before any factorization), if the factorization
-        fails or if lambda^2 is negative beyond roundoff.
+        order. Returns (None, None) and keeps no factor if a slack block is
+        not positive definite or a diagonal entry of S is not positive
+        (before any factorization), if the factorization fails or if
+        lambda^2 is negative beyond roundoff.
         """
         self.release()
-        H = H.tocsr()
-        key = (H.shape, H.nnz)
+        H = CondensedHessian.of(H)
+        if not H.slack_spd():
+            return None, None
+        S = H.S
+        key = (S.shape, S.nnz)
         order = self.orderings.get(key)
-        if order is not None and not order.matches(H):
+        if order is not None and not order.matches(S):
             order = None
-        A = shifted_csc(H) if order is None else order.permuted(H)
+        A = shifted_csc(S) if order is None else order.permuted(S)
         if A is None:
             return None, None
         try:
             self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if order is None
                                  else "NATURAL", **SPD_OPTIONS)
+            self._H = H
             self._perm = None if order is None else order.perm
             step = -self.solve(g)
         except RuntimeError:
@@ -166,7 +176,7 @@ class DirectSolver:
             return None, None
         if order is None:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            order = Ordering.of(H, self._lu.perm_c.copy())
+            order = Ordering.of(S, self._lu.perm_c.copy())
             if order is not None:
                 self.orderings[key] = order
         lam2 = float(-g @ step)
@@ -177,18 +187,22 @@ class DirectSolver:
         return float(np.sqrt(max(lam2, 0.0))), step
 
     def solve(self, b):
-        """H^{-1} b with the factor of the last decrement."""
+        """H^{-1} b with the factor of the last decrement: b condensed, a
+        solve with S, and the slack back-substituted."""
         if self._lu is None:
             raise RuntimeError("no factor: the last decrement failed or was released")
+        return self._H.solve(b, self._solve_s)
+
+    def _solve_s(self, r):
         if self._perm is None:
-            return self._lu.solve(b)
-        bp = np.empty_like(b)
-        bp[self._perm] = b
-        return self._lu.solve(bp)[self._perm]
+            return self._lu.solve(r)
+        rp = np.empty_like(r)
+        rp[self._perm] = r
+        return self._lu.solve(rp)[self._perm]
 
     def release(self):
         """Drop the factor of the last decrement."""
-        self._lu = self._perm = None
+        self._H = self._lu = self._perm = None
 
 
 def newton_decrement(g, H):

@@ -79,14 +79,15 @@ def harmonic_extension(objective, g, load=None):
     z = apply_dirichlet(fes, np.zeros(fes.total_dim), g)
     if not np.all(np.isfinite(z)):
         raise ValueError("Dirichlet data is not finite at a boundary node")
-    # free rows of K z, and K over the free dofs: interior u first, then s,
-    # whose rows and columns are empty
-    Kz, K = objective.assemble((kloc @ z[fes.elem_dofs(), None])[..., 0], kloc, 0.0)
+    # free rows of K z, interior u first, and K over the interior u dofs
+    n_lu = fes.u_elem.shape[1]
+    Kz, K = objective.scatter((kloc @ z[fes.elem_dofs(), None])[..., 0],
+                              kloc[:, :n_lu, :n_lu], 0.0)
     iidx = np.flatnonzero(~fes.u_boundary)
     m = iidx.size
     if m:
         rhs = -Kz[:m] if load is None else load[iidx] - Kz[:m]
-        z[iidx] = spla.splu(K[:m, :m].tocsc()).solve(rhs)
+        z[iidx] = spla.splu(K.tocsc()).solve(rhs)
     return z[:fes.n_u]
 
 

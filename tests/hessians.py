@@ -1,0 +1,32 @@
+import numpy as np
+import scipy.sparse as sp
+
+from mgbarrier.assembly import CondensedHessian
+
+
+def full_hessian(H):
+    """The free-dof Hessian a CondensedHessian (or plain sparse matrix) H
+    stands for, rebuilt from its blocks: H_uu = S + sum_K W_K^T W_K, H_us =
+    W^T L^T and H_ss = L L^T. Every element entry is stored, explicit zeros
+    included, as the element scatter stores them."""
+    H = CondensedHessian.of(H)
+    nu = H.S.shape[0]
+    ne, n_ls, n_lu = H.W.shape
+    nf = nu + ne * n_ls
+    loc = np.concatenate([H.uslot, nu + np.arange(ne * n_ls).reshape(ne, n_ls)], axis=1)
+    blk = np.zeros((ne, n_lu + n_ls, n_lu + n_ls))
+    blk[:, :n_lu, :n_lu] = np.einsum("eki,ekj->eij", H.W, H.W)
+    hus = np.einsum("eki,ejk->eij", H.W, H.L)
+    blk[:, :n_lu, n_lu:] = hus
+    blk[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
+    blk[:, n_lu:, n_lu:] = np.einsum("eik,ejk->eij", H.L, H.L)
+    rows = np.broadcast_to(loc[:, :, None], blk.shape)
+    cols = np.broadcast_to(loc[:, None, :], blk.shape)
+    # a fixed u dof has slot nu, which is a slack slot in the full numbering
+    free = np.concatenate([H.uslot < nu, np.ones((ne, n_ls), dtype=bool)], axis=1)
+    keep = free[:, :, None] & free[:, None, :]
+    S = H.S.tocoo()
+    return sp.csr_matrix(
+        (np.concatenate([S.data, blk[keep]]),
+         (np.concatenate([S.row, rows[keep]]), np.concatenate([S.col, cols[keep]]))),
+        shape=(nf, nf))

@@ -12,6 +12,7 @@ from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
+from hessians import full_hessian
 from interpolation import interpolate
 
 
@@ -104,14 +105,14 @@ def test_grad_hess_finite_differences():
         gp, _ = obj.grad_hess(zp, t)
         gm, _ = obj.grad_hess(zm, t)
         fd_col = (gp - gm) / (2 * h)
-        assert np.allclose(H.toarray()[:, k], fd_col, rtol=1e-4, atol=1e-5)
+        assert np.allclose(full_hessian(H).toarray()[:, k], fd_col, rtol=1e-4, atol=1e-5)
 
 
 def test_hessian_symmetric_positive_definite():
     obj, fes, smp = make_objective(p=3.0)
     z = feasible_point(fes)
     _, H = obj.grad_hess(z, 1.0)
-    Hd = H.toarray()
+    Hd = full_hessian(H).toarray()
     assert np.allclose(Hd, Hd.T, atol=1e-12)
     w = np.linalg.eigvalsh(Hd)
     assert np.all(w > 0)
@@ -139,7 +140,8 @@ def test_level_objective_galerkin_restriction(small_problem):
     g, H = lvl.grad_hess(y, t)
     gf, Hf = obj.grad_hess(z_base, t)
     assert np.allclose(g, P.T @ gf, atol=1e-12)
-    assert np.allclose(H.toarray(), (P.T @ Hf @ P).toarray(), atol=1e-12)
+    assert np.allclose(full_hessian(H).toarray(),
+                       (P.T @ full_hessian(Hf) @ P).toarray(), atol=1e-12)
     # full_point maps coordinates back into the affine subspace
     rng = np.random.default_rng(0)
     yr = 1e-3 * rng.standard_normal(lvl.dim)
@@ -207,16 +209,18 @@ def test_fixed_pattern_assembly_matches_reference(domain, alpha):
     g, H = obj.grad_hess(z, t)
     g_ref, H_ref = reference_grad_hess(obj, z, t)
     assert_close(g, g_ref)
-    assert_close(H, H_ref)
-    # same sparsity pattern, explicit zeros included
-    H_ref.sort_indices()
-    assert np.array_equal(H.indptr, H_ref.indptr)
-    assert np.array_equal(H.indices, H_ref.indices)
+    assert_close(full_hessian(H), H_ref)
+    # S has the sparsity pattern of the free u-u block, explicit zeros included
+    nu = H.S.shape[0]
+    H_uu = H_ref[:nu, :nu]
+    H_uu.sort_indices()
+    assert np.array_equal(H.S.indptr, H_uu.indptr)
+    assert np.array_equal(H.S.indices, H_uu.indices)
     # the Galerkin restriction P^T H P to the coarse level
     P = pr.P_free_to_fine[0]
     gc, Hc = LevelObjective(obj, z, pr.galerkin[0]).grad_hess(np.zeros(P.shape[1]), t)
     assert_close(gc, P.T @ g_ref)
-    assert_close(Hc, P.T @ H_ref @ P)
+    assert_close(full_hessian(Hc), P.T @ H_ref @ P)
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
@@ -248,7 +252,7 @@ def test_element_blocks_match_reference_at_a_late_center(domain, alpha):
     g, H = obj.assemble(*obj.element_blocks(z), np.zeros(len(obj.free_idx())))
     g_ref, H_ref = reference_grad_hess(obj, z, 0.0)
     assert_close(g, g_ref)
-    assert_close(H, H_ref)
+    assert_close(full_hessian(H), H_ref)
 
 
 @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
@@ -300,8 +304,9 @@ def test_element_restriction_equals_galerkin_product(domain, alpha, cells0):
         gc, Hc = LevelObjective(obj, zs[-1], pr.galerkin[lvl]).grad_hess(
             np.zeros(P.shape[1]), t)
         assert_close(gc, P.T @ g)
-        assert_close(Hc, P.T @ H @ P)
-        # the level's own Hessian pattern, so that its recorded ordering applies
+        assert_close(full_hessian(Hc), P.T @ full_hessian(H) @ P)
+        # the level's own Schur complement pattern, so that its recorded
+        # ordering applies
         _, H_own = pr.objectives[lvl].grad_hess(zs[lvl], t)
-        assert np.array_equal(Hc.indptr, H_own.indptr)
-        assert np.array_equal(Hc.indices, H_own.indices)
+        assert np.array_equal(Hc.S.indptr, H_own.S.indptr)
+        assert np.array_equal(Hc.S.indices, H_own.S.indices)

@@ -10,6 +10,7 @@ from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_n
 from mgbarrier.problems import ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
+from hessians import full_hessian
 from interpolation import interpolate
 
 
@@ -192,9 +193,9 @@ def test_galerkin_product_keeps_the_coarse_pattern():
     # the coarsest has exactly the coarsest level's own Hessian pattern
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=3))
     z = pr.refine_iterate(pr.refine_iterate(pr.z0, 0), 1)
-    H = pr.fine_objective.grad_hess(z, 1.0)[1]
+    H = full_hessian(pr.fine_objective.grad_hess(z, 1.0)[1])
     P = pr.P_free_to_fine[0]
-    coarse = pr.objectives[0].grad_hess(pr.z0, 1.0)[1]
+    coarse = full_hessian(pr.objectives[0].grad_hess(pr.z0, 1.0)[1])
     assert coarse.nnz == 737
     assert (P.T @ H @ P).nnz == coarse.nnz
 

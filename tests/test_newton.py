@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton
-from mgbarrier.assembly import LevelObjective, regularization_shift, regularize
+from mgbarrier.assembly import (CondensedHessian, LevelObjective, regularization_shift,
+                                regularize)
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
                               SOLVER_FAILURE, DirectSolver, center,
                               newton_decrement)
-from mgbarrier.problems import ProblemSpec, build_problem
+from mgbarrier.pathfollow import PathConfig, run_mgb
+from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
+
+from hessians import full_hessian
+from test_assembly import reference_grad_hess
 
 
 class QuadraticObjective:
@@ -139,29 +145,63 @@ def _centered_and_refined(pr):
     return (pr.objectives[0], z), (pr.objectives[1], pr.refine_iterate(z, 0))
 
 
-def _sigma(H):
-    """1e-15 |||D^-1/2 H D^-1/2|||_inf, D = diag(H)."""
-    S = sp.diags(H.diagonal() ** -0.5)
-    return 1e-15 * abs(S @ H @ S).sum(axis=1).max()
+def _sigma(S):
+    """1e-15 |||D^-1/2 S D^-1/2|||_inf, D = diag(S)."""
+    D = sp.diags(S.diagonal() ** -0.5)
+    return 1e-15 * abs(D @ S @ D).sum(axis=1).max()
 
 
 def _shifted(H):
-    """H + sigma diag(H), the system newton_decrement solves."""
-    return (H + sp.diags(_sigma(H) * H.diagonal())).tocsr()
+    """H + blockdiag(sigma diag(S), 0), the full-space system whose
+    condensed form S + sigma diag(S) newton_decrement factors."""
+    S, full = CondensedHessian.of(H).S, full_hessian(H)
+    shift = np.zeros(full.shape[0])
+    shift[:S.shape[0]] = _sigma(S) * S.diagonal()
+    return (full + sp.diags(shift)).tocsr()
+
+
+def _assert_solves(R, b, x):
+    """x solves R x = b: backward error at roundoff level; relative residual
+    below 1e-10, or within 10x of a dense LAPACK solve of the same system
+    where that cannot reach 1e-10."""
+    r = np.linalg.norm(R @ x - b)
+    assert r / (spla.norm(R) * np.linalg.norm(x) + np.linalg.norm(b)) <= 1e-15
+    dense = np.linalg.solve(R.toarray(), b)
+    floor = np.linalg.norm(R @ dense - b)
+    assert r <= max(1e-10 * np.linalg.norm(b), 10 * floor)
 
 
 def _assert_solves_regularized(g, H, lam, step):
-    """Backward error at roundoff level; relative residual below 1e-10, or
-    within 10x of a dense LAPACK solve of the same system where that cannot
-    reach 1e-10."""
     assert lam is not None
-    R = _shifted(H)
-    r = np.linalg.norm(R @ step + g)
-    assert r / (spla.norm(R) * np.linalg.norm(step) + np.linalg.norm(g)) <= 1e-15
-    dense = np.linalg.solve(R.toarray(), -g)
-    floor = np.linalg.norm(R @ dense + g)
-    assert r <= max(1e-10 * np.linalg.norm(g), 10 * floor)
+    _assert_solves(_shifted(H), -g, step)
     assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
+
+
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_condensed_solves_match_the_full_hessian(domain, alpha):
+    # The Newton step and the tangent dz/dt = H^-1 (-c) are solved with S and
+    # the slack back-substituted per element. Both must solve the full
+    # free-dof system, assembled without condensation and shifted as the
+    # solver shifts S, to roundoff: at the point an h-refinement produces
+    # and at a late center, where the gap is ~1/t.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain))
+    _, (obj, z_refined) = _centered_and_refined(pr)
+    tr = run_mgb(pr, PathConfig(t_cap=1e6, c_stp=1e9))
+    assert tr.status == "converged" and tr.t_final == 1e6
+    c = obj.cost_vector[obj.free_idx()]
+    for z, t in ((z_refined, 1.0), (tr.z_final, 1e6)):
+        g, H = obj.grad_hess(z, t)
+        _, H_ref = reference_grad_hess(obj, z, t)
+        d = H.S.diagonal()
+        shift = np.zeros(H_ref.shape[0])
+        shift[:d.size] = newton.scaled_shift(H.S, d) * d
+        R = (H_ref + sp.diags(shift)).tocsr()
+        solver = DirectSolver()
+        lam, step = solver.decrement(g, H)
+        assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
+        _assert_solves(R, -g, step)
+        _assert_solves(R, -c, solver.solve(-c))
 
 
 @pytest.fixture
@@ -240,17 +280,18 @@ def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_u
 
 
 def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
-    # At an L=4 iterate every factorization, with its own ordering or a
-    # reused one, fills in less than minimum degree with SuperLU's default
-    # supernode relaxation (473 k entries against 315 k), which pads relaxed
-    # supernodes with explicit zeros. On small grids the two fills are within
-    # a few percent either way, so the guard runs where relax matters.
+    # At an L=4 iterate every factorization of the Schur complement, with its
+    # own ordering or a reused one, fills in less than minimum degree with
+    # SuperLU's default supernode relaxation (287 k entries against 214 k),
+    # which pads relaxed supernodes with explicit zeros. On small grids the
+    # two fills are within a few percent either way, so the guard runs where
+    # relax matters.
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4))
     z = pr.z0
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    default = spla.splu(regularize(H).tocsc(), permc_spec="MMD_AT_PLUS_A",
+    default = spla.splu(regularize(H.S).tocsc(), permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     splu, fills = spla.splu, []
 
@@ -284,14 +325,11 @@ def test_negative_decrement_is_a_solver_failure():
 
 
 class FixedHessian:
-    """Objective with value 0, gradient 1 and a fixed CSR Hessian everywhere."""
+    """Objective with value 0, gradient 1 and a fixed Hessian everywhere."""
 
-    def __init__(self, H):
+    def __init__(self, H, dim=None):
         self.H = H
-
-    @property
-    def dim(self):
-        return self.H.shape[0]
+        self.dim = H.shape[0] if dim is None else dim
 
     def value(self, y, t):
         return 0.0
@@ -318,6 +356,28 @@ def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     assert orderings_used == ["MMD_AT_PLUS_A"]
 
 
+def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_used):
+    # A slack block that is not positive definite, or a Schur complement
+    # with a non-positive diagonal entry: a solver-failure before any splu,
+    # never a clamp, with no exception or floating-point warning
+    obj = small_problem.objectives[0]
+    gloc, hloc = obj.element_blocks(small_problem.z0)
+    n_lu, nf = obj.fesys.u_elem.shape[1], len(obj.free_idx())
+    bad_slack, bad_schur = hloc.copy(), hloc.copy()
+    bad_slack[0, n_lu + 1, n_lu + 1] *= -1.0
+    bad_schur[:, :n_lu, :n_lu] = 0.0  # diag(S) = -sum W^T W <= 0
+    for bad in (bad_slack, bad_schur):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, H = obj.assemble(gloc, bad, np.zeros(nf))
+            assert newton_decrement(np.ones(nf), H) == (None, None)
+            res = center(FixedHessian(H, nf), np.zeros(nf), t=1.0)
+        assert res.status == SOLVER_FAILURE
+        assert res.iterations == 0
+    assert not obj.assemble(gloc, bad_slack, np.zeros(nf))[1].slack_spd()
+    assert orderings_used == []
+
+
 def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
     # The reused path reads the diagonal through the recorded permutation; it
     # must see H's diagonal in H's own row order, as the new-pattern path
@@ -341,8 +401,8 @@ def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
         _, step = solver.decrement(g, H)
         assert len(calls) == 2
         for d_seen, sigma_seen in calls:
-            assert np.array_equal(d_seen, H.diagonal())
-            assert sigma_seen == pytest.approx(_sigma(H), rel=1e-12)
+            assert np.array_equal(d_seen, H.S.diagonal())
+            assert sigma_seen == pytest.approx(_sigma(H.S), rel=1e-12)
         assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
 
 
@@ -365,10 +425,11 @@ def test_newton_step_is_quadratic_when_rows_are_badly_scaled(small_problem):
     # a point at lambda ~ 1e-3 off the center, in the slack coordinates
     slack = obj.free_idx() >= obj.fesys.n_u
     v = np.where(slack, np.random.default_rng(0).standard_normal(lvl.dim), 0.0)
-    H = lvl.grad_hess(y, t)[1]
+    H = full_hessian(lvl.grad_hess(y, t)[1])
     y0 = y + 1e-3 / np.sqrt(v @ (H @ v)) * v
     g, H = lvl.grad_hess(y0, t)
     lam0 = newton_decrement(g, H)[0]
+    H = full_hessian(H)
     assert lam0 == pytest.approx(1e-3, rel=1e-3)
 
     s = np.where(slack, 1e-6, 1.0)
