@@ -16,11 +16,13 @@ repeat-median milliseconds of:
 - restrict (one per coarse level, coarsest first): the Galerkin restriction
   of the fine element blocks to that level's free dofs, including the
   scatter into the level's pattern;
-- decrement_new_pattern: DirectSolver.decrement on a new solver, i.e.
-  minimum-degree ordering, factorization of S, solve and recording the
-  ordering;
+- decrement_new_pattern: DirectSolver.decrement on a new solver, i.e. the
+  shift and gather of S in its own order, minimum-degree ordering and
+  factorization, solve and recording the ordering;
 - decrement_repeated_pattern: DirectSolver.decrement on a pattern the solver
-  has already ordered (gather, factorization in that order, solve);
+  has already ordered (shift and gather, factorization in that order,
+  solve);
+- regularize: that shift and gather alone, on the recorded ordering;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level; the free dofs, the
@@ -104,6 +106,7 @@ def main():
         repeated_ms = median_ms(repeated_pattern, args.repeats)
     finally:
         spla.splu = splu
+    order = solver.orderings[(H.S.shape, H.S.nnz)]
 
     print(json.dumps({
         "levels": args.levels,
@@ -120,6 +123,7 @@ def main():
                         for gal in problem.galerkin[:-1]],
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
+        "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         "fill_nnz_new_pattern": fills[0],

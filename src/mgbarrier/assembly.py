@@ -1,9 +1,9 @@
 """Discrete barrier functional f_h(z, t) = int^(h) t c[z] + F(Dz).
 
 Value, gradient and sparse Hessian in fine-grid coefficients, the Hessian
-with its element-local slack condensed out, Hessian regularization, and
-element-by-element Galerkin restriction to coarse subspaces for the
-shifted-central-path subproblems (coarse test space, fine-grid quadrature).
+with its element-local slack condensed out, and element-by-element Galerkin
+restriction to coarse subspaces for the shifted-central-path subproblems
+(coarse test space, fine-grid quadrature).
 """
 
 from __future__ import annotations
@@ -16,25 +16,6 @@ import scipy.sparse as sp
 from .femspace import child_prolongation
 
 INFEASIBLE = np.inf
-
-
-def regularization_shift(H):
-    """1e-15 * |||H|||_inf of a canonical CSR matrix, with |||.|||_inf the max
-    absolute row sum; 0 for a matrix with no entries."""
-    rows = np.flatnonzero(np.diff(H.indptr))
-    if rows.size == 0:
-        return 0.0
-    return 1e-15 * float(np.add.reduceat(np.abs(H.data), H.indptr[rows]).max())
-
-
-def regularize(H):
-    """H + regularization_shift(H) * I."""
-    H = H.tocsr()
-    H.sum_duplicates()
-    shift = regularization_shift(H)
-    if shift == 0.0:
-        return H
-    return H + shift * sp.identity(H.shape[0], format="csr")
 
 
 def condense(hloc, n_ls):
@@ -71,21 +52,12 @@ class CondensedHessian:
     u then slack element by element, with the element-local slack
     eliminated: H_ss = blockdiag(L_K L_K^T), W_K = L_K^-1 H_su,K, and S =
     H_uu - sum_K W_K^T W_K, the Schur complement over the free u dofs.
-
-    A plain sparse matrix is the CondensedHessian with no slack (of).
     """
 
     S: sp.csr_matrix   # (nu, nu)
     L: np.ndarray      # (ne, n_ls, n_ls) lower triangular; NaN if H_ss,K is not SPD
     W: np.ndarray      # (ne, n_ls, n_lu)
     uslot: np.ndarray  # (ne, n_lu) position of each local u dof among the free u; nu if fixed
-
-    @classmethod
-    def of(cls, H):
-        if isinstance(H, cls):
-            return H
-        return cls(H.tocsr(), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
-                   np.zeros((0, 0), dtype=np.intp))
 
     @property
     def nnz(self):

@@ -15,10 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import CondensedHessian
-# not called here: perfbench's traced mode wraps newton.regularize by name
-from .assembly import regularize  # noqa: F401
-
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
 INFEASIBLE_START = "infeasible-start"
@@ -82,42 +78,33 @@ class Ordering:
         indptr, indices = self.pattern
         return np.array_equal(H.indptr, indptr) and np.array_equal(H.indices, indices)
 
-    def permuted(self, H):
-        """The shifted H (shifted_csc) in the permuted CSC pattern, or None if
-        a diagonal entry of H is not positive."""
-        d = H.data[self.hdiag]
-        if not (d > 0).all():
-            return None
-        data = H.data[self.slots]
-        data[self.diag] *= 1.0 + scaled_shift(H, d)
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=H.shape)
-
 
 def scaled_shift(H, d):
     """1e-15 |||D^-1/2 H D^-1/2|||_inf (max absolute row sum) of a CSR matrix
     H with diagonal d > 0, D = diag(d), from one matvec with |H|.
 
-    H + scaled_shift(H, d) D is D^1/2 regularize(D^-1/2 H D^-1/2) D^1/2: the
-    shift is a fixed fraction of every diagonal entry. 1e-15 |||H|||_inf,
-    set by the largest rows, can exceed the smallest diagonal entries (by up
-    to 7e7 on coarse grids after an h-refinement) and turn the Newton step
-    on those rows into a gradient step.
+    H + scaled_shift(H, d) D shifts every diagonal entry by the same
+    fraction, so it commutes with a diagonal rescaling of the unknowns, as
+    Newton's method does. 1e-15 |||H|||_inf, set by the largest rows, can
+    exceed the smallest diagonal entries (by up to 7e7 on coarse grids after
+    an h-refinement) and turn the Newton step on those rows into a gradient
+    step.
     """
     s = 1.0 / np.sqrt(d)
     abs_h = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
     return 1e-15 * float(np.max(s * (abs_h @ s), initial=0.0))
 
 
-def shifted_csc(H):
-    """H + scaled_shift(H, d) * diag(d), d = diag(H), for a CSR matrix H, as
-    a CSC matrix, or None if an entry of d is not positive (or NaN): H is
-    then not SPD, and no clamp makes it so."""
-    d = H.diagonal()
+def regularize(S, order):
+    """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S,
+    gathered into order's permuted CSC pattern, or None if an entry of d is
+    not positive (or NaN): S is then not SPD, and no clamp makes it so."""
+    d = S.data[order.hdiag]
     if not (d > 0).all():
         return None
-    R = H.tocsc()
-    R.setdiag(d * (1.0 + scaled_shift(H, d)))
-    return R
+    data = S.data[order.slots]
+    data[order.diag] *= 1.0 + scaled_shift(S, d)
+    return sp.csc_matrix((data, order.indices, order.indptr), shape=S.shape)
 
 
 @dataclass
@@ -142,43 +129,40 @@ class DirectSolver:
     def decrement(self, g, H):
         """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
 
-        H is a CondensedHessian, or a sparse matrix with no slack. Its Schur
-        complement S, shifted to S + sigma diag(S) (shifted_csc), is SPD, so
-        it is factored with minimum degree on A + A^T and diagonal pivots, at
-        a quarter of the fill of column ordering with partial pivoting. A
-        sparsity pattern seen before is not ordered again: its data is
-        gathered into the recorded permuted pattern and factored in that
-        order. Returns (None, None) and keeps no factor if a slack block is
-        not positive definite or a diagonal entry of S is not positive
-        (before any factorization), if the factorization fails or if
-        lambda^2 is negative beyond roundoff.
+        H is a CondensedHessian. Its Schur complement S, shifted and gathered
+        into the permuted pattern of an Ordering (regularize), is SPD, so it
+        is factored with diagonal pivots. A new sparsity pattern is gathered
+        in its own order and factored with minimum degree on A + A^T, at a
+        quarter of the fill of column ordering with partial pivoting; the
+        order that chose is recorded, and every later S on that pattern is
+        gathered into it and factored in natural order. Returns (None, None)
+        and keeps no factor if a slack block is not positive definite or a
+        diagonal entry of S is not positive (before any factorization), if
+        the factorization fails or if lambda^2 is negative beyond roundoff.
         """
         self.release()
-        H = CondensedHessian.of(H)
         if not H.slack_spd():
             return None, None
         S = H.S
         key = (S.shape, S.nnz)
         order = self.orderings.get(key)
-        if order is not None and not order.matches(S):
-            order = None
-        A = shifted_csc(S) if order is None else order.permuted(S)
+        new = order is None or not order.matches(S)
+        if new:
+            order = Ordering.of(S, np.arange(S.shape[0]))
+        A = None if order is None else regularize(S, order)
         if A is None:
             return None, None
         try:
-            self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if order is None
-                                 else "NATURAL", **SPD_OPTIONS)
-            self._H = H
-            self._perm = None if order is None else order.perm
+            self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if new else "NATURAL",
+                                 **SPD_OPTIONS)
+            self._H, self._perm = H, order.perm
             step = -self.solve(g)
         except RuntimeError:
             self.release()
             return None, None
-        if order is None:
+        if new:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            order = Ordering.of(S, self._lu.perm_c.copy())
-            if order is not None:
-                self.orderings[key] = order
+            self.orderings[key] = Ordering.of(S, self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
@@ -194,8 +178,6 @@ class DirectSolver:
         return self._H.solve(b, self._solve_s)
 
     def _solve_s(self, r):
-        if self._perm is None:
-            return self._lu.solve(r)
         rp = np.empty_like(r)
         rp[self._perm] = r
         return self._lu.solve(rp)[self._perm]

@@ -4,12 +4,18 @@ import scipy.sparse as sp
 from mgbarrier.assembly import CondensedHessian
 
 
+def no_slack(A):
+    """The CondensedHessian of a sparse or dense matrix A over u dofs alone:
+    S = A, and no element slack."""
+    return CondensedHessian(sp.csr_matrix(A), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+                            np.zeros((0, 0), dtype=np.intp))
+
+
 def full_hessian(H):
-    """The free-dof Hessian a CondensedHessian (or plain sparse matrix) H
-    stands for, rebuilt from its blocks: H_uu = S + sum_K W_K^T W_K, H_us =
-    W^T L^T and H_ss = L L^T. Every element entry is stored, explicit zeros
-    included, as the element scatter stores them."""
-    H = CondensedHessian.of(H)
+    """The free-dof Hessian a CondensedHessian H stands for, rebuilt from its
+    blocks: H_uu = S + sum_K W_K^T W_K, H_us = W^T L^T and H_ss = L L^T.
+    Every element entry is stored, explicit zeros included, as the element
+    scatter stores them."""
     nu = H.S.shape[0]
     ne, n_ls, n_lu = H.W.shape
     nf = nu + ne * n_ls

@@ -14,9 +14,9 @@ import scipy.sparse as sp
 
 import barrier_oracles as oracles
 from mgbarrier import diagnostics
-from mgbarrier.assembly import regularize
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import s_basis, u_basis_grad
+from mgbarrier.newton import Ordering, regularize
 from mgbarrier.pathfollow import PathConfig, adapt_stepsize, run_mgb, run_naive
 from mgbarrier.problems import ProblemSpec, build_problem
 
@@ -254,10 +254,12 @@ def test_criterion_7_stepsize_floor(p1_run):
 
 
 def test_criterion_8_robustness_rails(mgb_scaling_runs):
-    # regularization formula exact
-    H = sp.csr_matrix(np.array([[3.0, -2.0], [-2.0, 5.0]]))
-    ok_reg = np.array_equal(regularize(H).toarray(),
-                            H.toarray() + 1e-15 * 7.0 * np.eye(2))
+    # regularization formula exact: S + sigma diag(S), sigma = 1e-15 times
+    # the max absolute row sum of D^-1/2 S D^-1/2 (1.125 in both rows)
+    S = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 16.0]]))
+    R = regularize(S, Ordering.of(S, np.arange(2)))
+    ok_reg = np.array_equal(R.toarray(),
+                            S.toarray() + 1e-15 * 1.125 * np.diag([4.0, 16.0]))
     # t rail and feasibility of every recorded iterate
     ok_t, ok_feas = True, True
     for pr, tr in (run for runs in mgb_scaling_runs.values() for run in runs):

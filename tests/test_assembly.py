@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective, regularize
+from mgbarrier.assembly import LevelObjective, Objective
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
@@ -27,19 +27,6 @@ def feasible_point(fes, margin=2.0):
     z = interpolate(fes, lambda x, y: 0.3 * x * y + 0.1 * x,
                     lambda x, y: margin + x)
     return z
-
-
-def test_regularize_formula_exact():
-    H = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 3.0]]))
-    R = regularize(H).toarray()
-    norm_inf = 5.0  # max absolute row sum
-    expected = H.toarray() + 1e-15 * norm_inf * np.eye(2)
-    assert np.array_equal(R, expected)
-
-
-def test_regularize_zero_matrix():
-    H = sp.csr_matrix((3, 3))
-    assert regularize(H).nnz == 0
 
 
 def test_cost_integral_is_volume_of_slack():

@@ -6,16 +6,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbarrier import newton
-from mgbarrier.assembly import (CondensedHessian, LevelObjective, regularization_shift,
-                                regularize)
+from mgbarrier import newton, pathfollow
+from mgbarrier.assembly import LevelObjective
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
-                              SOLVER_FAILURE, DirectSolver, center,
-                              newton_decrement)
+                              SOLVER_FAILURE, DirectSolver, Ordering, center,
+                              newton_decrement, regularize)
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 
-from hessians import full_hessian
+from hessians import full_hessian, no_slack
 from test_assembly import reference_grad_hess
 
 
@@ -24,6 +23,7 @@ class QuadraticObjective:
 
     def __init__(self, A, b):
         self.A = sp.csr_matrix(A)
+        self.H = no_slack(self.A)
         self.b = np.asarray(b, dtype=float)
 
     @property
@@ -34,7 +34,7 @@ class QuadraticObjective:
         return 0.5 * y @ (self.A @ y) - self.b @ y
 
     def grad_hess(self, y, t):
-        return self.A @ y - self.b, self.A
+        return self.A @ y - self.b, self.H
 
 
 class LogBarrier1D:
@@ -48,15 +48,41 @@ class LogBarrier1D:
         return t * y[0] - np.log(y[0])
 
     def grad_hess(self, y, t):
-        return np.array([t - 1.0 / y[0]]), sp.csr_matrix([[1.0 / y[0] ** 2]])
+        return np.array([t - 1.0 / y[0]]), no_slack([[1.0 / y[0] ** 2]])
 
 
 def test_newton_decrement_quadratic():
     A = np.array([[2.0, 0.0], [0.0, 8.0]])
     g = np.array([2.0, 8.0])
-    lam, step = newton_decrement(g, sp.csr_matrix(A))
+    lam, step = newton_decrement(g, no_slack(A))
     assert np.allclose(step, [-1.0, -1.0])
     assert lam == pytest.approx(np.sqrt(10.0), rel=1e-12)
+
+
+def test_regularize_formula_exact():
+    # D^-1/2 |S| D^-1/2 has row sums 1.125, 1.25 and 1.125, all exact in
+    # binary, so sigma = 1e-15 * 1.25; on a power-of-two diagonal d,
+    # d (1 + sigma) rounds as d + sigma d does
+    S = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 16.0, 2.0], [0.0, 2.0, 16.0]]))
+    d = np.array([4.0, 16.0, 16.0])
+    expected = S.toarray() + 1e-15 * 1.25 * np.diag(d)
+    R = regularize(S, Ordering.of(S, np.arange(3)))
+    assert R.format == "csc"
+    assert np.array_equal(R.toarray(), expected)
+    # entry (i, j) moves to (perm[i], perm[j])
+    perm = np.array([2, 0, 1])
+    R = regularize(S, Ordering.of(S, perm)).toarray()
+    assert np.array_equal(R[np.ix_(perm, perm)], expected)
+
+
+def test_regularize_zero_matrix():
+    # a zero diagonal is not SPD, and no shift relative to it makes it so;
+    # the empty Schur complement of a problem with no free u dof is empty
+    S = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
+    assert regularize(S, Ordering.of(S, np.arange(3))) is None
+    S = sp.csr_matrix((0, 0))
+    R = regularize(S, Ordering.of(S, np.arange(0)))
+    assert R.shape == (0, 0) and R.nnz == 0
 
 
 def test_center_quadratic_one_full_step():
@@ -154,7 +180,7 @@ def _sigma(S):
 def _shifted(H):
     """H + blockdiag(sigma diag(S), 0), the full-space system whose
     condensed form S + sigma diag(S) newton_decrement factors."""
-    S, full = CondensedHessian.of(H).S, full_hessian(H)
+    S, full = H.S, full_hessian(H)
     shift = np.zeros(full.shape[0])
     shift[:S.shape[0]] = _sigma(S) * S.diagonal()
     return (full + sp.diags(shift)).tocsr()
@@ -262,7 +288,7 @@ def test_same_shape_and_nnz_do_not_reuse_an_ordering(orderings_used):
     g = np.array([1.0, 2.0, 3.0, 4.0])
     solver = DirectSolver()
     for M in (A1, A2, A2):
-        lam, step = solver.decrement(g, sp.csr_matrix(M))
+        lam, step = solver.decrement(g, no_slack(M))
         assert np.allclose(M @ step, -g, rtol=1e-12)
     assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
 
@@ -291,7 +317,8 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    default = spla.splu(regularize(H.S).tocsc(), permc_spec="MMD_AT_PLUS_A",
+    identity = Ordering.of(H.S, np.arange(H.S.shape[0]))
+    default = spla.splu(regularize(H.S, identity), permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     splu, fills = spla.splu, []
 
@@ -308,18 +335,59 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
     assert max(fills) < default.nnz
 
 
+def test_every_factorization_shifts_through_regularize(small_problem, monkeypatch):
+    # One gather-and-shift path: every splu of a run factors what
+    # newton.regularize returned, minimum degree runs once per level's
+    # pattern, and the run's solver ends with one ordering per level.
+    shifted, specs, solvers = [], [], []
+    reg, splu, Solver = newton.regularize, spla.splu, pathfollow.DirectSolver
+
+    def logged_regularize(S, order):
+        shifted.append(reg(S, order))
+        return shifted[-1]
+
+    def logged_splu(A, permc_spec=None, **kwargs):
+        assert A is shifted[-1]
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    def logged_solver():
+        solvers.append(Solver())
+        return solvers[-1]
+
+    monkeypatch.setattr(newton, "regularize", logged_regularize)
+    monkeypatch.setattr(spla, "splu", logged_splu)
+    monkeypatch.setattr(pathfollow, "DirectSolver", logged_solver)
+    tr = run_mgb(small_problem, PathConfig())
+    assert tr.status == "converged"
+    assert len(shifted) == len(specs) > small_problem.L
+    assert specs.count("MMD_AT_PLUS_A") == small_problem.L
+    assert len(solvers) == 1
+    assert len(solvers[0].orderings) == small_problem.L
+
+
+def test_empty_schur_complement_converges():
+    # alpha = 1 on one cell and one level: every u dof is on the boundary,
+    # so S is 0 x 0 and each Newton step is the slack back-substitution alone
+    pr = build_problem(ProblemSpec(alpha=1, levels=1, cells0=1))
+    g, H = pr.fine_objective.grad_hess(pr.z0, 1.0)
+    assert H.S.shape == (0, 0) and g.size > 0
+    tr = run_mgb(pr, PathConfig())
+    assert tr.status == "converged", tr.failure_reason
+
+
 def test_negative_decrement_is_a_solver_failure():
     # indefinite H with a positive diagonal (eigenvalues 3 and -1):
     # lambda^2 = g^T H^{-1} g = -1/3 for g = e_2 is no roundoff
     A = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert newton_decrement(np.array([0.0, 1.0]), sp.csr_matrix(A)) == (None, None)
+    assert newton_decrement(np.array([0.0, 1.0]), no_slack(A)) == (None, None)
     res = center(QuadraticObjective(A, np.array([0.0, -1.0])), np.zeros(2), t=1.0)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
     # g^T H^{-1} g = 0 on g_2 / g_1 = 2 + sqrt(3); just past it lambda^2 is
     # negative within roundoff of |g| |step|, and is clamped to 0
     lam, step = newton_decrement(np.array([1.0, 2.0 + np.sqrt(3.0) + 1e-10]),
-                                 sp.csr_matrix(A))
+                                 no_slack(A))
     assert lam == 0.0
     assert step is not None
 
@@ -329,7 +397,7 @@ class FixedHessian:
 
     def __init__(self, H, dim=None):
         self.H = H
-        self.dim = H.shape[0] if dim is None else dim
+        self.dim = H.S.shape[0] if dim is None else dim
 
     def value(self, y, t):
         return 0.0
@@ -346,11 +414,11 @@ def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     bad_H = H.copy()
     bad_H.data[H.indptr[1] + 1] = bad  # entry (1, 1), kept even when 0
     solver = DirectSolver()
-    res = center(FixedHessian(bad_H), np.zeros(3), t=1.0, solver=solver)
+    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0, solver=solver)
     assert res.status == SOLVER_FAILURE
     assert orderings_used == []
-    assert solver.decrement(np.ones(3), H)[0] is not None
-    res = center(FixedHessian(bad_H), np.zeros(3), t=1.0, solver=solver)
+    assert solver.decrement(np.ones(3), no_slack(H))[0] is not None
+    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0, solver=solver)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
     assert orderings_used == ["MMD_AT_PLUS_A"]
@@ -434,8 +502,8 @@ def test_newton_step_is_quadratic_when_rows_are_badly_scaled(small_problem):
 
     s = np.where(slack, 1e-6, 1.0)
     Hs = (sp.diags(s) @ H @ sp.diags(s)).tocsr()
-    assert regularization_shift(Hs) > 10 * Hs.diagonal().min()
-    lam, step = newton_decrement(s * g, Hs)
+    assert 1e-15 * abs(Hs).sum(axis=1).max() > 10 * Hs.diagonal().min()
+    lam, step = newton_decrement(s * g, no_slack(Hs))
     assert lam == pytest.approx(lam0, rel=1e-6)
     lam1 = newton_decrement(*lvl.grad_hess(y0 + s * step, t))[0]
     assert lam1 <= 10 * lam0 ** 2
