@@ -47,8 +47,12 @@ _CONFIG_KEYS = {**_SPEC_KEYS, **_PATH_KEYS, "dim": int, "algorithm": check_algor
 
 
 def parse_config_text(text):
-    """Parse `key = value` (or `key value`) lines; '#' starts a comment."""
-    out = {}
+    """Parse `key = value` (or `key value`) lines; '#' starts a comment.
+
+    A key may be set once. An unknown or repeated key, or a value its parser
+    rejects, is a ValueError naming the key and its line.
+    """
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,7 +64,14 @@ def parse_config_text(text):
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        out[key] = _CONFIG_KEYS[key](val)
+        if key in lines:
+            raise ValueError(f"config key {key!r} on line {lineno} "
+                             f"repeats line {lines[key]}")
+        try:
+            out[key] = _CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r} on line {lineno}: {exc}") from None
+        lines[key] = lineno
     return out
 
 
@@ -111,7 +122,7 @@ def cmd_solve(args):
     trace = ALGORITHMS[algorithm](problem, config)
 
     if args.dump_mesh:
-        dump_mesh(problem.hierarchy.fine, args.dump_mesh)
+        dump_mesh(problem.fine_fesys.mesh, args.dump_mesh)
     if args.dump_solution and trace.z_final is not None:
         dump_solution(problem.fine_fesys, trace.z_final, args.dump_solution)
     if args.trace:
@@ -158,7 +169,7 @@ def cmd_bench(args):
             trace = ALGORITHMS[algorithm](problem, config)
             wall = time.monotonic() - start
             rows.append(f"{algorithm},{spec.p!r},{problem.h_fine()!r},"
-                        f"{problem.hierarchy.fine.num_elements},{trace.total_newton},"
+                        f"{problem.fine_fesys.mesh.num_elements},{trace.total_newton},"
                         f"{trace.max_step_newton()},{trace.t_final!r},"
                         f"{trace.status},{wall:.3f}")
     with open(args.out, "w") as fh:
@@ -178,7 +189,7 @@ def cmd_check(args):
 
     spec = ProblemSpec(p=1.5, alpha=2, levels=3, cells0=2)
     problem = build_problem(spec)
-    for lvl, mesh in enumerate(problem.hierarchy.levels, start=1):
+    for lvl, mesh in enumerate(problem.meshes, start=1):
         check(f"level {lvl}: element volumes sum to |Omega|",
               abs(mesh.total_volume() - 1.0) < 1e-12)
         _, rho = quasi_uniformity(mesh)

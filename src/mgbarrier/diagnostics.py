@@ -49,7 +49,7 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     with fine-grid quadrature. Returns per-level maxima (level 1 = coarsest).
     """
     rng = np.random.default_rng(seed)
-    L = problem.L
+    L, meshes = problem.L, problem.meshes
     obj = problem.fine_objective
     smp, d = obj.sampler, obj.fesys.d
 
@@ -59,13 +59,13 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     # fine elements inside each element of every level
     inside = [np.arange(ne_f)[:, None]]
     for lvl in range(L - 2, -1, -1):
-        children = problem.hierarchy.children(lvl)
+        children = meshes[lvl + 1].children
         inside.insert(0, inside[0][children].reshape(len(children), -1))
 
     out = []
     for lvl in range(L - 1):
-        Pff = problem.P_free_to_fine[lvl]
-        vols = problem.hierarchy.levels[lvl].volumes()
+        Pff = problem.galerkin[lvl].P
+        vols = meshes[lvl].volumes()
         worst = 0.0
         for _ in range(num_samples):
             v = rng.standard_normal(Pff.shape[1])

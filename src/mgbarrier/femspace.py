@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import CHILDREN, LOCAL_EDGES, children_of
+from .mesh import CHILDREN, LOCAL_EDGES
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def prolongation(fes_c, fes_f):
 
     # one (element, local dof) per fine dof; its row of P is that local dof's
     # row of its child rank's table, over the parent's coarse dofs
-    children = children_of(pm, mesh_c.num_elements)
+    children = mesh_f.children
     rank = np.empty(len(pm), dtype=np.intp)
     rank[children] = np.arange(children.shape[1])
     dofs_f = fes_f.elem_dofs()

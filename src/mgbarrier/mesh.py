@@ -1,4 +1,4 @@
-"""Simplicial meshes of boxes in 1d/2d, uniform refinement, nested hierarchies."""
+"""Simplicial meshes of boxes in 1d/2d and their uniform refinement."""
 
 from __future__ import annotations
 
@@ -67,6 +67,12 @@ class SimplicialMesh:
         are shared; callers must not modify them."""
         return p2_nodes(self)
 
+    @functools.cached_property
+    def children(self):
+        """Fine elements of this refined mesh in each coarse element, in child
+        rank order: (ne_coarse, m). Defined only when parent_map is set."""
+        return np.argsort(self.parent_map, kind="stable").reshape(-1, len(CHILDREN[self.d]))
+
 
 def ref_simplex_volume(d):
     """Volume of the reference simplex conv{0, e_1, ..., e_d}: 1/d!."""
@@ -89,12 +95,15 @@ def edge_index(elements):
     """
     d = elements.shape[1] - 1
     pairs = np.sort(elements[:, np.array(LOCAL_EDGES[d])], axis=2)
-    uniq, first, inverse = np.unique(pairs.reshape(-1, 2), axis=0,
-                                     return_index=True, return_inverse=True)
+    # one int64 key v0 * nv + v1 per sorted pair: a 1-D unique, not a row-wise one
+    nv = int(pairs.max()) + 1
+    keys = pairs[..., 0].astype(np.int64) * nv + pairs[..., 1]
+    uniq, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse.ravel()].reshape(pairs.shape[:2])
+    edges = np.stack(np.divmod(uniq[order], nv), axis=1)
+    return edges, rank[inverse].reshape(pairs.shape[:2])
 
 
 def _boundary_edges(elem_edges, d):
@@ -178,44 +187,12 @@ def refine_uniform(mesh):
     return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents)
 
 
-def children_of(parent_map, num_parents):
-    """Fine elements in each coarse element, in child rank order: (num_parents, m)."""
-    return np.argsort(parent_map, kind="stable").reshape(num_parents, -1)
-
-
 def quasi_uniformity(mesh):
     """Return (h, rho) with h = max |||A_K||| and rho = min sigma_min(A_K) / h."""
     smin = 1.0 / np.linalg.norm(mesh.Ainv, ord=2, axis=(1, 2))
     h = mesh.h()
     rho = float(np.min(smin) / h)
     return h, rho
-
-
-@dataclass
-class MeshHierarchy:
-    """Nested meshes T_1 coarsest .. T_L finest, each level a uniform bisection."""
-
-    levels: list
-
-    @classmethod
-    def build(cls, domain, cells_coarse, num_levels):
-        meshes = [build_rect_mesh(domain, cells_coarse)]
-        for _ in range(num_levels - 1):
-            meshes.append(refine_uniform(meshes[-1]))
-        return cls(meshes)
-
-    @property
-    def L(self):
-        return len(self.levels)
-
-    @property
-    def fine(self):
-        return self.levels[-1]
-
-    def children(self, level):
-        """children_of the elements of `level` in level + 1: shape (ne, m)."""
-        return children_of(self.levels[level + 1].parent_map,
-                           self.levels[level].num_elements)
 
 
 def dump_mesh(mesh, path):

@@ -1,6 +1,6 @@
 """Problem construction for the p-Laplacian family.
 
-Builds the mesh hierarchy, per-level FE systems and objectives, nested
+Builds the nested meshes, per-level FE systems and objectives, nested
 prolongations, and the initial iterate (discrete-harmonic extension of the
 Dirichlet data plus a doubled-until-feasible constant slack).
 """
@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from .assembly import Galerkin, Objective
 from .barrier import PLapBarrier
 from .femspace import DSampler, build_fe_system, prolongation
-from .mesh import MeshHierarchy
+from .mesh import build_rect_mesh, refine_uniform
 from .quadrature import reference_rule
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
@@ -136,16 +136,19 @@ def repair_slack(objective, z, safety=1e-8):
 class ProblemInstance:
     spec: ProblemSpec
     barrier: PLapBarrier
-    hierarchy: MeshHierarchy
-    objectives: list        # per level: its FE system, sampler and quadrature
+    objectives: list        # per level, coarsest first: FE system, sampler, quadrature
     P_full: list            # consecutive full prolongations, len L-1
     P_free: list            # consecutive free prolongations, len L-1
-    P_free_to_fine: list    # cumulative free prolongation level l -> fine, len L (last None)
     z0: np.ndarray          # initial iterate on the coarsest level
 
     @property
     def L(self):
-        return self.hierarchy.L
+        return len(self.objectives)
+
+    @property
+    def meshes(self):
+        """The nested meshes T_1 coarsest .. T_L finest."""
+        return [o.fesys.mesh for o in self.objectives]
 
     @property
     def fine_objective(self):
@@ -158,18 +161,22 @@ class ProblemInstance:
     @functools.cached_property
     def galerkin(self):
         """Per level, the Galerkin restriction of fine element blocks to its
-        free dofs (None on the fine level), built on the first use."""
-        obj = self.fine_objective
-        children = [self.hierarchy.children(lvl) for lvl in range(self.L - 2, -1, -1)]
+        free dofs (None on the fine level), built on the first use together
+        with the cumulative free prolongations to the fine level."""
+        obj, meshes = self.fine_objective, self.meshes
         c_free = obj.cost_vector[obj.free_idx()]
-        return [Galerkin(self.objectives[lvl], P, children[:self.L - 1 - lvl], P.T @ c_free)
-                for lvl, P in enumerate(self.P_free_to_fine[:-1])] + [None]
+        out, P = [None] * self.L, None
+        for lvl in range(self.L - 2, -1, -1):
+            P = self.P_free[lvl] if P is None else (P @ self.P_free[lvl]).tocsr()
+            out[lvl] = Galerkin(self.objectives[lvl], P,
+                                [m.children for m in meshes[:lvl:-1]], P.T @ c_free)
+        return out
 
     def h_fine(self):
-        return self.hierarchy.fine.h()
+        return self.fine_fesys.mesh.h()
 
     def domain_volume(self):
-        return self.hierarchy.fine.total_volume()
+        return self.fine_fesys.mesh.total_volume()
 
     def refine_iterate(self, z, level):
         """Move an iterate one level finer: prolongate, re-impose the Dirichlet
@@ -185,11 +192,13 @@ class ProblemInstance:
 def build_problem(spec):
     d = len(spec.domain)
     barrier = PLapBarrier(p=spec.p, d=d)
-    hier = MeshHierarchy.build(spec.domain, spec.cells0, spec.levels)
+    meshes = [build_rect_mesh(spec.domain, spec.cells0)]
+    for _ in range(spec.levels - 1):
+        meshes.append(refine_uniform(meshes[-1]))
     rule = reference_rule(d, 2 * spec.alpha)
 
     objectives = []
-    for mesh in hier.levels:
+    for mesh in meshes:
         fes = build_fe_system(mesh, spec.alpha)
         objectives.append(Objective(fes, DSampler(fes, rule), barrier, spec.forcing))
     fesystems = [obj.fesys for obj in objectives]
@@ -201,13 +210,6 @@ def build_problem(spec):
         # restricted to free dofs: zero-trace u and all s
         P_free.append(P[np.ix_(hi.free_idx(), lo.free_idx())].tocsr())
 
-    L = hier.L
-    P_free_to_fine = [None] * L
-    acc = None
-    for lvl in range(L - 2, -1, -1):
-        acc = P_free[lvl] if acc is None else (acc @ P_free[lvl]).tocsr()
-        P_free_to_fine[lvl] = acc
-
     fes0 = objectives[0].fesys
     u0 = harmonic_extension(objectives[0], spec.dirichlet)
     z0 = np.zeros(fes0.total_dim)
@@ -217,10 +219,8 @@ def build_problem(spec):
     return ProblemInstance(
         spec=spec,
         barrier=barrier,
-        hierarchy=hier,
         objectives=objectives,
         P_full=P_full,
         P_free=P_free,
-        P_free_to_fine=P_free_to_fine,
         z0=z0,
     )

@@ -281,7 +281,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
 def test_criterion_9_substrate(mgb_scaling_runs):
     pr, _ = mgb_scaling_runs["predictor"][-1]
     ok_vol = all(abs(m.total_volume() - 1.0) < 1e-12
-                 for m in pr.hierarchy.levels)
+                 for m in pr.meshes)
     ok_w = all(np.all(obj.sampler.wq > 0) for obj in pr.objectives)
 
     # prolongation exactness in the discrete L^inf norm on 50 random coarse v

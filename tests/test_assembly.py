@@ -118,7 +118,7 @@ def test_level_objective_galerkin_restriction(small_problem):
     pr = small_problem
     obj = pr.fine_objective
     z_base = pr.refine_iterate(pr.z0, 0)
-    P = pr.P_free_to_fine[0]
+    P = pr.galerkin[0].P
     lvl = LevelObjective(obj, z_base, pr.galerkin[0])
     assert lvl.P is P and lvl.dim == P.shape[1]
 
@@ -204,7 +204,7 @@ def test_fixed_pattern_assembly_matches_reference(domain, alpha):
     assert np.array_equal(H.S.indptr, H_uu.indptr)
     assert np.array_equal(H.S.indices, H_uu.indices)
     # the Galerkin restriction P^T H P to the coarse level
-    P = pr.P_free_to_fine[0]
+    P = pr.galerkin[0].P
     gc, Hc = LevelObjective(obj, z, pr.galerkin[0]).grad_hess(np.zeros(P.shape[1]), t)
     assert_close(gc, P.T @ g_ref)
     assert_close(full_hessian(Hc), P.T @ H_ref @ P)
@@ -287,7 +287,7 @@ def test_element_restriction_equals_galerkin_product(domain, alpha, cells0):
         zs.append(pr.refine_iterate(zs[-1], lvl))
     g, H = obj.grad_hess(zs[-1], t)
     for lvl in range(pr.L - 1):
-        P = pr.P_free_to_fine[lvl]
+        P = pr.galerkin[lvl].P
         gc, Hc = LevelObjective(obj, zs[-1], pr.galerkin[lvl]).grad_hess(
             np.zeros(P.shape[1]), t)
         assert_close(gc, P.T @ g)

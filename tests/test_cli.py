@@ -81,8 +81,14 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     ("p = inf\n", "p must be >= 1 and finite"),
     # t_cap = inf with c_stp = inf once ran to t ~ 1e12 and a solver failure
     ("t_cap = inf\nc_stp = inf\n", "t_cap must be > 0 and finite"),
+    # a repeated key once solved silently with its last value
+    ("p = 1.5\nlevels = 2\np = 2\n", "config key 'p' on line 3 repeats line 1"),
+    # a value its parser rejects once gave a message naming neither key nor line
+    ("levels = 2\np =\n", "config key 'p' on line 2: could not convert string to float"),
+    ("levels = 2.5\n", "config key 'levels' on line 1: invalid literal for int()"),
 ], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file",
-        "t0-infinite", "t0-past-t_cap", "p-infinite", "t_cap-infinite"])
+        "t0-infinite", "t0-past-t_cap", "p-infinite", "t_cap-infinite",
+        "repeated-key", "empty-value", "non-integer"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:

@@ -91,14 +91,14 @@ def _rh_loop(problem, z, num_samples, seed):
     out = []
     for lvl in range(problem.L - 1):
         owner = np.arange(smp.wq.shape[0])
-        for mesh in problem.hierarchy.levels[:lvl:-1]:
+        for mesh in problem.meshes[:lvl:-1]:
             owner = mesh.parent_map[owner]
-        vols = problem.hierarchy.levels[lvl].volumes()
+        vols = problem.meshes[lvl].volumes()
+        P = problem.galerkin[lvl].P
         worst = 0.0
         for _ in range(num_samples):
-            v = rng.standard_normal(problem.P_free_to_fine[lvl].shape[1])
-            gv, sv = smp.sample(problem.fine_objective.embed_free(
-                problem.P_free_to_fine[lvl] @ v))
+            v = rng.standard_normal(P.shape[1])
+            gv, sv = smp.sample(problem.fine_objective.embed_free(P @ v))
             Dv = np.concatenate([gv, sv[..., None]], axis=-1)
             val = np.sqrt(np.maximum(np.einsum("eqa,eqab,eqb->eq", Dv, H, Dv), 0.0))
             for K in range(vols.size):

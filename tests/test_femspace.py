@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
                                 dump_solution, prolongation,
                                 s_basis, s_node_ref, u_basis, u_basis_grad)
-from mgbarrier.mesh import (MeshHierarchy, SimplicialMesh, build_rect_mesh, p2_nodes,
-                            refine_uniform)
+from mgbarrier.mesh import SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
 from mgbarrier.problems import ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
@@ -141,16 +140,18 @@ def coarse_basis_at(fes_c, parent, x_u, x_s):
 def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
     # under every parent, child rank k's table row is the coarse basis at the
     # child's physical nodes: to roundoff, and exactly 0 where that vanishes
-    hier = MeshHierarchy.build([(0, 1)] * d, cells0, 3)
-    fes = [build_fe_system(m, alpha) for m in hier.levels]
+    meshes = [build_rect_mesh([(0, 1)] * d, cells0)]
+    for _ in range(2):
+        meshes.append(refine_uniform(meshes[-1]))
+    fes = [build_fe_system(m, alpha) for m in meshes]
     T = child_prolongation(d, alpha)
     assert not T.flags.writeable
-    for lvl in range(hier.L - 1):
+    for lvl in range(len(meshes) - 1):
         fes_c, fes_f = fes[lvl], fes[lvl + 1]
-        children = hier.children(lvl)
+        children = meshes[lvl + 1].children
         assert T.shape == (children.shape[1], fes_f.elem_dofs().shape[1],
                            fes_c.elem_dofs().shape[1])
-        assert np.array_equal(hier.levels[lvl + 1].parent_map[children],
+        assert np.array_equal(meshes[lvl + 1].parent_map[children],
                               np.repeat(np.arange(len(children))[:, None],
                                         children.shape[1], axis=1))
         s_nodes = fes_f.mesh.to_physical(s_node_ref(d, alpha))
@@ -167,15 +168,16 @@ def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
 def test_prolongation_entries_are_exact_table_entries(d, alpha):
     # on cells0 = 3 the coarse vertices are not dyadic, and yet every block of
     # P between a child and its parent is its rank's table, bit for bit
-    hier = MeshHierarchy.build([(0, 1)] * d, 3, 2)
-    fes_c, fes_f = (build_fe_system(m, alpha) for m in hier.levels)
+    mesh_c = build_rect_mesh([(0, 1)] * d, 3)
+    mesh_f = refine_uniform(mesh_c)
+    fes_c, fes_f = build_fe_system(mesh_c, alpha), build_fe_system(mesh_f, alpha)
     P = prolongation(fes_c, fes_f)
     T = child_prolongation(d, alpha)
     dofs_c, dofs_f = fes_c.elem_dofs(), fes_f.elem_dofs()
     free_c = np.isin(dofs_c, fes_c.free_idx())
     fixed_f = ~np.isin(dofs_f, fes_f.free_idx())
     covered = set()
-    for parent, kids in enumerate(hier.children(0)):
+    for parent, kids in enumerate(mesh_f.children):
         for rank, child in enumerate(kids):
             assert np.array_equal(P[dofs_f[child]][:, dofs_c[parent]].toarray(), T[rank])
             rows, cols = np.nonzero(T[rank])
@@ -194,7 +196,7 @@ def test_galerkin_product_keeps_the_coarse_pattern():
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=3))
     z = pr.refine_iterate(pr.refine_iterate(pr.z0, 0), 1)
     H = full_hessian(pr.fine_objective.grad_hess(z, 1.0)[1])
-    P = pr.P_free_to_fine[0]
+    P = pr.galerkin[0].P
     coarse = full_hessian(pr.objectives[0].grad_hess(pr.z0, 1.0)[1])
     assert coarse.nnz == 737
     assert (P.T @ H @ P).nnz == coarse.nnz

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mgbarrier.mesh import (MeshHierarchy, build_rect_mesh, dump_mesh,
+from mgbarrier.mesh import (CHILDREN, build_rect_mesh, dump_mesh,
                             edge_index, quasi_uniformity, ref_simplex_volume,
                             refine_uniform)
 
@@ -75,16 +75,25 @@ def test_refine_1d():
 
 
 def test_hierarchy_nesting_and_parent_chain():
-    hier = MeshHierarchy.build([(0, 1), (0, 1)], 2, 3)
-    assert hier.L == 3
-    hs = [m.h() for m in hier.levels]
+    levels = [build_rect_mesh([(0, 1), (0, 1)], 2)]
+    for _ in range(2):
+        levels.append(refine_uniform(levels[-1]))
+    hs = [m.h() for m in levels]
     assert hs[0] / hs[1] == pytest.approx(2.0)
     assert hs[1] / hs[2] == pytest.approx(2.0)
     # follow the last fine element's parent_map chain down to level 1
-    e = hier.fine.num_elements - 1
+    e = levels[-1].num_elements - 1
     for lvl in (2, 1):
-        e = int(hier.levels[lvl].parent_map[e])
-        assert 0 <= e < hier.levels[lvl - 1].num_elements
+        e = int(levels[lvl].parent_map[e])
+        assert 0 <= e < levels[lvl - 1].num_elements
+    # each refined mesh's children: one row of child ids per coarse element
+    for coarse, fine in zip(levels, levels[1:]):
+        children = fine.children
+        assert children.shape == (coarse.num_elements, len(CHILDREN[2]))
+        assert np.array_equal(fine.parent_map[children],
+                              np.broadcast_to(np.arange(coarse.num_elements)[:, None],
+                                              children.shape))
+        assert fine.children is children  # computed once
 
 
 def test_degenerate_element_rejected():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -48,12 +49,25 @@ def test_build_problem_structure(small_problem):
     assert pr.L == 2
     assert len(pr.objectives) == 2
     assert len(pr.P_full) == 1 and len(pr.P_free) == 1
-    assert pr.P_free_to_fine[-1] is None
-    assert pr.P_free_to_fine[0].shape[0] == len(pr.fine_fesys.free_idx())
+    assert [m.num_elements for m in pr.meshes] == [8, 32]
+    assert pr.meshes[-1] is pr.fine_fesys.mesh
+    assert pr.galerkin[-1] is None
+    assert pr.galerkin[0].P.shape[0] == len(pr.fine_fesys.free_idx())
     # initial iterate is feasible on the coarsest level
     assert np.all(pr.objectives[0].margin(pr.z0) > 0.0)
     # with f = 0 nothing needs the physical quadrature nodes
     assert all("xq" not in obj.sampler.__dict__ for obj in pr.objectives)
+
+
+def test_galerkin_prolongations_are_the_free_chain():
+    # built on the first galerkin use: level lvl's cumulative free
+    # prolongation is P_free[L-2] @ ... @ P_free[lvl], taken finest first
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=2))
+    assert "galerkin" not in pr.__dict__
+    for lvl in range(pr.L - 1):
+        P = functools.reduce(lambda acc, Q: acc @ Q, pr.P_free[lvl:][::-1])
+        assert pr.galerkin[lvl].P.shape == P.shape
+        assert (pr.galerkin[lvl].P != P).nnz == 0
 
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
