@@ -24,7 +24,7 @@ class PLapBarrier:
 
     p: float
     d: int
-    nu: float = 4.0  # configured parameter, verified empirically by the test suite
+    nu = 4.0  # the barrier parameter, verified empirically by the test suite
 
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:

@@ -47,7 +47,7 @@ _CONFIG_KEYS = {**_SPEC_KEYS, **_PATH_KEYS, "dim": int, "algorithm": check_algor
 
 
 def parse_config_text(text):
-    """Parse `key = value` (or `key value`) lines; '#' starts a comment.
+    """Parse `key = value` or `key value` lines (any whitespace); '#' starts a comment.
 
     A key may be set once. An unknown or repeated key, or a value its parser
     rejects, is a ValueError naming the key and its line.
@@ -60,7 +60,7 @@ def parse_config_text(text):
         if "=" in line:
             key, _, val = line.partition("=")
         else:
-            key, _, val = line.partition(" ")
+            key, val = (line.split(None, 1) + [""])[:2]
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")

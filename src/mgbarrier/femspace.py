@@ -142,17 +142,20 @@ def build_fe_system(mesh, alpha):
 
 @functools.cache
 def reference_tables(d, alpha, nodes):
-    """Read-only (pairs, hess_table, grad_table) at the reference points
-    `nodes` (a tuple). At a node, a symmetric d x d S (entries k <= l, at
-    pairs), a d-vector v and a scalar r in reference coordinates give the u-u,
-    u-s/s-u and s-s Hessian entries grad phi_i^T S grad phi_j, (grad phi_i . v)
-    psi_j, r psi_i psi_j and the gradient entries grad phi_i . v, r psi_i.
-    Summed over nodes, these are per-element features, laid out (feature,
-    node), times hess_table (rows S, v, r) or grad_table (rows v, r).
+    """Read-only (pairs, hess_table, grad_table, ugrad, uvals, svals) at the
+    reference points `nodes` (a tuple). At a node, a symmetric d x d S
+    (entries k <= l, at pairs), a d-vector v and a scalar r in reference
+    coordinates give the u-u, u-s/s-u and s-s Hessian entries grad phi_i^T S
+    grad phi_j, (grad phi_i . v) psi_j, r psi_i psi_j and the gradient entries
+    grad phi_i . v, r psi_i. Summed over nodes, these are per-element
+    features, laid out (feature, node), times hess_table (rows S, v, r) or
+    grad_table (rows v, r). ugrad, uvals and svals are the u basis gradients
+    and the u and s basis values at the nodes.
     """
     pts = np.array(nodes)
     gr = u_basis_grad(d, alpha, pts).transpose(2, 0, 1)  # (d, nq, n_lu)
-    sv = s_basis(d, alpha, pts)
+    ugrad = gr.transpose(2, 1, 0).reshape(gr.shape[2], -1)
+    uv, sv = u_basis(d, alpha, pts), s_basis(d, alpha, pts)
     k, l = np.triu_indices(d)
     (nq, n_lu), n_ls = gr.shape[1:], sv.shape[1]
     P, nloc = len(k), n_lu + n_ls
@@ -167,9 +170,9 @@ def reference_tables(d, alpha, nodes):
     grad = np.zeros((d + 1, nq, nloc))
     grad[:d, :, :n_lu] = gr
     grad[d, :, n_lu:] = sv
-    for table in (k, l, hess, grad):
+    for table in (k, l, hess, grad, ugrad, uv, sv):
         table.flags.writeable = False
-    return (k, l), hess.reshape(-1, nloc * nloc), grad.reshape(-1, nloc)
+    return (k, l), hess.reshape(-1, nloc * nloc), grad.reshape(-1, nloc), ugrad, uv, sv
 
 
 @dataclass
@@ -178,28 +181,24 @@ class DSampler:
 
     fesys: FeSystem
     rule: object
-    ugrad: np.ndarray = field(init=False)   # (n_lu, nq*d) reference basis gradients
-    uvals: np.ndarray = field(init=False)   # (nq, n_lu)
-    svals: np.ndarray = field(init=False)   # (nq, n_ls)
     wq: np.ndarray = field(init=False)      # (ne, nq) physical weights
     # the rule's reference_tables, and A^-1 A^-T per element at its P = d(d+1)/2 pairs
     pairs: tuple = field(init=False)            # (k, l), k <= l
     hess_table: np.ndarray = field(init=False)  # ((P+d+1)*nq, nloc*nloc)
     grad_table: np.ndarray = field(init=False)  # ((d+1)*nq, nloc)
+    # per local dof, (quadrature node, component) stacked, so that the
+    # reference gradients of grad u are one 2-D matmul
+    ugrad: np.ndarray = field(init=False)       # (n_lu, nq*d)
+    uvals: np.ndarray = field(init=False)       # (nq, n_lu)
+    svals: np.ndarray = field(init=False)       # (nq, n_ls)
     metric: np.ndarray = field(init=False)      # (ne, P)
 
     def __post_init__(self):
         fes, rule, mesh = self.fesys, self.rule, self.fesys.mesh
-        refg = u_basis_grad(mesh.d, fes.alpha, rule.nodes)  # (nq, n_lu, d)
-        # per local dof, (quadrature node, component) stacked, so that the
-        # reference gradients of grad u are one 2-D matmul
-        self.ugrad = refg.transpose(1, 0, 2).reshape(refg.shape[1], -1)
-        self.uvals = u_basis(mesh.d, fes.alpha, rule.nodes)
-        self.svals = s_basis(mesh.d, fes.alpha, rule.nodes)
         self.wq = np.abs(mesh.detA)[:, None] * rule.weights[None, :]  # |det A_K| omega_j
 
-        self.pairs, self.hess_table, self.grad_table = reference_tables(
-            mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
+        (self.pairs, self.hess_table, self.grad_table, self.ugrad, self.uvals,
+         self.svals) = reference_tables(mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
         k, l = self.pairs
         self.metric = np.einsum("eki,eki->ek", mesh.Ainv[:, k], mesh.Ainv[:, l])
 

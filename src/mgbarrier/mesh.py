@@ -106,14 +106,6 @@ def edge_index(elements):
     return edges, rank[inverse].reshape(pairs.shape[:2])
 
 
-def _boundary_edges(elem_edges, d):
-    """Ids of the boundary edges: in 2-D an edge of a single element lies on the
-    boundary; in 1-D the faces are vertices, so no edge does."""
-    if d == 1:
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero(np.bincount(elem_edges.ravel()) == 1)
-
-
 def p2_nodes(mesh):
     """Vertices plus edge midpoints (the P2 nodes and the refined vertices).
 
@@ -126,8 +118,11 @@ def p2_nodes(mesh):
     verts, nv = mesh.vertices, mesh.num_vertices
     coords = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
     nodes = np.concatenate([mesh.elements, nv + elem_edges], axis=1)
-    boundary = np.concatenate([mesh.boundary_vertices,
-                               nv + _boundary_edges(elem_edges, mesh.d)])
+    # in 2-D an edge of a single element lies on the boundary; in 1-D the
+    # faces are vertices, so no edge does
+    bedges = (np.flatnonzero(np.bincount(elem_edges.ravel()) == 1) if mesh.d == 2
+              else np.empty(0, dtype=np.intp))
+    boundary = np.concatenate([mesh.boundary_vertices, nv + bedges])
     return coords, nodes, boundary
 
 
@@ -168,8 +163,7 @@ def build_rect_mesh(domain, cells_per_side):
     p11 = p10 + 1
     # two triangles per cell, split along the diagonal p00 -> p11
     elems = np.stack([p00, p10, p11, p00, p11, p01], axis=1).reshape(-1, 3)
-    edges, elem_edges = edge_index(elems)
-    bdry = np.unique(edges[_boundary_edges(elem_edges, 2)])
+    bdry = np.flatnonzero((X == x0) | (X == x1) | (Y == y0) | (Y == y1))
     return SimplicialMesh(2, verts, elems, bdry)
 
 

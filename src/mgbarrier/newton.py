@@ -21,6 +21,9 @@ INFEASIBLE_START = "infeasible-start"
 SOLVER_FAILURE = "solver-failure"
 BUDGET = "budget"
 
+# the stop rule of every centering: the decrement tolerance and iteration cap
+LAM_TOL = 1e-3
+MAX_CENTER_ITERS = 500
 MAX_BACKTRACK = 40
 QUAD_PHASE = 0.25
 # lambda^2 = -g.step below -NEG_LAM2_TOL * |g| |step| is not roundoff: the
@@ -193,8 +196,8 @@ def newton_decrement(g, H):
     return (_solver.get() or DirectSolver()).decrement(g, H)
 
 
-def center(level_obj, y0, t, lam_tol=1e-3, max_iters=100, deadline=None,
-           solver=None):
+def center(level_obj, y0, t, lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS,
+           deadline=None, solver=None):
     """Damped Newton until the decrement drops below lam_tol.
 
     Returns a CenteringResult; iterations counts accepted Newton steps. With a

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LevelObjective
-from .newton import BUDGET, CONVERGED, MAX_BACKTRACK, DirectSolver, center
+from .newton import (BUDGET, CONVERGED, LAM_TOL, MAX_BACKTRACK, MAX_CENTER_ITERS,
+                     DirectSolver, center)
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget"
@@ -33,9 +34,7 @@ class PathConfig:
     t0: float | None = None       # absolute t0; None -> min(h_fine^d, t_cap)
     theta: float = 0.5            # naive theta-schedule parameter
     direct_cap: int = 5           # Newton cap for the practical direct step
-    lam_tol: float = 1e-3         # intermediate centering tolerance
     lam_tol_final: float = 1e-6   # final centering tolerance
-    max_center_iters: int = 500
     budget_s: float = 300.0
     predictor: bool = True        # practical MGB: start t-steps on the tangent
 
@@ -52,14 +51,12 @@ class PathConfig:
                              f"got {self.t0}")
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be > 0 and finite, got {self.theta}")
-        for key in ("direct_cap", "max_center_iters"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 0):
-                raise ValueError(f"{key} must be an int >= 0, got {value!r}")
-        for key in ("lam_tol", "lam_tol_final"):  # inf accepts every point as centered
-            value = getattr(self, key)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{key} must be >= 0 and finite, got {value}")
+        cap = self.direct_cap
+        if isinstance(cap, bool) or not (isinstance(cap, int) and cap >= 0):
+            raise ValueError(f"direct_cap must be an int >= 0, got {cap!r}")
+        tol = self.lam_tol_final  # inf accepts every point as centered
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"lam_tol_final must be >= 0 and finite, got {tol}")
         if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
         if not isinstance(self.predictor, bool):
@@ -170,20 +167,18 @@ class _Run:
         last = self.trace.rows[-1]
         self.add_row(k, t, rho, -1, m, direct, last.objective, last.decrement)
 
-    def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None, lam_tol=None,
-                  max_iters=None, direct=False, tangent=False):
+    def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None,
+                  lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS, direct=False,
+                  tangent=False):
         """Center f_h on the shifted path base + span(galerkin.P) at t (base
         itself on the fine level, galerkin None) and record the row.
 
-        lam_tol and max_iters default to the config's intermediate tolerance and
-        iteration cap. With tangent (fine level), self.tangent becomes
-        the central-path tangent at the center if it converged, else None.
+        With tangent (fine level), self.tangent becomes the central-path
+        tangent at the center if it converged, else None.
         Returns (level_obj, CenteringResult).
         """
         level_obj = LevelObjective(obj, base, galerkin)
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
-        lam_tol = self.config.lam_tol if lam_tol is None else lam_tol
-        max_iters = self.config.max_center_iters if max_iters is None else max_iters
         res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
                      deadline=self.deadline, solver=self.solver)
         # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
@@ -220,13 +215,14 @@ class _Run:
         return self.trace
 
 
-def mgb_t_step(problem, z_k, t_next, config, run, k, rho):
-    """One Algorithm MGB step: center the shifted path on levels 1..L,
-    recording rows (k, t_next, rho) in run.
+def mgb_t_step(run, z_k, t_next, k, rho):
+    """One Algorithm MGB step of run: center the shifted path on levels
+    1..L, recording rows (k, t_next, rho).
 
     Returns (z_next, per-level Newton counts, "") or (None, counts, reason).
-    With config.predictor, the fine level L leaves its tangent in run.tangent.
+    With run.config.predictor, the fine level L leaves its tangent in run.tangent.
     """
+    problem = run.problem
     counts = []
     y0 = None
     for lvl in range(problem.L):
@@ -234,7 +230,7 @@ def mgb_t_step(problem, z_k, t_next, config, run, k, rho):
         level_obj, res = run.center_at(problem.fine_objective, z_k,
                                        problem.galerkin[lvl], t_next, k,
                                        lvl + 1, rho, y0=y0,
-                                       tangent=fine and config.predictor)
+                                       tangent=fine and run.config.predictor)
         counts.append(res.iterations)
         if res.status != CONVERGED:
             return None, counts, f"level {lvl + 1} centering: {res.status}"
@@ -279,13 +275,14 @@ def predict(objective, z_k, tangent, t_k, t_next, prev=None):
     return z_k
 
 
-def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
+def practical_step(run, z_k, t_k, rho_prev, k):
     """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback.
 
     When run.tangent holds the tangent at (z_k, t_k), the direct step starts
     from the tangent prediction, and the sweep from the quadratic one through
     run.prev (the same point while run.prev is None); else both start from z_k.
     """
+    problem, config = run.problem, run.config
     t_next = min(rho_prev * t_k, config.t_cap)
     tangent = run.tangent  # the direct step's centering replaces it
     z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next)
@@ -300,8 +297,7 @@ def practical_step(problem, z_k, t_k, rho_prev, config, run, k):
         if run.prev is not None:
             z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next,
                               run.prev)
-        z_next, mgb_counts, err = mgb_t_step(
-            problem, z_start, t_next, config, run=run, k=k, rho=rho_prev)
+        z_next, mgb_counts, err = mgb_t_step(run, z_start, t_next, k=k, rho=rho_prev)
         counts.extend(mgb_counts)
         if z_next is None:
             return None, t_next, rho_prev, err
@@ -357,7 +353,7 @@ def run_mgb(problem, config=None, store_iterates=False):
         if run.over_budget():
             return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
         k += 1
-        z, t, rho, err = practical_step(problem, z, t, rho, config, run, k)
+        z, t, rho, err = practical_step(run, z, t, rho, k)
         if z is None:
             return run.fail(err)
         run.record_step(k, t, z)

@@ -33,7 +33,7 @@ def _orbit(bary):
     return list(dict.fromkeys(itertools.permutations(bary)))
 
 
-def _triangle_rule(groups, degree):
+def _triangle_rule(groups):
     pts, wts = [], []
     for bary, w in groups:
         for lam in _orbit(bary):
@@ -44,7 +44,6 @@ def _triangle_rule(groups, degree):
         d=2,
         nodes=np.array(pts),
         weights=np.array(wts),
-        exactness_degree=degree,
     )
 
 
@@ -53,7 +52,6 @@ class QuadratureRule:
     d: int
     nodes: np.ndarray    # (beta, d) reference coordinates
     weights: np.ndarray  # (beta,) strictly positive, summing to |ref simplex|
-    exactness_degree: int
 
     def __post_init__(self):
         if np.any(self.weights <= 0.0):
@@ -75,12 +73,11 @@ def reference_rule(d, degree):
             d=1,
             nodes=((xi + 1.0) / 2.0).reshape(-1, 1),
             weights=w / 2.0,
-            exactness_degree=2 * n - 1,
         )
     if d == 2:
         if degree not in _D2_RULES:
             raise ValueError(f"unsupported exactness degree {degree} in 2-D; "
                              f"choose from {sorted(_D2_RULES)}")
-        return _triangle_rule(_D2_RULES[degree], degree)
+        return _triangle_rule(_D2_RULES[degree])
     raise ValueError(f"unsupported dimension {d}")
 

@@ -6,7 +6,7 @@ from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
                                 dump_solution, prolongation,
                                 s_basis, s_node_ref, u_basis, u_basis_grad)
 from mgbarrier.mesh import SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
-from mgbarrier.problems import ProblemSpec, build_problem
+from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
 from hessians import full_hessian
@@ -120,6 +120,24 @@ def test_sample_matches_einsum_reference(d, alpha):
     for got, ref in zip(smp.sample(z), einsum_sample(smp, z)):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_levels_share_read_only_basis_tables(d, alpha):
+    # the basis at the rule's nodes is evaluated once, not once per level
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=3, cells0=2,
+                                   domain=UNIT_SQUARE if d == 2 else UNIT_INTERVAL))
+    first = pr.objectives[0].sampler
+    for obj in pr.objectives:
+        for name in ("ugrad", "uvals", "svals"):
+            table = getattr(obj.sampler, name)
+            assert table is getattr(first, name)
+            assert not table.flags.writeable
+    nodes = first.rule.nodes
+    refg = u_basis_grad(d, alpha, nodes)  # (nq, n_lu, d)
+    assert np.array_equal(first.ugrad, refg.transpose(1, 0, 2).reshape(refg.shape[1], -1))
+    assert np.array_equal(first.uvals, u_basis(d, alpha, nodes))
+    assert np.array_equal(first.svals, s_basis(d, alpha, nodes))
 
 
 def coarse_basis_at(fes_c, parent, x_u, x_s):

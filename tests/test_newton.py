@@ -137,6 +137,15 @@ def test_center_iteration_cap():
     assert res.iterations == 1
 
 
+def test_center_stops_at_the_run_cap_by_default():
+    # from this far start the damped phase needs millions of steps; with no
+    # max_iters a centering stops where every path-following one does
+    obj = QuadraticObjective(np.diag([1.0, 4.0, 9.0]), np.zeros(3))
+    res = center(obj, np.full(3, 1e6), t=1.0)
+    assert res.status == ITERATION_CAP
+    assert res.iterations == newton.MAX_CENTER_ITERS
+
+
 def test_damped_steps_decrease_value():
     obj = LogBarrier1D()
     t = 3.0

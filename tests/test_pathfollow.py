@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from mgbarrier import pathfollow
+from mgbarrier import newton, pathfollow
 from mgbarrier.assembly import LevelObjective
 from mgbarrier.newton import CONVERGED, newton_decrement
 from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
@@ -44,10 +44,6 @@ def test_path_config_defaults_and_validation():
     # a negative cap once gave direct rows of -1 Newton steps
     (dict(direct_cap=-1), "direct_cap must be an int >= 0"),
     (dict(direct_cap=2.5), "direct_cap must be an int >= 0"),
-    (dict(max_center_iters=-1), "max_center_iters must be an int >= 0"),
-    (dict(max_center_iters=1.0), "max_center_iters must be an int >= 0"),
-    (dict(lam_tol=-1e-3), "lam_tol must be >= 0"),
-    (dict(lam_tol=math.nan), "lam_tol must be >= 0"),
     (dict(lam_tol_final=-1e-6), "lam_tol_final must be >= 0"),
     (dict(lam_tol_final=math.nan), "lam_tol_final must be >= 0"),
     # t0 past t_cap once wrote trace rows at t = t0 > t_cap
@@ -58,10 +54,7 @@ def test_path_config_defaults_and_validation():
     (dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
     # a bool is an int to isinstance
     (dict(direct_cap=True), "direct_cap must be an int >= 0"),
-    (dict(max_center_iters=True), "max_center_iters must be an int >= 0"),
-    # lam_tol = inf once "centered" with no Newton step and failed late in
-    # the final re-centering; lam_tol_final = inf once reported converged
-    (dict(lam_tol=math.inf), "lam_tol must be >= 0 and finite"),
+    # lam_tol_final = inf once reported converged
     (dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
     # with c_stp = inf too, t_cap = inf once ran to t ~ 1e12 and a solver failure
     (dict(t_cap=math.inf), "t_cap must be > 0 and finite"),
@@ -69,6 +62,13 @@ def test_path_config_defaults_and_validation():
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):
         PathConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["lam_tol", "max_center_iters"])
+def test_path_config_leaves_the_stop_rule_to_newton(key):
+    # every centering of a run stops by newton.LAM_TOL and MAX_CENTER_ITERS
+    with pytest.raises(TypeError, match=key):
+        PathConfig(**{key: 1})
 
 
 def test_t0_at_t_cap_is_a_named_failure(small_problem):
@@ -123,7 +123,7 @@ def test_mgb_t_step_reaches_center(small_problem):
     assert tr.status == "converged"
     z = tr.z_final
     t_next = tr.t_final * 1.5
-    z_next, counts, err = mgb_t_step(pr, z, t_next, cfg, pathfollow._Run(pr, cfg), 1, 1.5)
+    z_next, counts, err = mgb_t_step(pathfollow._Run(pr, cfg), z, t_next, 1, 1.5)
     assert err == ""
     assert len(counts) == pr.L
     assert np.all(pr.fine_objective.margin(z_next) > 0.0)
@@ -153,7 +153,7 @@ def test_run_mgb_budget_exhaustion(small_problem):
 def test_budget_holds_inside_a_centering(small_problem, runner):
     # the first centering needs 4 Newton steps; a spent budget must stop it
     # after at most one, not at the end of the centering or t-step
-    tr = runner(small_problem, PathConfig(budget_s=1e-9, max_center_iters=500))
+    tr = runner(small_problem, PathConfig(budget_s=1e-9))
     assert tr.status == "budget"
     assert sum(r.newton_iters for r in tr.rows if r.level >= 0) <= 1
     assert tr.failure_reason.endswith(": budget")
@@ -267,11 +267,11 @@ def test_trace_rows_pinned(small_problem, name):
 
 
 def test_failed_final_recentering_is_a_failure(small_problem):
-    # lam_tol_final = 0 cannot be met: the last centering hits the 40-step cap
-    tr = run_mgb(small_problem, PathConfig(lam_tol_final=0.0, max_center_iters=40))
+    # lam_tol_final = 0 cannot be met: the last centering hits the cap
+    tr = run_mgb(small_problem, PathConfig(lam_tol_final=0.0))
     assert tr.status == STATUS_FAILURE
     assert tr.failure_reason == "final re-centering: iteration-cap"
-    assert tr.rows[-1].newton_iters == 40
+    assert tr.rows[-1].newton_iters == newton.MAX_CENTER_ITERS
     # the last recorded step is the last accepted t-step, not the failed centering
     assert tr.costs[-1][0] == tr.rows[-1].k - 1
 
@@ -384,9 +384,9 @@ def _record_starts(monkeypatch, direct_cap):
             direct.append(level_obj.full_point(y0))
         return center(level_obj, y0, t, **kw)
 
-    def logged_t_step(problem, z_k, *args, **kw):
+    def logged_t_step(run, z_k, *args, **kw):
         sweeps.append((kw["k"], z_k))
-        return t_step(problem, z_k, *args, **kw)
+        return t_step(run, z_k, *args, **kw)
 
     monkeypatch.setattr(pathfollow, "center", logged_center)
     monkeypatch.setattr(pathfollow, "mgb_t_step", logged_t_step)
@@ -492,8 +492,8 @@ def test_predictor_off_keeps_no_previous_center(small_problem, monkeypatch):
     prevs = []
     step = pathfollow.practical_step
 
-    def logged_step(problem, z_k, t_k, rho_prev, config, run, k):
-        out = step(problem, z_k, t_k, rho_prev, config, run, k)
+    def logged_step(run, z_k, t_k, rho_prev, k):
+        out = step(run, z_k, t_k, rho_prev, k)
         prevs.append(run.prev)
         return out
 

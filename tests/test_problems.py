@@ -12,6 +12,7 @@ from mgbarrier.pathfollow import ALGORITHMS, PathConfig
 from mgbarrier.problems import (UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec,
                                 apply_dirichlet, build_problem, default_boundary_data,
                                 harmonic_extension, init_slack, repair_slack)
+from mgbarrier.quadrature import reference_rule
 
 
 def test_spec_validation():
@@ -32,8 +33,9 @@ def test_spec_validation():
     # quadrature exact to degree 2 * alpha on every level
     for alpha in (1, 2):
         pr = build_problem(ProblemSpec(p=2.0, alpha=alpha, levels=2, cells0=1))
-        assert [obj.sampler.rule.exactness_degree
-                for obj in pr.objectives] == [2 * alpha] * 2
+        nodes = reference_rule(2, 2 * alpha).nodes
+        for obj in pr.objectives:
+            assert np.array_equal(obj.sampler.rule.nodes, nodes)
 
 
 def test_default_boundary_data_dimensions():
@@ -71,8 +73,8 @@ def test_galerkin_prolongations_are_the_free_chain():
 
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
-    # one edge_index for the coarse box mesh, then one per level's P2 layout,
-    # which refine_uniform and the level's P2 space share
+    # one edge_index per level's P2 layout, which refine_uniform and the
+    # level's P2 space share; the box mesh's boundary comes from its grid
     calls = []
     edge_index = mesh.edge_index
 
@@ -83,7 +85,7 @@ def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
     monkeypatch.setattr(mesh, "edge_index", counted)
     L = 4
     build_problem(ProblemSpec(p=1.5, alpha=2, levels=L, cells0=2))
-    assert len(calls) <= L + 1
+    assert len(calls) == L
 
 
 def test_harmonic_extension_boundary_and_mean_value():
@@ -200,6 +202,9 @@ def test_parse_config_text():
     """)
     assert cfg == {"p": 1.5, "alpha": 2, "levels": 3,
                    "algorithm": "mgb", "rho0": 2.0}
+    # a tab separates a key from its value as a space does
+    cfg = parse_config_text("p\t1.5\npredictor\tfalse\n")
+    assert cfg == {"p": 1.5, "predictor": False}
 
 
 def test_parse_config_rejects_unknown_key():
