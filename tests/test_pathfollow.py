@@ -36,28 +36,34 @@ def test_path_config_defaults_and_validation():
     assert cfg.predictor is True
 
 
+def _case(index, kwargs, message):
+    # the ids keep the numbers these cases had before the lam_tol and
+    # max_center_iters cases went with their fields
+    return pytest.param(kwargs, message, id=f"kwargs{index}-{message}")
+
+
 @pytest.mark.parametrize("kwargs,message", [
-    (dict(rho0=math.inf), "rho0 must be > 1 and finite"),
-    (dict(theta=math.inf), "theta must be > 0 and finite"),
-    (dict(predictor=1), "predictor must be True or False"),
-    (dict(predictor="false"), "predictor must be True or False"),
+    _case(0, dict(rho0=math.inf), "rho0 must be > 1 and finite"),
+    _case(1, dict(theta=math.inf), "theta must be > 0 and finite"),
+    _case(2, dict(predictor=1), "predictor must be True or False"),
+    _case(3, dict(predictor="false"), "predictor must be True or False"),
     # a negative cap once gave direct rows of -1 Newton steps
-    (dict(direct_cap=-1), "direct_cap must be an int >= 0"),
-    (dict(direct_cap=2.5), "direct_cap must be an int >= 0"),
-    (dict(lam_tol_final=-1e-6), "lam_tol_final must be >= 0"),
-    (dict(lam_tol_final=math.nan), "lam_tol_final must be >= 0"),
+    _case(4, dict(direct_cap=-1), "direct_cap must be an int >= 0"),
+    _case(5, dict(direct_cap=2.5), "direct_cap must be an int >= 0"),
+    _case(10, dict(lam_tol_final=-1e-6), "lam_tol_final must be >= 0"),
+    _case(11, dict(lam_tol_final=math.nan), "lam_tol_final must be >= 0"),
     # t0 past t_cap once wrote trace rows at t = t0 > t_cap
-    (dict(t0=100.0, t_cap=10.0), "t0 must be > 0, finite and <= t_cap"),
-    (dict(t0=math.inf), "t0 must be > 0, finite and <= t_cap"),
-    (dict(t0=math.inf, t_cap=math.inf), "t_cap must be > 0 and finite"),
-    (dict(t0=math.nan), "t0 must be > 0, finite and <= t_cap"),
-    (dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
+    _case(12, dict(t0=100.0, t_cap=10.0), "t0 must be > 0, finite and <= t_cap"),
+    _case(13, dict(t0=math.inf), "t0 must be > 0, finite and <= t_cap"),
+    _case(14, dict(t0=math.inf, t_cap=math.inf), "t_cap must be > 0 and finite"),
+    _case(15, dict(t0=math.nan), "t0 must be > 0, finite and <= t_cap"),
+    _case(16, dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
     # a bool is an int to isinstance
-    (dict(direct_cap=True), "direct_cap must be an int >= 0"),
+    _case(17, dict(direct_cap=True), "direct_cap must be an int >= 0"),
     # lam_tol_final = inf once reported converged
-    (dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
+    _case(20, dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
     # with c_stp = inf too, t_cap = inf once ran to t ~ 1e12 and a solver failure
-    (dict(t_cap=math.inf), "t_cap must be > 0 and finite"),
+    _case(21, dict(t_cap=math.inf), "t_cap must be > 0 and finite"),
 ])
 def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, message):
     with pytest.raises(ValueError, match=message):
