@@ -25,9 +25,19 @@ repeat-median milliseconds of:
 - regularize: that shift and gather alone, on the recorded ordering;
 - value: one line-search evaluation;
 
-plus build: build_problem, the setup of every level; the free dofs, the
-dofs and nnz of S, the fill (nnz of L+U) of both factorizations and the
-host's versions.
+plus build: build_problem, the setup of every level, and its split into
+the phases build_problem runs in order, each repeat from scratch:
+
+- setup_refine: the box mesh and its uniform refinements (build_meshes);
+- setup_fe_systems: every level's FE system, sampler and objective
+  (build_objectives);
+- setup_prolongations: the prolongations between consecutive levels and
+  their free blocks P_free (build_prolongations);
+- setup_start: the starting point, the harmonic extension plus init_slack
+  (starting_point);
+
+and the free dofs, the dofs and nnz of S, the fill (nnz of L+U) of both
+factorizations and the host's versions.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
     PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
@@ -51,8 +61,10 @@ import scipy.sparse.linalg as spla
 
 from mgbarrier import newton
 from mgbarrier.assembly import condense
+from mgbarrier.barrier import PLapBarrier
 from mgbarrier.pathfollow import PathConfig
-from mgbarrier.problems import ProblemSpec, build_problem
+from mgbarrier.problems import (ProblemSpec, build_meshes, build_objectives,
+                                build_problem, build_prolongations, starting_point)
 
 
 def median_ms(fn, repeats):
@@ -62,6 +74,26 @@ def median_ms(fn, repeats):
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
+
+
+def setup_split_ms(spec, repeats):
+    """Repeat-median ms of build_problem's phases, in its order. Every
+    repeat builds new meshes, so no phase finds work cached by an earlier one."""
+    times = {"refine": [], "fe_systems": [], "prolongations": [], "start": []}
+    barrier = PLapBarrier(p=spec.p, d=len(spec.domain))
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        meshes = build_meshes(spec)
+        t1 = time.perf_counter()
+        objectives = build_objectives(spec, meshes, barrier)
+        t2 = time.perf_counter()
+        build_prolongations(objectives)
+        t3 = time.perf_counter()
+        starting_point(objectives[0], spec.dirichlet)
+        t4 = time.perf_counter()
+        for name, dt in zip(times, np.diff([t0, t1, t2, t3, t4])):
+            times[name].append(dt)
+    return {f"setup_{name}_ms": 1e3 * statistics.median(ts) for name, ts in times.items()}
 
 
 def main():
@@ -126,6 +158,7 @@ def main():
         "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
+        **setup_split_ms(spec, args.repeats),
         "fill_nnz_new_pattern": fills[0],
         "fill_nnz_repeated_pattern": fills[-1],
         "numpy": np.__version__,

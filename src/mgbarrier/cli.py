@@ -189,13 +189,13 @@ def cmd_check(args):
 
     spec = ProblemSpec(p=1.5, alpha=2, levels=3, cells0=2)
     problem = build_problem(spec)
-    for lvl, mesh in enumerate(problem.meshes, start=1):
+    for lvl, obj in enumerate(problem.objectives, start=1):
+        mesh = obj.fesys.mesh
         check(f"level {lvl}: element volumes sum to |Omega|",
               abs(mesh.total_volume() - 1.0) < 1e-12)
         _, rho = quasi_uniformity(mesh)
         check(f"level {lvl}: quasi-uniformity 0 < rho <= 1", 0 < rho <= 1)
-    for obj in problem.objectives:
-        check("positive quadrature weights", bool(np.all(obj.sampler.wq > 0)))
+        check(f"level {lvl}: positive quadrature weights", bool(np.all(obj.sampler.wq > 0)))
 
     trace = run_mgb(problem, PathConfig(budget_s=120))
     check("small MGB run converges", trace.status == STATUS_CONVERGED)

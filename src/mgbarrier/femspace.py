@@ -261,28 +261,42 @@ def prolongation(fes_c, fes_f):
     if fes_c.alpha != fes_f.alpha:
         raise ValueError("prolongation requires equal polynomial degree")
     mesh_f, mesh_c = fes_f.mesh, fes_c.mesh
-    pm = mesh_f.parent_map
-    if pm is None or len(pm) != mesh_f.num_elements:
+    pm, children = mesh_f.parent_map, mesh_f.children
+    if pm is None or children is None or len(pm) != mesh_f.num_elements:
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
     nc = mesh_c.num_vertices
     if not np.array_equal(mesh_f.vertices[:nc], mesh_c.vertices):
         raise ValueError("meshes are not nested")
 
-    # one (element, local dof) per fine dof; its row of P is that local dof's
-    # row of its child rank's table, over the parent's coarse dofs
-    children = mesh_f.children
+    # one (element, local dof) per fine dof, the first in elem_dofs order:
+    # the smallest flat position that holds the dof, from one scatter-min.
+    # Any element holding the dof gives the same exact row
+    dofs_f = fes_f.elem_dofs()
+    nloc_f = dofs_f.shape[1]
+    first = np.full(fes_f.total_dim, dofs_f.size)
+    np.minimum.at(first, dofs_f.ravel(), np.arange(dofs_f.size))
+    elem, loc = np.divmod(first, nloc_f)
     rank = np.empty(len(pm), dtype=np.intp)
     rank[children] = np.arange(children.shape[1])
-    dofs_f = fes_f.elem_dofs()
-    rows, first = np.unique(dofs_f, return_index=True)
-    elem, loc = np.divmod(first, dofs_f.shape[1])
-    vals = child_prolongation(mesh_f.d, fes_f.alpha)[rank[elem], loc]
-    cols = fes_c.elem_dofs()[pm[elem]]
-    keep = vals != 0.0
-    return sp.csr_matrix(
-        (vals[keep], (np.broadcast_to(rows[:, None], vals.shape)[keep], cols[keep])),
-        shape=(fes_f.total_dim, fes_c.total_dim),
-    )
+    # its row of P is row rank * nloc_f + loc of the child tables, over the
+    # parent's coarse dofs, less the tables' exact zeros: entry j of a row
+    # whose table row is r is tnz[start[r] + j]
+    dofs_c = fes_c.elem_dofs()
+    nloc_c = dofs_c.shape[1]
+    table = child_prolongation(mesh_f.d, fes_f.alpha).reshape(-1, nloc_c)
+    tnz = np.flatnonzero(table)
+    nnz = np.count_nonzero(table, axis=1)
+    start = np.cumsum(nnz) - nnz
+    row = rank[elem] * nloc_f + loc
+    row_nnz = nnz[row]
+    indptr = np.zeros(len(first) + 1, dtype=np.intp)
+    np.cumsum(row_nnz, out=indptr[1:])
+    k = tnz[np.arange(indptr[-1]) + np.repeat(start[row] - indptr[:-1], row_nnz)]
+    cols = dofs_c.ravel()[np.repeat(pm[elem] * nloc_c, row_nnz) + k % nloc_c]
+    P = sp.csr_matrix((table.ravel()[k], cols, indptr),
+                      shape=(fes_f.total_dim, fes_c.total_dim))
+    P.sort_indices()  # within each row, of at most nloc_c entries
+    return P
 
 
 def dump_solution(fesys, z, path):

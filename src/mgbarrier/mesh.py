@@ -22,6 +22,12 @@ class SimplicialMesh:
     elements: np.ndarray          # (ne, d+1) vertex indices
     boundary_vertices: np.ndarray  # sorted indices of vertices on the boundary
     parent_map: np.ndarray | None = None  # fine element -> coarse element, set by refine_uniform
+    # fine elements of each coarse element in child rank order, (ne_coarse,
+    # m), set by refine_uniform with parent_map
+    children: np.ndarray | None = None
+    # (edges, elem_edges) as edge_index returns them, set by refine_uniform;
+    # p2_nodes calls edge_index when it is None
+    edge_table: tuple | None = None
     A: np.ndarray = field(init=False)      # (ne, d, d)
     b: np.ndarray = field(init=False)      # (ne, d)
     detA: np.ndarray = field(init=False)   # (ne,)
@@ -33,10 +39,18 @@ class SimplicialMesh:
         # columns of A_K are the edge vectors from vertex 0
         self.A = np.swapaxes(edges, 1, 2).copy()
         self.b = v0.copy()
-        self.detA = np.linalg.det(self.A)
+        # closed forms, det A and the adjugate: LAPACK's batched det and inv
+        # cost more than these elementwise products at d <= 2
+        if self.d == 1:
+            self.detA = self.A[:, 0, 0].copy()
+            adj = np.ones_like(self.A)
+        else:
+            (a, b), (c, e) = self.A.transpose(1, 2, 0)
+            self.detA = a * e - b * c
+            adj = np.stack([e, -b, -c, a], axis=1).reshape(-1, 2, 2)
         if np.any(np.abs(self.detA) <= 0.0):
             raise ValueError("mesh has a degenerate element (det A_K = 0)")
-        self.Ainv = np.linalg.inv(self.A)
+        self.Ainv = adj / self.detA[:, None, None]
 
     @property
     def num_vertices(self):
@@ -66,12 +80,6 @@ class SimplicialMesh:
         this mesh share it, so each level enumerates its edges once. The arrays
         are shared; callers must not modify them."""
         return p2_nodes(self)
-
-    @functools.cached_property
-    def children(self):
-        """Fine elements of this refined mesh in each coarse element, in child
-        rank order: (ne_coarse, m). Defined only when parent_map is set."""
-        return np.argsort(self.parent_map, kind="stable").reshape(-1, len(CHILDREN[self.d]))
 
 
 def ref_simplex_volume(d):
@@ -106,6 +114,60 @@ def edge_index(elements):
     return edges, rank[inverse].reshape(pairs.shape[:2])
 
 
+def _child_edges(d):
+    """The local edges of an element's children, child rank major, as sorted
+    pairs of the element's P2 node layout: (pairs, halves, inner, n_inner),
+    halves (slot, vertex, midpoint, other end of the midpoint's edge) per
+    half of an element edge, inner (slot, rank) per edge between two
+    midpoints, and the number of those edges."""
+    pairs = [tuple(sorted((child[i], child[j])))
+             for child in CHILDREN[d] for i, j in LOCAL_EDGES[d]]
+    halves = []
+    for slot, (a, b) in enumerate(pairs):
+        if a <= d:
+            i, j = LOCAL_EDGES[d][b - d - 1]
+            halves.append((slot, a, b, j if a == i else i))
+    inner = sorted({p for p in pairs if p[0] > d})
+    ranks = [(slot, inner.index(p)) for slot, p in enumerate(pairs) if p[0] > d]
+    return (np.array(pairs), np.array(halves).T,
+            np.array(ranks, dtype=np.intp).reshape(-1, 2).T, len(inner))
+
+
+CHILD_EDGES = {d: _child_edges(d) for d in CHILDREN}
+
+
+def refined_edge_index(mesh):
+    """edge_index(refine_uniform(mesh).elements), from mesh's P2 layout with
+    O(n) gathers and scatters, without a search or a sort.
+
+    Every fine edge gets a label first: the half of coarse edge E at its
+    vertex v is 2 E + (v is E's larger vertex), and the k-th edge between
+    the midpoints of coarse element c is 2 n_edges + n_inner c + k. The
+    labels are then renumbered in order of first appearance.
+    """
+    d, nv, ne = mesh.d, mesh.num_vertices, mesh.num_elements
+    coords, nodes, _ = mesh.p2
+    pairs, (hslot, hv, hmid, hother), (islot, irank), n_inner = CHILD_EDGES[d]
+    n_edges = len(coords) - nv
+    labels = np.empty((ne, len(pairs)), dtype=np.int64)
+    labels[:, hslot] = 2 * (nodes[:, hmid] - nv) + (nodes[:, hv] > nodes[:, hother])
+    labels[:, islot] = 2 * n_edges + n_inner * np.arange(ne)[:, None] + irank
+    # each label's first position, from one scatter-min; these positions in
+    # increasing order number the edges
+    flat = labels.ravel()
+    n = 2 * n_edges + n_inner * ne
+    first = np.full(n, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    taken = np.zeros(flat.size, dtype=bool)
+    taken[first] = True
+    at = np.flatnonzero(taken)
+    rank = np.empty(n, dtype=np.intp)
+    rank[flat[at]] = np.arange(n)
+    a, b = (nodes[:, pairs[:, k]].ravel()[at] for k in (0, 1))
+    edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
+    return edges, rank[labels].reshape(-1, len(LOCAL_EDGES[d]))
+
+
 def p2_nodes(mesh):
     """Vertices plus edge midpoints (the P2 nodes and the refined vertices).
 
@@ -114,7 +176,8 @@ def p2_nodes(mesh):
     by the midpoints of its LOCAL_EDGES; and the sorted ids of the nodes on the
     boundary (the boundary vertices, then the midpoints of boundary edges).
     """
-    edges, elem_edges = edge_index(mesh.elements)
+    edges, elem_edges = (edge_index(mesh.elements) if mesh.edge_table is None
+                         else mesh.edge_table)
     verts, nv = mesh.vertices, mesh.num_vertices
     coords = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
     nodes = np.concatenate([mesh.elements, nv + elem_edges], axis=1)
@@ -171,14 +234,18 @@ def refine_uniform(mesh):
     """Bisect all edges: triangles split into 4 similar children, intervals into 2.
 
     Coarse vertices keep their indices; edge midpoints are appended. The returned
-    mesh carries parent_map (child element -> coarse element).
+    mesh carries parent_map (child element -> coarse element) and children:
+    the children of each coarse element are appended in rank order, so its
+    row of children is a run of consecutive fine ids.
     """
     d = mesh.d
     new_verts, nodes, bdry = mesh.p2
-    children = np.array(CHILDREN[d])
-    elems = nodes[:, children].reshape(-1, d + 1)
-    parents = np.repeat(np.arange(mesh.num_elements), len(children))
-    return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents)
+    m = len(CHILDREN[d])
+    elems = nodes[:, np.array(CHILDREN[d])].reshape(-1, d + 1)
+    parents = np.repeat(np.arange(mesh.num_elements), m)
+    return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents,
+                          children=np.arange(len(elems)).reshape(-1, m),
+                          edge_table=refined_edge_index(mesh))
 
 
 def quasi_uniformity(mesh):

@@ -117,6 +117,12 @@ class CenteringResult:
     decrement: float
     status: str
     value: float  # f at y, the value the line search last accepted
+    detail: str = ""  # which check stopped a SOLVER_FAILURE
+
+    @property
+    def outcome(self):
+        """The status, followed by its detail in parentheses if it has one."""
+        return f"{self.status} ({self.detail})" if self.detail else self.status
 
 
 class DirectSolver:
@@ -128,6 +134,7 @@ class DirectSolver:
         self.orderings = {}  # (shape, nnz) -> the Ordering last computed for such a pattern
         # the last decrement's CondensedHessian, factor of S and its Ordering.perm
         self._H = self._lu = self._perm = None
+        self.failure = ""  # why the last decrement returned (None, None)
 
     def decrement(self, g, H):
         """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
@@ -141,37 +148,49 @@ class DirectSolver:
         gathered into it and factored in natural order. Returns (None, None)
         and keeps no factor if a slack block is not positive definite or a
         diagonal entry of S is not positive (before any factorization), if
-        the factorization fails or if lambda^2 is negative beyond roundoff.
+        the factorization fails or if lambda^2 is negative beyond roundoff;
+        self.failure then names which.
         """
         self.release()
+        self.failure = ""
         if not H.slack_spd():
-            return None, None
+            bad = np.flatnonzero(np.isnan(H.L).any(axis=(1, 2)))[0]
+            return self._fail(f"slack block not SPD, element {bad}")
         S = H.S
         key = (S.shape, S.nnz)
         order = self.orderings.get(key)
         new = order is None or not order.matches(S)
         if new:
             order = Ordering.of(S, np.arange(S.shape[0]))
-        A = None if order is None else regularize(S, order)
+            if order is None:
+                return self._fail("S lacks a diagonal entry")
+        A = regularize(S, order)
         if A is None:
-            return None, None
+            d = S.data[order.hdiag]
+            row = np.flatnonzero(~(d > 0))[0]
+            return self._fail(f"diagonal of S not positive, row {row}: {float(d[row])!r}")
         try:
             self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if new else "NATURAL",
                                  **SPD_OPTIONS)
             self._H, self._perm = H, order.perm
             step = -self.solve(g)
-        except RuntimeError:
-            self.release()
-            return None, None
+        except RuntimeError as exc:
+            return self._fail(f"splu failed: {exc}")
         if new:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
             self.orderings[key] = Ordering.of(S, self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
-            self.release()
-            return None, None
+            return self._fail(f"lambda^2 = {lam2!r}"
+                              + (" is negative beyond roundoff" if np.isfinite(lam2) else ""))
         return float(np.sqrt(max(lam2, 0.0))), step
+
+    def _fail(self, why):
+        """Keep no factor and record why: the (None, None) of decrement."""
+        self.release()
+        self.failure = why
+        return None, None
 
     def solve(self, b):
         """H^{-1} b with the factor of the last decrement: b condensed, a
@@ -219,7 +238,7 @@ def center(level_obj, y0, t, lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS,
             # no names hold g and H, so they are freed before the next assembly
             lam, step = newton_decrement(*level_obj.grad_hess(y, t))
             if lam is None:
-                return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val)
+                return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val, solver.failure)
             if lam <= lam_tol:
                 return CenteringResult(y, it, lam, CONVERGED, val)
             solver.release()
@@ -237,7 +256,8 @@ def center(level_obj, y0, t, lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS,
                     break
                 alpha *= 0.5
             else:
-                return CenteringResult(y, it, lam, SOLVER_FAILURE, val)
+                return CenteringResult(y, it, lam, SOLVER_FAILURE, val,
+                                       f"no step accepted in {MAX_BACKTRACK} halvings")
             y, val = y_try, val_try
     finally:
         _solver.reset(token)

@@ -210,7 +210,7 @@ class _Run:
         level_obj, res = self.center_at(self.problem.fine_objective, z, None, t, k,
                                         -1, rho, lam_tol=self.config.lam_tol_final)
         if res.status != CONVERGED:
-            return self.fail(f"final re-centering: {res.status}")
+            return self.fail(f"final re-centering: {res.outcome}")
         self.record_step(k, t, level_obj.full_point(res.y))
         return self.trace
 
@@ -233,7 +233,7 @@ def mgb_t_step(run, z_k, t_next, k, rho):
                                        tangent=fine and run.config.predictor)
         counts.append(res.iterations)
         if res.status != CONVERGED:
-            return None, counts, f"level {lvl + 1} centering: {res.status}"
+            return None, counts, f"level {lvl + 1} centering: {res.outcome}"
         if lvl < problem.L - 1:
             y0 = problem.P_free[lvl] @ res.y
     return level_obj.full_point(res.y), counts, ""
@@ -322,7 +322,7 @@ def _initial_phase(run, t0):
                                        lvl + 1, rho0,
                                        tangent=fine and run.config.predictor)
         if res.status != CONVERGED:
-            run.fail(f"initial centering failed on level {lvl + 1}: {res.status}")
+            run.fail(f"initial centering failed on level {lvl + 1}: {res.outcome}")
             return None
         z = level_obj.full_point(res.y)
         if lvl < problem.L - 1:
@@ -391,7 +391,7 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
     level_obj, res = run.center_at(problem.objectives[0], problem.z0, None, t, 0, 1,
                                    rho)
     if res.status != CONVERGED:
-        return run.fail(f"initial centering: {res.status}")
+        return run.fail(f"initial centering: {res.outcome}")
     z = level_obj.full_point(res.y)
     run.add_summary(0, t, rho, res.iterations)
     if lvl == L - 1:
@@ -412,7 +412,7 @@ def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
                                        lvl + 1, rho)
         if res.status != CONVERGED:
             return run.fail(f"{'h' if refine_h else 't'}-refinement centering: "
-                            f"{res.status}")
+                            f"{res.outcome}")
         z, t = level_obj.full_point(res.y), t_next
         if not refine_h:
             rho = adapt_stepsize(rho, res.iterations)

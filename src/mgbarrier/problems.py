@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
@@ -189,38 +190,72 @@ class ProblemInstance:
         return z
 
 
-def build_problem(spec):
-    d = len(spec.domain)
-    barrier = PLapBarrier(p=spec.p, d=d)
+def free_block(P, rows, cols):
+    """P[np.ix_(rows, cols)] of a CSR matrix P, for increasing index arrays
+    rows and cols (free dofs: zero-trace u and all s), by remapping P's
+    entries: an entry on a kept row and column keeps its place in order."""
+    row_pos = np.full(P.shape[0], -1, dtype=np.int32)
+    row_pos[rows] = np.arange(len(rows), dtype=np.int32)
+    col_pos = np.full(P.shape[1], -1, dtype=np.int32)
+    col_pos[cols] = np.arange(len(cols), dtype=np.int32)
+    r = np.repeat(row_pos, np.diff(P.indptr))
+    c = col_pos[P.indices]
+    keep = (r >= 0) & (c >= 0)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r[keep], minlength=len(rows)), out=indptr[1:])
+    return sp.csr_matrix((P.data[keep], c[keep], indptr), shape=(len(rows), len(cols)))
+
+
+def build_meshes(spec):
+    """The nested meshes T_1 (the box at cells0 cells per side) .. T_L."""
     meshes = [build_rect_mesh(spec.domain, spec.cells0)]
     for _ in range(spec.levels - 1):
         meshes.append(refine_uniform(meshes[-1]))
-    rule = reference_rule(d, 2 * spec.alpha)
+    return meshes
 
+
+def build_objectives(spec, meshes, barrier):
+    """Per mesh, the Objective of its FE system, sampled at the degree
+    2 alpha quadrature rule."""
+    rule = reference_rule(len(spec.domain), 2 * spec.alpha)
     objectives = []
     for mesh in meshes:
         fes = build_fe_system(mesh, spec.alpha)
         objectives.append(Objective(fes, DSampler(fes, rule), barrier, spec.forcing))
-    fesystems = [obj.fesys for obj in objectives]
+    return objectives
 
+
+def build_prolongations(objectives):
+    """(P_full, P_free): the prolongations between consecutive levels, and
+    their blocks on the free dofs (zero-trace u and all s)."""
     P_full, P_free = [], []
-    for lo, hi in zip(fesystems[:-1], fesystems[1:]):
-        P = prolongation(lo, hi)
+    for lo, hi in zip(objectives[:-1], objectives[1:]):
+        P = prolongation(lo.fesys, hi.fesys)
         P_full.append(P)
-        # restricted to free dofs: zero-trace u and all s
-        P_free.append(P[np.ix_(hi.free_idx(), lo.free_idx())].tocsr())
+        P_free.append(free_block(P, hi.free_idx(), lo.free_idx()))
+    return P_full, P_free
 
-    fes0 = objectives[0].fesys
-    u0 = harmonic_extension(objectives[0], spec.dirichlet)
-    z0 = np.zeros(fes0.total_dim)
-    z0[: fes0.n_u] = u0
-    z0[fes0.n_u:] = init_slack(objectives[0], u0)
 
+def starting_point(objective, g):
+    """The initial iterate: the discrete-harmonic extension of the Dirichlet
+    data g, and the constant slack of init_slack."""
+    fes = objective.fesys
+    u0 = harmonic_extension(objective, g)
+    z0 = np.zeros(fes.total_dim)
+    z0[: fes.n_u] = u0
+    z0[fes.n_u:] = init_slack(objective, u0)
+    return z0
+
+
+def build_problem(spec):
+    barrier = PLapBarrier(p=spec.p, d=len(spec.domain))
+    objectives = build_objectives(spec, build_meshes(spec), barrier)
+    P_full, P_free = build_prolongations(objectives)
     return ProblemInstance(
         spec=spec,
         barrier=barrier,
         objectives=objectives,
         P_full=P_full,
         P_free=P_free,
-        z0=z0,
+        z0=starting_point(objectives[0], spec.dirichlet),
     )

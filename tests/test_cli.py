@@ -265,3 +265,6 @@ def test_check_passes(capsys):
     # one reverse Hoelder line per coarse level of the 3-level check problem
     rh = [line for line in out.splitlines() if "reverse Hoelder" in line]
     assert [line.split(":")[0] for line in rh] == ["ok   level 1", "ok   level 2"]
+    # one numbered quadrature weight line per level
+    wq = [line for line in out.splitlines() if "quadrature weights" in line]
+    assert wq == [f"ok   level {lvl}: positive quadrature weights" for lvl in (1, 2, 3)]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
@@ -271,6 +272,68 @@ def test_prolongation_mismatched_alpha_rejected():
     mesh_f = refine_uniform(mesh_c)
     with pytest.raises(ValueError):
         prolongation(build_fe_system(mesh_c, 1), build_fe_system(mesh_f, 2))
+
+
+# non-dyadic boxes: coarse vertices and element maps carry roundoff
+SKEW_BOXES = {1: ((-0.3, 1.7),), 2: ((-0.3, 1.7), (0.1, 0.8))}
+
+
+def unique_prolongation(fes_c, fes_f):
+    """Reference prolongation: the first (element, local dof) of every fine
+    dof from np.unique, child ranks from argsort(parent_map), and the CSR
+    matrix from COO triplets (canonical: sorted, summed)."""
+    mesh_f = fes_f.mesh
+    pm = mesh_f.parent_map
+    children = np.argsort(pm, kind="stable").reshape(len(fes_c.mesh.elements), -1)
+    rank = np.empty(len(pm), dtype=np.intp)
+    rank[children] = np.arange(children.shape[1])
+    dofs_f = fes_f.elem_dofs()
+    rows, first = np.unique(dofs_f, return_index=True)
+    elem, loc = np.divmod(first, dofs_f.shape[1])
+    vals = child_prolongation(mesh_f.d, fes_f.alpha)[rank[elem], loc]
+    cols = fes_c.elem_dofs()[pm[elem]]
+    keep = vals != 0.0
+    return sp.csr_matrix(
+        (vals[keep], (np.broadcast_to(rows[:, None], vals.shape)[keep], cols[keep])),
+        shape=(fes_f.total_dim, fes_c.total_dim))
+
+
+def assert_same_csr(A, B):
+    assert A.shape == B.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_prolongations_match_the_unique_and_fancy_index_references(d, alpha):
+    # on a non-dyadic box up to L = 4: P_full entry for entry as the np.unique
+    # construction, and P_free as scipy's P[np.ix_(free_f, free_c)]
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=4, cells0=3,
+                                   domain=SKEW_BOXES[d]))
+    for lvl, (lo, hi) in enumerate(zip(pr.objectives, pr.objectives[1:])):
+        P = unique_prolongation(lo.fesys, hi.fesys)
+        assert_same_csr(pr.P_full[lvl], P)
+        assert pr.P_full[lvl].has_canonical_format
+        assert_same_csr(pr.P_free[lvl],
+                        P[np.ix_(hi.fesys.free_idx(), lo.fesys.free_idx())].tocsr())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_prolongation_rejects_meshes_that_are_not_nested(d):
+    box = [(0.0, 1.0)] * d
+    mesh_c = build_rect_mesh(box, 2)
+    fes_c = build_fe_system(mesh_c, 2)
+    # no parent_map: a box mesh of the fine size
+    with pytest.raises(ValueError, match="not a refinement"):
+        prolongation(fes_c, build_fe_system(build_rect_mesh(box, 4), 2))
+    # the refinement of a different coarse mesh
+    other = refine_uniform(build_rect_mesh([(0.0, 2.0)] * d, 2))
+    with pytest.raises(ValueError, match="not nested"):
+        prolongation(fes_c, build_fe_system(other, 2))
+    with pytest.raises(ValueError, match="equal polynomial degree"):
+        prolongation(build_fe_system(mesh_c, 1),
+                     build_fe_system(refine_uniform(mesh_c), 2))
 
 
 def test_interpolate_rejects_nonfinite():

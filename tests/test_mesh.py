@@ -99,8 +99,43 @@ def test_hierarchy_nesting_and_parent_chain():
 def test_degenerate_element_rejected():
     from mgbarrier.mesh import SimplicialMesh
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         SimplicialMesh(2, verts, np.array([[0, 1, 2]]), np.array([0, 1, 2]))
+    # one degenerate element among good ones, and a zero-length interval
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialMesh(2, verts, np.array([[0, 1, 2], [1, 3, 3]]), np.arange(4))
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialMesh(1, np.array([[0.0], [1.0]]), np.array([[0, 1], [1, 1]]),
+                       np.array([0, 1]))
+
+
+# non-dyadic boxes, where the element maps carry roundoff
+SKEW_BOXES = [([(-0.3, 1.7)], 3), ([(-0.3, 1.7), (0.1, 0.8)], 3), ([(0, 1), (0, 1)], 3)]
+
+
+@pytest.mark.parametrize("domain,k", SKEW_BOXES)
+def test_closed_form_inverse_and_determinant_match_lapack(domain, k):
+    # to a few ulp: of |det A_K|, and of the largest entry of A_K^-1
+    meshes = [build_rect_mesh(domain, k)]
+    for _ in range(3):
+        meshes.append(refine_uniform(meshes[-1]))
+    for mesh in meshes:
+        det, inv = np.linalg.det(mesh.A), np.linalg.inv(mesh.A)
+        assert np.all(np.abs(mesh.detA - det) <= 8 * np.spacing(np.abs(det)))
+        scale = np.spacing(np.abs(inv).max(axis=(1, 2)))[:, None, None]
+        assert np.all(np.abs(mesh.Ainv - inv) <= 4 * scale)
+
+
+@pytest.mark.parametrize("domain,k", SKEW_BOXES)
+def test_children_are_the_stable_argsort_of_parent_map(domain, k):
+    meshes = [build_rect_mesh(domain, k)]
+    for _ in range(3):
+        meshes.append(refine_uniform(meshes[-1]))
+    assert meshes[0].children is None and meshes[0].parent_map is None
+    for coarse, fine in zip(meshes, meshes[1:]):
+        ref = np.argsort(fine.parent_map, kind="stable").reshape(coarse.num_elements, -1)
+        assert fine.children.dtype == ref.dtype and np.array_equal(fine.children, ref)
 
 
 def test_dump_mesh_roundtrippable(tmp_path):
@@ -151,6 +186,9 @@ def test_refine_matches_loop_reference(domain, k):
         assert np.array_equal(got_edges, edges)
         assert np.array_equal(got_elem_edges, elem_edges)
         fine = refine_uniform(mesh)
+        # the fine edges, numbered from the coarse P2 layout, are edge_index's
+        for got, ref in zip(fine.edge_table, edge_index(fine.elements)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert np.array_equal(fine.vertices, verts)
         assert np.array_equal(fine.elements, elems)
         assert np.array_equal(fine.parent_map,

@@ -1,3 +1,4 @@
+import re
 import time
 import warnings
 
@@ -528,3 +529,84 @@ def test_center_stops_at_deadline():
     # a centering that converges is reported as converged, deadline or not
     res = center(obj, np.zeros(3), t=1.0, deadline=time.monotonic() - 1.0)
     assert res.status == CONVERGED
+
+
+class FeasibleOnlyAtZero:
+    """Value 0 at y = 0 and +inf anywhere else, gradient and Hessian 1: no
+    damped step is ever accepted."""
+
+    dim = 1
+
+    def value(self, y, t):
+        return 0.0 if y[0] == 0.0 else np.inf
+
+    def grad_hess(self, y, t):
+        return np.ones(1), no_slack([[1.0]])
+
+
+def _named_failure(H, g=None):
+    """(solver.failure, centering detail) of a decrement on (g, H), g all
+    ones by default, and of a centering whose gradient and Hessian are g and
+    H everywhere: it fails at its first decrement."""
+    g = np.ones(H.S.shape[0]) if g is None else g
+    solver = DirectSolver()
+    assert solver.decrement(g, H) == (None, None)
+    obj = FixedHessian(H, len(g))
+    obj.grad_hess = lambda y, t: (g, H)
+    res = center(obj, np.zeros(len(g)), t=1.0)
+    assert res.status == SOLVER_FAILURE and res.iterations == 0
+    assert res.outcome == f"{SOLVER_FAILURE} ({res.detail})"
+    return solver.failure, res.detail
+
+
+def test_each_decrement_failure_is_named(small_problem, monkeypatch):
+    # a slack block that is not SPD names its first element
+    obj = small_problem.objectives[0]
+    gloc, hloc = obj.element_blocks(small_problem.z0)
+    n_lu, nf = obj.fesys.u_elem.shape[1], len(obj.free_idx())
+    hloc = hloc.copy()
+    for e in (3, 5):
+        hloc[e, n_lu, n_lu] *= -1.0
+    _, H = obj.assemble(gloc, hloc, np.zeros(nf))
+    assert _named_failure(H, np.ones(nf)) == ("slack block not SPD, element 3",) * 2
+
+    # a structurally missing diagonal entry of S
+    S = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+    assert S[1, 1] == 0.0 and S.nnz == 6
+    assert _named_failure(no_slack(S)) == ("S lacks a diagonal entry",) * 2
+
+    # a non-positive or NaN diagonal entry: its row and value
+    for bad, text in ((-1.0, "-1.0"), (np.nan, "nan")):
+        S = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+        S.data[S.indptr[1] + 1] = bad
+        assert _named_failure(no_slack(S)) == (
+            f"diagonal of S not positive, row 1: {text}",) * 2
+
+    # lambda^2 negative beyond roundoff (eigenvalues 3 and -1, g = e_2)
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    why, detail = _named_failure(no_slack(A), np.array([0.0, 1.0]))
+    # -1/3 but for the shift of the diagonal
+    assert re.fullmatch(r"lambda\^2 = -0\.33333333333333\d* is negative beyond roundoff", why)
+    assert detail == why
+    # a success clears the last failure
+    solver = DirectSolver()
+    solver.decrement(np.array([0.0, 1.0]), no_slack(A))
+    assert solver.decrement(np.ones(2), no_slack(sp.eye(2, format="csr")))[0] is not None
+    assert solver.failure == ""
+
+    # a factorization that fails: SuperLU's RuntimeError and its message
+    def singular(A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    assert _named_failure(no_slack(sp.eye(2, format="csr"))) == (
+        "splu failed: Factor is exactly singular",) * 2
+
+
+def test_line_search_failure_is_named():
+    res = center(FeasibleOnlyAtZero(), np.zeros(1), t=1.0)
+    assert res.status == SOLVER_FAILURE and res.iterations == 0
+    assert res.outcome == f"{SOLVER_FAILURE} (no step accepted in 40 halvings)"
+    # the other statuses carry no detail
+    res = center(QuadraticObjective(np.eye(2), np.ones(2)), np.zeros(2), t=1.0)
+    assert res.status == CONVERGED and res.outcome == CONVERGED

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import types
 import weakref
 
@@ -84,7 +85,10 @@ def test_t0_at_t_cap_is_a_named_failure(small_problem):
     # complement turns negative through cancellation, a named solver failure
     tr = run_mgb(small_problem, PathConfig(t0=1e8))
     assert tr.status == STATUS_FAILURE
-    assert tr.failure_reason == "initial centering failed on level 1: solver-failure"
+    # the reason names the decrement's check, the row and its value
+    assert re.fullmatch(r"initial centering failed on level 1: solver-failure "
+                        r"\(diagonal of S not positive, row \d+: -\d+\.\d+\)",
+                        tr.failure_reason), tr.failure_reason
     assert all(r.t <= 1e8 for r in tr.rows)
 
 

@@ -73,19 +73,19 @@ def test_galerkin_prolongations_are_the_free_chain():
 
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
-    # one edge_index per level's P2 layout, which refine_uniform and the
-    # level's P2 space share; the box mesh's boundary comes from its grid
+    # one edge numbering per level's P2 layout, which refine_uniform and the
+    # level's P2 space share: edge_index on the box mesh, whose boundary comes
+    # from its grid, and refined_edge_index on each refined one
     calls = []
-    edge_index = mesh.edge_index
+    for name in ("edge_index", "refined_edge_index"):
+        def counted(arg, fn=getattr(mesh, name), name=name):
+            calls.append(name)
+            return fn(arg)
 
-    def counted(elements):
-        calls.append(len(elements))
-        return edge_index(elements)
-
-    monkeypatch.setattr(mesh, "edge_index", counted)
+        monkeypatch.setattr(mesh, name, counted)
     L = 4
     build_problem(ProblemSpec(p=1.5, alpha=2, levels=L, cells0=2))
-    assert len(calls) == L
+    assert calls == ["edge_index"] + ["refined_edge_index"] * (L - 1)
 
 
 def test_harmonic_extension_boundary_and_mean_value():
