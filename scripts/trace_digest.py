@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Digests of solver traces and set-up arrays, for comparing two checkouts.
+
+Builds a fixed set of problems, solves each in several ways and prints one
+line per solve and then one per problem:
+
+- a solve line: status, failure reason, t_final, and sha256 digests of the
+  trace's to_csv(wall_times=False) and of z_final;
+- a problem line: digests of z0, of P_full and of P_free (data, indices and
+  indptr of every level pair), and of rh_constant_estimate at the final
+  iterate of the problem's first solve.
+
+The problems and solves:
+
+- the three benchmark workloads (mgb-p1.5-L4, naive-theta-p1.5-L4,
+  mgb-full-p1-L3), each at its default data and with its config;
+- p in {1, 1.5, 2} x L in {1, 2, 3} x alpha in {1, 2} at cells0 = 2, each
+  under run_mgb with the default config, with direct_cap = 0 and with
+  predictor = False, and under naive-theta and naive-h-then-t;
+- the 1-D problem of configs/mgb_p15_1d.cfg (L = 4) under run_mgb.
+
+Nothing printed depends on wall time, so two checkouts that behave alike
+print the same text, and `diff` of their outputs checks that a change keeps
+behaviour. A solver failure is a line like any other; the script exits
+non-zero only on an exception.
+
+    PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
+"""
+
+import os
+
+# BLAS reads these when numpy is first imported, so they are set before it is
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+
+import numpy as np
+
+from mgbarrier.diagnostics import rh_constant_estimate
+from mgbarrier.pathfollow import ALGORITHMS, PathConfig
+from mgbarrier.problems import UNIT_INTERVAL, ProblemSpec, build_problem
+
+GRID_RUNS = (("mgb", "mgb", {}),
+             ("mgb-direct0", "mgb", dict(direct_cap=0)),
+             ("mgb-nopredictor", "mgb", dict(predictor=False)),
+             ("naive-theta", "naive-theta", {}),
+             ("naive-h-then-t", "naive-h-then-t", {}))
+
+
+def cases():
+    """(problem name, ProblemSpec, [(run name, algorithm, PathConfig keys)])."""
+    yield ("mgb-p1.5-L4", ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4),
+           [("mgb", "mgb", dict(rho0=2.0, c_stp=1.0, t_cap=1e8))])
+    yield ("naive-theta-p1.5-L4", ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4),
+           [("naive-theta", "naive-theta", dict(theta=0.5, rho0=2.0))])
+    yield ("mgb-full-p1-L3", ProblemSpec(p=1.0, alpha=2, levels=3, cells0=4),
+           [("mgb", "mgb", dict(direct_cap=0))])
+    for p in (1.0, 1.5, 2.0):
+        for levels in (1, 2, 3):
+            for alpha in (1, 2):
+                yield (f"p{p}-L{levels}-a{alpha}",
+                       ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=2), GRID_RUNS)
+    yield ("1d-p1.5-L4", ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4,
+                                     domain=UNIT_INTERVAL), [("mgb", "mgb", {})])
+
+
+def digest(*parts):
+    """First 16 hex digits of the sha256 of strings and arrays (an array's
+    dtype and shape included)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(part.encode())
+        else:
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def csr_parts(matrices):
+    return [x for P in matrices for x in (P.data, P.indices, P.indptr)]
+
+
+def main():
+    n = 0
+    for name, spec, runs in cases():
+        problem = build_problem(spec)
+        finals = []
+        for run, algorithm, keys in runs:
+            trace = ALGORITHMS[algorithm](problem, PathConfig(**keys))
+            z = trace.z_final
+            finals.append(z)
+            print(f"{name} {run}: {trace.status} {trace.failure_reason!r} "
+                  f"t_final={trace.t_final!r} "
+                  f"csv={digest(trace.to_csv(wall_times=False))} "
+                  f"z_final={'-' if z is None else digest(z)}")
+        n += len(runs)
+        z = finals[0]
+        rh = "-" if z is None else digest(repr(rh_constant_estimate(problem, z)))
+        print(f"{name} problem: z0={digest(problem.z0)} "
+              f"P_full={digest(*csr_parts(problem.P_full))} "
+              f"P_free={digest(*csr_parts(problem.P_free))} rh={rh}")
+    print(f"{n} solves")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

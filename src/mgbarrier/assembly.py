@@ -227,30 +227,31 @@ class Galerkin:
     dofs of a coarse level, formed element by element.
 
     A parent's block is sum_k T_k^T B_k T_k over its children's blocks B_k,
-    with T_k the child_prolongation table of child rank k; this runs level by
-    level down to the coarse one, whose assemble condenses the coarse slack
-    and scatters the result into its own fixed pattern.
+    with T_k the child_prolongation table of child rank k; in refine_uniform's
+    element order the children of parent c are the m blocks from c*m on.
+    This runs level by level down to the coarse one, whose assemble condenses
+    the coarse slack and scatters the result into its own fixed pattern.
     Fixed fine dofs need no mask: an interior coarse basis function vanishes
     at boundary nodes, so their rows reach only fixed coarse dofs, which the
     scatter drops.
     """
 
-    def __init__(self, coarse, P, children, cost):
+    def __init__(self, coarse, P, cost):
         self.coarse = coarse      # the coarse level's Objective, for its pattern
         self.P = P                # free prolongation, coarse level -> fine
-        self.children = children  # per level pair, finest first: (ne_c, m) child ids
         self.cost = cost          # P^T c_free
         self.T = child_prolongation(coarse.fesys.d, coarse.fesys.alpha)  # cached, shared
 
     def restrict(self, gloc, hloc, t):
         """(gradient, CondensedHessian) over the coarse free dofs of fine
         element blocks, plus t times the restricted cost vector."""
-        nloc_c = self.T.shape[2]
+        m, nloc_f, nloc_c = self.T.shape
         Tcat = self.T.reshape(-1, nloc_c)
-        for children in self.children:
-            ne = len(children)
-            hloc = Tcat.T @ (hloc[children] @ self.T).reshape(ne, -1, nloc_c)
-            gloc = gloc[children].reshape(ne, -1) @ Tcat
+        while len(hloc) > self.coarse.fesys.mesh.num_elements:
+            ne = len(hloc) // m
+            blocks = hloc.reshape(ne, m, nloc_f, nloc_f) @ self.T
+            hloc = Tcat.T @ blocks.reshape(ne, -1, nloc_c)
+            gloc = gloc.reshape(ne, -1) @ Tcat
         return self.coarse.assemble(gloc, hloc, t * self.cost)
 
 

@@ -56,12 +56,6 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     terms = obj.barrier.grad_hess_terms(*obj.dz(z))
     ne_f, nq = smp.wq.shape
 
-    # fine elements inside each element of every level
-    inside = [np.arange(ne_f)[:, None]]
-    for lvl in range(L - 2, -1, -1):
-        children = meshes[lvl + 1].children
-        inside.insert(0, inside[0][children].reshape(len(children), -1))
-
     out = []
     for lvl in range(L - 1):
         Pff = problem.galerkin[lvl].P
@@ -73,9 +67,10 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
             gv, sv = smp.sample(z_v)
             quad = hessian_form(terms, gv.reshape(-1, d), sv.ravel()).reshape(ne_f, nq)
             val = np.sqrt(np.maximum(quad, 0.0))
-            # per coarse element K: max and quadrature integral of val over K
-            linf = val.max(axis=1)[inside[lvl]].max(axis=1)
-            l1 = np.sum(smp.wq * val, axis=1)[inside[lvl]].sum(axis=1)
+            # per coarse element K: max and quadrature integral of val over K,
+            # whose fine elements are consecutive in refine_uniform's order
+            linf = val.max(axis=1).reshape(vols.size, -1).max(axis=1)
+            l1 = np.sum(smp.wq * val, axis=1).reshape(vols.size, -1).sum(axis=1)
             ratio = vols * linf / np.where(l1 > 0, l1, np.inf)
             worst = max(worst, float(ratio.max()))
         out.append(worst)

@@ -257,12 +257,16 @@ def prolongation(fes_c, fes_f):
 
     Requires fes_f.mesh = refine_uniform(fes_c.mesh) and equal alpha. The fine
     nodal values of any coarse function reproduce it exactly (nested spaces).
+    The fine mesh must be in refine_uniform's order: m times the coarse
+    elements, and child k <= d of coarse element c, c*m + k, keeps vertex k.
     """
     if fes_c.alpha != fes_f.alpha:
         raise ValueError("prolongation requires equal polynomial degree")
     mesh_f, mesh_c = fes_f.mesh, fes_c.mesh
-    pm, children = mesh_f.parent_map, mesh_f.children
-    if pm is None or children is None or len(pm) != mesh_f.num_elements:
+    m = len(CHILDREN[mesh_f.d])
+    if not (mesh_f.d == mesh_c.d and mesh_f.num_elements == m * mesh_c.num_elements
+            and all(np.array_equal(mesh_f.elements[k::m, k], mesh_c.elements[:, k])
+                    for k in range(mesh_f.d + 1))):
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
     nc = mesh_c.num_vertices
     if not np.array_equal(mesh_f.vertices[:nc], mesh_c.vertices):
@@ -276,8 +280,7 @@ def prolongation(fes_c, fes_f):
     first = np.full(fes_f.total_dim, dofs_f.size)
     np.minimum.at(first, dofs_f.ravel(), np.arange(dofs_f.size))
     elem, loc = np.divmod(first, nloc_f)
-    rank = np.empty(len(pm), dtype=np.intp)
-    rank[children] = np.arange(children.shape[1])
+    parent, rank = np.divmod(elem, m)
     # its row of P is row rank * nloc_f + loc of the child tables, over the
     # parent's coarse dofs, less the tables' exact zeros: entry j of a row
     # whose table row is r is tnz[start[r] + j]
@@ -287,12 +290,12 @@ def prolongation(fes_c, fes_f):
     tnz = np.flatnonzero(table)
     nnz = np.count_nonzero(table, axis=1)
     start = np.cumsum(nnz) - nnz
-    row = rank[elem] * nloc_f + loc
+    row = rank * nloc_f + loc
     row_nnz = nnz[row]
     indptr = np.zeros(len(first) + 1, dtype=np.intp)
     np.cumsum(row_nnz, out=indptr[1:])
     k = tnz[np.arange(indptr[-1]) + np.repeat(start[row] - indptr[:-1], row_nnz)]
-    cols = dofs_c.ravel()[np.repeat(pm[elem] * nloc_c, row_nnz) + k % nloc_c]
+    cols = dofs_c.ravel()[np.repeat(parent * nloc_c, row_nnz) + k % nloc_c]
     P = sp.csr_matrix((table.ravel()[k], cols, indptr),
                       shape=(fes_f.total_dim, fes_c.total_dim))
     P.sort_indices()  # within each row, of at most nloc_c entries

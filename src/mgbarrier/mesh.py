@@ -15,16 +15,16 @@ class SimplicialMesh:
 
     Each element K is the image of the reference simplex conv{0, e_1, ..., e_d}
     under the affine map x -> A_K x + b_K.
+
+    A mesh from refine_uniform holds its hierarchy in its element order: with
+    m = len(CHILDREN[d]), fine element c*m + k is child k (CHILDREN[d][k]) of
+    coarse element c.
     """
 
     d: int
     vertices: np.ndarray          # (nv, d)
     elements: np.ndarray          # (ne, d+1) vertex indices
     boundary_vertices: np.ndarray  # sorted indices of vertices on the boundary
-    parent_map: np.ndarray | None = None  # fine element -> coarse element, set by refine_uniform
-    # fine elements of each coarse element in child rank order, (ne_coarse,
-    # m), set by refine_uniform with parent_map
-    children: np.ndarray | None = None
     # (edges, elem_edges) as edge_index returns them, set by refine_uniform;
     # p2_nodes calls edge_index when it is None
     edge_table: tuple | None = None
@@ -233,19 +233,15 @@ def build_rect_mesh(domain, cells_per_side):
 def refine_uniform(mesh):
     """Bisect all edges: triangles split into 4 similar children, intervals into 2.
 
-    Coarse vertices keep their indices; edge midpoints are appended. The returned
-    mesh carries parent_map (child element -> coarse element) and children:
-    the children of each coarse element are appended in rank order, so its
-    row of children is a run of consecutive fine ids.
+    Coarse vertices keep their indices; edge midpoints are appended. The
+    children of each coarse element are appended in rank order: fine element
+    c*m + k, m = len(CHILDREN[d]), is child k (CHILDREN[d][k]) of coarse
+    element c.
     """
     d = mesh.d
     new_verts, nodes, bdry = mesh.p2
-    m = len(CHILDREN[d])
     elems = nodes[:, np.array(CHILDREN[d])].reshape(-1, d + 1)
-    parents = np.repeat(np.arange(mesh.num_elements), m)
-    return SimplicialMesh(d, new_verts, elems, bdry, parent_map=parents,
-                          children=np.arange(len(elems)).reshape(-1, m),
-                          edge_table=refined_edge_index(mesh))
+    return SimplicialMesh(d, new_verts, elems, bdry, edge_table=refined_edge_index(mesh))
 
 
 def quasi_uniformity(mesh):

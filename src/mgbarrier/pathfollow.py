@@ -34,9 +34,9 @@ class PathConfig:
     t0: float | None = None       # absolute t0; None -> min(h_fine^d, t_cap)
     theta: float = 0.5            # naive theta-schedule parameter
     direct_cap: int = 5           # Newton cap for the practical direct step
-    lam_tol_final: float = 1e-6   # final centering tolerance
     budget_s: float = 300.0
     predictor: bool = True        # practical MGB: start t-steps on the tangent
+    lam_tol_final = 1e-6          # final centering tolerance, a constant
 
     def __post_init__(self):
         # written as `not x > bound` so that NaN fails every check
@@ -54,9 +54,6 @@ class PathConfig:
         cap = self.direct_cap
         if isinstance(cap, bool) or not (isinstance(cap, int) and cap >= 0):
             raise ValueError(f"direct_cap must be an int >= 0, got {cap!r}")
-        tol = self.lam_tol_final  # inf accepts every point as centered
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"lam_tol_final must be >= 0 and finite, got {tol}")
         if not self.budget_s >= 0.0:
             raise ValueError(f"budget_s must be >= 0, got {self.budget_s}")
         if not isinstance(self.predictor, bool):

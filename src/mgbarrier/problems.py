@@ -2,7 +2,7 @@
 
 Builds the nested meshes, per-level FE systems and objectives, nested
 prolongations, and the initial iterate (discrete-harmonic extension of the
-Dirichlet data plus a doubled-until-feasible constant slack).
+Dirichlet data plus a constant power-of-two slack above the barrier's Lambda).
 """
 
 from __future__ import annotations
@@ -100,17 +100,21 @@ def apply_dirichlet(fesys, z, g):
     return z
 
 
-def init_slack(objective, u0, max_doublings=200):
-    """Constant slack 2^m, doubled from 1 until Dz is interior at every node."""
-    fes = objective.fesys
+def init_slack(objective, u0):
+    """Constant slack 2^m, the smallest power of two >= 1 above max Lambda(q)
+    at the nodes, doubled once where roundoff leaves Dz on the boundary;
+    RuntimeError if neither is feasible (as where Lambda(q) overflows)."""
+    fes, barrier = objective.fesys, objective.barrier
     z = np.zeros(fes.total_dim)
     z[: fes.n_u] = u0
     q, _ = objective.dz(z)
-    s = 1.0
-    for _ in range(max_doublings + 1):
-        if objective.barrier.feasible(q, np.full(q.shape[0], s)):
+    with np.errstate(over="ignore"):
+        _, e = math.frexp(float(barrier.lam(q).max()))
+    # 2^(e-1) <= max Lambda < 2^e; e <= 1022 keeps the doubled slack finite
+    e = min(max(e, 0), 1022)
+    for s in (math.ldexp(1.0, e), math.ldexp(1.0, e + 1)):
+        if barrier.feasible(q, np.full(q.shape[0], s)):
             return np.full(fes.n_s, s)
-        s *= 2.0
     raise RuntimeError("slack doubling failed to reach the barrier domain")
 
 
@@ -164,13 +168,12 @@ class ProblemInstance:
         """Per level, the Galerkin restriction of fine element blocks to its
         free dofs (None on the fine level), built on the first use together
         with the cumulative free prolongations to the fine level."""
-        obj, meshes = self.fine_objective, self.meshes
+        obj = self.fine_objective
         c_free = obj.cost_vector[obj.free_idx()]
         out, P = [None] * self.L, None
         for lvl in range(self.L - 2, -1, -1):
             P = self.P_free[lvl] if P is None else (P @ self.P_free[lvl]).tocsr()
-            out[lvl] = Galerkin(self.objectives[lvl], P,
-                                [m.children for m in meshes[:lvl:-1]], P.T @ c_free)
+            out[lvl] = Galerkin(self.objectives[lvl], P, P.T @ c_free)
         return out
 
     def h_fine(self):

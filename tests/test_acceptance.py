@@ -16,6 +16,7 @@ import barrier_oracles as oracles
 from mgbarrier import diagnostics
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import s_basis, u_basis_grad
+from mgbarrier.mesh import CHILDREN
 from mgbarrier.newton import Ordering, regularize
 from mgbarrier.pathfollow import PathConfig, adapt_stepsize, run_mgb, run_naive
 from mgbarrier.problems import ProblemSpec, build_problem
@@ -290,7 +291,8 @@ def test_criterion_9_substrate(mgb_scaling_runs):
     mesh_c, mesh_f = fes_c.mesh, fes_f.mesh
     smp_f = pr.objectives[1].sampler
     P = pr.P_full[0]
-    pe = mesh_f.parent_map
+    # the parent of fine element e is e // m
+    pe = np.arange(mesh_f.num_elements) // len(CHILDREN[2])
     # reference coordinates of the fine quadrature points in the parent element
     ref = np.einsum("eab,eqb->eqa", mesh_c.Ainv[pe],
                     smp_f.xq - mesh_c.b[pe][:, None, :])

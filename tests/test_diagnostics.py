@@ -4,6 +4,7 @@ import pytest
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.diagnostics import (filter_gap, hessian_form, p2_linear_fem,
                                    p2_oracle_error, rh_constant_estimate)
+from mgbarrier.mesh import CHILDREN
 from mgbarrier.pathfollow import PathConfig, PathTrace, run_mgb
 from mgbarrier.problems import ProblemSpec, build_problem, harmonic_extension
 
@@ -90,9 +91,10 @@ def _rh_loop(problem, z, num_samples, seed):
     H = H.reshape(*smp.wq.shape, d + 1, d + 1)
     out = []
     for lvl in range(problem.L - 1):
+        # fine element e is a child of element e // m one level coarser
         owner = np.arange(smp.wq.shape[0])
-        for mesh in problem.meshes[:lvl:-1]:
-            owner = mesh.parent_map[owner]
+        for _ in problem.meshes[:lvl:-1]:
+            owner = owner // len(CHILDREN[d])
         vols = problem.meshes[lvl].volumes()
         P = problem.galerkin[lvl].P
         worst = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
                                 dump_solution, prolongation,
                                 s_basis, s_node_ref, u_basis, u_basis_grad)
-from mgbarrier.mesh import SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
+from mgbarrier.mesh import CHILDREN, SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
@@ -165,17 +167,15 @@ def test_child_rank_tables_reproduce_prolongation(d, alpha, cells0):
     fes = [build_fe_system(m, alpha) for m in meshes]
     T = child_prolongation(d, alpha)
     assert not T.flags.writeable
+    m = len(CHILDREN[d])
     for lvl in range(len(meshes) - 1):
         fes_c, fes_f = fes[lvl], fes[lvl + 1]
-        children = meshes[lvl + 1].children
-        assert T.shape == (children.shape[1], fes_f.elem_dofs().shape[1],
-                           fes_c.elem_dofs().shape[1])
-        assert np.array_equal(meshes[lvl + 1].parent_map[children],
-                              np.repeat(np.arange(len(children))[:, None],
-                                        children.shape[1], axis=1))
+        assert T.shape == (m, fes_f.elem_dofs().shape[1], fes_c.elem_dofs().shape[1])
+        assert meshes[lvl + 1].num_elements == m * meshes[lvl].num_elements
         s_nodes = fes_f.mesh.to_physical(s_node_ref(d, alpha))
-        for parent, kids in enumerate(children):
-            for rank, child in enumerate(kids):
+        # fine element parent * m + rank is child rank of parent
+        for parent in range(meshes[lvl].num_elements):
+            for rank, child in enumerate(range(parent * m, (parent + 1) * m)):
                 ref = coarse_basis_at(fes_c, parent,
                                       fes_f.u_node_coords[fes_f.u_elem[child]],
                                       s_nodes[child])
@@ -196,8 +196,9 @@ def test_prolongation_entries_are_exact_table_entries(d, alpha):
     free_c = np.isin(dofs_c, fes_c.free_idx())
     fixed_f = ~np.isin(dofs_f, fes_f.free_idx())
     covered = set()
-    for parent, kids in enumerate(mesh_f.children):
-        for rank, child in enumerate(kids):
+    m = len(CHILDREN[d])
+    for parent in range(mesh_c.num_elements):
+        for rank, child in enumerate(range(parent * m, (parent + 1) * m)):
             assert np.array_equal(P[dofs_f[child]][:, dofs_c[parent]].toarray(), T[rank])
             rows, cols = np.nonzero(T[rank])
             covered.update(zip(dofs_f[child][rows], dofs_c[parent][cols]))
@@ -241,7 +242,7 @@ def test_prolongation_exactness(alpha, seed):
     # compare fine samples against the coarse polynomial at the same points
     err = 0.0
     for e in range(mesh_f.num_elements):
-        pe = mesh_f.parent_map[e]
+        pe = e // len(CHILDREN[2])
         ref = np.einsum("ab,qb->qa", mesh_c.Ainv[pe], smp_f.xq[e] - mesh_c.b[pe])
         gu = np.einsum("qia,i->qa",
                        np.einsum("ba,qib->qia", mesh_c.Ainv[pe],
@@ -280,18 +281,16 @@ SKEW_BOXES = {1: ((-0.3, 1.7),), 2: ((-0.3, 1.7), (0.1, 0.8))}
 
 def unique_prolongation(fes_c, fes_f):
     """Reference prolongation: the first (element, local dof) of every fine
-    dof from np.unique, child ranks from argsort(parent_map), and the CSR
-    matrix from COO triplets (canonical: sorted, summed)."""
+    dof from np.unique, the parent and child rank of fine element e as
+    e // m and e % m, and the CSR matrix from COO triplets (canonical:
+    sorted, summed)."""
     mesh_f = fes_f.mesh
-    pm = mesh_f.parent_map
-    children = np.argsort(pm, kind="stable").reshape(len(fes_c.mesh.elements), -1)
-    rank = np.empty(len(pm), dtype=np.intp)
-    rank[children] = np.arange(children.shape[1])
+    m = len(CHILDREN[mesh_f.d])
     dofs_f = fes_f.elem_dofs()
     rows, first = np.unique(dofs_f, return_index=True)
     elem, loc = np.divmod(first, dofs_f.shape[1])
-    vals = child_prolongation(mesh_f.d, fes_f.alpha)[rank[elem], loc]
-    cols = fes_c.elem_dofs()[pm[elem]]
+    vals = child_prolongation(mesh_f.d, fes_f.alpha)[elem % m, loc]
+    cols = fes_c.elem_dofs()[elem // m]
     keep = vals != 0.0
     return sp.csr_matrix(
         (vals[keep], (np.broadcast_to(rows[:, None], vals.shape)[keep], cols[keep])),
@@ -324,9 +323,20 @@ def test_prolongation_rejects_meshes_that_are_not_nested(d):
     box = [(0.0, 1.0)] * d
     mesh_c = build_rect_mesh(box, 2)
     fes_c = build_fe_system(mesh_c, 2)
-    # no parent_map: a box mesh of the fine size
+    # a box mesh of the fine size, not in refine_uniform's child order
     with pytest.raises(ValueError, match="not a refinement"):
         prolongation(fes_c, build_fe_system(build_rect_mesh(box, 4), 2))
+    # the refinement of this coarse mesh with its elements in reverse order,
+    # which a check on the child tables' presence once accepted: P then missed
+    # the coarse function x by up to 0.75 (1-D) and 1.0 (2-D) at fine u nodes
+    fine = refine_uniform(mesh_c)
+    reverse = dataclasses.replace(fine, elements=fine.elements[::-1], edge_table=None)
+    with pytest.raises(ValueError, match="not a refinement"):
+        prolongation(fes_c, build_fe_system(reverse, 2))
+    # a mesh of the other dimension with m times the coarse elements
+    flat = build_rect_mesh([(0.0, 1.0)] * (3 - d), 2 if d == 1 else 16)
+    with pytest.raises(ValueError, match="not a refinement"):
+        prolongation(fes_c, build_fe_system(flat, 2))
     # the refinement of a different coarse mesh
     other = refine_uniform(build_rect_mesh([(0.0, 2.0)] * d, 2))
     with pytest.raises(ValueError, match="not nested"):

@@ -53,10 +53,11 @@ def test_refine_quadruples_triangles():
 
 
 def test_parent_map_contains_children():
+    # fine element e is a child of coarse element e // m
     mesh = build_rect_mesh([(0, 1), (0, 1)], 2)
     fine = refine_uniform(mesh)
     for e in range(fine.num_elements):
-        parent = fine.parent_map[e]
+        parent = e // len(CHILDREN[2])
         child_verts = fine.vertices[fine.elements[e]]
         pv = mesh.vertices[mesh.elements[parent]]
         # every child vertex is a convex combination of the parent's vertices
@@ -81,19 +82,17 @@ def test_hierarchy_nesting_and_parent_chain():
     hs = [m.h() for m in levels]
     assert hs[0] / hs[1] == pytest.approx(2.0)
     assert hs[1] / hs[2] == pytest.approx(2.0)
-    # follow the last fine element's parent_map chain down to level 1
+    # follow the last fine element's parent chain, e -> e // m, down to level
+    # 1: the last child of the last element on every level
+    m = len(CHILDREN[2])
     e = levels[-1].num_elements - 1
     for lvl in (2, 1):
-        e = int(levels[lvl].parent_map[e])
-        assert 0 <= e < levels[lvl - 1].num_elements
-    # each refined mesh's children: one row of child ids per coarse element
+        assert e % m == m - 1
+        e //= m
+        assert e == levels[lvl - 1].num_elements - 1
+    # each refined mesh has m children per coarse element
     for coarse, fine in zip(levels, levels[1:]):
-        children = fine.children
-        assert children.shape == (coarse.num_elements, len(CHILDREN[2]))
-        assert np.array_equal(fine.parent_map[children],
-                              np.broadcast_to(np.arange(coarse.num_elements)[:, None],
-                                              children.shape))
-        assert fine.children is children  # computed once
+        assert fine.num_elements == m * coarse.num_elements
 
 
 def test_degenerate_element_rejected():
@@ -128,14 +127,20 @@ def test_closed_form_inverse_and_determinant_match_lapack(domain, k):
 
 
 @pytest.mark.parametrize("domain,k", SKEW_BOXES)
-def test_children_are_the_stable_argsort_of_parent_map(domain, k):
+def test_fine_element_c_m_plus_k_is_child_k_of_c(domain, k):
+    # refine_uniform's order up to L = 4: fine element c*m + k is the child
+    # CHILDREN[d][k] of coarse element c, in the coarse element's P2 nodes
     meshes = [build_rect_mesh(domain, k)]
     for _ in range(3):
         meshes.append(refine_uniform(meshes[-1]))
-    assert meshes[0].children is None and meshes[0].parent_map is None
+    d = meshes[0].d
+    m = len(CHILDREN[d])
     for coarse, fine in zip(meshes, meshes[1:]):
-        ref = np.argsort(fine.parent_map, kind="stable").reshape(coarse.num_elements, -1)
-        assert fine.children.dtype == ref.dtype and np.array_equal(fine.children, ref)
+        nodes = coarse.p2[1]
+        assert fine.num_elements == m * coarse.num_elements
+        for c in range(coarse.num_elements):
+            for k, child in enumerate(CHILDREN[d]):
+                assert np.array_equal(fine.elements[c * m + k], nodes[c, list(child)])
 
 
 def test_dump_mesh_roundtrippable(tmp_path):
@@ -151,7 +156,8 @@ def test_dump_mesh_roundtrippable(tmp_path):
 
 def _refine_loop(mesh):
     """Loop reference for edge_index + refine_uniform: edges numbered in order
-    of first appearance through a dict, children appended element by element."""
+    of first appearance through a dict, children appended element by element,
+    with the parent of each child."""
     d, verts, nv = mesh.d, mesh.vertices, mesh.num_vertices
     local_edges = [(0, 1)] if d == 1 else [(0, 1), (1, 2), (0, 2)]
     edge_ids, elem_edges = {}, []
@@ -162,17 +168,19 @@ def _refine_loop(mesh):
             ids.append(edge_ids.setdefault(key, len(edge_ids)))
         elem_edges.append(ids)
     mids = [0.5 * (verts[a] + verts[b]) for a, b in edge_ids]
-    elems = []
-    for el, ids in zip(mesh.elements, elem_edges):
+    elems, parents = [], []
+    for parent, (el, ids) in enumerate(zip(mesh.elements, elem_edges)):
         m = [nv + i for i in ids]
         if d == 1:
-            elems += [[el[0], m[0]], [m[0], el[1]]]
+            kids = [[el[0], m[0]], [m[0], el[1]]]
         else:
             v0, v1, v2 = el
             m01, m12, m02 = m
-            elems += [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]]
+            kids = [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]]
+        elems += kids
+        parents += [parent] * len(kids)
     return (np.array(list(edge_ids)), np.array(elem_edges),
-            np.concatenate([verts, np.array(mids)]), np.array(elems))
+            np.concatenate([verts, np.array(mids)]), np.array(elems), np.array(parents))
 
 
 @pytest.mark.parametrize("domain,k", [([(0.0, 2.0)], 3), ([(0, 1), (0, 1)], 2),
@@ -181,7 +189,7 @@ def test_refine_matches_loop_reference(domain, k):
     meshes = [build_rect_mesh(domain, k)]
     for _ in range(2):
         mesh = meshes[-1]
-        edges, elem_edges, verts, elems = _refine_loop(mesh)
+        edges, elem_edges, verts, elems, parents = _refine_loop(mesh)
         got_edges, got_elem_edges = edge_index(mesh.elements)
         assert np.array_equal(got_edges, edges)
         assert np.array_equal(got_elem_edges, elem_edges)
@@ -191,8 +199,9 @@ def test_refine_matches_loop_reference(domain, k):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert np.array_equal(fine.vertices, verts)
         assert np.array_equal(fine.elements, elems)
-        assert np.array_equal(fine.parent_map,
-                              np.repeat(np.arange(mesh.num_elements), 2 ** mesh.d))
+        # the parent of fine element e is e // m
+        assert np.array_equal(np.arange(fine.num_elements) // len(CHILDREN[mesh.d]),
+                              parents)
         meshes.append(fine)
     # the boundary vertices are those with a coordinate on a side of the box
     lo, hi = np.array(domain, dtype=float).T

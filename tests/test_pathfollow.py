@@ -38,8 +38,8 @@ def test_path_config_defaults_and_validation():
 
 
 def _case(index, kwargs, message):
-    # the ids keep the numbers these cases had before the lam_tol and
-    # max_center_iters cases went with their fields
+    # the ids keep the numbers these cases had before the lam_tol,
+    # max_center_iters and lam_tol_final cases went with their fields
     return pytest.param(kwargs, message, id=f"kwargs{index}-{message}")
 
 
@@ -51,8 +51,6 @@ def _case(index, kwargs, message):
     # a negative cap once gave direct rows of -1 Newton steps
     _case(4, dict(direct_cap=-1), "direct_cap must be an int >= 0"),
     _case(5, dict(direct_cap=2.5), "direct_cap must be an int >= 0"),
-    _case(10, dict(lam_tol_final=-1e-6), "lam_tol_final must be >= 0"),
-    _case(11, dict(lam_tol_final=math.nan), "lam_tol_final must be >= 0"),
     # t0 past t_cap once wrote trace rows at t = t0 > t_cap
     _case(12, dict(t0=100.0, t_cap=10.0), "t0 must be > 0, finite and <= t_cap"),
     _case(13, dict(t0=math.inf), "t0 must be > 0, finite and <= t_cap"),
@@ -61,8 +59,6 @@ def _case(index, kwargs, message):
     _case(16, dict(t0=0.0), "t0 must be > 0, finite and <= t_cap"),
     # a bool is an int to isinstance
     _case(17, dict(direct_cap=True), "direct_cap must be an int >= 0"),
-    # lam_tol_final = inf once reported converged
-    _case(20, dict(lam_tol_final=math.inf), "lam_tol_final must be >= 0 and finite"),
     # with c_stp = inf too, t_cap = inf once ran to t ~ 1e12 and a solver failure
     _case(21, dict(t_cap=math.inf), "t_cap must be > 0 and finite"),
 ])
@@ -71,9 +67,10 @@ def test_path_config_rejects_infinite_steps_and_non_bool_predictor(kwargs, messa
         PathConfig(**kwargs)
 
 
-@pytest.mark.parametrize("key", ["lam_tol", "max_center_iters"])
+@pytest.mark.parametrize("key", ["lam_tol", "max_center_iters", "lam_tol_final"])
 def test_path_config_leaves_the_stop_rule_to_newton(key):
-    # every centering of a run stops by newton.LAM_TOL and MAX_CENTER_ITERS
+    # every centering of a run stops by newton.LAM_TOL and MAX_CENTER_ITERS,
+    # the final one by the constant PathConfig.lam_tol_final
     with pytest.raises(TypeError, match=key):
         PathConfig(**{key: 1})
 
@@ -276,9 +273,10 @@ def test_trace_rows_pinned(small_problem, name):
     assert got == PINNED_ROWS[name].split()
 
 
-def test_failed_final_recentering_is_a_failure(small_problem):
+def test_failed_final_recentering_is_a_failure(small_problem, monkeypatch):
     # lam_tol_final = 0 cannot be met: the last centering hits the cap
-    tr = run_mgb(small_problem, PathConfig(lam_tol_final=0.0))
+    monkeypatch.setattr(PathConfig, "lam_tol_final", 0.0)
+    tr = run_mgb(small_problem, PathConfig())
     assert tr.status == STATUS_FAILURE
     assert tr.failure_reason == "final re-centering: iteration-cap"
     assert tr.rows[-1].newton_iters == newton.MAX_CENTER_ITERS

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mgbarrier import mesh
+from mgbarrier.barrier import PLapBarrier
 from mgbarrier.cli import load_config, parse_config_text, spec_from_config
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
 from mgbarrier.problems import (UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec,
@@ -137,10 +139,59 @@ def test_init_slack_feasible(small_problem):
     u0 = pr.z0[: fes.n_u]
     s = init_slack(pr.objectives[0], u0)
     assert np.all(s > 0)
-    # slack is a power of two (doubling from 1)
+    # slack is a power of two >= 1
     val = float(s[0])
     assert np.all(s == val)
     assert val == 2.0 ** round(np.log2(val))
+
+
+def doubling_slack(objective, u0, max_doublings=200):
+    """Reference for init_slack: the constant slack doubled from 1 until Dz is
+    interior at every node."""
+    fes = objective.fesys
+    z = np.zeros(fes.total_dim)
+    z[: fes.n_u] = u0
+    q, _ = objective.dz(z)
+    s = 1.0
+    for _ in range(max_doublings + 1):
+        if objective.barrier.feasible(q, np.full(q.shape[0], s)):
+            return np.full(fes.n_s, s)
+        s *= 2.0
+    raise RuntimeError("slack doubling failed to reach the barrier domain")
+
+
+SLACK_BOXES = {"square": UNIT_SQUARE, "skew": ((-0.3, 1.7), (0.1, 0.8)),
+               "interval": UNIT_INTERVAL}
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("box", list(SLACK_BOXES))
+def test_init_slack_matches_the_doubling_loop(box, alpha):
+    # 5 p x 5 grids x 8 phases of the boundary data, at the harmonic extension
+    domain = SLACK_BOXES[box]
+    for cells0 in (1, 2, 3, 4, 6):
+        base = build_problem(ProblemSpec(alpha=alpha, levels=1, cells0=cells0,
+                                         domain=domain)).objectives[0]
+        for phase in np.arange(8) * math.pi / 4:
+            if len(domain) == 2:
+                g = lambda x, y: 1.6 * math.sin(3.0 * math.pi * x + phase) * (1.0 - y)
+            else:
+                g = lambda x: 1.6 * math.sin(3.0 * math.pi * x + phase)
+            u0 = harmonic_extension(base, g)
+            for p in (1.0, 1.25, 1.5, 2.0, 3.0):
+                obj = dataclasses.replace(base, barrier=PLapBarrier(p=p, d=len(domain)))
+                assert np.array_equal(init_slack(obj, u0), doubling_slack(obj, u0))
+
+
+def test_init_slack_fails_where_lambda_overflows(small_problem):
+    obj = small_problem.objectives[0]
+    u0 = np.full(obj.fesys.n_u, 1e200)
+    u0[::2] = -1e200
+    q, _ = obj.dz(np.concatenate([u0, np.zeros(obj.fesys.n_s)]))
+    with np.errstate(over="ignore"):
+        assert np.isinf(obj.barrier.lam(q)).any()
+    with pytest.raises(RuntimeError, match="slack doubling failed"):
+        init_slack(obj, u0)
 
 
 def test_repair_slack_fixes_grazing_point(small_problem):
