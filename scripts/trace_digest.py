@@ -15,8 +15,13 @@ The problems and solves:
 - the three benchmark workloads (mgb-p1.5-L4, naive-theta-p1.5-L4,
   mgb-full-p1-L3), each at its default data and with its config;
 - p in {1, 1.5, 2} x L in {1, 2, 3} x alpha in {1, 2} at cells0 = 2, each
-  under run_mgb with the default config, with direct_cap = 0 and with
-  predictor = False, and under naive-theta and naive-h-then-t;
+  under run_mgb with the default config, with direct_cap = 0, with
+  predictor = False and with both (Algorithm MGB proper), and under
+  naive-theta and naive-h-then-t;
+- the p = 1.5 problems of that grid again with t0 = 1e4, past stop_t on
+  every one of them, under all three algorithms: each run centers on every
+  level at t0 and stops, or fails with one of the runners' first-centering
+  and h-refinement reasons;
 - the 1-D problem of configs/mgb_p15_1d.cfg (L = 4) under run_mgb.
 
 Nothing printed depends on wall time, so two checkouts that behave alike
@@ -46,7 +51,12 @@ GRID_RUNS = (("mgb", "mgb", {}),
              ("mgb-direct0", "mgb", dict(direct_cap=0)),
              ("mgb-nopredictor", "mgb", dict(predictor=False)),
              ("naive-theta", "naive-theta", {}),
-             ("naive-h-then-t", "naive-h-then-t", {}))
+             ("naive-h-then-t", "naive-h-then-t", {}),
+             ("mgb-full", "mgb", dict(direct_cap=0, predictor=False)))
+# t0 past stop_t: the runners go straight from the first centering to the
+# fine level
+PAST_STOP_RUNS = tuple((f"{name}-t0=1e4", name, dict(t0=1e4))
+                       for name in ("mgb", "naive-theta", "naive-h-then-t"))
 
 
 def cases():
@@ -60,8 +70,9 @@ def cases():
     for p in (1.0, 1.5, 2.0):
         for levels in (1, 2, 3):
             for alpha in (1, 2):
+                runs = GRID_RUNS + (PAST_STOP_RUNS if p == 1.5 else ())
                 yield (f"p{p}-L{levels}-a{alpha}",
-                       ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=2), GRID_RUNS)
+                       ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=2), runs)
     yield ("1d-p1.5-L4", ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4,
                                      domain=UNIT_INTERVAL), [("mgb", "mgb", {})])
 

@@ -75,6 +75,7 @@ class TraceRow:
     t: float
     rho: float
     level: int          # 0 = direct step, 1..L = grid level, -1 = step summary
+                        # or the final re-centering
     newton_iters: int
     direct_step: int
     objective: float
@@ -159,10 +160,21 @@ class _Run:
             self.cum_newton, self.wall_ms(),
         ))
 
-    def add_summary(self, k, t, rho, m, direct=False):
-        """Step-summary row (level -1) with the last row's objective and decrement."""
+    def step_newton(self, k):
+        """The largest Newton count of step k's rows, read back from the last row."""
+        m = 0
+        for r in reversed(self.trace.rows):
+            if r.k != k or r.level == -1:
+                break
+            m = max(m, r.newton_iters)
+        return m
+
+    def add_summary(self, k, t, rho, direct=False):
+        """Step-summary row (level -1): step k's largest Newton count, and the
+        last row's objective and decrement."""
         last = self.trace.rows[-1]
-        self.add_row(k, t, rho, -1, m, direct, last.objective, last.decrement)
+        self.add_row(k, t, rho, -1, self.step_newton(k), direct, last.objective,
+                     last.decrement)
 
     def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None,
                   lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS, direct=False,
@@ -216,11 +228,10 @@ def mgb_t_step(run, z_k, t_next, k, rho):
     """One Algorithm MGB step of run: center the shifted path on levels
     1..L, recording rows (k, t_next, rho).
 
-    Returns (z_next, per-level Newton counts, "") or (None, counts, reason).
+    Returns (z_next, "") or (None, reason).
     With run.config.predictor, the fine level L leaves its tangent in run.tangent.
     """
     problem = run.problem
-    counts = []
     y0 = None
     for lvl in range(problem.L):
         fine = lvl == problem.L - 1
@@ -228,12 +239,11 @@ def mgb_t_step(run, z_k, t_next, k, rho):
                                        problem.galerkin[lvl], t_next, k,
                                        lvl + 1, rho, y0=y0,
                                        tangent=fine and run.config.predictor)
-        counts.append(res.iterations)
         if res.status != CONVERGED:
-            return None, counts, f"level {lvl + 1} centering: {res.outcome}"
-        if lvl < problem.L - 1:
+            return None, f"level {lvl + 1} centering: {res.outcome}"
+        if not fine:
             y0 = problem.P_free[lvl] @ res.y
-    return level_obj.full_point(res.y), counts, ""
+    return level_obj.full_point(res.y), ""
 
 
 def predict(objective, z_k, tangent, t_k, t_next, prev=None):
@@ -272,153 +282,90 @@ def predict(objective, z_k, tangent, t_k, t_next, prev=None):
     return z_k
 
 
-def practical_step(run, z_k, t_k, rho_prev, k):
-    """t_{k+1} = rho * t_k; direct fine-grid centering (cap 5) with MGB fallback.
+def _follow(problem, config, store_iterates, schedule):
+    """Follow the central path under schedule "mgb" (practical MGB),
+    "h-then-t" or "theta" (naive), one move toward a target level per pass.
 
-    When run.tangent holds the tangent at (z_k, t_k), the direct step starts
-    from the tangent prediction, and the sweep from the quadratic one through
-    run.prev (the same point while run.prev is None); else both start from z_k.
+    An h-step centers z0 on level 1, or prolongates the iterate one level and
+    re-centers it at t; MGB's h-steps are all step 0. A t-step centers at
+    rho * t; for MGB on the fine level from the tangent prediction with at
+    most direct_cap Newton steps, then sweeps from the quadratic one on a miss.
     """
-    problem, config = run.problem, run.config
-    t_next = min(rho_prev * t_k, config.t_cap)
-    tangent = run.tangent  # the direct step's centering replaces it
-    z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next)
-    level_obj, res = run.center_at(problem.fine_objective, z_start, None, t_next, k,
-                                   0, rho_prev, max_iters=config.direct_cap,
-                                   direct=True, tangent=config.predictor)
-    counts = [res.iterations]
-    direct_ok = res.status == CONVERGED
-    if direct_ok:
-        z_next = level_obj.full_point(res.y)
-    else:
-        if run.prev is not None:
-            z_start = predict(problem.fine_objective, z_k, tangent, t_k, t_next,
-                              run.prev)
-        z_next, mgb_counts, err = mgb_t_step(run, z_start, t_next, k=k, rho=rho_prev)
-        counts.extend(mgb_counts)
-        if z_next is None:
-            return None, t_next, rho_prev, err
-    run.prev = (z_k, t_k) if run.tangent is not None else None
+    run = _Run(problem, config, store_iterates)
+    mgb = schedule == "mgb"
+    predictor = mgb and config.predictor
+    t, t_stop, rho = config.initial_t(problem), config.stop_t(problem), config.rho0
+    L = problem.L
 
-    m_k = max(counts)
-    rho_k = adapt_stepsize(rho_prev, m_k)
-    run.add_summary(k, t_next, rho_k, m_k, direct_ok)
-    return z_next, t_next, rho_k, ""
+    def past_range(t):
+        return not (t <= t_stop and t < config.t_cap)
 
+    def target_level(t, rho):
+        """0-based: for theta in the t range ceil(theta * log2(rho t)) clamped
+        to [1, L], else the finest (a run never ends below it)."""
+        if schedule != "theta" or past_range(t):
+            return L - 1
+        return min(max(math.ceil(config.theta * math.log2(rho * t)), 1), L) - 1
 
-def _initial_phase(run, t0):
-    """Coarse-grid centering then h-then-t style refinement to the fine grid.
-
-    Returns the fine-grid iterate centered at t0, or None on failure.
-    """
-    problem, rho0 = run.problem, run.config.rho0
-    z = problem.z0
-    for lvl in range(problem.L):
-        fine = lvl == problem.L - 1
-        level_obj, res = run.center_at(problem.objectives[lvl], z, None, t0, 0,
-                                       lvl + 1, rho0,
-                                       tangent=fine and run.config.predictor)
-        if res.status != CONVERGED:
-            run.fail(f"initial centering failed on level {lvl + 1}: {res.outcome}")
-            return None
-        z = level_obj.full_point(res.y)
-        if lvl < problem.L - 1:
-            z = problem.refine_iterate(z, lvl)
-        if run.over_budget():
-            run.fail("budget exhausted in initial phase", STATUS_BUDGET)
-            return None
-    run.add_summary(0, t0, rho0, max(r.newton_iters for r in run.trace.rows))
-    return z
+    z, lvl, k = problem.z0, -1, 0
+    while lvl < L - 1 or not past_range(t):
+        if lvl >= 0 and run.over_budget():
+            return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
+        if lvl < target_level(t, rho):
+            if lvl >= 0:
+                z = problem.refine_iterate(z, lvl)
+                k += not mgb  # a naive h-step is its own step
+            lvl += 1
+            level_obj, res = run.center_at(problem.objectives[lvl], z, None, t, k,
+                                           lvl + 1, rho,
+                                           tangent=predictor and lvl == L - 1)
+            if res.status != CONVERGED:
+                reason = (f"initial centering failed on level {lvl + 1}" if mgb
+                          else "h-refinement centering" if lvl else "initial centering")
+                return run.fail(f"{reason}: {res.outcome}")
+            z = level_obj.full_point(res.y)
+            if not mgb or lvl == L - 1:
+                run.add_summary(k, t, rho)
+        else:
+            k += 1
+            obj = problem.objectives[lvl]
+            t_next = min(rho * t, config.t_cap)
+            tangent = run.tangent  # the centering below replaces it
+            level_obj, res = run.center_at(
+                obj, predict(obj, z, tangent, t, t_next), None, t_next, k,
+                0 if mgb else lvl + 1, rho, direct=mgb, tangent=predictor,
+                max_iters=config.direct_cap if mgb else MAX_CENTER_ITERS)
+            direct_ok = res.status == CONVERGED
+            if direct_ok:
+                z_next = level_obj.full_point(res.y)
+            elif not mgb:
+                return run.fail(f"t-refinement centering: {res.outcome}")
+            else:
+                z_next, err = mgb_t_step(run, predict(obj, z, tangent, t, t_next, run.prev),
+                                         t_next, k=k, rho=rho)
+                if z_next is None:
+                    return run.fail(err)
+            run.prev = (z, t) if run.tangent is not None else None
+            rho = adapt_stepsize(rho, run.step_newton(k))
+            run.add_summary(k, t_next, rho, mgb and direct_ok)
+            z, t = z_next, t_next
+        if lvl == L - 1:
+            run.record_step(k, t, z)
+    return run.finish(z, t, k + 1, rho)
 
 
 def run_mgb(problem, config=None, store_iterates=False):
-    """Practical MGB: initial h-then-t phase at t0, then adaptive direct/MGB
+    """Practical MGB: h-then-t centerings at t0, then adaptive direct/MGB
     steps, each started from a predicted center if config.predictor."""
-    config = config or PathConfig()
-    run = _Run(problem, config, store_iterates)
-    t = config.initial_t(problem)
-    t_stop = config.stop_t(problem)
-
-    z = _initial_phase(run, t)
-    if z is None:
-        return run.trace
-    run.record_step(0, t, z)
-
-    rho = config.rho0
-    k = 0
-    while t <= t_stop and t < config.t_cap:
-        if run.over_budget():
-            return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
-        k += 1
-        z, t, rho, err = practical_step(run, z, t, rho, k)
-        if z is None:
-            return run.fail(err)
-        run.record_step(k, t, z)
-    return run.finish(z, t, k + 1, rho)
+    return _follow(problem, config or PathConfig(), store_iterates, "mgb")
 
 
 def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
-    """Naive single-path algorithm with an h/t refinement schedule.
-
-    schedule: "h-then-t" or "theta" (grid level ceil(theta * log2(rho t)), clamped).
-    Each h-refinement prolongates the iterate and re-centers at the current t;
-    each t-refinement re-centers at rho * t on the current grid and adapts rho.
-    """
+    """Naive single-path algorithm: h- and t-refinements of one iterate, the
+    grid level by schedule "h-then-t" or "theta"."""
     if schedule not in ("h-then-t", "theta"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    config = config or PathConfig()
-    run = _Run(problem, config, store_iterates)
-    t = config.initial_t(problem)
-    t_stop = config.stop_t(problem)
-    L = problem.L
-
-    def target_level(t, rho):
-        """1-based grid level for the step from t > 0: the finest for h-then-t
-        and past t_stop (a run never ends below the finest grid), else
-        ceil(theta * log2(rho t)) clamped to [1, L]."""
-        if schedule == "h-then-t" or t > t_stop:
-            return L
-        return min(max(math.ceil(config.theta * math.log2(rho * t)), 1), L)
-
-    rho = config.rho0
-    lvl = 0  # 0-based current level
-    k = 0
-
-    # center the initial iterate on the coarsest grid
-    level_obj, res = run.center_at(problem.objectives[0], problem.z0, None, t, 0, 1,
-                                   rho)
-    if res.status != CONVERGED:
-        return run.fail(f"initial centering: {res.outcome}")
-    z = level_obj.full_point(res.y)
-    run.add_summary(0, t, rho, res.iterations)
-    if lvl == L - 1:
-        run.record_step(0, t, z)
-
-    while lvl < L - 1 or (t <= t_stop and t < config.t_cap):
-        if run.over_budget():
-            return run.fail("wall-clock budget exhausted", STATUS_BUDGET)
-        refine_h = lvl < target_level(t, rho) - 1
-        k += 1
-        if refine_h:
-            z = problem.refine_iterate(z, lvl)
-            lvl += 1
-            t_next = t
-        else:
-            t_next = min(rho * t, config.t_cap)
-        level_obj, res = run.center_at(problem.objectives[lvl], z, None, t_next, k,
-                                       lvl + 1, rho)
-        if res.status != CONVERGED:
-            return run.fail(f"{'h' if refine_h else 't'}-refinement centering: "
-                            f"{res.outcome}")
-        z, t = level_obj.full_point(res.y), t_next
-        if not refine_h:
-            rho = adapt_stepsize(rho, res.iterations)
-        run.add_summary(k, t, rho, res.iterations)
-
-        if lvl == L - 1:
-            run.record_step(k, t, z)
-
-    return run.finish(z, t, k + 1, rho)
+    return _follow(problem, config or PathConfig(), store_iterates, schedule)
 
 
 # name -> runner(problem, config); the names are the config `algorithm` values
