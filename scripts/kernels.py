@@ -31,8 +31,9 @@ the phases build_problem runs in order, each repeat from scratch:
 - setup_refine: the box mesh and its uniform refinements (build_meshes);
 - setup_fe_systems: every level's FE system, sampler and objective
   (build_objectives);
-- setup_prolongations: the prolongations between consecutive levels and
-  their free blocks P_free (build_prolongations);
+- setup_prolongations: the prolongations P_full between consecutive
+  levels (build_prolongations; the free blocks P_free are built on a
+  run's first multigrid sweep, not here);
 - setup_start: the starting point, the harmonic extension plus init_slack
   (starting_point);
 

@@ -8,6 +8,7 @@ restriction to coarse subspaces for the shifted-central-path subproblems
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,7 @@ class Objective:
         cloc = np.concatenate([(smp.wq * fvals) @ smp.uvals, smp.wq @ smp.svals], axis=1)
         self.cost_vector = np.bincount(fes.elem_dofs().ravel(), weights=cloc.ravel(),
                                        minlength=fes.total_dim)
-
-        self._plan = None  # built by _assembly_plan on the first assemble
+        self.cost_free = self.cost_vector[self._free]
 
     @property
     def n(self):
@@ -143,6 +143,7 @@ class Objective:
             return INFEASIBLE
         return t * self.cost_integral(z) + barrier_integral
 
+    @functools.cached_property
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
 
@@ -152,24 +153,21 @@ class Objective:
         array of the free-u CSR pattern (indices, indptr). Entries on a fixed
         dof go to one extra, dropped slot.
         """
-        if self._plan is None:
-            nf, n_lu = len(self._free), self.fesys.u_elem.shape[1]
-            nu = nf - self.fesys.n_s  # free dofs are the free u, then all slack
-            pos = np.full(self.n, nf)
-            pos[self._free] = np.arange(nf)
-            gslot = pos[self.fesys.elem_dofs()]
-            uslot = np.minimum(gslot[:, :n_lu], nu)
-            rows = np.repeat(uslot, n_lu, axis=1).ravel()
-            cols = np.tile(uslot, (1, n_lu)).ravel()
-            keep = (rows < nu) & (cols < nu)
-            keys, inv = np.unique(rows[keep] * nu + cols[keep], return_inverse=True)
-            sslot = np.full(rows.size, keys.size)
-            sslot[keep] = inv
-            indptr = np.zeros(nu + 1, dtype=np.int32)
-            np.cumsum(np.bincount(keys // nu, minlength=nu), out=indptr[1:])
-            self._plan = (gslot.ravel(), uslot, sslot,
-                          (keys % nu).astype(np.int32), indptr)
-        return self._plan
+        nf, n_lu = len(self._free), self.fesys.u_elem.shape[1]
+        nu = nf - self.fesys.n_s  # free dofs are the free u, then all slack
+        pos = np.full(self.n, nf)
+        pos[self._free] = np.arange(nf)
+        gslot = pos[self.fesys.elem_dofs()]
+        uslot = np.minimum(gslot[:, :n_lu], nu)
+        rows = np.repeat(uslot, n_lu, axis=1).ravel()
+        cols = np.tile(uslot, (1, n_lu)).ravel()
+        keep = (rows < nu) & (cols < nu)
+        keys, inv = np.unique(rows[keep] * nu + cols[keep], return_inverse=True)
+        sslot = np.full(rows.size, keys.size)
+        sslot[keep] = inv
+        indptr = np.zeros(nu + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // nu, minlength=nu), out=indptr[1:])
+        return (gslot.ravel(), uslot, sslot, (keys % nu).astype(np.int32), indptr)
 
     def element_blocks(self, z):
         """Gradient (ne, nloc) and Hessian (ne, nloc, nloc) of the barrier
@@ -196,7 +194,7 @@ class Objective:
     def scatter(self, gloc, uloc, g0):
         """g0 plus the free gradient of element gradients (ne, nloc), and the
         free-u CSR matrix of element u-u blocks (ne, n_lu, n_lu)."""
-        gslot, _, sslot, indices, indptr = self._assembly_plan()
+        gslot, _, sslot, indices, indptr = self._assembly_plan
         nf, nu = len(self._free), len(indptr) - 1
         g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
         data = np.bincount(sslot, weights=uloc.ravel(), minlength=indices.size + 1)[:-1]
@@ -209,11 +207,11 @@ class Objective:
         the scatter."""
         uloc, L, W = condense(hloc, self.fesys.n_ls)
         g, S = self.scatter(gloc, uloc, g0)
-        return g, CondensedHessian(S, L, W, self._assembly_plan()[1])
+        return g, CondensedHessian(S, L, W, self._assembly_plan[1])
 
     def grad_hess(self, z, t):
         """(gradient, CondensedHessian) over free dofs at a feasible z."""
-        return self.assemble(*self.element_blocks(z), t * self.cost_vector[self._free])
+        return self.assemble(*self.element_blocks(z), t * self.cost_free)
 
     def embed_free(self, y):
         """Free-dof vector -> full vector with zeros on fixed dofs."""

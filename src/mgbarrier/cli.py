@@ -1,8 +1,8 @@
 """Command line interface: solve, bench, check; the config format.
 
 Exit codes: 0 success, 2 solver failure, 3 budget exhaustion, 4 invalid
-input: an unreadable or invalid config, invalid arguments or an output path
-that cannot be written (a one-line message on stderr; nothing is solved).
+input: an unreadable or invalid config, invalid arguments, an unwritable output
+path or an unbuildable starting point (one line on stderr; nothing is solved).
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def cmd_solve(args):
         spec = spec_from_config(cfg)
         config = _path_config(cfg)
         _check_writable(args.dump_mesh, args.dump_solution, args.trace)
-    except (OSError, ValueError) as exc:
+        problem = build_problem(spec)
+    except (OSError, ValueError, RuntimeError) as exc:
         return _invalid_input(exc)
-    problem = build_problem(spec)
     algorithm = cfg.get("algorithm", "mgb")
     trace = ALGORITHMS[algorithm](problem, config)
 
@@ -126,7 +126,8 @@ def cmd_solve(args):
     if args.dump_solution and trace.z_final is not None:
         dump_solution(problem.fine_fesys, trace.z_final, args.dump_solution)
     if args.trace:
-        trace.write_csv(args.trace)
+        with open(args.trace, "w") as fh:
+            fh.write(trace.to_csv())
 
     print(f"algorithm={algorithm} p={spec.p} levels={spec.levels} "
           f"n={problem.fine_fesys.total_dim}")
@@ -146,7 +147,7 @@ def _parse_list(text, cast):
 
 
 def cmd_bench(args):
-    """Run the (algorithm, p, levels) matrix; solver failures are rows, not errors.
+    """Run the (algorithm, p, levels) matrix; failed cells are rows, not errors.
 
     The config sets every other problem and path key (cells0 defaults to 4
     here); every cell's spec is validated before the first cell runs.
@@ -164,7 +165,11 @@ def cmd_bench(args):
     rows = ["algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"]
     for algorithm in algorithms:
         for spec in specs:
-            problem = build_problem(spec)
+            try:
+                problem = build_problem(spec)
+            except RuntimeError:  # no starting point: a row without numbers
+                rows.append(f"{algorithm},{spec.p!r},,,,,,setup-failure,")
+                continue
             start = time.monotonic()
             trace = ALGORITHMS[algorithm](problem, config)
             wall = time.monotonic() - start

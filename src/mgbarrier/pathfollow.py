@@ -80,7 +80,6 @@ class TraceRow:
     direct_step: int
     objective: float
     decrement: float
-    cum_newton: int
     wall_ms: float
 
 
@@ -96,30 +95,30 @@ class PathTrace:
 
     @property
     def total_newton(self):
-        return self.rows[-1].cum_newton if self.rows else 0
+        """The sum of newton_iters over every row, level -1 rows included."""
+        return sum(r.newton_iters for r in self.rows)
 
     def summary_rows(self):
         return [r for r in self.rows if r.level == -1]
 
     def max_step_newton(self):
-        """max_k m_k over path steps k >= 1."""
+        """max_k m_k over the level -1 rows of steps k >= 1: the path steps'
+        summaries and the final re-centering's row."""
         return max((r.newton_iters for r in self.summary_rows() if r.k >= 1), default=0)
 
     def to_csv(self, wall_times=True):
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
+        cum_newton = 0
         for r in self.rows:
+            cum_newton += r.newton_iters
             wall = r.wall_ms if wall_times else 0.0
             buf.write(
                 f"{r.k},{float(r.t)!r},{float(r.rho)!r},{r.level},"
                 f"{r.newton_iters},{r.direct_step},{float(r.objective)!r},"
-                f"{float(r.decrement)!r},{r.cum_newton},{float(wall)!r}\n"
+                f"{float(r.decrement)!r},{cum_newton},{float(wall)!r}\n"
             )
         return buf.getvalue()
-
-    def write_csv(self, path, wall_times=True):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv(wall_times=wall_times))
 
 
 def adapt_stepsize(rho_prev, m_k):
@@ -139,7 +138,6 @@ class _Run:
         self.config = config
         self.store_iterates = store_iterates
         self.trace = PathTrace()
-        self.cum_newton = 0
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
@@ -154,11 +152,8 @@ class _Run:
         return time.monotonic() > self.deadline
 
     def add_row(self, k, t, rho, level, m, direct, objective, decrement):
-        self.cum_newton += m
-        self.trace.rows.append(TraceRow(
-            k, t, rho, level, m, int(direct), objective, decrement,
-            self.cum_newton, self.wall_ms(),
-        ))
+        self.trace.rows.append(TraceRow(k, t, rho, level, m, int(direct), objective,
+                                        decrement, self.wall_ms()))
 
     def step_newton(self, k):
         """The largest Newton count of step k's rows, read back from the last row."""
@@ -192,7 +187,7 @@ class _Run:
                      deadline=self.deadline, solver=self.solver)
         # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
         # that ends the centering gives dz/dt = H^{-1} (-c)
-        self.tangent = (self.solver.solve(-obj.cost_vector[obj.free_idx()])
+        self.tangent = (self.solver.solve(-obj.cost_free)
                         if tangent and res.status == CONVERGED else None)
         self.solver.release()
         self.timed_out = res.status == BUDGET

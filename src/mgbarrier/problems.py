@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
@@ -143,7 +142,6 @@ class ProblemInstance:
     barrier: PLapBarrier
     objectives: list        # per level, coarsest first: FE system, sampler, quadrature
     P_full: list            # consecutive full prolongations, len L-1
-    P_free: list            # consecutive free prolongations, len L-1
     z0: np.ndarray          # initial iterate on the coarsest level
 
     @property
@@ -164,12 +162,18 @@ class ProblemInstance:
         return self.fine_objective.fesys
 
     @functools.cached_property
+    def P_free(self):
+        """The blocks of P_full on the free dofs (zero-trace u and all s),
+        built on the first use."""
+        return [P[hi.free_idx()][:, lo.free_idx()] for P, lo, hi
+                in zip(self.P_full, self.objectives[:-1], self.objectives[1:])]
+
+    @functools.cached_property
     def galerkin(self):
         """Per level, the Galerkin restriction of fine element blocks to its
         free dofs (None on the fine level), built on the first use together
         with the cumulative free prolongations to the fine level."""
-        obj = self.fine_objective
-        c_free = obj.cost_vector[obj.free_idx()]
+        c_free = self.fine_objective.cost_free
         out, P = [None] * self.L, None
         for lvl in range(self.L - 2, -1, -1):
             P = self.P_free[lvl] if P is None else (P @ self.P_free[lvl]).tocsr()
@@ -193,22 +197,6 @@ class ProblemInstance:
         return z
 
 
-def free_block(P, rows, cols):
-    """P[np.ix_(rows, cols)] of a CSR matrix P, for increasing index arrays
-    rows and cols (free dofs: zero-trace u and all s), by remapping P's
-    entries: an entry on a kept row and column keeps its place in order."""
-    row_pos = np.full(P.shape[0], -1, dtype=np.int32)
-    row_pos[rows] = np.arange(len(rows), dtype=np.int32)
-    col_pos = np.full(P.shape[1], -1, dtype=np.int32)
-    col_pos[cols] = np.arange(len(cols), dtype=np.int32)
-    r = np.repeat(row_pos, np.diff(P.indptr))
-    c = col_pos[P.indices]
-    keep = (r >= 0) & (c >= 0)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(r[keep], minlength=len(rows)), out=indptr[1:])
-    return sp.csr_matrix((P.data[keep], c[keep], indptr), shape=(len(rows), len(cols)))
-
-
 def build_meshes(spec):
     """The nested meshes T_1 (the box at cells0 cells per side) .. T_L."""
     meshes = [build_rect_mesh(spec.domain, spec.cells0)]
@@ -229,14 +217,9 @@ def build_objectives(spec, meshes, barrier):
 
 
 def build_prolongations(objectives):
-    """(P_full, P_free): the prolongations between consecutive levels, and
-    their blocks on the free dofs (zero-trace u and all s)."""
-    P_full, P_free = [], []
-    for lo, hi in zip(objectives[:-1], objectives[1:]):
-        P = prolongation(lo.fesys, hi.fesys)
-        P_full.append(P)
-        P_free.append(free_block(P, hi.free_idx(), lo.free_idx()))
-    return P_full, P_free
+    """The prolongations between consecutive levels."""
+    return [prolongation(lo.fesys, hi.fesys)
+            for lo, hi in zip(objectives[:-1], objectives[1:])]
 
 
 def starting_point(objective, g):
@@ -253,12 +236,10 @@ def starting_point(objective, g):
 def build_problem(spec):
     barrier = PLapBarrier(p=spec.p, d=len(spec.domain))
     objectives = build_objectives(spec, build_meshes(spec), barrier)
-    P_full, P_free = build_prolongations(objectives)
     return ProblemInstance(
         spec=spec,
         barrier=barrier,
         objectives=objectives,
-        P_full=P_full,
-        P_free=P_free,
+        P_full=build_prolongations(objectives),
         z0=starting_point(objectives[0], spec.dirichlet),
     )

@@ -99,6 +99,18 @@ def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_unbuildable_starting_point_is_a_clean_error(tmp_path, capsys):
+    # p = 1e6 passes validation, but no power-of-two slack reaches the barrier
+    # domain; this once ended in a traceback and exit code 1
+    path = tmp_path / "steep.cfg"
+    path.write_text("p = 1e6\nlevels = 1\n")
+    assert main(["solve", "--config", str(path)]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "mgbarrier: invalid input: slack doubling failed to reach the barrier domain"]
+
+
 @pytest.mark.parametrize("key", ["p", "rho0", "c_stp", "t_cap", "theta", "budget_s"])
 def test_nan_config_value_is_a_clean_error(tmp_path, capsys, key):
     text = f"{key} = nan\n"
@@ -157,6 +169,18 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert [row[:2] for row in rows] == [["mgb", "1.5"]] * 2
     assert [row[3] for row in rows] == ["8", "32"]
     assert [row[7] for row in rows] == ["converged"] * 2
+
+
+def test_bench_unbuildable_cell_is_a_row(tmp_path):
+    # the p = 1e6 cell cannot build its starting point; the p = 1.5 row solved
+    # before it is still written
+    out_path = tmp_path / "bench.csv"
+    code = main(["bench", "--out", str(out_path), "--algorithms", "mgb",
+                 "--p-values", "1.5,1e6", "--levels", "1"])
+    assert code == EXIT_OK
+    rows = _bench_rows(out_path)
+    assert [row[7] for row in rows] == ["converged", "setup-failure"]
+    assert rows[1] == ["mgb", "1000000.0", "", "", "", "", "", "setup-failure", ""]
 
 
 def test_bench_cells_take_the_config_dim(tmp_path):

@@ -74,6 +74,16 @@ def test_galerkin_prolongations_are_the_free_chain():
         assert (pr.galerkin[lvl].P != P).nnz == 0
 
 
+def test_only_a_multigrid_sweep_builds_the_free_prolongations():
+    # the naive comparator never reads P_free or galerkin; an MGB step that
+    # misses its direct step (direct_cap = 0 always does) sweeps and builds both
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
+    ALGORITHMS["naive-theta"](pr, PathConfig())
+    assert "P_free" not in pr.__dict__ and "galerkin" not in pr.__dict__
+    ALGORITHMS["mgb"](pr, PathConfig(direct_cap=0))
+    assert "P_free" in pr.__dict__ and "galerkin" in pr.__dict__
+
+
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
     # one edge numbering per level's P2 layout, which refine_uniform and the
     # level's P2 space share: edge_index on the box mesh, whose boundary comes
