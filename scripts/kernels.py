@@ -7,15 +7,18 @@ repeat-median milliseconds of:
 
 - sample: Dz at every fine quadrature node;
 - grad_hess: the free gradient and the condensed Hessian, which is
-  - element_blocks: the element gradients and Hessians, barrier terms
-    included, and
+  - element_blocks: the element gradients and the u-u, s-u and s-s
+    Hessian blocks, each a reference table times per-node features, laid
+    out (entries, elements), barrier terms included, and
   - assemble: the elimination of each element's slack (condense) and the
     scatter into the free gradient and the free-u CSR pattern of the Schur
     complement S;
-- condense: that elimination alone;
+- condense: that elimination alone, the Cholesky of every slack block and
+  the Schur complement of its u-u block, on the distinct entries;
 - restrict (one per coarse level, coarsest first): the Galerkin restriction
-  of the fine element blocks to that level's free dofs, including the
-  scatter into the level's pattern;
+  of the fine element blocks to that level's free dofs, one product of each
+  block with its child-to-parent table per level, including the
+  condensation and scatter into the level's pattern;
 - decrement_new_pattern: DirectSolver.decrement on a new solver, i.e. the
   shift and gather of S in its own order, minimum-degree ordering and
   factorization, solve and recording the ordering;
@@ -151,7 +154,7 @@ def main():
         "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
         "element_blocks_ms": median_ms(lambda: obj.element_blocks(z), args.repeats),
         "assemble_ms": median_ms(lambda: obj.assemble(*blocks, g0), args.repeats),
-        "condense_ms": median_ms(lambda: condense(blocks[1], obj.fesys.n_ls), args.repeats),
+        "condense_ms": median_ms(lambda: condense(*blocks[1:], obj.fesys.n_ls), args.repeats),
         "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
                         for gal in problem.galerkin[:-1]],
         "decrement_new_pattern_ms": new_ms,

@@ -14,37 +14,52 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .femspace import child_prolongation
+from .femspace import restriction_tables, sym_entries
+from .mesh import CHILDREN
 
 INFEASIBLE = np.inf
 
 
-def condense(hloc, n_ls):
-    """Eliminate the slack from element blocks (ne, nloc, nloc), laid out u
-    then n_ls slack dofs: (S_K, L_K, W_K) with H_ss,K = L_K L_K^T,
-    W_K = L_K^-1 H_su,K and S_K = H_uu,K - W_K^T W_K.
+def condense(uu, su, ss, n_ls):
+    """Eliminate the slack from element blocks laid out (entries, elements)
+    as reference_tables lays them out: uu and ss the distinct entries of
+    H_uu,K and H_ss,K (sym_entries order), su the entries of H_su,K, rows
+    (slack j, u dof i). Returns (S, L, W), laid out alike: S the distinct
+    entries of S_K = H_uu,K - W_K^T W_K, with H_ss,K = L_K L_K^T (entry
+    (i, j), i >= j, of L_K at the position of (i, j)) and W_K = L_K^-1
+    H_su,K, of shape (n_ls, n_lu, elements).
 
-    A right-looking Cholesky over the slack columns of the block reordered
-    slack first: after column j its trailing block is the Schur complement
-    of the first j+1 slack dofs. A batched solve costs more than this loop at
-    n_ls <= 3. From a non-positive (or NaN) pivot on, L_K's diagonal is NaN,
-    which marks the block as not positive definite; its pivots are replaced
-    by 1, so that no floating-point warning is raised.
+    A Cholesky of every slack block at once, row by row, on contiguous rows
+    over the elements. A non-positive (or NaN) pivot gives a NaN diagonal
+    entry of L_K without a floating-point warning, and the NaN carries into
+    every later pivot, into W_K and into S_K: it marks the block as not
+    positive definite.
     """
-    n_lu = hloc.shape[1] - n_ls
-    order = np.r_[n_lu:n_lu + n_ls, :n_lu]
-    A = hloc[:, order[:, None], order]
-    bad = np.zeros(len(A), dtype=bool)
+    n_lu, ne = len(su) // n_ls, su.shape[1]
+    iu, ju, _ = sym_entries(n_lu)
+    _, _, at = sym_entries(n_ls)
+    su = su.reshape(n_ls, n_lu, ne)
+    L = np.full(ss.shape, np.nan)
+    W = np.empty((n_ls, n_lu, ne))
     for j in range(n_ls):
-        piv = A[:, j, j]
-        bad |= ~(piv > 0)
-        root = np.sqrt(np.where(bad, 1.0, piv))
-        A[:, j, j] = np.where(bad, np.nan, root)
-        col = A[:, j + 1:, j]
-        col /= root[:, None]
-        A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :]
-    W = A[:, n_ls:, :n_ls].transpose(0, 2, 1)
-    return A[:, n_ls:, n_ls:], np.tril(A[:, :n_ls, :n_ls]), np.ascontiguousarray(W)
+        piv, w = ss[at[j, j]], su[j]
+        for k in range(j):
+            # L_jk = (H_jk - sum_m<k L_jm L_km) / L_kk
+            r = ss[at[j, k]]
+            for m in range(k):
+                r = r - L[at[j, m]] * L[at[k, m]]
+            ljk = np.divide(r, L[at[k, k]], out=L[at[j, k]])
+            piv = piv - ljk * ljk
+            w = w - ljk * W[k]
+        np.sqrt(piv, out=L[at[j, j]], where=piv > 0)
+        np.divide(w, L[at[j, j]], out=W[j])
+    # S = H_uu - sum_j W_j^T W_j on the distinct entries, in place
+    WW = np.take(W, iu, axis=1)
+    WW *= np.take(W, ju, axis=1)
+    S = uu - WW[0]
+    for j in range(1, n_ls):
+        S -= WW[j]
+    return S, L, W
 
 
 @dataclass
@@ -52,13 +67,15 @@ class CondensedHessian:
     """The free-dof Hessian [[H_uu, H_us], [H_su, H_ss]], free dofs ordered
     u then slack element by element, with the element-local slack
     eliminated: H_ss = blockdiag(L_K L_K^T), W_K = L_K^-1 H_su,K, and S =
-    H_uu - sum_K W_K^T W_K, the Schur complement over the free u dofs.
+    H_uu - sum_K W_K^T W_K, the Schur complement over the free u dofs. The
+    element arrays are laid out (entries, elements), as condense returns them.
     """
 
     S: sp.csr_matrix   # (nu, nu)
-    L: np.ndarray      # (ne, n_ls, n_ls) lower triangular; NaN if H_ss,K is not SPD
-    W: np.ndarray      # (ne, n_ls, n_lu)
-    uslot: np.ndarray  # (ne, n_lu) position of each local u dof among the free u; nu if fixed
+    L: np.ndarray      # (n_ls(n_ls+1)/2, ne) L_K's entries, as condense lays them
+                       # out; NaN if H_ss,K is not SPD
+    W: np.ndarray      # (n_ls, n_lu, ne)
+    uslot: np.ndarray  # (n_lu, ne) position of each local u dof among the free u; nu if fixed
 
     @property
     def nnz(self):
@@ -72,21 +89,25 @@ class CondensedHessian:
         """H^-1 b over the free dofs, given solve_s(r) = S^-1 r: the slack is
         condensed out of b element by element, and back-substituted."""
         nu = self.S.shape[0]
-        ne, n_ls, _ = self.L.shape
+        n_ls, _, ne = self.W.shape
+        _, _, at = sym_entries(n_ls)
+        L, W = self.L, self.W
         # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
-        y = b[nu:].reshape(ne, n_ls).copy()
+        y = b[nu:].reshape(ne, n_ls).T.copy()
         for j in range(n_ls):
-            y[:, j] -= np.einsum("ek,ek->e", self.L[:, j, :j], y[:, :j])
-            y[:, j] /= self.L[:, j, j]
-        wy = np.einsum("eji,ej->ei", self.W, y)
+            for k in range(j):
+                y[j] -= L[at[j, k]] * y[k]
+            y[j] /= L[at[j, j]]
+        wy = np.einsum("jie,je->ie", W, y)
         x_u = solve_s(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
                                            minlength=nu + 1)[:nu])
         # x_s = L^-T (y - W x_u) on every element
-        x_s = y - np.einsum("eji,ei->ej", self.W, np.append(x_u, 0.0)[self.uslot])
+        x_s = y - np.einsum("jie,ie->je", W, np.append(x_u, 0.0)[self.uslot])
         for j in reversed(range(n_ls)):
-            x_s[:, j] -= np.einsum("ek,ek->e", self.L[:, j + 1:, j], x_s[:, j + 1:])
-            x_s[:, j] /= self.L[:, j, j]
-        return np.concatenate([x_u, x_s.ravel()])
+            for k in range(j + 1, n_ls):
+                x_s[j] -= L[at[k, j]] * x_s[k]
+            x_s[j] /= L[at[j, j]]
+        return np.concatenate([x_u, x_s.T.ravel()])
 
 
 @dataclass
@@ -147,66 +168,87 @@ class Objective:
     def _assembly_plan(self):
         """Fixed-pattern assembly data, built once on first use.
 
-        Returns (gslot, uslot, sslot, indices, indptr): the position of every
-        element gradient entry in the free gradient, of every local u dof
-        among the free u dofs, and of every element u-u entry in the data
-        array of the free-u CSR pattern (indices, indptr). Entries on a fixed
-        dof go to one extra, dropped slot.
+        Returns (gslot, uslot, sslot, src, indices, indptr): the position of
+        every element gradient entry in the free gradient, of every local u
+        dof among the free u dofs, and of every distinct element u-u entry
+        among the distinct entries of the free-u pattern, all laid out
+        (entries, elements); and that pattern in CSR form (indices, indptr),
+        each of its entries the distinct entry src. Entries on a fixed dof go
+        to one extra, dropped slot.
         """
         nf, n_lu = len(self._free), self.fesys.u_elem.shape[1]
         nu = nf - self.fesys.n_s  # free dofs are the free u, then all slack
         pos = np.full(self.n, nf)
         pos[self._free] = np.arange(nf)
-        gslot = pos[self.fesys.elem_dofs()]
-        uslot = np.minimum(gslot[:, :n_lu], nu)
-        rows = np.repeat(uslot, n_lu, axis=1).ravel()
-        cols = np.tile(uslot, (1, n_lu)).ravel()
-        keep = (rows < nu) & (cols < nu)
-        keys, inv = np.unique(rows[keep] * nu + cols[keep], return_inverse=True)
-        sslot = np.full(rows.size, keys.size)
+        gslot = pos[self.fesys.elem_dofs().T]
+        uslot = np.minimum(gslot[:n_lu], nu)
+        i, j, _ = sym_entries(n_lu)
+        lo, hi = np.minimum(uslot[i], uslot[j]), np.maximum(uslot[i], uslot[j])
+        keep = hi < nu
+        keys, inv = np.unique(lo[keep] * nu + hi[keep], return_inverse=True)
+        sslot = np.full(lo.shape, keys.size)
         sslot[keep] = inv
+        # every distinct entry (r, c), r <= c, is stored at (r, c) and (c, r)
+        r, c = np.divmod(keys, nu)
+        off = np.flatnonzero(r != c)
+        rows, cols = np.r_[r, c[off]], np.r_[c, r[off]]
+        order = np.argsort(rows * nu + cols)
         indptr = np.zeros(nu + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // nu, minlength=nu), out=indptr[1:])
-        return (gslot.ravel(), uslot, sslot, (keys % nu).astype(np.int32), indptr)
+        np.cumsum(np.bincount(rows, minlength=nu), out=indptr[1:])
+        return (gslot.ravel(), uslot, sslot.ravel(), np.r_[np.arange(keys.size), off][order],
+                cols[order].astype(np.int32), indptr)
 
     def element_blocks(self, z):
-        """Gradient (ne, nloc) and Hessian (ne, nloc, nloc) of the barrier
-        integral on every element at a feasible z, over the element's local
-        dofs fesys.elem_dofs().
+        """Gradient and Hessian of the barrier integral on every element at a
+        feasible z, over the element's local dofs fesys.elem_dofs(), laid out
+        (entries, elements): (g, uu, su, ss), g of shape (nloc, ne) and the
+        Hessian blocks as reference_tables lays them out.
 
-        Per-node features times the sampler's reference tables: in reference
-        coordinates F'' has q-q block c A^-1 A^-T + a^ a^T and q-s block b a^,
-        a^ = A^-1 a, and F' has q part a^."""
+        Per-node features, laid out (feature, node, element), times the
+        sampler's reference tables: in reference coordinates F'' has q-q
+        block c A^-1 A^-T + a^ a^T and q-s block b a^, a^ = A^-1 a, and F'
+        has q part a^."""
         smp, d = self.sampler, self.fesys.d
         (ne, nq), (k, l) = smp.wq.shape, smp.pairs
         # grad_hess_terms raises ValueError outside the barrier domain
-        a, f_s, c, b, h_ss = (x.reshape(ne, nq, -1).transpose(0, 2, 1)
-                              for x in self.barrier.grad_hess_terms(*self.dz(z)))
-        w = smp.wq[:, None]
-        ah = self.fesys.mesh.Ainv @ np.ascontiguousarray(a)  # 3x faster than strided
-        fg = np.concatenate([w * ah, w * f_s], axis=1)
-        fh = np.concatenate([(w * c) * smp.metric[..., None] + fg[:, k] * ah[:, l],
-                             fg[:, :d] * b, w * h_ss], axis=1)
-        gloc = fg.reshape(ne, -1) @ smp.grad_table
-        nloc = gloc.shape[1]
-        return gloc, (fh.reshape(ne, -1) @ smp.hess_table).reshape(ne, nloc, nloc)
+        a, f_s, c, b, h_ss = self.barrier.grad_hess_terms(*self.dz(z))
+        w = np.ascontiguousarray(smp.wq.T)
+        # the terms laid out (term, node, element), weighted where the
+        # features need them weighted
+        x = np.empty((d + 4, nq, ne))
+        x[:d] = a.reshape(ne, nq, d).T
+        for row, term, wt in zip(x[d:], (f_s, c, b, h_ss), (w, w, 1.0, w)):
+            np.multiply(term.reshape(ne, nq).T, wt, out=row)
+        wf_s, wc, b, wh_ss = x[d:]
+        ah = np.einsum("ije,jqe->iqe", smp.ainv, x[:d])
+        wah = w * ah
+        fuu = wah[k]
+        fuu *= ah[l]
+        fuu += wc * smp.metric[:, None]
+        n_lu = len(smp.gu_table)
+        g = np.empty((n_lu + len(smp.gs_table), ne))
+        np.matmul(smp.gu_table, wah.reshape(-1, ne), out=g[:n_lu])
+        np.matmul(smp.gs_table, wf_s, out=g[n_lu:])
+        return (g, smp.uu_table @ fuu.reshape(-1, ne),
+                smp.su_table @ (wah * b).reshape(-1, ne), smp.ss_table @ wh_ss)
 
     def scatter(self, gloc, uloc, g0):
-        """g0 plus the free gradient of element gradients (ne, nloc), and the
-        free-u CSR matrix of element u-u blocks (ne, n_lu, n_lu)."""
-        gslot, _, sslot, indices, indptr = self._assembly_plan
+        """g0 plus the free gradient of element gradients (nloc, ne), and the
+        free-u CSR matrix of the distinct entries of element u-u blocks
+        (n_lu(n_lu+1)/2, ne)."""
+        gslot, _, sslot, src, indices, indptr = self._assembly_plan
         nf, nu = len(self._free), len(indptr) - 1
         g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
-        data = np.bincount(sslot, weights=uloc.ravel(), minlength=indices.size + 1)[:-1]
+        data = np.bincount(sslot, weights=uloc.ravel())[src]
         # the caller owns the returned matrix, so it gets its own index arrays
         return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nu, nu))
 
-    def assemble(self, gloc, hloc, g0):
+    def assemble(self, gloc, uu, su, ss, g0):
         """g0 plus the free gradient, and the CondensedHessian of element
-        blocks over elem_dofs(): each element's slack is eliminated before
-        the scatter."""
-        uloc, L, W = condense(hloc, self.fesys.n_ls)
-        g, S = self.scatter(gloc, uloc, g0)
+        blocks laid out as element_blocks returns them: each element's slack
+        is eliminated before the scatter."""
+        S, L, W = condense(uu, su, ss, self.fesys.n_ls)
+        g, S = self.scatter(gloc, S, g0)
         return g, CondensedHessian(S, L, W, self._assembly_plan[1])
 
     def grad_hess(self, z, t):
@@ -224,33 +266,33 @@ class Galerkin:
     """P^T g and P^T H P of the fine barrier gradient and Hessian on the free
     dofs of a coarse level, formed element by element.
 
-    A parent's block is sum_k T_k^T B_k T_k over its children's blocks B_k,
-    with T_k the child_prolongation table of child rank k; in refine_uniform's
-    element order the children of parent c are the m blocks from c*m on.
-    This runs level by level down to the coarse one, whose assemble condenses
-    the coarse slack and scatters the result into its own fixed pattern.
-    Fixed fine dofs need no mask: an interior coarse basis function vanishes
-    at boundary nodes, so their rows reach only fixed coarse dofs, which the
-    scatter drops.
+    A parent's blocks are restriction_tables times its m children's blocks;
+    in refine_uniform's element order the children of parent c are the m
+    elements from c*m on. This runs level by level down to the coarse one,
+    whose assemble condenses the coarse slack and scatters the result into
+    its own fixed pattern. Fixed fine dofs need no mask: an interior coarse
+    basis function vanishes at boundary nodes, so their rows reach only
+    fixed coarse dofs, which the scatter drops.
     """
 
     def __init__(self, coarse, P, cost):
         self.coarse = coarse      # the coarse level's Objective, for its pattern
         self.P = P                # free prolongation, coarse level -> fine
         self.cost = cost          # P^T c_free
-        self.T = child_prolongation(coarse.fesys.d, coarse.fesys.alpha)  # cached, shared
+        d = coarse.fesys.d
+        self.m = len(CHILDREN[d])
+        self.tables = restriction_tables(d, coarse.fesys.alpha)  # cached, shared
 
-    def restrict(self, gloc, hloc, t):
+    def restrict(self, gloc, uu, su, ss, t):
         """(gradient, CondensedHessian) over the coarse free dofs of fine
         element blocks, plus t times the restricted cost vector."""
-        m, nloc_f, nloc_c = self.T.shape
-        Tcat = self.T.reshape(-1, nloc_c)
-        while len(hloc) > self.coarse.fesys.mesh.num_elements:
-            ne = len(hloc) // m
-            blocks = hloc.reshape(ne, m, nloc_f, nloc_f) @ self.T
-            hloc = Tcat.T @ blocks.reshape(ne, -1, nloc_c)
-            gloc = gloc.reshape(ne, -1) @ Tcat
-        return self.coarse.assemble(gloc, hloc, t * self.cost)
+        blocks, m = (gloc, uu, su, ss), self.m
+        while blocks[0].shape[1] > self.coarse.fesys.mesh.num_elements:
+            ne = blocks[0].shape[1] // m
+            # the children's entries of every parent, as rows (entry, rank)
+            blocks = [K @ x.reshape(len(x), ne, m).transpose(0, 2, 1).reshape(-1, ne)
+                      for K, x in zip(self.tables, blocks)]
+        return self.coarse.assemble(*blocks, t * self.cost)
 
 
 class LevelObjective:

@@ -162,23 +162,28 @@ def cmd_bench(args):
         _check_writable(args.out)
     except (OSError, ValueError) as exc:
         return _invalid_input(exc)
-    rows = ["algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"]
-    for algorithm in algorithms:
-        for spec in specs:
-            try:
-                problem = build_problem(spec)
-            except RuntimeError:  # no starting point: a row without numbers
-                rows.append(f"{algorithm},{spec.p!r},,,,,,setup-failure,")
+    # each cell's problem is built once and solved by every algorithm; the
+    # rows stay grouped by algorithm, cells in spec order
+    rows = [[] for _ in algorithms]
+    for spec in specs:
+        try:
+            problem = build_problem(spec)
+        except RuntimeError:  # no starting point: a row without numbers
+            problem = None
+        for algorithm, out in zip(algorithms, rows):
+            if problem is None:
+                out.append(f"{algorithm},{spec.p!r},,,,,,setup-failure,")
                 continue
             start = time.monotonic()
             trace = ALGORITHMS[algorithm](problem, config)
             wall = time.monotonic() - start
-            rows.append(f"{algorithm},{spec.p!r},{problem.h_fine()!r},"
-                        f"{problem.fine_fesys.mesh.num_elements},{trace.total_newton},"
-                        f"{trace.max_step_newton()},{trace.t_final!r},"
-                        f"{trace.status},{wall:.3f}")
+            out.append(f"{algorithm},{spec.p!r},{problem.h_fine()!r},"
+                       f"{problem.fine_fesys.mesh.num_elements},{trace.total_newton},"
+                       f"{trace.max_step_newton()},{trace.t_final!r},"
+                       f"{trace.status},{wall:.3f}")
+    header = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
     with open(args.out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join([header, *(row for out in rows for row in out)]) + "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 

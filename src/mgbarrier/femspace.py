@@ -141,16 +141,35 @@ def build_fe_system(mesh, alpha):
 # ---------------------------------------------------------------------------
 
 @functools.cache
+def sym_entries(n):
+    """The distinct entries of a symmetric n x n matrix: read-only (i, j,
+    full), entry r being (i[r], j[r]), the diagonal first and then i < j row
+    by row, and full[a, b] the position r of entry (a, b) or (b, a)."""
+    i, j = np.triu_indices(n, 1)
+    i, j = np.r_[np.arange(n), i], np.r_[np.arange(n), j]
+    full = np.empty((n, n), dtype=np.intp)
+    full[i, j] = full[j, i] = np.arange(len(i))
+    for table in (i, j, full):
+        table.flags.writeable = False
+    return i, j, full
+
+
+@functools.cache
 def reference_tables(d, alpha, nodes):
-    """Read-only (pairs, hess_table, grad_table, ugrad, uvals, svals) at the
-    reference points `nodes` (a tuple). At a node, a symmetric d x d S
-    (entries k <= l, at pairs), a d-vector v and a scalar r in reference
-    coordinates give the u-u, u-s/s-u and s-s Hessian entries grad phi_i^T S
-    grad phi_j, (grad phi_i . v) psi_j, r psi_i psi_j and the gradient entries
-    grad phi_i . v, r psi_i. Summed over nodes, these are per-element
-    features, laid out (feature, node), times hess_table (rows S, v, r) or
-    grad_table (rows v, r). ugrad, uvals and svals are the u basis gradients
-    and the u and s basis values at the nodes.
+    """Read-only (pairs, uu, su, ss, gu, gs, ugrad, uvals, svals) at the
+    reference points `nodes` (a tuple).
+
+    At a node, a symmetric d x d S (entries k <= l, at pairs), a d-vector v
+    and a scalar r in reference coordinates give the Hessian entries
+    grad phi_i^T S grad phi_j (u-u), psi_j (grad phi_i . v) (s-u) and
+    r psi_i psi_j (s-s), and the gradient entries grad phi_i . v and r psi_j.
+    Summed over nodes, these are a table times the per-element features
+    laid out (feature, node): uu (n_lu(n_lu+1)/2, P nq) over the distinct
+    entries of sym_entries(n_lu), from the features S; su (n_ls n_lu, d nq),
+    rows (j, i), from v; ss (n_ls(n_ls+1)/2, nq) from r; and the gradient
+    tables gu (n_lu, d nq) from v and gs (n_ls, nq) from r. ugrad, uvals and
+    svals are the u basis gradients and the u and s basis values at the
+    nodes.
     """
     pts = np.array(nodes)
     gr = u_basis_grad(d, alpha, pts).transpose(2, 0, 1)  # (d, nq, n_lu)
@@ -158,21 +177,18 @@ def reference_tables(d, alpha, nodes):
     uv, sv = u_basis(d, alpha, pts), s_basis(d, alpha, pts)
     k, l = np.triu_indices(d)
     (nq, n_lu), n_ls = gr.shape[1:], sv.shape[1]
-    P, nloc = len(k), n_lu + n_ls
-    uu = gr[k, :, :, None] * gr[l, :, None, :]
-    uu[k != l] += np.swapaxes(uu[k != l], 2, 3)
-    us = gr[..., None] * sv[:, None, :]
-    hess = np.zeros((P + d + 1, nq, nloc, nloc))
-    hess[:P, :, :n_lu, :n_lu] = uu
-    hess[P:-1, :, :n_lu, n_lu:] = us
-    hess[P:-1, :, n_lu:, :n_lu] = np.swapaxes(us, 2, 3)
-    hess[-1, :, n_lu:, n_lu:] = sv[:, :, None] * sv[:, None, :]
-    grad = np.zeros((d + 1, nq, nloc))
-    grad[:d, :, :n_lu] = gr
-    grad[d, :, n_lu:] = sv
-    for table in (k, l, hess, grad, ugrad, uv, sv):
+    iu, ju, _ = sym_entries(n_lu)
+    is_, js, _ = sym_entries(n_ls)
+    uu = gr[k][..., iu] * gr[l][..., ju]
+    off = k != l
+    uu[off] += gr[l[off]][..., iu] * gr[k[off]][..., ju]
+    su = sv.T[:, None, None, :] * gr.transpose(2, 0, 1)  # (n_ls, n_lu, d, nq)
+    tables = (uu.transpose(2, 0, 1).reshape(len(iu), -1), su.reshape(n_ls * n_lu, -1),
+              (sv[:, is_] * sv[:, js]).T, gr.transpose(2, 0, 1).reshape(n_lu, -1), sv.T)
+    tables = tuple(np.ascontiguousarray(t) for t in tables)
+    for table in (k, l, *tables, ugrad, uv, sv):
         table.flags.writeable = False
-    return (k, l), hess.reshape(-1, nloc * nloc), grad.reshape(-1, nloc), ugrad, uv, sv
+    return ((k, l), *tables, ugrad, uv, sv)
 
 
 @dataclass
@@ -182,25 +198,35 @@ class DSampler:
     fesys: FeSystem
     rule: object
     wq: np.ndarray = field(init=False)      # (ne, nq) physical weights
-    # the rule's reference_tables, and A^-1 A^-T per element at its P = d(d+1)/2 pairs
+    # the rule's reference_tables, and A^-1 A^-T per element at its P = d(d+1)/2
+    # pairs. The block and gradient tables are laid out (entries, features),
+    # so that a table times features laid out (features, elements) gives
+    # (entries, elements)
     pairs: tuple = field(init=False)            # (k, l), k <= l
-    hess_table: np.ndarray = field(init=False)  # ((P+d+1)*nq, nloc*nloc)
-    grad_table: np.ndarray = field(init=False)  # ((d+1)*nq, nloc)
+    uu_table: np.ndarray = field(init=False)    # (n_lu(n_lu+1)/2, P*nq)
+    su_table: np.ndarray = field(init=False)    # (n_ls*n_lu, d*nq)
+    ss_table: np.ndarray = field(init=False)    # (n_ls(n_ls+1)/2, nq)
+    gu_table: np.ndarray = field(init=False)    # (n_lu, d*nq)
+    gs_table: np.ndarray = field(init=False)    # (n_ls, nq)
     # per local dof, (quadrature node, component) stacked, so that the
     # reference gradients of grad u are one 2-D matmul
     ugrad: np.ndarray = field(init=False)       # (n_lu, nq*d)
     uvals: np.ndarray = field(init=False)       # (nq, n_lu)
     svals: np.ndarray = field(init=False)       # (nq, n_ls)
-    metric: np.ndarray = field(init=False)      # (ne, P)
+    metric: np.ndarray = field(init=False)      # (P, ne)
+    ainv: np.ndarray = field(init=False)        # (d, d, ne) mesh.Ainv, entry-major
 
     def __post_init__(self):
         fes, rule, mesh = self.fesys, self.rule, self.fesys.mesh
         self.wq = np.abs(mesh.detA)[:, None] * rule.weights[None, :]  # |det A_K| omega_j
 
-        (self.pairs, self.hess_table, self.grad_table, self.ugrad, self.uvals,
-         self.svals) = reference_tables(mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
+        (self.pairs, self.uu_table, self.su_table, self.ss_table, self.gu_table,
+         self.gs_table, self.ugrad, self.uvals, self.svals) = reference_tables(
+            mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
         k, l = self.pairs
-        self.metric = np.einsum("eki,eki->ek", mesh.Ainv[:, k], mesh.Ainv[:, l])
+        self.metric = np.ascontiguousarray(
+            np.einsum("eki,eki->ke", mesh.Ainv[:, k], mesh.Ainv[:, l]))
+        self.ainv = np.ascontiguousarray(mesh.Ainv.transpose(1, 2, 0))
 
     @functools.cached_property
     def xq(self):
@@ -250,6 +276,43 @@ def child_prolongation(d, alpha):
         T[n_lu:, n_lu:] = s_basis(d, alpha, x[n_lu:])
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def restriction_tables(d, alpha):
+    """Read-only tables (g, uu, su, ss) that restrict the element gradients
+    and Hessian blocks of the m children of a parent to the parent, laid out
+    as reference_tables lays them out: each is (parent entries, child entries
+    x m), its columns ordered (child entry, child rank), so that the table
+    times the children's blocks, stacked so, is the parent's block.
+
+    With T_k = child_prolongation(d, alpha)[k], the gradient restricts as
+    sum_k T_k^T g_k and the Hessian as sum_k T_k^T H_k T_k. T_k is
+    block-diagonal over (u, s), so the u-u, s-u and s-s blocks restrict
+    each on its own, by sum_k T_k^T (x) T_k^T, on the distinct entries of
+    the symmetric ones.
+    """
+    T = child_prolongation(d, alpha)
+    n_lu = T.shape[2] - s_node_ref(d, alpha).shape[0]
+    Tu, Ts = T[:, :n_lu, :n_lu], T[:, n_lu:, n_lu:]
+
+    def symmetric(Tb):
+        # parent entry (i, j) from child entry (a, b): T[a, i] T[b, j], plus
+        # T[b, i] T[a, j] off the diagonal, where (b, a) is the same entry
+        i, j, _ = sym_entries(Tb.shape[2])
+        a, b, _ = sym_entries(Tb.shape[1])
+        K = Tb[:, a][..., i] * Tb[:, b][..., j]
+        off = a != b
+        K[:, off] += Tb[:, b[off]][..., i] * Tb[:, a[off]][..., j]
+        return K.transpose(2, 1, 0)
+
+    su = (Ts[:, :, None, :, None] * Tu[:, None, :, None, :]).transpose(3, 4, 1, 2, 0)
+    tables = (T.transpose(2, 1, 0), symmetric(Tu), su.reshape(Ts.shape[2] * n_lu, -1),
+              symmetric(Ts))
+    tables = tuple(np.ascontiguousarray(t.reshape(len(t), -1)) for t in tables)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def prolongation(fes_c, fes_f):

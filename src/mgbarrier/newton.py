@@ -154,7 +154,7 @@ class DirectSolver:
         self.release()
         self.failure = ""
         if not H.slack_spd():
-            bad = np.flatnonzero(np.isnan(H.L).any(axis=(1, 2)))[0]
+            bad = np.flatnonzero(np.isnan(H.L).any(axis=0))[0]
             return self._fail(f"slack block not SPD, element {bad}")
         S = H.S
         key = (S.shape, S.nnz)

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import Galerkin, Objective
 from .barrier import PLapBarrier
-from .femspace import DSampler, build_fe_system, prolongation
+from .femspace import DSampler, build_fe_system, prolongation, sym_entries
 from .mesh import build_rect_mesh, refine_uniform
 from .quadrature import reference_rule
 
@@ -67,22 +67,20 @@ def harmonic_extension(objective, g, load=None):
     interior nodes, K the stiffness matrix int grad phi_i . grad phi_j.
 
     With load None this is the discrete-harmonic extension (Delta_h u = 0).
-    The element stiffness is the Hessian table at F'' = I, scattered by the
+    The element stiffness is the u-u table at F'' = I, scattered by the
     objective's fixed pattern.
     """
     fes, smp = objective.fesys, objective.sampler
-    (ne, nq), P = smp.wq.shape, smp.metric.shape[1]
-    nloc = smp.grad_table.shape[1]
-    kloc = (smp.metric[..., None] * smp.wq[:, None]).reshape(ne, -1)
-    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)
+    ne, n_lu = fes.u_elem.shape
+    kloc = smp.uu_table @ (smp.metric[:, None] * smp.wq.T).reshape(-1, ne)
 
     z = apply_dirichlet(fes, np.zeros(fes.total_dim), g)
     if not np.all(np.isfinite(z)):
         raise ValueError("Dirichlet data is not finite at a boundary node")
     # free rows of K z, interior u first, and K over the interior u dofs
-    n_lu = fes.u_elem.shape[1]
-    Kz, K = objective.scatter((kloc @ z[fes.elem_dofs(), None])[..., 0],
-                              kloc[:, :n_lu, :n_lu], 0.0)
+    kz = np.zeros((n_lu + fes.n_ls, ne))
+    kz[:n_lu] = np.einsum("ije,je->ie", kloc[sym_entries(n_lu)[2]], z[fes.u_elem.T])
+    Kz, K = objective.scatter(kz, kloc, 0.0)
     iidx = np.flatnonzero(~fes.u_boundary)
     m = iidx.size
     if m:

@@ -2,12 +2,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from mgbarrier.assembly import CondensedHessian
+from mgbarrier.femspace import sym_entries
 
 
 def no_slack(A):
     """The CondensedHessian of a sparse or dense matrix A over u dofs alone:
     S = A, and no element slack."""
-    return CondensedHessian(sp.csr_matrix(A), np.zeros((0, 0, 0)), np.zeros((0, 0, 0)),
+    return CondensedHessian(sp.csr_matrix(A), np.zeros((0, 0)), np.zeros((0, 0, 0)),
                             np.zeros((0, 0), dtype=np.intp))
 
 
@@ -17,19 +18,22 @@ def full_hessian(H):
     Every element entry is stored, explicit zeros included, as the element
     scatter stores them."""
     nu = H.S.shape[0]
-    ne, n_ls, n_lu = H.W.shape
+    n_ls, n_lu, ne = H.W.shape
     nf = nu + ne * n_ls
-    loc = np.concatenate([H.uslot, nu + np.arange(ne * n_ls).reshape(ne, n_ls)], axis=1)
+    lower = np.tril(np.ones((n_ls, n_ls), dtype=bool))[:, :, None]
+    L = np.where(lower, H.L[sym_entries(n_ls)[2]], 0.0).transpose(2, 0, 1)  # (ne, n_ls, n_ls)
+    W = H.W.transpose(2, 0, 1)                                        # (ne, n_ls, n_lu)
+    loc = np.concatenate([H.uslot.T, nu + np.arange(ne * n_ls).reshape(ne, n_ls)], axis=1)
     blk = np.zeros((ne, n_lu + n_ls, n_lu + n_ls))
-    blk[:, :n_lu, :n_lu] = np.einsum("eki,ekj->eij", H.W, H.W)
-    hus = np.einsum("eki,ejk->eij", H.W, H.L)
+    blk[:, :n_lu, :n_lu] = np.einsum("eki,ekj->eij", W, W)
+    hus = np.einsum("eki,ejk->eij", W, L)
     blk[:, :n_lu, n_lu:] = hus
     blk[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
-    blk[:, n_lu:, n_lu:] = np.einsum("eik,ejk->eij", H.L, H.L)
+    blk[:, n_lu:, n_lu:] = np.einsum("eik,ejk->eij", L, L)
     rows = np.broadcast_to(loc[:, :, None], blk.shape)
     cols = np.broadcast_to(loc[:, None, :], blk.shape)
     # a fixed u dof has slot nu, which is a slack slot in the full numbering
-    free = np.concatenate([H.uslot < nu, np.ones((ne, n_ls), dtype=bool)], axis=1)
+    free = np.concatenate([H.uslot.T < nu, np.ones((ne, n_ls), dtype=bool)], axis=1)
     keep = free[:, :, None] & free[:, None, :]
     S = H.S.tocoo()
     return sp.csr_matrix(

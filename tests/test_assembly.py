@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective
+from mgbarrier.assembly import LevelObjective, Objective, condense
 from mgbarrier.barrier import PLapBarrier
-from mgbarrier.femspace import DSampler, build_fe_system, u_basis_grad
+from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
+from mgbarrier.newton import DirectSolver
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -264,7 +265,7 @@ def test_element_blocks_raise_where_value_is_infinite(domain):
     assert 0.0 < out < inside and obj.value(scaled(out), 1.0) == np.inf
     with pytest.raises(ValueError):
         obj.element_blocks(scaled(out))
-    assert np.all(np.isfinite(obj.element_blocks(scaled(inside))[1]))
+    assert all(np.isfinite(x).all() for x in obj.element_blocks(scaled(inside)))
     # an infinite slack: the gap overflows and F = -inf, so value is +inf
     z = pr.z0.copy()
     z[n_u] = np.inf
@@ -297,3 +298,52 @@ def test_element_restriction_equals_galerkin_product(domain, alpha, cells0):
         _, H_own = pr.objectives[lvl].grad_hess(zs[lvl], t)
         assert np.array_equal(Hc.S.indptr, H_own.S.indptr)
         assert np.array_equal(Hc.S.indices, H_own.S.indices)
+
+
+def as_blocks(H, n_ls):
+    """Dense element Hessians (ne, nloc, nloc), u then slack, as the
+    (uu, su, ss) blocks of condense."""
+    n_lu = H.shape[1] - n_ls
+    iu, ju, _ = sym_entries(n_lu)
+    is_, js, _ = sym_entries(n_ls)
+    return (H[:, iu, ju].T, H[:, n_lu:, :n_lu].reshape(len(H), -1).T,
+            H[:, n_lu + is_, n_lu + js].T)
+
+
+@pytest.mark.parametrize("n_ls", [1, 2, 3])
+def test_condense_matches_dense_schur_complement(n_ls):
+    rng = np.random.default_rng(n_ls)
+    n_lu, ne = 6, 5
+    M = rng.standard_normal((ne, n_lu + n_ls, 2 * (n_lu + n_ls)))
+    H = M @ M.transpose(0, 2, 1)
+    S, L, W = condense(*as_blocks(H, n_ls), n_ls)
+    H_uu, H_us, H_ss = H[:, :n_lu, :n_lu], H[:, :n_lu, n_lu:], H[:, n_lu:, n_lu:]
+    ref = H_uu - H_us @ np.linalg.solve(H_ss, np.swapaxes(H_us, 1, 2))
+    iu, ju, _ = sym_entries(n_lu)
+    assert_close(S, ref[:, iu, ju].T, rtol=1e-13)
+    # L L^T = H_ss and L W = H_su, with L's entry (i, j), i >= j, at (i, j)
+    is_, js, _ = sym_entries(n_ls)
+    L_ref = np.linalg.cholesky(H_ss)
+    assert_close(L, L_ref[:, js, is_].T, rtol=1e-13)
+    assert_close(W, np.linalg.solve(L_ref, np.swapaxes(H_us, 1, 2)).transpose(1, 2, 0),
+                 rtol=1e-13)
+
+
+def test_rank_one_slack_block_is_marked_and_named(small_problem):
+    # a positive semidefinite slack block of rank one: its second pivot is
+    # exactly 0, so that element's L is NaN-marked, without a warning, and a
+    # decrement names it; no other element is marked
+    obj = small_problem.objectives[0]
+    g, uu, su, ss = obj.element_blocks(small_problem.z0)
+    i, j, _ = sym_entries(obj.fesys.n_ls)
+    v = np.array([1.0, 2.0, 3.0])
+    ss = ss.copy()
+    ss[:, 4] = v[i] * v[j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, H = obj.assemble(g, uu, su, ss, np.zeros(len(obj.free_idx())))
+        assert not H.slack_spd()
+        assert np.array_equal(np.flatnonzero(np.isnan(H.L).any(axis=0)), [4])
+        solver = DirectSolver()
+        assert solver.decrement(g, H) == (None, None)
+    assert solver.failure == "slack block not SPD, element 4"

@@ -183,6 +183,33 @@ def test_bench_unbuildable_cell_is_a_row(tmp_path):
     assert rows[1] == ["mgb", "1000000.0", "", "", "", "", "", "setup-failure", ""]
 
 
+def test_bench_builds_each_cell_once(tmp_path, monkeypatch):
+    # the default two algorithms over two cells build two problems, not
+    # four; the rows stay grouped by algorithm, and an unbuildable cell
+    # still gives one setup-failure row per algorithm
+    built, build = [], cli.build_problem
+
+    def counted(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    out_path = tmp_path / "bench.csv"
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("cells0 = 2\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(out_path),
+                 "--levels", "1,2"]) == EXIT_OK
+    assert len(built) == 2
+    assert [(row[0], row[3], row[7]) for row in _bench_rows(out_path)] == [
+        (a, cells, "converged") for a in ("mgb", "naive-theta") for cells in ("8", "32")]
+    built.clear()
+    assert main(["bench", "--out", str(out_path), "--p-values", "1e6",
+                 "--levels", "1"]) == EXIT_OK
+    assert len(built) == 1
+    assert _bench_rows(out_path) == [[a, "1000000.0", "", "", "", "", "", "setup-failure", ""]
+                                     for a in ("mgb", "naive-theta")]
+
+
 def test_bench_cells_take_the_config_dim(tmp_path):
     # a 1-D config runs 1-D cells: 2 and 4 intervals, not 8 and 32 triangles
     out_path = tmp_path / "bench.csv"

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from mgbarrier.femspace import (DSampler, build_fe_system, child_prolongation,
-                                dump_solution, prolongation,
-                                s_basis, s_node_ref, u_basis, u_basis_grad)
+                                dump_solution, prolongation, reference_tables,
+                                s_basis, s_node_ref, sym_entries, u_basis, u_basis_grad)
 from mgbarrier.mesh import CHILDREN, SimplicialMesh, build_rect_mesh, p2_nodes, refine_uniform
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -132,15 +132,68 @@ def test_levels_share_read_only_basis_tables(d, alpha):
                                    domain=UNIT_SQUARE if d == 2 else UNIT_INTERVAL))
     first = pr.objectives[0].sampler
     for obj in pr.objectives:
-        for name in ("ugrad", "uvals", "svals"):
+        for name in ("uu_table", "su_table", "ss_table", "gu_table", "gs_table",
+                     "ugrad", "uvals", "svals"):
             table = getattr(obj.sampler, name)
             assert table is getattr(first, name)
             assert not table.flags.writeable
+    # and so are the restriction tables of the Galerkin levels
+    for gal in pr.galerkin[:-1]:
+        for table, first_table in zip(gal.tables, pr.galerkin[0].tables):
+            assert table is first_table and not table.flags.writeable
     nodes = first.rule.nodes
     refg = u_basis_grad(d, alpha, nodes)  # (nq, n_lu, d)
     assert np.array_equal(first.ugrad, refg.transpose(1, 0, 2).reshape(refg.shape[1], -1))
     assert np.array_equal(first.uvals, u_basis(d, alpha, nodes))
     assert np.array_equal(first.svals, s_basis(d, alpha, nodes))
+
+
+def dense_reference_tables(d, alpha, nodes):
+    """The dense tables that the block tables replaced, kept as their
+    reference: hess (P+d+1, nq, nloc, nloc) with features (S, v, r) and grad
+    (d+1, nq, nloc) with features (v, r), over all local dofs, u then s."""
+    pts = np.array(nodes)
+    gr = u_basis_grad(d, alpha, pts).transpose(2, 0, 1)  # (d, nq, n_lu)
+    sv = s_basis(d, alpha, pts)
+    k, l = np.triu_indices(d)
+    (nq, n_lu), n_ls = gr.shape[1:], sv.shape[1]
+    P, nloc = len(k), n_lu + n_ls
+    uu = gr[k, :, :, None] * gr[l, :, None, :]
+    uu[k != l] += np.swapaxes(uu[k != l], 2, 3)
+    us = gr[..., None] * sv[:, None, :]
+    hess = np.zeros((P + d + 1, nq, nloc, nloc))
+    hess[:P, :, :n_lu, :n_lu] = uu
+    hess[P:-1, :, :n_lu, n_lu:] = us
+    hess[P:-1, :, n_lu:, :n_lu] = np.swapaxes(us, 2, 3)
+    hess[-1, :, n_lu:, n_lu:] = sv[:, :, None] * sv[:, None, :]
+    grad = np.zeros((d + 1, nq, nloc))
+    grad[:d, :, :n_lu] = gr
+    grad[d, :, n_lu:] = sv
+    return hess, grad
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_block_tables_are_the_dense_tables(d, alpha):
+    # every entry of the dense Hessian and gradient tables, bit for bit, from
+    # the u-u, s-u and s-s block tables and the two gradient tables
+    nodes = tuple(map(tuple, reference_rule(d, 2 * alpha).nodes))
+    hess, grad = dense_reference_tables(d, alpha, nodes)
+    (k, _), uu, su, ss, gu, gs, *_ = reference_tables(d, alpha, nodes)
+    P, nq, n_lu, n_ls = len(k), len(nodes), gu.shape[0], gs.shape[0]
+    iu, ju, _ = sym_entries(n_lu)
+    is_, js, _ = sym_entries(n_ls)
+    blocks = np.zeros_like(hess)
+    uu = uu.T.reshape(P, nq, -1)
+    blocks[:P, :, iu, ju] = blocks[:P, :, ju, iu] = uu
+    su = su.reshape(n_ls, n_lu, d, nq).transpose(2, 3, 0, 1)
+    blocks[P:-1, :, n_lu:, :n_lu] = su
+    blocks[P:-1, :, :n_lu, n_lu:] = np.swapaxes(su, 2, 3)
+    blocks[-1][:, n_lu + is_, n_lu + js] = blocks[-1][:, n_lu + js, n_lu + is_] = ss.T
+    assert np.array_equal(blocks, hess)
+    grads = np.zeros_like(grad)
+    grads[:d, :, :n_lu] = gu.reshape(n_lu, d, nq).transpose(1, 2, 0)
+    grads[d, :, n_lu:] = gs.T
+    assert np.array_equal(grads, grad)
 
 
 def coarse_basis_at(fes_c, parent, x_u, x_s):

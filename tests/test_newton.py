@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from mgbarrier import newton, pathfollow
 from mgbarrier.assembly import LevelObjective
+from mgbarrier.femspace import sym_entries
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
                               SOLVER_FAILURE, DirectSolver, Ordering, center,
                               newton_decrement, regularize)
@@ -439,20 +440,21 @@ def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_
     # with a non-positive diagonal entry: a solver-failure before any splu,
     # never a clamp, with no exception or floating-point warning
     obj = small_problem.objectives[0]
-    gloc, hloc = obj.element_blocks(small_problem.z0)
-    n_lu, nf = obj.fesys.u_elem.shape[1], len(obj.free_idx())
-    bad_slack, bad_schur = hloc.copy(), hloc.copy()
-    bad_slack[0, n_lu + 1, n_lu + 1] *= -1.0
-    bad_schur[:, :n_lu, :n_lu] = 0.0  # diag(S) = -sum W^T W <= 0
+    gloc, uu, su, ss = obj.element_blocks(small_problem.z0)
+    nf = len(obj.free_idx())
+    bad_ss = ss.copy()
+    bad_ss[sym_entries(obj.fesys.n_ls)[2][1, 1], 0] *= -1.0
+    bad_slack = (gloc, uu, su, bad_ss)
+    bad_schur = (gloc, np.zeros_like(uu), su, ss)  # diag(S) = -sum W^T W <= 0
     for bad in (bad_slack, bad_schur):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, H = obj.assemble(gloc, bad, np.zeros(nf))
+            _, H = obj.assemble(*bad, np.zeros(nf))
             assert newton_decrement(np.ones(nf), H) == (None, None)
             res = center(FixedHessian(H, nf), np.zeros(nf), t=1.0)
         assert res.status == SOLVER_FAILURE
         assert res.iterations == 0
-    assert not obj.assemble(gloc, bad_slack, np.zeros(nf))[1].slack_spd()
+    assert not obj.assemble(*bad_slack, np.zeros(nf))[1].slack_spd()
     assert orderings_used == []
 
 
@@ -562,12 +564,11 @@ def _named_failure(H, g=None):
 def test_each_decrement_failure_is_named(small_problem, monkeypatch):
     # a slack block that is not SPD names its first element
     obj = small_problem.objectives[0]
-    gloc, hloc = obj.element_blocks(small_problem.z0)
-    n_lu, nf = obj.fesys.u_elem.shape[1], len(obj.free_idx())
-    hloc = hloc.copy()
-    for e in (3, 5):
-        hloc[e, n_lu, n_lu] *= -1.0
-    _, H = obj.assemble(gloc, hloc, np.zeros(nf))
+    gloc, uu, su, ss = obj.element_blocks(small_problem.z0)
+    nf = len(obj.free_idx())
+    ss = ss.copy()
+    ss[0, [3, 5]] *= -1.0  # slack entry (0, 0) of elements 3 and 5
+    _, H = obj.assemble(gloc, uu, su, ss, np.zeros(nf))
     assert _named_failure(H, np.ones(nf)) == ("slack block not SPD, element 3",) * 2
 
     # a structurally missing diagonal entry of S

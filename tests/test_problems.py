@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from mgbarrier import mesh
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.cli import load_config, parse_config_text, spec_from_config
+from mgbarrier.femspace import u_basis_grad
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
 from mgbarrier.problems import (UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec,
                                 apply_dirichlet, build_problem, default_boundary_data,
@@ -113,11 +114,12 @@ def test_harmonic_extension_boundary_and_mean_value():
 
 
 def coo_harmonic_extension(fes, smp, g, load=None):
-    """Reference: the u-u stiffness scattered as COO and solved on np.ix_ blocks."""
-    (ne, nq), P = smp.wq.shape, smp.metric.shape[1]
-    n_lu, nloc = fes.u_elem.shape[1], smp.grad_table.shape[1]
-    kloc = (smp.metric[..., None] * smp.wq[:, None]).reshape(ne, -1)
-    kloc = (kloc @ smp.hess_table[:P * nq]).reshape(ne, nloc, nloc)[:, :n_lu, :n_lu]
+    """Reference: the u-u stiffness, from the physical basis gradients at the
+    quadrature nodes, scattered as COO and solved on np.ix_ blocks."""
+    grads = np.einsum("eba,qib->eqia", fes.mesh.Ainv,
+                      u_basis_grad(fes.d, fes.alpha, smp.rule.nodes))
+    kloc = np.einsum("eq,eqia,eqja->eij", smp.wq, grads, grads)
+    n_lu = fes.u_elem.shape[1]
     rows = np.repeat(fes.u_elem, n_lu, axis=1).ravel()
     cols = np.tile(fes.u_elem, (1, n_lu)).ravel()
     K = sp.csr_matrix((kloc.ravel(), (rows, cols)), shape=(fes.n_u, fes.n_u))
