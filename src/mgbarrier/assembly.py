@@ -129,7 +129,7 @@ class Objective:
             fvals = np.zeros((ne, nq))
         else:
             fvals = np.apply_along_axis(lambda x: self.forcing(*x), 2, smp.xq)
-        cloc = np.concatenate([(smp.wq * fvals) @ smp.uvals, smp.wq @ smp.svals], axis=1)
+        cloc = np.concatenate([(smp.wq * fvals) @ smp.uvals, smp.wq @ smp.gs_table.T], axis=1)
         self.cost_vector = np.bincount(fes.elem_dofs().ravel(), weights=cloc.ravel(),
                                        minlength=fes.total_dim)
         self.cost_free = self.cost_vector[self._free]
@@ -146,9 +146,10 @@ class Objective:
         return float(self.cost_vector @ z)
 
     def dz(self, z):
-        """Dz at every quadrature node, flattened: q (N, d) and s (N,)."""
+        """Dz at every quadrature node, in (node, element) order: q (N, d) and
+        s (N,), views of the sampled arrays."""
         grad_u, s_val = self.sampler.sample(z)
-        return grad_u.reshape(-1, self.fesys.d), s_val.ravel()
+        return grad_u.T.reshape(self.fesys.d, -1).T, s_val.T.ravel()
 
     def margin(self, z):
         """The barrier margin of Dz at every quadrature node, > 0 exactly on
@@ -157,8 +158,10 @@ class Objective:
 
     def value(self, z, t):
         """f_h(z, t), or +inf if Dz leaves the barrier domain at any node."""
-        F = self.barrier.value(*self.dz(z)).reshape(self.sampler.wq.shape)
-        barrier_integral = float(np.sum(self.sampler.wq * F))
+        wq = self.sampler.wq
+        F = self.barrier.value(*self.dz(z)).reshape(wq.shape[::-1])
+        # summed element by element, the order that the pinned traces round in
+        barrier_integral = float(np.sum(wq * F.T))
         # +inf from a node outside the domain; -inf or NaN only from s = inf
         if not np.isfinite(barrier_integral):
             return INFEASIBLE
@@ -210,27 +213,22 @@ class Objective:
         has q part a^."""
         smp, d = self.sampler, self.fesys.d
         (ne, nq), (k, l) = smp.wq.shape, smp.pairs
-        # grad_hess_terms raises ValueError outside the barrier domain
+        # grad_hess_terms raises ValueError outside the barrier domain; its
+        # terms come in dz's (node, element) order
         a, f_s, c, b, h_ss = self.barrier.grad_hess_terms(*self.dz(z))
+        f_s, c, b, h_ss = (x.reshape(nq, ne) for x in (f_s, c, b, h_ss))
         w = np.ascontiguousarray(smp.wq.T)
-        # the terms laid out (term, node, element), weighted where the
-        # features need them weighted
-        x = np.empty((d + 4, nq, ne))
-        x[:d] = a.reshape(ne, nq, d).T
-        for row, term, wt in zip(x[d:], (f_s, c, b, h_ss), (w, w, 1.0, w)):
-            np.multiply(term.reshape(ne, nq).T, wt, out=row)
-        wf_s, wc, b, wh_ss = x[d:]
-        ah = np.einsum("ije,jqe->iqe", smp.ainv, x[:d])
+        ah = np.einsum("ije,jqe->iqe", smp.ainv, a.T.reshape(d, nq, ne))
         wah = w * ah
         fuu = wah[k]
         fuu *= ah[l]
-        fuu += wc * smp.metric[:, None]
+        fuu += w * c * smp.metric[:, None]
         n_lu = len(smp.gu_table)
         g = np.empty((n_lu + len(smp.gs_table), ne))
         np.matmul(smp.gu_table, wah.reshape(-1, ne), out=g[:n_lu])
-        np.matmul(smp.gs_table, wf_s, out=g[n_lu:])
+        np.matmul(smp.gs_table, w * f_s, out=g[n_lu:])
         return (g, smp.uu_table @ fuu.reshape(-1, ne),
-                smp.su_table @ (wah * b).reshape(-1, ne), smp.ss_table @ wh_ss)
+                smp.su_table @ (wah * b).reshape(-1, ne), smp.ss_table @ (w * h_ss))
 
     def scatter(self, gloc, uloc, g0):
         """g0 plus the free gradient of element gradients (nloc, ne), and the

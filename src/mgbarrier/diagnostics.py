@@ -51,10 +51,9 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     rng = np.random.default_rng(seed)
     L, meshes = problem.L, problem.meshes
     obj = problem.fine_objective
-    smp, d = obj.sampler, obj.fesys.d
 
     terms = obj.barrier.grad_hess_terms(*obj.dz(z))
-    ne_f, nq = smp.wq.shape
+    wq = obj.sampler.wq.T  # (nq, ne), dz's node order
 
     out = []
     for lvl in range(L - 1):
@@ -64,13 +63,12 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
         for _ in range(num_samples):
             v = rng.standard_normal(Pff.shape[1])
             z_v = obj.embed_free(Pff @ v)
-            gv, sv = smp.sample(z_v)
-            quad = hessian_form(terms, gv.reshape(-1, d), sv.ravel()).reshape(ne_f, nq)
+            quad = hessian_form(terms, *obj.dz(z_v)).reshape(wq.shape)
             val = np.sqrt(np.maximum(quad, 0.0))
             # per coarse element K: max and quadrature integral of val over K,
             # whose fine elements are consecutive in refine_uniform's order
-            linf = val.max(axis=1).reshape(vols.size, -1).max(axis=1)
-            l1 = np.sum(smp.wq * val, axis=1).reshape(vols.size, -1).sum(axis=1)
+            linf = val.max(axis=0).reshape(vols.size, -1).max(axis=1)
+            l1 = np.sum(wq * val, axis=0).reshape(vols.size, -1).sum(axis=1)
             ratio = vols * linf / np.where(l1 > 0, l1, np.inf)
             worst = max(worst, float(ratio.max()))
         out.append(worst)

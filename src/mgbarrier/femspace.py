@@ -156,8 +156,8 @@ def sym_entries(n):
 
 @functools.cache
 def reference_tables(d, alpha, nodes):
-    """Read-only (pairs, uu, su, ss, gu, gs, ugrad, uvals, svals) at the
-    reference points `nodes` (a tuple).
+    """Read-only (pairs, uu, su, ss, gu, gs, uvals) at the reference points
+    `nodes` (a tuple).
 
     At a node, a symmetric d x d S (entries k <= l, at pairs), a d-vector v
     and a scalar r in reference coordinates give the Hessian entries
@@ -167,13 +167,12 @@ def reference_tables(d, alpha, nodes):
     laid out (feature, node): uu (n_lu(n_lu+1)/2, P nq) over the distinct
     entries of sym_entries(n_lu), from the features S; su (n_ls n_lu, d nq),
     rows (j, i), from v; ss (n_ls(n_ls+1)/2, nq) from r; and the gradient
-    tables gu (n_lu, d nq) from v and gs (n_ls, nq) from r. ugrad, uvals and
-    svals are the u basis gradients and the u and s basis values at the
-    nodes.
+    tables gu (n_lu, d nq) from v and gs (n_ls, nq) from r. gu and gs are
+    also the u basis gradients and the s basis values at the nodes, and
+    uvals the u basis values.
     """
     pts = np.array(nodes)
     gr = u_basis_grad(d, alpha, pts).transpose(2, 0, 1)  # (d, nq, n_lu)
-    ugrad = gr.transpose(2, 1, 0).reshape(gr.shape[2], -1)
     uv, sv = u_basis(d, alpha, pts), s_basis(d, alpha, pts)
     k, l = np.triu_indices(d)
     (nq, n_lu), n_ls = gr.shape[1:], sv.shape[1]
@@ -184,11 +183,14 @@ def reference_tables(d, alpha, nodes):
     uu[off] += gr[l[off]][..., iu] * gr[k[off]][..., ju]
     su = sv.T[:, None, None, :] * gr.transpose(2, 0, 1)  # (n_ls, n_lu, d, nq)
     tables = (uu.transpose(2, 0, 1).reshape(len(iu), -1), su.reshape(n_ls * n_lu, -1),
-              (sv[:, is_] * sv[:, js]).T, gr.transpose(2, 0, 1).reshape(n_lu, -1), sv.T)
+              (sv[:, is_] * sv[:, js]).T, gr.transpose(2, 0, 1).reshape(n_lu, -1))
     tables = tuple(np.ascontiguousarray(t) for t in tables)
-    for table in (k, l, *tables, ugrad, uv, sv):
+    # gs stays the F-ordered transpose of the slack values: then products
+    # with it run in BLAS, which takes an infinite slack times a zero basis
+    # value to NaN without numpy's floating-point warning
+    for table in (k, l, *tables, sv, uv):
         table.flags.writeable = False
-    return ((k, l), *tables, ugrad, uv, sv)
+    return ((k, l), *tables, sv.T, uv)
 
 
 @dataclass
@@ -208,11 +210,7 @@ class DSampler:
     ss_table: np.ndarray = field(init=False)    # (n_ls(n_ls+1)/2, nq)
     gu_table: np.ndarray = field(init=False)    # (n_lu, d*nq)
     gs_table: np.ndarray = field(init=False)    # (n_ls, nq)
-    # per local dof, (quadrature node, component) stacked, so that the
-    # reference gradients of grad u are one 2-D matmul
-    ugrad: np.ndarray = field(init=False)       # (n_lu, nq*d)
     uvals: np.ndarray = field(init=False)       # (nq, n_lu)
-    svals: np.ndarray = field(init=False)       # (nq, n_ls)
     metric: np.ndarray = field(init=False)      # (P, ne)
     ainv: np.ndarray = field(init=False)        # (d, d, ne) mesh.Ainv, entry-major
 
@@ -221,7 +219,7 @@ class DSampler:
         self.wq = np.abs(mesh.detA)[:, None] * rule.weights[None, :]  # |det A_K| omega_j
 
         (self.pairs, self.uu_table, self.su_table, self.ss_table, self.gu_table,
-         self.gs_table, self.ugrad, self.uvals, self.svals) = reference_tables(
+         self.gs_table, self.uvals) = reference_tables(
             mesh.d, fes.alpha, tuple(map(tuple, rule.nodes)))
         k, l = self.pairs
         self.metric = np.ascontiguousarray(
@@ -234,15 +232,17 @@ class DSampler:
         return self.fesys.mesh.to_physical(self.rule.nodes)
 
     def sample(self, z):
-        """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq).
+        """Return (grad_u, s_val): shapes (ne, nq, d) and (ne, nq), element-major
+        views of arrays laid out (component, node, element) and (node,
+        element), as the block tables read them.
 
-        The physical gradient is A^-T times the reference one, as a row
-        refgrad^T A^-1."""
+        The reference gradients are gu_table's columns times the element
+        coefficients, and the physical gradient is A^-T times them."""
         fes, (ne, nq) = self.fesys, self.wq.shape
-        ref = z[fes.u_elem] @ self.ugrad
-        grad_u = ref.reshape(ne, nq, fes.d) @ fes.mesh.Ainv
-        s_val = z[fes.n_u:].reshape(-1, fes.n_ls) @ self.svals.T
-        return grad_u, s_val
+        ref = (self.gu_table.T @ z[fes.u_elem].T).reshape(fes.d, nq, ne)
+        grad_u = np.einsum("jie,jqe->iqe", self.ainv, ref)
+        s_val = self.gs_table.T @ z[fes.n_u:].reshape(-1, fes.n_ls).T
+        return grad_u.T, s_val.T
 
     def sample_u(self, z):
         """u values at quadrature nodes, shape (ne, nq)."""

@@ -122,13 +122,13 @@ def repair_slack(objective, z, safety=1e-8):
     boundary at the new quadrature nodes through roundoff.
     """
     q, s = objective.dz(z)
-    barrier, shape = objective.barrier, objective.sampler.wq.shape
-    bad = np.flatnonzero(np.min(barrier.margin(q, s).reshape(shape), axis=1) <= 0.0)
+    barrier, shape = objective.barrier, objective.sampler.wq.shape[::-1]
+    bad = np.flatnonzero(np.min(barrier.margin(q, s).reshape(shape), axis=0) <= 0.0)
     if bad.size == 0:
         return z, 0
     z = z.copy()
     lam = barrier.lam(q).reshape(shape)
-    snew = (1.0 + safety) * np.max(lam[bad], axis=1) + safety
+    snew = (1.0 + safety) * np.max(lam[:, bad], axis=0) + safety
     dofs = objective.fesys.s_elem()[bad]
     z[dofs] = np.maximum(z[dofs], snew[:, None])
     return z, int(bad.size)

@@ -162,18 +162,18 @@ def reference_grad_hess(obj, z, t):
 
     g = t * obj.cost_vector.copy()
     np.add.at(g, fes.u_elem, np.einsum("eq,eqa,eqia->ei", w, G[..., :d], grads))
-    np.add.at(g, fes.s_elem(), np.einsum("eq,eq,qj->ej", w, G[..., d], smp.svals))
+    np.add.at(g, fes.s_elem(), np.einsum("eq,eq,qj->ej", w, G[..., d], smp.gs_table.T))
 
     n_lu = fes.u_elem.shape[1]
     nloc = n_lu + fes.n_ls
     hloc = np.zeros((ne, nloc, nloc))
     hloc[:, :n_lu, :n_lu] = np.einsum("eq,eqia,eqab,eqjb->eij",
                                       w, grads, H[..., :d, :d], grads)
-    hus = np.einsum("eq,eqia,eqa,qj->eij", w, grads, H[..., :d, d], smp.svals)
+    hus = np.einsum("eq,eqia,eqa,qj->eij", w, grads, H[..., :d, d], smp.gs_table.T)
     hloc[:, :n_lu, n_lu:] = hus
     hloc[:, n_lu:, :n_lu] = np.swapaxes(hus, 1, 2)
     hloc[:, n_lu:, n_lu:] = np.einsum("eq,eq,qi,qj->eij",
-                                      w, H[..., d, d], smp.svals, smp.svals)
+                                      w, H[..., d, d], smp.gs_table.T, smp.gs_table.T)
     loc = np.concatenate([fes.u_elem, fes.s_elem()], axis=1)
     rows = np.repeat(loc, nloc, axis=1).ravel()
     cols = np.tile(loc, (1, nloc)).ravel()
@@ -223,7 +223,7 @@ def test_cost_vector_matches_add_at_reference(domain, alpha):
     fw = smp.wq * np.apply_along_axis(lambda x: f(*x), 2, smp.xq)
     c = np.zeros(fes.total_dim)
     np.add.at(c, fes.u_elem, np.einsum("eq,qi->ei", fw, smp.uvals))
-    np.add.at(c, fes.s_elem(), np.einsum("eq,qj->ej", smp.wq, smp.svals))
+    np.add.at(c, fes.s_elem(), np.einsum("eq,qj->ej", smp.wq, smp.gs_table.T))
     assert_close(obj.cost_vector, c)
 
 

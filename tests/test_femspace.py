@@ -106,7 +106,7 @@ def einsum_sample(smp, z):
                       u_basis_grad(fes.d, fes.alpha, smp.rule.nodes))
     se = z[fes.n_u:].reshape(-1, fes.n_ls)
     return (np.einsum("eqia,ei->eqa", grads, z[fes.u_elem]),
-            np.einsum("qj,ej->eq", smp.svals, se))
+            np.einsum("qj,ej->eq", smp.gs_table.T, se))
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -133,7 +133,7 @@ def test_levels_share_read_only_basis_tables(d, alpha):
     first = pr.objectives[0].sampler
     for obj in pr.objectives:
         for name in ("uu_table", "su_table", "ss_table", "gu_table", "gs_table",
-                     "ugrad", "uvals", "svals"):
+                     "uvals"):
             table = getattr(obj.sampler, name)
             assert table is getattr(first, name)
             assert not table.flags.writeable
@@ -143,9 +143,9 @@ def test_levels_share_read_only_basis_tables(d, alpha):
             assert table is first_table and not table.flags.writeable
     nodes = first.rule.nodes
     refg = u_basis_grad(d, alpha, nodes)  # (nq, n_lu, d)
-    assert np.array_equal(first.ugrad, refg.transpose(1, 0, 2).reshape(refg.shape[1], -1))
+    assert np.array_equal(first.gu_table, refg.transpose(1, 2, 0).reshape(refg.shape[1], -1))
     assert np.array_equal(first.uvals, u_basis(d, alpha, nodes))
-    assert np.array_equal(first.svals, s_basis(d, alpha, nodes))
+    assert np.array_equal(first.gs_table, s_basis(d, alpha, nodes).T)
 
 
 def dense_reference_tables(d, alpha, nodes):

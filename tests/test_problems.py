@@ -233,6 +233,24 @@ def test_repair_slack_fixes_grazing_point(small_problem):
     assert same is z
 
 
+def test_repair_slack_fixes_the_last_element(small_problem):
+    # in both node orders the first element's first node is flat node 0, so
+    # only a later element tells a wrong node axis from the right one
+    pr = small_problem
+    fes, obj = pr.fine_fesys, pr.fine_objective
+    z = pr.refine_iterate(pr.z0, 0)
+    bad = z.copy()
+    last = fes.s_elem()[-1]
+    bad[last] = 0.0
+    repaired, n_bad = repair_slack(obj, bad)
+    assert n_bad == 1
+    assert np.all(obj.margin(repaired) > 0.0)
+    grad_u, _ = obj.sampler.sample(bad)
+    expected = bad.copy()
+    expected[last] = (1.0 + 1e-8) * float(np.max(pr.barrier.lam(grad_u[-1]))) + 1e-8
+    assert np.array_equal(repaired, expected)
+
+
 def test_apply_dirichlet_only_touches_boundary(small_problem):
     pr = small_problem
     fes = pr.fine_fesys
