@@ -26,6 +26,11 @@ repeat-median milliseconds of:
   has already ordered (shift and gather, factorization in that order,
   solve);
 - regularize: that shift and gather alone, on the recorded ordering;
+- solve: one DirectSolver.solve with the repeated-pattern factor, i.e. the
+  slack condensed out of the right-hand side, the solve with S and the
+  slack back-substituted (CondensedHessian.solve);
+- ordering: Ordering.of on the fine S with the recorded permutation, the
+  permuted CSC pattern that every later S on that pattern is gathered into;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -160,6 +165,8 @@ def main():
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
         "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
+        "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
+        "ordering_ms": median_ms(lambda: newton.Ordering.of(H.S, order.perm), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),

@@ -20,6 +20,19 @@ from .mesh import CHILDREN
 INFEASIBLE = np.inf
 
 
+def substitute(L, at, x, transpose=False):
+    """x <- L_K^-1 x, or L_K^-T x if transpose, in place on every element:
+    L holds L_K's entries as condense lays them out, at = sym_entries(n_ls)[2],
+    and x is laid out (row, ..., elements) over the leading rows of L_K. A NaN
+    diagonal entry carries into every later row, without a warning."""
+    n = len(x)
+    for j in reversed(range(n)) if transpose else range(n):
+        for k in range(j + 1, n) if transpose else range(j):
+            x[j] -= L[at[j, k]] * x[k]
+        x[j] /= L[at[j, j]]
+    return x
+
+
 def condense(uu, su, ss, n_ls):
     """Eliminate the slack from element blocks laid out (entries, elements)
     as reference_tables lays them out: uu and ss the distinct entries of
@@ -38,21 +51,15 @@ def condense(uu, su, ss, n_ls):
     n_lu, ne = len(su) // n_ls, su.shape[1]
     iu, ju, _ = sym_entries(n_lu)
     _, _, at = sym_entries(n_ls)
-    su = su.reshape(n_ls, n_lu, ne)
     L = np.full(ss.shape, np.nan)
-    W = np.empty((n_ls, n_lu, ne))
     for j in range(n_ls):
-        piv, w = ss[at[j, j]], su[j]
-        for k in range(j):
-            # L_jk = (H_jk - sum_m<k L_jm L_km) / L_kk
-            r = ss[at[j, k]]
-            for m in range(k):
-                r = r - L[at[j, m]] * L[at[k, m]]
-            ljk = np.divide(r, L[at[k, k]], out=L[at[j, k]])
+        row = substitute(L, at, ss[at[j, :j]])
+        piv = ss[at[j, j]]
+        for ljk in row:
             piv = piv - ljk * ljk
-            w = w - ljk * W[k]
+        L[at[j, :j]] = row
         np.sqrt(piv, out=L[at[j, j]], where=piv > 0)
-        np.divide(w, L[at[j, j]], out=W[j])
+    W = substitute(L, at, su.reshape(n_ls, n_lu, ne).copy())
     # S = H_uu - sum_j W_j^T W_j on the distinct entries, in place
     WW = np.take(W, iu, axis=1)
     WW *= np.take(W, ju, axis=1)
@@ -93,21 +100,13 @@ class CondensedHessian:
         _, _, at = sym_entries(n_ls)
         L, W = self.L, self.W
         # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
-        y = b[nu:].reshape(ne, n_ls).T.copy()
-        for j in range(n_ls):
-            for k in range(j):
-                y[j] -= L[at[j, k]] * y[k]
-            y[j] /= L[at[j, j]]
+        y = substitute(L, at, b[nu:].reshape(ne, n_ls).T.copy())
         wy = np.einsum("jie,je->ie", W, y)
         x_u = solve_s(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
                                            minlength=nu + 1)[:nu])
         # x_s = L^-T (y - W x_u) on every element
         x_s = y - np.einsum("jie,ie->je", W, np.append(x_u, 0.0)[self.uslot])
-        for j in reversed(range(n_ls)):
-            for k in range(j + 1, n_ls):
-                x_s[j] -= L[at[k, j]] * x_s[k]
-            x_s[j] /= L[at[j, j]]
-        return np.concatenate([x_u, x_s.T.ravel()])
+        return np.concatenate([x_u, substitute(L, at, x_s, transpose=True).T.ravel()])
 
 
 @dataclass

@@ -64,18 +64,15 @@ class Ordering:
     def of(cls, H, perm):
         """The Ordering of H's pattern by perm, or None if H lacks a diagonal
         entry (the shifted diagonal would have no slot)."""
-        n = H.shape[0]
-        prow = np.repeat(perm, np.diff(H.indptr))
-        pcol = perm[H.indices]
-        # CSC order: by column, then row (the keys are unique)
-        slots = np.argsort(pcol.astype(np.int64) * n + prow).astype(np.int32)
-        prow, pcol = prow[slots], pcol[slots]
-        diag = np.flatnonzero(prow == pcol).astype(np.int32)
-        if diag.size != n:
+        # H's entries numbered from 1, so that none is an explicit zero, at
+        # (perm[i], perm[j]); scipy sorts and compresses them by column
+        P = sp.csc_matrix((np.arange(1, H.nnz + 1, dtype=np.int32),
+                           (np.repeat(perm, np.diff(H.indptr)), perm[H.indices])), shape=H.shape)
+        cols = np.repeat(np.arange(H.shape[0]), np.diff(P.indptr))
+        diag = np.flatnonzero(P.indices == cols).astype(np.int32)
+        if diag.size != H.shape[0]:
             return None
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(pcol, minlength=n), out=indptr[1:])
-        return cls(H, perm, slots, prow.astype(np.int32), indptr, diag)
+        return cls(H, perm, P.data - 1, P.indices, P.indptr, diag)
 
     def matches(self, H):
         indptr, indices = self.pattern

@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective, condense
+from mgbarrier.assembly import LevelObjective, Objective, condense, substitute
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import build_rect_mesh
@@ -327,6 +328,49 @@ def test_condense_matches_dense_schur_complement(n_ls):
     assert_close(L, L_ref[:, js, is_].T, rtol=1e-13)
     assert_close(W, np.linalg.solve(L_ref, np.swapaxes(H_us, 1, 2)).transpose(1, 2, 0),
                  rtol=1e-13)
+
+
+def packed_factor(rng, n_ls, ne):
+    """Dense lower-triangular L_K (ne, n_ls, n_ls), well conditioned, and
+    their entries packed as condense lays them out."""
+    L = np.tril(0.5 * rng.standard_normal((ne, n_ls, n_ls)), -1)
+    L[:, range(n_ls), range(n_ls)] = 1.0 + rng.random((ne, n_ls))
+    is_, js, at = sym_entries(n_ls)
+    return L, np.ascontiguousarray(L[:, js, is_].T), at
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "back"])
+@pytest.mark.parametrize("middle", [(), (6,)], ids=["vector", "W-shaped"])
+@pytest.mark.parametrize("n_ls", [1, 2, 3])
+def test_substitute_matches_solve_triangular(n_ls, middle, transpose):
+    rng = np.random.default_rng(n_ls)
+    ne = 5
+    L_dense, L, at = packed_factor(rng, n_ls, ne)
+    x = rng.standard_normal((n_ls, *middle, ne))
+    b = x.copy()
+    assert substitute(L, at, x, transpose) is x
+    for e in range(ne):
+        ref = sla.solve_triangular(L_dense[e], b[..., e].reshape(n_ls, -1), lower=True,
+                                   trans="T" if transpose else "N")
+        assert_close(x[..., e].reshape(n_ls, -1), ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["forward", "back"])
+def test_substitute_carries_nan_diagonal_into_later_rows(transpose):
+    # a NaN pivot in row 1 of element 2: forward, rows 1 and 2 of that
+    # element turn NaN; back, rows 1 and 0; nothing else does, and no
+    # floating-point warning is raised
+    rng = np.random.default_rng(7)
+    _, L, at = packed_factor(rng, 3, 4)
+    L[at[1, 1], 2] = np.nan
+    x = rng.standard_normal((3, 6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        substitute(L, at, x, transpose)
+    later = [0, 1] if transpose else [1, 2]
+    nan = np.zeros(x.shape, dtype=bool)
+    nan[later, :, 2] = True
+    assert np.array_equal(np.isnan(x), nan)
 
 
 def test_rank_one_slack_block_is_marked_and_named(small_problem):
