@@ -20,17 +20,24 @@ repeat-median milliseconds of:
   block with its child-to-parent table per level, including the
   condensation and scatter into the level's pattern;
 - decrement_new_pattern: DirectSolver.decrement on a new solver, i.e. the
-  shift and gather of S in its own order, minimum-degree ordering and
-  factorization, solve and recording the ordering;
+  shift of S, the elimination of every parent's interior and the gather of
+  the skeleton Schur complement R in its own order, minimum-degree
+  ordering and factorization of R, solve and recording the ordering;
 - decrement_repeated_pattern: DirectSolver.decrement on a pattern the solver
-  has already ordered (shift and gather, factorization in that order,
-  solve);
-- regularize: that shift and gather alone, on the recorded ordering;
+  has already ordered (shift, elimination and gather, factorization of R
+  in that order, solve);
+- regularize: that shift, elimination and gather alone, on the recorded
+  ordering;
+- interior: the interior elimination alone (eliminate_interior: condense
+  on every parent's interior block, its Schur complement added to R's
+  entries);
 - solve: one DirectSolver.solve with the repeated-pattern factor, i.e. the
-  slack condensed out of the right-hand side, the solve with S and the
-  slack back-substituted (CondensedHessian.solve);
-- ordering: Ordering.of on the fine S with the recorded permutation, the
-  permuted CSC pattern that every later S on that pattern is gathered into;
+  slack condensed out of the right-hand side, then the parents' interiors,
+  the solve with R, and both back-substituted (CondensedHessian.solve,
+  twice);
+- ordering: Ordering.of on the fine S with the recorded permutation: the
+  interior stage's tables and the permuted CSC pattern of R that every
+  later S on that pattern is gathered into;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -45,8 +52,9 @@ the phases build_problem runs in order, each repeat from scratch:
 - setup_start: the starting point, the harmonic extension plus init_slack
   (starting_point);
 
-and the free dofs, the dofs and nnz of S, the fill (nnz of L+U) of both
-factorizations and the host's versions.
+and the free dofs, the dofs and nnz of S, the dofs (skeleton_dofs) and
+nnz (skeleton_nnz) of R, the fill (nnz of L+U) of both factorizations of
+R and the host's versions.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
     PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
@@ -148,12 +156,16 @@ def main():
     finally:
         spla.splu = splu
     order = solver.orderings[(H.S.shape, H.S.nnz)]
+    R = newton.regularize(H.S, order)
+    entries = np.append(H.S.data, 0.0)  # S's entries and the 0 that R's fill reads
 
     print(json.dumps({
         "levels": args.levels,
         "dofs": len(g),
         "schur_dofs": H.S.shape[0],
         "schur_nnz": H.S.nnz,
+        "skeleton_dofs": R.shape[0],
+        "skeleton_nnz": R.nnz,
         "repeats": args.repeats,
         "sample_ms": median_ms(lambda: obj.sampler.sample(z), args.repeats),
         "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
@@ -165,8 +177,11 @@ def main():
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
         "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
+        "interior_ms": median_ms(lambda: newton.eliminate_interior(entries, order),
+                                 args.repeats),
         "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
-        "ordering_ms": median_ms(lambda: newton.Ordering.of(H.S, order.perm), args.repeats),
+        "ordering_ms": median_ms(lambda: newton.Ordering.of(H.S, order.perm, H.parents),
+                                 args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),

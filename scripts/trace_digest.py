@@ -29,7 +29,17 @@ print the same text, and `diff` of their outputs checks that a change keeps
 behaviour. A solver failure is a line like any other; the script exits
 non-zero only on an exception.
 
+With --rows a solve line holds status, failure reason, t_final and a
+digest of the trace's (k, level, newton_iters, direct_step) rows, and no
+problem lines follow: the Newton work of every solve, without the
+objective, decrement and z_final values that roundoff moves. A change that
+moves only roundoff prints the same text as its parent, so `diff` of two
+--rows outputs checks that it keeps every Newton count. The script needs
+only the solver's public calls, so this checkout's copy can run against
+another checkout's solver by PYTHONPATH.
+
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
+    PYTHONPATH=src python3 scripts/trace_digest.py --rows > rows.txt
 """
 
 import os
@@ -38,6 +48,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import hashlib
 import sys
 
@@ -96,6 +107,10 @@ def csr_parts(matrices):
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rows", action="store_true",
+                    help="digest each solve's Newton rows, not its csv and z_final")
+    args = ap.parse_args()
     n = 0
     for name, spec, runs in cases():
         problem = build_problem(spec)
@@ -104,11 +119,17 @@ def main():
             trace = ALGORITHMS[algorithm](problem, PathConfig(**keys))
             z = trace.z_final
             finals.append(z)
-            print(f"{name} {run}: {trace.status} {trace.failure_reason!r} "
-                  f"t_final={trace.t_final!r} "
-                  f"csv={digest(trace.to_csv(wall_times=False))} "
-                  f"z_final={'-' if z is None else digest(z)}")
+            head = (f"{name} {run}: {trace.status} {trace.failure_reason!r} "
+                    f"t_final={trace.t_final!r}")
+            if args.rows:
+                work = [(r.k, r.level, r.newton_iters, r.direct_step) for r in trace.rows]
+                print(f"{head} rows={digest(np.array(work, dtype=np.int64))}")
+            else:
+                print(f"{head} csv={digest(trace.to_csv(wall_times=False))} "
+                      f"z_final={'-' if z is None else digest(z)}")
         n += len(runs)
+        if args.rows:
+            continue
         z = finals[0]
         rh = "-" if z is None else digest(repr(rh_constant_estimate(problem, z)))
         print(f"{name} problem: z0={digest(problem.z0)} "

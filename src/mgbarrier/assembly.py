@@ -83,6 +83,9 @@ class CondensedHessian:
                        # out; NaN if H_ss,K is not SPD
     W: np.ndarray      # (n_ls, n_lu, ne)
     uslot: np.ndarray  # (n_lu, ne) position of each local u dof among the free u; nu if fixed
+    # Objective.parent_dofs of the level: (interior, boundary) u dofs of every
+    # parent element, which the solver eliminates from S in a second stage
+    parents: tuple | None = None
 
     @property
     def nnz(self):
@@ -98,15 +101,19 @@ class CondensedHessian:
         nu = self.S.shape[0]
         n_ls, _, ne = self.W.shape
         _, _, at = sym_entries(n_ls)
-        L, W = self.L, self.W
+        L, W, uslot = self.L, self.W, self.uslot
         # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
         y = substitute(L, at, b[nu:].reshape(ne, n_ls).T.copy())
         wy = np.einsum("jie,je->ie", W, y)
-        x_u = solve_s(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
-                                           minlength=nu + 1)[:nu])
-        # x_s = L^-T (y - W x_u) on every element
-        x_s = y - np.einsum("jie,ie->je", W, np.append(x_u, 0.0)[self.uslot])
-        return np.concatenate([x_u, substitute(L, at, x_s, transpose=True).T.ravel()])
+        x = np.empty_like(b)
+        x[:nu] = solve_s(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
+                                              minlength=nu + 1)[:nu])
+        # x_s = L^-T (y - W x_u) on every element; a fixed u dof's slot nu
+        # reads the 0 put there (uslot is empty when x has no slack)
+        x[nu:nu + 1] = 0.0
+        y -= np.einsum("jie,ie->je", W, x[uslot])
+        x[nu:].reshape(ne, n_ls).T[...] = substitute(L, at, y, transpose=True)
+        return x
 
 
 @dataclass
@@ -200,6 +207,42 @@ class Objective:
         return (gslot.ravel(), uslot, sslot.ravel(), np.r_[np.arange(keys.size), off][order],
                 cols[order].astype(np.int32), indptr)
 
+    @functools.cached_property
+    def parent_dofs(self):
+        """(interior, boundary), built on first use: for every element of
+        the mesh that this level's mesh refines (a parent, P of them), the
+        free u dofs inside it (n_int, P) and the other u dofs of its
+        children (n_bnd, P), numbered among the free u dofs, nu where fixed.
+        None on a mesh that refine_uniform did not build, or where no u dof
+        lies inside a parent (alpha = 1 in 2-D).
+
+        A dof lies inside a parent when all its elements are that parent's
+        children. No two parents share one, so the block of S on them is
+        block-diagonal by parent, and each block couples only to its
+        parent's other u dofs.
+        """
+        fes = self.fesys
+        if not fes.mesh.refined:
+            return None
+        ne, n_lu = fes.u_elem.shape
+        m = len(CHILDREN[fes.d])
+        # the u dofs of every parent's children, child-major: refine_uniform
+        # lays every parent out alike, so parent 0 locates the distinct ones
+        ids = fes.u_elem.reshape(ne // m, m * n_lu)
+        _, first, count = np.unique(ids[0], return_index=True, return_counts=True)
+        order = np.argsort(first)
+        local = ids[:, first[order]]
+        inside = ((np.bincount(fes.u_elem.ravel())[local] == count[order])
+                  & ~fes.u_boundary[local]).all(axis=0)
+        if not inside.any():
+            return None
+        free = ~fes.u_boundary
+        nu = int(np.count_nonzero(free))
+        pos = np.full(fes.n_u, nu)
+        pos[free] = np.arange(nu)
+        return (np.ascontiguousarray(pos[local[:, inside]].T),
+                np.ascontiguousarray(pos[local[:, ~inside]].T))
+
     def element_blocks(self, z):
         """Gradient and Hessian of the barrier integral on every element at a
         feasible z, over the element's local dofs fesys.elem_dofs(), laid out
@@ -246,7 +289,7 @@ class Objective:
         is eliminated before the scatter."""
         S, L, W = condense(uu, su, ss, self.fesys.n_ls)
         g, S = self.scatter(gloc, S, g0)
-        return g, CondensedHessian(S, L, W, self._assembly_plan[1])
+        return g, CondensedHessian(S, L, W, self._assembly_plan[1], self.parent_dofs)
 
     def grad_hess(self, z, t):
         """(gradient, CondensedHessian) over free dofs at a feasible z."""

@@ -28,6 +28,7 @@ class SimplicialMesh:
     # (edges, elem_edges) as edge_index returns them, set by refine_uniform;
     # p2_nodes calls edge_index when it is None
     edge_table: tuple | None = None
+    refined: bool = False  # set by refine_uniform: the element order holds the hierarchy
     A: np.ndarray = field(init=False)      # (ne, d, d)
     b: np.ndarray = field(init=False)      # (ne, d)
     detA: np.ndarray = field(init=False)   # (ne,)
@@ -241,7 +242,8 @@ def refine_uniform(mesh):
     d = mesh.d
     new_verts, nodes, bdry = mesh.p2
     elems = nodes[:, np.array(CHILDREN[d])].reshape(-1, d + 1)
-    return SimplicialMesh(d, new_verts, elems, bdry, edge_table=refined_edge_index(mesh))
+    return SimplicialMesh(d, new_verts, elems, bdry, edge_table=refined_edge_index(mesh),
+                          refined=True)
 
 
 def quasi_uniformity(mesh):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from mgbarrier.assembly import LevelObjective, Objective, condense, substitute
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
-from mgbarrier.mesh import build_rect_mesh
+from mgbarrier.mesh import CHILDREN, build_rect_mesh
 from mgbarrier.newton import DirectSolver
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
@@ -391,3 +391,48 @@ def test_rank_one_slack_block_is_marked_and_named(small_problem):
         solver = DirectSolver()
         assert solver.decrement(g, H) == (None, None)
     assert solver.failure == "slack block not SPD, element 4"
+
+
+@pytest.mark.parametrize("domain, alpha, n_inside", [
+    (UNIT_SQUARE, 2, 3), (UNIT_SQUARE, 1, 0), (UNIT_INTERVAL, 2, 3), (UNIT_INTERVAL, 1, 1)],
+    ids=["2d-a2", "2d-a1", "1d-a2", "1d-a1"])
+def test_parent_dofs_lie_inside_one_parent(domain, alpha, n_inside):
+    # The u dofs that the solver eliminates parent by parent: on every
+    # refined level, n_inside per parent, each with all its elements among
+    # one parent's children and none shared; the other free u dofs of the
+    # children are the parent's boundary. S's block on them is
+    # block-diagonal by parent. The coarsest level has no parents, and 2-D
+    # alpha = 1 no dof inside one. A level's Galerkin system carries the
+    # level's own dofs.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=3, cells0=2, domain=domain))
+    assert pr.objectives[0].parent_dofs is None
+    points = [pr.z0]
+    for lvl in range(pr.L - 1):
+        points.append(pr.refine_iterate(points[-1], lvl))
+    blocks = pr.fine_objective.element_blocks(points[-1])
+    for obj, gal, z in zip(pr.objectives[1:], pr.galerkin[1:], points[1:]):
+        H = obj.grad_hess(z, 1.0)[1]
+        assert H.parents is obj.parent_dofs
+        if gal is not None:
+            assert gal.restrict(*blocks, 1.0)[1].parents is obj.parent_dofs
+        if n_inside == 0:
+            assert obj.parent_dofs is None
+            continue
+        inside, boundary = obj.parent_dofs
+        m, nu = len(CHILDREN[obj.fesys.d]), H.S.shape[0]
+        n_p = obj.fesys.mesh.num_elements // m
+        assert inside.shape == (n_inside, n_p) and boundary.shape[1] == n_p
+        assert np.unique(inside).size == inside.size and inside.max() < nu
+        uslot = obj._assembly_plan[1]  # (n_lu, ne), nu where fixed
+        parent = np.broadcast_to(np.arange(uslot.shape[1]) // m, uslot.shape)
+        for c in range(n_p):
+            assert set(inside[:, c]).isdisjoint(boundary[:, c])
+            children = uslot[:, c * m:(c + 1) * m].ravel()
+            assert set(inside[:, c]) | set(boundary[:, c]) == set(children)
+            for dof in inside[:, c]:
+                assert set(parent[uslot == dof]) == {c}
+        owner = np.full(nu, -1)
+        owner[inside] = np.arange(n_p)
+        ids = inside.ravel()
+        block = H.S[ids][:, ids].tocoo()
+        assert block.nnz > 0 and np.array_equal(owner[ids[block.row]], owner[ids[block.col]])

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton, pathfollow
-from mgbarrier.assembly import LevelObjective
+from mgbarrier.assembly import CondensedHessian, LevelObjective
 from mgbarrier.femspace import sym_entries
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
                               SOLVER_FAILURE, DirectSolver, Ordering, center,
@@ -241,6 +241,71 @@ def test_condensed_solves_match_the_full_hessian(domain, alpha):
         _assert_solves(R, -c, solver.solve(-c))
 
 
+@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_two_stage_steps_solve_the_regularized_hessian(domain, alpha, monkeypatch):
+    # On a refined level every parent's interior u dofs are eliminated
+    # before SuperLU runs, and it factors only R, the Schur complement on
+    # the other u dofs (all of S where no dof lies inside a parent: 2-D,
+    # alpha = 1). Step, decrement and tangent still solve the full system
+    # shifted as S is, at the point an h-refinement produces and at a late
+    # center.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain))
+    _, (obj, z_refined) = _centered_and_refined(pr)
+    tr = run_mgb(pr, PathConfig(t_cap=1e6, c_stp=1e9))
+    assert tr.status == "converged" and tr.t_final == 1e6
+    # 2 parents in 1-D, 8 in 2-D, with 3 / 1 / 3 / 0 interior dofs each
+    n_in = {(1, 1): 2, (1, 2): 6, (2, 1): 0, (2, 2): 24}[len(domain), alpha]
+    factored, splu = [], spla.splu
+
+    def logged(A, **kwargs):
+        factored.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", logged)
+    c = obj.cost_vector[obj.free_idx()]
+    for z, t in ((z_refined, 1.0), (tr.z_final, 1e6)):
+        g, H = obj.grad_hess(z, t)
+        assert (0 if H.parents is None else H.parents[0].size) == n_in
+        solver = DirectSolver()
+        lam, step = solver.decrement(g, H)
+        assert factored[-1] == (H.S.shape[0] - n_in,) * 2
+        _assert_solves_regularized(g, H, lam, step)
+        _assert_solves(_shifted(H), -c, solver.solve(-c))
+
+
+def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
+    # At an L=4 iterate SuperLU factors only the Schur complement R on the
+    # 2,433 u dofs on parent edges, not S on all 3,969 free u dofs, and
+    # fills less than S does (170 k against 214 k entries), and less than R
+    # with SuperLU's default supernode relaxation (193 k); lambda and the
+    # step match those of factoring S whole to roundoff.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4))
+    z = pr.z0
+    for lvl in range(pr.L - 1):
+        z = pr.refine_iterate(z, lvl)
+    g, H = pr.fine_objective.grad_hess(z, 1.0)
+    R = regularize(H.S, Ordering.of(H.S, parents=H.parents))
+    default = spla.splu(R, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+    factored, splu = [], spla.splu
+
+    def logged(A, **kwargs):
+        lu = splu(A, **kwargs)
+        factored.append((A.shape[0], lu.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", logged)
+    lam, step = DirectSolver().decrement(g, H)
+    whole = CondensedHessian(H.S, H.L, H.W, H.uslot)  # no parents: one stage
+    lam1, step1 = DirectSolver().decrement(g, whole)
+    (n_two, fill_two), (n_one, fill_one) = factored
+    assert (n_two, n_one) == (2433, 3969)
+    assert fill_two < min(fill_one, default.nnz)
+    assert lam == pytest.approx(lam1, rel=1e-12)
+    assert np.linalg.norm(step - step1) <= 1e-12 * np.linalg.norm(step1)
+
+
 @pytest.fixture
 def orderings_used(monkeypatch):
     """The permc_spec of every splu call, in order."""
@@ -455,6 +520,27 @@ def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_
         assert res.status == SOLVER_FAILURE
         assert res.iterations == 0
     assert not obj.assemble(*bad_slack, np.zeros(nf))[1].slack_spd()
+    assert orderings_used == []
+
+
+def test_non_spd_interior_block_is_a_named_failure(small_problem, orderings_used):
+    # An interior block of S that is not positive definite, with a positive
+    # diagonal: condense's NaN marks it, and the decrement names its parent
+    # before any splu, without a clamp, an exception or a floating-point
+    # warning.
+    _, (obj, z) = _centered_and_refined(small_problem)
+    orderings_used.clear()
+    g, H = obj.grad_hess(z, 1.0)
+    inside = H.parents[0]
+    a, b = inside[0, 5], inside[1, 5]
+    S = H.S.copy()
+    x = 10.0 * np.sqrt(S[a, a] * S[b, b])
+    for i, j in ((a, b), (b, a)):
+        S.data[S.indptr[i] + np.flatnonzero(S.indices[S.indptr[i]:S.indptr[i + 1]] == j)] = x
+    bad = CondensedHessian(S, H.L, H.W, H.uslot, H.parents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _named_failure(bad, g) == ("interior block not SPD, parent 5",) * 2
     assert orderings_used == []
 
 
