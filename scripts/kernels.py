@@ -35,9 +35,13 @@ repeat-median milliseconds of:
   slack condensed out of the right-hand side, then the parents' interiors,
   the solve with R, and both back-substituted (CondensedHessian.solve,
   twice);
-- ordering: Ordering.of on the fine S with the recorded permutation: the
-  interior stage's tables and the permuted CSC pattern of R that every
-  later S on that pattern is gathered into;
+- plan: Ordering.plan on the fine S, the part of its Ordering that no
+  order changes: the skeleton, R's pattern (the union of the parents'
+  boundary cliques) and the interior stage's tables, built once per
+  pattern and run;
+- reorder: an Ordering from that plan with the recorded permutation, the
+  permuted CSC pattern of R that every later S on that pattern is
+  gathered into;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -156,6 +160,7 @@ def main():
     finally:
         spla.splu = splu
     order = solver.orderings[(H.S.shape, H.S.nnz)]
+    plan = newton.Ordering.plan(H.S, H.parents)
     R = newton.regularize(H.S, order)
     entries = np.append(H.S.data, 0.0)  # S's entries and the 0 that R's fill reads
 
@@ -180,8 +185,9 @@ def main():
         "interior_ms": median_ms(lambda: newton.eliminate_interior(entries, order),
                                  args.repeats),
         "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
-        "ordering_ms": median_ms(lambda: newton.Ordering.of(H.S, order.perm, H.parents),
-                                 args.repeats),
+        "plan_ms": median_ms(lambda: newton.Ordering.plan(H.S, H.parents), args.repeats),
+        "reorder_ms": median_ms(lambda: newton.Ordering(H.S, H.parents, plan, order.perm),
+                                args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),

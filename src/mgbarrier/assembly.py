@@ -69,6 +69,26 @@ def condense(uu, su, ss, n_ls):
     return S, L, W
 
 
+def clique_pattern(slot, n):
+    """The union of the cliques of slot (local dofs, cliques), whose entries
+    number dofs among n, n where dropped: (pslot, rows, cols, entry). pslot,
+    laid out (sym_entries(local dofs) order, cliques), is the distinct entry
+    (r, c), r <= c, of the union that each distinct local pair adds to, and
+    the number of distinct entries where it meets a dropped dof. The union
+    stores entry (rows[k], cols[k]), the distinct entry entry[k]; the
+    distinct entries come first, in increasing (r, c)."""
+    i, j, _ = sym_entries(len(slot))
+    lo, hi = np.minimum(slot[i], slot[j]), np.maximum(slot[i], slot[j])
+    keep = hi < n
+    keys, inv = np.unique(lo[keep] * n + hi[keep], return_inverse=True)
+    pslot = np.full(lo.shape, keys.size)
+    pslot[keep] = inv
+    # every distinct entry (r, c), r <= c, is stored at (r, c) and (c, r)
+    r, c = np.divmod(keys, n)
+    off = np.flatnonzero(r != c)
+    return pslot, np.r_[r, c[off]], np.r_[c, r[off]], np.r_[np.arange(keys.size), off]
+
+
 @dataclass
 class CondensedHessian:
     """The free-dof Hessian [[H_uu, H_us], [H_su, H_ss]], free dofs ordered
@@ -191,20 +211,11 @@ class Objective:
         pos[self._free] = np.arange(nf)
         gslot = pos[self.fesys.elem_dofs().T]
         uslot = np.minimum(gslot[:n_lu], nu)
-        i, j, _ = sym_entries(n_lu)
-        lo, hi = np.minimum(uslot[i], uslot[j]), np.maximum(uslot[i], uslot[j])
-        keep = hi < nu
-        keys, inv = np.unique(lo[keep] * nu + hi[keep], return_inverse=True)
-        sslot = np.full(lo.shape, keys.size)
-        sslot[keep] = inv
-        # every distinct entry (r, c), r <= c, is stored at (r, c) and (c, r)
-        r, c = np.divmod(keys, nu)
-        off = np.flatnonzero(r != c)
-        rows, cols = np.r_[r, c[off]], np.r_[c, r[off]]
+        sslot, rows, cols, src = clique_pattern(uslot, nu)
         order = np.argsort(rows * nu + cols)
         indptr = np.zeros(nu + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=nu), out=indptr[1:])
-        return (gslot.ravel(), uslot, sslot.ravel(), np.r_[np.arange(keys.size), off][order],
+        return (gslot.ravel(), uslot, sslot.ravel(), src[order],
                 cols[order].astype(np.int32), indptr)
 
     @functools.cached_property

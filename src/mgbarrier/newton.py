@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import CondensedHessian, condense
+from .assembly import CondensedHessian, clique_pattern, condense
 from .femspace import sym_entries
 
 CONVERGED = "converged"
@@ -60,21 +60,18 @@ class Ordering:
     perm_c convention).
     """
 
-    def __init__(self, S, perm, slots, indices, indptr, hdiag, parents, gather, interior):
+    def __init__(self, S, parents, plan, perm=None):
+        """The Ordering of S's pattern from its plan (Ordering.plan with
+        parents), R's skeleton ordered by perm (the identity if None)."""
+        self.hdiag, skeleton, (r, c, slots), interior = plan
         self.pattern = (S.indptr, S.indices)  # S's own arrays, not copies
-        self.perm = perm
-        # int32, as every position table here: R's permuted data =
-        # entries[slots], which np.take gathers without the intp copy that
-        # indexing makes. Without parents the entries are S.data, shifted;
-        # with them, R's distinct entries (interior)
-        self.slots = slots
-        self.indices = indices  # row indices of the permuted CSC pattern
-        self.indptr = indptr
-        self.hdiag = hdiag      # positions of the diagonal in S.data, in S's row order
         self.parents = parents
+        nr = skeleton.size
+        self.perm = perm = np.arange(nr) if perm is None else perm
         # the free u dofs in the order of the stage solve: R's rows, then
         # every parent's interior, parent by parent
-        self.gather = gather
+        self.gather = np.empty(S.shape[0], dtype=np.intp)
+        self.gather[perm] = skeleton
         # None without parents, else (ii, ib, uslot, wslot, src): the
         # positions in S.data of every parent's interior block (distinct
         # entries) and interior-boundary block, laid out as condense takes
@@ -84,35 +81,44 @@ class Ordering:
         # that each distinct entry of R starts from. Position S.nnz stands
         # for a 0: an entry that S lacks or that meets a fixed dof.
         self.interior = interior
+        if interior is not None:
+            self.gather[nr:] = parents[0].T.ravel()
+            ii, ib, bnum, wslot, src = interior
+            self.interior = (ii, ib, np.append(perm, nr)[bnum], wslot, src)
+        # R's entries numbered from 1, so that none is an explicit zero, at
+        # (perm[i], perm[j]); scipy sorts and compresses them by column
+        P = sp.csc_matrix((np.arange(1, r.size + 1, dtype=np.int32), (perm[r], perm[c])),
+                          shape=(nr, nr))
+        # int32, as every position table here: R's permuted data =
+        # entries[slots], which np.take gathers without the intp copy that
+        # indexing makes. Without parents the entries are S.data, shifted;
+        # with them, R's distinct entries (interior)
+        self.slots = slots[P.data - 1].astype(np.int32)
+        self.indices = P.indices  # row indices of the permuted CSC pattern
+        self.indptr = P.indptr
 
-    @classmethod
-    def of(cls, S, perm=None, parents=None):
-        """The Ordering of S's pattern with parents' interiors eliminated,
-        R's skeleton ordered by perm (the identity if None), or None if S
-        lacks a diagonal entry (the shifted diagonal would have no slot)."""
+    @staticmethod
+    def plan(S, parents=None):
+        """What no order changes in the Ordering of S's pattern with
+        parents' interiors eliminated: (hdiag, the positions of the diagonal
+        in S.data, in S's row order; skeleton; R's entries (r, c, entry) in
+        skeleton numbering; Ordering.interior with the boundary dofs'
+        skeleton numbers for its uslot), or None if S lacks a diagonal entry
+        (the shifted diagonal would have no slot)."""
         nu = S.shape[0]
         rows = np.repeat(np.arange(nu), np.diff(S.indptr))
         hdiag = np.flatnonzero(rows == S.indices)
         if hdiag.size != nu:
             return None
         if parents is None:
-            skeleton, r, c, slots, interior = np.arange(nu), rows, S.indices, np.arange(S.nnz), None
-        else:
-            skeleton, (r, c, slots), interior = _interior_plan(S, rows, parents)
-        nr = skeleton.size
-        perm = np.arange(nr) if perm is None else perm
-        gather = np.empty(nu, dtype=np.intp)
-        gather[perm] = skeleton
-        if interior is not None:
-            gather[nr:] = parents[0].T.ravel()
-            ii, ib, bnum, wslot, src = interior
-            interior = (ii, ib, np.append(perm, nr)[bnum], wslot, src)
-        # R's entries numbered from 1, so that none is an explicit zero, at
-        # (perm[i], perm[j]); scipy sorts and compresses them by column
-        P = sp.csc_matrix((np.arange(1, r.size + 1, dtype=np.int32), (perm[r], perm[c])),
-                          shape=(nr, nr))
-        return cls(S, perm, slots[P.data - 1].astype(np.int32), P.indices, P.indptr, hdiag,
-                   parents, gather, interior)
+            return hdiag, np.arange(nu), (rows, S.indices, np.arange(S.nnz)), None
+        return hdiag, *_interior_plan(S, rows, parents)
+
+    @classmethod
+    def of(cls, S, perm=None, parents=None):
+        """Ordering(S, parents, its plan, perm), or None if S lacks a diagonal entry."""
+        plan = cls.plan(S, parents)
+        return None if plan is None else cls(S, parents, plan, perm)
 
     def matches(self, S, parents):
         indptr, indices = self.pattern
@@ -121,56 +127,36 @@ class Ordering:
 
 
 def _interior_plan(S, rows, parents):
-    """The skeleton of S's pattern under parents = (interior, boundary)
-    (Objective.parent_dofs), R's entries (r, c, distinct entry) in skeleton
-    numbering, and Ordering.interior with the boundary dofs' skeleton
-    numbers for its uslot.
+    """Ordering.plan's skeleton, R's entries and interior stage under
+    parents = (interior, boundary) (Objective.parent_dofs).
 
     S is symmetric with its column indices sorted within rows, as
-    Objective.scatter builds it, so each distinct entry of R starts from
-    S's entry (r, c), r <= c.
+    Objective.scatter builds it, so one search of its (row, column) keys
+    finds the position of any entry.
     """
     inner, boundary = parents
-    (n_in, n_p), n_bd = inner.shape, len(boundary)
     nu, nnz = S.shape[0], S.nnz
-    owner = np.full(nu, -1)
-    owner[inner] = np.arange(n_p)
-    skeleton = np.flatnonzero(owner < 0)
-    nr = skeleton.size
-    num = np.full(nu + 1, nr)
-    num[skeleton] = np.arange(nr)
-    bnum = num[boundary]
-    # every parent's boundary clique as distinct entries (r <= c) of R,
-    # each stored at (r, c) and (c, r)
-    i, j, _ = sym_entries(n_bd)
-    lo, hi = np.minimum(bnum[i], bnum[j]), np.maximum(bnum[i], bnum[j])
-    keep = hi < nr
-    keys, inv = np.unique(lo[keep] * nr + hi[keep], return_inverse=True)
-    wslot = np.full(lo.shape, keys.size, dtype=np.int32)
-    wslot[keep] = inv
-    r, c = np.divmod(keys, nr)
-    off = np.flatnonzero(r != c)
-    # the S entries of R, in increasing (r, c), as keys are
-    cols = S.indices
-    upper = np.flatnonzero((rows <= cols) & (owner[rows] < 0) & (owner[cols] < 0))
-    src = np.full(keys.size + 1, nnz, dtype=np.int32)
-    src[np.searchsorted(keys, num[rows[upper]] * nr + num[cols[upper]])] = upper
-    # the S entries in interior rows, placed by the row's rank j among its
-    # parent's interior dofs and the column's position k among the parent's
-    # dofs, interior first
-    e = np.flatnonzero(owner[rows] >= 0)
-    par = owner[rows[e]]
-    rank = np.empty(nu, dtype=np.intp)
-    rank[inner] = np.arange(n_in)[:, None]
-    j = rank[rows[e]]
-    k = (np.concatenate([inner, boundary])[:, par] == cols[e]).argmax(axis=0)
-    ii = np.full((n_in * (n_in + 1) // 2, n_p), nnz, dtype=np.int32)
-    ib = np.full((n_in * n_bd, n_p), nnz, dtype=np.int32)
-    at, in_in = sym_entries(n_in)[2], k < n_in
-    ii[at[j[in_in], k[in_in]], par[in_in]] = e[in_in]
-    ib[j[~in_in] * n_bd + k[~in_in] - n_in, par[~in_in]] = e[~in_in]
-    return (skeleton, (np.r_[r, c[off]], np.r_[c, r[off]], np.r_[np.arange(keys.size), off]),
-            (ii, ib, bnum, wslot.ravel(), src))
+    keys = np.append(rows * (nu + 1) + S.indices, (nu + 1) ** 2)
+
+    def at(r, c):
+        """The position in S.data of every entry (r, c), nnz where S lacks it."""
+        q = r * (nu + 1) + c
+        k = np.searchsorted(keys, q)
+        return np.where(keys[k] == q, k, nnz).astype(np.int32)
+
+    # the skeleton, and the boundary dofs' skeleton numbers, R's size at the fixed slot nu
+    outside = np.bincount(inner.ravel(), minlength=nu + 1) == 0
+    skeleton = np.flatnonzero(outside[:nu])
+    bnum = (np.cumsum(outside) - 1)[boundary]
+    # every parent's boundary clique, as distinct entries of R
+    wslot, r, c, entry = clique_pattern(bnum, skeleton.size)
+    src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), nnz)
+    # every parent's interior block, and its interior-boundary block with
+    # rows (interior dof, boundary dof), searched parent by parent, whose keys lie together
+    i, j, _ = sym_entries(len(inner))
+    ii = at(inner[i], inner[j])
+    ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
+    return skeleton, (r, c, entry), (ii, ib, bnum, wslot.ravel().astype(np.int32), src)
 
 
 class Skeleton(sp.csc_matrix):
@@ -272,8 +258,9 @@ class DirectSolver:
         so it is factored with diagonal pivots. A new sparsity pattern is
         gathered in its own order and factored with minimum degree on
         A + A^T, at a quarter of the fill of column ordering with partial
-        pivoting; the order that chose is recorded, and every later S on
-        that pattern is gathered into it and factored in natural order.
+        pivoting; the order that chose re-permutes the pattern's plan
+        (Ordering.plan, built once), and every later S on that pattern is
+        gathered into it and factored in natural order.
         Returns (None, None) and keeps no factor if a slack block or an
         interior block is not positive definite or a diagonal entry of S is
         not positive (before any factorization), if the factorization
@@ -289,9 +276,10 @@ class DirectSolver:
         order = self.orderings.get(key)
         new = order is None or not order.matches(S, H.parents)
         if new:
-            order = Ordering.of(S, parents=H.parents)
-            if order is None:
+            plan = Ordering.plan(S, H.parents)
+            if plan is None:
                 return self._fail("S lacks a diagonal entry")
+            order = Ordering(S, H.parents, plan)
         R = regularize(S, order)
         if R is None:
             d = S.data[order.hdiag]
@@ -309,7 +297,7 @@ class DirectSolver:
             return self._fail(f"splu failed: {exc}")
         if new:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            self.orderings[key] = Ordering.of(S, self._lu.perm_c.copy(), H.parents)
+            self.orderings[key] = Ordering(S, H.parents, plan, self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):

@@ -214,15 +214,23 @@ def _assert_solves_regularized(g, H, lam, step):
     assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
 
 
-@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+# 1-D also with a forcing: with the default data (g = x, f = 0) the u part
+# of the 1-D gradient and Newton step is 0, which no u-u solve can get wrong
+DOMAINS = pytest.mark.parametrize(
+    "domain, forcing", [(UNIT_INTERVAL, None), (UNIT_SQUARE, None), (UNIT_INTERVAL, lambda x: 1.0)],
+    ids=["1d", "2d", "1d-forced"])
+
+
+@DOMAINS
 @pytest.mark.parametrize("alpha", [1, 2])
-def test_condensed_solves_match_the_full_hessian(domain, alpha):
+def test_condensed_solves_match_the_full_hessian(domain, forcing, alpha):
     # The Newton step and the tangent dz/dt = H^-1 (-c) are solved with S and
     # the slack back-substituted per element. Both must solve the full
     # free-dof system, assembled without condensation and shifted as the
     # solver shifts S, to roundoff: at the point an h-refinement produces
     # and at a late center, where the gap is ~1/t.
-    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain))
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain,
+                                   forcing=forcing))
     _, (obj, z_refined) = _centered_and_refined(pr)
     tr = run_mgb(pr, PathConfig(t_cap=1e6, c_stp=1e9))
     assert tr.status == "converged" and tr.t_final == 1e6
@@ -241,16 +249,17 @@ def test_condensed_solves_match_the_full_hessian(domain, alpha):
         _assert_solves(R, -c, solver.solve(-c))
 
 
-@pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+@DOMAINS
 @pytest.mark.parametrize("alpha", [1, 2])
-def test_two_stage_steps_solve_the_regularized_hessian(domain, alpha, monkeypatch):
+def test_two_stage_steps_solve_the_regularized_hessian(domain, forcing, alpha, monkeypatch):
     # On a refined level every parent's interior u dofs are eliminated
     # before SuperLU runs, and it factors only R, the Schur complement on
     # the other u dofs (all of S where no dof lies inside a parent: 2-D,
     # alpha = 1). Step, decrement and tangent still solve the full system
     # shifted as S is, at the point an h-refinement produces and at a late
     # center.
-    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain))
+    pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=2, cells0=2, domain=domain,
+                                   forcing=forcing))
     _, (obj, z_refined) = _centered_and_refined(pr)
     tr = run_mgb(pr, PathConfig(t_cap=1e6, c_stp=1e9))
     assert tr.status == "converged" and tr.t_final == 1e6
@@ -440,6 +449,22 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
     assert specs.count("MMD_AT_PLUS_A") == small_problem.L
     assert len(solvers) == 1
     assert len(solvers[0].orderings) == small_problem.L
+
+
+def test_interior_plan_is_built_once_per_refined_level(small_problem, monkeypatch):
+    # The order SuperLU records for a new pattern re-permutes the plan that
+    # the pattern's first, identity-ordered Ordering was built from: one
+    # interior plan per refined level's pattern in a run, not one per order.
+    plans, plan = [], newton._interior_plan
+
+    def logged_plan(S, rows, parents):
+        plans.append(S.shape)
+        return plan(S, rows, parents)
+
+    monkeypatch.setattr(newton, "_interior_plan", logged_plan)
+    tr = run_mgb(small_problem, PathConfig())
+    assert tr.status == "converged"
+    assert len(plans) == small_problem.L - 1
 
 
 def test_empty_schur_complement_converges():
