@@ -28,20 +28,19 @@ repeat-median milliseconds of:
   in that order, solve);
 - regularize: that shift, elimination and gather alone, on the recorded
   ordering;
-- interior: the interior elimination alone (eliminate_interior: condense
-  on every parent's interior block, its Schur complement added to R's
-  entries);
+- interior: condense on every parent's interior block alone, the core of
+  that elimination (null on a fine level without parents);
 - solve: one DirectSolver.solve with the repeated-pattern factor, i.e. the
   slack condensed out of the right-hand side, then the parents' interiors,
   the solve with R, and both back-substituted (CondensedHessian.solve,
   twice);
-- plan: Ordering.plan on the fine S, the part of its Ordering that no
-  order changes: the skeleton, R's pattern (the union of the parents'
-  boundary cliques) and the interior stage's tables, built once per
-  pattern and run;
-- reorder: an Ordering from that plan with the recorded permutation, the
-  permuted CSC pattern of R that every later S on that pattern is
-  gathered into;
+- plan: building the fine level's TwoStagePlan, what no order changes:
+  the skeleton, R's pattern (the union of the parents' boundary cliques)
+  and the interior stage's tables, built once per level on its first
+  Hessian and shared by every later run;
+- reorder: an Ordering of that plan with the recorded permutation, the
+  permuted CSC pattern of R that every later S of the plan is gathered
+  into in a run;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -81,7 +80,7 @@ import scipy
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton
-from mgbarrier.assembly import condense
+from mgbarrier.assembly import TwoStagePlan, condense
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.pathfollow import PathConfig
 from mgbarrier.problems import (ProblemSpec, build_meshes, build_objectives,
@@ -159,10 +158,14 @@ def main():
         repeated_ms = median_ms(repeated_pattern, args.repeats)
     finally:
         spla.splu = splu
-    order = solver.orderings[(H.S.shape, H.S.nnz)]
-    plan = newton.Ordering.plan(H.S, H.parents)
-    R = newton.regularize(H.S, order)
-    entries = np.append(H.S.data, 0.0)  # S's entries and the 0 that R's fill reads
+    order = solver.orderings[H.plan]
+    R = newton.regularize(H.S, order).S
+    interior_ms = None
+    if H.plan.interior is not None:
+        n_int, ii, ib, _, _ = H.plan.interior
+        entries = np.append(H.S.data, 0.0)  # S's entries and the 0 that R's fill reads
+        su, ss = np.take(entries, ib), np.take(entries, ii)
+        interior_ms = median_ms(lambda: condense(0.0, su, ss, n_int), args.repeats)
 
     print(json.dumps({
         "levels": args.levels,
@@ -182,12 +185,11 @@ def main():
         "decrement_new_pattern_ms": new_ms,
         "decrement_repeated_pattern_ms": repeated_ms,
         "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
-        "interior_ms": median_ms(lambda: newton.eliminate_interior(entries, order),
-                                 args.repeats),
+        "interior_ms": interior_ms,
         "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
-        "plan_ms": median_ms(lambda: newton.Ordering.plan(H.S, H.parents), args.repeats),
-        "reorder_ms": median_ms(lambda: newton.Ordering(H.S, H.parents, plan, order.perm),
-                                args.repeats),
+        "plan_ms": median_ms(lambda: TwoStagePlan(H.S.indptr, H.S.indices, obj.parent_dofs),
+                             args.repeats),
+        "reorder_ms": median_ms(lambda: newton.Ordering(H.plan, order.perm), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),

@@ -89,6 +89,79 @@ def clique_pattern(slot, n):
     return pslot, np.r_[r, c[off]], np.r_[c, r[off]], np.r_[np.arange(keys.size), off]
 
 
+class TwoStagePlan:
+    """What no order changes in the two-stage factorization of the shifted
+    S on one CSR sparsity pattern (indptr, indices) of S, symmetric with its
+    column indices sorted within rows, as Objective.scatter builds it.
+
+    The first stage eliminates every parent's interior u dofs, parents =
+    (interior, boundary) (Objective.parent_dofs), with condense; the second
+    factors R, the Schur complement on the skeleton, the free u dofs outside
+    every interior. Without parents the skeleton is every dof, and R is the
+    shifted S itself. Eliminating parent c's interior couples all of its
+    boundary dofs, so R's pattern is the union of those cliques, which holds
+    S's skeleton entries.
+
+    - hdiag: the positions of the diagonal in S.data, in S's row order;
+      fewer than S's rows if S lacks a diagonal entry.
+    - gather: the free u dofs in the order of the stage solve: the skeleton,
+      then every parent's interior, parent by parent.
+    - (indptr, indices, slots): R's pattern in skeleton order, as int32 CSC;
+      its data is entries[slots], the entries being the shifted S.data
+      without parents, else R's distinct entries (interior).
+    - uslot: the boundary dofs' rows of R (n_bnd, P), R's size where fixed.
+    - interior: None without parents, else (n_int, ii, ib, wslot, src): the
+      positions in S.data of every parent's interior block (distinct
+      entries) and interior-boundary block, laid out as condense takes H_ss
+      and H_su; the distinct entry of R that each distinct boundary entry of
+      condense's Schur complement adds to; and the S.data position that each
+      distinct entry of R starts from. Position S.nnz stands for a 0: an
+      entry that S lacks or that meets a fixed dof.
+    """
+
+    def __init__(self, indptr, indices, parents=None):
+        nu, nnz = len(indptr) - 1, len(indices)
+        rows = np.repeat(np.arange(nu), np.diff(indptr))
+        self.hdiag = np.flatnonzero(rows == indices)
+        if parents is None:
+            self.gather = skeleton = np.arange(nu)
+            self.uslot, self.interior = np.zeros((0, 0), dtype=np.intp), None
+            r, c, entry = rows, indices, np.arange(nnz)
+        else:
+            inner, boundary = parents
+            # one search of S's (row, column) keys finds any entry's position
+            keys = np.append(rows * (nu + 1) + indices, (nu + 1) ** 2)
+
+            def at(r, c):
+                """The position in S.data of every entry (r, c), nnz where S lacks it."""
+                q = r * (nu + 1) + c
+                k = np.searchsorted(keys, q)
+                return np.where(keys[k] == q, k, nnz).astype(np.int32)
+
+            # the skeleton, and the boundary dofs' skeleton numbers, R's size at the fixed slot nu
+            outside = np.bincount(inner.ravel(), minlength=nu + 1) == 0
+            skeleton = np.flatnonzero(outside[:nu])
+            self.uslot = (np.cumsum(outside) - 1)[boundary]
+            self.gather = np.r_[skeleton, inner.T.ravel()]
+            # every parent's boundary clique, as distinct entries of R
+            wslot, r, c, entry = clique_pattern(self.uslot, skeleton.size)
+            src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), np.int32(nnz))
+            # every parent's interior block, and its interior-boundary block with
+            # rows (interior dof, boundary dof), searched parent by parent, whose keys lie together
+            i, j, _ = sym_entries(len(inner))
+            ii = at(inner[i], inner[j])
+            ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
+            self.interior = (len(inner), ii, ib, wslot.ravel().astype(np.int32), src)
+        # R's entries numbered from 1, so that none is an explicit zero; scipy
+        # sorts and compresses them by column. The tables that np.take reads
+        # are int32, half the memory at the same speed; hdiag, gather and
+        # uslot stay intp, since indexing copies an int32 index to intp first
+        nr = skeleton.size
+        P = sp.csc_matrix((np.arange(1, r.size + 1, dtype=np.int32), (r, c)), shape=(nr, nr))
+        self.slots = entry[P.data - 1].astype(np.int32)
+        self.indices, self.indptr = P.indices, P.indptr
+
+
 @dataclass
 class CondensedHessian:
     """The free-dof Hessian [[H_uu, H_us], [H_su, H_ss]], free dofs ordered
@@ -98,14 +171,14 @@ class CondensedHessian:
     element arrays are laid out (entries, elements), as condense returns them.
     """
 
-    S: sp.csr_matrix   # (nu, nu)
+    S: sp.spmatrix     # (nu, nu) CSR; CSC on the stage that newton.regularize returns
     L: np.ndarray      # (n_ls(n_ls+1)/2, ne) L_K's entries, as condense lays them
                        # out; NaN if H_ss,K is not SPD
     W: np.ndarray      # (n_ls, n_lu, ne)
     uslot: np.ndarray  # (n_lu, ne) position of each local u dof among the free u; nu if fixed
-    # Objective.parent_dofs of the level: (interior, boundary) u dofs of every
-    # parent element, which the solver eliminates from S in a second stage
-    parents: tuple | None = None
+    # the TwoStagePlan of S's pattern, by which the solver factors S; a
+    # level's own (Objective.factor_plan), None on the stage that factors it
+    plan: TwoStagePlan | None = None
 
     @property
     def nnz(self):
@@ -254,6 +327,14 @@ class Objective:
         return (np.ascontiguousarray(pos[local[:, inside]].T),
                 np.ascontiguousarray(pos[local[:, ~inside]].T))
 
+    @functools.cached_property
+    def factor_plan(self):
+        """The TwoStagePlan of S's pattern with the interiors of parent_dofs
+        eliminated, built on first use; it depends on the pattern alone, so
+        every run on this level shares it."""
+        *_, indices, indptr = self._assembly_plan
+        return TwoStagePlan(indptr, indices, self.parent_dofs)
+
     def element_blocks(self, z):
         """Gradient and Hessian of the barrier integral on every element at a
         feasible z, over the element's local dofs fesys.elem_dofs(), laid out
@@ -298,9 +379,12 @@ class Objective:
         """g0 plus the free gradient, and the CondensedHessian of element
         blocks laid out as element_blocks returns them: each element's slack
         is eliminated before the scatter."""
+        # the plan first: its first build then meets no array of condense,
+        # which at L=4 would raise the run's peak memory by ~1 MB
+        plan = self.factor_plan
         S, L, W = condense(uu, su, ss, self.fesys.n_ls)
         g, S = self.scatter(gloc, S, g0)
-        return g, CondensedHessian(S, L, W, self._assembly_plan[1], self.parent_dofs)
+        return g, CondensedHessian(S, L, W, self._assembly_plan[1], plan)
 
     def grad_hess(self, z, t):
         """(gradient, CondensedHessian) over free dofs at a feasible z."""

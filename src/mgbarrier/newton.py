@@ -15,8 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import CondensedHessian, clique_pattern, condense
-from .femspace import sym_entries
+from .assembly import CondensedHessian, condense
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -33,7 +32,7 @@ QUAD_PHASE = 0.25
 # system was indefinite or badly solved
 NEG_LAM2_TOL = 1e-8
 # SuperLU supernode relaxation. Larger values pad the factor of R (see
-# Ordering) with explicit zeros: at L=4 the fill is 193 k entries with the
+# TwoStagePlan) with explicit zeros: at L=4 the fill is 193 k entries with the
 # default (10), 171 k with 4 and 170 k with 2 or 1; at L=5 1.40 M, 1.17 M and
 # 0.98 M. relax=1 and 2 fill alike and factor fastest at L=4 and L=5.
 RELAX = 1
@@ -47,129 +46,29 @@ _solver = contextvars.ContextVar("solver", default=None)
 
 
 class Ordering:
-    """A fill-reducing order of the matrix R that is factored for one CSR
-    sparsity pattern of S, as a permuted CSC pattern that R's entries are
-    gathered into, and the tables that form those entries from S.
+    """A fill-reducing order of the matrix R that a TwoStagePlan factors:
+    R's pattern and the plan's order-dependent tables under perm, R's
+    skeleton entry (i, j) moved to (perm[i], perm[j]) (SuperLU's perm_c
+    convention). With perm None it is the plan's own skeleton order, and
+    shares the plan's arrays."""
 
-    R is the Schur complement of the shifted S on its skeleton, the free u
-    dofs outside every parent's interior (Objective.parent_dofs); without
-    parents the skeleton is every dof, and R is the shifted S itself.
-    Eliminating parent c's interior couples all of its boundary dofs, so R's
-    pattern is the union of those cliques, which holds S's skeleton
-    entries. Skeleton entry (i, j) moves to (perm[i], perm[j]) (SuperLU's
-    perm_c convention).
-    """
-
-    def __init__(self, S, parents, plan, perm=None):
-        """The Ordering of S's pattern from its plan (Ordering.plan with
-        parents), R's skeleton ordered by perm (the identity if None)."""
-        self.hdiag, skeleton, (r, c, slots), interior = plan
-        self.pattern = (S.indptr, S.indices)  # S's own arrays, not copies
-        self.parents = parents
-        nr = skeleton.size
-        self.perm = perm = np.arange(nr) if perm is None else perm
-        # the free u dofs in the order of the stage solve: R's rows, then
-        # every parent's interior, parent by parent
-        self.gather = np.empty(S.shape[0], dtype=np.intp)
-        self.gather[perm] = skeleton
-        # None without parents, else (ii, ib, uslot, wslot, src): the
-        # positions in S.data of every parent's interior block (distinct
-        # entries) and interior-boundary block, laid out as condense takes
-        # H_ss and H_su; the boundary dofs' rows of R (R's size where
-        # fixed); the distinct entry of R that each distinct boundary entry
-        # of condense's Schur complement adds to; and the S.data position
-        # that each distinct entry of R starts from. Position S.nnz stands
-        # for a 0: an entry that S lacks or that meets a fixed dof.
-        self.interior = interior
-        if interior is not None:
-            self.gather[nr:] = parents[0].T.ravel()
-            ii, ib, bnum, wslot, src = interior
-            self.interior = (ii, ib, np.append(perm, nr)[bnum], wslot, src)
-        # R's entries numbered from 1, so that none is an explicit zero, at
-        # (perm[i], perm[j]); scipy sorts and compresses them by column
-        P = sp.csc_matrix((np.arange(1, r.size + 1, dtype=np.int32), (perm[r], perm[c])),
-                          shape=(nr, nr))
-        # int32, as every position table here: R's permuted data =
-        # entries[slots], which np.take gathers without the intp copy that
-        # indexing makes. Without parents the entries are S.data, shifted;
-        # with them, R's distinct entries (interior)
-        self.slots = slots[P.data - 1].astype(np.int32)
-        self.indices = P.indices  # row indices of the permuted CSC pattern
-        self.indptr = P.indptr
-
-    @staticmethod
-    def plan(S, parents=None):
-        """What no order changes in the Ordering of S's pattern with
-        parents' interiors eliminated: (hdiag, the positions of the diagonal
-        in S.data, in S's row order; skeleton; R's entries (r, c, entry) in
-        skeleton numbering; Ordering.interior with the boundary dofs'
-        skeleton numbers for its uslot), or None if S lacks a diagonal entry
-        (the shifted diagonal would have no slot)."""
-        nu = S.shape[0]
-        rows = np.repeat(np.arange(nu), np.diff(S.indptr))
-        hdiag = np.flatnonzero(rows == S.indices)
-        if hdiag.size != nu:
-            return None
-        if parents is None:
-            return hdiag, np.arange(nu), (rows, S.indices, np.arange(S.nnz)), None
-        return hdiag, *_interior_plan(S, rows, parents)
-
-    @classmethod
-    def of(cls, S, perm=None, parents=None):
-        """Ordering(S, parents, its plan, perm), or None if S lacks a diagonal entry."""
-        plan = cls.plan(S, parents)
-        return None if plan is None else cls(S, parents, plan, perm)
-
-    def matches(self, S, parents):
-        indptr, indices = self.pattern
-        return (parents is self.parents and np.array_equal(S.indptr, indptr)
-                and np.array_equal(S.indices, indices))
-
-
-def _interior_plan(S, rows, parents):
-    """Ordering.plan's skeleton, R's entries and interior stage under
-    parents = (interior, boundary) (Objective.parent_dofs).
-
-    S is symmetric with its column indices sorted within rows, as
-    Objective.scatter builds it, so one search of its (row, column) keys
-    finds the position of any entry.
-    """
-    inner, boundary = parents
-    nu, nnz = S.shape[0], S.nnz
-    keys = np.append(rows * (nu + 1) + S.indices, (nu + 1) ** 2)
-
-    def at(r, c):
-        """The position in S.data of every entry (r, c), nnz where S lacks it."""
-        q = r * (nu + 1) + c
-        k = np.searchsorted(keys, q)
-        return np.where(keys[k] == q, k, nnz).astype(np.int32)
-
-    # the skeleton, and the boundary dofs' skeleton numbers, R's size at the fixed slot nu
-    outside = np.bincount(inner.ravel(), minlength=nu + 1) == 0
-    skeleton = np.flatnonzero(outside[:nu])
-    bnum = (np.cumsum(outside) - 1)[boundary]
-    # every parent's boundary clique, as distinct entries of R
-    wslot, r, c, entry = clique_pattern(bnum, skeleton.size)
-    src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), nnz)
-    # every parent's interior block, and its interior-boundary block with
-    # rows (interior dof, boundary dof), searched parent by parent, whose keys lie together
-    i, j, _ = sym_entries(len(inner))
-    ii = at(inner[i], inner[j])
-    ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
-    return skeleton, (r, c, entry), (ii, ib, bnum, wslot.ravel().astype(np.int32), src)
-
-
-class Skeleton(sp.csc_matrix):
-    """R, the matrix that is factored: the shifted S with every parent's
-    interior eliminated, in an Ordering's permuted CSC pattern. It carries
-    that interior stage as condense lays it out over the parents: L (the
-    interior blocks' factors), W and uslot (the boundary dofs' rows of R,
-    R's size where fixed), so that CondensedHessian(R, L, W, uslot) stands
-    for the shifted S in the Ordering's gather order."""
-
-    L: np.ndarray      # (n_int(n_int+1)/2, P)
-    W: np.ndarray      # (n_int, n_bnd, P)
-    uslot: np.ndarray  # (n_bnd, P)
+    def __init__(self, plan, perm=None):
+        self.perm, self.hdiag, self.interior = perm, plan.hdiag, plan.interior
+        self.gather, self.uslot = plan.gather, plan.uslot
+        self.slots, self.indices, self.indptr = plan.slots, plan.indices, plan.indptr
+        if perm is None:
+            return
+        nr = perm.size
+        self.gather = plan.gather.copy()
+        self.gather[perm] = plan.gather[:nr]
+        self.uslot = np.append(perm, nr)[plan.uslot]
+        # the plan's entries numbered from 1 at (perm[i], perm[j]); scipy
+        # sorts and compresses them by column
+        cols = np.repeat(np.arange(nr), np.diff(plan.indptr))
+        P = sp.csc_matrix((np.arange(1, plan.slots.size + 1, dtype=np.int32),
+                           (perm[plan.indices], perm[cols])), shape=(nr, nr))
+        self.slots = plan.slots[P.data - 1]
+        self.indices, self.indptr = P.indices, P.indptr
 
 
 def scaled_shift(H, d):
@@ -189,37 +88,31 @@ def scaled_shift(H, d):
 
 
 def regularize(S, order):
-    """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S,
-    with order's parent interiors eliminated: the Skeleton R in order's
-    permuted CSC pattern, or None if an entry of d is not positive (or NaN):
-    S is then not SPD, and no clamp makes it so."""
+    """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S on
+    the pattern of order's plan, in two stages: the stage
+    CondensedHessian(R, L, W, uslot) that stands for it in order's gather
+    order, R in order's permuted CSC pattern, with every parent's interior
+    block eliminated by condense into L, W and R's entries; or None if an
+    entry of d is not positive (or NaN): S is then not SPD, and no clamp
+    makes it so. An interior block that is not positive definite leaves
+    NaN in L, condense's marking."""
     d = S.data[order.hdiag]
     if not (d > 0).all():
         return None
     # the shifted S, then a 0 for the entries of R that S lacks
     entries = np.append(S.data, 0.0)
     entries[order.hdiag] *= 1.0 + scaled_shift(S, d)
-    entries, L, W, uslot = eliminate_interior(entries, order)
+    L, W = np.zeros((0, 0)), np.zeros((0, 0, 0))
+    if order.interior is not None:
+        n_int, ii, ib, wslot, src = order.interior
+        SW, L, W = condense(0.0, np.take(entries, ib), np.take(entries, ii), n_int)
+        entries = np.take(entries, src)
+        entries += np.bincount(wslot, weights=SW.ravel(), minlength=src.size)
+    # the int32 slots let np.take gather without the intp copy that indexing makes
     nr = len(order.indptr) - 1
-    R = Skeleton((np.take(entries, order.slots), order.indices, order.indptr), shape=(nr, nr))
-    R.L, R.W, R.uslot = L, W, uslot
-    return R
-
-
-def eliminate_interior(entries, order):
-    """R's entries, for Ordering.slots, from the entries of a matrix on
-    order's pattern of S followed by a 0, and the interior stage (L, W,
-    uslot) of Skeleton: each parent's interior block eliminated with
-    condense, its Schur complement added to R's distinct entries. Without
-    parents, the entries themselves and an empty stage. An interior block
-    that is not positive definite leaves NaN in L, condense's marking."""
-    if order.interior is None:
-        return entries, np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros((0, 0), dtype=np.intp)
-    ii, ib, uslot, wslot, src = order.interior
-    SW, L, W = condense(0.0, np.take(entries, ib), np.take(entries, ii), len(order.parents[0]))
-    entries = np.take(entries, src)
-    entries += np.bincount(wslot, weights=SW.ravel(), minlength=src.size)
-    return entries, L, W, uslot
+    R = sp.csc_matrix((np.take(entries, order.slots), order.indices, order.indptr),
+                      shape=(nr, nr))
+    return CondensedHessian(R, L, W, order.uslot)
 
 
 @dataclass
@@ -239,11 +132,11 @@ class CenteringResult:
 
 class DirectSolver:
     """The sparse direct Newton solves of one path-following run: it orders
-    each Schur complement sparsity pattern once, and keeps the factor of its
-    last decrement for solve(b) until release() or the next decrement."""
+    each TwoStagePlan's R once, and keeps the factor of its last decrement
+    for solve(b) until release() or the next decrement."""
 
     def __init__(self):
-        self.orderings = {}  # (shape, nnz) -> the Ordering last computed for such a pattern
+        self.orderings = {}  # TwoStagePlan -> the Ordering recorded for its R
         # the last decrement's CondensedHessian, its interior stage (over the
         # factored R) with the Ordering.gather of its unknowns, and R's factor
         self._H = self._stage = self._gather = self._lu = None
@@ -252,44 +145,41 @@ class DirectSolver:
     def decrement(self, g, H):
         """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
 
-        H is a CondensedHessian. Its Schur complement S is shifted, and
-        every parent's interior block is eliminated from it, into the
-        permuted pattern of an Ordering (regularize); the result R is SPD,
-        so it is factored with diagonal pivots. A new sparsity pattern is
-        gathered in its own order and factored with minimum degree on
-        A + A^T, at a quarter of the fill of column ordering with partial
-        pivoting; the order that chose re-permutes the pattern's plan
-        (Ordering.plan, built once), and every later S on that pattern is
-        gathered into it and factored in natural order.
+        H is a CondensedHessian whose plan is a TwoStagePlan of its S. S is
+        shifted, and every parent's interior block is eliminated from it,
+        into the permuted pattern of an Ordering of that plan (regularize);
+        the result R is SPD, so it is factored with diagonal pivots. A plan
+        new to this solver is gathered in its own order and factored with
+        minimum degree on A + A^T, at a quarter of the fill of column
+        ordering with partial pivoting; the order that chose re-permutes
+        the plan, and every later S with that plan is gathered into it and
+        factored in natural order.
         Returns (None, None) and keeps no factor if a slack block or an
         interior block is not positive definite or a diagonal entry of S is
-        not positive (before any factorization), if the factorization
-        fails or if lambda^2 is negative beyond roundoff; self.failure then
-        names which.
+        missing or not positive (before any factorization), if the
+        factorization fails or if lambda^2 is negative beyond roundoff;
+        self.failure then names which.
         """
         self.release()
         self.failure = ""
         if not H.slack_spd():
             return self._fail(f"slack block not SPD, element {_first_nan(H.L)}")
-        S = H.S
-        key = (S.shape, S.nnz)
-        order = self.orderings.get(key)
-        new = order is None or not order.matches(S, H.parents)
+        S, plan = H.S, H.plan
+        if plan.hdiag.size < S.shape[0]:
+            return self._fail("S lacks a diagonal entry")
+        order = self.orderings.get(plan)
+        new = order is None
         if new:
-            plan = Ordering.plan(S, H.parents)
-            if plan is None:
-                return self._fail("S lacks a diagonal entry")
-            order = Ordering(S, H.parents, plan)
-        R = regularize(S, order)
-        if R is None:
-            d = S.data[order.hdiag]
+            order = Ordering(plan)
+        stage = regularize(S, order)
+        if stage is None:
+            d = S.data[plan.hdiag]
             row = np.flatnonzero(~(d > 0))[0]
             return self._fail(f"diagonal of S not positive, row {row}: {float(d[row])!r}")
-        stage = CondensedHessian(R, R.L, R.W, R.uslot)
         if not stage.slack_spd():
-            return self._fail(f"interior block not SPD, parent {_first_nan(R.L)}")
+            return self._fail(f"interior block not SPD, parent {_first_nan(stage.L)}")
         try:
-            self._lu = spla.splu(R, permc_spec="MMD_AT_PLUS_A" if new else "NATURAL",
+            self._lu = spla.splu(stage.S, permc_spec="MMD_AT_PLUS_A" if new else "NATURAL",
                                  **SPD_OPTIONS)
             self._H, self._stage, self._gather = H, stage, order.gather
             step = -self.solve(g)
@@ -297,7 +187,7 @@ class DirectSolver:
             return self._fail(f"splu failed: {exc}")
         if new:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            self.orderings[key] = Ordering(S, H.parents, plan, self._lu.perm_c.copy())
+            self.orderings[plan] = Ordering(plan, self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
@@ -338,7 +228,7 @@ def _first_nan(L):
 
 def newton_decrement(g, H):
     """The decrement of (g, H) on the running center call's solver; outside
-    a center call, on a new DirectSolver, which keeps nothing."""
+    a center call, on a new DirectSolver, which records no order."""
     return (_solver.get() or DirectSolver()).decrement(g, H)
 
 

@@ -22,6 +22,9 @@ from .quadrature import reference_rule
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
 UNIT_INTERVAL = ((0.0, 1.0),)
+# the relative and absolute margin by which repair_slack lifts a slack above
+# the largest Lambda(q) on its element
+SLACK_SAFETY = 1e-8
 
 
 def default_boundary_data(d):
@@ -115,7 +118,7 @@ def init_slack(objective, u0):
     raise RuntimeError("slack doubling failed to reach the barrier domain")
 
 
-def repair_slack(objective, z, safety=1e-8):
+def repair_slack(objective, z):
     """Minimally inflate per-element slack so Dz is interior at all nodes.
 
     Used after prolongation: the prolongated gradient can graze the epigraph
@@ -128,7 +131,7 @@ def repair_slack(objective, z, safety=1e-8):
         return z, 0
     z = z.copy()
     lam = barrier.lam(q).reshape(shape)
-    snew = (1.0 + safety) * np.max(lam[:, bad], axis=0) + safety
+    snew = (1.0 + SLACK_SAFETY) * np.max(lam[:, bad], axis=0) + SLACK_SAFETY
     dofs = objective.fesys.s_elem()[bad]
     z[dofs] = np.maximum(z[dofs], snew[:, None])
     return z, int(bad.size)

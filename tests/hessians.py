@@ -1,15 +1,21 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mgbarrier.assembly import CondensedHessian
+from mgbarrier.assembly import CondensedHessian, TwoStagePlan
 from mgbarrier.femspace import sym_entries
+
+
+def plan_of(S):
+    """The one-stage TwoStagePlan of a CSR matrix S's own pattern."""
+    return TwoStagePlan(S.indptr, S.indices)
 
 
 def no_slack(A):
     """The CondensedHessian of a sparse or dense matrix A over u dofs alone:
-    S = A, and no element slack."""
-    return CondensedHessian(sp.csr_matrix(A), np.zeros((0, 0)), np.zeros((0, 0, 0)),
-                            np.zeros((0, 0), dtype=np.intp))
+    S = A, no element slack, and a plan of S's own pattern."""
+    S = sp.csr_matrix(A)
+    return CondensedHessian(S, np.zeros((0, 0)), np.zeros((0, 0, 0)),
+                            np.zeros((0, 0), dtype=np.intp), plan_of(S))
 
 
 def full_hessian(H):

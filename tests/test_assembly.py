@@ -403,7 +403,7 @@ def test_parent_dofs_lie_inside_one_parent(domain, alpha, n_inside):
     # children are the parent's boundary. S's block on them is
     # block-diagonal by parent. The coarsest level has no parents, and 2-D
     # alpha = 1 no dof inside one. A level's Galerkin system carries the
-    # level's own dofs.
+    # level's own plan.
     pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=3, cells0=2, domain=domain))
     assert pr.objectives[0].parent_dofs is None
     points = [pr.z0]
@@ -412,9 +412,9 @@ def test_parent_dofs_lie_inside_one_parent(domain, alpha, n_inside):
     blocks = pr.fine_objective.element_blocks(points[-1])
     for obj, gal, z in zip(pr.objectives[1:], pr.galerkin[1:], points[1:]):
         H = obj.grad_hess(z, 1.0)[1]
-        assert H.parents is obj.parent_dofs
+        assert H.plan is obj.factor_plan
         if gal is not None:
-            assert gal.restrict(*blocks, 1.0)[1].parents is obj.parent_dofs
+            assert gal.restrict(*blocks, 1.0)[1].plan is obj.factor_plan
         if n_inside == 0:
             assert obj.parent_dofs is None
             continue

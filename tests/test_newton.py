@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbarrier import newton, pathfollow
+from mgbarrier import assembly, newton, pathfollow
 from mgbarrier.assembly import CondensedHessian, LevelObjective
 from mgbarrier.femspace import sym_entries
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
@@ -16,7 +16,7 @@ from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 
-from hessians import full_hessian, no_slack
+from hessians import full_hessian, no_slack, plan_of
 from test_assembly import reference_grad_hess
 
 
@@ -68,12 +68,12 @@ def test_regularize_formula_exact():
     S = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 16.0, 2.0], [0.0, 2.0, 16.0]]))
     d = np.array([4.0, 16.0, 16.0])
     expected = S.toarray() + 1e-15 * 1.25 * np.diag(d)
-    R = regularize(S, Ordering.of(S, np.arange(3)))
+    R = regularize(S, Ordering(plan_of(S), np.arange(3))).S
     assert R.format == "csc"
     assert np.array_equal(R.toarray(), expected)
     # entry (i, j) moves to (perm[i], perm[j])
     perm = np.array([2, 0, 1])
-    R = regularize(S, Ordering.of(S, perm)).toarray()
+    R = regularize(S, Ordering(plan_of(S), perm)).S.toarray()
     assert np.array_equal(R[np.ix_(perm, perm)], expected)
 
 
@@ -81,9 +81,9 @@ def test_regularize_zero_matrix():
     # a zero diagonal is not SPD, and no shift relative to it makes it so;
     # the empty Schur complement of a problem with no free u dof is empty
     S = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
-    assert regularize(S, Ordering.of(S, np.arange(3))) is None
+    assert regularize(S, Ordering(plan_of(S), np.arange(3))) is None
     S = sp.csr_matrix((0, 0))
-    R = regularize(S, Ordering.of(S, np.arange(0)))
+    R = regularize(S, Ordering(plan_of(S))).S
     assert R.shape == (0, 0) and R.nnz == 0
 
 
@@ -275,7 +275,8 @@ def test_two_stage_steps_solve_the_regularized_hessian(domain, forcing, alpha, m
     c = obj.cost_vector[obj.free_idx()]
     for z, t in ((z_refined, 1.0), (tr.z_final, 1e6)):
         g, H = obj.grad_hess(z, t)
-        assert (0 if H.parents is None else H.parents[0].size) == n_in
+        assert H.plan is obj.factor_plan
+        assert (0 if obj.parent_dofs is None else obj.parent_dofs[0].size) == n_in
         solver = DirectSolver()
         lam, step = solver.decrement(g, H)
         assert factored[-1] == (H.S.shape[0] - n_in,) * 2
@@ -294,7 +295,7 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    R = regularize(H.S, Ordering.of(H.S, parents=H.parents))
+    R = regularize(H.S, Ordering(H.plan)).S
     default = spla.splu(R, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     factored, splu = [], spla.splu
@@ -306,7 +307,7 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", logged)
     lam, step = DirectSolver().decrement(g, H)
-    whole = CondensedHessian(H.S, H.L, H.W, H.uslot)  # no parents: one stage
+    whole = CondensedHessian(H.S, H.L, H.W, H.uslot, plan_of(H.S))  # no parents: one stage
     lam1, step1 = DirectSolver().decrement(g, whole)
     (n_two, fill_two), (n_one, fill_one) = factored
     assert (n_two, n_one) == (2433, 3969)
@@ -364,22 +365,26 @@ def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_use
     assert len(solver.orderings) == 2
 
 
-def test_same_shape_and_nnz_do_not_reuse_an_ordering(orderings_used):
-    # two SPD patterns with equal shape and nnz: (0, 2) coupled vs (1, 3)
+def test_orderings_are_recorded_per_plan(orderings_used):
+    # A solver records one order per plan: Hessians with different plans
+    # never share one, on patterns of equal shape and nnz ((0, 2) coupled vs
+    # (1, 3)) or on the same pattern, and a plan reuses its recorded order
     A = np.diag([4.0, 5.0, 6.0, 7.0])
     A1, A2 = A.copy(), A.copy()
     A1[0, 2] = A1[2, 0] = 1.0
     A2[1, 3] = A2[3, 1] = 1.0
+    H1, H2, H3 = no_slack(A1), no_slack(A2), no_slack(A2)
     g = np.array([1.0, 2.0, 3.0, 4.0])
     solver = DirectSolver()
-    for M in (A1, A2, A2):
-        lam, step = solver.decrement(g, no_slack(M))
-        assert np.allclose(M @ step, -g, rtol=1e-12)
-    assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL"]
+    for H in (H1, H2, H2, H3):
+        lam, step = solver.decrement(g, H)
+        assert np.allclose(H.S @ step, -g, rtol=1e-12)
+    assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
+    assert list(solver.orderings) == [H1.plan, H2.plan, H3.plan]
 
 
 def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_used):
-    # outside a center call nothing is cached: two calls agree bit for bit
+    # outside a center call no order is recorded: two calls agree bit for bit
     (obj, z), _ = _centered_and_refined(small_problem)
     orderings_used.clear()
     g, H = obj.grad_hess(z, 1.0)
@@ -402,8 +407,8 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    identity = Ordering.of(H.S, np.arange(H.S.shape[0]))
-    default = spla.splu(regularize(H.S, identity), permc_spec="MMD_AT_PLUS_A",
+    whole = Ordering(plan_of(H.S))
+    default = spla.splu(regularize(H.S, whole).S, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     splu, fills = spla.splu, []
 
@@ -432,7 +437,7 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
         return shifted[-1]
 
     def logged_splu(A, permc_spec=None, **kwargs):
-        assert A is shifted[-1]
+        assert A is shifted[-1].S
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
@@ -451,20 +456,34 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
     assert len(solvers[0].orderings) == small_problem.L
 
 
-def test_interior_plan_is_built_once_per_refined_level(small_problem, monkeypatch):
-    # The order SuperLU records for a new pattern re-permutes the plan that
-    # the pattern's first, identity-ordered Ordering was built from: one
-    # interior plan per refined level's pattern in a run, not one per order.
-    plans, plan = [], newton._interior_plan
+def test_plans_outlive_a_run_and_orders_do_not(monkeypatch):
+    # A level's TwoStagePlan depends on its pattern alone, so two runs on
+    # one ProblemInstance build each level's plan once in total. Orders last
+    # one run: each run orders every level's R with minimum degree again,
+    # and the two traces are byte-identical.
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
+    plans, specs = [], []
+    Plan, splu = assembly.TwoStagePlan, spla.splu
 
-    def logged_plan(S, rows, parents):
-        plans.append(S.shape)
-        return plan(S, rows, parents)
+    def logged_plan(*args):
+        plans.append(Plan(*args))
+        return plans[-1]
 
-    monkeypatch.setattr(newton, "_interior_plan", logged_plan)
-    tr = run_mgb(small_problem, PathConfig())
-    assert tr.status == "converged"
-    assert len(plans) == small_problem.L - 1
+    def logged_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(assembly, "TwoStagePlan", logged_plan)
+    monkeypatch.setattr(spla, "splu", logged_splu)
+    traces = []
+    for _ in range(2):
+        specs.clear()
+        traces.append(run_mgb(pr, PathConfig()))
+        assert traces[-1].status == "converged"
+        assert specs.count("MMD_AT_PLUS_A") == pr.L
+    assert len(plans) == pr.L
+    assert [o.factor_plan for o in pr.objectives] == plans
+    assert traces[0].to_csv(wall_times=False) == traces[1].to_csv(wall_times=False)
 
 
 def test_empty_schur_complement_converges():
@@ -556,13 +575,13 @@ def test_non_spd_interior_block_is_a_named_failure(small_problem, orderings_used
     _, (obj, z) = _centered_and_refined(small_problem)
     orderings_used.clear()
     g, H = obj.grad_hess(z, 1.0)
-    inside = H.parents[0]
+    inside = obj.parent_dofs[0]
     a, b = inside[0, 5], inside[1, 5]
     S = H.S.copy()
     x = 10.0 * np.sqrt(S[a, a] * S[b, b])
     for i, j in ((a, b), (b, a)):
         S.data[S.indptr[i] + np.flatnonzero(S.indices[S.indptr[i]:S.indptr[i + 1]] == j)] = x
-    bad = CondensedHessian(S, H.L, H.W, H.uslot, H.parents)
+    bad = CondensedHessian(S, H.L, H.W, H.uslot, H.plan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _named_failure(bad, g) == ("interior block not SPD, parent 5",) * 2
