@@ -38,9 +38,9 @@ repeat-median milliseconds of:
   the skeleton, R's pattern (the union of the parents' boundary cliques)
   and the interior stage's tables, built once per level on its first
   Hessian and shared by every later run;
-- reorder: an Ordering of that plan with the recorded permutation, the
-  permuted CSC pattern of R that every later S of the plan is gathered
-  into in a run;
+- reorder: that plan reordered with the recorded permutation
+  (TwoStagePlan.reordered), the permuted CSC pattern of R that every
+  later S of the plan is gathered into in a run;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -189,7 +189,7 @@ def main():
         "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
         "plan_ms": median_ms(lambda: TwoStagePlan(H.S.indptr, H.S.indices, obj.parent_dofs),
                              args.repeats),
-        "reorder_ms": median_ms(lambda: newton.Ordering(H.plan, order.perm), args.repeats),
+        "reorder_ms": median_ms(lambda: H.plan.reordered(order.perm), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),

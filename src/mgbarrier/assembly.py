@@ -8,6 +8,7 @@ restriction to coarse subspaces for the shifted-central-path subproblems
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -69,6 +70,18 @@ def condense(uu, su, ss, n_ls):
     return S, L, W
 
 
+def compress(rows, cols, n):
+    """Sort the distinct entries (rows[k], cols[k]) of an n x n pattern by
+    row, then column, and compress them by row: (order, indices, indptr),
+    entry order[k] stored k-th, and the int32 CSR arrays. (cols, rows)
+    compress it by column, as CSC. The keys are int64: int32 ones wrap
+    silently from n = 46,341 on."""
+    order = np.argsort(rows.astype(np.int64) * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return order, cols[order].astype(np.int32), indptr
+
+
 def clique_pattern(slot, n):
     """The union of the cliques of slot (local dofs, cliques), whose entries
     number dofs among n, n where dropped: (pslot, rows, cols, entry). pslot,
@@ -90,9 +103,10 @@ def clique_pattern(slot, n):
 
 
 class TwoStagePlan:
-    """What no order changes in the two-stage factorization of the shifted
-    S on one CSR sparsity pattern (indptr, indices) of S, symmetric with its
-    column indices sorted within rows, as Objective.scatter builds it.
+    """The two-stage factorization of the shifted S on one CSR sparsity
+    pattern (indptr, indices) of S, symmetric with its column indices
+    sorted within rows, as Objective.scatter builds it; reordered(perm)
+    gives it under a fill-reducing order of R.
 
     The first stage eliminates every parent's interior u dofs, parents =
     (interior, boundary) (Objective.parent_dofs), with condense; the second
@@ -104,11 +118,13 @@ class TwoStagePlan:
 
     - hdiag: the positions of the diagonal in S.data, in S's row order;
       fewer than S's rows if S lacks a diagonal entry.
-    - gather: the free u dofs in the order of the stage solve: the skeleton,
-      then every parent's interior, parent by parent.
-    - (indptr, indices, slots): R's pattern in skeleton order, as int32 CSC;
-      its data is entries[slots], the entries being the shifted S.data
-      without parents, else R's distinct entries (interior).
+    - perm: None; on a reordered plan, the order, which moves skeleton
+      dof i to R's row and column perm[i].
+    - gather: the free u dofs in the order of the stage solve: R's
+      unknowns, then every parent's interior, parent by parent.
+    - (indptr, indices, slots): R's pattern, as int32 CSC; its data is
+      entries[slots], the entries being the shifted S.data without
+      parents, else R's distinct entries (interior).
     - uslot: the boundary dofs' rows of R (n_bnd, P), R's size where fixed.
     - interior: None without parents, else (n_int, ii, ib, wslot, src): the
       positions in S.data of every parent's interior block (distinct
@@ -120,6 +136,7 @@ class TwoStagePlan:
     """
 
     def __init__(self, indptr, indices, parents=None):
+        self.perm = None
         nu, nnz = len(indptr) - 1, len(indices)
         rows = np.repeat(np.arange(nu), np.diff(indptr))
         self.hdiag = np.flatnonzero(rows == indices)
@@ -152,14 +169,27 @@ class TwoStagePlan:
             ii = at(inner[i], inner[j])
             ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
             self.interior = (len(inner), ii, ib, wslot.ravel().astype(np.int32), src)
-        # R's entries numbered from 1, so that none is an explicit zero; scipy
-        # sorts and compresses them by column. The tables that np.take reads
-        # are int32, half the memory at the same speed; hdiag, gather and
-        # uslot stay intp, since indexing copies an int32 index to intp first
-        nr = skeleton.size
-        P = sp.csc_matrix((np.arange(1, r.size + 1, dtype=np.int32), (r, c)), shape=(nr, nr))
-        self.slots = entry[P.data - 1].astype(np.int32)
-        self.indices, self.indptr = P.indices, P.indptr
+        # R's pattern by column. The tables that np.take reads are int32,
+        # half the memory at the same speed; hdiag, gather and uslot stay
+        # intp, since indexing copies an int32 index to intp first
+        order, self.indices, self.indptr = compress(c, r, skeleton.size)
+        self.slots = entry[order].astype(np.int32)
+
+    def reordered(self, perm):
+        """This plan with skeleton dof i moved to R's row and column perm[i]
+        (SuperLU's perm_c): a copy with R's pattern and the tables that
+        number R's unknowns permuted, sharing hdiag and interior, which no
+        order changes."""
+        nr = perm.size
+        twin = copy.copy(self)
+        twin.perm = perm
+        twin.gather = self.gather.copy()
+        twin.gather[perm] = self.gather[:nr]
+        twin.uslot = np.append(perm, nr)[self.uslot]
+        cols = np.repeat(np.arange(nr), np.diff(self.indptr))
+        order, twin.indices, twin.indptr = compress(perm[cols], perm[self.indices], nr)
+        twin.slots = self.slots[order]
+        return twin
 
 
 @dataclass
@@ -285,11 +315,8 @@ class Objective:
         gslot = pos[self.fesys.elem_dofs().T]
         uslot = np.minimum(gslot[:n_lu], nu)
         sslot, rows, cols, src = clique_pattern(uslot, nu)
-        order = np.argsort(rows * nu + cols)
-        indptr = np.zeros(nu + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=nu), out=indptr[1:])
-        return (gslot.ravel(), uslot, sslot.ravel(), src[order],
-                cols[order].astype(np.int32), indptr)
+        order, indices, indptr = compress(rows, cols, nu)
+        return gslot.ravel(), uslot, sslot.ravel(), src[order], indices, indptr
 
     @functools.cached_property
     def parent_dofs(self):
@@ -320,12 +347,10 @@ class Objective:
                   & ~fes.u_boundary[local]).all(axis=0)
         if not inside.any():
             return None
-        free = ~fes.u_boundary
-        nu = int(np.count_nonzero(free))
-        pos = np.full(fes.n_u, nu)
-        pos[free] = np.arange(nu)
-        return (np.ascontiguousarray(pos[local[:, inside]].T),
-                np.ascontiguousarray(pos[local[:, ~inside]].T))
+        # the same columns of the element u slots number them among the free u
+        slots = self._assembly_plan[1].T.reshape(ne // m, m * n_lu)[:, first[order]]
+        return (np.ascontiguousarray(slots[:, inside].T),
+                np.ascontiguousarray(slots[:, ~inside].T))
 
     @functools.cached_property
     def factor_plan(self):

@@ -45,32 +45,6 @@ SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
 _solver = contextvars.ContextVar("solver", default=None)
 
 
-class Ordering:
-    """A fill-reducing order of the matrix R that a TwoStagePlan factors:
-    R's pattern and the plan's order-dependent tables under perm, R's
-    skeleton entry (i, j) moved to (perm[i], perm[j]) (SuperLU's perm_c
-    convention). With perm None it is the plan's own skeleton order, and
-    shares the plan's arrays."""
-
-    def __init__(self, plan, perm=None):
-        self.perm, self.hdiag, self.interior = perm, plan.hdiag, plan.interior
-        self.gather, self.uslot = plan.gather, plan.uslot
-        self.slots, self.indices, self.indptr = plan.slots, plan.indices, plan.indptr
-        if perm is None:
-            return
-        nr = perm.size
-        self.gather = plan.gather.copy()
-        self.gather[perm] = plan.gather[:nr]
-        self.uslot = np.append(perm, nr)[plan.uslot]
-        # the plan's entries numbered from 1 at (perm[i], perm[j]); scipy
-        # sorts and compresses them by column
-        cols = np.repeat(np.arange(nr), np.diff(plan.indptr))
-        P = sp.csc_matrix((np.arange(1, plan.slots.size + 1, dtype=np.int32),
-                           (perm[plan.indices], perm[cols])), shape=(nr, nr))
-        self.slots = plan.slots[P.data - 1]
-        self.indices, self.indptr = P.indices, P.indptr
-
-
 def scaled_shift(H, d):
     """1e-15 |||D^-1/2 H D^-1/2|||_inf (max absolute row sum) of a CSR matrix
     H with diagonal d > 0, D = diag(d), from one matvec with |H|.
@@ -83,15 +57,14 @@ def scaled_shift(H, d):
     step.
     """
     s = 1.0 / np.sqrt(d)
-    abs_h = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
-    return 1e-15 * float(np.max(s * (abs_h @ s), initial=0.0))
+    return 1e-15 * float(np.max(s * (abs(H) @ s), initial=0.0))
 
 
 def regularize(S, order):
     """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S on
-    the pattern of order's plan, in two stages: the stage
-    CondensedHessian(R, L, W, uslot) that stands for it in order's gather
-    order, R in order's permuted CSC pattern, with every parent's interior
+    the pattern of order, a TwoStagePlan or a reordered one, in two stages:
+    the stage CondensedHessian(R, L, W, uslot) that stands for it in
+    order's gather order, R in order's CSC pattern, with every parent's interior
     block eliminated by condense into L, W and R's entries; or None if an
     entry of d is not positive (or NaN): S is then not SPD, and no clamp
     makes it so. An interior block that is not positive definite leaves
@@ -136,9 +109,9 @@ class DirectSolver:
     for solve(b) until release() or the next decrement."""
 
     def __init__(self):
-        self.orderings = {}  # TwoStagePlan -> the Ordering recorded for its R
+        self.orderings = {}  # TwoStagePlan -> the plan reordered as its R was factored
         # the last decrement's CondensedHessian, its interior stage (over the
-        # factored R) with the Ordering.gather of its unknowns, and R's factor
+        # factored R) with the gather order of its unknowns, and R's factor
         self._H = self._stage = self._gather = self._lu = None
         self.failure = ""  # why the last decrement returned (None, None)
 
@@ -147,13 +120,12 @@ class DirectSolver:
 
         H is a CondensedHessian whose plan is a TwoStagePlan of its S. S is
         shifted, and every parent's interior block is eliminated from it,
-        into the permuted pattern of an Ordering of that plan (regularize);
-        the result R is SPD, so it is factored with diagonal pivots. A plan
-        new to this solver is gathered in its own order and factored with
-        minimum degree on A + A^T, at a quarter of the fill of column
-        ordering with partial pivoting; the order that chose re-permutes
-        the plan, and every later S with that plan is gathered into it and
-        factored in natural order.
+        into R's pattern (regularize); R is SPD, so it is factored with
+        diagonal pivots. A plan new to this solver is gathered into the
+        plan itself and factored with minimum degree on A + A^T, at a
+        quarter of the fill of column ordering with partial pivoting; the
+        plan reordered as that chose is recorded, and every later S with
+        that plan is gathered into it and factored in natural order.
         Returns (None, None) and keeps no factor if a slack block or an
         interior block is not positive definite or a diagonal entry of S is
         missing or not positive (before any factorization), if the
@@ -167,10 +139,8 @@ class DirectSolver:
         S, plan = H.S, H.plan
         if plan.hdiag.size < S.shape[0]:
             return self._fail("S lacks a diagonal entry")
-        order = self.orderings.get(plan)
-        new = order is None
-        if new:
-            order = Ordering(plan)
+        order = self.orderings.get(plan, plan)
+        new = order is plan
         stage = regularize(S, order)
         if stage is None:
             d = S.data[plan.hdiag]
@@ -187,7 +157,7 @@ class DirectSolver:
             return self._fail(f"splu failed: {exc}")
         if new:
             # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            self.orderings[plan] = Ordering(plan, self._lu.perm_c.copy())
+            self.orderings[plan] = plan.reordered(self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):

@@ -17,11 +17,10 @@ import numpy as np
 
 from .assembly import LevelObjective
 from .newton import (BUDGET, CONVERGED, LAM_TOL, MAX_BACKTRACK, MAX_CENTER_ITERS,
-                     DirectSolver, center)
+                     SOLVER_FAILURE, DirectSolver, center)
 
-STATUS_CONVERGED = "converged"
-STATUS_BUDGET = "budget"
-STATUS_FAILURE = "solver-failure"
+# a run's statuses, under the names that cli and perfbench read
+STATUS_CONVERGED, STATUS_BUDGET, STATUS_FAILURE = CONVERGED, BUDGET, SOLVER_FAILURE
 
 CSV_HEADER = "k,t,rho,level,newton_iters,direct_step,objective,decrement,cum_newton,wall_ms"
 

@@ -18,7 +18,7 @@ from mgbarrier import diagnostics
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import s_basis, u_basis_grad
 from mgbarrier.mesh import CHILDREN
-from mgbarrier.newton import Ordering, regularize
+from mgbarrier.newton import regularize
 from mgbarrier.pathfollow import PathConfig, adapt_stepsize, run_mgb, run_naive
 from mgbarrier.problems import ProblemSpec, build_problem
 
@@ -259,7 +259,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
     # regularization formula exact: S + sigma diag(S), sigma = 1e-15 times
     # the max absolute row sum of D^-1/2 S D^-1/2 (1.125 in both rows)
     S = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 16.0]]))
-    R = regularize(S, Ordering(plan_of(S))).S
+    R = regularize(S, plan_of(S)).S
     ok_reg = np.array_equal(R.toarray(),
                             S.toarray() + 1e-15 * 1.125 * np.diag([4.0, 16.0]))
     # t rail and feasibility of every recorded iterate

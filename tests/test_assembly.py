@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective, condense, substitute
+from mgbarrier.assembly import LevelObjective, Objective, compress, condense, substitute
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import CHILDREN, build_rect_mesh
-from mgbarrier.newton import DirectSolver
+from mgbarrier.newton import DirectSolver, regularize
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -436,3 +436,83 @@ def test_parent_dofs_lie_inside_one_parent(domain, alpha, n_inside):
         ids = inside.ravel()
         block = H.S[ids][:, ids].tocoo()
         assert block.nnz > 0 and np.array_equal(owner[ids[block.row]], owner[ids[block.col]])
+
+
+def scipy_compress(rows, cols, n):
+    """compress's answer from scipy: the entries numbered from 1, so that
+    none is an explicit zero, compressed into CSR."""
+    P = sp.csr_matrix((np.arange(1, rows.size + 1), (rows, cols)), shape=(n, n))
+    return P.data - 1, P.indices, P.indptr
+
+
+def random_pattern(rng, n, k, symmetric):
+    """k distinct entries of an n x n pattern, or the distinct entries of
+    their union with its transpose, in a random order: (rows, cols)."""
+    keys = rng.choice(n * n, size=k, replace=False)
+    if symmetric:
+        r, c = np.divmod(keys, n)
+        keys = rng.permutation(np.unique(np.r_[r * n + c, c * n + r]))
+    return np.divmod(keys, n)
+
+
+def assert_same_compression(rows, cols, n):
+    order, indices, indptr = compress(rows, cols, n)
+    ref_order, ref_indices, ref_indptr = scipy_compress(rows, cols, n)
+    assert np.array_equal(order, ref_order)
+    assert np.array_equal(indices, ref_indices) and indices.dtype == np.int32
+    assert np.array_equal(indptr, ref_indptr) and indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["general", "symmetric"])
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 20), (40, 300)])
+def test_compress_matches_scipy(n, k, symmetric):
+    rows, cols = random_pattern(np.random.default_rng(n), n, k, symmetric)
+    assert_same_compression(rows, cols, n)
+
+
+def test_compress_keeps_empty_rows_and_empty_patterns():
+    rows, cols = random_pattern(np.random.default_rng(5), 6, 20, symmetric=False)
+    keep = rows != 2
+    assert_same_compression(rows[keep], cols[keep], 6)
+    empty = np.zeros(0, dtype=np.int64)
+    assert_same_compression(empty, empty, 0)
+    order, indices, indptr = compress(empty, empty, 0)
+    assert order.size == indices.size == 0 and np.array_equal(indptr, [0])
+
+
+def test_compress_int32_entries_past_int32_keys():
+    # SuperLU's perm_c is int32: on n = 50,000 dofs, row * n + col exceeds
+    # 2^31 - 1 from row 42,950 on, and int32 keys would wrap silently
+    n = 50_000
+    rows, cols = random_pattern(np.random.default_rng(7), n, 4000, symmetric=True)
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    assert int(rows.max()) * n > np.iinfo(np.int32).max
+    assert_same_compression(rows, cols, n)
+
+
+@pytest.mark.parametrize("levels", [1, 2], ids=["one-stage", "two-stage"])
+def test_reordered_plan_shares_what_no_order_changes(levels):
+    # A reordering copies the five arrays that number R's unknowns, shares
+    # hdiag and interior, and leaves the plan as it was; the identity order
+    # reproduces the plan. The reordered R is the plan's with entry (i, j)
+    # at (perm[i], perm[j]).
+    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=2))
+    obj = pr.fine_objective
+    z = pr.z0 if levels == 1 else pr.refine_iterate(pr.z0, 0)
+    S, plan = obj.grad_hess(z, 1.0)[1].S, obj.factor_plan
+    assert (plan.interior is None) == (levels == 1)
+    names = ("slots", "indices", "indptr", "gather", "uslot")
+    before = {name: getattr(plan, name).copy() for name in names}
+    nr = len(plan.indptr) - 1
+    perm = np.random.default_rng(levels).permutation(nr).astype(np.int32)
+    same, twin = plan.reordered(np.arange(nr)), plan.reordered(perm)
+    assert plan.perm is None and twin.perm is perm
+    for other in (same, twin):
+        assert other.hdiag is plan.hdiag and other.interior is plan.interior
+    for name in names:
+        assert np.array_equal(getattr(plan, name), before[name])
+        assert np.array_equal(getattr(same, name), before[name])
+        assert getattr(twin, name) is not getattr(plan, name)
+    R = regularize(S, plan).S.toarray()
+    assert np.array_equal(regularize(S, twin).S.toarray()[np.ix_(perm, perm)], R)
+    assert np.array_equal(twin.gather[perm], plan.gather[:nr])

@@ -11,7 +11,7 @@ from mgbarrier import assembly, newton, pathfollow
 from mgbarrier.assembly import CondensedHessian, LevelObjective
 from mgbarrier.femspace import sym_entries
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
-                              SOLVER_FAILURE, DirectSolver, Ordering, center,
+                              SOLVER_FAILURE, DirectSolver, center,
                               newton_decrement, regularize)
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
@@ -68,12 +68,12 @@ def test_regularize_formula_exact():
     S = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 16.0, 2.0], [0.0, 2.0, 16.0]]))
     d = np.array([4.0, 16.0, 16.0])
     expected = S.toarray() + 1e-15 * 1.25 * np.diag(d)
-    R = regularize(S, Ordering(plan_of(S), np.arange(3))).S
+    R = regularize(S, plan_of(S).reordered(np.arange(3))).S
     assert R.format == "csc"
     assert np.array_equal(R.toarray(), expected)
     # entry (i, j) moves to (perm[i], perm[j])
     perm = np.array([2, 0, 1])
-    R = regularize(S, Ordering(plan_of(S), perm)).S.toarray()
+    R = regularize(S, plan_of(S).reordered(perm)).S.toarray()
     assert np.array_equal(R[np.ix_(perm, perm)], expected)
 
 
@@ -81,9 +81,9 @@ def test_regularize_zero_matrix():
     # a zero diagonal is not SPD, and no shift relative to it makes it so;
     # the empty Schur complement of a problem with no free u dof is empty
     S = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
-    assert regularize(S, Ordering(plan_of(S), np.arange(3))) is None
+    assert regularize(S, plan_of(S).reordered(np.arange(3))) is None
     S = sp.csr_matrix((0, 0))
-    R = regularize(S, Ordering(plan_of(S))).S
+    R = regularize(S, plan_of(S)).S
     assert R.shape == (0, 0) and R.nnz == 0
 
 
@@ -295,7 +295,7 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    R = regularize(H.S, Ordering(H.plan)).S
+    R = regularize(H.S, H.plan).S
     default = spla.splu(R, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     factored, splu = [], spla.splu
@@ -407,7 +407,7 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    whole = Ordering(plan_of(H.S))
+    whole = plan_of(H.S)
     default = spla.splu(regularize(H.S, whole).S, permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     splu, fills = spla.splu, []
