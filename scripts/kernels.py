@@ -19,28 +19,23 @@ repeat-median milliseconds of:
   of the fine element blocks to that level's free dofs, one product of each
   block with its child-to-parent table per level, including the
   condensation and scatter into the level's pattern;
-- decrement_new_pattern: DirectSolver.decrement on a new solver, i.e. the
-  shift of S, the elimination of every parent's interior and the gather of
-  the skeleton Schur complement R in its own order, minimum-degree
-  ordering and factorization of R, solve and recording the ordering;
-- decrement_repeated_pattern: DirectSolver.decrement on a pattern the solver
-  has already ordered (shift, elimination and gather, factorization of R
-  in that order, solve);
-- regularize: that shift, elimination and gather alone, on the recorded
-  ordering;
+- decrement_repeated_pattern: DirectSolver.decrement, the same on a new
+  solver as on a used one: the shift of S, the elimination of every
+  parent's interior and the gather of the skeleton Schur complement R in
+  the plan's order, the factorization of R in that order, and the solve;
+- regularize: that shift, elimination and gather alone;
 - interior: condense on every parent's interior block alone, the core of
   that elimination (null on a fine level without parents);
-- solve: one DirectSolver.solve with the repeated-pattern factor, i.e. the
+- solve: one DirectSolver.solve with that decrement's factor, i.e. the
   slack condensed out of the right-hand side, then the parents' interiors,
   the solve with R, and both back-substituted (CondensedHessian.solve,
   twice);
-- plan: building the fine level's TwoStagePlan, what no order changes:
-  the skeleton, R's pattern (the union of the parents' boundary cliques)
-  and the interior stage's tables, built once per level on its first
-  Hessian and shared by every later run;
-- reorder: that plan reordered with the recorded permutation
-  (TwoStagePlan.reordered), the permuted CSC pattern of R that every
-  later S of the plan is gathered into in a run;
+- plan: building the fine level's TwoStagePlan: the skeleton, R's pattern
+  (the union of the parents' boundary cliques), R's order, and R's CSC
+  pattern and the interior stage's tables in that order, built once per
+  level on its first Hessian and shared by every later run;
+- order: R's minimum-degree order alone (min_degree_order on R's pattern
+  in skeleton order), the part of plan that SuperLU runs;
 - value: one line-search evaluation;
 
 plus build: build_problem, the setup of every level, and its split into
@@ -56,8 +51,8 @@ the phases build_problem runs in order, each repeat from scratch:
   (starting_point);
 
 and the free dofs, the dofs and nnz of S, the dofs (skeleton_dofs) and
-nnz (skeleton_nnz) of R, the fill (nnz of L+U) of both factorizations of
-R and the host's versions.
+nnz (skeleton_nnz) of R, the fill (nnz of L+U) of R's factor and the
+host's versions.
 BLAS and OpenMP pools are pinned to one thread, as in perfbench/run.py.
 
     PYTHONPATH=src python3 scripts/kernels.py --levels 4 --repeats 15
@@ -80,7 +75,7 @@ import scipy
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton
-from mgbarrier.assembly import TwoStagePlan, condense
+from mgbarrier.assembly import TwoStagePlan, condense, min_degree_order
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.pathfollow import PathConfig
 from mgbarrier.problems import (ProblemSpec, build_meshes, build_objectives,
@@ -143,26 +138,21 @@ def main():
         fills.append(lu.nnz)
         return lu
 
-    def new_pattern():
-        newton.DirectSolver().decrement(g, H)
-
     solver = newton.DirectSolver()
-
-    def repeated_pattern():
-        solver.decrement(g, H)
-
     spla.splu = logged_splu
     try:
-        new_ms = median_ms(new_pattern, args.repeats)
-        repeated_pattern()  # records the ordering
-        repeated_ms = median_ms(repeated_pattern, args.repeats)
+        decrement_ms = median_ms(lambda: solver.decrement(g, H), args.repeats)
     finally:
         spla.splu = splu
-    order = solver.orderings[H.plan]
-    R = newton.regularize(H.S, order).S
+    plan = H.plan
+    R = newton.regularize(H.S, plan).S
+    # R's pattern in skeleton order, entry (i, j) of R at (perm[i], perm[j])
+    inverse = np.argsort(plan.perm)
+    cols = inverse[np.repeat(np.arange(R.shape[0]), np.diff(plan.indptr))]
+    rows = inverse[plan.indices]
     interior_ms = None
-    if H.plan.interior is not None:
-        n_int, ii, ib, _, _ = H.plan.interior
+    if plan.interior is not None:
+        n_int, ii, ib, _, _ = plan.interior
         entries = np.append(H.S.data, 0.0)  # S's entries and the 0 that R's fill reads
         su, ss = np.take(entries, ib), np.take(entries, ii)
         interior_ms = median_ms(lambda: condense(0.0, su, ss, n_int), args.repeats)
@@ -182,18 +172,16 @@ def main():
         "condense_ms": median_ms(lambda: condense(*blocks[1:], obj.fesys.n_ls), args.repeats),
         "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
                         for gal in problem.galerkin[:-1]],
-        "decrement_new_pattern_ms": new_ms,
-        "decrement_repeated_pattern_ms": repeated_ms,
-        "regularize_ms": median_ms(lambda: newton.regularize(H.S, order), args.repeats),
+        "decrement_repeated_pattern_ms": decrement_ms,
+        "regularize_ms": median_ms(lambda: newton.regularize(H.S, plan), args.repeats),
         "interior_ms": interior_ms,
         "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
         "plan_ms": median_ms(lambda: TwoStagePlan(H.S.indptr, H.S.indices, obj.parent_dofs),
                              args.repeats),
-        "reorder_ms": median_ms(lambda: H.plan.reordered(order.perm), args.repeats),
+        "order_ms": median_ms(lambda: min_degree_order(rows, cols, R.shape[0]), args.repeats),
         "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),
-        "fill_nnz_new_pattern": fills[0],
         "fill_nnz_repeated_pattern": fills[-1],
         "numpy": np.__version__,
         "scipy": scipy.__version__,

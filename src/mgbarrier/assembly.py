@@ -8,17 +8,27 @@ restriction to coarse subspaces for the shifted-central-path subproblems
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .femspace import restriction_tables, sym_entries
 from .mesh import CHILDREN
 
 INFEASIBLE = np.inf
+
+# SuperLU supernode relaxation. Larger values pad the factor of R (see
+# TwoStagePlan) with explicit zeros: at L=4 the fill is 193 k entries with the
+# default (10), 171 k with 4 and 170 k with 2 or 1; at L=5 1.40 M, 1.17 M and
+# 0.98 M. relax=1 and 2 fill alike and factor fastest at L=4 and L=5.
+RELAX = 1
+# SuperLU's options for R, which is SPD: diagonal pivots in symmetric mode,
+# for R's order (min_degree_order) and for every factor of R
+SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
+                   options=dict(SymmetricMode=True))
 
 
 def substitute(L, at, x, transpose=False):
@@ -102,11 +112,26 @@ def clique_pattern(slot, n):
     return pslot, np.r_[r, c[off]], np.r_[c, r[off]], np.r_[np.arange(keys.size), off]
 
 
+def min_degree_order(rows, cols, n):
+    """SuperLU's minimum-degree order, under SPD_OPTIONS, of an n x n matrix
+    on the symmetric pattern of distinct entries (rows[k], cols[k]): perm
+    (intp) moves dof i to row and column perm[i]. Minimum degree on R + R^T
+    fills about a quarter of what column ordering with partial pivoting
+    does. The order reads the pattern alone, so it is read off an
+    incomplete factor that drops all it can of a diagonally dominant matrix
+    on the pattern. That is an ordering, not a Newton factorization: spilu,
+    not the splu that perfbench counts. astype copies perm_c, a view that
+    keeps the factor alive."""
+    A = sp.csc_matrix((np.where(rows == cols, n + 1.0, -1.0), (rows, cols)), shape=(n, n))
+    return spla.spilu(A, drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+                      **SPD_OPTIONS).perm_c.astype(np.intp)
+
+
 class TwoStagePlan:
     """The two-stage factorization of the shifted S on one CSR sparsity
     pattern (indptr, indices) of S, symmetric with its column indices
-    sorted within rows, as Objective.scatter builds it; reordered(perm)
-    gives it under a fill-reducing order of R.
+    sorted within rows, as Objective.scatter builds it, with R in a
+    fill-reducing order that its pattern alone fixes.
 
     The first stage eliminates every parent's interior u dofs, parents =
     (interior, boundary) (Objective.parent_dofs), with condense; the second
@@ -118,8 +143,9 @@ class TwoStagePlan:
 
     - hdiag: the positions of the diagonal in S.data, in S's row order;
       fewer than S's rows if S lacks a diagonal entry.
-    - perm: None; on a reordered plan, the order, which moves skeleton
-      dof i to R's row and column perm[i].
+    - perm: R's order, which moves skeleton dof i to R's row and column
+      perm[i]: SuperLU's minimum degree on R + R^T under SPD_OPTIONS, which
+      reads R's pattern alone, so every factor of R runs in natural order.
     - gather: the free u dofs in the order of the stage solve: R's
       unknowns, then every parent's interior, parent by parent.
     - (indptr, indices, slots): R's pattern, as int32 CSC; its data is
@@ -136,13 +162,12 @@ class TwoStagePlan:
     """
 
     def __init__(self, indptr, indices, parents=None):
-        self.perm = None
         nu, nnz = len(indptr) - 1, len(indices)
         rows = np.repeat(np.arange(nu), np.diff(indptr))
         self.hdiag = np.flatnonzero(rows == indices)
         if parents is None:
-            self.gather = skeleton = np.arange(nu)
-            self.uslot, self.interior = np.zeros((0, 0), dtype=np.intp), None
+            skeleton, self.interior = np.arange(nu), None
+            inner = uslot = np.zeros((0, 0), dtype=np.intp)
             r, c, entry = rows, indices, np.arange(nnz)
         else:
             inner, boundary = parents
@@ -158,10 +183,9 @@ class TwoStagePlan:
             # the skeleton, and the boundary dofs' skeleton numbers, R's size at the fixed slot nu
             outside = np.bincount(inner.ravel(), minlength=nu + 1) == 0
             skeleton = np.flatnonzero(outside[:nu])
-            self.uslot = (np.cumsum(outside) - 1)[boundary]
-            self.gather = np.r_[skeleton, inner.T.ravel()]
+            uslot = (np.cumsum(outside) - 1)[boundary]
             # every parent's boundary clique, as distinct entries of R
-            wslot, r, c, entry = clique_pattern(self.uslot, skeleton.size)
+            wslot, r, c, entry = clique_pattern(uslot, skeleton.size)
             src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), np.int32(nnz))
             # every parent's interior block, and its interior-boundary block with
             # rows (interior dof, boundary dof), searched parent by parent, whose keys lie together
@@ -169,27 +193,15 @@ class TwoStagePlan:
             ii = at(inner[i], inner[j])
             ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
             self.interior = (len(inner), ii, ib, wslot.ravel().astype(np.int32), src)
-        # R's pattern by column. The tables that np.take reads are int32,
-        # half the memory at the same speed; hdiag, gather and uslot stay
-        # intp, since indexing copies an int32 index to intp first
-        order, self.indices, self.indptr = compress(c, r, skeleton.size)
+        nr = skeleton.size
+        self.perm = min_degree_order(r, c, nr)
+        self.gather = np.r_[skeleton[np.argsort(self.perm)], inner.T.ravel()]
+        self.uslot = np.append(self.perm, nr)[uslot]
+        # R's pattern by column, in that order. The tables that np.take reads
+        # are int32, half the memory at the same speed; hdiag, gather and
+        # uslot stay intp, since indexing copies an int32 index to intp first
+        order, self.indices, self.indptr = compress(self.perm[c], self.perm[r], nr)
         self.slots = entry[order].astype(np.int32)
-
-    def reordered(self, perm):
-        """This plan with skeleton dof i moved to R's row and column perm[i]
-        (SuperLU's perm_c): a copy with R's pattern and the tables that
-        number R's unknowns permuted, sharing hdiag and interior, which no
-        order changes."""
-        nr = perm.size
-        twin = copy.copy(self)
-        twin.perm = perm
-        twin.gather = self.gather.copy()
-        twin.gather[perm] = self.gather[:nr]
-        twin.uslot = np.append(perm, nr)[self.uslot]
-        cols = np.repeat(np.arange(nr), np.diff(self.indptr))
-        order, twin.indices, twin.indptr = compress(perm[cols], perm[self.indices], nr)
-        twin.slots = self.slots[order]
-        return twin
 
 
 @dataclass
@@ -355,8 +367,8 @@ class Objective:
     @functools.cached_property
     def factor_plan(self):
         """The TwoStagePlan of S's pattern with the interiors of parent_dofs
-        eliminated, built on first use; it depends on the pattern alone, so
-        every run on this level shares it."""
+        eliminated, built on first use; it depends on the pattern alone, R's
+        order included, so every run on this level shares it."""
         *_, indices, indptr = self._assembly_plan
         return TwoStagePlan(indptr, indices, self.parent_dofs)
 

@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import CondensedHessian, condense
+# SuperLU's options live with the plan, whose order reads them; RELAX stays newton.RELAX
+from .assembly import RELAX, SPD_OPTIONS, CondensedHessian, condense  # noqa: F401
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -31,14 +32,6 @@ QUAD_PHASE = 0.25
 # lambda^2 = -g.step below -NEG_LAM2_TOL * |g| |step| is not roundoff: the
 # system was indefinite or badly solved
 NEG_LAM2_TOL = 1e-8
-# SuperLU supernode relaxation. Larger values pad the factor of R (see
-# TwoStagePlan) with explicit zeros: at L=4 the fill is 193 k entries with the
-# default (10), 171 k with 4 and 170 k with 2 or 1; at L=5 1.40 M, 1.17 M and
-# 0.98 M. relax=1 and 2 fill alike and factor fastest at L=4 and L=5.
-RELAX = 1
-SPD_OPTIONS = dict(diag_pivot_thresh=0.0, relax=RELAX,
-                   options=dict(SymmetricMode=True))
-
 # the solver of the running center call, read by newton_decrement. It is not
 # an argument because perfbench's traced mode wraps newton.newton_decrement by
 # name and calls it with exactly (g, H); only center sets it
@@ -57,35 +50,37 @@ def scaled_shift(H, d):
     step.
     """
     s = 1.0 / np.sqrt(d)
-    return 1e-15 * float(np.max(s * (abs(H) @ s), initial=0.0))
+    # |H| over H's own index arrays: abs(H) would check and copy them
+    absH = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
+    return 1e-15 * float(np.max(s * (absH @ s), initial=0.0))
 
 
-def regularize(S, order):
+def regularize(S, plan):
     """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S on
-    the pattern of order, a TwoStagePlan or a reordered one, in two stages:
-    the stage CondensedHessian(R, L, W, uslot) that stands for it in
-    order's gather order, R in order's CSC pattern, with every parent's interior
+    the pattern of plan, a TwoStagePlan, in two stages: the stage
+    CondensedHessian(R, L, W, uslot) that stands for it in plan's gather
+    order, R in plan's CSC pattern (its order), with every parent's interior
     block eliminated by condense into L, W and R's entries; or None if an
     entry of d is not positive (or NaN): S is then not SPD, and no clamp
     makes it so. An interior block that is not positive definite leaves
     NaN in L, condense's marking."""
-    d = S.data[order.hdiag]
+    d = S.data[plan.hdiag]
     if not (d > 0).all():
         return None
     # the shifted S, then a 0 for the entries of R that S lacks
     entries = np.append(S.data, 0.0)
-    entries[order.hdiag] *= 1.0 + scaled_shift(S, d)
+    entries[plan.hdiag] *= 1.0 + scaled_shift(S, d)
     L, W = np.zeros((0, 0)), np.zeros((0, 0, 0))
-    if order.interior is not None:
-        n_int, ii, ib, wslot, src = order.interior
+    if plan.interior is not None:
+        n_int, ii, ib, wslot, src = plan.interior
         SW, L, W = condense(0.0, np.take(entries, ib), np.take(entries, ii), n_int)
         entries = np.take(entries, src)
         entries += np.bincount(wslot, weights=SW.ravel(), minlength=src.size)
     # the int32 slots let np.take gather without the intp copy that indexing makes
-    nr = len(order.indptr) - 1
-    R = sp.csc_matrix((np.take(entries, order.slots), order.indices, order.indptr),
+    nr = len(plan.indptr) - 1
+    R = sp.csc_matrix((np.take(entries, plan.slots), plan.indices, plan.indptr),
                       shape=(nr, nr))
-    return CondensedHessian(R, L, W, order.uslot)
+    return CondensedHessian(R, L, W, plan.uslot)
 
 
 @dataclass
@@ -104,15 +99,14 @@ class CenteringResult:
 
 
 class DirectSolver:
-    """The sparse direct Newton solves of one path-following run: it orders
-    each TwoStagePlan's R once, and keeps the factor of its last decrement
-    for solve(b) until release() or the next decrement."""
+    """The sparse direct Newton solves of one path-following run: it keeps
+    the factor of its last decrement for solve(b) until release() or the
+    next decrement, and nothing else."""
 
     def __init__(self):
-        self.orderings = {}  # TwoStagePlan -> the plan reordered as its R was factored
         # the last decrement's CondensedHessian, its interior stage (over the
-        # factored R) with the gather order of its unknowns, and R's factor
-        self._H = self._stage = self._gather = self._lu = None
+        # factored R) and R's factor
+        self._H = self._stage = self._lu = None
         self.failure = ""  # why the last decrement returned (None, None)
 
     def decrement(self, g, H):
@@ -120,17 +114,14 @@ class DirectSolver:
 
         H is a CondensedHessian whose plan is a TwoStagePlan of its S. S is
         shifted, and every parent's interior block is eliminated from it,
-        into R's pattern (regularize); R is SPD, so it is factored with
-        diagonal pivots. A plan new to this solver is gathered into the
-        plan itself and factored with minimum degree on A + A^T, at a
-        quarter of the fill of column ordering with partial pivoting; the
-        plan reordered as that chose is recorded, and every later S with
-        that plan is gathered into it and factored in natural order.
-        Returns (None, None) and keeps no factor if a slack block or an
-        interior block is not positive definite or a diagonal entry of S is
-        missing or not positive (before any factorization), if the
-        factorization fails or if lambda^2 is negative beyond roundoff;
-        self.failure then names which.
+        into R's pattern in the plan's order (regularize); R is SPD, so it
+        is factored with diagonal pivots, in natural order: its rows are
+        already in the plan's minimum-degree order. Returns (None, None) and
+        keeps no factor if a slack block or an interior block is not
+        positive definite or a diagonal entry of S is missing or not
+        positive (before any factorization), if the factorization fails or
+        if lambda^2 is negative beyond roundoff; self.failure then names
+        which.
         """
         self.release()
         self.failure = ""
@@ -139,9 +130,7 @@ class DirectSolver:
         S, plan = H.S, H.plan
         if plan.hdiag.size < S.shape[0]:
             return self._fail("S lacks a diagonal entry")
-        order = self.orderings.get(plan, plan)
-        new = order is plan
-        stage = regularize(S, order)
+        stage = regularize(S, plan)
         if stage is None:
             d = S.data[plan.hdiag]
             row = np.flatnonzero(~(d > 0))[0]
@@ -149,15 +138,11 @@ class DirectSolver:
         if not stage.slack_spd():
             return self._fail(f"interior block not SPD, parent {_first_nan(stage.L)}")
         try:
-            self._lu = spla.splu(stage.S, permc_spec="MMD_AT_PLUS_A" if new else "NATURAL",
-                                 **SPD_OPTIONS)
-            self._H, self._stage, self._gather = H, stage, order.gather
+            self._lu = spla.splu(stage.S, permc_spec="NATURAL", **SPD_OPTIONS)
+            self._H, self._stage = H, stage
             step = -self.solve(g)
         except RuntimeError as exc:
             return self._fail(f"splu failed: {exc}")
-        if new:
-            # a copy: SuperLU's perm_c is a view that keeps the whole factor alive
-            self.orderings[plan] = plan.reordered(self._lu.perm_c.copy())
         lam2 = float(-g @ step)
         if not np.isfinite(lam2) or (
                 lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
@@ -182,13 +167,14 @@ class DirectSolver:
         """The shifted S^{-1} r in two stages: every parent's interior
         condensed out of r, a solve with R's factor, and the interior
         back-substituted."""
+        gather = self._H.plan.gather
         x = np.empty_like(r)
-        x[self._gather] = self._stage.solve(r[self._gather], self._lu.solve)
+        x[gather] = self._stage.solve(r[gather], self._lu.solve)
         return x
 
     def release(self):
         """Drop the factor of the last decrement."""
-        self._H = self._stage = self._gather = self._lu = None
+        self._H = self._stage = self._lu = None
 
 
 def _first_nan(L):
@@ -198,7 +184,7 @@ def _first_nan(L):
 
 def newton_decrement(g, H):
     """The decrement of (g, H) on the running center call's solver; outside
-    a center call, on a new DirectSolver, which records no order."""
+    a center call, on a new DirectSolver."""
     return (_solver.get() or DirectSolver()).decrement(g, H)
 
 

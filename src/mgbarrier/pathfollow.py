@@ -140,7 +140,7 @@ class _Run:
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
-        self.solver = DirectSolver()  # orderings by level plan, the last factor
+        self.solver = DirectSolver()  # every centering's; its last factor gives the tangent
         self.tangent = None  # dz/dt (free dofs) at the last center asked for it
         self.prev = None  # (z, t) of the center before the one self.tangent is at
 

@@ -1,13 +1,20 @@
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from mgbarrier.assembly import CondensedHessian, TwoStagePlan
+from mgbarrier.assembly import SPD_OPTIONS, CondensedHessian, TwoStagePlan
 from mgbarrier.femspace import sym_entries
 
 
 def plan_of(S):
     """The one-stage TwoStagePlan of a CSR matrix S's own pattern."""
     return TwoStagePlan(S.indptr, S.indices)
+
+
+def splu_order(R):
+    """SuperLU's minimum-degree order of a CSC matrix R, as a factorization
+    with the solver's options chooses it from R's values and pattern."""
+    return spla.splu(R, permc_spec="MMD_AT_PLUS_A", **SPD_OPTIONS).perm_c
 
 
 def no_slack(A):

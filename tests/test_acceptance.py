@@ -258,10 +258,12 @@ def test_criterion_7_stepsize_floor(p1_run):
 def test_criterion_8_robustness_rails(mgb_scaling_runs):
     # regularization formula exact: S + sigma diag(S), sigma = 1e-15 times
     # the max absolute row sum of D^-1/2 S D^-1/2 (1.125 in both rows)
+    # read in the plan's order, R's row and column k being dof gather[k]
     S = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 16.0]]))
-    R = regularize(S, plan_of(S)).S
-    ok_reg = np.array_equal(R.toarray(),
-                            S.toarray() + 1e-15 * 1.125 * np.diag([4.0, 16.0]))
+    plan = plan_of(S)
+    R, g = regularize(S, plan).S, plan.gather
+    expected = S.toarray() + 1e-15 * 1.125 * np.diag([4.0, 16.0])
+    ok_reg = np.array_equal(R.toarray(), expected[np.ix_(g, g)])
     # t rail and feasibility of every recorded iterate
     ok_t, ok_feas = True, True
     for pr, tr in (run for runs in mgb_scaling_runs.values() for run in runs):

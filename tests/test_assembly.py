@@ -14,7 +14,7 @@ from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
 
-from hessians import full_hessian
+from hessians import full_hessian, splu_order
 from interpolation import interpolate
 
 
@@ -490,29 +490,26 @@ def test_compress_int32_entries_past_int32_keys():
     assert_same_compression(rows, cols, n)
 
 
-@pytest.mark.parametrize("levels", [1, 2], ids=["one-stage", "two-stage"])
-def test_reordered_plan_shares_what_no_order_changes(levels):
-    # A reordering copies the five arrays that number R's unknowns, shares
-    # hdiag and interior, and leaves the plan as it was; the identity order
-    # reproduces the plan. The reordered R is the plan's with entry (i, j)
-    # at (perm[i], perm[j]).
+@pytest.mark.parametrize("levels, level", [(2, 0), (2, 1), (3, 2)],
+                         ids=["one-stage", "two-stage", "two-stage-L3"])
+def test_plan_orders_r_by_its_pattern_alone(levels, level):
+    # A plan orders R once, from R's pattern, where a factorization of the
+    # real R would order it from R itself: the two orders agree at t0 and
+    # at 1e6 t0, on the coarsest level (one stage: R is S) and on refined
+    # ones. The plan's R is the skeleton's, entry (i, j) at (perm[i],
+    # perm[j]), and its gather lists R's unknowns in that order.
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=2))
-    obj = pr.fine_objective
-    z = pr.z0 if levels == 1 else pr.refine_iterate(pr.z0, 0)
-    S, plan = obj.grad_hess(z, 1.0)[1].S, obj.factor_plan
-    assert (plan.interior is None) == (levels == 1)
-    names = ("slots", "indices", "indptr", "gather", "uslot")
-    before = {name: getattr(plan, name).copy() for name in names}
+    z = pr.z0
+    for lvl in range(level):
+        z = pr.refine_iterate(z, lvl)
+    obj = pr.objectives[level]
+    plan = obj.factor_plan
+    assert (plan.interior is None) == (level == 0)
     nr = len(plan.indptr) - 1
-    perm = np.random.default_rng(levels).permutation(nr).astype(np.int32)
-    same, twin = plan.reordered(np.arange(nr)), plan.reordered(perm)
-    assert plan.perm is None and twin.perm is perm
-    for other in (same, twin):
-        assert other.hdiag is plan.hdiag and other.interior is plan.interior
-    for name in names:
-        assert np.array_equal(getattr(plan, name), before[name])
-        assert np.array_equal(getattr(same, name), before[name])
-        assert getattr(twin, name) is not getattr(plan, name)
-    R = regularize(S, plan).S.toarray()
-    assert np.array_equal(regularize(S, twin).S.toarray()[np.ix_(perm, perm)], R)
-    assert np.array_equal(twin.gather[perm], plan.gather[:nr])
+    assert np.array_equal(plan.gather[plan.perm], np.sort(plan.gather[:nr]))
+    t0 = PathConfig().initial_t(pr)
+    for t in (t0, 1e6 * t0):
+        R = regularize(obj.grad_hess(z, t)[1].S, plan).S
+        natural = R[plan.perm][:, plan.perm].tocsc()
+        natural.sort_indices()
+        assert np.array_equal(splu_order(natural), plan.perm)

@@ -16,7 +16,7 @@ from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 
-from hessians import full_hessian, no_slack, plan_of
+from hessians import full_hessian, no_slack, plan_of, splu_order
 from test_assembly import reference_grad_hess
 
 
@@ -68,20 +68,21 @@ def test_regularize_formula_exact():
     S = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 16.0, 2.0], [0.0, 2.0, 16.0]]))
     d = np.array([4.0, 16.0, 16.0])
     expected = S.toarray() + 1e-15 * 1.25 * np.diag(d)
-    R = regularize(S, plan_of(S).reordered(np.arange(3))).S
+    plan = plan_of(S)
+    R = regularize(S, plan).S
     assert R.format == "csc"
-    assert np.array_equal(R.toarray(), expected)
-    # entry (i, j) moves to (perm[i], perm[j])
-    perm = np.array([2, 0, 1])
-    R = regularize(S, plan_of(S).reordered(perm)).S.toarray()
-    assert np.array_equal(R[np.ix_(perm, perm)], expected)
+    # R's row and column k is dof gather[k]: entry (i, j) at (perm[i], perm[j])
+    g = plan.gather
+    assert not np.array_equal(g, np.arange(3))
+    assert np.array_equal(g[plan.perm], np.arange(3))
+    assert np.array_equal(R.toarray(), expected[np.ix_(g, g)])
 
 
 def test_regularize_zero_matrix():
     # a zero diagonal is not SPD, and no shift relative to it makes it so;
     # the empty Schur complement of a problem with no free u dof is empty
     S = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
-    assert regularize(S, plan_of(S).reordered(np.arange(3))) is None
+    assert regularize(S, plan_of(S)) is None
     S = sp.csr_matrix((0, 0))
     R = regularize(S, plan_of(S)).S
     assert R.shape == (0, 0) and R.nnz == 0
@@ -344,31 +345,36 @@ def test_newton_decrement_solves_regularized_hessian(small_problem):
         _assert_solves_regularized(g, H, lam, step)
 
 
+# what a DirectSolver keeps: its last factor (with its Hessian and
+# interior stage) and why its last decrement failed, nothing else
+SOLVER_STATE = ["_H", "_lu", "_stage", "failure"]
+
+
 def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_used):
-    # The second system on a pattern is gathered into the recorded permuted
-    # pattern and factored in natural order. It meets the same bounds as the
-    # first. Its step is the first one to 1e-7 at the centered point; at the
-    # refined point (cond ~1e19) the forward error of any backward-stable
-    # solve is larger: a dense LAPACK step differs from the first by 2.7e-3,
-    # the reused-order step by 1.6e-8.
+    # Every system on a pattern is gathered into the plan's ordered pattern
+    # and factored in natural order, the first on a solver as every later
+    # one: a second decrement of the same system repeats the first bit for
+    # bit, and both solve it to roundoff, at the centered point and at the
+    # refined point (cond ~1e19).
     (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
     orderings_used.clear()
     solver = DirectSolver()
-    for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
+    for obj, z in ((obj_c, z_c), (obj_r, z_r)):
         g, H = obj.grad_hess(z, 1.0)
         lam0, step0 = solver.decrement(g, H)
         g, H = obj.grad_hess(z, 1.0)
         lam, step = solver.decrement(g, H)
         _assert_solves_regularized(g, H, lam, step)
-        assert np.linalg.norm(step - step0) <= max_diff * np.linalg.norm(step0)
-    assert orderings_used == ["MMD_AT_PLUS_A", "NATURAL"] * 2
-    assert len(solver.orderings) == 2
+        assert lam == lam0 and np.array_equal(step, step0)
+    assert orderings_used == ["NATURAL"] * 4
+    assert sorted(vars(solver)) == SOLVER_STATE
 
 
 def test_orderings_are_recorded_per_plan(orderings_used):
-    # A solver records one order per plan: Hessians with different plans
-    # never share one, on patterns of equal shape and nnz ((0, 2) coupled vs
-    # (1, 3)) or on the same pattern, and a plan reuses its recorded order
+    # Each plan records the minimum-degree order of its own pattern, and a
+    # solver records none: patterns of equal shape and nnz ((0, 2) coupled
+    # vs (1, 3)) get their own orders, equal patterns equal ones, and every
+    # factor runs in natural order on the plan's ordered R.
     A = np.diag([4.0, 5.0, 6.0, 7.0])
     A1, A2 = A.copy(), A.copy()
     A1[0, 2] = A1[2, 0] = 1.0
@@ -379,12 +385,17 @@ def test_orderings_are_recorded_per_plan(orderings_used):
     for H in (H1, H2, H2, H3):
         lam, step = solver.decrement(g, H)
         assert np.allclose(H.S @ step, -g, rtol=1e-12)
-    assert orderings_used == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A"]
-    assert list(solver.orderings) == [H1.plan, H2.plan, H3.plan]
+        assert sorted(vars(solver)) == SOLVER_STATE
+    assert orderings_used == ["NATURAL"] * 4
+    for H in (H1, H2, H3):
+        assert np.array_equal(H.plan.perm, splu_order(H.S.tocsc()))
+    assert not np.array_equal(H1.plan.perm, H2.plan.perm)
+    assert np.array_equal(H2.plan.perm, H3.plan.perm)
 
 
 def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_used):
-    # outside a center call no order is recorded: two calls agree bit for bit
+    # outside a center call each decrement runs on a new solver, in the
+    # plan's order: two calls agree bit for bit
     (obj, z), _ = _centered_and_refined(small_problem)
     orderings_used.clear()
     g, H = obj.grad_hess(z, 1.0)
@@ -392,14 +403,14 @@ def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_u
     lam1, step1 = newton_decrement(g, H)
     assert lam0 == lam1
     assert np.array_equal(step0, step1)
-    assert orderings_used == ["MMD_AT_PLUS_A"] * 2
+    assert orderings_used == ["NATURAL"] * 2
 
 
 def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
-    # At an L=4 iterate every factorization of the Schur complement, with its
-    # own ordering or a reused one, fills in less than minimum degree with
-    # SuperLU's default supernode relaxation (287 k entries against 214 k),
-    # which pads relaxed supernodes with explicit zeros. On small grids the
+    # At an L=4 iterate every factorization of the Schur complement, in its
+    # plan's order, fills in less than minimum degree with SuperLU's default
+    # supernode relaxation (287 k entries against 214 k), which pads
+    # relaxed supernodes with explicit zeros. On small grids the
     # two fills are within a few percent either way, so the guard runs where
     # relax matters.
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4))
@@ -427,13 +438,13 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
 
 def test_every_factorization_shifts_through_regularize(small_problem, monkeypatch):
     # One gather-and-shift path: every splu of a run factors what
-    # newton.regularize returned, minimum degree runs once per level's
-    # pattern, and the run's solver ends with one ordering per level.
+    # newton.regularize returned, in natural order (the plan's), and the
+    # run's one solver ends with no factor and nothing else kept.
     shifted, specs, solvers = [], [], []
     reg, splu, Solver = newton.regularize, spla.splu, pathfollow.DirectSolver
 
-    def logged_regularize(S, order):
-        shifted.append(reg(S, order))
+    def logged_regularize(S, plan):
+        shifted.append(reg(S, plan))
         return shifted[-1]
 
     def logged_splu(A, permc_spec=None, **kwargs):
@@ -451,19 +462,19 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
     tr = run_mgb(small_problem, PathConfig())
     assert tr.status == "converged"
     assert len(shifted) == len(specs) > small_problem.L
-    assert specs.count("MMD_AT_PLUS_A") == small_problem.L
+    assert specs == ["NATURAL"] * len(specs)
     assert len(solvers) == 1
-    assert len(solvers[0].orderings) == small_problem.L
+    assert sorted(vars(solvers[0])) == SOLVER_STATE and solvers[0]._lu is None
 
 
-def test_plans_outlive_a_run_and_orders_do_not(monkeypatch):
-    # A level's TwoStagePlan depends on its pattern alone, so two runs on
-    # one ProblemInstance build each level's plan once in total. Orders last
-    # one run: each run orders every level's R with minimum degree again,
-    # and the two traces are byte-identical.
+def test_plans_and_their_orders_outlive_a_run(monkeypatch):
+    # A level's TwoStagePlan, R's order included, depends on its pattern
+    # alone, so two runs on one ProblemInstance build and order each
+    # level's plan once in total, on the first run. Every factor of either
+    # run is in natural order, and the two traces are byte-identical.
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
-    plans, specs = [], []
-    Plan, splu = assembly.TwoStagePlan, spla.splu
+    plans, specs, orders = [], [], []
+    Plan, splu, spilu = assembly.TwoStagePlan, spla.splu, spla.spilu
 
     def logged_plan(*args):
         plans.append(Plan(*args))
@@ -473,16 +484,22 @@ def test_plans_outlive_a_run_and_orders_do_not(monkeypatch):
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    def logged_spilu(A, **kwargs):
+        orders.append(A.shape)
+        return spilu(A, **kwargs)
+
     monkeypatch.setattr(assembly, "TwoStagePlan", logged_plan)
     monkeypatch.setattr(spla, "splu", logged_splu)
+    monkeypatch.setattr(spla, "spilu", logged_spilu)
     traces = []
     for _ in range(2):
         specs.clear()
         traces.append(run_mgb(pr, PathConfig()))
         assert traces[-1].status == "converged"
-        assert specs.count("MMD_AT_PLUS_A") == pr.L
-    assert len(plans) == pr.L
+        assert specs == ["NATURAL"] * len(specs)
+        assert len(orders) == len(plans) == pr.L
     assert [o.factor_plan for o in pr.objectives] == plans
+    assert orders == [(len(p.indptr) - 1,) * 2 for p in plans]
     assert traces[0].to_csv(wall_times=False) == traces[1].to_csv(wall_times=False)
 
 
@@ -529,7 +546,7 @@ class FixedHessian:
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     # H is not SPD: a solver-failure, never a clamp, and no splu is attempted,
-    # on a new pattern and on one whose ordering is recorded
+    # on a new solver and on one that has factored the pattern
     H = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
     bad_H = H.copy()
     bad_H.data[H.indptr[1] + 1] = bad  # entry (1, 1), kept even when 0
@@ -541,7 +558,7 @@ def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0, solver=solver)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
-    assert orderings_used == ["MMD_AT_PLUS_A"]
+    assert orderings_used == ["NATURAL"]
 
 
 def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_used):
@@ -589,11 +606,11 @@ def test_non_spd_interior_block_is_a_named_failure(small_problem, orderings_used
 
 
 def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
-    # The reused path reads the diagonal through the recorded permutation; it
-    # must see H's diagonal in H's own row order, as the new-pattern path
-    # does, and so get the same sigma and the same step. At the refined point
-    # the diagonal spans many orders of magnitude, so a permuted diagonal
-    # would give another sigma.
+    # The shift reads the diagonal of S through the plan's hdiag, whose order
+    # is S's, not R's: it must see H's diagonal in H's own row order, and so
+    # get the same sigma on every decrement. At the refined point the
+    # diagonal spans many orders of magnitude, so a permuted diagonal would
+    # give another sigma.
     calls = []
     shift = newton.scaled_shift
 

@@ -360,10 +360,10 @@ def test_mgb_converges_at_p3_after_refinement():
 
 
 def test_run_mgb_repeats_bit_for_bit():
-    # Orderings belong to one run: a second run on the same ProblemInstance
-    # starts from minimum degree again, so its trace is byte-identical to the
-    # first. (A grid no other test uses, so that orderings cached past a run
-    # would show here.)
+    # A second run on the same ProblemInstance reuses every level's plan and
+    # its order, and its trace is byte-identical to the first run's, on the
+    # fresh instance. (A grid no other test uses, so that the first run
+    # builds every plan.)
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=3))
     first = run_mgb(pr, PathConfig())
     second = run_mgb(pr, PathConfig())
@@ -684,21 +684,32 @@ def test_no_factor_is_alive_during_a_line_search(small_problem, live_factors,
     ("mgb", {}), ("mgb", dict(direct_cap=0)), ("naive-theta", {})],
     ids=["mgb", "mgb-direct-cap-0", "naive-theta"])
 def test_each_run_orders_each_level_pattern_once(monkeypatch, algorithm, config):
-    # One run's solver orders each level's Hessian pattern by minimum degree
-    # once: a level's own centerings, the fine direct steps and the Galerkin
-    # P^T H P of that level all reuse it. A second run on the same problem
-    # orders every pattern again.
-    specs, splu = [], spla.splu
+    # A run on a new problem orders each level's Hessian pattern by minimum
+    # degree once, when it builds the level's plan: a level's own
+    # centerings, the fine direct steps and the Galerkin P^T H P of that
+    # level all factor in that order, in natural order on the plan's R.
+    # Two new problems give byte-identical traces.
+    specs, orders, csv = [], [], []
+    splu, spilu = spla.splu, spla.spilu
 
     def logged(A, permc_spec=None, **kwargs):
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
+    def logged_spilu(A, **kwargs):
+        orders.append(A.shape)
+        return spilu(A, **kwargs)
+
     monkeypatch.setattr(spla, "splu", logged)
-    pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=2))
+    monkeypatch.setattr(spla, "spilu", logged_spilu)
     for _ in range(2):
+        pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=3, cells0=2))
         specs.clear()
+        orders.clear()
         tr = pathfollow.ALGORITHMS[algorithm](pr, PathConfig(**config))
         assert tr.status == "converged"
-        assert specs.count("MMD_AT_PLUS_A") == pr.L
-        assert specs.count("NATURAL") == len(specs) - pr.L > 0
+        assert sorted(orders) == sorted((len(o.factor_plan.indptr) - 1,) * 2
+                                        for o in pr.objectives)
+        assert specs == ["NATURAL"] * len(specs) and len(specs) > pr.L
+        csv.append(tr.to_csv(wall_times=False))
+    assert csv[0] == csv[1]
