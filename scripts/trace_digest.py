@@ -29,14 +29,17 @@ print the same text, and `diff` of their outputs checks that a change keeps
 behaviour. A solver failure is a line like any other; the script exits
 non-zero only on an exception.
 
-With --rows a solve line holds status, failure reason, t_final and a
-digest of the trace's (k, level, newton_iters, direct_step) rows, and no
-problem lines follow: the Newton work of every solve, without the
-objective, decrement and z_final values that roundoff moves. A change that
-moves only roundoff prints the same text as its parent, so `diff` of two
---rows outputs checks that it keeps every Newton count. The script needs
-only the solver's public calls, so this checkout's copy can run against
-another checkout's solver by PYTHONPATH.
+With --rows a solve line holds status, failure reason, t_final, a digest
+of the trace's (k, level, newton_iters, direct_step) rows and the number of
+scipy.sparse.linalg.splu calls the solve made (splu=N, counted by a wrapper
+installed around it), and no problem lines follow: the Newton work and
+factorizations of every solve, without the objective, decrement and
+z_final values that roundoff moves. A change that moves only roundoff
+prints the same text as its parent, so `diff` of two --rows outputs checks
+that it keeps every Newton count and factorization; a change in the
+factorizations alone shows as a changed splu count. The script needs only
+the solver's public calls, so this checkout's copy can run against another
+checkout's solver by PYTHONPATH.
 
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --rows > rows.txt
@@ -53,6 +56,7 @@ import hashlib
 import sys
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from mgbarrier.diagnostics import rh_constant_estimate
 from mgbarrier.pathfollow import ALGORITHMS, PathConfig
@@ -106,24 +110,42 @@ def csr_parts(matrices):
     return [x for P in matrices for x in (P.data, P.indices, P.indptr)]
 
 
+def count_splu_calls():
+    """Wrap scipy.sparse.linalg.splu, which the solver looks up at each call,
+    so that it counts its calls; returns a function giving the count."""
+    splu, calls = spla.splu, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return splu(*args, **kwargs)
+
+    spla.splu = counted
+    return lambda: calls[0]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rows", action="store_true",
-                    help="digest each solve's Newton rows, not its csv and z_final")
+                    help="digest each solve's Newton rows and count its splu calls, "
+                         "not its csv and z_final")
     args = ap.parse_args()
+    splu_calls = count_splu_calls()
     n = 0
     for name, spec, runs in cases():
         problem = build_problem(spec)
         finals = []
         for run, algorithm, keys in runs:
+            before = splu_calls()
             trace = ALGORITHMS[algorithm](problem, PathConfig(**keys))
+            splu = splu_calls() - before
             z = trace.z_final
             finals.append(z)
             head = (f"{name} {run}: {trace.status} {trace.failure_reason!r} "
                     f"t_final={trace.t_final!r}")
             if args.rows:
                 work = [(r.k, r.level, r.newton_iters, r.direct_step) for r in trace.rows]
-                print(f"{head} rows={digest(np.array(work, dtype=np.int64))}")
+                print(f"{head} rows={digest(np.array(work, dtype=np.int64))} "
+                      f"splu={splu}")
             else:
                 print(f"{head} csv={digest(trace.to_csv(wall_times=False))} "
                       f"z_final={'-' if z is None else digest(z)}")

@@ -42,7 +42,8 @@ def _boolean(text):
 # an unset key keeps that object's default
 _SPEC_KEYS = {"p": float, "alpha": int, "levels": int, "cells0": int}
 _PATH_KEYS = {"rho0": float, "c_stp": float, "t_cap": float, "t0": float,
-              "theta": float, "budget_s": float, "predictor": _boolean}
+              "theta": float, "direct_cap": int, "budget_s": float,
+              "predictor": _boolean}
 _CONFIG_KEYS = {**_SPEC_KEYS, **_PATH_KEYS, "dim": int, "algorithm": check_algorithm}
 
 

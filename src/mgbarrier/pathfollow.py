@@ -32,7 +32,8 @@ class PathConfig:
     t_cap: float = 1e8
     t0: float | None = None       # absolute t0; None -> min(h_fine^d, t_cap)
     theta: float = 0.5            # naive theta-schedule parameter
-    direct_cap: int = 5           # Newton cap for the practical direct step
+    direct_cap: int = 5           # Newton cap for the practical direct step; 0 takes
+                                  # none: every t-step sweeps (Algorithm MGB proper)
     budget_s: float = 300.0
     predictor: bool = True        # practical MGB: start t-steps on the tangent
     lam_tol_final = 1e-6          # final centering tolerance, a constant
@@ -73,8 +74,8 @@ class TraceRow:
     k: int
     t: float
     rho: float
-    level: int          # 0 = direct step, 1..L = grid level, -1 = step summary
-                        # or the final re-centering
+    level: int          # 0 = direct step (none with direct_cap 0), 1..L = grid
+                        # level, -1 = step summary or the final re-centering
     newton_iters: int
     direct_step: int
     objective: float
@@ -284,6 +285,7 @@ def _follow(problem, config, store_iterates, schedule):
     re-centers it at t; MGB's h-steps are all step 0. A t-step centers at
     rho * t; for MGB on the fine level from the tangent prediction with at
     most direct_cap Newton steps, then sweeps from the quadratic one on a miss.
+    With direct_cap 0 there is no direct step: every MGB t-step sweeps.
     """
     run = _Run(problem, config, store_iterates)
     mgb = schedule == "mgb"
@@ -325,11 +327,13 @@ def _follow(problem, config, store_iterates, schedule):
             obj = problem.objectives[lvl]
             t_next = min(rho * t, config.t_cap)
             tangent = run.tangent  # the centering below replaces it
-            level_obj, res = run.center_at(
-                obj, predict(obj, z, tangent, t, t_next), None, t_next, k,
-                0 if mgb else lvl + 1, rho, direct=mgb, tangent=predictor,
-                max_iters=config.direct_cap if mgb else MAX_CENTER_ITERS)
-            direct_ok = res.status == CONVERGED
+            direct_ok = False
+            if not (mgb and config.direct_cap == 0):
+                level_obj, res = run.center_at(
+                    obj, predict(obj, z, tangent, t, t_next), None, t_next, k,
+                    0 if mgb else lvl + 1, rho, direct=mgb, tangent=predictor,
+                    max_iters=config.direct_cap if mgb else MAX_CENTER_ITERS)
+                direct_ok = res.status == CONVERGED
             if direct_ok:
                 z_next = level_obj.full_point(res.y)
             elif not mgb:

@@ -58,6 +58,21 @@ def test_solve_predictor_key(config_file, tmp_path, value):
     assert got == [line.rsplit(",", 1)[0] for line in expected.to_csv().splitlines()]
 
 
+def test_solve_direct_cap_key(config_file, tmp_path):
+    # `direct_cap = 0` runs Algorithm MGB proper: every t-step sweeps
+    path = tmp_path / "run.cfg"
+    path.write_text(config_file.read_text() + "direct_cap = 0\n")
+    trace_path = tmp_path / "trace.csv"
+    assert main(["solve", "--config", str(path), "--trace", str(trace_path)]) == EXIT_OK
+    cfg = parse_config_text(path.read_text())
+    assert cfg["direct_cap"] == 0 and cli._path_config(cfg) == PathConfig(direct_cap=0)
+    expected = run_mgb(build_problem(spec_from_config(cfg)), PathConfig(direct_cap=0))
+    got = [line.rsplit(",", 1)[0] for line in trace_path.read_text().splitlines()]
+    assert got == [line.rsplit(",", 1)[0] for line in expected.to_csv().splitlines()]
+    # no row is a direct fine step (level 0)
+    assert all(line.split(",")[3] != "0" for line in got[1:])
+
+
 @pytest.mark.parametrize("algorithm", ["naive-h-then-t", "naive-theta"])
 def test_solve_naive_algorithms(tmp_path, algorithm):
     cfg = tmp_path / "run.cfg"
@@ -86,9 +101,13 @@ def test_solve_naive_algorithms(tmp_path, algorithm):
     # a value its parser rejects once gave a message naming neither key nor line
     ("levels = 2\np =\n", "config key 'p' on line 2: could not convert string to float"),
     ("levels = 2.5\n", "config key 'levels' on line 1: invalid literal for int()"),
+    ("direct_cap = -1\n", "direct_cap must be an int >= 0, got -1"),
+    ("direct_cap = 2.5\n", "config key 'direct_cap' on line 1: invalid literal for int()"),
+    ("direct_cap = true\n", "config key 'direct_cap' on line 1: invalid literal for int()"),
 ], ids=["unknown-key", "dim", "algorithm", "rho0", "predictor", "missing-file",
         "t0-infinite", "t0-past-t_cap", "p-infinite", "t_cap-infinite",
-        "repeated-key", "empty-value", "non-integer"])
+        "repeated-key", "empty-value", "non-integer", "direct_cap-negative",
+        "direct_cap-float", "direct_cap-boolean"])
 def test_solve_invalid_config_is_a_clean_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.cfg"
     if text is not None:

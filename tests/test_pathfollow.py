@@ -244,18 +244,15 @@ PINNED_ROWS = {
         3:0:4:1 3:-1:4:1 4:0:4:1 4:-1:4:1 5:0:3:1 5:-1:3:1 6:0:3:1
         6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:4:1 8:-1:4:1 9:-1:1:0""",
     "mgb-full": """
-        0:1:4:0 0:2:35:0 0:-1:35:0 1:0:0:1 1:1:4:0 1:2:5:0 1:-1:5:0
-        2:0:0:1 2:1:6:0 2:2:4:0 2:-1:6:0 3:0:0:1 3:1:3:0 3:2:3:0
-        3:-1:3:0 4:0:0:1 4:1:3:0 4:2:3:0 4:-1:3:0 5:0:0:1 5:1:3:0
-        5:2:3:0 5:-1:3:0 6:0:0:1 6:1:3:0 6:2:3:0 6:-1:3:0 7:0:0:1
-        7:1:3:0 7:2:4:0 7:-1:4:0 8:0:0:1 8:1:3:0 8:2:5:0 8:-1:5:0
-        9:0:0:1 9:1:3:0 9:2:7:0 9:-1:7:0 10:0:0:1 10:1:2:0 10:2:3:0
-        10:-1:3:0 11:0:0:1 11:1:2:0 11:2:3:0 11:-1:3:0 12:0:0:1
-        12:1:2:0 12:2:3:0 12:-1:3:0 13:0:0:1 13:1:2:0 13:2:3:0
-        13:-1:3:0 14:0:0:1 14:1:2:0 14:2:3:0 14:-1:3:0 15:0:0:1
-        15:1:2:0 15:2:3:0 15:-1:3:0 16:0:0:1 16:1:2:0 16:2:3:0
-        16:-1:3:0 17:0:0:1 17:1:2:0 17:2:3:0 17:-1:3:0 18:0:0:1
-        18:1:2:0 18:2:2:0 18:-1:2:0 19:0:0:1 19:1:3:0 19:2:5:0
+        0:1:4:0 0:2:35:0 0:-1:35:0 1:1:4:0 1:2:5:0 1:-1:5:0 2:1:6:0
+        2:2:4:0 2:-1:6:0 3:1:3:0 3:2:3:0 3:-1:3:0 4:1:3:0 4:2:3:0
+        4:-1:3:0 5:1:3:0 5:2:3:0 5:-1:3:0 6:1:3:0 6:2:3:0 6:-1:3:0
+        7:1:3:0 7:2:4:0 7:-1:4:0 8:1:3:0 8:2:5:0 8:-1:5:0 9:1:3:0
+        9:2:7:0 9:-1:7:0 10:1:2:0 10:2:3:0 10:-1:3:0 11:1:2:0 11:2:3:0
+        11:-1:3:0 12:1:2:0 12:2:3:0 12:-1:3:0 13:1:2:0 13:2:3:0
+        13:-1:3:0 14:1:2:0 14:2:3:0 14:-1:3:0 15:1:2:0 15:2:3:0
+        15:-1:3:0 16:1:2:0 16:2:3:0 16:-1:3:0 17:1:2:0 17:2:3:0
+        17:-1:3:0 18:1:2:0 18:2:2:0 18:-1:2:0 19:1:3:0 19:2:5:0
         19:-1:5:0 20:-1:1:0""",
     "naive-h-then-t": """
         0:1:4:0 0:-1:4:0 1:2:35:0 1:-1:35:0 2:2:4:0 2:-1:4:0 3:2:4:0
@@ -271,10 +268,10 @@ PINNED_ROWS = {
         3:0:3:1 3:-1:3:1 4:0:3:1 4:-1:3:1 5:0:3:1 5:-1:3:1 6:0:3:1
         6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:3:1 8:-1:3:1 9:-1:2:0""",
     "mgb-full-predictor": """
-        0:1:4:0 0:2:35:0 0:-1:35:0 1:0:0:1 1:1:3:0 1:2:3:0 1:-1:3:0
-        2:0:0:1 2:1:2:0 2:2:2:0 2:-1:2:0 3:0:0:1 3:1:7:0 3:2:5:0
-        3:-1:7:0 4:0:0:1 4:1:2:0 4:2:2:0 4:-1:2:0 5:0:0:1 5:1:5:0
-        5:2:6:0 5:-1:6:0 6:0:0:1 6:1:2:0 6:2:2:0 6:-1:2:0 7:-1:1:0""",
+        0:1:4:0 0:2:35:0 0:-1:35:0 1:1:3:0 1:2:3:0 1:-1:3:0 2:1:2:0
+        2:2:2:0 2:-1:2:0 3:1:7:0 3:2:5:0 3:-1:7:0 4:1:2:0 4:2:2:0
+        4:-1:2:0 5:1:5:0 5:2:6:0 5:-1:6:0 6:1:2:0 6:2:2:0 6:-1:2:0
+        7:-1:1:0""",
 }
 
 
@@ -462,35 +459,35 @@ def _record_starts(monkeypatch, direct_cap):
 
 
 def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypatch):
-    # direct_cap = 0: every t-step that is not centered at its start sweeps
-    # the levels. At k = 1 no earlier center exists and the sweep starts where
-    # the direct step did, at the tangent prediction; from k = 2 on it starts
-    # from the quadratic prediction through the center before z_{k-1}.
+    # direct_cap = 0: no direct step, and every t-step sweeps the levels. At
+    # k = 1 no earlier center exists and the sweep starts at the tangent
+    # prediction; from k = 2 on it starts from the quadratic prediction
+    # through the center before z_{k-1}.
     direct, sweeps = _record_starts(monkeypatch, direct_cap=0)
-    tangents = {}  # t_next -> the tangent the direct step was predicted with
+    tangents = {}  # t_next -> the tangent the sweep was predicted with
     predict_ = pathfollow.predict
 
     def logged_predict(objective, z_k, tangent, t_k, t_next, prev=None):
-        if prev is None:
-            tangents[t_next] = tangent
+        tangents[t_next] = tangent
         return predict_(objective, z_k, tangent, t_k, t_next, prev)
 
     monkeypatch.setattr(pathfollow, "predict", logged_predict)
     tr = run_mgb(small_problem, PathConfig(direct_cap=0), store_iterates=True)
-    assert tr.status == "converged" and len(sweeps) > 2
+    assert tr.status == "converged" and len(sweeps) > 2 and direct == []
     obj = small_problem.fine_objective
     iterates = dict(tr.iterates)
     ts = {k: t for k, t, _ in tr.costs}
     for k, z_start in sweeps:
         assert not np.array_equal(z_start, iterates[k - 1])
         assert np.all(obj.margin(z_start) > 0.0)
+        linear = _tangent_prediction(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k])
         if k == 1:
-            assert np.array_equal(z_start, direct[0])
+            assert np.array_equal(z_start, linear)
             continue
         quadratic = predict_(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k],
                              (iterates[k - 2], ts[k - 2]))
         assert np.array_equal(z_start, quadratic)
-        assert not np.array_equal(z_start, direct[k - 1])
+        assert not np.array_equal(z_start, linear)
 
 
 def _tangent_prediction(objective, z_k, tangent, t_k, t_next):
@@ -585,6 +582,36 @@ def test_predictor_off_keeps_no_previous_center(small_problem, monkeypatch):
     assert got == [t for _, t, _ in tr.costs[:len(got)]]
 
 
+@pytest.mark.parametrize("predictor", [True, False])
+def test_direct_cap_0_sweeps_every_t_step_without_a_fine_probe(small_problem, monkeypatch,
+                                                               predictor):
+    # Algorithm MGB proper: no 0-step fine centering tests the prediction, so
+    # every center call is a sweep level, the initial phase or the final
+    # re-centering, and each factorization is a Newton step or a center's end
+    calls, factors = [], []
+    center, splu = pathfollow.center, spla.splu
+
+    def logged_center(level_obj, y0, t, **kw):
+        res = center(level_obj, y0, t, **kw)
+        calls.append((kw["max_iters"], res.iterations))
+        return res
+
+    def logged_splu(A, **kwargs):
+        factors.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(pathfollow, "center", logged_center)
+    monkeypatch.setattr(spla, "splu", logged_splu)
+    tr = run_mgb(small_problem, PathConfig(direct_cap=0, predictor=predictor))
+    assert tr.status == "converged"
+    assert all(max_iters > 0 for max_iters, _ in calls)
+    assert all(r.level != 0 for r in tr.rows)
+    assert len(factors) == sum(m for _, m in calls) + len(calls)
+    # costs: the initial center, one per t-step, the final re-centering
+    L, t_steps = small_problem.L, len(tr.costs) - 2
+    assert len(calls) == L * t_steps + L + 1
+
+
 @pytest.mark.parametrize("direct_cap", [5, 0])
 def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direct_cap):
     # no halving of the prediction keeps a margin: the direct step and the
@@ -595,8 +622,13 @@ def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direc
     tr = run_mgb(small_problem, PathConfig(direct_cap=direct_cap), store_iterates=True)
     assert tr.to_csv(wall_times=False) == off.to_csv(wall_times=False)
     iterates = dict(tr.iterates)
-    # iterates: the initial center, one per t-step, the final re-centering
-    assert len(direct) == len(tr.iterates) - 2
+    # iterates: the initial center, one per t-step, the final re-centering;
+    # with direct_cap = 0 every t-step sweeps and none takes a direct step
+    t_steps = len(tr.iterates) - 2
+    if direct_cap == 0:
+        assert direct == [] and [k for k, _ in sweeps] == list(range(1, t_steps + 1))
+    else:
+        assert len(direct) == t_steps
     for k, z_start in enumerate(direct, start=1):
         assert np.array_equal(z_start, iterates[k - 1])
     for k, z_start in sweeps:

@@ -77,7 +77,8 @@ def test_galerkin_prolongations_are_the_free_chain():
 
 def test_only_a_multigrid_sweep_builds_the_free_prolongations():
     # the naive comparator never reads P_free or galerkin; an MGB step that
-    # misses its direct step (direct_cap = 0 always does) sweeps and builds both
+    # misses its direct step sweeps and builds both, and with direct_cap = 0
+    # there is no direct step: every t-step sweeps
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
     ALGORITHMS["naive-theta"](pr, PathConfig())
     assert "P_free" not in pr.__dict__ and "galerkin" not in pr.__dict__
