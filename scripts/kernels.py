@@ -19,17 +19,17 @@ repeat-median milliseconds of:
   of the fine element blocks to that level's free dofs, one product of each
   block with its child-to-parent table per level, including the
   condensation and scatter into the level's pattern;
-- decrement_repeated_pattern: DirectSolver.decrement, the same on a new
-  solver as on a used one: the shift of S, the elimination of every
-  parent's interior and the gather of the skeleton Schur complement R in
-  the plan's order, the factorization of R in that order, and the solve;
+- decrement_repeated_pattern: newton.newton_decrement on a pattern whose
+  plan is built: the shift of S, the elimination of every parent's
+  interior and the gather of the skeleton Schur complement R in the plan's
+  order, the factorization of R in that order, and the solve;
 - regularize: that shift, elimination and gather alone;
 - interior: condense on every parent's interior block alone, the core of
   that elimination (null on a fine level without parents);
-- solve: one DirectSolver.solve with that decrement's factor, i.e. the
-  slack condensed out of the right-hand side, then the parents' interiors,
-  the solve with R, and both back-substituted (CondensedHessian.solve,
-  twice);
+- solve: one H.solve with the factor that decrement leaves on H, i.e.
+  the slack condensed out of the right-hand side, then the parents'
+  interiors, the solve with R, and both back-substituted
+  (CondensedHessian.solve, twice);
 - plan: building the fine level's TwoStagePlan: the skeleton, R's pattern
   (the union of the parents' boundary cliques), R's order, and R's CSC
   pattern and the interior stage's tables in that order, built once per
@@ -138,10 +138,9 @@ def main():
         fills.append(lu.nnz)
         return lu
 
-    solver = newton.DirectSolver()
     spla.splu = logged_splu
     try:
-        decrement_ms = median_ms(lambda: solver.decrement(g, H), args.repeats)
+        decrement_ms = median_ms(lambda: newton.newton_decrement(g, H), args.repeats)
     finally:
         spla.splu = splu
     plan = H.plan
@@ -175,7 +174,7 @@ def main():
         "decrement_repeated_pattern_ms": decrement_ms,
         "regularize_ms": median_ms(lambda: newton.regularize(H.S, plan), args.repeats),
         "interior_ms": interior_ms,
-        "solve_ms": median_ms(lambda: solver.solve(g), args.repeats),
+        "solve_ms": median_ms(lambda: H.solve(g), args.repeats),
         "plan_ms": median_ms(lambda: TwoStagePlan(H.S.indptr, H.S.indices, obj.parent_dofs),
                              args.repeats),
         "order_ms": median_ms(lambda: min_degree_order(rows, cols, R.shape[0]), args.repeats),

@@ -9,6 +9,7 @@ restriction to coarse subspaces for the shifted-central-path subproblems
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,12 @@ def compress(rows, cols, n):
     """Sort the distinct entries (rows[k], cols[k]) of an n x n pattern by
     row, then column, and compress them by row: (order, indices, indptr),
     entry order[k] stored k-th, and the int32 CSR arrays. (cols, rows)
-    compress it by column, as CSC. The keys are int64: int32 ones wrap
-    silently from n = 46,341 on."""
-    order = np.argsort(rows.astype(np.int64) * n + cols)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return order, cols[order].astype(np.int32), indptr
+    compress it by column, as CSC. scipy converts the entries, numbered from
+    1 so that none is an explicit zero, from COO."""
+    P = sp.csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(n, n))
+    P.sort_indices()
+    return ((P.data - 1).astype(np.intp), P.indices.astype(np.int32, copy=False),
+            P.indptr.astype(np.int32, copy=False))
 
 
 def clique_pattern(slot, n):
@@ -221,6 +222,9 @@ class CondensedHessian:
     # the TwoStagePlan of S's pattern, by which the solver factors S; a
     # level's own (Objective.factor_plan), None on the stage that factors it
     plan: TwoStagePlan | None = None
+    # r -> S^-1 r (shifted), left by the decrement that factored S; the
+    # stage's is the solve with R's factor
+    solve_s: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def nnz(self):
@@ -230,8 +234,8 @@ class CondensedHessian:
         """Whether every element slack block is positive definite."""
         return not np.isnan(self.L).any()
 
-    def solve(self, b, solve_s):
-        """H^-1 b over the free dofs, given solve_s(r) = S^-1 r: the slack is
+    def solve(self, b):
+        """H^-1 b over the free dofs with solve_s(r) = S^-1 r: the slack is
         condensed out of b element by element, and back-substituted."""
         nu = self.S.shape[0]
         n_ls, _, ne = self.W.shape
@@ -241,8 +245,8 @@ class CondensedHessian:
         y = substitute(L, at, b[nu:].reshape(ne, n_ls).T.copy())
         wy = np.einsum("jie,je->ie", W, y)
         x = np.empty_like(b)
-        x[:nu] = solve_s(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
-                                              minlength=nu + 1)[:nu])
+        x[:nu] = self.solve_s(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
+                                                   minlength=nu + 1)[:nu])
         # x_s = L^-T (y - W x_u) on every element; a fixed u dof's slot nu
         # reads the 0 put there (uslot is empty when x has no slack)
         x[nu:nu + 1] = 0.0

@@ -7,7 +7,6 @@ the barrier domain (value = +inf) are handled by halving the step.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from dataclasses import dataclass
 
@@ -32,10 +31,11 @@ QUAD_PHASE = 0.25
 # lambda^2 = -g.step below -NEG_LAM2_TOL * |g| |step| is not roundoff: the
 # system was indefinite or badly solved
 NEG_LAM2_TOL = 1e-8
-# the solver of the running center call, read by newton_decrement. It is not
-# an argument because perfbench's traced mode wraps newton.newton_decrement by
-# name and calls it with exactly (g, H); only center sets it
-_solver = contextvars.ContextVar("solver", default=None)
+
+
+class DecrementFailure(Exception):
+    """A Newton decrement that has no answer; the message names the check
+    that stopped it."""
 
 
 def scaled_shift(H, d):
@@ -60,13 +60,14 @@ def regularize(S, plan):
     the pattern of plan, a TwoStagePlan, in two stages: the stage
     CondensedHessian(R, L, W, uslot) that stands for it in plan's gather
     order, R in plan's CSC pattern (its order), with every parent's interior
-    block eliminated by condense into L, W and R's entries; or None if an
-    entry of d is not positive (or NaN): S is then not SPD, and no clamp
-    makes it so. An interior block that is not positive definite leaves
-    NaN in L, condense's marking."""
+    block eliminated by condense into L, W and R's entries. Raises
+    DecrementFailure if an entry of d is not positive (or NaN): S is then
+    not SPD, and no clamp makes it so. An interior block that is not
+    positive definite leaves NaN in L, condense's marking."""
     d = S.data[plan.hdiag]
     if not (d > 0).all():
-        return None
+        row = np.flatnonzero(~(d > 0))[0]
+        raise DecrementFailure(f"diagonal of S not positive, row {row}: {float(d[row])!r}")
     # the shifted S, then a 0 for the entries of R that S lacks
     entries = np.append(S.data, 0.0)
     entries[plan.hdiag] *= 1.0 + scaled_shift(S, d)
@@ -91,90 +92,12 @@ class CenteringResult:
     status: str
     value: float  # f at y, the value the line search last accepted
     detail: str = ""  # which check stopped a SOLVER_FAILURE
+    solved: np.ndarray | None = None  # H^{-1} rhs at y, if converged with an rhs
 
     @property
     def outcome(self):
         """The status, followed by its detail in parentheses if it has one."""
         return f"{self.status} ({self.detail})" if self.detail else self.status
-
-
-class DirectSolver:
-    """The sparse direct Newton solves of one path-following run: it keeps
-    the factor of its last decrement for solve(b) until release() or the
-    next decrement, and nothing else."""
-
-    def __init__(self):
-        # the last decrement's CondensedHessian, its interior stage (over the
-        # factored R) and R's factor
-        self._H = self._stage = self._lu = None
-        self.failure = ""  # why the last decrement returned (None, None)
-
-    def decrement(self, g, H):
-        """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
-
-        H is a CondensedHessian whose plan is a TwoStagePlan of its S. S is
-        shifted, and every parent's interior block is eliminated from it,
-        into R's pattern in the plan's order (regularize); R is SPD, so it
-        is factored with diagonal pivots, in natural order: its rows are
-        already in the plan's minimum-degree order. Returns (None, None) and
-        keeps no factor if a slack block or an interior block is not
-        positive definite or a diagonal entry of S is missing or not
-        positive (before any factorization), if the factorization fails or
-        if lambda^2 is negative beyond roundoff; self.failure then names
-        which.
-        """
-        self.release()
-        self.failure = ""
-        if not H.slack_spd():
-            return self._fail(f"slack block not SPD, element {_first_nan(H.L)}")
-        S, plan = H.S, H.plan
-        if plan.hdiag.size < S.shape[0]:
-            return self._fail("S lacks a diagonal entry")
-        stage = regularize(S, plan)
-        if stage is None:
-            d = S.data[plan.hdiag]
-            row = np.flatnonzero(~(d > 0))[0]
-            return self._fail(f"diagonal of S not positive, row {row}: {float(d[row])!r}")
-        if not stage.slack_spd():
-            return self._fail(f"interior block not SPD, parent {_first_nan(stage.L)}")
-        try:
-            self._lu = spla.splu(stage.S, permc_spec="NATURAL", **SPD_OPTIONS)
-            self._H, self._stage = H, stage
-            step = -self.solve(g)
-        except RuntimeError as exc:
-            return self._fail(f"splu failed: {exc}")
-        lam2 = float(-g @ step)
-        if not np.isfinite(lam2) or (
-                lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
-            return self._fail(f"lambda^2 = {lam2!r}"
-                              + (" is negative beyond roundoff" if np.isfinite(lam2) else ""))
-        return float(np.sqrt(max(lam2, 0.0))), step
-
-    def _fail(self, why):
-        """Keep no factor and record why: the (None, None) of decrement."""
-        self.release()
-        self.failure = why
-        return None, None
-
-    def solve(self, b):
-        """H^{-1} b with the factor of the last decrement: b condensed, a
-        solve with S, and the slack back-substituted."""
-        if self._lu is None:
-            raise RuntimeError("no factor: the last decrement failed or was released")
-        return self._H.solve(b, self._solve_s)
-
-    def _solve_s(self, r):
-        """The shifted S^{-1} r in two stages: every parent's interior
-        condensed out of r, a solve with R's factor, and the interior
-        back-substituted."""
-        gather = self._H.plan.gather
-        x = np.empty_like(r)
-        x[gather] = self._stage.solve(r[gather], self._lu.solve)
-        return x
-
-    def release(self):
-        """Drop the factor of the last decrement."""
-        self._H = self._stage = self._lu = None
 
 
 def _first_nan(L):
@@ -183,54 +106,92 @@ def _first_nan(L):
 
 
 def newton_decrement(g, H):
-    """The decrement of (g, H) on the running center call's solver; outside
-    a center call, on a new DirectSolver."""
-    return (_solver.get() or DirectSolver()).decrement(g, H)
+    """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
+
+    H is a CondensedHessian whose plan is a TwoStagePlan of its S. S is
+    shifted, and every parent's interior block is eliminated from it, into
+    R's pattern in the plan's order (regularize); R is SPD, so it is
+    factored with diagonal pivots, in natural order: its rows are already in
+    the plan's minimum-degree order. The two-stage solve with that factor
+    is left in H.solve_s, so that H.solve(b) is H^{-1} b. Raises
+    DecrementFailure, naming the check, if a slack block or an interior
+    block is not positive definite or a diagonal entry of S is missing or
+    not positive (before any factorization), if the factorization fails or
+    if lambda^2 is negative beyond roundoff, without leaving a factor on H.
+    """
+    if not H.slack_spd():
+        raise DecrementFailure(f"slack block not SPD, element {_first_nan(H.L)}")
+    S, plan = H.S, H.plan
+    if plan.hdiag.size < S.shape[0]:
+        raise DecrementFailure("S lacks a diagonal entry")
+    stage = regularize(S, plan)
+    if not stage.slack_spd():
+        raise DecrementFailure(f"interior block not SPD, parent {_first_nan(stage.L)}")
+    try:
+        stage.solve_s = spla.splu(stage.S, permc_spec="NATURAL", **SPD_OPTIONS).solve
+    except RuntimeError as exc:
+        raise DecrementFailure(f"splu failed: {exc}") from None
+
+    def solve_s(r):
+        """The shifted S^{-1} r in two stages: every parent's interior
+        condensed out of r, a solve with R's factor, and the interior
+        back-substituted."""
+        x = np.empty_like(r)
+        x[plan.gather] = stage.solve(r[plan.gather])
+        return x
+
+    H.solve_s = solve_s
+    step = -H.solve(g)
+    lam2 = float(-g @ step)
+    if not np.isfinite(lam2) or (
+            lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
+        H.solve_s = None
+        raise DecrementFailure(f"lambda^2 = {lam2!r}"
+                               + (" is negative beyond roundoff" if np.isfinite(lam2) else ""))
+    return float(np.sqrt(max(lam2, 0.0))), step
 
 
 def center(level_obj, y0, t, lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS,
-           deadline=None, solver=None):
+           deadline=None, rhs=None):
     """Damped Newton until the decrement drops below lam_tol.
 
     Returns a CenteringResult; iterations counts accepted Newton steps. With a
     deadline (a time.monotonic() value), an unconverged centering that is
-    past it stops before its next step with status BUDGET. The decrements
-    run on solver (a new DirectSolver if None). A converged centering leaves
-    the factor that checked lam <= lam_tol in it, for solver.solve at y;
-    every other factor is released before its line search.
+    past it stops before its next step with status BUDGET. A converged
+    centering with an rhs solves H^{-1} rhs at y, in its solved, with the
+    factor that checked lam <= lam_tol; every other factor is freed before
+    its line search.
     """
-    solver = DirectSolver() if solver is None else solver
-    token = _solver.set(solver)
-    try:
-        y = np.asarray(y0, dtype=float).copy()
-        val = level_obj.value(y, t)
-        if not np.isfinite(val):
-            return CenteringResult(y, 0, np.inf, INFEASIBLE_START, val)
+    y = np.asarray(y0, dtype=float).copy()
+    val = level_obj.value(y, t)
+    if not np.isfinite(val):
+        return CenteringResult(y, 0, np.inf, INFEASIBLE_START, val)
 
-        for it in range(max_iters + 1):
-            # no names hold g and H, so they are freed before the next assembly
-            lam, step = newton_decrement(*level_obj.grad_hess(y, t))
-            if lam is None:
-                return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val, solver.failure)
-            if lam <= lam_tol:
-                return CenteringResult(y, it, lam, CONVERGED, val)
-            solver.release()
-            if it == max_iters:
-                return CenteringResult(y, it, lam, ITERATION_CAP, val)
-            if deadline is not None and time.monotonic() > deadline:
-                return CenteringResult(y, it, lam, BUDGET, val)
+    for it in range(max_iters + 1):
+        g, H = level_obj.grad_hess(y, t)
+        try:
+            lam, step = newton_decrement(g, H)
+        except DecrementFailure as exc:
+            return CenteringResult(y, it, np.inf, SOLVER_FAILURE, val, str(exc))
+        if lam <= lam_tol:
+            return CenteringResult(y, it, lam, CONVERGED, val,
+                                   solved=None if rhs is None else H.solve(rhs))
+        # H holds the factor: freed here, before the line search and the next assembly
+        del g, H
+        if it == max_iters:
+            return CenteringResult(y, it, lam, ITERATION_CAP, val)
+        if deadline is not None and time.monotonic() > deadline:
+            return CenteringResult(y, it, lam, BUDGET, val)
 
-            damped = lam >= QUAD_PHASE
-            alpha = 1.0 / (1.0 + lam) if damped else 1.0
-            for _ in range(MAX_BACKTRACK):
-                y_try = y + alpha * step
-                val_try = level_obj.value(y_try, t)
-                if np.isfinite(val_try) and (not damped or val_try < val):
-                    break
-                alpha *= 0.5
-            else:
-                return CenteringResult(y, it, lam, SOLVER_FAILURE, val,
-                                       f"no step accepted in {MAX_BACKTRACK} halvings")
-            y, val = y_try, val_try
-    finally:
-        _solver.reset(token)
+        damped = lam >= QUAD_PHASE
+        alpha = 1.0 / (1.0 + lam) if damped else 1.0
+        for _ in range(MAX_BACKTRACK):
+            y_try = y + alpha * step
+            val_try = level_obj.value(y_try, t)
+            if np.isfinite(val_try) and (not damped or val_try < val):
+                break
+            alpha *= 0.5
+        else:
+            return CenteringResult(y, it, lam, SOLVER_FAILURE, val,
+                                   f"no step accepted in {MAX_BACKTRACK} halvings")
+        y, val = y_try, val_try

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import LevelObjective
 from .newton import (BUDGET, CONVERGED, LAM_TOL, MAX_BACKTRACK, MAX_CENTER_ITERS,
-                     SOLVER_FAILURE, DirectSolver, center)
+                     SOLVER_FAILURE, center)
 
 # a run's statuses, under the names that cli and perfbench read
 STATUS_CONVERGED, STATUS_BUDGET, STATUS_FAILURE = CONVERGED, BUDGET, SOLVER_FAILURE
@@ -141,7 +141,6 @@ class _Run:
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
         self.timed_out = False  # a centering stopped at the deadline
-        self.solver = DirectSolver()  # every centering's; its last factor gives the tangent
         self.tangent = None  # dz/dt (free dofs) at the last center asked for it
         self.prev = None  # (z, t) of the center before the one self.tangent is at
 
@@ -183,13 +182,11 @@ class _Run:
         """
         level_obj = LevelObjective(obj, base, galerkin)
         y0 = np.zeros(level_obj.dim) if y0 is None else y0
-        res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
-                     deadline=self.deadline, solver=self.solver)
         # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
         # that ends the centering gives dz/dt = H^{-1} (-c)
-        self.tangent = (self.solver.solve(-obj.cost_free)
-                        if tangent and res.status == CONVERGED else None)
-        self.solver.release()
+        res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
+                     deadline=self.deadline, rhs=-obj.cost_free if tangent else None)
+        self.tangent = res.solved
         self.timed_out = res.status == BUDGET
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)

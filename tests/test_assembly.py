@@ -9,7 +9,7 @@ from mgbarrier.assembly import LevelObjective, Objective, compress, condense, su
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import CHILDREN, build_rect_mesh
-from mgbarrier.newton import DirectSolver, regularize
+from mgbarrier.newton import DecrementFailure, newton_decrement, regularize
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -388,9 +388,8 @@ def test_rank_one_slack_block_is_marked_and_named(small_problem):
         g, H = obj.assemble(g, uu, su, ss, np.zeros(len(obj.free_idx())))
         assert not H.slack_spd()
         assert np.array_equal(np.flatnonzero(np.isnan(H.L).any(axis=0)), [4])
-        solver = DirectSolver()
-        assert solver.decrement(g, H) == (None, None)
-    assert solver.failure == "slack block not SPD, element 4"
+        with pytest.raises(DecrementFailure, match="^slack block not SPD, element 4$"):
+            newton_decrement(g, H)
 
 
 @pytest.mark.parametrize("domain, alpha, n_inside", [

@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbarrier import assembly, newton, pathfollow
+from mgbarrier import assembly, newton
 from mgbarrier.assembly import CondensedHessian, LevelObjective
 from mgbarrier.femspace import sym_entries
 from mgbarrier.newton import (BUDGET, CONVERGED, INFEASIBLE_START, ITERATION_CAP,
-                              SOLVER_FAILURE, DirectSolver, center,
+                              SOLVER_FAILURE, DecrementFailure, center,
                               newton_decrement, regularize)
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
@@ -82,7 +82,8 @@ def test_regularize_zero_matrix():
     # a zero diagonal is not SPD, and no shift relative to it makes it so;
     # the empty Schur complement of a problem with no free u dof is empty
     S = sp.csr_matrix((np.zeros(3), (np.arange(3), np.arange(3))), shape=(3, 3))
-    assert regularize(S, plan_of(S)) is None
+    with pytest.raises(DecrementFailure, match=r"^diagonal of S not positive, row 0: 0\.0$"):
+        regularize(S, plan_of(S))
     S = sp.csr_matrix((0, 0))
     R = regularize(S, plan_of(S)).S
     assert R.shape == (0, 0) and R.nnz == 0
@@ -99,23 +100,17 @@ def test_center_quadratic_one_full_step():
 
 
 def test_center_solves_with_its_last_factor():
-    # a converged centering leaves the factor at its point for H^{-1} rhs;
-    # release() and an unconverged centering leave none
+    # a converged centering solves H^{-1} rhs with the factor at its point;
+    # an unconverged one, or one without an rhs, solves nothing
     A = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(A, np.array([1.0, 2.0, 3.0]))
     rhs = np.array([1.0, -1.0, 0.5])
-    solver = DirectSolver()
-    res = center(obj, np.zeros(3), t=1.0, lam_tol=1e-10, solver=solver)
+    res = center(obj, np.zeros(3), t=1.0, lam_tol=1e-10, rhs=rhs)
     assert res.status == CONVERGED
-    assert np.allclose(A @ solver.solve(rhs), rhs, rtol=1e-12)
-    solver.release()
-    with pytest.raises(RuntimeError, match="no factor"):
-        solver.solve(rhs)
-    res = center(obj, np.full(3, 1e6), t=1.0, lam_tol=1e-12, max_iters=0,
-                 solver=solver)
-    assert res.status == ITERATION_CAP
-    with pytest.raises(RuntimeError, match="no factor"):
-        solver.solve(rhs)
+    assert np.allclose(A @ res.solved, rhs, rtol=1e-12)
+    assert center(obj, np.zeros(3), t=1.0, lam_tol=1e-10).solved is None
+    res = center(obj, np.full(3, 1e6), t=1.0, lam_tol=1e-12, max_iters=0, rhs=rhs)
+    assert res.status == ITERATION_CAP and res.solved is None
 
 
 def test_center_log_barrier_far_start():
@@ -243,11 +238,10 @@ def test_condensed_solves_match_the_full_hessian(domain, forcing, alpha):
         shift = np.zeros(H_ref.shape[0])
         shift[:d.size] = newton.scaled_shift(H.S, d) * d
         R = (H_ref + sp.diags(shift)).tocsr()
-        solver = DirectSolver()
-        lam, step = solver.decrement(g, H)
+        lam, step = newton_decrement(g, H)
         assert lam == pytest.approx(np.sqrt(-g @ step), rel=1e-12)
         _assert_solves(R, -g, step)
-        _assert_solves(R, -c, solver.solve(-c))
+        _assert_solves(R, -c, H.solve(-c))
 
 
 @DOMAINS
@@ -278,11 +272,10 @@ def test_two_stage_steps_solve_the_regularized_hessian(domain, forcing, alpha, m
         g, H = obj.grad_hess(z, t)
         assert H.plan is obj.factor_plan
         assert (0 if obj.parent_dofs is None else obj.parent_dofs[0].size) == n_in
-        solver = DirectSolver()
-        lam, step = solver.decrement(g, H)
+        lam, step = newton_decrement(g, H)
         assert factored[-1] == (H.S.shape[0] - n_in,) * 2
         _assert_solves_regularized(g, H, lam, step)
-        _assert_solves(_shifted(H), -c, solver.solve(-c))
+        _assert_solves(_shifted(H), -c, H.solve(-c))
 
 
 def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
@@ -307,14 +300,38 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
         return lu
 
     monkeypatch.setattr(spla, "splu", logged)
-    lam, step = DirectSolver().decrement(g, H)
+    lam, step = newton_decrement(g, H)
     whole = CondensedHessian(H.S, H.L, H.W, H.uslot, plan_of(H.S))  # no parents: one stage
-    lam1, step1 = DirectSolver().decrement(g, whole)
+    lam1, step1 = newton_decrement(g, whole)
     (n_two, fill_two), (n_one, fill_one) = factored
     assert (n_two, n_one) == (2433, 3969)
     assert fill_two < min(fill_one, default.nnz)
     assert lam == pytest.approx(lam1, rel=1e-12)
     assert np.linalg.norm(step - step1) <= 1e-12 * np.linalg.norm(step1)
+
+
+def test_converged_centering_solves_its_rhs_with_the_last_factor(small_problem):
+    # The rhs of a converged centering is solved with the factor that checked
+    # lam <= lam_tol: it solves the shifted system at the center to roundoff,
+    # and equals H.solve after a bare decrement there. A capped, a failed or
+    # an infeasible-start centering solves nothing.
+    lvl = LevelObjective(small_problem.objectives[0], small_problem.z0, None)
+    b = np.random.default_rng(3).standard_normal(lvl.dim)
+    res = center(lvl, np.zeros(lvl.dim), t=1.0, lam_tol=1e-6, rhs=b)
+    assert res.status == CONVERGED and res.iterations > 0
+    g, H = lvl.grad_hess(res.y, 1.0)
+    _assert_solves(_shifted(H), b, res.solved)
+    newton_decrement(g, H)
+    assert np.array_equal(H.solve(b), res.solved)
+
+    res = center(lvl, np.zeros(lvl.dim), t=1.0, max_iters=0, rhs=b)
+    assert res.status == ITERATION_CAP and res.solved is None
+    A = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+    res = center(QuadraticObjective(A, np.array([0.0, -1.0])), np.zeros(2), t=1.0,
+                 rhs=np.ones(2))
+    assert res.status == SOLVER_FAILURE and res.solved is None
+    res = center(LogBarrier1D(), np.array([-1.0]), t=1.0, rhs=np.ones(1))
+    assert res.status == INFEASIBLE_START and res.solved is None
 
 
 @pytest.fixture
@@ -345,47 +362,38 @@ def test_newton_decrement_solves_regularized_hessian(small_problem):
         _assert_solves_regularized(g, H, lam, step)
 
 
-# what a DirectSolver keeps: its last factor (with its Hessian and
-# interior stage) and why its last decrement failed, nothing else
-SOLVER_STATE = ["_H", "_lu", "_stage", "failure"]
-
-
 def test_reused_ordering_solves_regularized_hessian(small_problem, orderings_used):
     # Every system on a pattern is gathered into the plan's ordered pattern
-    # and factored in natural order, the first on a solver as every later
-    # one: a second decrement of the same system repeats the first bit for
-    # bit, and both solve it to roundoff, at the centered point and at the
-    # refined point (cond ~1e19).
+    # and factored in natural order, the first as every later one: a second
+    # decrement of the same system repeats the first bit for bit, and both
+    # solve it to roundoff, at the centered point and at the refined point
+    # (cond ~1e19).
     (obj_c, z_c), (obj_r, z_r) = _centered_and_refined(small_problem)
     orderings_used.clear()
-    solver = DirectSolver()
     for obj, z in ((obj_c, z_c), (obj_r, z_r)):
         g, H = obj.grad_hess(z, 1.0)
-        lam0, step0 = solver.decrement(g, H)
+        lam0, step0 = newton_decrement(g, H)
         g, H = obj.grad_hess(z, 1.0)
-        lam, step = solver.decrement(g, H)
+        lam, step = newton_decrement(g, H)
         _assert_solves_regularized(g, H, lam, step)
         assert lam == lam0 and np.array_equal(step, step0)
     assert orderings_used == ["NATURAL"] * 4
-    assert sorted(vars(solver)) == SOLVER_STATE
 
 
 def test_orderings_are_recorded_per_plan(orderings_used):
-    # Each plan records the minimum-degree order of its own pattern, and a
-    # solver records none: patterns of equal shape and nnz ((0, 2) coupled
-    # vs (1, 3)) get their own orders, equal patterns equal ones, and every
-    # factor runs in natural order on the plan's ordered R.
+    # Each plan records the minimum-degree order of its own pattern: patterns
+    # of equal shape and nnz ((0, 2) coupled vs (1, 3)) get their own
+    # orders, equal patterns equal ones, and every factor runs in natural
+    # order on the plan's ordered R.
     A = np.diag([4.0, 5.0, 6.0, 7.0])
     A1, A2 = A.copy(), A.copy()
     A1[0, 2] = A1[2, 0] = 1.0
     A2[1, 3] = A2[3, 1] = 1.0
     H1, H2, H3 = no_slack(A1), no_slack(A2), no_slack(A2)
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    solver = DirectSolver()
     for H in (H1, H2, H2, H3):
-        lam, step = solver.decrement(g, H)
+        lam, step = newton_decrement(g, H)
         assert np.allclose(H.S @ step, -g, rtol=1e-12)
-        assert sorted(vars(solver)) == SOLVER_STATE
     assert orderings_used == ["NATURAL"] * 4
     for H in (H1, H2, H3):
         assert np.array_equal(H.plan.perm, splu_order(H.S.tocsc()))
@@ -394,8 +402,8 @@ def test_orderings_are_recorded_per_plan(orderings_used):
 
 
 def test_newton_decrement_outside_a_run_is_repeatable(small_problem, orderings_used):
-    # outside a center call each decrement runs on a new solver, in the
-    # plan's order: two calls agree bit for bit
+    # outside a center call each decrement factors anew, in the plan's
+    # order: two calls agree bit for bit
     (obj, z), _ = _centered_and_refined(small_problem)
     orderings_used.clear()
     g, H = obj.grad_hess(z, 1.0)
@@ -429,19 +437,17 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
         return lu
 
     monkeypatch.setattr(spla, "splu", logged)
-    solver = DirectSolver()
     for _ in range(2):
-        assert solver.decrement(g, H)[0] is not None
+        assert newton_decrement(g, H)[0] is not None
     assert len(fills) == 2
     assert max(fills) < default.nnz
 
 
 def test_every_factorization_shifts_through_regularize(small_problem, monkeypatch):
     # One gather-and-shift path: every splu of a run factors what
-    # newton.regularize returned, in natural order (the plan's), and the
-    # run's one solver ends with no factor and nothing else kept.
-    shifted, specs, solvers = [], [], []
-    reg, splu, Solver = newton.regularize, spla.splu, pathfollow.DirectSolver
+    # newton.regularize returned, in natural order (the plan's).
+    shifted, specs = [], []
+    reg, splu = newton.regularize, spla.splu
 
     def logged_regularize(S, plan):
         shifted.append(reg(S, plan))
@@ -452,19 +458,12 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
-    def logged_solver():
-        solvers.append(Solver())
-        return solvers[-1]
-
     monkeypatch.setattr(newton, "regularize", logged_regularize)
     monkeypatch.setattr(spla, "splu", logged_splu)
-    monkeypatch.setattr(pathfollow, "DirectSolver", logged_solver)
     tr = run_mgb(small_problem, PathConfig())
     assert tr.status == "converged"
     assert len(shifted) == len(specs) > small_problem.L
     assert specs == ["NATURAL"] * len(specs)
-    assert len(solvers) == 1
-    assert sorted(vars(solvers[0])) == SOLVER_STATE and solvers[0]._lu is None
 
 
 def test_plans_and_their_orders_outlive_a_run(monkeypatch):
@@ -517,7 +516,8 @@ def test_negative_decrement_is_a_solver_failure():
     # indefinite H with a positive diagonal (eigenvalues 3 and -1):
     # lambda^2 = g^T H^{-1} g = -1/3 for g = e_2 is no roundoff
     A = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert newton_decrement(np.array([0.0, 1.0]), no_slack(A)) == (None, None)
+    with pytest.raises(DecrementFailure, match="is negative beyond roundoff$"):
+        newton_decrement(np.array([0.0, 1.0]), no_slack(A))
     res = center(QuadraticObjective(A, np.array([0.0, -1.0])), np.zeros(2), t=1.0)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
@@ -546,16 +546,15 @@ class FixedHessian:
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
 def test_nonpositive_diagonal_fails_before_factoring(orderings_used, bad):
     # H is not SPD: a solver-failure, never a clamp, and no splu is attempted,
-    # on a new solver and on one that has factored the pattern
+    # before and after the pattern has been factored
     H = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
     bad_H = H.copy()
     bad_H.data[H.indptr[1] + 1] = bad  # entry (1, 1), kept even when 0
-    solver = DirectSolver()
-    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0, solver=solver)
+    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0)
     assert res.status == SOLVER_FAILURE
     assert orderings_used == []
-    assert solver.decrement(np.ones(3), no_slack(H))[0] is not None
-    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0, solver=solver)
+    assert newton_decrement(np.ones(3), no_slack(H))[0] is not None
+    res = center(FixedHessian(no_slack(bad_H)), np.zeros(3), t=1.0)
     assert res.status == SOLVER_FAILURE
     assert res.iterations == 0
     assert orderings_used == ["NATURAL"]
@@ -576,7 +575,8 @@ def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, H = obj.assemble(*bad, np.zeros(nf))
-            assert newton_decrement(np.ones(nf), H) == (None, None)
+            with pytest.raises(DecrementFailure):
+                newton_decrement(np.ones(nf), H)
             res = center(FixedHessian(H, nf), np.zeros(nf), t=1.0)
         assert res.status == SOLVER_FAILURE
         assert res.iterations == 0
@@ -623,9 +623,8 @@ def test_reused_ordering_gets_the_same_shift(small_problem, monkeypatch):
     for obj, z, max_diff in ((obj_c, z_c, 1e-7), (obj_r, z_r, 1e-4)):
         calls.clear()
         g, H = obj.grad_hess(z, 1.0)
-        solver = DirectSolver()
-        _, step0 = solver.decrement(g, H)
-        _, step = solver.decrement(g, H)
+        _, step0 = newton_decrement(g, H)
+        _, step = newton_decrement(g, H)
         assert len(calls) == 2
         for d_seen, sigma_seen in calls:
             assert np.array_equal(d_seen, H.S.diagonal())
@@ -694,18 +693,18 @@ class FeasibleOnlyAtZero:
 
 
 def _named_failure(H, g=None):
-    """(solver.failure, centering detail) of a decrement on (g, H), g all
-    ones by default, and of a centering whose gradient and Hessian are g and
-    H everywhere: it fails at its first decrement."""
+    """(DecrementFailure message, centering detail) of a decrement on (g, H),
+    g all ones by default, and of a centering whose gradient and Hessian are
+    g and H everywhere: it fails at its first decrement."""
     g = np.ones(H.S.shape[0]) if g is None else g
-    solver = DirectSolver()
-    assert solver.decrement(g, H) == (None, None)
+    with pytest.raises(DecrementFailure) as failure:
+        newton_decrement(g, H)
     obj = FixedHessian(H, len(g))
     obj.grad_hess = lambda y, t: (g, H)
     res = center(obj, np.zeros(len(g)), t=1.0)
     assert res.status == SOLVER_FAILURE and res.iterations == 0
     assert res.outcome == f"{SOLVER_FAILURE} ({res.detail})"
-    return solver.failure, res.detail
+    return str(failure.value), res.detail
 
 
 def test_each_decrement_failure_is_named(small_problem, monkeypatch):
@@ -736,11 +735,6 @@ def test_each_decrement_failure_is_named(small_problem, monkeypatch):
     # -1/3 but for the shift of the diagonal
     assert re.fullmatch(r"lambda\^2 = -0\.33333333333333\d* is negative beyond roundoff", why)
     assert detail == why
-    # a success clears the last failure
-    solver = DirectSolver()
-    solver.decrement(np.array([0.0, 1.0]), no_slack(A))
-    assert solver.decrement(np.ones(2), no_slack(sp.eye(2, format="csr")))[0] is not None
-    assert solver.failure == ""
 
     # a factorization that fails: SuperLU's RuntimeError and its message
     def singular(A, **kwargs):
