@@ -41,8 +41,18 @@ factorizations alone shows as a changed splu count. The script needs only
 the solver's public calls, so this checkout's copy can run against another
 checkout's solver by PYTHONPATH.
 
+With --summary it prints the failure map instead: one line per cell of
+p in {1, 1.25, 1.5, 2, 2.5, 3, 4} x alpha in {1, 2} x cells0 in {2, 4} x
+L in {2, 3}, solved under mgb, naive-theta and naive-h-then-t with the
+default config and budget_s 60 (status, failure reason, true Newton steps
+and the ROADMAP item that owns the failure's kind), then the number of
+failures per p and algorithm, and per failure kind. No line holds a wall
+time, so a diff of two outputs shows only runs that changed outcome or
+Newton count, unless a run reaches its budget.
+
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --rows > rows.txt
+    PYTHONPATH=src python3 scripts/trace_digest.py --summary > summary.txt
 """
 
 import os
@@ -53,13 +63,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import itertools
 import sys
+from collections import Counter
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from mgbarrier.diagnostics import rh_constant_estimate
-from mgbarrier.pathfollow import ALGORITHMS, PathConfig
+from mgbarrier.pathfollow import ALGORITHMS, STATUS_CONVERGED, PathConfig
 from mgbarrier.problems import UNIT_INTERVAL, ProblemSpec, build_problem
 
 GRID_RUNS = (("mgb", "mgb", {}),
@@ -72,6 +84,16 @@ GRID_RUNS = (("mgb", "mgb", {}),
 # fine level
 PAST_STOP_RUNS = tuple((f"{name}-t0=1e4", name, dict(t0=1e4))
                        for name in ("mgb", "naive-theta", "naive-h-then-t"))
+
+
+SUMMARY_P = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
+SUMMARY_ALGORITHMS = ("mgb", "naive-theta", "naive-h-then-t")
+# failure kind (a substring of the failure reason) -> the ROADMAP item that owns it
+FAILURE_OWNERS = (("iteration-cap", "items 1, 21 and 7"),
+                  ("slack block not SPD", "item 10"),
+                  ("interior block not SPD", "item 10"),
+                  ("diagonal of S not positive", "item 10"),
+                  ("lambda^2", "none: not yet understood"))
 
 
 def cases():
@@ -123,12 +145,64 @@ def count_splu_calls():
     return lambda: calls[0]
 
 
+def true_newton(trace):
+    """The Newton steps a run took: every row's count but the step
+    summaries', level -1 rows after a row of their own step (the final
+    re-centering's level -1 row is the first of its step)."""
+    rows = trace.rows
+    return sum(r.newton_iters for prev, r in zip([None] + rows, rows)
+               if r.level >= 0 or prev is None or prev.k != r.k)
+
+
+def failure_kind(reason):
+    """(kind, owning ROADMAP item) of a failure reason."""
+    for kind, owner in FAILURE_OWNERS:
+        if kind in reason:
+            return kind, owner
+    return reason, "none"
+
+
+def summary():
+    """Print the failure map: one line per cell and algorithm, then the
+    failures per p and algorithm and per failure kind."""
+    fails, runs, kinds = Counter(), Counter(), Counter()
+    for p, alpha, cells0, levels in itertools.product(SUMMARY_P, (1, 2), (2, 4), (2, 3)):
+        problem = build_problem(ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=cells0))
+        for algorithm in SUMMARY_ALGORITHMS:
+            trace = ALGORITHMS[algorithm](problem, PathConfig(budget_s=60.0))
+            line = (f"p={p} alpha={alpha} cells0={cells0} L={levels} {algorithm}: "
+                    f"{trace.status} {trace.failure_reason!r} newton={true_newton(trace)}")
+            failed = trace.status != STATUS_CONVERGED
+            runs[p, algorithm] += 1
+            fails[p, algorithm] += failed
+            if failed:
+                kind = failure_kind(trace.failure_reason)
+                kinds[kind] += 1
+                line += f" owner={kind[1]}"
+            print(line)
+    print("\n| p | " + " | ".join(f"{a} fails" for a in SUMMARY_ALGORITHMS) + " |")
+    print("|---" * (len(SUMMARY_ALGORITHMS) + 1) + "|")
+    for p in SUMMARY_P:
+        print(f"| {p:g} | " + " | ".join(f"{fails[p, a]} of {runs[p, a]}"
+                                         for a in SUMMARY_ALGORITHMS) + " |")
+    print("\n| failure kind | failures | ROADMAP owner |\n|---|---|---|")
+    for (kind, owner), n in kinds.most_common():
+        print(f"| {kind} | {n} | {owner} |")
+    print(f"{fails.total()} of {runs.total()} runs failed")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rows", action="store_true",
-                    help="digest each solve's Newton rows and count its splu calls, "
-                         "not its csv and z_final")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--rows", action="store_true",
+                      help="digest each solve's Newton rows and count its splu calls, "
+                           "not its csv and z_final")
+    mode.add_argument("--summary", action="store_true",
+                      help="print the failure map over p in [1, 4] instead of digests")
     args = ap.parse_args()
+    if args.summary:
+        summary()
+        return 0
     splu_calls = count_splu_calls()
     n = 0
     for name, spec, runs in cases():

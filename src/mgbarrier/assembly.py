@@ -72,12 +72,10 @@ def condense(uu, su, ss, n_ls):
         L[at[j, :j]] = row
         np.sqrt(piv, out=L[at[j, j]], where=piv > 0)
     W = substitute(L, at, su.reshape(n_ls, n_lu, ne).copy())
-    # S = H_uu - sum_j W_j^T W_j on the distinct entries, in place
-    WW = np.take(W, iu, axis=1)
-    WW *= np.take(W, ju, axis=1)
-    S = uu - WW[0]
-    for j in range(1, n_ls):
-        S -= WW[j]
+    # S = H_uu - sum_j W_j^T W_j on the distinct entries, one slack row j at a time
+    S = uu - W[0, iu] * W[0, ju]
+    for Wj in W[1:]:
+        S -= Wj[iu] * Wj[ju]
     return S, L, W
 
 
@@ -85,12 +83,13 @@ def compress(rows, cols, n):
     """Sort the distinct entries (rows[k], cols[k]) of an n x n pattern by
     row, then column, and compress them by row: (order, indices, indptr),
     entry order[k] stored k-th, and the int32 CSR arrays. (cols, rows)
-    compress it by column, as CSC. scipy converts the entries, numbered from
-    1 so that none is an explicit zero, from COO."""
-    P = sp.csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(n, n))
-    P.sort_indices()
-    return ((P.data - 1).astype(np.intp), P.indices.astype(np.int32, copy=False),
-            P.indptr.astype(np.int32, copy=False))
+    compress it by column, as CSC. The keys are int64: int32 ones wrap
+    silently from n = 46,341 on. No scipy constructor: its ~45 us a call is
+    five times this sort on a coarsest pattern."""
+    order = np.argsort(rows.astype(np.int64) * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return order, cols[order].astype(np.int32), indptr
 
 
 def clique_pattern(slot, n):
@@ -199,8 +198,8 @@ class TwoStagePlan:
         self.gather = np.r_[skeleton[np.argsort(self.perm)], inner.T.ravel()]
         self.uslot = np.append(self.perm, nr)[uslot]
         # R's pattern by column, in that order. The tables that np.take reads
-        # are int32, half the memory at the same speed; hdiag, gather and
-        # uslot stay intp, since indexing copies an int32 index to intp first
+        # are int32 to halve their memory only: numpy converts an int32 index
+        # to intp on every call, so hdiag, gather and uslot stay intp
         order, self.indices, self.indptr = compress(self.perm[c], self.perm[r], nr)
         self.slots = entry[order].astype(np.int32)
 
@@ -321,8 +320,9 @@ class Objective:
         dof among the free u dofs, and of every distinct element u-u entry
         among the distinct entries of the free-u pattern, all laid out
         (entries, elements); and that pattern in CSR form (indices, indptr),
-        each of its entries the distinct entry src. Entries on a fixed dof go
-        to one extra, dropped slot.
+        each of its entries the distinct entry src, read-only: every S that
+        scatter builds shares them. Entries on a fixed dof go to one extra,
+        dropped slot.
         """
         nf, n_lu = len(self._free), self.fesys.u_elem.shape[1]
         nu = nf - self.fesys.n_s  # free dofs are the free u, then all slack
@@ -332,6 +332,7 @@ class Objective:
         uslot = np.minimum(gslot[:n_lu], nu)
         sslot, rows, cols, src = clique_pattern(uslot, nu)
         order, indices, indptr = compress(rows, cols, nu)
+        indices.flags.writeable = indptr.flags.writeable = False
         return gslot.ravel(), uslot, sslot.ravel(), src[order], indices, indptr
 
     @functools.cached_property
@@ -413,15 +414,12 @@ class Objective:
         nf, nu = len(self._free), len(indptr) - 1
         g = g0 + np.bincount(gslot, weights=gloc.ravel(), minlength=nf + 1)[:nf]
         data = np.bincount(sslot, weights=uloc.ravel())[src]
-        # the caller owns the returned matrix, so it gets its own index arrays
-        return g, sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nu, nu))
+        return g, sp.csr_matrix((data, indices, indptr), shape=(nu, nu))
 
     def assemble(self, gloc, uu, su, ss, g0):
         """g0 plus the free gradient, and the CondensedHessian of element
         blocks laid out as element_blocks returns them: each element's slack
         is eliminated before the scatter."""
-        # the plan first: its first build then meets no array of condense,
-        # which at L=4 would raise the run's peak memory by ~1 MB
         plan = self.factor_plan
         S, L, W = condense(uu, su, ss, self.fesys.n_ls)
         g, S = self.scatter(gloc, S, g0)
@@ -429,6 +427,9 @@ class Objective:
 
     def grad_hess(self, z, t):
         """(gradient, CondensedHessian) over free dofs at a feasible z."""
+        # the plan first: its first build and its ordering's temporaries then
+        # meet no element block, which at L=4 would raise the run's peak memory
+        self.factor_plan
         return self.assemble(*self.element_blocks(z), t * self.cost_free)
 
     def embed_free(self, y):

@@ -77,7 +77,7 @@ def regularize(S, plan):
         SW, L, W = condense(0.0, np.take(entries, ib), np.take(entries, ii), n_int)
         entries = np.take(entries, src)
         entries += np.bincount(wslot, weights=SW.ravel(), minlength=src.size)
-    # the int32 slots let np.take gather without the intp copy that indexing makes
+    # the int32 slots save memory, not time: np.take converts them to intp
     nr = len(plan.indptr) - 1
     R = sp.csc_matrix((np.take(entries, plan.slots), plan.indices, plan.indptr),
                       shape=(nr, nr))

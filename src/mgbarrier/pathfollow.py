@@ -143,6 +143,7 @@ class _Run:
         self.timed_out = False  # a centering stopped at the deadline
         self.tangent = None  # dz/dt (free dofs) at the last center asked for it
         self.prev = None  # (z, t) of the center before the one self.tangent is at
+        self.step_newton = 0  # the largest Newton count of the step's centerings so far
 
     def wall_ms(self):
         return (time.monotonic() - self.t_start) * 1e3
@@ -154,21 +155,13 @@ class _Run:
         self.trace.rows.append(TraceRow(k, t, rho, level, m, int(direct), objective,
                                         decrement, self.wall_ms()))
 
-    def step_newton(self, k):
-        """The largest Newton count of step k's rows, read back from the last row."""
-        m = 0
-        for r in reversed(self.trace.rows):
-            if r.k != k or r.level == -1:
-                break
-            m = max(m, r.newton_iters)
-        return m
-
     def add_summary(self, k, t, rho, direct=False):
         """Step-summary row (level -1): step k's largest Newton count, and the
-        last row's objective and decrement."""
+        last row's objective and decrement; the next centering starts a step."""
         last = self.trace.rows[-1]
-        self.add_row(k, t, rho, -1, self.step_newton(k), direct, last.objective,
+        self.add_row(k, t, rho, -1, self.step_newton, direct, last.objective,
                      last.decrement)
+        self.step_newton = 0
 
     def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None,
                   lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS, direct=False,
@@ -188,6 +181,7 @@ class _Run:
                      deadline=self.deadline, rhs=-obj.cost_free if tangent else None)
         self.tangent = res.solved
         self.timed_out = res.status == BUDGET
+        self.step_newton = max(self.step_newton, res.iterations)
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)
         return level_obj, res
@@ -341,7 +335,7 @@ def _follow(problem, config, store_iterates, schedule):
                 if z_next is None:
                     return run.fail(err)
             run.prev = (z, t) if run.tangent is not None else None
-            rho = adapt_stepsize(rho, run.step_newton(k))
+            rho = adapt_stepsize(rho, run.step_newton)
             run.add_summary(k, t_next, rho, mgb and direct_ok)
             z, t = z_next, t_next
         if lvl == L - 1:

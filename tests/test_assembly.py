@@ -330,6 +330,54 @@ def test_condense_matches_dense_schur_complement(n_ls):
                  rtol=1e-13)
 
 
+def stacked_schur(uu, W):
+    """uu - sum_j W_j^T W_j on the distinct entries by the stacked-gather
+    formula: every slack row's products gathered into one stacked array,
+    then subtracted row by row."""
+    iu, ju, _ = sym_entries(W.shape[1])
+    WW = np.take(W, iu, axis=1)
+    WW *= np.take(W, ju, axis=1)
+    S = uu - WW[0]
+    for j in range(1, len(W)):
+        S -= WW[j]
+    return S
+
+
+@pytest.mark.parametrize("n_ls, n_lu, interior", [(1, 6, False), (3, 6, False), (3, 12, True)],
+                         ids=["n_ls=1", "n_ls=3", "interior"])
+def test_condense_subtracts_each_slack_row(n_ls, n_lu, interior):
+    # S_K = H_uu,K - W_K^T W_K, element by element; the interior stage
+    # (newton.regularize) condenses 3 interior dofs onto 12 boundary dofs
+    # with a zero u-u block, passed as the scalar 0.0
+    rng = np.random.default_rng(n_ls + n_lu)
+    ne = 5
+    M = rng.standard_normal((ne, n_lu + n_ls, 2 * (n_lu + n_ls)))
+    H = M @ M.transpose(0, 2, 1)
+    uu, su, ss = as_blocks(H, n_ls)
+    if interior:
+        uu = 0.0
+    S, _, W = condense(uu, su, ss, n_ls)
+    iu, ju, _ = sym_entries(n_lu)
+    for e in range(ne):
+        H_uu = 0.0 if interior else H[e, :n_lu, :n_lu]
+        assert_close(S[:, e], (H_uu - W[:, :, e].T @ W[:, :, e])[iu, ju], rtol=1e-13)
+    assert np.array_equal(S, stacked_schur(uu, W))
+
+
+def test_assembled_s_shares_a_read_only_pattern(small_problem):
+    # every S that a level assembles stands on the level's own index arrays,
+    # so none may be written in place
+    obj = small_problem.objectives[0]
+    _, H = obj.grad_hess(small_problem.z0, 1.0)
+    _, H2 = obj.grad_hess(small_problem.z0, 2.0)
+    assert np.shares_memory(H.S.indices, H2.S.indices)
+    assert np.shares_memory(H.S.indptr, H2.S.indptr)
+    with pytest.raises(ValueError, match="read-only"):
+        H.S.indices[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        H.S.indptr[-1] = 0
+
+
 def packed_factor(rng, n_ls, ne):
     """Dense lower-triangular L_K (ne, n_ls, n_ls), well conditioned, and
     their entries packed as condense lays them out."""

@@ -745,3 +745,27 @@ def test_each_run_orders_each_level_pattern_once(monkeypatch, algorithm, config)
         assert specs == ["NATURAL"] * len(specs) and len(specs) > pr.L
         csv.append(tr.to_csv(wall_times=False))
     assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("algorithm,config", [
+    ("mgb", {}), ("mgb", dict(direct_cap=0)), ("naive-theta", {})],
+    ids=["mgb", "mgb-direct-cap-0", "naive-theta"])
+def test_adapt_stepsize_gets_each_t_steps_largest_centering(small_problem, monkeypatch,
+                                                             algorithm, config):
+    # a t-step's step size adapts to the largest Newton count among its
+    # centerings: its trace rows at level >= 0, at its own k
+    seen = []
+
+    def logged(rho, m_k):
+        seen.append(m_k)
+        return adapt_stepsize(rho, m_k)
+
+    monkeypatch.setattr(pathfollow, "adapt_stepsize", logged)
+    tr = pathfollow.ALGORITHMS[algorithm](small_problem, PathConfig(**config))
+    assert tr.status == "converged"
+    summaries = tr.summary_rows()
+    t_steps = [s for prev, s in zip(summaries, summaries[1:]) if s.t > prev.t]
+    expected = [max(r.newton_iters for r in tr.rows if r.k == s.k and r.level >= 0)
+                for s in t_steps]
+    assert seen == expected and len(seen) > 1
+    assert [s.newton_iters for s in t_steps] == expected
