@@ -2,8 +2,12 @@
 """Micro-benchmarks of one Newton step's kernels at a fixed fine-grid iterate.
 
 The iterate is the problem's initial z0 carried to the finest level with
-refine_iterate, at the path's initial t. Prints one JSON line with the
-repeat-median milliseconds of:
+refine_iterate, at the path's initial t. The objective keeps a record of the
+last point it evaluated, so the kernels that evaluate it at a point (value,
+element_blocks, grad_hess and value_grad_hess) take turns between that
+iterate and a second one, the same with every slack dof raised by 1%: no
+call finds its point in the record, and each times the kernel cold. Prints
+one JSON line with the repeat-median milliseconds of:
 
 - sample: Dz at every fine quadrature node;
 - grad_hess: the free gradient and the condensed Hessian, which is
@@ -37,6 +41,9 @@ repeat-median milliseconds of:
 - order: R's minimum-degree order alone (min_degree_order on R's pattern
   in skeleton order), the part of plan that SuperLU runs;
 - value: one line-search evaluation;
+- value_grad_hess: a line-search value followed by grad_hess at the same
+  point, the pair that an accepted trial costs a centering, which share
+  the sampled Dz and the barrier's gap terms through the record;
 
 plus build: build_problem, the setup of every level, and its split into
 the phases build_problem runs in order, each repeat from scratch:
@@ -65,6 +72,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import itertools
 import json
 import statistics
 import sys
@@ -129,6 +137,14 @@ def main():
     g, H = obj.grad_hess(z, t)
     blocks = obj.element_blocks(z)
     g0 = t * obj.cost_vector[obj.free_idx()]
+    raised = z.copy()
+    raised[obj.fesys.n_u:] *= 1.01
+    points = itertools.cycle([raised, z])
+
+    def cold(fn):
+        """fn at the next of the two points in turn: never the point of the
+        call before it, so never one that the record holds."""
+        return lambda: fn(next(points))
 
     fills = []
     splu = spla.splu
@@ -165,8 +181,8 @@ def main():
         "skeleton_nnz": R.nnz,
         "repeats": args.repeats,
         "sample_ms": median_ms(lambda: obj.sampler.sample(z), args.repeats),
-        "grad_hess_ms": median_ms(lambda: obj.grad_hess(z, t), args.repeats),
-        "element_blocks_ms": median_ms(lambda: obj.element_blocks(z), args.repeats),
+        "grad_hess_ms": median_ms(cold(lambda x: obj.grad_hess(x, t)), args.repeats),
+        "element_blocks_ms": median_ms(cold(obj.element_blocks), args.repeats),
         "assemble_ms": median_ms(lambda: obj.assemble(*blocks, g0), args.repeats),
         "condense_ms": median_ms(lambda: condense(*blocks[1:], obj.fesys.n_ls), args.repeats),
         "restrict_ms": [median_ms(lambda: gal.restrict(*blocks, t), args.repeats)
@@ -178,7 +194,9 @@ def main():
         "plan_ms": median_ms(lambda: TwoStagePlan(H.S.indptr, H.S.indices, obj.parent_dofs),
                              args.repeats),
         "order_ms": median_ms(lambda: min_degree_order(rows, cols, R.shape[0]), args.repeats),
-        "value_ms": median_ms(lambda: obj.value(z, t), args.repeats),
+        "value_ms": median_ms(cold(lambda x: obj.value(x, t)), args.repeats),
+        "value_grad_hess_ms": median_ms(cold(lambda x: (obj.value(x, t), obj.grad_hess(x, t))),
+                                        args.repeats),
         "build_ms": median_ms(lambda: build_problem(spec), args.repeats),
         **setup_split_ms(spec, args.repeats),
         "fill_nnz_repeated_pattern": fills[-1],

@@ -254,9 +254,29 @@ class CondensedHessian:
         return x
 
 
+class _Point:
+    """What an Objective evaluated at one point z: a copy of z, Dz and the
+    barrier's gap terms there, then, each on first use, the t-free barrier
+    integral and the element blocks; every array read-only."""
+
+    __slots__ = ("z", "dz", "gap", "integral", "blocks")
+
+    def __init__(self, z, dz, gap):
+        self.z, self.dz, self.gap = z, dz, gap
+        self.integral = self.blocks = None
+        for x in (*dz, *gap):
+            x.flags.writeable = False
+
+
 @dataclass
 class Objective:
-    """f_h on the full coefficient vector; derivatives over free dofs only."""
+    """f_h on the full coefficient vector; derivatives over free dofs only.
+
+    The last point that margin, value or element_blocks evaluated is
+    recorded, matched by content: a line search's accepted trial and an MGB
+    sweep level's hand-off point are then sampled and evaluated once.
+    grad_hess empties the record.
+    """
 
     fesys: object
     sampler: object
@@ -277,6 +297,7 @@ class Objective:
         self.cost_vector = np.bincount(fes.elem_dofs().ravel(), weights=cloc.ravel(),
                                        minlength=fes.total_dim)
         self.cost_free = self.cost_vector[self._free]
+        self._record = None  # the _Point of the last point evaluated
 
     @property
     def n(self):
@@ -295,21 +316,34 @@ class Objective:
         grad_u, s_val = self.sampler.sample(z)
         return grad_u.T.reshape(self.fesys.d, -1).T, s_val.T.ravel()
 
+    def _at(self, z):
+        """The record of z: the last one if its point equals z, else a new
+        one in its place, sampled at a copy of z."""
+        rec = self._record
+        if rec is None or not np.array_equal(rec.z, z):
+            self._record = None  # the old record's arrays go first
+            dz = self.dz(z)
+            rec = self._record = _Point(z.copy(), dz, self.barrier.gap(*dz))
+        return rec
+
     def margin(self, z):
         """The barrier margin of Dz at every quadrature node, > 0 exactly on
         the domain interior."""
-        return self.barrier.margin(*self.dz(z))
+        rec = self._at(z)
+        return self.barrier.margin(*rec.dz, gap=rec.gap)
 
     def value(self, z, t):
         """f_h(z, t), or +inf if Dz leaves the barrier domain at any node."""
-        wq = self.sampler.wq
-        F = self.barrier.value(*self.dz(z)).reshape(wq.shape[::-1])
-        # summed element by element, the order that the pinned traces round in
-        barrier_integral = float(np.sum(wq * F.T))
+        rec = self._at(z)
+        if rec.integral is None:
+            wq = self.sampler.wq
+            F = self.barrier.value(*rec.dz, gap=rec.gap).reshape(wq.shape[::-1])
+            # summed element by element, the order that the pinned traces round in
+            rec.integral = float(np.sum(wq * F.T))
         # +inf from a node outside the domain; -inf or NaN only from s = inf
-        if not np.isfinite(barrier_integral):
+        if not np.isfinite(rec.integral):
             return INFEASIBLE
-        return t * self.cost_integral(z) + barrier_integral
+        return t * self.cost_integral(z) + rec.integral
 
     @functools.cached_property
     def _assembly_plan(self):
@@ -381,17 +415,21 @@ class Objective:
         """Gradient and Hessian of the barrier integral on every element at a
         feasible z, over the element's local dofs fesys.elem_dofs(), laid out
         (entries, elements): (g, uu, su, ss), g of shape (nloc, ne) and the
-        Hessian blocks as reference_tables lays them out.
+        Hessian blocks as reference_tables lays them out, read-only: z's
+        record holds them.
 
         Per-node features, laid out (feature, node, element), times the
         sampler's reference tables: in reference coordinates F'' has q-q
         block c A^-1 A^-T + a^ a^T and q-s block b a^, a^ = A^-1 a, and F'
         has q part a^."""
+        rec = self._at(z)
+        if rec.blocks is not None:
+            return rec.blocks
         smp, d = self.sampler, self.fesys.d
         (ne, nq), (k, l) = smp.wq.shape, smp.pairs
         # grad_hess_terms raises ValueError outside the barrier domain; its
         # terms come in dz's (node, element) order
-        a, f_s, c, b, h_ss = self.barrier.grad_hess_terms(*self.dz(z))
+        a, f_s, c, b, h_ss = self.barrier.grad_hess_terms(*rec.dz, gap=rec.gap)
         f_s, c, b, h_ss = (x.reshape(nq, ne) for x in (f_s, c, b, h_ss))
         w = np.ascontiguousarray(smp.wq.T)
         ah = np.einsum("ije,jqe->iqe", smp.ainv, a.T.reshape(d, nq, ne))
@@ -403,8 +441,11 @@ class Objective:
         g = np.empty((n_lu + len(smp.gs_table), ne))
         np.matmul(smp.gu_table, wah.reshape(-1, ne), out=g[:n_lu])
         np.matmul(smp.gs_table, w * f_s, out=g[n_lu:])
-        return (g, smp.uu_table @ fuu.reshape(-1, ne),
-                smp.su_table @ (wah * b).reshape(-1, ne), smp.ss_table @ (w * h_ss))
+        rec.blocks = (g, smp.uu_table @ fuu.reshape(-1, ne),
+                      smp.su_table @ (wah * b).reshape(-1, ne), smp.ss_table @ (w * h_ss))
+        for x in rec.blocks:
+            x.flags.writeable = False
+        return rec.blocks
 
     def scatter(self, gloc, uloc, g0):
         """g0 plus the free gradient of element gradients (nloc, ne), and the
@@ -426,11 +467,18 @@ class Objective:
         return g, CondensedHessian(S, L, W, self._assembly_plan[1], plan)
 
     def grad_hess(self, z, t):
-        """(gradient, CondensedHessian) over free dofs at a feasible z."""
-        # the plan first: its first build and its ordering's temporaries then
-        # meet no element block, which at L=4 would raise the run's peak memory
-        self.factor_plan
-        return self.assemble(*self.element_blocks(z), t * self.cost_free)
+        """(gradient, CondensedHessian) over free dofs at a feasible z. The
+        record is emptied before the assembly, so none of it lives through
+        the factorization of the Hessian."""
+        if "factor_plan" not in self.__dict__:
+            # the plan's first build and its ordering's temporaries meet no
+            # record and no element block, which at L=4 would raise a run's
+            # peak memory
+            self._record = None
+            self.factor_plan
+        blocks = self.element_blocks(z)
+        self._record = None
+        return self.assemble(*blocks, t * self.cost_free)
 
     def embed_free(self, y):
         """Free-dof vector -> full vector with zeros on fixed dofs."""

@@ -7,7 +7,8 @@ The concrete instance is the p-Laplacian barrier
 finite exactly on {s > 0, s^(2/p) > |q|^2}. One gap s * s^(2/p - 1) - |q|^2,
 never NaN, decides the domain for every method: outside it value is +inf and
 margin <= 0, so line searches can probe freely, and a point they accept is
-one that grad_hess_terms accepts.
+one that grad_hess_terms accepts. Each method takes the gap terms of its
+points as its gap keyword, gap(q, s), or forms them itself.
 All evaluations are vectorized over points: q has shape (N, d), s shape (N,).
 """
 
@@ -35,7 +36,7 @@ class PLapBarrier:
         q = np.atleast_2d(q)
         return np.linalg.norm(q, axis=-1) ** self.p
 
-    def _gap(self, q, s):
+    def gap(self, q, s):
         """(g, s^(2/p - 1)) at each point, with the gap g = s * s^(2/p - 1) -
         |q|^2 > 0 exactly on the domain: -1 where s is not > 0, -inf where
         overflow (inf - inf) or a NaN q gives NaN. The derivatives share the
@@ -47,23 +48,24 @@ class PLapBarrier:
             g = np.where(s > 0.0, s * se1 - qq, -1.0)
         return np.where(np.isnan(g), -np.inf, g), se1
 
-    def margin(self, q, s):
+    def margin(self, q, s, gap=None):
         """min(s, s^(2/p) - |q|^2), > 0 iff (q, s) in the domain interior."""
         s = np.asarray(s, dtype=float)
-        return np.fmin(s, self._gap(q, s)[0])
+        g, _ = self.gap(q, s) if gap is None else gap
+        return np.fmin(s, g)
 
     def feasible(self, q, s):
         return bool(np.all(self.margin(q, s) > 0.0))
 
-    def value(self, q, s):
+    def value(self, q, s, gap=None):
         """F at each point; +inf outside the domain."""
         s = np.asarray(s, dtype=float)
-        g, _ = self._gap(q, s)
+        g, _ = self.gap(q, s) if gap is None else gap
         with np.errstate(divide="ignore", invalid="ignore"):
             F = -np.log(g) - 2.0 * np.log(s)
         return np.where(g > 0.0, F, np.inf)
 
-    def grad_hess_terms(self, q, s):
+    def grad_hess_terms(self, q, s, gap=None):
         """The terms (a, f_s, c, b, h_ss) of F' and F'' at feasible points, a
         of shape (N, d) and the others (N,):
 
@@ -76,7 +78,7 @@ class PLapBarrier:
         q = np.atleast_2d(q)
         s = np.asarray(s, dtype=float)
         e = 2.0 / self.p
-        g, se1 = self._gap(q, s)
+        g, se1 = self.gap(q, s) if gap is None else gap
         if not (np.all(g > 0.0) and np.all(g < np.inf)):
             raise ValueError("F' and F'' requested outside the barrier domain")
         a = 2.0 * q / g[:, None]

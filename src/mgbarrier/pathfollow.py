@@ -163,22 +163,22 @@ class _Run:
                      last.decrement)
         self.step_newton = 0
 
-    def center_at(self, obj, base, galerkin, t, k, level, rho, y0=None,
+    def center_at(self, obj, base, galerkin, t, k, level, rho,
                   lam_tol=LAM_TOL, max_iters=MAX_CENTER_ITERS, direct=False,
                   tangent=False):
         """Center f_h on the shifted path base + span(galerkin.P) at t (base
-        itself on the fine level, galerkin None) and record the row.
+        itself on the fine level, galerkin None), from base, and record the row.
 
         With tangent (fine level), self.tangent becomes the central-path
         tangent at the center if it converged, else None.
         Returns (level_obj, CenteringResult).
         """
         level_obj = LevelObjective(obj, base, galerkin)
-        y0 = np.zeros(level_obj.dim) if y0 is None else y0
         # the Hessian of t c[z] + F(Dz) does not depend on t, so the factor
         # that ends the centering gives dz/dt = H^{-1} (-c)
-        res = center(level_obj, y0, t, lam_tol=lam_tol, max_iters=max_iters,
-                     deadline=self.deadline, rhs=-obj.cost_free if tangent else None)
+        res = center(level_obj, np.zeros(level_obj.dim), t, lam_tol=lam_tol,
+                     max_iters=max_iters, deadline=self.deadline,
+                     rhs=-obj.cost_free if tangent else None)
         self.tangent = res.solved
         self.timed_out = res.status == BUDGET
         self.step_newton = max(self.step_newton, res.iterations)
@@ -214,22 +214,25 @@ def mgb_t_step(run, z_k, t_next, k, rho):
     """One Algorithm MGB step of run: center the shifted path on levels
     1..L, recording rows (k, t_next, rho).
 
+    Each level centers on the affine subspace through the point the level
+    before it ended at, z_k's own on level 1: the spaces are nested, so that
+    point lies in the subspace z_k + span(P) of the level, and its value and
+    element blocks are the fine objective's record of it.
+
     Returns (z_next, "") or (None, reason).
     With run.config.predictor, the fine level L leaves its tangent in run.tangent.
     """
-    problem = run.problem
-    y0 = None
+    problem, z = run.problem, z_k
     for lvl in range(problem.L):
         fine = lvl == problem.L - 1
-        level_obj, res = run.center_at(problem.fine_objective, z_k,
+        level_obj, res = run.center_at(problem.fine_objective, z,
                                        problem.galerkin[lvl], t_next, k,
-                                       lvl + 1, rho, y0=y0,
+                                       lvl + 1, rho,
                                        tangent=fine and run.config.predictor)
         if res.status != CONVERGED:
             return None, f"level {lvl + 1} centering: {res.outcome}"
-        if not fine:
-            y0 = problem.P_free[lvl] @ res.y
-    return level_obj.full_point(res.y), ""
+        z = level_obj.full_point(res.y)
+    return z, ""
 
 
 def predict(objective, z_k, tangent, t_k, t_next, prev=None):

@@ -11,7 +11,7 @@ def third_directional(barrier, q, s, u):
     s = np.asarray(s, dtype=float)
     u = np.atleast_2d(u)
     e = 2.0 / barrier.p
-    g, se1 = barrier._gap(q, s)
+    g, se1 = barrier.gap(q, s)
     if not np.all(g > 0.0):
         raise ValueError("third_directional called outside the barrier domain")
     uq, us = u[:, : barrier.d], u[:, barrier.d]
@@ -28,7 +28,7 @@ def f_s(barrier, q, s):
     """Partial derivative of F with respect to the slack s."""
     s = np.asarray(s, dtype=float)
     e = 2.0 / barrier.p
-    g, se1 = barrier._gap(q, s)
+    g, se1 = barrier.gap(q, s)
     return -e * se1 / g - 2.0 / s
 
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -376,6 +377,84 @@ def test_assembled_s_shares_a_read_only_pattern(small_problem):
         H.S.indices[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         H.S.indptr[-1] = 0
+
+
+def hessian_arrays(obj, z):
+    g, H = obj.grad_hess(z, 2.0)
+    return g, H.S.data, H.L, H.W
+
+
+# every method that evaluates an Objective at a point, its result as arrays
+EVALUATIONS = {
+    "value": lambda obj, z: (np.float64(obj.value(z, 2.0)),),
+    "margin": lambda obj, z: (obj.margin(z),),
+    "element_blocks": lambda obj, z: obj.element_blocks(z),
+    "grad_hess": hessian_arrays,
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(EVALUATIONS)),
+                         ids="-".join)
+def test_record_answers_as_a_fresh_objective(order):
+    # the record of the last point evaluated serves every method bit for
+    # bit, whichever filled it, in any order and on a repeat
+    z = feasible_point(make_objective()[1])
+    fresh = {name: f(make_objective()[0], z) for name, f in EVALUATIONS.items()}
+    obj = make_objective()[0]
+    for name in order + order:
+        got = EVALUATIONS[name](obj, z)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh[name], strict=True)), name
+
+
+def counted_samples(monkeypatch, sampler):
+    """The points at which sampler samples Dz from now on."""
+    points, sample = [], DSampler.sample
+
+    def logged(self, z):
+        if self is sampler:
+            points.append(z.copy())
+        return sample(self, z)
+
+    monkeypatch.setattr(DSampler, "sample", logged)
+    return points
+
+
+def test_record_misses_another_point_and_a_changed_array(monkeypatch):
+    # matched by content: an equal copy hits, another point or the caller's
+    # own array changed in place misses, and the record has one slot
+    obj, fes, smp = make_objective()
+    samples = counted_samples(monkeypatch, smp)
+    z, z2 = feasible_point(fes), feasible_point(fes, margin=3.0)
+    v, blocks = obj.value(z, 2.0), obj.element_blocks(z)
+    assert obj.value(z.copy(), 2.0) == v and obj.element_blocks(z.copy()) is blocks
+    assert len(samples) == 1
+    assert obj.value(z2, 2.0) == make_objective()[0].value(z2, 2.0) != v
+    assert obj.value(z, 2.0) == v and obj.element_blocks(z) is not blocks
+    assert len(samples) == 3
+    z[fes.n_u] += 0.5  # the first element's first slack dof
+    assert obj.value(z, 2.0) == make_objective()[0].value(z, 2.0) != v
+    assert len(samples) == 4 and np.array_equal(samples[-1], z)
+
+
+def test_grad_hess_empties_the_record(monkeypatch):
+    # nothing of the point lives on with the Hessian: the next evaluation
+    # there samples Dz again
+    obj, fes, smp = make_objective()
+    obj.factor_plan  # built, as by a level's first Hessian
+    samples = counted_samples(monkeypatch, smp)
+    z = feasible_point(fes)
+    obj.value(z, 2.0)
+    blocks = obj.element_blocks(z)
+    obj.grad_hess(z, 2.0)
+    assert len(samples) == 1
+    assert obj.element_blocks(z) is not blocks and len(samples) == 2
+
+
+def test_record_hands_out_read_only_blocks():
+    obj, fes, _ = make_objective()
+    for x in obj.element_blocks(feasible_point(fes)):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
 
 
 def packed_factor(rng, n_ls, ne):

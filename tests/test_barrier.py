@@ -99,7 +99,7 @@ def test_grad_hess_terms_rebuild_the_dense_derivatives(p, d):
     assert np.array_equal(G, np.column_stack([a, f_s]))
     assert np.array_equal(f_s, oracles.f_s(b, q, s))
 
-    e, (g, _) = 2.0 / p, b._gap(q, s)
+    e, (g, _) = 2.0 / p, b.gap(q, s)
     se1, se2 = s ** (e - 1.0), s ** (e - 2.0)
     ref = np.empty_like(H)
     gg = g[:, None, None]

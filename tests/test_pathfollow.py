@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mgbarrier import newton, pathfollow
-from mgbarrier.assembly import LevelObjective
+from mgbarrier.assembly import LevelObjective, Objective
+from mgbarrier.femspace import DSampler
 from mgbarrier.newton import CONVERGED, newton_decrement
 from mgbarrier.pathfollow import (CSV_HEADER, STATUS_FAILURE, PathConfig,
                                   PathTrace, TraceRow, adapt_stepsize,
@@ -769,3 +770,56 @@ def test_adapt_stepsize_gets_each_t_steps_largest_centering(small_problem, monke
                 for s in t_steps]
     assert seen == expected and len(seen) > 1
     assert [s.newton_iters for s in t_steps] == expected
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_sweep_levels_evaluate_each_fine_point_once(small_problem, monkeypatch, levels):
+    # Algorithm MGB proper: the fine objective's record hands a line search's
+    # accepted trial to the next Hessian, so Dz is sampled fewer times than
+    # value and grad_hess are called, and each sweep level after the first
+    # starts where the level before it ended: its first Hessian reuses that
+    # level's last element blocks. Three levels have a level whose P is a
+    # product of two prolongations.
+    problem = (small_problem if levels == 2
+               else build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=2)))
+    calls = dict.fromkeys(["sample", "value", "grad_hess"], 0)
+    for owner, name in ((DSampler, "sample"), (LevelObjective, "value"),
+                        (LevelObjective, "grad_hess")):
+        def counted(*args, fn=getattr(owner, name), name=name, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+
+    sweeps, in_sweep = [], []  # per sweep, per level, the element blocks evaluated
+    blocks_, center, t_step = Objective.element_blocks, pathfollow.center, pathfollow.mgb_t_step
+
+    def logged_blocks(self, z):
+        blocks = blocks_(self, z)
+        if in_sweep:
+            sweeps[-1][-1].append(blocks)
+        return blocks
+
+    def logged_center(*args, **kw):
+        if in_sweep:
+            sweeps[-1].append([])
+        return center(*args, **kw)
+
+    def logged_t_step(*args, **kw):
+        sweeps.append([])
+        in_sweep.append(True)
+        try:
+            return t_step(*args, **kw)
+        finally:
+            in_sweep.pop()
+
+    monkeypatch.setattr(Objective, "element_blocks", logged_blocks)
+    monkeypatch.setattr(pathfollow, "center", logged_center)
+    monkeypatch.setattr(pathfollow, "mgb_t_step", logged_t_step)
+    tr = run_mgb(problem, PathConfig(direct_cap=0))
+    assert tr.status == "converged"
+    assert calls["sample"] < calls["value"] + calls["grad_hess"]
+    assert len(sweeps) > 1
+    for sweep in sweeps:
+        assert len(sweep) == problem.L
+        for before, after in zip(sweep, sweep[1:]):
+            assert after[0] is before[-1]
