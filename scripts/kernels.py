@@ -32,8 +32,9 @@ one JSON line with the repeat-median milliseconds of:
   that elimination (null on a fine level without parents);
 - solve: one H.solve with the factor that decrement leaves on H, i.e.
   the slack condensed out of the right-hand side, then the parents'
-  interiors, the solve with R, and both back-substituted
-  (CondensedHessian.solve, twice);
+  interiors, the solve with R, and both back-substituted (Stage.solve
+  twice: H.slack's, then the interior stage's that newton.regularize
+  returns);
 - plan: building the fine level's TwoStagePlan: the skeleton, R's pattern
   (the union of the parents' boundary cliques), R's order, and R's CSC
   pattern and the interior stage's tables in that order, built once per
@@ -160,7 +161,7 @@ def main():
     finally:
         spla.splu = splu
     plan = H.plan
-    R = newton.regularize(H.S, plan).S
+    R, _ = newton.regularize(H.S, plan)
     # R's pattern in skeleton order, entry (i, j) of R at (perm[i], perm[j])
     inverse = np.argsort(plan.perm)
     cols = inverse[np.repeat(np.arange(R.shape[0]), np.diff(plan.indptr))]

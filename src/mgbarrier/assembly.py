@@ -205,53 +205,66 @@ class TwoStagePlan:
 
 
 @dataclass
-class CondensedHessian:
-    """The free-dof Hessian [[H_uu, H_us], [H_su, H_ss]], free dofs ordered
-    u then slack element by element, with the element-local slack
-    eliminated: H_ss = blockdiag(L_K L_K^T), W_K = L_K^-1 H_su,K, and S =
-    H_uu - sum_K W_K^T W_K, the Schur complement over the free u dofs. The
-    element arrays are laid out (entries, elements), as condense returns them.
-    """
+class Stage:
+    """One block elimination, as condense returns it, of a system whose last
+    unknowns are ne blocks: A_ss = blockdiag(L_K L_K^T) and W_K = L_K^-1
+    A_su,K leave A_uu - sum_K W_K^T W_K on the leading nu unknowns. With
+    gather, the system's unknown gather[i] is the stage's i-th. A
+    CondensedHessian's slack is one stage; every parent's interior
+    (newton.regularize) is another."""
 
-    S: sp.spmatrix     # (nu, nu) CSR; CSC on the stage that newton.regularize returns
-    L: np.ndarray      # (n_ls(n_ls+1)/2, ne) L_K's entries, as condense lays them
-                       # out; NaN if H_ss,K is not SPD
+    L: np.ndarray      # (n_ls(n_ls+1)/2, ne), as condense lays it out; NaN if A_ss,K is not SPD
     W: np.ndarray      # (n_ls, n_lu, ne)
-    uslot: np.ndarray  # (n_lu, ne) position of each local u dof among the free u; nu if fixed
-    # the TwoStagePlan of S's pattern, by which the solver factors S; a
-    # level's own (Objective.factor_plan), None on the stage that factors it
-    plan: TwoStagePlan | None = None
-    # r -> S^-1 r (shifted), left by the decrement that factored S; the
-    # stage's is the solve with R's factor
-    solve_s: Callable[[np.ndarray], np.ndarray] | None = None
+    uslot: np.ndarray  # (n_lu, ne) the leading unknown of each column of W_K; nu if fixed
+    gather: np.ndarray | None = None
 
-    @property
-    def nnz(self):
-        return self.S.nnz
+    def first_bad(self):
+        """The first block whose L is NaN (not positive definite), or None."""
+        bad = np.flatnonzero(np.isnan(self.L).any(axis=0))
+        return int(bad[0]) if bad.size else None
 
-    def slack_spd(self):
-        """Whether every element slack block is positive definite."""
-        return not np.isnan(self.L).any()
-
-    def solve(self, b):
-        """H^-1 b over the free dofs with solve_s(r) = S^-1 r: the slack is
-        condensed out of b element by element, and back-substituted."""
-        nu = self.S.shape[0]
+    def solve(self, b, inner):
+        """A^-1 b, with inner(r) the solve with the Schur complement: the
+        blocks are condensed out of b, and back-substituted."""
+        if self.gather is not None:
+            b = b[self.gather]
         n_ls, _, ne = self.W.shape
+        nu = len(b) - n_ls * ne
         _, _, at = sym_entries(n_ls)
         L, W, uslot = self.L, self.W, self.uslot
         # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
         y = substitute(L, at, b[nu:].reshape(ne, n_ls).T.copy())
         wy = np.einsum("jie,je->ie", W, y)
         x = np.empty_like(b)
-        x[:nu] = self.solve_s(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
-                                                   minlength=nu + 1)[:nu])
-        # x_s = L^-T (y - W x_u) on every element; a fixed u dof's slot nu
-        # reads the 0 put there (uslot is empty when x has no slack)
+        x[:nu] = inner(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
+                                            minlength=nu + 1)[:nu])
+        # x_s = L^-T (y - W x_u) on every block; a fixed slot nu reads the 0 put there
         x[nu:nu + 1] = 0.0
         y -= np.einsum("jie,ie->je", W, x[uslot])
         x[nu:].reshape(ne, n_ls).T[...] = substitute(L, at, y, transpose=True)
+        if self.gather is not None:
+            x[self.gather] = x.copy()  # back in the system's numbering
         return x
+
+
+@dataclass
+class CondensedHessian:
+    """The free-dof Hessian, free dofs ordered u then slack element by
+    element, with its element slack eliminated (slack, uslot numbering the
+    free u dofs) onto S, the Schur complement over the free u dofs."""
+
+    S: sp.csr_matrix   # (nu, nu)
+    slack: Stage
+    plan: TwoStagePlan  # of S's pattern, by which the solver factors S (Objective.factor_plan)
+    solve_s: Callable | None = None  # r -> S^-1 r (shifted), left by the decrement that factored S
+
+    @property
+    def nnz(self):
+        return self.S.nnz
+
+    def solve(self, b):
+        """H^-1 b over the free dofs."""
+        return self.slack.solve(b, self.solve_s)
 
 
 class _Point:
@@ -464,7 +477,7 @@ class Objective:
         plan = self.factor_plan
         S, L, W = condense(uu, su, ss, self.fesys.n_ls)
         g, S = self.scatter(gloc, S, g0)
-        return g, CondensedHessian(S, L, W, self._assembly_plan[1], plan)
+        return g, CondensedHessian(S, Stage(L, W, self._assembly_plan[1]), plan)
 
     def grad_hess(self, z, t):
         """(gradient, CondensedHessian) over free dofs at a feasible z. The

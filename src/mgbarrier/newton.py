@@ -7,6 +7,7 @@ the barrier domain (value = +inf) are handled by halving the step.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # SuperLU's options live with the plan, whose order reads them; RELAX stays newton.RELAX
-from .assembly import RELAX, SPD_OPTIONS, CondensedHessian, condense  # noqa: F401
+from .assembly import RELAX, SPD_OPTIONS, Stage, condense  # noqa: F401
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -57,13 +58,13 @@ def scaled_shift(H, d):
 
 def regularize(S, plan):
     """S + scaled_shift(S, d) * diag(d), d = diag(S), for a CSR matrix S on
-    the pattern of plan, a TwoStagePlan, in two stages: the stage
-    CondensedHessian(R, L, W, uslot) that stands for it in plan's gather
-    order, R in plan's CSC pattern (its order), with every parent's interior
-    block eliminated by condense into L, W and R's entries. Raises
-    DecrementFailure if an entry of d is not positive (or NaN): S is then
-    not SPD, and no clamp makes it so. An interior block that is not
-    positive definite leaves NaN in L, condense's marking."""
+    the pattern of plan, a TwoStagePlan, in two stages: (R, interior), R in
+    plan's CSC pattern (its order), with every parent's interior block
+    eliminated by condense into the Stage interior, in plan's gather order,
+    and R's entries. Raises DecrementFailure if an entry of d is not
+    positive (or NaN): S is then not SPD, and no clamp makes it so. An
+    interior block that is not positive definite leaves NaN in its L,
+    condense's marking."""
     d = S.data[plan.hdiag]
     if not (d > 0).all():
         row = np.flatnonzero(~(d > 0))[0]
@@ -81,7 +82,7 @@ def regularize(S, plan):
     nr = len(plan.indptr) - 1
     R = sp.csc_matrix((np.take(entries, plan.slots), plan.indices, plan.indptr),
                       shape=(nr, nr))
-    return CondensedHessian(R, L, W, plan.uslot)
+    return R, Stage(L, W, plan.uslot, plan.gather)
 
 
 @dataclass
@@ -100,11 +101,6 @@ class CenteringResult:
         return f"{self.status} ({self.detail})" if self.detail else self.status
 
 
-def _first_nan(L):
-    """The first element (column) of condense's L with a NaN entry."""
-    return np.flatnonzero(np.isnan(L).any(axis=0))[0]
-
-
 def newton_decrement(g, H):
     """lambda = sqrt(g^T H^{-1} g) and the Newton direction -H^{-1} g.
 
@@ -112,35 +108,26 @@ def newton_decrement(g, H):
     shifted, and every parent's interior block is eliminated from it, into
     R's pattern in the plan's order (regularize); R is SPD, so it is
     factored with diagonal pivots, in natural order: its rows are already in
-    the plan's minimum-degree order. The two-stage solve with that factor
-    is left in H.solve_s, so that H.solve(b) is H^{-1} b. Raises
+    the plan's minimum-degree order. The interior stage's solve with that
+    factor is left in H.solve_s, so that H.solve(b) is H^{-1} b. Raises
     DecrementFailure, naming the check, if a slack block or an interior
     block is not positive definite or a diagonal entry of S is missing or
     not positive (before any factorization), if the factorization fails or
     if lambda^2 is negative beyond roundoff, without leaving a factor on H.
     """
-    if not H.slack_spd():
-        raise DecrementFailure(f"slack block not SPD, element {_first_nan(H.L)}")
-    S, plan = H.S, H.plan
-    if plan.hdiag.size < S.shape[0]:
+    H.solve_s = None
+    if (bad := H.slack.first_bad()) is not None:
+        raise DecrementFailure(f"slack block not SPD, element {bad}")
+    if H.plan.hdiag.size < H.S.shape[0]:
         raise DecrementFailure("S lacks a diagonal entry")
-    stage = regularize(S, plan)
-    if not stage.slack_spd():
-        raise DecrementFailure(f"interior block not SPD, parent {_first_nan(stage.L)}")
+    R, interior = regularize(H.S, H.plan)
+    if (bad := interior.first_bad()) is not None:
+        raise DecrementFailure(f"interior block not SPD, parent {bad}")
     try:
-        stage.solve_s = spla.splu(stage.S, permc_spec="NATURAL", **SPD_OPTIONS).solve
+        lu = spla.splu(R, permc_spec="NATURAL", **SPD_OPTIONS)
     except RuntimeError as exc:
         raise DecrementFailure(f"splu failed: {exc}") from None
-
-    def solve_s(r):
-        """The shifted S^{-1} r in two stages: every parent's interior
-        condensed out of r, a solve with R's factor, and the interior
-        back-substituted."""
-        x = np.empty_like(r)
-        x[plan.gather] = stage.solve(r[plan.gather])
-        return x
-
-    H.solve_s = solve_s
+    H.solve_s = functools.partial(interior.solve, inner=lu.solve)
     step = -H.solve(g)
     lam2 = float(-g @ step)
     if not np.isfinite(lam2) or (

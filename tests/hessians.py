@@ -2,7 +2,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mgbarrier.assembly import SPD_OPTIONS, CondensedHessian, TwoStagePlan
+from mgbarrier.assembly import SPD_OPTIONS, CondensedHessian, Stage, TwoStagePlan
 from mgbarrier.femspace import sym_entries
 
 
@@ -21,8 +21,8 @@ def no_slack(A):
     """The CondensedHessian of a sparse or dense matrix A over u dofs alone:
     S = A, no element slack, and a plan of S's own pattern."""
     S = sp.csr_matrix(A)
-    return CondensedHessian(S, np.zeros((0, 0)), np.zeros((0, 0, 0)),
-                            np.zeros((0, 0), dtype=np.intp), plan_of(S))
+    return CondensedHessian(S, Stage(np.zeros((0, 0)), np.zeros((0, 0, 0)),
+                                     np.zeros((0, 0), dtype=np.intp)), plan_of(S))
 
 
 def full_hessian(H):
@@ -31,12 +31,12 @@ def full_hessian(H):
     Every element entry is stored, explicit zeros included, as the element
     scatter stores them."""
     nu = H.S.shape[0]
-    n_ls, n_lu, ne = H.W.shape
+    n_ls, n_lu, ne = H.slack.W.shape
     nf = nu + ne * n_ls
     lower = np.tril(np.ones((n_ls, n_ls), dtype=bool))[:, :, None]
-    L = np.where(lower, H.L[sym_entries(n_ls)[2]], 0.0).transpose(2, 0, 1)  # (ne, n_ls, n_ls)
-    W = H.W.transpose(2, 0, 1)                                        # (ne, n_ls, n_lu)
-    loc = np.concatenate([H.uslot.T, nu + np.arange(ne * n_ls).reshape(ne, n_ls)], axis=1)
+    L = np.where(lower, H.slack.L[sym_entries(n_ls)[2]], 0.0).transpose(2, 0, 1)  # (ne, n_ls, n_ls)
+    W = H.slack.W.transpose(2, 0, 1)                                # (ne, n_ls, n_lu)
+    loc = np.concatenate([H.slack.uslot.T, nu + np.arange(ne * n_ls).reshape(ne, n_ls)], axis=1)
     blk = np.zeros((ne, n_lu + n_ls, n_lu + n_ls))
     blk[:, :n_lu, :n_lu] = np.einsum("eki,ekj->eij", W, W)
     hus = np.einsum("eki,ejk->eij", W, L)
@@ -46,7 +46,7 @@ def full_hessian(H):
     rows = np.broadcast_to(loc[:, :, None], blk.shape)
     cols = np.broadcast_to(loc[:, None, :], blk.shape)
     # a fixed u dof has slot nu, which is a slack slot in the full numbering
-    free = np.concatenate([H.uslot.T < nu, np.ones((ne, n_ls), dtype=bool)], axis=1)
+    free = np.concatenate([H.slack.uslot.T < nu, np.ones((ne, n_ls), dtype=bool)], axis=1)
     keep = free[:, :, None] & free[:, None, :]
     S = H.S.tocoo()
     return sp.csr_matrix(

@@ -261,7 +261,8 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
     # read in the plan's order, R's row and column k being dof gather[k]
     S = sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 16.0]]))
     plan = plan_of(S)
-    R, g = regularize(S, plan).S, plan.gather
+    R, _ = regularize(S, plan)
+    g = plan.gather
     expected = S.toarray() + 1e-15 * 1.125 * np.diag([4.0, 16.0])
     ok_reg = np.array_equal(R.toarray(), expected[np.ix_(g, g)])
     # t rail and feasibility of every recorded iterate

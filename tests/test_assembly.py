@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mgbarrier.assembly import LevelObjective, Objective, compress, condense, substitute
+from mgbarrier.assembly import (LevelObjective, Objective, Stage, compress, condense,
+                                substitute)
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import CHILDREN, build_rect_mesh
@@ -365,6 +366,69 @@ def test_condense_subtracts_each_slack_row(n_ls, n_lu, interior):
     assert np.array_equal(S, stacked_schur(uu, W))
 
 
+def stage_system(n_l, nu, gathered, seed):
+    """(stage, A): a Stage of ne = 4 random SPD blocks of n_l unknowns, each
+    coupled to 3 of nu leading unknowns, one of them fixed (slot nu) on every
+    other block, eliminated by condense with a zero leading block, as
+    newton.regularize does; and the dense SPD system it stands for, in its
+    own numbering (a random gather, if gathered). n_l = 0: no blocks."""
+    rng = np.random.default_rng(seed)
+    ne, n_lu = (4, 3) if n_l else (0, 0)
+    n = nu + ne * n_l
+    B = rng.standard_normal((nu, 2 * nu))
+    A = np.zeros((n, n))
+    A[:nu, :nu] = B @ B.T
+    L, W = np.zeros((0, 0)), np.zeros((0, 0, 0))
+    uslot = np.zeros((n_lu, ne), dtype=np.intp)
+    if n_l:
+        M = rng.standard_normal((ne, n_lu + n_l, 2 * (n_lu + n_l)))
+        H = M @ M.transpose(0, 2, 1)
+        _, su, ss = as_blocks(H, n_l)
+        _, L, W = condense(0.0, su, ss, n_l)
+        uslot = np.array([rng.choice(nu, n_lu, replace=False) for _ in range(ne)]).T
+        uslot[0, ::2] = nu
+        for e in range(ne):
+            # the block's rows and columns, a fixed leading unknown dropped
+            loc = np.r_[uslot[:, e], nu + e * n_l + np.arange(n_l)]
+            keep = np.r_[uslot[:, e] < nu, np.ones(n_l, dtype=bool)]
+            A[np.ix_(loc[keep], loc[keep])] += H[e][np.ix_(keep, keep)]
+    gather = rng.permutation(n) if gathered else None
+    if gathered:
+        A[np.ix_(gather, gather)] = A.copy()
+    return Stage(L, W, uslot, gather), A
+
+
+@pytest.mark.parametrize("n_l, nu, gathered",
+                         [(1, 7, False), (3, 7, False), (1, 7, True), (3, 7, True),
+                          (0, 5, True), (0, 0, True)],
+                         ids=["n_l=1", "n_l=3", "n_l=1-gather", "n_l=3-gather",
+                              "no-blocks", "0x0"])
+def test_stage_solves_its_block_system(n_l, nu, gathered):
+    # Stage.solve against a dense solve of the block system it stands for,
+    # with a dense solve of the leading unknowns' Schur complement as inner.
+    # No blocks with a gather is the interior stage of every coarsest level.
+    stage, A = stage_system(n_l, nu, gathered, seed=n_l + nu)
+    order = np.arange(len(A)) if stage.gather is None else stage.gather
+    Ag = A[np.ix_(order, order)]
+    C = Ag[:nu, :nu] - Ag[:nu, nu:] @ np.linalg.solve(Ag[nu:, nu:], Ag[nu:, :nu])
+    b = np.random.default_rng(1).standard_normal(len(A))
+    x = stage.solve(b, lambda r: np.linalg.solve(C, r))
+    assert x.shape == b.shape
+    assert_close(x, np.linalg.solve(A, b), rtol=1e-12)
+
+
+def test_stage_names_its_first_bad_block():
+    # condense marks a block that is not positive definite with NaN in its
+    # L; first_bad names the first such block, and None when there is none
+    stage, _ = stage_system(3, 7, False, seed=0)
+    assert stage.first_bad() is None
+    assert stage_system(0, 5, True, seed=0)[0].first_bad() is None
+    for bad in ([2], [1, 3]):
+        L = stage.L.copy()
+        L[-1, bad] = np.nan
+        assert Stage(L, stage.W, stage.uslot).first_bad() == bad[0]
+
+
 def test_assembled_s_shares_a_read_only_pattern(small_problem):
     # every S that a level assembles stands on the level's own index arrays,
     # so none may be written in place
@@ -381,7 +445,7 @@ def test_assembled_s_shares_a_read_only_pattern(small_problem):
 
 def hessian_arrays(obj, z):
     g, H = obj.grad_hess(z, 2.0)
-    return g, H.S.data, H.L, H.W
+    return g, H.S.data, H.slack.L, H.slack.W
 
 
 # every method that evaluates an Objective at a point, its result as arrays
@@ -513,8 +577,8 @@ def test_rank_one_slack_block_is_marked_and_named(small_problem):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g, H = obj.assemble(g, uu, su, ss, np.zeros(len(obj.free_idx())))
-        assert not H.slack_spd()
-        assert np.array_equal(np.flatnonzero(np.isnan(H.L).any(axis=0)), [4])
+        assert H.slack.first_bad() is not None
+        assert np.array_equal(np.flatnonzero(np.isnan(H.slack.L).any(axis=0)), [4])
         with pytest.raises(DecrementFailure, match="^slack block not SPD, element 4$"):
             newton_decrement(g, H)
 
@@ -635,7 +699,7 @@ def test_plan_orders_r_by_its_pattern_alone(levels, level):
     assert np.array_equal(plan.gather[plan.perm], np.sort(plan.gather[:nr]))
     t0 = PathConfig().initial_t(pr)
     for t in (t0, 1e6 * t0):
-        R = regularize(obj.grad_hess(z, t)[1].S, plan).S
+        R, _ = regularize(obj.grad_hess(z, t)[1].S, plan)
         natural = R[plan.perm][:, plan.perm].tocsc()
         natural.sort_indices()
         assert np.array_equal(splu_order(natural), plan.perm)

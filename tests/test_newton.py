@@ -61,6 +61,23 @@ def test_newton_decrement_quadratic():
     assert lam == pytest.approx(np.sqrt(10.0), rel=1e-12)
 
 
+def test_failed_decrement_leaves_no_earlier_factor(monkeypatch):
+    # a decrement that fails after a successful one on the same H takes
+    # that one's factor off H: H.solve cannot silently use a stale factor
+    H = no_slack(np.diag([2.0, 8.0]))
+    g = np.array([2.0, 8.0])
+    newton_decrement(g, H)
+    assert np.allclose(H.solve(g), [1.0, 1.0])
+
+    def failing(A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", failing)
+    with pytest.raises(DecrementFailure, match="^splu failed"):
+        newton_decrement(g, H)
+    assert H.solve_s is None
+
+
 def test_regularize_formula_exact():
     # D^-1/2 |S| D^-1/2 has row sums 1.125, 1.25 and 1.125, all exact in
     # binary, so sigma = 1e-15 * 1.25; on a power-of-two diagonal d,
@@ -69,7 +86,7 @@ def test_regularize_formula_exact():
     d = np.array([4.0, 16.0, 16.0])
     expected = S.toarray() + 1e-15 * 1.25 * np.diag(d)
     plan = plan_of(S)
-    R = regularize(S, plan).S
+    R, _ = regularize(S, plan)
     assert R.format == "csc"
     # R's row and column k is dof gather[k]: entry (i, j) at (perm[i], perm[j])
     g = plan.gather
@@ -85,7 +102,7 @@ def test_regularize_zero_matrix():
     with pytest.raises(DecrementFailure, match=r"^diagonal of S not positive, row 0: 0\.0$"):
         regularize(S, plan_of(S))
     S = sp.csr_matrix((0, 0))
-    R = regularize(S, plan_of(S)).S
+    R, _ = regularize(S, plan_of(S))
     assert R.shape == (0, 0) and R.nnz == 0
 
 
@@ -289,7 +306,7 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
     for lvl in range(pr.L - 1):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
-    R = regularize(H.S, H.plan).S
+    R, _ = regularize(H.S, H.plan)
     default = spla.splu(R, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                         options=dict(SymmetricMode=True))
     factored, splu = [], spla.splu
@@ -301,7 +318,7 @@ def test_fine_factorization_is_the_skeleton_schur_complement(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", logged)
     lam, step = newton_decrement(g, H)
-    whole = CondensedHessian(H.S, H.L, H.W, H.uslot, plan_of(H.S))  # no parents: one stage
+    whole = CondensedHessian(H.S, H.slack, plan_of(H.S))  # no parents: one stage
     lam1, step1 = newton_decrement(g, whole)
     (n_two, fill_two), (n_one, fill_one) = factored
     assert (n_two, n_one) == (2433, 3969)
@@ -427,7 +444,7 @@ def test_factor_fill_below_default_supernode_relaxation(monkeypatch):
         z = pr.refine_iterate(z, lvl)
     g, H = pr.fine_objective.grad_hess(z, 1.0)
     whole = plan_of(H.S)
-    default = spla.splu(regularize(H.S, whole).S, permc_spec="MMD_AT_PLUS_A",
+    default = spla.splu(regularize(H.S, whole)[0], permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     splu, fills = spla.splu, []
 
@@ -454,7 +471,7 @@ def test_every_factorization_shifts_through_regularize(small_problem, monkeypatc
         return shifted[-1]
 
     def logged_splu(A, permc_spec=None, **kwargs):
-        assert A is shifted[-1].S
+        assert A is shifted[-1][0]
         specs.append(permc_spec)
         return splu(A, permc_spec=permc_spec, **kwargs)
 
@@ -580,7 +597,7 @@ def test_non_spd_condensed_hessian_is_a_solver_failure(small_problem, orderings_
             res = center(FixedHessian(H, nf), np.zeros(nf), t=1.0)
         assert res.status == SOLVER_FAILURE
         assert res.iterations == 0
-    assert not obj.assemble(*bad_slack, np.zeros(nf))[1].slack_spd()
+    assert obj.assemble(*bad_slack, np.zeros(nf))[1].slack.first_bad() == 0
     assert orderings_used == []
 
 
@@ -598,7 +615,7 @@ def test_non_spd_interior_block_is_a_named_failure(small_problem, orderings_used
     x = 10.0 * np.sqrt(S[a, a] * S[b, b])
     for i, j in ((a, b), (b, a)):
         S.data[S.indptr[i] + np.flatnonzero(S.indices[S.indptr[i]:S.indptr[i + 1]] == j)] = x
-    bad = CondensedHessian(S, H.L, H.W, H.uslot, H.plan)
+    bad = CondensedHessian(S, H.slack, H.plan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _named_failure(bad, g) == ("interior block not SPD, parent 5",) * 2
