@@ -54,25 +54,25 @@ def condense(uu, su, ss, n_ls):
     (i, j), i >= j, of L_K at the position of (i, j)) and W_K = L_K^-1
     H_su,K, of shape (n_ls, n_lu, elements).
 
-    A Cholesky of every slack block at once, row by row, on contiguous rows
-    over the elements. A non-positive (or NaN) pivot gives a NaN diagonal
-    entry of L_K without a floating-point warning, and the NaN carries into
-    every later pivot, into W_K and into S_K: it marks the block as not
-    positive definite.
+    A Cholesky of every slack block at once, column by column on T's rows
+    over the elements (W_K a view of T), each entry in row-by-row order. A
+    non-positive (or NaN) pivot gives a NaN diagonal entry of L_K without a
+    warning, and the NaN carries into every later pivot, into W_K and into
+    S_K: it marks the block as not positive definite.
     """
     n_lu, ne = len(su) // n_ls, su.shape[1]
     iu, ju, _ = sym_entries(n_lu)
-    _, _, at = sym_entries(n_ls)
+    i, j, at = sym_entries(n_ls)
+    T = np.concatenate((ss[at], su.reshape(n_ls, n_lu, ne)), axis=1)
     L = np.full(ss.shape, np.nan)
-    for j in range(n_ls):
-        row = substitute(L, at, ss[at[j, :j]])
-        piv = ss[at[j, j]]
-        for ljk in row:
-            piv = piv - ljk * ljk
-        L[at[j, :j]] = row
-        np.sqrt(piv, out=L[at[j, j]], where=piv > 0)
-    W = substitute(L, at, su.reshape(n_ls, n_lu, ne).copy())
-    # S = H_uu - sum_j W_j^T W_j on the distinct entries, one slack row j at a time
+    for k in range(n_ls):
+        Tk = T[k, k:]
+        for m in range(k):
+            Tk -= T[m, k] * T[m, k:]
+        np.sqrt(Tk[0], out=L[k], where=Tk[0] > 0)
+        Tk[1:] /= L[k]
+    L[n_ls:] = T[i[n_ls:], j[n_ls:]]
+    W = T[:, n_ls:]
     S = uu - W[0, iu] * W[0, ju]
     for Wj in W[1:]:
         S -= Wj[iu] * Wj[ju]
@@ -229,19 +229,21 @@ class Stage:
         if self.gather is not None:
             b = b[self.gather]
         n_ls, _, ne = self.W.shape
-        nu = len(b) - n_ls * ne
-        _, _, at = sym_entries(n_ls)
-        L, W, uslot = self.L, self.W, self.uslot
-        # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
-        y = substitute(L, at, b[nu:].reshape(ne, n_ls).T.copy())
-        wy = np.einsum("jie,je->ie", W, y)
-        x = np.empty_like(b)
-        x[:nu] = inner(b[:nu] - np.bincount(uslot.ravel(), weights=wy.ravel(),
-                                            minlength=nu + 1)[:nu])
-        # x_s = L^-T (y - W x_u) on every block; a fixed slot nu reads the 0 put there
-        x[nu:nu + 1] = 0.0
-        y -= np.einsum("jie,ie->je", W, x[uslot])
-        x[nu:].reshape(ne, n_ls).T[...] = substitute(L, at, y, transpose=True)
+        if n_ls * ne == 0:  # no blocks: the gather-only interior stage of a coarsest level
+            x = inner(b)
+        else:
+            nu = len(b) - n_ls * ne
+            _, _, at = sym_entries(n_ls)
+            # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
+            y = substitute(self.L, at, b[nu:].reshape(ne, n_ls).T.copy())
+            wy = np.einsum("jie,je->ie", self.W, y)
+            x = np.empty_like(b)
+            x[:nu] = inner(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
+                                                minlength=nu + 1)[:nu])
+            # x_s = L^-T (y - W x_u) on every block; a fixed slot nu reads the 0 put there
+            x[nu:nu + 1] = 0.0
+            y -= np.einsum("jie,ie->je", self.W, x[self.uslot])
+            x[nu:].reshape(ne, n_ls).T[...] = substitute(self.L, at, y, transpose=True)
         if self.gather is not None:
             x[self.gather] = x.copy()  # back in the system's numbering
         return x
@@ -547,14 +549,18 @@ class LevelObjective:
         self.galerkin = galerkin
         # sparse (n_fine_free, n_level_free) or None
         self.P = None if galerkin is None else galerkin.P
+        self._last = None  # (y, base + P y): an accepted trial's grad_hess reuses it
 
     @property
     def dim(self):
         return self.P.shape[1] if self.P is not None else len(self.obj.free_idx())
 
     def full_point(self, y):
-        inc = y if self.P is None else self.P @ y
-        return self.base + self.obj.embed_free(inc)
+        if self._last is None or not np.array_equal(self._last[0], y):
+            z = self.base + self.obj.embed_free(y if self.P is None else self.P @ y)
+            z.flags.writeable = False
+            self._last = (y.copy(), z)
+        return self._last[1]
 
     def value(self, y, t):
         return self.obj.value(self.full_point(y), t)

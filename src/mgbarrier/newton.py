@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 # SuperLU's options live with the plan, whose order reads them; RELAX stays newton.RELAX
 from .assembly import RELAX, SPD_OPTIONS, Stage, condense  # noqa: F401
@@ -41,7 +42,7 @@ class DecrementFailure(Exception):
 
 def scaled_shift(H, d):
     """1e-15 |||D^-1/2 H D^-1/2|||_inf (max absolute row sum) of a CSR matrix
-    H with diagonal d > 0, D = diag(d), from one matvec with |H|.
+    H with diagonal d > 0, D = diag(d), by the kernel of |H| @ s on H's arrays.
 
     H + scaled_shift(H, d) D shifts every diagonal entry by the same
     fraction, so it commutes with a diagonal rescaling of the unknowns, as
@@ -51,9 +52,9 @@ def scaled_shift(H, d):
     step.
     """
     s = 1.0 / np.sqrt(d)
-    # |H| over H's own index arrays: abs(H) would check and copy them
-    absH = sp.csr_matrix((np.abs(H.data), H.indices, H.indptr), shape=H.shape)
-    return 1e-15 * float(np.max(s * (absH @ s), initial=0.0))
+    sums = np.zeros(len(d))
+    csr_matvec(len(d), len(d), H.indptr, H.indices, np.abs(H.data), s, sums)
+    return 1e-15 * float(np.max(s * sums, initial=0.0))
 
 
 def regularize(S, plan):
@@ -70,8 +71,8 @@ def regularize(S, plan):
         row = np.flatnonzero(~(d > 0))[0]
         raise DecrementFailure(f"diagonal of S not positive, row {row}: {float(d[row])!r}")
     # the shifted S, then a 0 for the entries of R that S lacks
-    entries = np.append(S.data, 0.0)
-    entries[plan.hdiag] *= 1.0 + scaled_shift(S, d)
+    entries = np.concatenate((S.data, [0.0]))
+    entries[plan.hdiag] = d * (1.0 + scaled_shift(S, d))
     L, W = np.zeros((0, 0)), np.zeros((0, 0, 0))
     if plan.interior is not None:
         n_int, ii, ib, wslot, src = plan.interior
@@ -130,8 +131,8 @@ def newton_decrement(g, H):
     H.solve_s = functools.partial(interior.solve, inner=lu.solve)
     step = -H.solve(g)
     lam2 = float(-g @ step)
-    if not np.isfinite(lam2) or (
-            lam2 < -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
+    if not np.isfinite(lam2) or (lam2 < 0.0 and lam2 <
+                                 -NEG_LAM2_TOL * np.linalg.norm(g) * np.linalg.norm(step)):
         H.solve_s = None
         raise DecrementFailure(f"lambda^2 = {lam2!r}"
                                + (" is negative beyond roundoff" if np.isfinite(lam2) else ""))

@@ -7,6 +7,8 @@ decrements, objective values and timings, emitted as CSV.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import io
 import math
@@ -271,6 +273,27 @@ def predict(objective, z_k, tangent, t_k, t_next, prev=None):
     return z_k
 
 
+_libc = functools.partial(ctypes.CDLL, "libc.so.6")  # glibc; OSError where there is none
+
+
+@contextlib.contextmanager
+def heap_policy():
+    """In it glibc trims its heap only past 256 MiB (M_TRIM_THRESHOLD) and mmaps 1 MiB blocks."""
+    try:
+        mallopt = _libc().mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    except (OSError, AttributeError):
+        mallopt = None
+    for param, value in ((-1, 256 << 20), (-3, 1 << 20)) if mallopt else ():
+        mallopt(param, value)
+    try:
+        yield
+    finally:
+        for param in (-1, -3) if mallopt else ():
+            mallopt(param, 128 << 10)
+
+
+@heap_policy()
 def _follow(problem, config, store_iterates, schedule):
     """Follow the central path under schedule "mgb" (practical MGB),
     "h-then-t" or "theta" (naive), one move toward a target level per pass.

@@ -11,7 +11,7 @@ from mgbarrier.assembly import (LevelObjective, Objective, Stage, compress, cond
 from mgbarrier.barrier import PLapBarrier
 from mgbarrier.femspace import DSampler, build_fe_system, sym_entries, u_basis_grad
 from mgbarrier.mesh import CHILDREN, build_rect_mesh
-from mgbarrier.newton import DecrementFailure, newton_decrement, regularize
+from mgbarrier.newton import CONVERGED, DecrementFailure, center, newton_decrement, regularize
 from mgbarrier.pathfollow import PathConfig, run_mgb
 from mgbarrier.problems import UNIT_INTERVAL, UNIT_SQUARE, ProblemSpec, build_problem
 from mgbarrier.quadrature import reference_rule
@@ -138,6 +138,42 @@ def test_level_objective_galerkin_restriction(small_problem):
     yr = 1e-3 * rng.standard_normal(lvl.dim)
     zf = lvl.full_point(yr)
     assert np.allclose(zf - z_base, obj.embed_free(P @ yr), atol=1e-15)
+
+
+def test_accepted_trial_forms_its_point_once(small_problem):
+    # On a Galerkin level every trial point is base + P y, one product with
+    # P; the Hessian at an accepted trial reuses the trial's point, read-only,
+    # since a sweep hands the last one on as the next level's base
+    pr = small_problem
+    obj = pr.fine_objective
+    lvl = LevelObjective(obj, pr.refine_iterate(pr.z0, 0), pr.galerkin[0])
+    products, calls = [], {"value": 0, "grad_hess": 0}
+
+    class CountedP:
+        shape = lvl.P.shape
+
+        def __matmul__(self, y, P=lvl.P):
+            products.append(y)
+            return P @ y
+
+    def counted(name):
+        method = getattr(lvl, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    lvl.P = CountedP()
+    lvl.value, lvl.grad_hess = counted("value"), counted("grad_hess")
+    res = center(lvl, np.zeros(lvl.dim), 1.0)
+    assert res.status == CONVERGED and res.iterations >= 2
+    assert calls["grad_hess"] == res.iterations + 1
+    assert len(products) == calls["value"]
+    z = lvl.full_point(res.y.copy())
+    assert len(products) == calls["value"] and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0.0
 
 
 def test_fine_level_objective_is_identity(small_problem):
@@ -364,6 +400,72 @@ def test_condense_subtracts_each_slack_row(n_ls, n_lu, interior):
         H_uu = 0.0 if interior else H[e, :n_lu, :n_lu]
         assert_close(S[:, e], (H_uu - W[:, :, e].T @ W[:, :, e])[iu, ju], rtol=1e-13)
     assert np.array_equal(S, stacked_schur(uu, W))
+
+
+def row_by_row_condense(uu, su, ss, n_ls):
+    """condense by its earlier formula: the Cholesky of every slack block row
+    by row, each row of L_K a forward substitution with the rows above it,
+    then W_K by another, then S_K one slack row at a time."""
+
+    def forward(L, at, x):
+        for j in range(len(x)):
+            for k in range(j):
+                x[j] -= L[at[j, k]] * x[k]
+            x[j] /= L[at[j, j]]
+        return x
+
+    n_lu, ne = len(su) // n_ls, su.shape[1]
+    iu, ju, _ = sym_entries(n_lu)
+    _, _, at = sym_entries(n_ls)
+    L = np.full(ss.shape, np.nan)
+    for j in range(n_ls):
+        row = forward(L, at, ss[at[j, :j]])
+        piv = ss[at[j, j]]
+        for ljk in row:
+            piv = piv - ljk * ljk
+        L[at[j, :j]] = row
+        np.sqrt(piv, out=L[at[j, j]], where=piv > 0)
+    W = forward(L, at, su.reshape(n_ls, n_lu, ne).copy())
+    S = uu - W[0, iu] * W[0, ju]
+    for Wj in W[1:]:
+        S -= Wj[iu] * Wj[ju]
+    return S, L, W
+
+
+def assert_same_bits(a, b):
+    """a and b hold the same float64 bit patterns, NaN for NaN."""
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("ne", [1, 32, 2048])
+@pytest.mark.parametrize("n_ls, n_lu, interior", [(1, 6, False), (3, 6, False), (3, 12, True)],
+                         ids=["n_ls=1", "n_ls=3", "interior"])
+def test_condense_is_bitwise_the_row_by_row_formula(n_ls, n_lu, interior, ne):
+    # the column-by-column Cholesky does every entry's operations in the
+    # row-by-row order, so S, L and W keep every bit, and a block that is
+    # not positive definite keeps its NaN marks: with ne > 1 the last
+    # element's last pivot is negative and a middle one's first is 0, so
+    # one block is NaN from its last row on and one throughout
+    rng = np.random.default_rng(n_ls * ne + n_lu)
+    M = rng.standard_normal((ne, n_lu + n_ls, 2 * (n_lu + n_ls)))
+    uu, su, ss = as_blocks(M @ M.transpose(0, 2, 1), n_ls)
+    uu, su, ss = (np.ascontiguousarray(x) for x in (uu, su, ss))
+    if interior:
+        uu = 0.0
+    if ne > 1:
+        ss[n_ls - 1, -1] = -1.0
+        ss[0, ne // 2] = 0.0
+    new, ref = condense(uu, su, ss, n_ls), row_by_row_condense(uu, su, ss, n_ls)
+    for a, b in zip(new, ref):
+        assert_same_bits(a, b)
+    if ne > 1:
+        S, L, W = new
+        assert np.isfinite(L[:, 0]).all() and np.isnan(L[:, ne // 2]).all()
+        assert np.isnan(L[n_ls - 1, -1]) and np.isfinite(W[:n_ls - 1, :, -1]).all()
+        assert np.isnan(S[:, [ne // 2, -1]]).all()
 
 
 def stage_system(n_l, nu, gathered, seed):

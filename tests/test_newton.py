@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._compressed import _cs_matrix
 
 from mgbarrier import assembly, newton
 from mgbarrier.assembly import CondensedHessian, LevelObjective
@@ -769,3 +770,22 @@ def test_line_search_failure_is_named():
     # the other statuses carry no detail
     res = center(QuadraticObjective(np.eye(2), np.ones(2)), np.zeros(2), t=1.0)
     assert res.status == CONVERGED and res.outcome == CONVERGED
+
+
+@pytest.mark.parametrize("level", [0, 1], ids=["coarsest", "refined"])
+def test_decrement_builds_one_sparse_matrix(small_problem, level, monkeypatch):
+    # the shift sums |S|'s rows over S's own arrays, so R's CSC, the matrix
+    # that spla.splu factors, is the one scipy matrix a decrement builds
+    obj = small_problem.objectives[level]
+    z = small_problem.refine_iterate(small_problem.z0, 0) if level else small_problem.z0
+    g, H = obj.grad_hess(z, 1.0)
+    built, init = [], _cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self.format)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", counted)
+    lam, _ = newton_decrement(g, H)
+    assert np.isfinite(lam) and H.solve_s is not None
+    assert built == ["csc"]

@@ -823,3 +823,71 @@ def test_sweep_levels_evaluate_each_fine_point_once(small_problem, monkeypatch, 
         assert len(sweep) == problem.L
         for before, after in zip(sweep, sweep[1:]):
             assert after[0] is before[-1]
+
+
+class FakeLibc:
+    """A libc whose mallopt records its (param, value) calls."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+# glibc's M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3): in a solve, then after it
+HEAP_POLICY = [(-1, 256 << 20), (-3, 1 << 20)]
+HEAP_DEFAULT = [(-1, 128 << 10), (-3, 128 << 10)]
+RUNNERS = pytest.mark.parametrize(
+    "runner", [run_mgb, functools.partial(run_naive, schedule="theta")], ids=["mgb", "naive-theta"])
+
+
+@RUNNERS
+def test_solve_holds_the_heap_policy_from_entry_to_exit(small_problem, runner, monkeypatch):
+    libc = FakeLibc()
+    monkeypatch.setattr(pathfollow, "_libc", lambda: libc)
+    seen = []
+    center = pathfollow.center
+
+    def logged(*args, **kwargs):
+        seen.append(list(libc.calls))
+        return center(*args, **kwargs)
+
+    monkeypatch.setattr(pathfollow, "center", logged)
+    assert runner(small_problem, PathConfig()).status == "converged"
+    assert seen and all(calls == HEAP_POLICY for calls in seen)
+    assert libc.calls == HEAP_POLICY + HEAP_DEFAULT
+
+
+@RUNNERS
+def test_heap_policy_is_undone_on_a_budget_stop_and_a_raise(small_problem, runner, monkeypatch):
+    libc = FakeLibc()
+    monkeypatch.setattr(pathfollow, "_libc", lambda: libc)
+    assert runner(small_problem, PathConfig(budget_s=0.0)).status == "budget"
+    assert libc.calls == HEAP_POLICY + HEAP_DEFAULT
+    libc.calls.clear()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("center broke")
+
+    monkeypatch.setattr(pathfollow, "center", broken)
+    with pytest.raises(RuntimeError, match="center broke"):
+        runner(small_problem, PathConfig())
+    assert libc.calls == HEAP_POLICY + HEAP_DEFAULT
+
+
+def _no_libc():
+    raise OSError("libc.so.6: cannot open shared object file")
+
+
+@pytest.mark.parametrize("lookup", [_no_libc, types.SimpleNamespace],
+                         ids=["lookup-raises", "no-mallopt"])
+def test_solve_without_glibc_leaves_the_heap_alone(small_problem, lookup, monkeypatch):
+    # the policy changes where memory comes from, never a number
+    with_policy = run_mgb(small_problem, PathConfig()).to_csv(wall_times=False)
+    monkeypatch.setattr(pathfollow, "_libc", lookup)
+    tr = run_mgb(small_problem, PathConfig())
+    assert tr.status == "converged"
+    assert tr.to_csv(wall_times=False) == with_policy
