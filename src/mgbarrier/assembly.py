@@ -211,7 +211,8 @@ class Stage:
     A_su,K leave A_uu - sum_K W_K^T W_K on the leading nu unknowns. With
     gather, the system's unknown gather[i] is the stage's i-th. A
     CondensedHessian's slack is one stage; every parent's interior
-    (newton.regularize) is another."""
+    (newton.regularize) is another, with no blocks on a level without
+    parents, where solve only gathers."""
 
     L: np.ndarray      # (n_ls(n_ls+1)/2, ne), as condense lays it out; NaN if A_ss,K is not SPD
     W: np.ndarray      # (n_ls, n_lu, ne)
@@ -229,21 +230,18 @@ class Stage:
         if self.gather is not None:
             b = b[self.gather]
         n_ls, _, ne = self.W.shape
-        if n_ls * ne == 0:  # no blocks: the gather-only interior stage of a coarsest level
-            x = inner(b)
-        else:
-            nu = len(b) - n_ls * ne
-            _, _, at = sym_entries(n_ls)
-            # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
-            y = substitute(self.L, at, b[nu:].reshape(ne, n_ls).T.copy())
-            wy = np.einsum("jie,je->ie", self.W, y)
-            x = np.empty_like(b)
-            x[:nu] = inner(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
-                                                minlength=nu + 1)[:nu])
-            # x_s = L^-T (y - W x_u) on every block; a fixed slot nu reads the 0 put there
-            x[nu:nu + 1] = 0.0
-            y -= np.einsum("jie,ie->je", self.W, x[self.uslot])
-            x[nu:].reshape(ne, n_ls).T[...] = substitute(self.L, at, y, transpose=True)
+        nu = len(b) - n_ls * ne
+        _, _, at = sym_entries(n_ls)
+        # y = L^-1 b_s, and the condensed right-hand side b_u - sum W^T y
+        y = substitute(self.L, at, b[nu:].reshape(ne, n_ls).T.copy())
+        wy = np.einsum("jie,je->ie", self.W, y)
+        x = np.empty_like(b)
+        x[:nu] = inner(b[:nu] - np.bincount(self.uslot.ravel(), weights=wy.ravel(),
+                                            minlength=nu + 1)[:nu])
+        # x_s = L^-T (y - W x_u) on every block; a fixed slot nu reads the 0 put there
+        x[nu:nu + 1] = 0.0
+        y -= np.einsum("jie,ie->je", self.W, x[self.uslot])
+        x[nu:].reshape(ne, n_ls).T[...] = substitute(self.L, at, y, transpose=True)
         if self.gather is not None:
             x[self.gather] = x.copy()  # back in the system's numbering
         return x

@@ -25,9 +25,6 @@ class SimplicialMesh:
     vertices: np.ndarray          # (nv, d)
     elements: np.ndarray          # (ne, d+1) vertex indices
     boundary_vertices: np.ndarray  # sorted indices of vertices on the boundary
-    # (edges, elem_edges) as edge_index returns them, set by refine_uniform;
-    # p2_nodes calls edge_index when it is None
-    edge_table: tuple | None = None
     refined: bool = False  # set by refine_uniform: the element order holds the hierarchy
     A: np.ndarray = field(init=False)      # (ne, d, d)
     b: np.ndarray = field(init=False)      # (ne, d)
@@ -115,60 +112,6 @@ def edge_index(elements):
     return edges, rank[inverse].reshape(pairs.shape[:2])
 
 
-def _child_edges(d):
-    """The local edges of an element's children, child rank major, as sorted
-    pairs of the element's P2 node layout: (pairs, halves, inner, n_inner),
-    halves (slot, vertex, midpoint, other end of the midpoint's edge) per
-    half of an element edge, inner (slot, rank) per edge between two
-    midpoints, and the number of those edges."""
-    pairs = [tuple(sorted((child[i], child[j])))
-             for child in CHILDREN[d] for i, j in LOCAL_EDGES[d]]
-    halves = []
-    for slot, (a, b) in enumerate(pairs):
-        if a <= d:
-            i, j = LOCAL_EDGES[d][b - d - 1]
-            halves.append((slot, a, b, j if a == i else i))
-    inner = sorted({p for p in pairs if p[0] > d})
-    ranks = [(slot, inner.index(p)) for slot, p in enumerate(pairs) if p[0] > d]
-    return (np.array(pairs), np.array(halves).T,
-            np.array(ranks, dtype=np.intp).reshape(-1, 2).T, len(inner))
-
-
-CHILD_EDGES = {d: _child_edges(d) for d in CHILDREN}
-
-
-def refined_edge_index(mesh):
-    """edge_index(refine_uniform(mesh).elements), from mesh's P2 layout with
-    O(n) gathers and scatters, without a search or a sort.
-
-    Every fine edge gets a label first: the half of coarse edge E at its
-    vertex v is 2 E + (v is E's larger vertex), and the k-th edge between
-    the midpoints of coarse element c is 2 n_edges + n_inner c + k. The
-    labels are then renumbered in order of first appearance.
-    """
-    d, nv, ne = mesh.d, mesh.num_vertices, mesh.num_elements
-    coords, nodes, _ = mesh.p2
-    pairs, (hslot, hv, hmid, hother), (islot, irank), n_inner = CHILD_EDGES[d]
-    n_edges = len(coords) - nv
-    labels = np.empty((ne, len(pairs)), dtype=np.int64)
-    labels[:, hslot] = 2 * (nodes[:, hmid] - nv) + (nodes[:, hv] > nodes[:, hother])
-    labels[:, islot] = 2 * n_edges + n_inner * np.arange(ne)[:, None] + irank
-    # each label's first position, from one scatter-min; these positions in
-    # increasing order number the edges
-    flat = labels.ravel()
-    n = 2 * n_edges + n_inner * ne
-    first = np.full(n, flat.size)
-    np.minimum.at(first, flat, np.arange(flat.size))
-    taken = np.zeros(flat.size, dtype=bool)
-    taken[first] = True
-    at = np.flatnonzero(taken)
-    rank = np.empty(n, dtype=np.intp)
-    rank[flat[at]] = np.arange(n)
-    a, b = (nodes[:, pairs[:, k]].ravel()[at] for k in (0, 1))
-    edges = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-    return edges, rank[labels].reshape(-1, len(LOCAL_EDGES[d]))
-
-
 def p2_nodes(mesh):
     """Vertices plus edge midpoints (the P2 nodes and the refined vertices).
 
@@ -177,8 +120,7 @@ def p2_nodes(mesh):
     by the midpoints of its LOCAL_EDGES; and the sorted ids of the nodes on the
     boundary (the boundary vertices, then the midpoints of boundary edges).
     """
-    edges, elem_edges = (edge_index(mesh.elements) if mesh.edge_table is None
-                         else mesh.edge_table)
+    edges, elem_edges = edge_index(mesh.elements)
     verts, nv = mesh.vertices, mesh.num_vertices
     coords = np.concatenate([verts, 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])])
     nodes = np.concatenate([mesh.elements, nv + elem_edges], axis=1)
@@ -242,8 +184,7 @@ def refine_uniform(mesh):
     d = mesh.d
     new_verts, nodes, bdry = mesh.p2
     elems = nodes[:, np.array(CHILDREN[d])].reshape(-1, d + 1)
-    return SimplicialMesh(d, new_verts, elems, bdry, edge_table=refined_edge_index(mesh),
-                          refined=True)
+    return SimplicialMesh(d, new_verts, elems, bdry, refined=True)
 
 
 def quasi_uniformity(mesh):

@@ -94,10 +94,12 @@ class PathTrace:
     z_final: np.ndarray | None = None
     t_final: float = 0.0
     failure_reason: str = ""
+    newton_steps: int = 0  # the Newton steps every centering took, each once
 
     @property
     def total_newton(self):
-        """The sum of newton_iters over every row, level -1 rows included."""
+        """The sum of newton_iters over every row, level -1 rows included:
+        a step summary counts its step's largest centering again."""
         return sum(r.newton_iters for r in self.rows)
 
     def summary_rows(self):
@@ -183,6 +185,7 @@ class _Run:
                      rhs=-obj.cost_free if tangent else None)
         self.tangent = res.solved
         self.timed_out = res.status == BUDGET
+        self.trace.newton_steps += res.iterations
         self.step_newton = max(self.step_newton, res.iterations)
         self.add_row(k, t, rho, level, res.iterations, direct, res.value,
                      res.decrement)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from mgbarrier.pathfollow import CSV_HEADER, PathConfig, run_mgb
 from mgbarrier.problems import build_problem
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
-BENCH_HEADER = "algorithm,p,h,fine_cells,total_newton,max_step_newton,t_final,status,wall_s"
+BENCH_HEADER = ("algorithm,p,h,fine_cells,total_newton,newton_steps,max_step_newton,"
+                "t_final,status,wall_s")
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,9 @@ def test_solve_writes_artifacts(config_file, tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "status=converged" in out
+    # the true count next to total_newton, which counts summary rows again
+    total, steps = map(int, re.search(r"total_newton=(\d+) newton_steps=(\d+)", out).groups())
+    assert 0 < steps < total
     assert mesh_path.exists() and sol_path.exists()
     text = trace_path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
@@ -187,7 +192,9 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(rows) == 2
     assert [row[:2] for row in rows] == [["mgb", "1.5"]] * 2
     assert [row[3] for row in rows] == ["8", "32"]
-    assert [row[7] for row in rows] == ["converged"] * 2
+    assert [row[8] for row in rows] == ["converged"] * 2
+    # newton_steps, each centering's steps once, below total_newton
+    assert all(0 < int(row[5]) < int(row[4]) for row in rows)
 
 
 def test_bench_unbuildable_cell_is_a_row(tmp_path):
@@ -198,8 +205,8 @@ def test_bench_unbuildable_cell_is_a_row(tmp_path):
                  "--p-values", "1.5,1e6", "--levels", "1"])
     assert code == EXIT_OK
     rows = _bench_rows(out_path)
-    assert [row[7] for row in rows] == ["converged", "setup-failure"]
-    assert rows[1] == ["mgb", "1000000.0", "", "", "", "", "", "setup-failure", ""]
+    assert [row[8] for row in rows] == ["converged", "setup-failure"]
+    assert rows[1] == ["mgb", "1000000.0", "", "", "", "", "", "", "setup-failure", ""]
 
 
 def test_bench_builds_each_cell_once(tmp_path, monkeypatch):
@@ -219,13 +226,13 @@ def test_bench_builds_each_cell_once(tmp_path, monkeypatch):
     assert main(["bench", "--config", str(cfg), "--out", str(out_path),
                  "--levels", "1,2"]) == EXIT_OK
     assert len(built) == 2
-    assert [(row[0], row[3], row[7]) for row in _bench_rows(out_path)] == [
+    assert [(row[0], row[3], row[8]) for row in _bench_rows(out_path)] == [
         (a, cells, "converged") for a in ("mgb", "naive-theta") for cells in ("8", "32")]
     built.clear()
     assert main(["bench", "--out", str(out_path), "--p-values", "1e6",
                  "--levels", "1"]) == EXIT_OK
     assert len(built) == 1
-    assert _bench_rows(out_path) == [[a, "1000000.0", "", "", "", "", "", "setup-failure", ""]
+    assert _bench_rows(out_path) == [[a, "1000000.0", "", "", "", "", "", "", "setup-failure", ""]
                                      for a in ("mgb", "naive-theta")]
 
 
@@ -239,7 +246,7 @@ def test_bench_cells_take_the_config_dim(tmp_path):
     assert code == EXIT_OK
     rows = _bench_rows(out_path)
     assert [row[3] for row in rows] == ["2", "4"]
-    assert [row[7] for row in rows] == ["converged"] * 2
+    assert [row[8] for row in rows] == ["converged"] * 2
 
 
 @pytest.mark.parametrize("config", [None, "p = 2\nlevels = 3\nalgorithm = naive-theta\n"],

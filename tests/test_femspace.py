@@ -383,7 +383,7 @@ def test_prolongation_rejects_meshes_that_are_not_nested(d):
     # which a check on the child tables' presence once accepted: P then missed
     # the coarse function x by up to 0.75 (1-D) and 1.0 (2-D) at fine u nodes
     fine = refine_uniform(mesh_c)
-    reverse = dataclasses.replace(fine, elements=fine.elements[::-1], edge_table=None)
+    reverse = dataclasses.replace(fine, elements=fine.elements[::-1])
     with pytest.raises(ValueError, match="not a refinement"):
         prolongation(fes_c, build_fe_system(reverse, 2))
     # a mesh of the other dimension with m times the coarse elements

@@ -163,6 +163,27 @@ def test_run_mgb_small(small_problem):
     assert costs[-1] <= costs[0]
 
 
+@pytest.mark.parametrize("algorithm, config",
+                         [("mgb", PathConfig()), ("mgb", PathConfig(direct_cap=0)),
+                          ("naive-theta", PathConfig())],
+                         ids=["mgb", "direct_cap=0", "naive-theta"])
+def test_newton_steps_count_every_centering_once(small_problem, monkeypatch,
+                                                 algorithm, config):
+    # newton_steps is the sum of the iterations that center returned; the
+    # summary rows count a step's largest centering again in total_newton
+    iterations, center = [], pathfollow.center
+
+    def logged_center(*args, **kw):
+        res = center(*args, **kw)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(pathfollow, "center", logged_center)
+    tr = pathfollow.ALGORITHMS[algorithm](small_problem, config)
+    assert tr.status == "converged"
+    assert tr.newton_steps == sum(iterations) > 0
+    assert tr.newton_steps < tr.total_newton
+
 def test_run_mgb_budget_exhaustion(small_problem):
     tr = run_mgb(small_problem, PathConfig(budget_s=0.0))
     assert tr.status == "budget"

@@ -88,18 +88,17 @@ def test_only_a_multigrid_sweep_builds_the_free_prolongations():
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
     # one edge numbering per level's P2 layout, which refine_uniform and the
-    # level's P2 space share: edge_index on the box mesh, whose boundary comes
-    # from its grid, and refined_edge_index on each refined one
+    # level's P2 space share: edge_index on the box mesh and on each refined one
     calls = []
-    for name in ("edge_index", "refined_edge_index"):
-        def counted(arg, fn=getattr(mesh, name), name=name):
-            calls.append(name)
-            return fn(arg)
 
-        monkeypatch.setattr(mesh, name, counted)
+    def counted(elements, fn=mesh.edge_index):
+        calls.append("edge_index")
+        return fn(elements)
+
+    monkeypatch.setattr(mesh, "edge_index", counted)
     L = 4
     build_problem(ProblemSpec(p=1.5, alpha=2, levels=L, cells0=2))
-    assert calls == ["edge_index"] + ["refined_edge_index"] * (L - 1)
+    assert calls == ["edge_index"] * L
 
 
 def test_harmonic_extension_boundary_and_mean_value():
