@@ -44,11 +44,12 @@ checkout's solver by PYTHONPATH.
 With --summary it prints the failure map instead: one line per cell of
 p in {1, 1.25, 1.5, 2, 2.5, 3, 4} x alpha in {1, 2} x cells0 in {2, 4} x
 L in {2, 3}, solved under mgb, naive-theta and naive-h-then-t with the
-default config and budget_s 60 (status, failure reason, true Newton steps
-and the ROADMAP item that owns the failure's kind), then the number of
-failures per p and algorithm, and per failure kind. No line holds a wall
-time, so a diff of two outputs shows only runs that changed outcome or
-Newton count, unless a run reaches its budget.
+default config and budget_s 60 (status, failure reason, the Newton steps
+of every centering, PathTrace.newton_steps, and the ROADMAP item that owns
+the failure's kind), then the number of failures per p and algorithm, and
+per failure kind. No line holds a wall time, so a diff of two outputs shows
+only runs that changed outcome or Newton count, unless a run reaches its
+budget.
 
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --rows > rows.txt
@@ -145,15 +146,6 @@ def count_splu_calls():
     return lambda: calls[0]
 
 
-def true_newton(trace):
-    """The Newton steps a run took: every row's count but the step
-    summaries', level -1 rows after a row of their own step (the final
-    re-centering's level -1 row is the first of its step)."""
-    rows = trace.rows
-    return sum(r.newton_iters for prev, r in zip([None] + rows, rows)
-               if r.level >= 0 or prev is None or prev.k != r.k)
-
-
 def failure_kind(reason):
     """(kind, owning ROADMAP item) of a failure reason."""
     for kind, owner in FAILURE_OWNERS:
@@ -171,7 +163,7 @@ def summary():
         for algorithm in SUMMARY_ALGORITHMS:
             trace = ALGORITHMS[algorithm](problem, PathConfig(budget_s=60.0))
             line = (f"p={p} alpha={alpha} cells0={cells0} L={levels} {algorithm}: "
-                    f"{trace.status} {trace.failure_reason!r} newton={true_newton(trace)}")
+                    f"{trace.status} {trace.failure_reason!r} newton={trace.newton_steps}")
             failed = trace.status != STATUS_CONVERGED
             runs[p, algorithm] += 1
             fails[p, algorithm] += failed

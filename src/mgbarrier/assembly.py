@@ -148,9 +148,10 @@ class TwoStagePlan:
       reads R's pattern alone, so every factor of R runs in natural order.
     - gather: the free u dofs in the order of the stage solve: R's
       unknowns, then every parent's interior, parent by parent.
-    - (indptr, indices, slots): R's pattern, as int32 CSC; its data is
-      entries[slots], the entries being the shifted S.data without
-      parents, else R's distinct entries (interior).
+    - (indptr, indices, slots): R's pattern, as CSC with int32 indptr and
+      indices, which scipy reads; its data is entries[slots], the entries
+      being the shifted S.data without parents, else R's distinct entries
+      (interior).
     - uslot: the boundary dofs' rows of R (n_bnd, P), R's size where fixed.
     - interior: None without parents, else (n_int, ii, ib, wslot, src): the
       positions in S.data of every parent's interior block (distinct
@@ -178,7 +179,7 @@ class TwoStagePlan:
                 """The position in S.data of every entry (r, c), nnz where S lacks it."""
                 q = r * (nu + 1) + c
                 k = np.searchsorted(keys, q)
-                return np.where(keys[k] == q, k, nnz).astype(np.int32)
+                return np.where(keys[k] == q, k, nnz)
 
             # the skeleton, and the boundary dofs' skeleton numbers, R's size at the fixed slot nu
             outside = np.bincount(inner.ravel(), minlength=nu + 1) == 0
@@ -186,22 +187,20 @@ class TwoStagePlan:
             uslot = (np.cumsum(outside) - 1)[boundary]
             # every parent's boundary clique, as distinct entries of R
             wslot, r, c, entry = clique_pattern(uslot, skeleton.size)
-            src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), np.int32(nnz))
+            src = np.append(at(skeleton[r[r <= c]], skeleton[c[r <= c]]), nnz)
             # every parent's interior block, and its interior-boundary block with
             # rows (interior dof, boundary dof), searched parent by parent, whose keys lie together
             i, j, _ = sym_entries(len(inner))
             ii = at(inner[i], inner[j])
             ib = at(inner.T[..., None], boundary.T[:, None]).transpose(1, 2, 0).reshape(-1, len(inner.T))
-            self.interior = (len(inner), ii, ib, wslot.ravel().astype(np.int32), src)
+            self.interior = (len(inner), ii, ib, wslot.ravel(), src)
         nr = skeleton.size
         self.perm = min_degree_order(r, c, nr)
         self.gather = np.r_[skeleton[np.argsort(self.perm)], inner.T.ravel()]
         self.uslot = np.append(self.perm, nr)[uslot]
-        # R's pattern by column, in that order. The tables that np.take reads
-        # are int32 to halve their memory only: numpy converts an int32 index
-        # to intp on every call, so hdiag, gather and uslot stay intp
+        # R's pattern by column, in that order
         order, self.indices, self.indptr = compress(self.perm[c], self.perm[r], nr)
-        self.slots = entry[order].astype(np.int32)
+        self.slots = entry[order]
 
 
 @dataclass

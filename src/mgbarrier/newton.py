@@ -16,8 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
-# SuperLU's options live with the plan, whose order reads them; RELAX stays newton.RELAX
-from .assembly import RELAX, SPD_OPTIONS, Stage, condense  # noqa: F401
+from .assembly import SPD_OPTIONS, Stage, condense
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -79,7 +78,6 @@ def regularize(S, plan):
         SW, L, W = condense(0.0, np.take(entries, ib), np.take(entries, ii), n_int)
         entries = np.take(entries, src)
         entries += np.bincount(wslot, weights=SW.ravel(), minlength=src.size)
-    # the int32 slots save memory, not time: np.take converts them to intp
     nr = len(plan.indptr) - 1
     R = sp.csc_matrix((np.take(entries, plan.slots), plan.indices, plan.indptr),
                       shape=(nr, nr))

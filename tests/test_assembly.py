@@ -1,3 +1,4 @@
+import copy
 import itertools
 import warnings
 
@@ -805,3 +806,25 @@ def test_plan_orders_r_by_its_pattern_alone(levels, level):
         natural = R[plan.perm][:, plan.perm].tocsc()
         natural.sort_indices()
         assert np.array_equal(splu_order(natural), plan.perm)
+
+
+@pytest.mark.parametrize("level", [0, 1], ids=["one-stage", "two-stage"])
+def test_plan_gathers_with_intp_tables(small_problem, level):
+    # np.take and np.bincount convert any other index type to intp on every
+    # call, so every table that regularize gathers with is intp; int32
+    # copies of them gather the same R and the same interior stage
+    z = small_problem.z0 if level == 0 else small_problem.refine_iterate(small_problem.z0, 0)
+    obj = small_problem.objectives[level]
+    plan = obj.factor_plan
+    assert (plan.interior is None) == (level == 0)
+    tables = [plan.slots] + ([] if plan.interior is None else list(plan.interior[1:]))
+    assert all(table.dtype == np.intp for table in tables)
+    narrow = copy.copy(plan)
+    narrow.slots = plan.slots.astype(np.int32)
+    if plan.interior is not None:
+        narrow.interior = (plan.interior[0],) + tuple(x.astype(np.int32) for x in plan.interior[1:])
+    S = obj.grad_hess(z, PathConfig().initial_t(small_problem))[1].S
+    (R, stage), (R32, stage32) = regularize(S, plan), regularize(S, narrow)
+    for a, b in [(R.data, R32.data), (R.indices, R32.indices), (R.indptr, R32.indptr),
+                 (stage.L, stage32.L), (stage.W, stage32.W)]:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
