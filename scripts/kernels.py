@@ -59,8 +59,8 @@ times set-up):
 - setup_fe_systems: every level's FE system, sampler and objective
   (build_objectives);
 - setup_prolongations: the prolongations P_full between consecutive
-  levels (build_prolongations; the free blocks P_free are built on a
-  run's first multigrid sweep, not here);
+  levels (build_prolongations; their free blocks are sliced on a run's
+  first multigrid sweep, where galerkin multiplies them, not here);
 - setup_start: the starting point, the harmonic extension plus init_slack
   (starting_point);
 

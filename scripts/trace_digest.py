@@ -6,9 +6,10 @@ line per solve and then one per problem:
 
 - a solve line: status, failure reason, t_final, and sha256 digests of the
   trace's to_csv(wall_times=False) and of z_final;
-- a problem line: digests of z0, of P_full and of P_free (data, indices and
-  indptr of every level pair), and of rh_constant_estimate at the final
-  iterate of the problem's first solve.
+- a problem line: digests of z0, of P_full (data, indices and indptr of
+  every level pair), of the free prolongations galerkin[lvl].P that a sweep
+  multiplies with (the same parts, every coarse level), and of
+  rh_constant_estimate at the final iterate of the problem's first solve.
 
 The problems and solves:
 
@@ -222,7 +223,8 @@ def main():
         rh = "-" if z is None else digest(repr(rh_constant_estimate(problem, z)))
         print(f"{name} problem: z0={digest(problem.z0)} "
               f"P_full={digest(*csr_parts(problem.P_full))} "
-              f"P_free={digest(*csr_parts(problem.P_free))} rh={rh}")
+              f"galerkin_P={digest(*csr_parts(g.P for g in problem.galerkin[:-1]))} "
+              f"rh={rh}")
     print(f"{n} solves")
     return 0
 

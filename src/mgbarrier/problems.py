@@ -163,22 +163,19 @@ class ProblemInstance:
         return self.fine_objective.fesys
 
     @functools.cached_property
-    def P_free(self):
-        """The blocks of P_full on the free dofs (zero-trace u and all s),
-        built on the first use."""
-        return [P[hi.free_idx()][:, lo.free_idx()] for P, lo, hi
-                in zip(self.P_full, self.objectives[:-1], self.objectives[1:])]
-
-    @functools.cached_property
     def galerkin(self):
         """Per level, the Galerkin restriction of fine element blocks to its
         free dofs (None on the fine level), built on the first use together
-        with the cumulative free prolongations to the fine level."""
+        with the cumulative free prolongations to the fine level: the
+        products of P_full's blocks on the free dofs (zero-trace u and all
+        s), finest first."""
         c_free = self.fine_objective.cost_free
         out, P = [None] * self.L, None
         for lvl in range(self.L - 2, -1, -1):
-            P = self.P_free[lvl] if P is None else (P @ self.P_free[lvl]).tocsr()
-            out[lvl] = Galerkin(self.objectives[lvl], P, P.T @ c_free)
+            lo, hi = self.objectives[lvl], self.objectives[lvl + 1]
+            Q = self.P_full[lvl][hi.free_idx()][:, lo.free_idx()]
+            P = Q if P is None else (P @ Q).tocsr()
+            out[lvl] = Galerkin(lo, P, P.T @ c_free)
         return out
 
     def h_fine(self):

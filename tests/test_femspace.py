@@ -360,15 +360,16 @@ def assert_same_csr(A, B):
 @pytest.mark.parametrize("d,alpha", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_prolongations_match_the_unique_and_fancy_index_references(d, alpha):
     # on a non-dyadic box up to L = 4: P_full entry for entry as the np.unique
-    # construction, and P_free as scipy's P[np.ix_(free_f, free_c)]
+    # construction, and galerkin[L-2].P, the finest pair's free block alone,
+    # as scipy's P[np.ix_(free_f, free_c)] of that construction
     pr = build_problem(ProblemSpec(p=1.5, alpha=alpha, levels=4, cells0=3,
                                    domain=SKEW_BOXES[d]))
     for lvl, (lo, hi) in enumerate(zip(pr.objectives, pr.objectives[1:])):
         P = unique_prolongation(lo.fesys, hi.fesys)
         assert_same_csr(pr.P_full[lvl], P)
         assert pr.P_full[lvl].has_canonical_format
-        assert_same_csr(pr.P_free[lvl],
-                        P[np.ix_(hi.fesys.free_idx(), lo.fesys.free_idx())].tocsr())
+    assert_same_csr(pr.galerkin[pr.L - 2].P,
+                    P[np.ix_(hi.fesys.free_idx(), lo.fesys.free_idx())].tocsr())
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -53,11 +53,12 @@ def test_build_problem_structure(small_problem):
     pr = small_problem
     assert pr.L == 2
     assert len(pr.objectives) == 2
-    assert len(pr.P_full) == 1 and len(pr.P_free) == 1
+    assert len(pr.P_full) == 1
     assert [m.num_elements for m in pr.meshes] == [8, 32]
     assert pr.meshes[-1] is pr.fine_fesys.mesh
     assert pr.galerkin[-1] is None
-    assert pr.galerkin[0].P.shape[0] == len(pr.fine_fesys.free_idx())
+    assert pr.galerkin[0].P.shape == (len(pr.fine_fesys.free_idx()),
+                                      len(pr.objectives[0].free_idx()))
     # initial iterate is feasible on the coarsest level
     assert np.all(pr.objectives[0].margin(pr.z0) > 0.0)
     # with f = 0 nothing needs the physical quadrature nodes
@@ -66,24 +67,30 @@ def test_build_problem_structure(small_problem):
 
 def test_galerkin_prolongations_are_the_free_chain():
     # built on the first galerkin use: level lvl's cumulative free
-    # prolongation is P_free[L-2] @ ... @ P_free[lvl], taken finest first
+    # prolongation is F[L-2] @ ... @ F[lvl], taken finest first, with F the
+    # blocks of P_full on the free rows and columns
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=4, cells0=2))
     assert "galerkin" not in pr.__dict__
+    free = [o.free_idx() for o in pr.objectives]
+    F = [P[np.ix_(free[lvl + 1], free[lvl])] for lvl, P in enumerate(pr.P_full)]
     for lvl in range(pr.L - 1):
-        P = functools.reduce(lambda acc, Q: acc @ Q, pr.P_free[lvl:][::-1])
+        P = functools.reduce(lambda acc, Q: acc @ Q, F[lvl:][::-1])
         assert pr.galerkin[lvl].P.shape == P.shape
         assert (pr.galerkin[lvl].P != P).nnz == 0
 
 
 def test_only_a_multigrid_sweep_builds_the_free_prolongations():
-    # the naive comparator never reads P_free or galerkin; an MGB step that
-    # misses its direct step sweeps and builds both, and with direct_cap = 0
-    # there is no direct step: every t-step sweeps
+    # the naive comparator never reads galerkin, whose first use forms the
+    # free prolongations; an MGB step that misses its direct step sweeps and
+    # builds them, and with direct_cap = 0 there is no direct step: every
+    # t-step sweeps
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
     ALGORITHMS["naive-theta"](pr, PathConfig())
-    assert "P_free" not in pr.__dict__ and "galerkin" not in pr.__dict__
+    assert "galerkin" not in pr.__dict__
     ALGORITHMS["mgb"](pr, PathConfig(direct_cap=0))
-    assert "P_free" in pr.__dict__ and "galerkin" in pr.__dict__
+    assert "galerkin" in pr.__dict__
+    free_f, free_c = pr.objectives[1].free_idx(), pr.objectives[0].free_idx()
+    assert (pr.galerkin[0].P != pr.P_full[0][np.ix_(free_f, free_c)]).nnz == 0
 
 
 def test_build_problem_enumerates_edges_once_per_level(monkeypatch):
