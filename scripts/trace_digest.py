@@ -4,8 +4,11 @@
 Builds a fixed set of problems, solves each in several ways and prints one
 line per solve and then one per problem:
 
-- a solve line: status, failure reason, t_final, and sha256 digests of the
-  trace's to_csv(wall_times=False) and of z_final;
+- a solve line: status, failure reason, t_final, a digest of the trace's
+  (k, level, newton_iters, direct_step) rows, the number of
+  scipy.sparse.linalg.splu calls the solve made (splu=N, counted by a
+  wrapper installed around it), and sha256 digests of the trace's
+  to_csv(wall_times=False) and of z_final;
 - a problem line: digests of z0, of P_full (data, indices and indptr of
   every level pair), of the free prolongations galerkin[lvl].P that a sweep
   multiplies with (the same parts, every coarse level), and of
@@ -30,17 +33,15 @@ print the same text, and `diff` of their outputs checks that a change keeps
 behaviour. A solver failure is a line like any other; the script exits
 non-zero only on an exception.
 
-With --rows a solve line holds status, failure reason, t_final, a digest
-of the trace's (k, level, newton_iters, direct_step) rows and the number of
-scipy.sparse.linalg.splu calls the solve made (splu=N, counted by a wrapper
-installed around it), and no problem lines follow: the Newton work and
-factorizations of every solve, without the objective, decrement and
-z_final values that roundoff moves. A change that moves only roundoff
-prints the same text as its parent, so `diff` of two --rows outputs checks
-that it keeps every Newton count and factorization; a change in the
-factorizations alone shows as a changed splu count. The script needs only
-the solver's public calls, so this checkout's copy can run against another
-checkout's solver by PYTHONPATH.
+The rows view, the output without problem lines and with each solve line
+cut before " csv=", holds the Newton work and factorizations of every
+solve without the objective, decrement and z_final values that roundoff
+moves. A change that moves only roundoff prints the same rows view as its
+parent, so `diff` of two rows views checks that it keeps every Newton
+count and factorization; a change in the factorizations alone shows as a
+changed splu count. The script needs only the solver's public calls, so
+this checkout's copy can run against another checkout's solver by
+PYTHONPATH.
 
 With --summary it prints the failure map instead: one line per cell of
 p in {1, 1.25, 1.5, 2, 2.5, 3, 4} x alpha in {1, 2} x cells0 in {2, 4} x
@@ -53,7 +54,7 @@ only runs that changed outcome or Newton count, unless a run reaches its
 budget.
 
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
-    PYTHONPATH=src python3 scripts/trace_digest.py --rows > rows.txt
+    sed -e '/ problem: /d' -e 's/ csv=.*//' digest.txt > rows.txt
     PYTHONPATH=src python3 scripts/trace_digest.py --summary > summary.txt
 """
 
@@ -186,12 +187,8 @@ def summary():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument("--rows", action="store_true",
-                      help="digest each solve's Newton rows and count its splu calls, "
-                           "not its csv and z_final")
-    mode.add_argument("--summary", action="store_true",
-                      help="print the failure map over p in [1, 4] instead of digests")
+    ap.add_argument("--summary", action="store_true",
+                    help="print the failure map over p in [1, 4] instead of digests")
     args = ap.parse_args()
     if args.summary:
         summary()
@@ -207,18 +204,13 @@ def main():
             splu = splu_calls() - before
             z = trace.z_final
             finals.append(z)
-            head = (f"{name} {run}: {trace.status} {trace.failure_reason!r} "
-                    f"t_final={trace.t_final!r}")
-            if args.rows:
-                work = [(r.k, r.level, r.newton_iters, r.direct_step) for r in trace.rows]
-                print(f"{head} rows={digest(np.array(work, dtype=np.int64))} "
-                      f"splu={splu}")
-            else:
-                print(f"{head} csv={digest(trace.to_csv(wall_times=False))} "
-                      f"z_final={'-' if z is None else digest(z)}")
+            work = [(r.k, r.level, r.newton_iters, r.direct_step) for r in trace.rows]
+            print(f"{name} {run}: {trace.status} {trace.failure_reason!r} "
+                  f"t_final={trace.t_final!r} "
+                  f"rows={digest(np.array(work, dtype=np.int64))} splu={splu} "
+                  f"csv={digest(trace.to_csv(wall_times=False))} "
+                  f"z_final={'-' if z is None else digest(z)}")
         n += len(runs)
-        if args.rows:
-            continue
         z = finals[0]
         rh = "-" if z is None else digest(repr(rh_constant_estimate(problem, z)))
         print(f"{name} problem: z0={digest(problem.z0)} "
