@@ -35,7 +35,8 @@ class PathConfig:
     t0: float | None = None       # absolute t0; None -> min(h_fine^d, t_cap)
     theta: float = 0.5            # naive theta-schedule parameter
     direct_cap: int = 5           # Newton cap for the practical direct step; 0 takes
-                                  # none: every t-step sweeps (Algorithm MGB proper)
+                                  # none: every t-step sweeps levels L, L-2, ...
+                                  # (Algorithm MGB proper, mgb_t_step)
     budget_s: float = 300.0
     predictor: bool = True        # practical MGB: start t-steps on the tangent
     lam_tol_final = 1e-6          # final centering tolerance, a constant
@@ -217,19 +218,25 @@ class _Run:
 
 def mgb_t_step(run, z_k, t_next, k, rho):
     """One Algorithm MGB step of run: center the shifted path on levels
-    1..L, recording rows (k, t_next, rho).
+    1..L, recording rows (k, t_next, rho). Algorithm MGB proper (direct_cap
+    0) at L >= 3 visits levels L, L-2, ... down to 1 or 2 only: MGB on every
+    second mesh, whose size falls by 4 between visited levels. Practical
+    MGB's fallback sweep keeps every level; the stride there put more
+    Newton steps on the fine level.
 
     Each level centers on the affine subspace through the point the level
-    before it ended at, z_k's own on level 1: the spaces are nested, so that
-    point lies in the subspace z_k + span(P) of the level, and its value and
-    element blocks are the fine objective's record of it.
+    before it ended at, z_k's own on the first: the spaces are nested, so
+    that point lies in the subspace z_k + span(P) of the level, and its
+    value and element blocks are the fine objective's record of it. A level
+    the sweep skips makes no restriction and no fine evaluation.
 
     Returns (z_next, "") or (None, reason).
     With run.config.predictor, the fine level L leaves its tangent in run.tangent.
     """
-    problem, z = run.problem, z_k
-    for lvl in range(problem.L):
-        fine = lvl == problem.L - 1
+    problem, z, L = run.problem, z_k, run.problem.L
+    stride = 2 if run.config.direct_cap == 0 and L > 2 else 1
+    for lvl in range((L - 1) % stride, L, stride):
+        fine = lvl == L - 1
         level_obj, res = run.center_at(problem.fine_objective, z,
                                        problem.galerkin[lvl], t_next, k,
                                        lvl + 1, rho,
@@ -304,8 +311,9 @@ def _follow(problem, config, store_iterates, schedule):
     An h-step centers z0 on level 1, or prolongates the iterate one level and
     re-centers it at t; MGB's h-steps are all step 0. A t-step centers at
     rho * t; for MGB on the fine level from the tangent prediction with at
-    most direct_cap Newton steps, then sweeps from the quadratic one on a miss.
-    With direct_cap 0 there is no direct step: every MGB t-step sweeps.
+    most direct_cap Newton steps, then sweeps every level from the quadratic
+    one on a miss. With direct_cap 0 there is no direct step: every MGB
+    t-step sweeps, at L >= 3 every second level only.
     """
     run = _Run(problem, config, store_iterates)
     mgb = schedule == "mgb"

@@ -800,7 +800,7 @@ def test_sweep_levels_evaluate_each_fine_point_once(small_problem, monkeypatch, 
     # value and grad_hess are called, and each sweep level after the first
     # starts where the level before it ended: its first Hessian reuses that
     # level's last element blocks. Three levels have a level whose P is a
-    # product of two prolongations.
+    # product of two prolongations; their sweep visits levels 1 and 3.
     problem = (small_problem if levels == 2
                else build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=2)))
     calls = dict.fromkeys(["sample", "value", "grad_hess"], 0)
@@ -841,9 +841,28 @@ def test_sweep_levels_evaluate_each_fine_point_once(small_problem, monkeypatch, 
     assert calls["sample"] < calls["value"] + calls["grad_hess"]
     assert len(sweeps) > 1
     for sweep in sweeps:
-        assert len(sweep) == problem.L
+        assert len(sweep) == 2
         for before, after in zip(sweep, sweep[1:]):
             assert after[0] is before[-1]
+
+
+@pytest.mark.parametrize("levels,direct_cap,visited", [
+    (2, 0, (1, 2)), (3, 0, (1, 3)), (4, 0, (2, 4)), (3, 1, (1, 2, 3))],
+    ids=["proper-L2", "proper-L3", "proper-L4", "fallback-L3"])
+def test_sweep_visits_every_second_level_only_in_mgb_proper(levels, direct_cap, visited):
+    # Algorithm MGB proper (direct_cap 0) sweeps levels L, L-2, ... down to 1
+    # or 2, and both levels at L = 2. Practical MGB's fallback sweep, after a
+    # direct step capped at one Newton step misses, visits every level. The
+    # h-steps at k = 0 center on every level either way.
+    problem = build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=2))
+    tr = run_mgb(problem, PathConfig(direct_cap=direct_cap))
+    assert tr.status == "converged"
+    assert [r.level for r in tr.rows if r.k == 0 and r.level >= 1] == list(range(1, levels + 1))
+    sweeps = {}  # t-step k >= 1 -> the grid levels of its rows, in order
+    for r in tr.rows:
+        if r.k >= 1 and r.level >= 1:
+            sweeps.setdefault(r.k, []).append(r.level)
+    assert len(sweeps) > 1 and {tuple(v) for v in sweeps.values()} == {visited}
 
 
 class FakeLibc:
