@@ -4,10 +4,11 @@
 Builds a fixed set of problems, solves each in several ways and prints one
 line per solve and then one per problem:
 
-- a solve line: status, failure reason, t_final, a digest of the trace's
-  (k, level, newton_iters, direct_step) rows, the number of
-  scipy.sparse.linalg.splu calls the solve made (splu=N, counted by a
-  wrapper installed around it), and sha256 digests of the trace's
+- a solve line: status, failure reason, t_final, the true Newton steps of
+  the run (newton=N, PathTrace.newton_steps: no step-summary rows), a
+  digest of the trace's (k, level, newton_iters, direct_step) rows, the
+  number of scipy.sparse.linalg.splu calls the solve made (splu=N, counted
+  by a wrapper installed around it), and sha256 digests of the trace's
   to_csv(wall_times=False) and of z_final;
 - a problem line: digests of z0, of P_full (data, indices and indptr of
   every level pair), of the free prolongations galerkin[lvl].P that a sweep
@@ -26,7 +27,17 @@ The problems and solves:
   every one of them, under all three algorithms: each run centers on every
   level at t0 and stops, or fails with one of the runners' first-centering
   and h-refinement reasons;
-- the 1-D problem of configs/mgb_p15_1d.cfg (L = 4) under run_mgb.
+- the 1-D problem of configs/mgb_p15_1d.cfg (L = 4) under run_mgb;
+- the cells of the failure map that the grid lacks: the map is
+  p in {1, 1.25, 1.5, 2, 2.5, 3, 4} x alpha in {1, 2} x cells0 in {2, 4} x
+  L in {2, 3}, each cell under mgb, naive-theta and naive-h-then-t with the
+  default config (its 12 cells at p in {1, 1.5, 2}, cells0 = 2 are grid
+  problems, named like them; the others are named p2.5-L3-a2 at cells0 = 2
+  and p1.5-L2-a1-c4 at cells0 = 4).
+
+After the count of solves it prints the failure map (ROADMAP item 20) from
+those 168 map runs: the failures per p and algorithm, then per failure kind
+with the ROADMAP item that owns the kind, then the number of failed runs.
 
 Nothing printed depends on wall time, so two checkouts that behave alike
 print the same text, and `diff` of their outputs checks that a change keeps
@@ -34,28 +45,17 @@ behaviour. A solver failure is a line like any other; the script exits
 non-zero only on an exception.
 
 The rows view, the output without problem lines and with each solve line
-cut before " csv=", holds the Newton work and factorizations of every
-solve without the objective, decrement and z_final values that roundoff
-moves. A change that moves only roundoff prints the same rows view as its
-parent, so `diff` of two rows views checks that it keeps every Newton
-count and factorization; a change in the factorizations alone shows as a
-changed splu count. The script needs only the solver's public calls, so
-this checkout's copy can run against another checkout's solver by
-PYTHONPATH.
-
-With --summary it prints the failure map instead: one line per cell of
-p in {1, 1.25, 1.5, 2, 2.5, 3, 4} x alpha in {1, 2} x cells0 in {2, 4} x
-L in {2, 3}, solved under mgb, naive-theta and naive-h-then-t with the
-default config and budget_s 60 (status, failure reason, the Newton steps
-of every centering, PathTrace.newton_steps, and the ROADMAP item that owns
-the failure's kind), then the number of failures per p and algorithm, and
-per failure kind. No line holds a wall time, so a diff of two outputs shows
-only runs that changed outcome or Newton count, unless a run reaches its
-budget.
+cut before " csv=", holds the Newton work, factorizations and outcome of
+every solve and the failure map, without the objective, decrement and
+z_final values that roundoff moves. A change that moves only roundoff
+prints the same rows view as its parent, so `diff` of two rows views checks
+that it keeps every Newton count, factorization and failure; a change in
+the factorizations alone shows as a changed splu count. The script needs
+only the solver's public calls, so this checkout's copy can run against
+another checkout's solver by PYTHONPATH.
 
     PYTHONPATH=src python3 -W error::RuntimeWarning scripts/trace_digest.py > digest.txt
     sed -e '/ problem: /d' -e 's/ csv=.*//' digest.txt > rows.txt
-    PYTHONPATH=src python3 scripts/trace_digest.py --summary > summary.txt
 """
 
 import os
@@ -83,14 +83,17 @@ GRID_RUNS = (("mgb", "mgb", {}),
              ("naive-theta", "naive-theta", {}),
              ("naive-h-then-t", "naive-h-then-t", {}),
              ("mgb-full", "mgb", dict(direct_cap=0, predictor=False)))
+# the failure map's runs: the grid's runs at the default config
+MAP_RUNS = tuple(run for run in GRID_RUNS if not run[2])
 # t0 past stop_t: the runners go straight from the first centering to the
 # fine level
 PAST_STOP_RUNS = tuple((f"{name}-t0=1e4", name, dict(t0=1e4))
                        for name in ("mgb", "naive-theta", "naive-h-then-t"))
 
-
-SUMMARY_P = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
-SUMMARY_ALGORITHMS = ("mgb", "naive-theta", "naive-h-then-t")
+GRID_P = (1.0, 1.5, 2.0)
+MAP_P = (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
+# (p, alpha, cells0, L) of every failure map cell
+MAP_CELLS = tuple(itertools.product(MAP_P, (1, 2), (2, 4), (2, 3)))
 # failure kind (a substring of the failure reason) -> the ROADMAP item that owns it
 FAILURE_OWNERS = (("iteration-cap", "items 1, 21 and 7"),
                   ("slack block not SPD", "item 10"),
@@ -107,7 +110,7 @@ def cases():
            [("naive-theta", "naive-theta", dict(theta=0.5, rho0=2.0))])
     yield ("mgb-full-p1-L3", ProblemSpec(p=1.0, alpha=2, levels=3, cells0=4),
            [("mgb", "mgb", dict(direct_cap=0))])
-    for p in (1.0, 1.5, 2.0):
+    for p in GRID_P:
         for levels in (1, 2, 3):
             for alpha in (1, 2):
                 runs = GRID_RUNS + (PAST_STOP_RUNS if p == 1.5 else ())
@@ -115,6 +118,10 @@ def cases():
                        ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=2), runs)
     yield ("1d-p1.5-L4", ProblemSpec(p=1.5, alpha=2, levels=4, cells0=4,
                                      domain=UNIT_INTERVAL), [("mgb", "mgb", {})])
+    for p, alpha, cells0, levels in MAP_CELLS:
+        if cells0 == 4 or p not in GRID_P:
+            yield (f"p{p}-L{levels}-a{alpha}" + ("-c4" if cells0 == 4 else ""),
+                   ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=cells0), MAP_RUNS)
 
 
 def digest(*parts):
@@ -156,47 +163,28 @@ def failure_kind(reason):
     return reason, "none"
 
 
-def summary():
-    """Print the failure map: one line per cell and algorithm, then the
-    failures per p and algorithm and per failure kind."""
-    fails, runs, kinds = Counter(), Counter(), Counter()
-    for p, alpha, cells0, levels in itertools.product(SUMMARY_P, (1, 2), (2, 4), (2, 3)):
-        problem = build_problem(ProblemSpec(p=p, alpha=alpha, levels=levels, cells0=cells0))
-        for algorithm in SUMMARY_ALGORITHMS:
-            trace = ALGORITHMS[algorithm](problem, PathConfig(budget_s=60.0))
-            line = (f"p={p} alpha={alpha} cells0={cells0} L={levels} {algorithm}: "
-                    f"{trace.status} {trace.failure_reason!r} newton={trace.newton_steps}")
-            failed = trace.status != STATUS_CONVERGED
-            runs[p, algorithm] += 1
-            fails[p, algorithm] += failed
-            if failed:
-                kind = failure_kind(trace.failure_reason)
-                kinds[kind] += 1
-                line += f" owner={kind[1]}"
-            print(line)
-    print("\n| p | " + " | ".join(f"{a} fails" for a in SUMMARY_ALGORITHMS) + " |")
-    print("|---" * (len(SUMMARY_ALGORITHMS) + 1) + "|")
-    for p in SUMMARY_P:
+def print_failure_map(fails, runs, kinds):
+    """The failures per p and algorithm and per failure kind, then the total."""
+    algorithms = [algorithm for _, algorithm, _ in MAP_RUNS]
+    print("\n| p | " + " | ".join(f"{a} fails" for a in algorithms) + " |")
+    print("|---" * (len(algorithms) + 1) + "|")
+    for p in MAP_P:
         print(f"| {p:g} | " + " | ".join(f"{fails[p, a]} of {runs[p, a]}"
-                                         for a in SUMMARY_ALGORITHMS) + " |")
+                                         for a in algorithms) + " |")
     print("\n| failure kind | failures | ROADMAP owner |\n|---|---|---|")
-    for (kind, owner), n in kinds.most_common():
+    for (kind, owner), n in sorted(kinds.items(), key=lambda item: (-item[1], item[0][0])):
         print(f"| {kind} | {n} | {owner} |")
     print(f"{fails.total()} of {runs.total()} runs failed")
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--summary", action="store_true",
-                    help="print the failure map over p in [1, 4] instead of digests")
-    args = ap.parse_args()
-    if args.summary:
-        summary()
-        return 0
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     splu_calls = count_splu_calls()
     n = 0
+    fails, map_runs, kinds = Counter(), Counter(), Counter()
     for name, spec, runs in cases():
         problem = build_problem(spec)
+        in_map = (spec.p, spec.alpha, spec.cells0, spec.levels) in MAP_CELLS
         finals = []
         for run, algorithm, keys in runs:
             before = splu_calls()
@@ -206,10 +194,16 @@ def main():
             finals.append(z)
             work = [(r.k, r.level, r.newton_iters, r.direct_step) for r in trace.rows]
             print(f"{name} {run}: {trace.status} {trace.failure_reason!r} "
-                  f"t_final={trace.t_final!r} "
+                  f"t_final={trace.t_final!r} newton={trace.newton_steps} "
                   f"rows={digest(np.array(work, dtype=np.int64))} splu={splu} "
                   f"csv={digest(trace.to_csv(wall_times=False))} "
                   f"z_final={'-' if z is None else digest(z)}")
+            if in_map and not keys:
+                failed = trace.status != STATUS_CONVERGED
+                map_runs[spec.p, algorithm] += 1
+                fails[spec.p, algorithm] += failed
+                if failed:
+                    kinds[failure_kind(trace.failure_reason)] += 1
         n += len(runs)
         z = finals[0]
         rh = "-" if z is None else digest(repr(rh_constant_estimate(problem, z)))
@@ -218,6 +212,7 @@ def main():
               f"galerkin_P={digest(*csr_parts(g.P for g in problem.galerkin[:-1]))} "
               f"rh={rh}")
     print(f"{n} solves")
+    print_failure_map(fails, map_runs, kinds)
     return 0
 
 
