@@ -26,6 +26,13 @@ STATUS_CONVERGED, STATUS_BUDGET, STATUS_FAILURE = CONVERGED, BUDGET, SOLVER_FAIL
 
 CSV_HEADER = "k,t,rho,level,newton_iters,direct_step,objective,decrement,cum_newton,wall_ms"
 
+# Algorithm MGB proper (direct_cap 0): its sweep visits every PROPER_STRIDE-th
+# level, its step size stays at most PROPER_RHO_MAX, and each sweep starts
+# from the longest PROPER_SHRINK^j fraction of the prediction that predict admits
+PROPER_STRIDE = 2
+PROPER_RHO_MAX = 4.0
+PROPER_SHRINK = 0.9
+
 
 @dataclass
 class PathConfig:
@@ -36,6 +43,7 @@ class PathConfig:
     theta: float = 0.5            # naive theta-schedule parameter
     direct_cap: int = 5           # Newton cap for the practical direct step; 0 takes
                                   # none: every t-step sweeps levels L, L-2, ...
+                                  # from a 0.9^j prediction, with rho <= 4
                                   # (Algorithm MGB proper, mgb_t_step)
     budget_s: float = 300.0
     predictor: bool = True        # practical MGB: start t-steps on the tangent
@@ -222,7 +230,8 @@ def mgb_t_step(run, z_k, t_next, k, rho):
     0) at L >= 3 visits levels L, L-2, ... down to 1 or 2 only: MGB on every
     second mesh, whose size falls by 4 between visited levels. Practical
     MGB's fallback sweep keeps every level; the stride there put more
-    Newton steps on the fine level.
+    Newton steps on the fine level. _follow starts MGB proper's sweep from
+    predict's PROPER_SHRINK ladder and the fallback sweep from its halving.
 
     Each level centers on the affine subspace through the point the level
     before it ended at, z_k's own on the first: the spaces are nested, so
@@ -234,7 +243,7 @@ def mgb_t_step(run, z_k, t_next, k, rho):
     With run.config.predictor, the fine level L leaves its tangent in run.tangent.
     """
     problem, z, L = run.problem, z_k, run.problem.L
-    stride = 2 if run.config.direct_cap == 0 and L > 2 else 1
+    stride = PROPER_STRIDE if run.config.direct_cap == 0 and L > 2 else 1
     for lvl in range((L - 1) % stride, L, stride):
         fine = lvl == L - 1
         level_obj, res = run.center_at(problem.fine_objective, z,
@@ -247,7 +256,7 @@ def mgb_t_step(run, z_k, t_next, k, rho):
     return z, ""
 
 
-def predict(objective, z_k, tangent, t_k, t_next, prev=None):
+def predict(objective, z_k, tangent, t_k, t_next, prev=None, shrink=0.5):
     """The predicted center at t_next: z_k plus a step along the tangent, or
     z_k itself.
 
@@ -258,12 +267,15 @@ def predict(objective, z_k, tangent, t_k, t_next, prev=None):
     dz/dt) for hp = 1/t_p - 1/t_k and hn = 1/t_next - 1/t_k, which is exact
     for z*(t) = z_inf + a/t + b/t^2 (Mehrotra, SIAM J. Optim. 2, 1992).
 
-    The step is halved, at most MAX_BACKTRACK lengths, until the barrier
+    The step is cut, at most MAX_BACKTRACK lengths, until the barrier
     margin at every quadrature node exceeds t_k / (nu t_next) times its
     margin at z_k. On the central path a node's slack gap lies in
     [1/t, nu/t], so from t_k to t_next it shrinks by no more than that
     factor; a prediction that cuts a margin further has overshot toward the
-    boundary, where Newton converges slowly. z_k without a tangent or an
+    boundary, where Newton converges slowly. Each cut scales the step by
+    shrink while its length is above half the full step, then by 0.5: the
+    default 0.5 halves, and Algorithm MGB proper's 0.9 tries 1, 0.9, ...,
+    0.9^7 = 0.48 and halves from there. z_k without a tangent or an
     accepted length.
     """
     if tangent is None:
@@ -275,11 +287,14 @@ def predict(objective, z_k, tangent, t_k, t_next, prev=None):
         hp, hn = 1.0 / t_p - 1.0 / t_k, 1.0 / t_next - 1.0 / t_k
         free = objective.free_idx()
         y = y + (hn / hp) ** 2 * ((z_p - z_k)[free] + t_k * t_k * hp * tangent)
+    frac = 1.0
     for _ in range(MAX_BACKTRACK):
         z = z_k + objective.embed_free(y)
         if np.all(objective.margin(z) > floor):
             return z
-        y = 0.5 * y
+        factor = shrink if frac > 0.5 else 0.5
+        frac *= factor
+        y = factor * y
     return z_k
 
 
@@ -313,10 +328,13 @@ def _follow(problem, config, store_iterates, schedule):
     rho * t; for MGB on the fine level from the tangent prediction with at
     most direct_cap Newton steps, then sweeps every level from the quadratic
     one on a miss. With direct_cap 0 there is no direct step: every MGB
-    t-step sweeps, at L >= 3 every second level only.
+    t-step sweeps, at L >= 3 every second level only, from the longest
+    PROPER_SHRINK^j fraction of the quadratic prediction that keeps
+    predict's margin floor, and rho stays at most PROPER_RHO_MAX.
     """
     run = _Run(problem, config, store_iterates)
     mgb = schedule == "mgb"
+    proper = mgb and config.direct_cap == 0  # Algorithm MGB proper
     predictor = mgb and config.predictor
     t, t_stop, rho = config.initial_t(problem), config.stop_t(problem), config.rho0
     L = problem.L
@@ -356,7 +374,7 @@ def _follow(problem, config, store_iterates, schedule):
             t_next = min(rho * t, config.t_cap)
             tangent = run.tangent  # the centering below replaces it
             direct_ok = False
-            if not (mgb and config.direct_cap == 0):
+            if not proper:
                 level_obj, res = run.center_at(
                     obj, predict(obj, z, tangent, t, t_next), None, t_next, k,
                     0 if mgb else lvl + 1, rho, direct=mgb, tangent=predictor,
@@ -367,12 +385,15 @@ def _follow(problem, config, store_iterates, schedule):
             elif not mgb:
                 return run.fail(f"t-refinement centering: {res.outcome}")
             else:
-                z_next, err = mgb_t_step(run, predict(obj, z, tangent, t, t_next, run.prev),
-                                         t_next, k=k, rho=rho)
+                start = predict(obj, z, tangent, t, t_next, run.prev,
+                                PROPER_SHRINK if proper else 0.5)
+                z_next, err = mgb_t_step(run, start, t_next, k=k, rho=rho)
                 if z_next is None:
                     return run.fail(err)
             run.prev = (z, t) if run.tangent is not None else None
             rho = adapt_stepsize(rho, run.step_newton)
+            if proper:
+                rho = min(rho, PROPER_RHO_MAX)
             run.add_summary(k, t_next, rho, mgb and direct_ok)
             z, t = z_next, t_next
         if lvl == L - 1:

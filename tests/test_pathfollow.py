@@ -257,7 +257,8 @@ def test_iterates_stored_on_request(small_problem):
 # written as "k:level:m:direct" tokens. The first four were recorded before
 # the centering blocks were merged into one primitive, and are run without
 # the tangent predictor (the paper's algorithms); any change in Newton work
-# shows up here. The "-predictor" rows pin practical MGB as it runs by default.
+# shows up here. The "-predictor" rows pin practical MGB as it runs by default,
+# and MGB proper with its bound rho <= 4 and its 0.9^j sweep start.
 # The first h-refinement centering (35 steps) starts from repair_slack's 1e-8
 # gap, where roundoff in the linear solve can move its count by one.
 PINNED_ROWS = {
@@ -290,10 +291,9 @@ PINNED_ROWS = {
         3:0:3:1 3:-1:3:1 4:0:3:1 4:-1:3:1 5:0:3:1 5:-1:3:1 6:0:3:1
         6:-1:3:1 7:0:3:1 7:-1:3:1 8:0:3:1 8:-1:3:1 9:-1:2:0""",
     "mgb-full-predictor": """
-        0:1:4:0 0:2:35:0 0:-1:35:0 1:1:3:0 1:2:3:0 1:-1:3:0 2:1:2:0
-        2:2:2:0 2:-1:2:0 3:1:7:0 3:2:5:0 3:-1:7:0 4:1:2:0 4:2:2:0
-        4:-1:2:0 5:1:5:0 5:2:6:0 5:-1:6:0 6:1:2:0 6:2:2:0 6:-1:2:0
-        7:-1:1:0""",
+        0:1:4:0 0:2:35:0 0:-1:35:0 1:1:2:0 1:2:3:0 1:-1:3:0 2:1:2:0
+        2:2:2:0 2:-1:2:0 3:1:5:0 3:2:4:0 3:-1:5:0 4:1:5:0 4:2:4:0
+        4:-1:5:0 5:1:3:0 5:2:5:0 5:-1:5:0 6:-1:1:0""",
 }
 
 
@@ -484,14 +484,15 @@ def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypat
     # direct_cap = 0: no direct step, and every t-step sweeps the levels. At
     # k = 1 no earlier center exists and the sweep starts at the tangent
     # prediction; from k = 2 on it starts from the quadratic prediction
-    # through the center before z_{k-1}.
+    # through the center before z_{k-1}. Both are cut along MGB proper's
+    # 0.9^j ladder, not halved.
     direct, sweeps = _record_starts(monkeypatch, direct_cap=0)
     tangents = {}  # t_next -> the tangent the sweep was predicted with
     predict_ = pathfollow.predict
 
-    def logged_predict(objective, z_k, tangent, t_k, t_next, prev=None):
+    def logged_predict(objective, z_k, tangent, t_k, t_next, *args, **kwargs):
         tangents[t_next] = tangent
-        return predict_(objective, z_k, tangent, t_k, t_next, prev)
+        return predict_(objective, z_k, tangent, t_k, t_next, *args, **kwargs)
 
     monkeypatch.setattr(pathfollow, "predict", logged_predict)
     tr = run_mgb(small_problem, PathConfig(direct_cap=0), store_iterates=True)
@@ -502,14 +503,14 @@ def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypat
     for k, z_start in sweeps:
         assert not np.array_equal(z_start, iterates[k - 1])
         assert np.all(obj.margin(z_start) > 0.0)
-        linear = _tangent_prediction(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k])
-        if k == 1:
-            assert np.array_equal(z_start, linear)
-            continue
-        quadratic = predict_(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k],
-                             (iterates[k - 2], ts[k - 2]))
-        assert np.array_equal(z_start, quadratic)
-        assert not np.array_equal(z_start, linear)
+        prev = (iterates[k - 2], ts[k - 2]) if k >= 2 else None
+        start = predict_(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1], ts[k], prev,
+                         shrink=pathfollow.PROPER_SHRINK)
+        assert np.array_equal(z_start, start)
+        if k >= 2:
+            linear = _tangent_prediction(obj, iterates[k - 1], tangents[ts[k]], ts[k - 1],
+                                         ts[k])
+            assert not np.array_equal(z_start, linear)
 
 
 def _tangent_prediction(objective, z_k, tangent, t_k, t_next):
@@ -552,6 +553,34 @@ class _UnboundedObjective:
 
     def margin(self, z):
         return np.ones(5)
+
+
+class _SlabObjective(_UnboundedObjective):
+    """One free dof z[0] and a barrier margin 1 - z[0]."""
+
+    def __init__(self):
+        super().__init__(1)
+
+    def margin(self, z):
+        return np.array([1.0 - z[0]])
+
+
+@pytest.mark.parametrize("slope,shrink,fraction", [
+    (1.75, 0.9, 0.9), (1.75, 0.5, 0.5), (2e9, 0.9, 0.9 ** 7 * 0.5 ** 30),
+    (2e9, 0.5, 0.5 ** 31)], ids=["ladder", "halving", "ladder-tail", "halving-tail"])
+def test_prediction_starts_from_the_longest_fraction_that_keeps_the_floor(slope, shrink,
+                                                                         fraction):
+    # t_k = 1, t_next = 2, nu = 3: the floor is 1/6 of the margin 1 at z_k = 0,
+    # and the full step moves z[0] by slope / 2. At slope 1.75 the full step
+    # leaves a margin of 1/8 and its 0.9 fraction 0.2125: MGB proper's ladder
+    # starts at 0.9, the halving at 0.5. At slope 2e9 only a fraction below
+    # 8.3e-10 keeps the floor: below 0.5 the ladder halves, so it reaches one
+    # within MAX_BACKTRACK lengths as the halving does
+    obj = _SlabObjective()
+    z_k = np.zeros(2)
+    z = predict(obj, z_k, np.array([slope]), 1.0, 2.0, shrink=shrink)
+    np.testing.assert_allclose(z, [fraction * slope / 2, 0.0], rtol=1e-12, atol=0)
+    assert obj.margin(z)[0] > 1 / 6
 
 
 def test_quadratic_prediction_is_exact_on_a_quadratic_path_in_1_over_t():
@@ -636,8 +665,9 @@ def test_direct_cap_0_sweeps_every_t_step_without_a_fine_probe(small_problem, mo
 
 @pytest.mark.parametrize("direct_cap", [5, 0])
 def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direct_cap):
-    # no halving of the prediction keeps a margin: the direct step and the
-    # sweep start from z_k exactly, and the run is the one without predictor
+    # no cut of the prediction keeps a margin, neither the halving nor MGB
+    # proper's 0.9^j ladder: the direct step and the sweep start from z_k
+    # exactly, and the run is the one without predictor
     monkeypatch.setattr(small_problem.fine_objective, "margin", lambda z: np.zeros(1))
     off = run_mgb(small_problem, PathConfig(direct_cap=direct_cap, predictor=False))
     direct, sweeps = _record_starts(monkeypatch, direct_cap)
@@ -877,10 +907,10 @@ def proper_problems():
 def test_mgb_proper_keeps_the_acceptance_bounds(proper_problems, predictor):
     # Algorithm MGB proper (direct_cap 0) on the acceptance suite's problems:
     # criteria 3 (filter bound), 6(b) (Newton steps per t-step), 7 (step-size
-    # floor at p=1) and 8 (t rail, every stored iterate feasible). Criterion
-    # 6(a) does not hold for it (total_newton grows 1.61 per halving with the
-    # predictor, 1.89 without, against 1.5; ROADMAP items 9 and 24), so
-    # nothing here gates on the totals.
+    # floor at p=1) and 8 (t rail, every stored iterate feasible), and its
+    # bound rho <= 4. Criterion 6(a) does not hold for it (total_newton grows
+    # 1.53 per halving with the predictor, 1.89 without, against 1.5; ROADMAP
+    # items 9 and 24), so nothing here gates on the totals.
     config = PathConfig(direct_cap=0, predictor=predictor)
     traces = {key: run_mgb(problem, config, store_iterates=key[0] == 1.5)
               for key, problem in proper_problems.items()}
@@ -896,6 +926,12 @@ def test_mgb_proper_keeps_the_acceptance_bounds(proper_problems, predictor):
     assert max(traces[1.5, levels].max_step_newton() for levels in (1, 2, 3, 4)) <= 15
     assert traces[1.0, 3].max_step_newton() <= 20
     assert min(r.rho for r in traces[1.0, 3].summary_rows() if r.k >= 1) >= 1.1
+    assert all(r.rho <= 4.0 for tr in traces.values() for r in tr.summary_rows())
+    if predictor:
+        # the bound is MGB proper's: practical MGB squares rho to 16 at L = 4
+        practical = run_mgb(proper_problems[1.5, 4], PathConfig())
+        assert practical.status == "converged"
+        assert max(r.rho for r in practical.summary_rows()) == 16.0
 
 
 class FakeLibc:
