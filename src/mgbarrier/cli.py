@@ -132,8 +132,7 @@ def cmd_solve(args):
 
     print(f"algorithm={algorithm} p={spec.p} levels={spec.levels} "
           f"n={problem.fine_fesys.total_dim}")
-    print(f"status={trace.status} t_final={trace.t_final!r} "
-          f"total_newton={trace.total_newton} newton_steps={trace.newton_steps}")
+    print(f"status={trace.status} t_final={trace.t_final!r} newton_steps={trace.newton_steps}")
     if trace.status == STATUS_CONVERGED:
         return EXIT_OK
     if trace.status == STATUS_BUDGET:
@@ -173,17 +172,16 @@ def cmd_bench(args):
             problem = None
         for algorithm, out in zip(algorithms, rows):
             if problem is None:
-                out.append(f"{algorithm},{spec.p!r},,,,,,,setup-failure,")
+                out.append(f"{algorithm},{spec.p!r},,,,,,setup-failure,")
                 continue
             start = time.monotonic()
             trace = ALGORITHMS[algorithm](problem, config)
             wall = time.monotonic() - start
             out.append(f"{algorithm},{spec.p!r},{problem.h_fine()!r},"
-                       f"{problem.fine_fesys.mesh.num_elements},{trace.total_newton},"
-                       f"{trace.newton_steps},{trace.max_step_newton()},{trace.t_final!r},"
+                       f"{problem.fine_fesys.mesh.num_elements},{trace.newton_steps},"
+                       f"{trace.max_step_newton()},{trace.t_final!r},"
                        f"{trace.status},{wall:.3f}")
-    header = ("algorithm,p,h,fine_cells,total_newton,newton_steps,max_step_newton,"
-              "t_final,status,wall_s")
+    header = "algorithm,p,h,fine_cells,newton_steps,max_step_newton,t_final,status,wall_s"
     with open(args.out, "w") as fh:
         fh.write("\n".join([header, *(row for out in rows for row in out)]) + "\n")
     print(f"wrote {args.out}")

@@ -27,19 +27,6 @@ def filter_gap(trace, nu, domain_volume):
     return out
 
 
-def hessian_form(terms, vq, vs):
-    """F''[(v_q, v_s)^2] at each point from the grad_hess_terms (a, f_s, c, b,
-    h_ss) of the barrier there, without the dense Hessian:
-
-        c |v_q|^2 + (a . v_q)^2 + 2 b v_s (a . v_q) + h_ss v_s^2,
-
-    for directions vq of shape (N, d) and vs of shape (N,).
-    """
-    a, _, c, b, h_ss = terms
-    av = np.einsum("ij,ij->i", a, vq)
-    return c * np.einsum("ij,ij->i", vq, vq) + av * av + 2.0 * b * vs * av + h_ss * vs * vs
-
-
 def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     """Sampled lower estimate of the discrete reverse Hölder constant.
 
@@ -52,7 +39,7 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
     L, meshes = problem.L, problem.meshes
     obj = problem.fine_objective
 
-    terms = obj.barrier.grad_hess_terms(*obj.dz(z))
+    _, _, H = obj.barrier.value_grad_hess(*obj.dz(z))
     wq = obj.sampler.wq.T  # (nq, ne), dz's node order
 
     out = []
@@ -63,7 +50,8 @@ def rh_constant_estimate(problem, z, num_samples=20, seed=0):
         for _ in range(num_samples):
             v = rng.standard_normal(Pff.shape[1])
             z_v = obj.embed_free(Pff @ v)
-            quad = hessian_form(terms, *obj.dz(z_v)).reshape(wq.shape)
+            w = np.column_stack(obj.dz(z_v))  # Dv = (q_v, s_v) at each node
+            quad = np.einsum("ni,nij,nj->n", w, H, w).reshape(wq.shape)
             val = np.sqrt(np.maximum(quad, 0.0))
             # per coarse element K: max and quadrature integral of val over K,
             # whose fine elements are consecutive in refine_uniform's order

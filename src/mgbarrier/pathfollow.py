@@ -99,7 +99,6 @@ class PathTrace:
     rows: list = field(default_factory=list)
     status: str = STATUS_CONVERGED
     costs: list = field(default_factory=list)   # (k, t, int^(h) c[z^(k)])
-    iterates: list = field(default_factory=list)  # (k, z) fine iterates if stored
     z_final: np.ndarray | None = None
     t_final: float = 0.0
     failure_reason: str = ""
@@ -108,7 +107,9 @@ class PathTrace:
     @property
     def total_newton(self):
         """The sum of newton_iters over every row, level -1 rows included:
-        a step summary counts its step's largest centering again."""
+        a step summary counts its step's largest centering again. Only
+        perfbench reads it (as reported_total_newton); newton_steps is the
+        true count."""
         return sum(r.newton_iters for r in self.rows)
 
     def summary_rows(self):
@@ -146,10 +147,9 @@ def adapt_stepsize(rho_prev, m_k):
 class _Run:
     """Shared bookkeeping for one path-following run."""
 
-    def __init__(self, problem, config, store_iterates=False):
+    def __init__(self, problem, config):
         self.problem = problem
         self.config = config
-        self.store_iterates = store_iterates
         self.trace = PathTrace()
         self.t_start = time.monotonic()
         self.deadline = self.t_start + config.budget_s
@@ -202,8 +202,6 @@ class _Run:
 
     def record_step(self, k, t, z_fine):
         self.trace.costs.append((k, t, self.problem.fine_objective.cost_integral(z_fine)))
-        if self.store_iterates:
-            self.trace.iterates.append((k, z_fine.copy()))
         self.trace.z_final = z_fine
         self.trace.t_final = t
 
@@ -319,7 +317,7 @@ def heap_policy():
 
 
 @heap_policy()
-def _follow(problem, config, store_iterates, schedule):
+def _follow(problem, config, schedule):
     """Follow the central path under schedule "mgb" (practical MGB),
     "h-then-t" or "theta" (naive), one move toward a target level per pass.
 
@@ -332,7 +330,7 @@ def _follow(problem, config, store_iterates, schedule):
     PROPER_SHRINK^j fraction of the quadratic prediction that keeps
     predict's margin floor, and rho stays at most PROPER_RHO_MAX.
     """
-    run = _Run(problem, config, store_iterates)
+    run = _Run(problem, config)
     mgb = schedule == "mgb"
     proper = mgb and config.direct_cap == 0  # Algorithm MGB proper
     predictor = mgb and config.predictor
@@ -401,18 +399,18 @@ def _follow(problem, config, store_iterates, schedule):
     return run.finish(z, t, k + 1, rho)
 
 
-def run_mgb(problem, config=None, store_iterates=False):
+def run_mgb(problem, config=None):
     """Practical MGB: h-then-t centerings at t0, then adaptive direct/MGB
     steps, each started from a predicted center if config.predictor."""
-    return _follow(problem, config or PathConfig(), store_iterates, "mgb")
+    return _follow(problem, config or PathConfig(), "mgb")
 
 
-def run_naive(problem, config=None, schedule="h-then-t", store_iterates=False):
+def run_naive(problem, config=None, schedule="h-then-t"):
     """Naive single-path algorithm: h- and t-refinements of one iterate, the
     grid level by schedule "h-then-t" or "theta"."""
     if schedule not in ("h-then-t", "theta"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    return _follow(problem, config or PathConfig(), store_iterates, schedule)
+    return _follow(problem, config or PathConfig(), schedule)
 
 
 # name -> runner(problem, config); the names are the config `algorithm` values

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from mgbarrier import pathfollow
 from mgbarrier.problems import ProblemSpec, build_problem
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -17,3 +18,21 @@ def small_problem():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def mgb_with_iterates():
+    """run(problem, config) -> (trace, iterates): run_mgb's trace and the
+    (k, z) of every fine iterate it records a cost for, logged by wrapping
+    _Run.record_step."""
+    def run(problem, config):
+        iterates, record_step = [], pathfollow._Run.record_step
+
+        def logged(self, k, t, z_fine):
+            iterates.append((k, z_fine.copy()))
+            record_step(self, k, t, z_fine)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathfollow._Run, "record_step", logged)
+            return pathfollow.run_mgb(problem, config), iterates
+    return run

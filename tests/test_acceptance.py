@@ -57,19 +57,19 @@ VARIANTS = {"predictor": PathConfig(), "no-predictor": PathConfig(predictor=Fals
 
 
 @pytest.fixture(scope="module")
-def mgb_scaling_runs():
+def mgb_scaling_runs(mgb_with_iterates):
     """p=1.5, alpha=2 MGB runs on h = 1/4 .. 1/32 (criteria 3, 6, 8), as
-    {variant: [(problem, trace) by level count]}."""
+    {variant: [(problem, trace, fine iterates) by level count]}."""
     problems = [build_problem(ProblemSpec(p=1.5, alpha=2, levels=levels, cells0=4))
                 for levels in (1, 2, 3, 4)]
     out = {}
     for name, config in VARIANTS.items():
         out[name] = []
         for pr in problems:
-            tr = timed_run(f"{name}/mgb15_L{pr.L}",
-                           lambda: run_mgb(pr, config, store_iterates=True))
+            tr, iterates = timed_run(f"{name}/mgb15_L{pr.L}",
+                                     lambda: mgb_with_iterates(pr, config))
             assert tr.status == "converged"
-            out[name].append((pr, tr))
+            out[name].append((pr, tr, iterates))
     return out
 
 
@@ -176,7 +176,7 @@ def test_criterion_3_filter_bound(mgb_scaling_runs, p2_run_3level):
     worst = {}
     for name in VARIANTS:
         worst[name] = 0.0
-        for pr, tr in (mgb_scaling_runs[name][2], p2_run_3level[name]):
+        for pr, tr in (mgb_scaling_runs[name][2][:2], p2_run_3level[name]):
             gaps = diagnostics.filter_gap(tr, NU, pr.domain_volume())
             for _, t, gap, bound in gaps:
                 worst[name] = max(worst[name], gap / bound)
@@ -221,26 +221,26 @@ def test_criterion_6_iteration_scaling(mgb_scaling_runs, naive_theta_run,
     _, tr_naive = naive_theta_run
     ok, details = True, []
     for name in VARIANTS:
-        totals = [tr.total_newton for _, tr in mgb_scaling_runs[name]]
+        totals = [tr.newton_steps for _, tr, _ in mgb_scaling_runs[name]]
         # (a) trend check: average growth factor per h-halving
         growth = (totals[-1] / totals[0]) ** (1.0 / (len(totals) - 1))
         ok_a = growth <= 1.5
         # (b) worst per-step Newton count
-        max_steps = max(tr.max_step_newton() for _, tr in mgb_scaling_runs[name])
+        max_steps = max(tr.max_step_newton() for _, tr, _ in mgb_scaling_runs[name])
         p1_max = p1_run[name][1].max_step_newton()
         ok_b = max_steps <= 15 and p1_max <= 20
         # (c) naive theta=0.5 at the smallest h
         mgb_n = totals[-1]
         if tr_naive.status == "converged":
-            ok_c = tr_naive.total_newton >= 2 * mgb_n
-            c_detail = f"naive/MGB = {tr_naive.total_newton}/{mgb_n} (>=2x)"
+            ok_c = tr_naive.newton_steps >= 2 * mgb_n
+            c_detail = f"naive/MGB = {tr_naive.newton_steps}/{mgb_n} (>=2x)"
         else:
             ok_c = tr_naive.status == "budget"
             c_detail = f"naive failed with status {tr_naive.status}"
         wall = _walls["naive15_L4"] + sum(
             v for k, v in _walls.items() if k.startswith(f"{name}/"))
         ok = ok and ok_a and ok_b and ok_c and wall < 600.0
-        details.append(f"{name}: MGB totals {totals}, growth/halving "
+        details.append(f"{name}: MGB Newton steps {totals}, growth/halving "
                        f"{growth:.3f} (<=1.5); max t-step Newton {max_steps} "
                        f"(<=15), p=1 {p1_max} (<=20); {c_detail}; "
                        f"wall {wall:.0f}s (<600s)")
@@ -267,9 +267,9 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
     ok_reg = np.array_equal(R.toarray(), expected[np.ix_(g, g)])
     # t rail and feasibility of every recorded iterate
     ok_t, ok_feas = True, True
-    for pr, tr in (run for runs in mgb_scaling_runs.values() for run in runs):
+    for pr, tr, iterates in (run for runs in mgb_scaling_runs.values() for run in runs):
         ok_t = ok_t and tr.t_final <= 1e8 and all(r.t <= 1e8 for r in tr.rows)
-        for _, z in tr.iterates:
+        for _, z in iterates:
             ok_feas = ok_feas and bool(np.all(pr.fine_objective.margin(z) > 0.0))
     # bitwise determinism of the trace CSV (timing column excluded)
     pr = build_problem(ProblemSpec(p=1.5, alpha=2, levels=2, cells0=2))
@@ -284,7 +284,7 @@ def test_criterion_8_robustness_rails(mgb_scaling_runs):
 
 
 def test_criterion_9_substrate(mgb_scaling_runs):
-    pr, _ = mgb_scaling_runs["predictor"][-1]
+    pr, _, _ = mgb_scaling_runs["predictor"][-1]
     ok_vol = all(abs(m.total_volume() - 1.0) < 1e-12
                  for m in pr.meshes)
     ok_w = all(np.all(obj.sampler.wq > 0) for obj in pr.objectives)

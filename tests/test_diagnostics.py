@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mgbarrier.barrier import PLapBarrier
-from mgbarrier.diagnostics import (filter_gap, hessian_form, p2_linear_fem,
-                                   p2_oracle_error, rh_constant_estimate)
+from mgbarrier.diagnostics import (filter_gap, p2_linear_fem, p2_oracle_error,
+                                   rh_constant_estimate)
 from mgbarrier.mesh import CHILDREN
 from mgbarrier.pathfollow import PathConfig, PathTrace, run_mgb
 from mgbarrier.problems import ProblemSpec, build_problem, harmonic_extension
@@ -66,19 +65,6 @@ def test_rh_constant_estimate_positive(small_problem):
     out = rh_constant_estimate(small_problem, tr.z_final, num_samples=3, seed=0)
     assert len(out) == small_problem.L - 1
     assert all(c > 0 for c in out)
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_hessian_form_matches_the_dense_hessian(p):
-    b = PLapBarrier(p=p, d=2)
-    rng = np.random.default_rng(21)
-    q = rng.standard_normal((1000, 2)) * rng.uniform(0.1, 2.0, (1000, 1))
-    s = (np.sum(q * q, axis=-1) + rng.uniform(1e-3, 10.0, 1000)) ** (p / 2.0)
-    v = rng.standard_normal((1000, 3))
-    _, _, H = b.value_grad_hess(q, s)
-    ref = np.einsum("na,nab,nb->n", v, H, v)
-    got = hessian_form(b.grad_hess_terms(q, s), v[:, :2], v[:, 2])
-    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
 def _rh_loop(problem, z, num_samples, seed):

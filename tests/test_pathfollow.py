@@ -153,7 +153,7 @@ def test_run_mgb_small(small_problem):
     assert tr.status == "converged"
     assert tr.t_final >= PathConfig().stop_t(small_problem)
     assert tr.t_final <= 1e8
-    assert tr.total_newton > 0
+    assert tr.newton_steps > 0
     # summary rows exist for each step and the k column is non-decreasing
     ks = [r.k for r in tr.rows]
     assert ks == sorted(ks)
@@ -163,14 +163,18 @@ def test_run_mgb_small(small_problem):
     assert costs[-1] <= costs[0]
 
 
-@pytest.mark.parametrize("algorithm, config",
-                         [("mgb", PathConfig()), ("mgb", PathConfig(direct_cap=0)),
-                          ("naive-theta", PathConfig())],
-                         ids=["mgb", "direct_cap=0", "naive-theta"])
+@pytest.mark.parametrize("algorithm, config, status",
+                         [("mgb", PathConfig(), "converged"),
+                          ("mgb", PathConfig(direct_cap=0), "converged"),
+                          ("naive-theta", PathConfig(), "converged"),
+                          ("mgb", PathConfig(t0=1e8), "solver-failure")],
+                         ids=["mgb", "direct_cap=0", "naive-theta", "t0=1e8"])
 def test_newton_steps_count_every_centering_once(small_problem, monkeypatch,
-                                                 algorithm, config):
-    # newton_steps is the sum of the iterations that center returned; the
-    # summary rows count a step's largest centering again in total_newton
+                                                 algorithm, config, status):
+    # newton_steps is the sum of the iterations that center returned. The
+    # total_newton that perfbench still reports adds every summary row again,
+    # each its step's largest centering: every level -1 row but the final
+    # re-centering's, none in a run that fails before its first step summary
     iterations, center = [], pathfollow.center
 
     def logged_center(*args, **kw):
@@ -180,9 +184,10 @@ def test_newton_steps_count_every_centering_once(small_problem, monkeypatch,
 
     monkeypatch.setattr(pathfollow, "center", logged_center)
     tr = pathfollow.ALGORITHMS[algorithm](small_problem, config)
-    assert tr.status == "converged"
+    assert tr.status == status
     assert tr.newton_steps == sum(iterations) > 0
-    assert tr.newton_steps < tr.total_newton
+    summaries = tr.summary_rows()[:-1] if status == "converged" else tr.summary_rows()
+    assert tr.total_newton == tr.newton_steps + sum(r.newton_iters for r in summaries)
 
 def test_run_mgb_budget_exhaustion(small_problem):
     tr = run_mgb(small_problem, PathConfig(budget_s=0.0))
@@ -246,10 +251,10 @@ def test_step_sizes_respect_adaptation(small_problem):
             assert r.rho > 1.0
 
 
-def test_iterates_stored_on_request(small_problem):
-    tr = run_mgb(small_problem, PathConfig(), store_iterates=True)
-    assert len(tr.iterates) == len(tr.costs)
-    for _, z in tr.iterates:
+def test_iterates_stored_on_request(small_problem, mgb_with_iterates):
+    tr, iterates = mgb_with_iterates(small_problem, PathConfig())
+    assert [k for k, _ in iterates] == [k for k, _, _ in tr.costs]
+    for _, z in iterates:
         assert np.all(small_problem.fine_objective.margin(z) > 0.0)
 
 
@@ -457,7 +462,7 @@ def test_predictor_costs_no_newton_steps_on_a_coarse_grid():
     on = run_mgb(pr, PathConfig())
     off = run_mgb(pr, PathConfig(predictor=False))
     assert on.status == off.status == "converged"
-    assert on.total_newton <= off.total_newton
+    assert on.newton_steps <= off.newton_steps
 
 
 def _record_starts(monkeypatch, direct_cap):
@@ -480,7 +485,8 @@ def _record_starts(monkeypatch, direct_cap):
     return direct, sweeps
 
 
-def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypatch):
+def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypatch,
+                                                        mgb_with_iterates):
     # direct_cap = 0: no direct step, and every t-step sweeps the levels. At
     # k = 1 no earlier center exists and the sweep starts at the tangent
     # prediction; from k = 2 on it starts from the quadratic prediction
@@ -495,10 +501,10 @@ def test_fallback_sweep_starts_from_the_predicted_point(small_problem, monkeypat
         return predict_(objective, z_k, tangent, t_k, t_next, *args, **kwargs)
 
     monkeypatch.setattr(pathfollow, "predict", logged_predict)
-    tr = run_mgb(small_problem, PathConfig(direct_cap=0), store_iterates=True)
+    tr, iterates = mgb_with_iterates(small_problem, PathConfig(direct_cap=0))
     assert tr.status == "converged" and len(sweeps) > 2 and direct == []
     obj = small_problem.fine_objective
-    iterates = dict(tr.iterates)
+    iterates = dict(iterates)
     ts = {k: t for k, t, _ in tr.costs}
     for k, z_start in sweeps:
         assert not np.array_equal(z_start, iterates[k - 1])
@@ -664,19 +670,20 @@ def test_direct_cap_0_sweeps_every_t_step_without_a_fine_probe(small_problem, mo
 
 
 @pytest.mark.parametrize("direct_cap", [5, 0])
-def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, direct_cap):
+def test_infeasible_prediction_starts_from_z_k(small_problem, monkeypatch, mgb_with_iterates,
+                                               direct_cap):
     # no cut of the prediction keeps a margin, neither the halving nor MGB
     # proper's 0.9^j ladder: the direct step and the sweep start from z_k
     # exactly, and the run is the one without predictor
     monkeypatch.setattr(small_problem.fine_objective, "margin", lambda z: np.zeros(1))
     off = run_mgb(small_problem, PathConfig(direct_cap=direct_cap, predictor=False))
     direct, sweeps = _record_starts(monkeypatch, direct_cap)
-    tr = run_mgb(small_problem, PathConfig(direct_cap=direct_cap), store_iterates=True)
+    tr, iterates = mgb_with_iterates(small_problem, PathConfig(direct_cap=direct_cap))
     assert tr.to_csv(wall_times=False) == off.to_csv(wall_times=False)
-    iterates = dict(tr.iterates)
     # iterates: the initial center, one per t-step, the final re-centering;
     # with direct_cap = 0 every t-step sweeps and none takes a direct step
-    t_steps = len(tr.iterates) - 2
+    t_steps = len(iterates) - 2
+    iterates = dict(iterates)
     if direct_cap == 0:
         assert direct == [] and [k for k, _ in sweeps] == list(range(1, t_steps + 1))
     else:
@@ -904,25 +911,26 @@ def proper_problems():
 
 
 @pytest.mark.parametrize("predictor", [True, False], ids=["predictor", "no-predictor"])
-def test_mgb_proper_keeps_the_acceptance_bounds(proper_problems, predictor):
+def test_mgb_proper_keeps_the_acceptance_bounds(proper_problems, mgb_with_iterates, predictor):
     # Algorithm MGB proper (direct_cap 0) on the acceptance suite's problems:
     # criteria 3 (filter bound), 6(b) (Newton steps per t-step), 7 (step-size
     # floor at p=1) and 8 (t rail, every stored iterate feasible), and its
-    # bound rho <= 4. Criterion 6(a) does not hold for it (total_newton grows
-    # 1.53 per halving with the predictor, 1.89 without, against 1.5; ROADMAP
+    # bound rho <= 4. Criterion 6(a) does not hold for it (newton_steps grows
+    # 1.64 per halving with the predictor, 2.03 without, against 1.5; ROADMAP
     # items 9 and 24), so nothing here gates on the totals.
     config = PathConfig(direct_cap=0, predictor=predictor)
-    traces = {key: run_mgb(problem, config, store_iterates=key[0] == 1.5)
-              for key, problem in proper_problems.items()}
-    for (p, levels), tr in traces.items():
+    runs = {key: mgb_with_iterates(problem, config)
+            for key, problem in proper_problems.items()}
+    traces = {key: tr for key, (tr, _) in runs.items()}
+    for (p, levels), (tr, iterates) in runs.items():
         problem = proper_problems[p, levels]
         assert tr.status == "converged", (p, levels)
         assert tr.t_final <= 1e8 and all(r.t <= 1e8 for r in tr.rows)
-        assert all(np.all(problem.fine_objective.margin(z) > 0.0) for _, z in tr.iterates)
+        assert all(np.all(problem.fine_objective.margin(z) > 0.0) for _, z in iterates)
         if (p, levels) in ((1.5, 3), (2.0, 3)):
             gaps = diagnostics.filter_gap(tr, nu=4.0, domain_volume=problem.domain_volume())
             assert gaps and all(gap <= bound for _, _, gap, bound in gaps), (p, levels)
-    assert all(len(traces[1.5, levels].iterates) > 1 for levels in (1, 2, 3, 4))
+    assert all(len(runs[1.5, levels][1]) > 1 for levels in (1, 2, 3, 4))
     assert max(traces[1.5, levels].max_step_newton() for levels in (1, 2, 3, 4)) <= 15
     assert traces[1.0, 3].max_step_newton() <= 20
     assert min(r.rho for r in traces[1.0, 3].summary_rows() if r.k >= 1) >= 1.1
